@@ -23,11 +23,12 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'DESKernel|SchedulerThroughput' -benchtime 10000x -benchmem .
 
-# Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the two
+# Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
 # wire-format decoders. The checked-in corpora replay as regression seeds;
 # the -fuzztime budget explores a little fresh territory per invocation.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 20s ./internal/transport/
+	$(GO) test -run xxx -fuzz FuzzBodyDecode -fuzztime 20s ./internal/service/
 
 check: vet build test race

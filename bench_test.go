@@ -428,8 +428,12 @@ func BenchmarkAblationRaycaster(b *testing.B) {
 }
 
 // BenchmarkLiveServiceFrame measures an end-to-end frame through the live
-// in-process service (schedule → worker render → 2-3 swap → PNG), warm
-// caches — the "hit" row of Fig. 2 on real hardware.
+// in-process service (schedule → three workers ray-cast and pixel-encode →
+// head decodes, composites direct-send and PNG-encodes → client decodes),
+// warm caches — the "hit" row of Fig. 2 on real hardware. Codec state and
+// frame images are recycled (DESIGN.md §5.14), so a 128×128 frame costs
+// about 214 KB and 214 allocs/op, much of it the client's own PNG decode;
+// the ≈17 ms/op on the 2-vCPU reference host is nearly all ray-casting.
 func BenchmarkLiveServiceFrame(b *testing.B) {
 	dir := b.TempDir()
 	g := volume.Generate(volume.Supernova, 48, 48, 48)

@@ -22,11 +22,12 @@ func (c Concurrent) Name() string { return "concurrent-direct-send" }
 
 // Composite implements Algorithm. Each owner goroutine composites its span
 // of the image across all layers front-to-back; spans are disjoint, so the
-// only synchronization is the final join.
+// only synchronization is the final join. The result comes from img.Get and
+// shares no pixels with the layers; a caller done with it may img.Put it.
 func (c Concurrent) Composite(layers []*img.Image) (*img.Image, Stats) {
 	w, h := validate(layers)
 	n := len(layers)
-	out := img.New(w, h)
+	out := img.Get(w, h)
 	if n == 1 {
 		copy(out.Pix, layers[0].Pix)
 		return out, Stats{Rounds: 1}

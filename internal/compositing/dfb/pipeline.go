@@ -51,6 +51,61 @@ type tileDoneBody struct {
 	Pix         []img.RGBA
 }
 
+// pixelBytes is one img.RGBA on the wire: four little-endian float32s.
+const pixelBytes = 16
+
+func appendPixels(dst []byte, pix []img.RGBA) []byte {
+	dst = transport.AppendUint64(dst, uint64(len(pix)))
+	for _, p := range pix {
+		dst = transport.AppendFloat32(dst, p.R)
+		dst = transport.AppendFloat32(dst, p.G)
+		dst = transport.AppendFloat32(dst, p.B)
+		dst = transport.AppendFloat32(dst, p.A)
+	}
+	return dst
+}
+
+func readPixels(r *transport.BodyReader) []img.RGBA {
+	n := r.Count(pixelBytes)
+	if n == 0 {
+		return nil
+	}
+	pix := make([]img.RGBA, n)
+	for i := range pix {
+		pix[i] = img.RGBA{R: r.Float32(), G: r.Float32(), B: r.Float32(), A: r.Float32()}
+	}
+	return pix
+}
+
+// AppendBody implements transport.BodyAppender.
+func (b tileFragBody) AppendBody(dst []byte) []byte {
+	dst = transport.AppendInt(dst, b.Frame)
+	dst = transport.AppendInt(dst, b.Tile)
+	dst = transport.AppendInt(dst, b.Rank)
+	return appendPixels(dst, b.Pix)
+}
+
+// ParseBody implements transport.BodyParser.
+func (b *tileFragBody) ParseBody(src []byte) error {
+	r := transport.NewBodyReader(src)
+	*b = tileFragBody{Frame: r.Int(), Tile: r.Int(), Rank: r.Int(), Pix: readPixels(&r)}
+	return r.Done()
+}
+
+// AppendBody implements transport.BodyAppender.
+func (b tileDoneBody) AppendBody(dst []byte) []byte {
+	dst = transport.AppendInt(dst, b.Frame)
+	dst = transport.AppendInt(dst, b.Tile)
+	return appendPixels(dst, b.Pix)
+}
+
+// ParseBody implements transport.BodyParser.
+func (b *tileDoneBody) ParseBody(src []byte) error {
+	r := transport.NewBodyReader(src)
+	*b = tileDoneBody{Frame: r.Int(), Tile: r.Int(), Pix: readPixels(&r)}
+	return r.Done()
+}
+
 // ownerFrame is one frame's reduction state on one owner node.
 type ownerFrame struct {
 	out  *img.Image

@@ -1,10 +1,14 @@
 package dfb
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"vizsched/internal/img"
+	"vizsched/internal/transport"
 )
 
 // pipelineRender is a deterministic per-(node, frame) layer producer.
@@ -113,5 +117,51 @@ func TestDFBPipelineSingleNode(t *testing.T) {
 	}
 	if d := img.MaxDiff(refFrames(w, h, 1, 1, nil)[0], outs[0]); d != 0 {
 		t.Fatalf("single node wrong: MaxDiff=%g", d)
+	}
+}
+
+// The pipeline's two message bodies round-trip through the wire codec, and
+// every truncation, a pixel count the input cannot hold, and a trailing byte
+// are errors.
+func TestPipelineBodiesWireFormat(t *testing.T) {
+	pix := []img.RGBA{{R: 0.25, G: 0.5, B: 0.75, A: 1}, {A: 0.125}, {}}
+	frag := tileFragBody{Frame: 3, Tile: 7, Rank: 2, Pix: pix}
+	done := tileDoneBody{Frame: 3, Tile: 7, Pix: pix}
+
+	var gotFrag tileFragBody
+	rawFrag, err := transport.Encode(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.Decode(rawFrag, &gotFrag); err != nil || !reflect.DeepEqual(frag, gotFrag) {
+		t.Fatalf("tile fragment round trip: %+v, err %v", gotFrag, err)
+	}
+	var gotDone tileDoneBody
+	rawDone, err := transport.Encode(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.Decode(rawDone, &gotDone); err != nil || !reflect.DeepEqual(done, gotDone) {
+		t.Fatalf("tile done round trip: %+v, err %v", gotDone, err)
+	}
+
+	for _, c := range []struct {
+		raw []byte
+		out transport.BodyParser
+	}{{rawFrag, &gotFrag}, {rawDone, &gotDone}} {
+		for n := 0; n < len(c.raw); n++ {
+			if err := c.out.ParseBody(c.raw[:n]); !errors.Is(err, transport.ErrMalformedBody) {
+				t.Errorf("%T cut to %d of %d bytes: err = %v", c.out, n, len(c.raw), err)
+			}
+		}
+		if err := c.out.ParseBody(append(bytes.Clone(c.raw), 0)); !errors.Is(err, transport.ErrMalformedBody) {
+			t.Errorf("%T with a trailing byte: err = %v", c.out, err)
+		}
+	}
+	// Frame 0, tile 0, then a claim of 2^40 pixels backed by sixteen bytes.
+	claim := append([]byte{0, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)
+	claim = append(claim, make([]byte, 16)...)
+	if err := gotDone.ParseBody(claim); !errors.Is(err, transport.ErrMalformedBody) {
+		t.Errorf("oversized pixel count: err = %v", err)
 	}
 }

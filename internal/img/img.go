@@ -15,7 +15,9 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"sync"
 )
 
 // RGBA is one premultiplied color sample.
@@ -66,6 +68,44 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]RGBA, w*h)}
 }
 
+// The free list. A frame makes one image per fragment on the worker, one
+// per fragment again on the head and one composite, all the same few sizes
+// frame after frame; Get and Put let the frame path hand them round instead
+// of allocating 16 bytes a pixel each time. Images are binned by the bit
+// length of their pixel count, so a Get looks only at images within a
+// factor of two of what it needs, and each bin is a sync.Pool, so an idle
+// process gives the memory back to the collector.
+//
+// Ownership: an image from Get (or from a function documented to return
+// one) belongs to whoever holds it. Put ends that ownership — the caller
+// must hold the only reference to the image and to its Pix, and must not
+// touch either afterwards. Never calling Put is always safe; the image is
+// then ordinary garbage.
+var free [bits.UintSize + 1]sync.Pool
+
+// Get returns a transparent-black w×h image, recycled if the free list has
+// one large enough and freshly allocated otherwise.
+func Get(w, h int) *Image {
+	if n := w * h; w > 0 && h > 0 {
+		if m, _ := free[bits.Len(uint(n))].Get().(*Image); m != nil && cap(m.Pix) >= n {
+			m.W, m.H, m.Pix = w, h, m.Pix[:n]
+			clear(m.Pix)
+			return m
+		}
+	}
+	return New(w, h) // also where a bad size panics
+}
+
+// Put hands m to the free list. See the ownership rule above; nil is a
+// no-op.
+func Put(m *Image) {
+	if m == nil || cap(m.Pix) == 0 {
+		return
+	}
+	m.Pix = m.Pix[:cap(m.Pix)]
+	free[bits.Len(uint(len(m.Pix)))].Put(m)
+}
+
 // At returns the pixel at (x,y); coordinates must be in range.
 func (m *Image) At(x, y int) RGBA { return m.Pix[y*m.W+x] }
 
@@ -112,6 +152,12 @@ func MaxDiff(a, b *Image) float64 {
 // compositing onto an opaque black background.
 func (m *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, m.W, m.H))
+	m.fillNRGBA(out)
+	return out
+}
+
+// fillNRGBA writes every pixel of out, which must be m's size.
+func (m *Image) fillNRGBA(out *image.NRGBA) {
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
 			p := m.At(x, y).Over(RGBA{0, 0, 0, 1})
@@ -123,7 +169,6 @@ func (m *Image) ToNRGBA() *image.NRGBA {
 			})
 		}
 	}
-	return out
 }
 
 func to8(v float32) uint8 {
@@ -136,9 +181,37 @@ func to8(v float32) uint8 {
 	return uint8(v*255 + 0.5)
 }
 
+// pngBuffers lends png.Encoder its per-image state (the zlib compressor
+// and the filter rows, ≈0.85 MB) instead of letting it build a new set for
+// every frame.
+type pngBuffers struct{ pool sync.Pool }
+
+func (p *pngBuffers) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
+
+// pngEncoder is png.Encode's encoder (default compression) with pooled
+// buffers: the bytes written are the same.
+var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
+
+// nrgbaScratch recycles the 8-bit staging image EncodePNG converts into.
+var nrgbaScratch sync.Pool
+
 // EncodePNG writes the image as PNG.
 func (m *Image) EncodePNG(w io.Writer) error {
-	return png.Encode(w, m.ToNRGBA())
+	out, _ := nrgbaScratch.Get().(*image.NRGBA)
+	if n := 4 * m.W * m.H; out == nil || cap(out.Pix) < n {
+		out = image.NewNRGBA(image.Rect(0, 0, m.W, m.H))
+	} else {
+		out.Pix, out.Stride, out.Rect = out.Pix[:n], 4*m.W, image.Rect(0, 0, m.W, m.H)
+	}
+	m.fillNRGBA(out)
+	err := pngEncoder.Encode(w, out)
+	nrgbaScratch.Put(out)
+	return err
 }
 
 // SavePNG writes the image to the named PNG file.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -244,4 +245,101 @@ func TestPSNRSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	PSNR(New(2, 2), New(3, 3))
+}
+
+func randImage(rng *rand.Rand, w, h int) *Image {
+	m := New(w, h)
+	for i := range m.Pix {
+		m.Pix[i] = randColor(rng)
+	}
+	return m
+}
+
+// EncodePNG reuses its encoder state and its 8-bit staging image from call
+// to call; the bytes must be those of a plain png.Encode whatever sizes the
+// previous calls left behind, including from several goroutines at once.
+func TestEncodePNGMatchesPlainEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := [][2]int{{16, 16}, {64, 48}, {8, 8}, {64, 48}, {33, 7}, {16, 16}}
+	images := make([]*Image, len(sizes))
+	want := make([][]byte, len(sizes))
+	for i, s := range sizes {
+		images[i] = randImage(rng, s[0], s[1])
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, images[i].ToNRGBA()); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			for round := 0; round < 5; round++ {
+				for i, m := range images {
+					buf.Reset()
+					if err := m.EncodePNG(&buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(buf.Bytes(), want[i]) {
+						t.Errorf("round %d image %d (%dx%d): pooled encode differs from png.Encode", round, i, m.W, m.H)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestGetPutRecycles(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	// Whatever Put handed back, Get returns the requested size, all
+	// transparent, and never two live images over the same pixels.
+	for round := 0; round < 20; round++ {
+		a, b := Get(32, 24), Get(32, 24)
+		if &a.Pix[0] == &b.Pix[0] {
+			t.Fatal("two live images share pixels")
+		}
+		for _, m := range []*Image{a, b} {
+			if m.W != 32 || m.H != 24 || len(m.Pix) != 32*24 {
+				t.Fatalf("Get(32,24) returned %dx%d with %d pixels", m.W, m.H, len(m.Pix))
+			}
+			for i, p := range m.Pix {
+				if p != (RGBA{}) {
+					t.Fatalf("round %d: recycled pixel %d = %+v, want transparent", round, i, p)
+				}
+				m.Pix[i] = randColor(rng)
+			}
+		}
+		Put(a)
+		Put(b)
+		// A smaller request in the same size class may reuse the larger
+		// backing array; a larger one must not be short-changed.
+		s := Get(30, 20)
+		l := Get(40, 25)
+		if len(s.Pix) != 600 || len(l.Pix) != 1000 {
+			t.Fatalf("lens %d, %d", len(s.Pix), len(l.Pix))
+		}
+		for _, m := range []*Image{s, l} {
+			for i, p := range m.Pix {
+				if p != (RGBA{}) {
+					t.Fatalf("round %d: %dx%d pixel %d = %+v, want transparent", round, m.W, m.H, i, p)
+				}
+			}
+		}
+		Put(s)
+		Put(l)
+	}
+	Put(nil)
+	Put(&Image{})
+	defer func() {
+		if recover() == nil {
+			t.Error("Get(0,1) did not panic")
+		}
+	}()
+	Get(0, 1)
 }

@@ -2,6 +2,7 @@ package raycast
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +307,58 @@ func TestIsoValueChangesSurface(t *testing.T) {
 	}
 	if count(a) <= count(b) {
 		t.Errorf("iso 0.2 covers %d px, iso 0.8 covers %d px; want more at lower threshold", count(a), count(b))
+	}
+}
+
+// One *Camera shared by concurrent renders, each fanning out into parallel
+// bands and two of them at a different aspect ratio: the cached basis is
+// resolved per render on a private copy, so nothing writes to the shared
+// camera (run under -race) and every render sees its own aspect.
+func TestSharedCameraParallelRenders(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 24, 24, 24)
+	tf := PresetTF("supernova")
+	sizes := [][2]int{{48, 48}, {64, 32}, {48, 48}, {32, 64}}
+	want := make([]*img.Image, len(sizes))
+	for i, s := range sizes {
+		want[i] = RenderFull(g, NewCamera(0.9, 0.3, 2.4), tf, Options{Width: s[0], Height: s[1]})
+	}
+	shared := NewCamera(0.9, 0.3, 2.4) // never rendered with: its basis is unset
+	got := make([]*img.Image, len(sizes))
+	var wg sync.WaitGroup
+	for i, s := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = RenderFull(g, shared, tf, Options{Width: s[0], Height: s[1], Parallel: true})
+		}()
+	}
+	wg.Wait()
+	for i := range sizes {
+		if d := img.MaxDiff(want[i], got[i]); d != 0 {
+			t.Errorf("render %d (%dx%d) through the shared camera differs by %v", i, sizes[i][0], sizes[i][1], d)
+		}
+	}
+}
+
+// A fragment image handed back with img.Put and drawn again by the next
+// render must come out as if freshly allocated: pixels the new rays miss
+// stay transparent rather than showing the previous view.
+func TestRenderIntoRecycledImage(t *testing.T) {
+	g := volume.Generate(volume.Plume, 24, 24, 24)
+	tf := PresetTF("plume")
+	opt := Options{Width: 40, Height: 40}
+	views := []*Camera{NewCamera(0.2, 0.1, 2.2), NewCamera(2.9, -0.4, 3.5)}
+	var want []*img.Image
+	for _, cam := range views {
+		want = append(want, RenderFull(g, cam, tf, opt).Clone())
+	}
+	for round := 0; round < 4; round++ {
+		for i, cam := range views {
+			m := RenderFull(g, cam, tf, opt)
+			if d := img.MaxDiff(want[i], m); d != 0 {
+				t.Fatalf("round %d view %d: recycled render differs by %v", round, i, d)
+			}
+			img.Put(m)
+		}
 	}
 }

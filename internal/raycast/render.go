@@ -144,10 +144,11 @@ type Fragment struct {
 
 // RenderBrick ray-casts one brick against the camera and returns its
 // fragment. Pixels whose rays miss the brick stay transparent, which keeps
-// the sort-last composite correct for non-overlapping bricks.
+// the sort-last composite correct for non-overlapping bricks. The fragment's
+// image comes from img.Get; a caller that is done with it may img.Put it.
 func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment {
 	opt.fill()
-	out := img.New(opt.Width, opt.Height)
+	out := img.Get(opt.Width, opt.Height)
 	lo, hi := b.WorldBounds()
 
 	step := opt.Step
@@ -159,6 +160,12 @@ func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment 
 	stepRatio := step / refStep
 
 	aspect := float64(opt.Width) / float64(opt.Height)
+	// Rays are cast from a private copy of the camera whose basis is built
+	// here, once: the bands below only read it, and a *Camera shared between
+	// concurrent renders is never written to.
+	view := *cam
+	view.finish(aspect)
+	cam = &view
 	renderRows := func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			v := (float64(y) + 0.5) / float64(opt.Height)

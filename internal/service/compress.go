@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"vizsched/internal/img"
 )
@@ -22,7 +23,35 @@ const (
 	CodecFlate = 1
 )
 
-// encodePixels serializes an image under the codec.
+// maxFrameEdge bounds a frame's width and height, for requests at admission
+// and for fragment sizes read off the wire.
+const maxFrameEdge = 4096
+
+// flateState is everything the flate codec needs besides the pixels: a
+// compressor (≈1.1 MB to build), an inflater, the 16-bit quantisation
+// scratch and the compressed-output buffer. States are reused through
+// flateStates, so a steady stream of fragments builds none of them; only
+// the exact-size payload an encode returns is allocated per call.
+type flateState struct {
+	quant []byte
+	out   bytes.Buffer
+	zw    *flate.Writer
+	src   bytes.Reader
+	zr    io.ReadCloser // also a flate.Resetter
+}
+
+var flateStates = sync.Pool{New: func() any { return new(flateState) }}
+
+// scratch returns the quantisation buffer at n bytes.
+func (s *flateState) scratch(n int) []byte {
+	if cap(s.quant) < n {
+		s.quant = make([]byte, n)
+	}
+	return s.quant[:n]
+}
+
+// encodePixels serializes an image under the codec. The returned slice is
+// the caller's: it shares nothing with m or with pooled state.
 func encodePixels(m *img.Image, codec int) ([]byte, error) {
 	switch codec {
 	case CodecRaw:
@@ -36,38 +65,53 @@ func encodePixels(m *img.Image, codec int) ([]byte, error) {
 		}
 		return buf, nil
 	case CodecFlate:
-		quant := make([]byte, len(m.Pix)*8)
+		s := flateStates.Get().(*flateState)
+		defer flateStates.Put(s)
+		quant := s.scratch(len(m.Pix) * 8)
 		for i, p := range m.Pix {
 			binary.LittleEndian.PutUint16(quant[i*8+0:], quant16(p.R))
 			binary.LittleEndian.PutUint16(quant[i*8+2:], quant16(p.G))
 			binary.LittleEndian.PutUint16(quant[i*8+4:], quant16(p.B))
 			binary.LittleEndian.PutUint16(quant[i*8+6:], quant16(p.A))
 		}
-		var out bytes.Buffer
-		zw, err := flate.NewWriter(&out, flate.BestSpeed)
-		if err != nil {
+		s.out.Reset()
+		if s.zw == nil {
+			zw, err := flate.NewWriter(&s.out, flate.BestSpeed)
+			if err != nil {
+				return nil, err
+			}
+			s.zw = zw
+		} else {
+			s.zw.Reset(&s.out)
+		}
+		if _, err := s.zw.Write(quant); err != nil {
 			return nil, err
 		}
-		if _, err := zw.Write(quant); err != nil {
+		if err := s.zw.Close(); err != nil {
 			return nil, err
 		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		return out.Bytes(), nil
+		return bytes.Clone(s.out.Bytes()), nil
 	default:
 		return nil, fmt.Errorf("service: unknown pixel codec %d", codec)
 	}
 }
 
-// decodePixels rebuilds an image from its wire form.
+// decodePixels rebuilds an image from its wire form. w, h and data come off
+// the wire: the size is checked before anything is allocated for it, and
+// the inflater is read for exactly the w·h·8 bytes the size implies plus one
+// — a longer stream is rejected at that byte, however far it would have
+// expanded. The image comes from img.Get; the caller may img.Put it once
+// nothing refers to its pixels.
 func decodePixels(w, h int, codec int, data []byte) (*img.Image, error) {
-	m := img.New(w, h)
+	if w <= 0 || h <= 0 || w > maxFrameEdge || h > maxFrameEdge {
+		return nil, fmt.Errorf("service: bad fragment size %dx%d", w, h)
+	}
 	switch codec {
 	case CodecRaw:
-		if len(data) != len(m.Pix)*16 {
-			return nil, fmt.Errorf("service: raw payload is %d bytes, want %d", len(data), len(m.Pix)*16)
+		if len(data) != w*h*16 {
+			return nil, fmt.Errorf("service: raw payload is %d bytes, want %d", len(data), w*h*16)
 		}
+		m := img.Get(w, h)
 		for i := range m.Pix {
 			m.Pix[i] = img.RGBA{
 				R: math.Float32frombits(binary.LittleEndian.Uint32(data[i*16+0:])),
@@ -78,13 +122,28 @@ func decodePixels(w, h int, codec int, data []byte) (*img.Image, error) {
 		}
 		return m, nil
 	case CodecFlate:
-		quant, err := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
-		if err != nil {
+		s := flateStates.Get().(*flateState)
+		defer flateStates.Put(s)
+		s.src.Reset(data)
+		if s.zr == nil {
+			s.zr = flate.NewReader(&s.src)
+		} else if err := s.zr.(flate.Resetter).Reset(&s.src, nil); err != nil {
 			return nil, fmt.Errorf("service: inflating fragment: %w", err)
 		}
-		if len(quant) != len(m.Pix)*8 {
-			return nil, fmt.Errorf("service: inflated payload is %d bytes, want %d", len(quant), len(m.Pix)*8)
+		defer s.src.Reset(nil) // data is the message's, not the pool's
+		want := w * h * 8
+		quant := s.scratch(want + 1)
+		if got, err := io.ReadFull(s.zr, quant[:want]); err != nil {
+			return nil, fmt.Errorf("service: inflating fragment: %d of %d bytes: %w", got, want, err)
 		}
+		// The stream must end here: one more byte is an overrun, and anything
+		// but a clean EOF is a truncated or corrupt tail.
+		if over, err := io.ReadFull(s.zr, quant[want:]); over > 0 {
+			return nil, fmt.Errorf("service: inflated payload exceeds the %d bytes of a %dx%d fragment", want, w, h)
+		} else if err != io.EOF {
+			return nil, fmt.Errorf("service: inflating fragment: %w", err)
+		}
+		m := img.Get(w, h)
 		for i := range m.Pix {
 			m.Pix[i] = img.RGBA{
 				R: dequant16(binary.LittleEndian.Uint16(quant[i*8+0:])),

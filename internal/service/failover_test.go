@@ -522,3 +522,43 @@ func TestFailoverServeLoopGivesUp(t *testing.T) {
 		t.Fatal("ServeLoop returned nil for a dead endpoint")
 	}
 }
+
+// A durable job record carries its request in a versioned layout. A record
+// from before the wire-codec change (a gob stream), an empty one, and a
+// current-version record with a damaged tail are all refused — by
+// StartRecovered as a whole, before the head adopts any of the state —
+// rather than adopted with a zero request.
+func TestFailoverRefusesUnreadableRequestRecords(t *testing.T) {
+	cat := testCatalog(t, 2)
+	recovered := func(req []byte) *hastate.RecoveredJob {
+		job := &core.Job{ID: 4, Tasks: make([]core.Task, 2), Remaining: 2}
+		return &hastate.RecoveredJob{
+			Rec: &hastate.JobRecord{ID: 4, Req: req, Tasks: make([]hastate.TaskInfo, 2)},
+			Job: job,
+		}
+	}
+	want := RenderBody{Dataset: "plume", Angle: 1.5, Dist: 2.4, Width: 48, Height: 32, Key: 99}
+	good := want.AppendBody([]byte{reqVersion})
+	for name, req := range map[string][]byte{
+		"gob stream":   {0x3d, 0xff, 0x81, 0x03, 0x01, 0x01, 0x0a, 'R', 'e', 'n', 'd', 'e', 'r', 'B', 'o', 'd', 'y'},
+		"empty":        nil,
+		"damaged tail": good[:len(good)-3],
+	} {
+		head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+		quietHead(head)
+		err := head.StartRecovered(&hastate.State{Jobs: []*hastate.RecoveredJob{recovered(req)}})
+		if err == nil {
+			head.Stop()
+			t.Errorf("%s: StartRecovered adopted an unreadable request record", name)
+		}
+	}
+	head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+	quietHead(head)
+	lj, err := head.restoreJob(recovered(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lj.req != want {
+		t.Errorf("restored request = %+v, want %+v", lj.req, want)
+	}
+}

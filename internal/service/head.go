@@ -54,10 +54,13 @@ type liveJob struct {
 	// red reduces arriving TileFragBody pixels straight into out under
 	// layout, and finalize ships out instead of decoding and compositing
 	// full-frame fragments. Created lazily from the first tile fragment,
-	// whose FrameW/FrameH carry the job's (possibly QoS-degraded) frame size.
+	// whose FrameW/FrameH must be the job's (possibly QoS-degraded) frame size.
 	layout dfb.Layout
 	out    *img.Image
 	red    *dfb.Reducer
+	// tiles are the decoded tile fragments whose pixels red may still hold;
+	// finalize returns them to the img free list once the reduction is done.
+	tiles []*img.Image
 	// tileFrags counts tile fragments folded into red, so the in-flight
 	// gauge can be settled when the job delivers or fails.
 	tileFrags int
@@ -729,7 +732,7 @@ func (h *Head) dispatch() {
 				if h.DeadlineFactor > 0 {
 					lj.deadline[a.Task.Index] = time.Now().Add(h.taskDeadline(a.Task))
 				}
-				raw, err := transport.Encode(body)
+				raw, err := transport.Encode(&body)
 				if err != nil {
 					h.Logf("head: encoding task: %v", err)
 					continue
@@ -1411,11 +1414,12 @@ func (h *Head) tileFrag(lj *liveJob, node core.NodeID, tf *TileFragBody) error {
 		return fmt.Errorf("tile fragment task %d out of range (%d tasks)", tf.TaskIndex, len(lj.frags))
 	}
 	if lj.red == nil {
-		if tf.FrameW <= 0 || tf.FrameH <= 0 {
-			return fmt.Errorf("tile fragment with bad frame %dx%d", tf.FrameW, tf.FrameH)
+		if tf.FrameW != lj.req.Width || tf.FrameH != lj.req.Height {
+			return fmt.Errorf("tile fragment frame %dx%d does not match job frame %dx%d",
+				tf.FrameW, tf.FrameH, lj.req.Width, lj.req.Height)
 		}
 		lj.layout = dfb.NewLayout(tf.FrameW, tf.FrameH, h.dfbTile())
-		lj.out = img.New(tf.FrameW, tf.FrameH)
+		lj.out = img.Get(tf.FrameW, tf.FrameH)
 		lj.red = dfb.NewReducer(lj.layout, len(lj.frags), lj.out)
 	}
 	if lj.out.W != tf.FrameW || lj.out.H != tf.FrameH {
@@ -1441,6 +1445,7 @@ func (h *Head) tileFrag(lj *liveJob, node core.NodeID, tf *TileFragBody) error {
 	if err != nil {
 		return fmt.Errorf("decoding tile %d: %w", tf.Tile, err)
 	}
+	lj.tiles = append(lj.tiles, tm) // the reducer keeps tm.Pix until the tile finalizes
 	finalized, err := lj.red.Add(dfb.Fragment{
 		Tile:  tf.Tile,
 		Rank:  -1,
@@ -1574,6 +1579,9 @@ func (h *Head) trackWaste(fn func()) {
 	}
 }
 
+// pngScratch recycles the buffer finalize encodes a frame's PNG into.
+var pngScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // finalize composites a completed job's fragments and replies to the client.
 // It runs outside the dispatcher: the job is complete, so nothing else
 // touches it.
@@ -1610,10 +1618,23 @@ func (h *Head) finalize(lj *liveJob) {
 			return
 		}
 		final = lj.out
+		// Every tile has been reduced into out, so the reducer is done with
+		// the decoded tiles it buffered.
+		for _, tm := range lj.tiles {
+			img.Put(tm)
+		}
+		lj.out, lj.red, lj.tiles = nil, nil, nil
 	} else {
 		images := make([]*img.Image, len(lj.frags))
 		depths := make([]float64, len(lj.frags))
 		for i, f := range lj.frags {
+			// A worker renders at the size the task asked for; anything else
+			// is a corrupt or hostile report, and must not size an allocation.
+			if f.W != lj.req.Width || f.H != lj.req.Height {
+				failf(fmt.Errorf("fragment %d is %dx%d, job frame is %dx%d",
+					f.TaskIndex, f.W, f.H, lj.req.Width, lj.req.Height))
+				return
+			}
 			m, err := decodePixels(f.W, f.H, f.Codec, f.Data)
 			if err != nil {
 				failf(err)
@@ -1627,17 +1648,28 @@ func (h *Head) finalize(lj *liveJob) {
 		// algorithms in internal/compositing model the distributed exchange
 		// the workers would perform and are verified equal to this result.
 		final, _ = compositing.Concurrent{}.Composite(layers)
+		for _, m := range images {
+			img.Put(m)
+		}
 	}
 
-	var buf bytes.Buffer
-	if err := final.EncodePNG(&buf); err != nil {
+	buf := pngScratch.Get().(*bytes.Buffer)
+	buf.Reset()
+	err := final.EncodePNG(buf)
+	w, ht := final.W, final.H
+	img.Put(final)
+	// The PNG outlives this call (the reply, the retained-result store), so
+	// it leaves the pooled buffer as an exact-size copy.
+	png := bytes.Clone(buf.Bytes())
+	pngScratch.Put(buf)
+	if err != nil {
 		failf(err)
 		return
 	}
 	res := ResultBody{
-		Width:        final.W,
-		Height:       final.H,
-		PNG:          buf.Bytes(),
+		Width:        w,
+		Height:       ht,
+		PNG:          png,
 		ElapsedNanos: time.Since(lj.wall).Nanoseconds(),
 		Hits:         hits,
 		Misses:       misses,
@@ -1658,7 +1690,7 @@ func (h *Head) finalize(lj *liveJob) {
 		// A recovered job whose client never re-attached: the result waits in
 		// the retained store for the key's re-submission.
 		h.Logf("head: job %d completed with no client attached; result retained", lj.job.ID)
-	} else if err := send(conn, transport.KindResult, msgID, res); err != nil {
+	} else if err := send(conn, transport.KindResult, msgID, &res); err != nil {
 		h.Logf("head: result reply failed: %v", err)
 	}
 	h.stats.frameLat.add(time.Since(lj.wall))
@@ -1697,7 +1729,7 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 	if m == nil {
 		return fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
-	if req.Width <= 0 || req.Width > 4096 || req.Height <= 0 || req.Height > 4096 {
+	if req.Width <= 0 || req.Width > maxFrameEdge || req.Height <= 0 || req.Height > maxFrameEdge {
 		return fmt.Errorf("bad image size %dx%d", req.Width, req.Height)
 	}
 	h.mu.Lock()

@@ -170,7 +170,7 @@ type ErrorBody struct {
 }
 
 // send encodes body and ships it with the given kind and id.
-func send(c transport.Conn, kind transport.Kind, id uint64, body any) error {
+func send(c transport.Conn, kind transport.Kind, id uint64, body transport.BodyAppender) error {
 	raw, err := transport.Encode(body)
 	if err != nil {
 		return err

@@ -59,14 +59,17 @@ func (h *Head) journalRec(kind journal.Kind, job core.JobID, task int, node core
 	}
 }
 
+// reqVersion leads the request bytes of a durable job record and names
+// their layout: 2 is RenderBody's wire form. Version 1 was a gob stream,
+// whose first byte is the length of a type descriptor and never 2, so a
+// journal or snapshot written before the change is refused by version
+// rather than misparsed.
+const reqVersion = 2
+
 // jobRecord captures a job's durable form: the original request (so a
 // recovered head can re-dispatch and finalize it) plus each task's position
 // in the dispatch lifecycle.
 func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
-	raw, err := transport.Encode(lj.req)
-	if err != nil {
-		h.Logf("head: encoding job %d request for journal: %v", lj.job.ID, err)
-	}
 	rec := hastate.JobRecord{
 		ID:      lj.job.ID,
 		Key:     lj.req.Key,
@@ -75,7 +78,7 @@ func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
 		Tenant:  lj.job.Tenant,
 		Dataset: lj.job.Dataset,
 		Issued:  lj.job.Issued,
-		Req:     raw,
+		Req:     lj.req.AppendBody([]byte{reqVersion}),
 		Tasks:   make([]hastate.TaskInfo, len(lj.job.Tasks)),
 	}
 	for i := range lj.job.Tasks {
@@ -209,6 +212,16 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	if h.Compositing != "" && h.Compositing != "dfb" {
 		return fmt.Errorf("service: unknown compositing algorithm %q", h.Compositing)
 	}
+	// Decode every recovered request before touching the head: a journal or
+	// snapshot this build cannot read is refused whole, not half-adopted.
+	restored := make([]*liveJob, len(st.Jobs))
+	for i, rj := range st.Jobs {
+		lj, err := h.restoreJob(rj)
+		if err != nil {
+			return err
+		}
+		restored[i] = lj
+	}
 	h.state = st.Tables
 	n := len(st.Tables.Available)
 	if h.Replicas > 1 {
@@ -269,8 +282,8 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	// Rebuild the live jobs. The dispatcher adopts recovered/recoveredQueue
 	// before its first event.
 	var live []*core.Job
-	for _, rj := range st.Jobs {
-		lj := h.restoreJob(rj)
+	for i, rj := range st.Jobs {
+		lj := restored[i]
 		h.recovered = append(h.recovered, lj)
 		if key := lj.req.Key; key != 0 {
 			h.byKey[key] = lj
@@ -303,7 +316,7 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 // restoreJob rebuilds the dispatcher-facing liveJob around a recovered job.
 // The client connection is nil until the client re-submits its idempotency
 // key and re-attaches.
-func (h *Head) restoreJob(rj *hastate.RecoveredJob) *liveJob {
+func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 	job := rj.Job
 	lj := &liveJob{
 		job:      job,
@@ -314,10 +327,12 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) *liveJob {
 		retries:  make([]int, len(job.Tasks)),
 		wall:     time.Now(),
 	}
-	if len(rj.Rec.Req) > 0 {
-		if err := transport.Decode(rj.Rec.Req, &lj.req); err != nil {
-			h.Logf("head: decoding recovered job %d request: %v", job.ID, err)
-		}
+	req := rj.Rec.Req
+	if len(req) == 0 || req[0] != reqVersion {
+		return nil, fmt.Errorf("service: recovered job %d: request record is not version %d", job.ID, reqVersion)
+	}
+	if err := lj.req.ParseBody(req[1:]); err != nil {
+		return nil, fmt.Errorf("service: recovered job %d: decoding request: %w", job.ID, err)
 	}
 	now := time.Now()
 	for i := range rj.Rec.Tasks {
@@ -339,7 +354,7 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) *liveJob {
 			lj.restoredDone[i] = true
 		}
 	}
-	return lj
+	return lj, nil
 }
 
 // retainedCap bounds the delivered-result store backing client re-attach;

@@ -239,6 +239,9 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		IsoValue: t.Render.IsoValue,
 		Parallel: true,
 	})
+	// Every encode below copies the pixels out, so the rendered layer goes
+	// back to the free list on the way out.
+	defer img.Put(frag.Image)
 	meta := FragmentBody{
 		JobID:     t.JobID,
 		TaskIndex: t.TaskIndex,
@@ -354,11 +357,11 @@ func (w *Worker) replayRetained(conn transport.Conn, outstanding []TaskRef) erro
 			continue
 		}
 		for t := range r.tiles {
-			if err := send(conn, transport.KindTileFrag, r.ref.JobID, r.tiles[t]); err != nil {
+			if err := send(conn, transport.KindTileFrag, r.ref.JobID, &r.tiles[t]); err != nil {
 				return err
 			}
 		}
-		if err := send(conn, transport.KindFragment, r.ref.JobID, r.frag); err != nil {
+		if err := send(conn, transport.KindFragment, r.ref.JobID, &r.frag); err != nil {
 			return err
 		}
 		w.Logf("worker %s: replayed retained J%d/T%d", w.Name, r.ref.JobID, r.ref.TaskIndex)
@@ -387,11 +390,11 @@ func (w *Worker) runTask(conn transport.Conn, msgID uint64, t TaskBody) error {
 	// head sees every tile before the execution report that completes the
 	// task's accounting.
 	for i := range tiles {
-		if err := send(conn, transport.KindTileFrag, msgID, tiles[i]); err != nil {
+		if err := send(conn, transport.KindTileFrag, msgID, &tiles[i]); err != nil {
 			return err
 		}
 	}
-	return send(conn, transport.KindFragment, msgID, frag)
+	return send(conn, transport.KindFragment, msgID, &frag)
 }
 
 // serve sends the hello, starts the heartbeat beacon, and runs the task

@@ -19,7 +19,8 @@ type FaultConfig struct {
 	Drop float64
 	// Corrupt is the probability a message's body is bit-flipped. The
 	// mutation happens above the wire codec, modeling payload corruption
-	// that frame CRCs cannot see — the receiver's gob decode must reject it.
+	// that frame CRCs cannot see — the receiver's body parser and its checks
+	// on the decoded values must cope with it.
 	Corrupt float64
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64

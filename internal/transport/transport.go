@@ -6,9 +6,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -85,8 +83,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is one framed protocol unit. Body holds a gob-encoded struct
-// appropriate to the Kind; ID correlates requests with responses.
+// Message is one framed protocol unit. Body holds the wire form (see
+// Encode) of the struct appropriate to the Kind; ID correlates requests
+// with responses. Body belongs to whoever holds the Message: Pipe delivers
+// the sender's slice itself, so a sender must not reuse or pool it.
 type Message struct {
 	Kind Kind
 	ID   uint64
@@ -267,6 +267,10 @@ type tcpConn struct {
 	nc   net.Conn
 	wmu  sync.Mutex
 	whdr [frameHeaderLen + frameMetaLen]byte
+	// wvec backs the header+body vector Send hands to writev; kept here so a
+	// send allocates nothing.
+	wvec [2][]byte
+	wbuf net.Buffers
 	rhdr [frameHeaderLen + frameMetaLen]byte
 	once sync.Once
 }
@@ -275,29 +279,34 @@ func newTCPConn(nc net.Conn) *tcpConn {
 	return &tcpConn{nc: nc}
 }
 
-// Send implements Conn.
+// Send implements Conn. Header and body leave in one writev, so a message
+// costs one syscall and the bytes on the wire are AppendFrame's.
 func (c *tcpConn) Send(m Message) error {
 	if uint64(frameMetaLen+len(m.Body)) > uint64(MaxFrameSize) {
 		return fmt.Errorf("%w: payload %dB > limit %dB", ErrFrameTooLarge, frameMetaLen+len(m.Body), MaxFrameSize)
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	h := c.whdr[:]
+	putFrameHeader(c.whdr[:], m)
+	c.wbuf = append(c.wvec[:0], c.whdr[:])
+	if len(m.Body) > 0 {
+		c.wbuf = append(c.wbuf, m.Body)
+	}
+	// WriteTo consumes wbuf and nils the entries it has written, so no
+	// reference to the body outlives the call.
+	_, err := c.wbuf.WriteTo(c.nc)
+	return err
+}
+
+// putFrameHeader fills h (frameHeaderLen+frameMetaLen bytes) with m's
+// length, CRC, kind and id.
+func putFrameHeader(h []byte, m Message) {
 	binary.BigEndian.PutUint32(h[8:12], uint32(m.Kind))
 	binary.BigEndian.PutUint64(h[12:20], m.ID)
-	crc := crc32.ChecksumIEEE(h[8:])
+	crc := crc32.ChecksumIEEE(h[8:20])
 	crc = crc32.Update(crc, crc32.IEEETable, m.Body)
 	binary.BigEndian.PutUint32(h[0:4], uint32(frameMetaLen+len(m.Body)))
 	binary.BigEndian.PutUint32(h[4:8], crc)
-	if _, err := c.nc.Write(h); err != nil {
-		return err
-	}
-	if len(m.Body) > 0 {
-		if _, err := c.nc.Write(m.Body); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Recv implements Conn.
@@ -362,12 +371,7 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 		return dst, fmt.Errorf("%w: payload %dB > limit %dB", ErrFrameTooLarge, frameMetaLen+len(m.Body), MaxFrameSize)
 	}
 	var h [frameHeaderLen + frameMetaLen]byte
-	binary.BigEndian.PutUint32(h[8:12], uint32(m.Kind))
-	binary.BigEndian.PutUint64(h[12:20], m.ID)
-	crc := crc32.ChecksumIEEE(h[8:])
-	crc = crc32.Update(crc, crc32.IEEETable, m.Body)
-	binary.BigEndian.PutUint32(h[0:4], uint32(frameMetaLen+len(m.Body)))
-	binary.BigEndian.PutUint32(h[4:8], crc)
+	putFrameHeader(h[:], m)
 	dst = append(dst, h[:]...)
 	return append(dst, m.Body...), nil
 }
@@ -415,38 +419,4 @@ func DialTCP(addr string) (Conn, error) {
 		return nil, err
 	}
 	return newTCPConn(nc), nil
-}
-
-// Body encode/decode buffers are pooled: fragment and tile traffic encodes
-// a body per message, and the grown scratch buffers are perfectly reusable.
-// The gob encoder/decoder themselves are NOT pooled — they carry per-stream
-// type-descriptor state and must start fresh for each self-contained body.
-var (
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	decRdrPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
-)
-
-// Encode gob-encodes a body struct for a Message.
-func Encode(v any) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		encBufPool.Put(buf)
-		return nil, err
-	}
-	// Copy out at exact size: the pooled buffer's backing array stays with
-	// the pool instead of escaping into the Message.
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	encBufPool.Put(buf)
-	return out, nil
-}
-
-// Decode gob-decodes a Message body into v.
-func Decode(body []byte, v any) error {
-	r := decRdrPool.Get().(*bytes.Reader)
-	r.Reset(body)
-	err := gob.NewDecoder(r).Decode(v)
-	decRdrPool.Put(r)
-	return err
 }

@@ -123,30 +123,6 @@ func TestPipeDrainsBufferedAfterPeerClose(t *testing.T) {
 	}
 }
 
-func TestEncodeDecode(t *testing.T) {
-	type payload struct {
-		Name  string
-		Count int
-		Data  []float32
-	}
-	in := payload{Name: "x", Count: 3, Data: []float32{1, 2, 3}}
-	raw, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := Decode(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != in.Name || out.Count != in.Count || len(out.Data) != 3 {
-		t.Fatalf("roundtrip mismatch: %+v", out)
-	}
-	// Corrupt payload errors rather than panics.
-	if err := Decode([]byte{1, 2, 3}, &out); err == nil {
-		t.Error("corrupt decode did not error")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindTask.String() != "task" || Kind(99).String() == "" {
 		t.Error("Kind.String broken")
@@ -154,18 +130,12 @@ func TestKindString(t *testing.T) {
 }
 
 // BenchmarkTransportRoundTrip measures one encode → send → recv → decode
-// cycle with a fragment-sized body: the in-process pipe isolates the pooled
-// gob codec cost, and the tcp variant adds the length-prefixed CRC32 frame
+// cycle with a fragment-sized body: the in-process pipe isolates the body
+// codec cost, and the tcp variant adds the length-prefixed CRC32 frame
 // codec on a loopback socket — the delta between the two is the checksum +
 // framing overhead per message.
 func BenchmarkTransportRoundTrip(b *testing.B) {
-	type fragment struct {
-		JobID     uint64
-		TaskIndex int
-		Depth     float64
-		Data      []byte
-	}
-	in := fragment{JobID: 7, TaskIndex: 3, Depth: 1.5, Data: make([]byte, 4096)}
+	in := &wireProbe{U: 7, I: 3, F: 1.5, Data: make([]byte, 4096)}
 	run := func(b *testing.B, a, peer Conn) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -181,7 +151,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var out fragment
+			var out wireProbe
 			if err := Decode(m.Body, &out); err != nil {
 				b.Fatal(err)
 			}
