@@ -19,9 +19,11 @@ race:
 	$(GO) test -race ./internal/experiments/ ./internal/des/ ./internal/sim/ ./internal/service/ ./internal/raycast/
 
 # Short benchmark smoke: verifies the DES kernel stays allocation-free and
-# the scheduler benchmarks still run. Not a performance measurement.
+# the scheduler and renderer benchmarks still run. Not a performance
+# measurement.
 bench:
 	$(GO) test -run xxx -bench 'DESKernel|SchedulerThroughput' -benchtime 10000x -benchmem .
+	$(GO) test -run xxx -bench 'AblationRaycaster|RenderFull64' -benchtime 3x -benchmem . ./internal/raycast/
 
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
 # wire-format decoders. The checked-in corpora replay as regression seeds;

@@ -6,8 +6,8 @@
 // package then merges bricks in visibility order (sort-last, Molnar et
 // al. [7]). The renderer does real work — trilinear sampling, transfer
 // function lookup, gradient shading, front-to-back accumulation with early
-// ray termination — so the end-to-end service produces genuine images
-// (Fig. 10 analogues) rather than mock pixels.
+// ray termination and empty-space skipping — so the end-to-end service
+// produces genuine images (Fig. 10 analogues) rather than mock pixels.
 package raycast
 
 import (
@@ -56,17 +56,13 @@ type Ray struct {
 }
 
 // Camera is a simple perspective pinhole camera. The volume is rendered in a
-// normalized world where the full dataset occupies [0,1]³.
+// normalized world where the full dataset occupies [0,1]³. A Camera is plain
+// data: rendering never writes to it, so one may be shared between
+// concurrent renders.
 type Camera struct {
 	Eye, LookAt, Up Vec3
 	// FovY is the vertical field of view in radians.
 	FovY float64
-
-	// Cached basis, built by Finish.
-	right, up, fwd Vec3
-	halfH, halfW   float64
-	aspect         float64
-	ready          bool
 }
 
 // NewCamera returns a camera with sensible defaults: orbiting the unit cube
@@ -81,29 +77,41 @@ func NewCamera(angle, elevation, dist float64) *Camera {
 	return &Camera{Eye: eye, LookAt: center, Up: Vec3{0, 1, 0}, FovY: 45 * math.Pi / 180}
 }
 
-// finish builds the orthonormal basis for the given aspect ratio.
-func (c *Camera) finish(aspect float64) {
-	if c.ready && c.aspect == aspect {
-		return
+// view is a camera resolved for one aspect ratio: the orthonormal basis and
+// the half-extents of the image plane. It is a value built once per render
+// and only read afterwards.
+type view struct {
+	eye, right, up, fwd Vec3
+	halfH, halfW        float64
+}
+
+// view builds the orthonormal basis for the given aspect ratio (w/h).
+func (c *Camera) view(aspect float64) view {
+	fwd := c.LookAt.Sub(c.Eye).Normalize()
+	right := fwd.Cross(c.Up).Normalize()
+	halfH := math.Tan(c.FovY / 2)
+	return view{
+		eye: c.Eye, right: right, up: right.Cross(fwd), fwd: fwd,
+		halfH: halfH, halfW: halfH * aspect,
 	}
-	c.fwd = c.LookAt.Sub(c.Eye).Normalize()
-	c.right = c.fwd.Cross(c.Up).Normalize()
-	c.up = c.right.Cross(c.fwd)
-	c.halfH = math.Tan(c.FovY / 2)
-	c.halfW = c.halfH * aspect
-	c.aspect = aspect
-	c.ready = true
+}
+
+// ray returns the primary ray through normalized screen coordinates
+// (u,v) ∈ [0,1]²; v grows downward, matching image row order.
+func (w *view) ray(u, v float64) Ray {
+	sx := (2*u - 1) * w.halfW
+	sy := (1 - 2*v) * w.halfH
+	dir := w.fwd.Add(w.right.Scale(sx)).Add(w.up.Scale(sy)).Normalize()
+	return Ray{Origin: w.eye, Dir: dir}
 }
 
 // RayThrough returns the primary ray through normalized screen coordinates
 // (u,v) ∈ [0,1]² for an image with the given aspect ratio (w/h). v grows
-// downward, matching image row order.
+// downward, matching image row order. It resolves the camera's basis on
+// every call; RenderBrick resolves it once per render.
 func (c *Camera) RayThrough(u, v, aspect float64) Ray {
-	c.finish(aspect)
-	sx := (2*u - 1) * c.halfW
-	sy := (1 - 2*v) * c.halfH
-	dir := c.fwd.Add(c.right.Scale(sx)).Add(c.up.Scale(sy)).Normalize()
-	return Ray{Origin: c.Eye, Dir: dir}
+	w := c.view(aspect)
+	return w.ray(u, v)
 }
 
 // intersectAABB returns the parametric entry/exit of the ray with the box

@@ -1,7 +1,10 @@
 package raycast
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -359,6 +362,484 @@ func TestRenderIntoRecycledImage(t *testing.T) {
 				t.Fatalf("round %d view %d: recycled render differs by %v", round, i, d)
 			}
 			img.Put(m)
+		}
+	}
+}
+
+// renderBrickReference is the renderer as it stood before the march loop was
+// specialised: one straight loop, a Grid.Sample call per sample, the
+// transfer function through its interface, no skipping. RenderBrick must
+// return its pixels float32 for float32. It also counts the samples it took.
+func renderBrickReference(b *Brick, cam *Camera, tf TransferFunc, opt Options) (*img.Image, int64) {
+	opt.fill()
+	out := img.New(opt.Width, opt.Height)
+	lo, hi := b.WorldBounds()
+	fd := b.FullDims
+	voxel := func(p Vec3) (x, y, z float64) {
+		return p.X*float64(fd[0]) - float64(b.GridOrigin[0]) - 0.5,
+			p.Y*float64(fd[1]) - float64(b.GridOrigin[1]) - 0.5,
+			p.Z*float64(fd[2]) - float64(b.GridOrigin[2]) - 0.5
+	}
+	sample := func(p Vec3) float32 { return b.Grid.Sample(voxel(p)) }
+	gradient := func(p Vec3) Vec3 {
+		g := b.Grid.Gradient(voxel(p))
+		return Vec3{float64(g[0]), float64(g[1]), float64(g[2])}
+	}
+	classify := func(v float32, stepRatio float64) img.RGBA {
+		r, g, b, a := tf.Lookup(v)
+		if a <= 0 {
+			return img.RGBA{}
+		}
+		corrected := float32(1 - pow1m(float64(a), stepRatio))
+		return img.RGBA{R: r * corrected, G: g * corrected, B: b * corrected, A: corrected}
+	}
+
+	step := opt.Step
+	if step <= 0 {
+		maxDim := float64(max(b.FullDims[0], max(b.FullDims[1], b.FullDims[2])))
+		step = 0.5 / maxDim
+	}
+	const refStep = 1.0 / 256
+	stepRatio := step / refStep
+	aspect := float64(opt.Width) / float64(opt.Height)
+	var samples int64
+	for y := 0; y < opt.Height; y++ {
+		v := (float64(y) + 0.5) / float64(opt.Height)
+		for x := 0; x < opt.Width; x++ {
+			u := (float64(x) + 0.5) / float64(opt.Width)
+			ray := cam.RayThrough(u, v, aspect)
+			tmin, tmax, ok := intersectAABB(ray, lo, hi)
+			if !ok {
+				continue
+			}
+			var acc img.RGBA
+			t0 := math.Ceil(tmin/step) * step
+			switch opt.Mode {
+			case ModeMIP:
+				var peak float32 = -1
+				for t := t0; t < tmax; t += step {
+					samples++
+					if s := sample(ray.Origin.Add(ray.Dir.Scale(t))); s > peak {
+						peak = s
+					}
+				}
+				if peak >= 0 {
+					r, g, bl, _ := tf.Lookup(peak)
+					acc = img.RGBA{R: r * peak, G: g * peak, B: bl * peak, A: peak}
+				}
+			case ModeIso:
+				for t := t0; t < tmax; t += step {
+					samples++
+					p := ray.Origin.Add(ray.Dir.Scale(t))
+					if sample(p) >= opt.IsoValue {
+						shade := diffuse(gradient(p), opt.Light)
+						acc = img.RGBA{R: 0.9 * shade, G: 0.85 * shade, B: 0.8 * shade, A: 1}
+						break
+					}
+				}
+			default:
+				for t := t0; t < tmax; t += step {
+					samples++
+					p := ray.Origin.Add(ray.Dir.Scale(t))
+					smp := classify(sample(p), stepRatio)
+					if smp.A > 0 && opt.Shading {
+						shade := diffuse(gradient(p), opt.Light)
+						smp.R *= shade
+						smp.G *= shade
+						smp.B *= shade
+					}
+					acc.AccumulateFrontToBack(smp)
+					if acc.Opaque() {
+						break
+					}
+				}
+			}
+			out.Set(x, y, acc)
+		}
+	}
+	return out, samples
+}
+
+// firstBitDiff returns the first pixel at which two images differ in any
+// bit of any channel ("" when none). Two NaNs count as equal whatever their
+// payloads: which operand's payload an addition keeps is the compiler's
+// choice of operand order, not arithmetic.
+func firstBitDiff(want, got *img.Image) string {
+	if want.W != got.W || want.H != got.H {
+		return fmt.Sprintf("size %dx%d vs %dx%d", want.W, want.H, got.W, got.H)
+	}
+	same := func(a, b float32) bool {
+		return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+	}
+	for i, w := range want.Pix {
+		g := got.Pix[i]
+		if !same(w.R, g.R) || !same(w.G, g.G) || !same(w.B, g.B) || !same(w.A, g.A) {
+			return fmt.Sprintf("pixel (%d,%d): want %v, got %v", i%want.W, i/want.W, w, g)
+		}
+	}
+	return ""
+}
+
+// checkAgainstReference renders b through RenderBrick, serially and in
+// bands, and requires the reference's pixels and sample count from both.
+func checkAgainstReference(t *testing.T, what string, b *Brick, cam *Camera, ref, fast TransferFunc, opt Options) {
+	t.Helper()
+	want, samples := renderBrickReference(b, cam, ref, opt)
+	for _, parallel := range []bool{false, true} {
+		opt.Parallel = parallel
+		f := RenderBrick(b, cam, fast, opt)
+		if d := firstBitDiff(want, f.Image); d != "" {
+			t.Fatalf("%s parallel=%v: %s", what, parallel, d)
+		}
+		if f.Samples != samples {
+			t.Fatalf("%s parallel=%v: %d samples, reference took %d", what, parallel, f.Samples, samples)
+		}
+		if f.Skipped < 0 || f.Skipped > f.Samples {
+			t.Fatalf("%s parallel=%v: skipped %d of %d samples", what, parallel, f.Skipped, f.Samples)
+		}
+		img.Put(f.Image)
+	}
+}
+
+// tfPair is a transfer function as the reference sees it and as RenderBrick
+// is handed it: for a Piecewise, the raw control points and the prepared
+// form, so the suite also holds the two to the same lookups.
+type tfPair struct {
+	name      string
+	ref, fast TransferFunc
+}
+
+func prepared(name string, p Piecewise) tfPair { return tfPair{name, p, p.compile()} }
+
+func presetPairs() []tfPair {
+	return []tfPair{
+		{"plume", presets["plume"], PresetTF("plume")},
+		{"combustion", presets["combustion"], PresetTF("combustion")},
+		{"supernova", presets["supernova"], PresetTF("supernova")},
+		{"default", DefaultTF, PresetTF("no such preset")},
+	}
+}
+
+// bandTF is a TransferFunc RenderBrick knows nothing about.
+type bandTF struct{}
+
+func (bandTF) Lookup(v float32) (r, g, b, a float32) {
+	if v > 0.3 && v < 0.7 {
+		return 0.2, 0.9, 0.4, 0.2
+	}
+	return 0, 0, 0, 0
+}
+
+// adversarialPairs are transfer functions picked to break a skipping rule
+// that is not quite right.
+func adversarialPairs() []tfPair {
+	return []tfPair{
+		prepared("opaque-at-zero", Piecewise{Points: []ControlPoint{
+			{V: 0, R: 0.3, G: 0.3, B: 0.9, A: 0.02}, {V: 1, R: 1, G: 1, B: 1, A: 0.3}}}),
+		prepared("hole", Piecewise{Points: []ControlPoint{
+			{V: 0, A: 0}, {V: 0.1, R: 1, A: 0.2}, {V: 0.3, A: 0}, {V: 0.5, A: 0}, {V: 0.8, G: 1, A: 0.4}}}),
+		prepared("negative-alpha-lead", Piecewise{Points: []ControlPoint{
+			{V: 0, A: -0.5}, {V: 0.4, A: -1e-9}, {V: 0.6, R: 1, A: 0.5}}}),
+		prepared("duplicate-v", Piecewise{Points: []ControlPoint{
+			{V: 0, A: 0}, {V: 0.4, A: 0}, {V: 0.4, R: 1, G: 0.5, A: 0.6}, {V: 0.4, B: 1, A: 0.1}, {V: 1, R: 1, A: 0.3}}}),
+		prepared("unsorted", Piecewise{Points: []ControlPoint{
+			{V: 0, A: 0}, {V: 0.6, A: 0}, {V: 0.2, R: 1, A: 0.5}, {V: 1, G: 1, A: 0.2}}}),
+		prepared("nan-point", Piecewise{Points: []ControlPoint{
+			{V: 0, A: 0}, {V: float32(math.NaN()), A: 0}, {V: 0.5, R: 1, A: float32(math.NaN())}, {V: 1, G: 1, A: 0.2}}}),
+		prepared("single", Piecewise{Points: []ControlPoint{{V: 0.5, R: 1, G: 0.5, B: 0.2, A: 0.1}}}),
+		prepared("single-transparent", Piecewise{Points: []ControlPoint{{V: 0.5, R: 1}}}),
+		prepared("empty", Piecewise{}),
+		{"raw-piecewise", presets["supernova"], presets["supernova"]},
+		{"lut", Bake(presets["supernova"]), Bake(presets["supernova"])},
+		{"user-defined", bandTF{}, bandTF{}},
+	}
+}
+
+// testFields are the four synthetic fields of the suite.
+func testFields() map[string]volume.FieldFunc {
+	return map[string]volume.FieldFunc{
+		"supernova": volume.Supernova, "plume": volume.Plume,
+		"combustion": volume.Combustion, "turbulence": volume.Turbulence(3),
+	}
+}
+
+// layouts are the two decompositions of the suite: three z-slabs, as the
+// service cuts datasets, and a 2×2×2 grid with ghost voxels on every side.
+func layouts(g *volume.Grid) map[string][]*Brick {
+	out := map[string][]*Brick{}
+	for _, box := range volume.BrickZ(g.Dims, 3) {
+		out["slabs"] = append(out["slabs"], MakeBrick(g, box))
+	}
+	for _, box := range volume.BrickGrid(g.Dims, 2, 2, 2) {
+		out["octants"] = append(out["octants"], MakeBrick(g, box))
+	}
+	return out
+}
+
+// TestRenderBrickBitIdenticalToReference is the renderer's contract: across
+// transfer functions, fields, decompositions, views, modes, shading, bands
+// and step lengths, every float32 of every pixel is the reference's. Bricks
+// are rendered over and over, so all but each brick's first render run with
+// macrocells; fresh bricks are TestQuickRandomCamerasMatchReference's.
+func TestRenderBrickBitIdenticalToReference(t *testing.T) {
+	const views = 16
+	for fname, field := range testFields() {
+		g := volume.Generate(field, 20, 18, 22)
+		for lname, bricks := range layouts(g) {
+			t.Run(fname+"/"+lname, func(t *testing.T) {
+				t.Parallel()
+				for v := 0; v < views; v++ {
+					cam := NewCamera(float64(v)*2*math.Pi/views+0.1, 0.9*math.Sin(float64(v)), 1.6+0.1*float64(v%5))
+					opt := Options{Width: 20, Height: 14}
+					if v%2 == 1 {
+						opt.Step = 1.0 / 37 // not the default, not a power of two
+					}
+					for _, tf := range presetPairs() {
+						for _, mode := range []Mode{ModeComposite, ModeMIP, ModeIso} {
+							for _, shading := range []bool{false, true} {
+								opt.Mode, opt.Shading = mode, shading
+								for i, b := range bricks {
+									what := fmt.Sprintf("view %d tf %s mode %d shading %v brick %d", v, tf.name, mode, shading, i)
+									checkAgainstReference(t, what, b, cam, tf.ref, tf.fast, opt)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestAdversarialTransferFunctionsMatchReference(t *testing.T) {
+	g := volume.Generate(volume.Turbulence(11), 24, 24, 24)
+	bricks := layouts(g)["octants"]
+	for _, tf := range adversarialPairs() {
+		for v := 0; v < 4; v++ {
+			cam := NewCamera(0.3+1.7*float64(v), 0.5-0.3*float64(v), 1.9)
+			for _, shading := range []bool{false, true} {
+				opt := Options{Width: 24, Height: 24, Shading: shading}
+				for i, b := range bricks {
+					checkAgainstReference(t, fmt.Sprintf("tf %s view %d brick %d", tf.name, v, i), b, cam, tf.ref, tf.fast, opt)
+				}
+			}
+		}
+	}
+}
+
+// What may be skipped under each adversarial table.
+func TestCompiledZeroRange(t *testing.T) {
+	inf := float32(math.Inf(1))
+	want := map[string]float32{
+		"opaque-at-zero": -inf, "hole": 0, "negative-alpha-lead": 0.4, "duplicate-v": 0.4,
+		"unsorted": -inf, "nan-point": -inf, "single": -inf, "single-transparent": inf, "empty": inf,
+	}
+	for _, tf := range adversarialPairs() {
+		c, ok := tf.fast.(*compiledTF)
+		if !ok {
+			continue
+		}
+		if c.zeroBelow != want[tf.name] {
+			t.Errorf("%s: zeroBelow = %v, want %v", tf.name, c.zeroBelow, want[tf.name])
+		}
+	}
+	if c := PresetTF("supernova").(*compiledTF); c.zeroBelow != 0.18 {
+		t.Errorf("supernova: zeroBelow = %v, want 0.18", c.zeroBelow)
+	}
+}
+
+// The prepared form of a Piecewise looks up what the Piecewise does, on
+// every kind of input.
+func TestCompiledLookupMatchesPiecewise(t *testing.T) {
+	probes := []float32{float32(math.NaN()), float32(math.Inf(-1)), float32(math.Inf(1)), -1, 0, 1, 2,
+		0.18, 0.4, math.Nextafter32(0.4, 0), math.Nextafter32(0.4, 1), math.SmallestNonzeroFloat32}
+	for i := 0; i <= 4096; i++ {
+		probes = append(probes, float32(i)/4096)
+	}
+	for _, tf := range append(presetPairs(), adversarialPairs()...) {
+		if _, ok := tf.fast.(*compiledTF); !ok {
+			continue
+		}
+		for _, v := range probes {
+			r0, g0, b0, a0 := tf.ref.Lookup(v)
+			r1, g1, b1, a1 := tf.fast.Lookup(v)
+			want := &img.Image{W: 1, H: 1, Pix: []img.RGBA{{R: r0, G: g0, B: b0, A: a0}}}
+			got := &img.Image{W: 1, H: 1, Pix: []img.RGBA{{R: r1, G: g1, B: b1, A: a1}}}
+			if d := firstBitDiff(want, got); d != "" {
+				t.Fatalf("%s at %v: %s", tf.name, v, d)
+			}
+		}
+	}
+}
+
+// Property: any camera — far, near, inside the volume, looking anywhere —
+// renders a fresh brick (no macrocells) and a resident one (macrocells)
+// exactly as the reference does.
+func TestQuickRandomCamerasMatchReference(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 20, 20, 20)
+	resident := layouts(g)["slabs"]
+	tf := presetPairs()[2]
+	f := func(ex, ey, ez, lx, ly, lz int16, fov uint8, mode uint8, inside bool) bool {
+		unit := func(v int16) float64 { return float64(v) / math.MaxInt16 }
+		eye := Vec3{0.5 + 2.5*unit(ex), 0.5 + 2.5*unit(ey), 0.5 + 2.5*unit(ez)}
+		if inside {
+			eye = Vec3{0.5 + 0.45*unit(ex), 0.5 + 0.45*unit(ey), 0.5 + 0.45*unit(ez)}
+		}
+		cam := &Camera{
+			Eye:    eye,
+			LookAt: Vec3{0.5 + 0.4*unit(lx), 0.5 + 0.4*unit(ly), 0.5 + 0.4*unit(lz)},
+			Up:     Vec3{0, 1, 0},
+			FovY:   (20 + float64(fov%80)) * math.Pi / 180,
+		}
+		opt := Options{Width: 18, Height: 12, Mode: Mode(mode % 3)}
+		for i, b := range resident {
+			fresh := &Brick{Grid: b.Grid, Extent: b.Extent, GridOrigin: b.GridOrigin, FullDims: b.FullDims}
+			checkAgainstReference(t, fmt.Sprintf("eye %v fresh brick %d", eye, i), fresh, cam, tf.ref, tf.fast, opt)
+			checkAgainstReference(t, fmt.Sprintf("eye %v resident brick %d", eye, i), b, cam, tf.ref, tf.fast, opt)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(14))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A corrupt chunk file can put anything in a voxel. NaN and ±Inf must render
+// — through every mode, a preset, a LUT — as the reference renders them, and
+// must not panic on the way.
+func TestNonFiniteVoxelsRenderLikeReference(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 20, 20, 20)
+	rng := rand.New(rand.NewSource(5))
+	poison := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32}
+	for i := 0; i < 40; i++ {
+		g.Data[rng.Intn(len(g.Data))] = poison[i%len(poison)]
+	}
+	lut := Bake(presets["supernova"])
+	pairs := []tfPair{presetPairs()[2], {"lut", lut, lut}, adversarialPairs()[0]}
+	for lname, bricks := range layouts(g) {
+		for _, tf := range pairs {
+			for v := 0; v < 3; v++ {
+				cam := NewCamera(0.4+2.1*float64(v), 0.3, 2.0)
+				for _, mode := range []Mode{ModeComposite, ModeMIP, ModeIso} {
+					opt := Options{Width: 24, Height: 24, Mode: mode, Shading: v == 1}
+					for i, b := range bricks {
+						what := fmt.Sprintf("%s tf %s view %d mode %d brick %d", lname, tf.name, v, mode, i)
+						checkAgainstReference(t, what, b, cam, tf.ref, tf.fast, opt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A NaN sample is "no data": the bottom of the range in every lookup.
+func TestNaNSampleClassifiesAsBottomOfRange(t *testing.T) {
+	nan := float32(math.NaN())
+	p := Piecewise{Points: []ControlPoint{{V: 0.2, R: 0.1, A: 0}, {V: 0.8, R: 1, A: 0.6}}}
+	for name, tf := range map[string]TransferFunc{"piecewise": p, "compiled": p.compile(), "lut": Bake(p)} {
+		r, _, _, a := tf.Lookup(nan)
+		if r != 0.1 || a != 0 {
+			t.Errorf("%s: Lookup(NaN) = r %v a %v, want the first control point (r 0.1, a 0)", name, r, a)
+		}
+	}
+}
+
+// The fast path must actually run: a resident slab of the supernova is
+// mostly space its transfer function cannot see, and a brick's first render
+// has no macrocells to skip with.
+func TestResidentBrickSkipsEmptySpace(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 48, 48, 48)
+	cam := NewCamera(0.6, 0.3, 2.4)
+	tf := PresetTF("supernova")
+	// MIP can only skip what lies behind a brighter sample; the other two
+	// skip whatever the transfer function or the iso level cannot see.
+	floor := map[Mode]float64{ModeComposite: 0.5, ModeMIP: 0.01, ModeIso: 0.5}
+	for mode, min := range floor {
+		opt := Options{Width: 64, Height: 64, Mode: mode}
+		for i, box := range volume.BrickZ(g.Dims, 3) {
+			b := MakeBrick(g, box)
+			first := RenderBrick(b, cam, tf, opt)
+			if first.Samples == 0 || first.Skipped != 0 {
+				t.Errorf("mode %d slab %d, first render: skipped %d of %d samples, want 0 of many", mode, i, first.Skipped, first.Samples)
+			}
+			again := RenderBrick(b, cam, tf, opt)
+			if again.Samples != first.Samples {
+				t.Errorf("mode %d slab %d: %d samples, then %d", mode, i, first.Samples, again.Samples)
+			}
+			if ratio := float64(again.Skipped) / float64(again.Samples); ratio < min {
+				t.Errorf("mode %d slab %d, second render: skipped %.2f of %d samples, want at least %.2f", mode, i, ratio, again.Samples, min)
+			}
+			if d := firstBitDiff(first.Image, again.Image); d != "" {
+				t.Errorf("mode %d slab %d: second render differs from first: %s", mode, i, d)
+			}
+		}
+	}
+	// A transfer function that sees everything leaves nothing to skip.
+	b := MakeBrick(g, g.Bounds())
+	dense := adversarialPairs()[0].fast
+	RenderBrick(b, cam, dense, Options{Width: 32, Height: 32})
+	if f := RenderBrick(b, cam, dense, Options{Width: 32, Height: 32}); f.Skipped != 0 {
+		t.Errorf("alpha > 0 at V = 0: skipped %d samples, want none", f.Skipped)
+	}
+}
+
+// Property: the macrocell bound really bounds every trilinear sample whose
+// base falls in the cell, positions outside the grid included.
+func TestQuickMacrocellBoundsEverySample(t *testing.T) {
+	g := volume.Generate(volume.Turbulence(8), 19, 13, 22)
+	for i := range g.Data { // spread the magnitudes and signs about
+		g.Data[i] = (g.Data[i] - 0.4) * float32(int(1)<<(i%20))
+	}
+	cells := buildMacrocells(g)
+	f := func(ux, uy, uz uint32) bool {
+		at := func(u uint32, n int) float64 { return float64(u)/math.MaxUint32*float64(n+3) - 2 }
+		x, y, z := at(ux, g.Dims[0]), at(uy, g.Dims[1]), at(uz, g.Dims[2])
+		bound := cells.at(int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z)))
+		return g.Sample(x, y, z) <= bound
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// Why the bound carries a margin: a float32 lerp can land above both of
+	// its ends. 0.045 + fl(0.33 − 0.045) is 0.33000004.
+	two := volume.NewGrid(2, 2, 2)
+	for i := range two.Data {
+		two.Data[i] = []float32{0.045, 0.33}[i%2]
+	}
+	x := math.Nextafter(1, 0) // base 0, weight float32(x) = 1
+	if s, b := two.Sample(x, 0, 0), buildMacrocells(two).at(0, 0, 0); !(s > 0.33) || s > b {
+		t.Errorf("lerp overshoot: sample %v, largest voxel 0.33, bound %v; want 0.33 < sample <= bound", s, b)
+	}
+	// A non-finite voxel makes every cell that can read it unskippable.
+	g.Set(8, 4, 12, float32(math.NaN()))
+	cells = buildMacrocells(g)
+	for _, base := range [][3]int{{8, 4, 12}, {7, 3, 11}} {
+		if b := cells.at(base[0], base[1], base[2]); !math.IsInf(float64(b), 1) {
+			t.Errorf("cell of base %v next to a NaN voxel has bound %v, want +Inf", base, b)
+		}
+	}
+}
+
+// RenderBrick allocates no more than it did before the march was
+// specialised (4 a call, 6 in two bands): today the shared state, the
+// fragment and one closure and goroutine per band — 2 and 4 — and nothing
+// per render for the transfer function or a resident brick's macrocells.
+func TestRenderBrickAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := volume.Generate(volume.Supernova, 24, 24, 24)
+	b := MakeBrick(g, g.Bounds())
+	cam := NewCamera(0.6, 0.3, 2.4)
+	tf := PresetTF("supernova")
+	for _, c := range []struct {
+		parallel bool
+		max      float64
+	}{{false, 4}, {true, 6}} {
+		opt := Options{Width: 32, Height: 32, Parallel: c.parallel}
+		img.Put(RenderBrick(b, cam, tf, opt).Image) // builds nothing later renders would
+		img.Put(RenderBrick(b, cam, tf, opt).Image)
+		got := testing.AllocsPerRun(20, func() { img.Put(RenderBrick(b, cam, tf, opt).Image) })
+		if got > c.max {
+			t.Errorf("parallel=%v: %v allocations a render, want at most %v", c.parallel, got, c.max)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"vizsched/internal/img"
 	"vizsched/internal/volume"
@@ -70,6 +71,13 @@ func (o *Options) fill() {
 // the full-dataset coordinate of Grid's voxel (0,0,0). Ghost layers make
 // trilinear interpolation at brick seams agree with a monolithic render —
 // the same trick real distributed volume renderers use.
+//
+// A Brick that is rendered a second time grows a macrocell grid for
+// empty-space skipping (see macrocell.go): one float32 per 4³ voxels, so
+// about 1/64 of Grid.SizeBytes() on top of it — the one piece of resident
+// memory a cache that charges the grid's size does not count. It lives and
+// dies with the Brick; Grid.Data must not change once the Brick has been
+// rendered. Share a Brick by pointer, never by copy.
 type Brick struct {
 	Grid *volume.Grid
 	// Extent is the brick's logical voxel box in full-dataset coordinates.
@@ -79,6 +87,26 @@ type Brick struct {
 	GridOrigin [3]int
 	// FullDims are the full dataset's voxel dimensions.
 	FullDims [3]int
+
+	// renders counts RenderBrick calls until cells is published.
+	renders atomic.Uint32
+	cells   atomic.Pointer[macrocells]
+}
+
+// macrocells returns the brick's skip structure, or nil while it has none.
+// A brick rendered once — a cache miss evicted before its next use — never
+// pays for one: the render that finds the brick already rendered builds it,
+// and renders running beside that one go without until it is published.
+func (b *Brick) macrocells() *macrocells {
+	if c := b.cells.Load(); c != nil {
+		return c
+	}
+	if b.renders.Add(1) != 2 {
+		return nil
+	}
+	c := buildMacrocells(b.Grid)
+	b.cells.Store(c)
+	return c
 }
 
 // MakeBrick carves the box out of a full grid with a one-voxel ghost margin
@@ -114,119 +142,30 @@ func (b *Brick) WorldBounds() (lo, hi Vec3) {
 	return lo, hi
 }
 
-// sample returns the trilinear sample at normalized world position p.
-func (b *Brick) sample(p Vec3) float32 {
-	fd := b.FullDims
-	// World → full-dataset voxel coordinates → grid-local coordinates.
-	x := p.X*float64(fd[0]) - float64(b.GridOrigin[0]) - 0.5
-	y := p.Y*float64(fd[1]) - float64(b.GridOrigin[1]) - 0.5
-	z := p.Z*float64(fd[2]) - float64(b.GridOrigin[2]) - 0.5
-	return b.Grid.Sample(x, y, z)
-}
-
-// gradient returns the world-space gradient at p.
-func (b *Brick) gradient(p Vec3) Vec3 {
-	fd := b.FullDims
-	x := p.X*float64(fd[0]) - float64(b.GridOrigin[0]) - 0.5
-	y := p.Y*float64(fd[1]) - float64(b.GridOrigin[1]) - 0.5
-	z := p.Z*float64(fd[2]) - float64(b.GridOrigin[2]) - 0.5
-	g := b.Grid.Gradient(x, y, z)
-	return Vec3{float64(g[0]), float64(g[1]), float64(g[2])}
-}
-
 // Fragment is the result of rendering one brick: a full-viewport image and
 // the view depth used to order fragments during compositing. Depth is the
 // ray parameter at the brick's world-space center as seen from the camera.
 type Fragment struct {
 	Image *img.Image
 	Depth float64
+	// Samples counts the sample positions the rays visited inside the brick;
+	// Skipped is how many of them empty-space skipping passed over without
+	// fetching a voxel.
+	Samples, Skipped int64
 }
 
 // RenderBrick ray-casts one brick against the camera and returns its
 // fragment. Pixels whose rays miss the brick stay transparent, which keeps
 // the sort-last composite correct for non-overlapping bricks. The fragment's
 // image comes from img.Get; a caller that is done with it may img.Put it.
+//
+// Every shortcut the march takes is exact: the pixels are, float32 for
+// float32, those of the plain loop kept in the tests as
+// renderBrickReference (DESIGN.md §5.15).
 func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment {
 	opt.fill()
 	out := img.Get(opt.Width, opt.Height)
-	lo, hi := b.WorldBounds()
-
-	step := opt.Step
-	if step <= 0 {
-		maxDim := float64(max(b.FullDims[0], max(b.FullDims[1], b.FullDims[2])))
-		step = 0.5 / maxDim
-	}
-	const refStep = 1.0 / 256 // opacity-correction reference step
-	stepRatio := step / refStep
-
-	aspect := float64(opt.Width) / float64(opt.Height)
-	// Rays are cast from a private copy of the camera whose basis is built
-	// here, once: the bands below only read it, and a *Camera shared between
-	// concurrent renders is never written to.
-	view := *cam
-	view.finish(aspect)
-	cam = &view
-	renderRows := func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			v := (float64(y) + 0.5) / float64(opt.Height)
-			for x := 0; x < opt.Width; x++ {
-				u := (float64(x) + 0.5) / float64(opt.Width)
-				ray := cam.RayThrough(u, v, aspect)
-				tmin, tmax, ok := intersectAABB(ray, lo, hi)
-				if !ok {
-					continue
-				}
-				var acc img.RGBA
-				// Phase-align sampling to global multiples of step so that
-				// bricks along the same ray sample the exact same positions
-				// a monolithic render would; the half-open [tmin,tmax)
-				// interval prevents double-sampling shared slab boundaries.
-				t0 := math.Ceil(tmin/step) * step
-				switch opt.Mode {
-				case ModeMIP:
-					var peak float32 = -1
-					for t := t0; t < tmax; t += step {
-						if s := b.sample(ray.Origin.Add(ray.Dir.Scale(t))); s > peak {
-							peak = s
-						}
-					}
-					if peak >= 0 {
-						r, g, bl, _ := tf.Lookup(peak)
-						// MIP composites by per-pixel max during the merge;
-						// encode intensity in alpha so depth-order over still
-						// prefers the brighter fragment in practice.
-						acc = img.RGBA{R: r * peak, G: g * peak, B: bl * peak, A: peak}
-					}
-				case ModeIso:
-					for t := t0; t < tmax; t += step {
-						p := ray.Origin.Add(ray.Dir.Scale(t))
-						if b.sample(p) >= opt.IsoValue {
-							shade := diffuse(b.gradient(p), opt.Light)
-							acc = img.RGBA{R: 0.9 * shade, G: 0.85 * shade, B: 0.8 * shade, A: 1}
-							break
-						}
-					}
-				default:
-					for t := t0; t < tmax; t += step {
-						p := ray.Origin.Add(ray.Dir.Scale(t))
-						s := b.sample(p)
-						smp := classify(tf, s, stepRatio)
-						if smp.A > 0 && opt.Shading {
-							shade := diffuse(b.gradient(p), opt.Light)
-							smp.R *= shade
-							smp.G *= shade
-							smp.B *= shade
-						}
-						acc.AccumulateFrontToBack(smp)
-						if acc.Opaque() {
-							break
-						}
-					}
-				}
-				out.Set(x, y, acc)
-			}
-		}
-	}
+	m := newMarch(b, cam, tf, opt)
 
 	if opt.Parallel {
 		workers := runtime.GOMAXPROCS(0)
@@ -240,17 +179,251 @@ func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				renderRows(y0, y1)
+				m.rows(out, y0, y1)
 			}()
 		}
 		wg.Wait()
 	} else {
-		renderRows(0, opt.Height)
+		m.rows(out, 0, opt.Height)
 	}
 
-	center := lo.Add(hi).Scale(0.5)
-	depth := center.Sub(cam.Eye).Len()
-	return &Fragment{Image: out, Depth: depth}
+	center := m.lo.Add(m.hi).Scale(0.5)
+	return &Fragment{
+		Image:   out,
+		Depth:   center.Sub(cam.Eye).Len(),
+		Samples: m.samples.Load(),
+		Skipped: m.skipped.Load(),
+	}
+}
+
+// march is what the rays of one RenderBrick call share. It is filled in once
+// and only read while the bands run, except for the two counters, which
+// each band adds to once, when it is done.
+type march struct {
+	opt    Options
+	view   view
+	lo, hi Vec3 // the brick's world box
+
+	step      float64
+	stepRatio float64 // step over the opacity-correction reference step
+
+	// World → grid-local voxel coordinates: p·fd − origin − 0.5 per axis.
+	fd, origin Vec3
+
+	grid    *volume.Grid
+	data    []float32
+	nx, nxy int
+	// inner is Dims−1 per axis: a sample whose base b has 0 <= b < inner on
+	// every axis reads eight voxels inside the grid, no clamping needed.
+	inner [3]uint
+
+	tf  TransferFunc
+	ctf *compiledTF // tf when it is a prepared Piecewise, else nil
+
+	cells     *macrocells // nil on a brick's first render
+	zeroBelow float32     // samples below this classify to nothing; −Inf: none known
+
+	samples, skipped atomic.Int64
+}
+
+func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
+	g := b.Grid
+	m := &march{
+		opt:  opt,
+		view: cam.view(float64(opt.Width) / float64(opt.Height)),
+		step: opt.Step,
+		fd:   Vec3{float64(b.FullDims[0]), float64(b.FullDims[1]), float64(b.FullDims[2])},
+		origin: Vec3{
+			float64(b.GridOrigin[0]), float64(b.GridOrigin[1]), float64(b.GridOrigin[2]),
+		},
+		grid: g, data: g.Data, nx: g.Dims[0], nxy: g.Dims[0] * g.Dims[1],
+		inner:     [3]uint{uint(g.Dims[0] - 1), uint(g.Dims[1] - 1), uint(g.Dims[2] - 1)},
+		tf:        tf,
+		cells:     b.macrocells(),
+		zeroBelow: float32(math.Inf(-1)),
+	}
+	m.lo, m.hi = b.WorldBounds()
+	if m.step <= 0 {
+		maxDim := float64(max(b.FullDims[0], max(b.FullDims[1], b.FullDims[2])))
+		m.step = 0.5 / maxDim
+	}
+	const refStep = 1.0 / 256 // opacity-correction reference step
+	m.stepRatio = m.step / refStep
+	if c, ok := tf.(*compiledTF); ok {
+		m.ctf, m.zeroBelow = c, c.zeroBelow
+	}
+	return m
+}
+
+// rows renders scanlines y0..y1-1 into out.
+func (m *march) rows(out *img.Image, y0, y1 int) {
+	w, h := m.opt.Width, m.opt.Height
+	var n, skipped int64
+	for y := y0; y < y1; y++ {
+		v := (float64(y) + 0.5) / float64(h)
+		row := out.Pix[y*w : (y+1)*w]
+		for x := range row {
+			u := (float64(x) + 0.5) / float64(w)
+			ray := m.view.ray(u, v)
+			tmin, tmax, ok := intersectAABB(ray, m.lo, m.hi)
+			if !ok {
+				continue
+			}
+			// Phase-align sampling to global multiples of step so that
+			// bricks along the same ray sample the exact same positions
+			// a monolithic render would; the half-open [tmin,tmax)
+			// interval prevents double-sampling shared slab boundaries.
+			t0 := math.Ceil(tmin/m.step) * m.step
+			var ns, nk int
+			switch m.opt.Mode {
+			case ModeMIP:
+				row[x], ns, nk = m.mip(ray.Dir, t0, tmax)
+			case ModeIso:
+				row[x], ns, nk = m.iso(ray.Dir, t0, tmax)
+			default:
+				row[x], ns, nk = m.composite(ray.Dir, t0, tmax)
+			}
+			n += int64(ns)
+			skipped += int64(nk)
+		}
+	}
+	m.samples.Add(n)
+	m.skipped.Add(skipped)
+}
+
+// The three march loops below share a shape. t advances by repeated
+// addition and the position is eye + dir·t, then ·fd − origin − 0.5, in that
+// order: the sample positions are the reference's to the last bit, and a
+// skipped sample costs that arithmetic, one macrocell load and nothing else.
+
+// fetch is Grid.Sample with the clamping taken out of the common case: eight
+// direct loads when the base is interior, Grid.Sample itself on the brick's
+// outer voxel shell. Same subtractions, same lerps, same order.
+func (m *march) fetch(x, y, z float64, x0, y0, z0 int) float32 {
+	if uint(x0) >= m.inner[0] || uint(y0) >= m.inner[1] || uint(z0) >= m.inner[2] {
+		return m.grid.Sample(x, y, z)
+	}
+	fx := float32(x - float64(x0))
+	fy := float32(y - float64(y0))
+	fz := float32(z - float64(z0))
+	lo := m.data[z0*m.nxy+y0*m.nx+x0:]
+	hi := lo[m.nxy:]
+	c000, c100 := lo[0], lo[1]
+	c010, c110 := lo[m.nx], lo[m.nx+1]
+	c001, c101 := hi[0], hi[1]
+	c011, c111 := hi[m.nx], hi[m.nx+1]
+	c00 := c000 + (c100-c000)*fx
+	c10 := c010 + (c110-c010)*fx
+	c01 := c001 + (c101-c001)*fx
+	c11 := c011 + (c111-c011)*fx
+	c0 := c00 + (c10-c00)*fy
+	c1 := c01 + (c11-c01)*fy
+	return c0 + (c1-c0)*fz
+}
+
+// shade returns the diffuse factor at a voxel position from the
+// central-difference gradient, Grid.Gradient's six samples through fetch.
+func (m *march) shade(x, y, z float64) float32 {
+	at := func(x, y, z float64) float32 {
+		return m.fetch(x, y, z, int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z)))
+	}
+	gx := (at(x+1, y, z) - at(x-1, y, z)) / 2
+	gy := (at(x, y+1, z) - at(x, y-1, z)) / 2
+	gz := (at(x, y, z+1) - at(x, y, z-1)) / 2
+	return diffuse(Vec3{float64(gx), float64(gy), float64(gz)}, m.opt.Light)
+}
+
+// composite is emission-absorption front to back with early termination.
+func (m *march) composite(d Vec3, t0, tmax float64) (acc img.RGBA, n, skipped int) {
+	e := m.view.eye
+	skip := m.cells != nil && m.zeroBelow > float32(math.Inf(-1))
+	for t := t0; t < tmax; t += m.step {
+		n++
+		x := (e.X+d.X*t)*m.fd.X - m.origin.X - 0.5
+		y := (e.Y+d.Y*t)*m.fd.Y - m.origin.Y - 0.5
+		z := (e.Z+d.Z*t)*m.fd.Z - m.origin.Z - 0.5
+		x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
+		if skip && m.cells.at(x0, y0, z0) < m.zeroBelow {
+			skipped++
+			continue
+		}
+		s := m.fetch(x, y, z, x0, y0, z0)
+		if s < m.zeroBelow {
+			continue // classifies to nothing, and acc was not opaque before
+		}
+		var r, g, b, a float32
+		if m.ctf != nil {
+			r, g, b, a = m.ctf.Lookup(s)
+		} else {
+			r, g, b, a = m.tf.Lookup(s)
+		}
+		if a <= 0 {
+			continue
+		}
+		// Premultiply by the opacity-corrected alpha.
+		a = opacityCorrect(a, m.stepRatio)
+		smp := img.RGBA{R: r * a, G: g * a, B: b * a, A: a}
+		if m.opt.Shading {
+			k := m.shade(x, y, z)
+			smp.R *= k
+			smp.G *= k
+			smp.B *= k
+		}
+		acc.AccumulateFrontToBack(smp)
+		if acc.Opaque() {
+			break
+		}
+	}
+	return acc, n, skipped
+}
+
+// mip keeps the largest sample along the ray.
+func (m *march) mip(d Vec3, t0, tmax float64) (acc img.RGBA, n, skipped int) {
+	e := m.view.eye
+	var peak float32 = -1
+	for t := t0; t < tmax; t += m.step {
+		n++
+		x := (e.X+d.X*t)*m.fd.X - m.origin.X - 0.5
+		y := (e.Y+d.Y*t)*m.fd.Y - m.origin.Y - 0.5
+		z := (e.Z+d.Z*t)*m.fd.Z - m.origin.Z - 0.5
+		x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
+		if m.cells != nil && m.cells.at(x0, y0, z0) <= peak {
+			skipped++
+			continue
+		}
+		if s := m.fetch(x, y, z, x0, y0, z0); s > peak {
+			peak = s
+		}
+	}
+	if peak >= 0 {
+		r, g, b, _ := m.tf.Lookup(peak)
+		// MIP composites by per-pixel max during the merge; encode
+		// intensity in alpha so depth-order over still prefers the
+		// brighter fragment in practice.
+		acc = img.RGBA{R: r * peak, G: g * peak, B: b * peak, A: peak}
+	}
+	return acc, n, skipped
+}
+
+// iso shades the first crossing of IsoValue as an opaque surface.
+func (m *march) iso(d Vec3, t0, tmax float64) (acc img.RGBA, n, skipped int) {
+	e, level := m.view.eye, m.opt.IsoValue
+	for t := t0; t < tmax; t += m.step {
+		n++
+		x := (e.X+d.X*t)*m.fd.X - m.origin.X - 0.5
+		y := (e.Y+d.Y*t)*m.fd.Y - m.origin.Y - 0.5
+		z := (e.Z+d.Z*t)*m.fd.Z - m.origin.Z - 0.5
+		x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
+		if m.cells != nil && m.cells.at(x0, y0, z0) < level {
+			skipped++
+			continue
+		}
+		if m.fetch(x, y, z, x0, y0, z0) >= level {
+			k := m.shade(x, y, z)
+			return img.RGBA{R: 0.9 * k, G: 0.85 * k, B: 0.8 * k, A: 1}, n, skipped
+		}
+	}
+	return acc, n, skipped
 }
 
 // RenderFull convenience-renders a whole grid as one brick.
@@ -271,7 +444,3 @@ func diffuse(grad, light Vec3) float32 {
 	lambert := math.Abs(n.Dot(light))
 	return float32(0.3 + 0.7*lambert)
 }
-
-// powFast is math.Pow behind a name the transfer code shares; kept separate
-// so a cheaper approximation can be dropped in if profiles ever demand it.
-func powFast(base, exp float64) float64 { return math.Pow(base, exp) }

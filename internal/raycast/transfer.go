@@ -1,12 +1,15 @@
 package raycast
 
-import (
-	"vizsched/internal/img"
-)
+import "math"
 
 // TransferFunc maps a normalized scalar value in [0,1] to a *straight*
 // (non-premultiplied) color and opacity; the renderer premultiplies after
 // opacity correction.
+//
+// A voxel file can hold anything, so Lookup must accept any float32. The
+// implementations here treat a NaN sample as "no data", the bottom of the
+// range: Piecewise and the presets return their first control point, a LUT
+// its entry 0.
 type TransferFunc interface {
 	Lookup(v float32) (r, g, b, a float32)
 }
@@ -24,13 +27,14 @@ type Piecewise struct {
 }
 
 // Lookup implements TransferFunc by linear interpolation between the
-// bracketing control points; values outside the range clamp to the ends.
+// bracketing control points; values outside the range clamp to the ends,
+// and NaN counts as below the range.
 func (p Piecewise) Lookup(v float32) (r, g, b, a float32) {
 	pts := p.Points
 	if len(pts) == 0 {
 		return 0, 0, 0, 0
 	}
-	if v <= pts[0].V {
+	if !(v > pts[0].V) {
 		c := pts[0]
 		return c.R, c.G, c.B, c.A
 	}
@@ -55,6 +59,102 @@ func (p Piecewise) Lookup(v float32) (r, g, b, a float32) {
 	return last.R, last.G, last.B, last.A
 }
 
+// compiledTF is a Piecewise prepared for the march loop: one segment per
+// pair of neighbouring control points with the hi−lo differences taken
+// once, and the range of values that provably classify to nothing. Its
+// Lookup returns, for every float32, exactly what the Piecewise it was
+// compiled from returns: the differences are the same float32 subtractions,
+// only done earlier. RenderBrick calls it concretely.
+type compiledTF struct {
+	n           int // control points; 0 is the empty, always transparent TF
+	first, last ControlPoint
+	segs        []tfSegment
+	// zeroBelow bounds the leading transparent range: every non-NaN
+	// v < zeroBelow looks up an alpha <= 0. −Inf when nothing is provable,
+	// +Inf when the whole function is transparent.
+	zeroBelow float32
+}
+
+// tfSegment is the interval (pts[i-1].V, pts[i].V] of a compiled Piecewise.
+type tfSegment struct {
+	loV, hiV, span float32
+	r, g, b, a     float32 // the lo end
+	dr, dg, db, da float32 // hi − lo
+}
+
+func (p Piecewise) compile() *compiledTF {
+	pts := p.Points
+	c := &compiledTF{n: len(pts), zeroBelow: float32(math.Inf(1))}
+	if c.n == 0 {
+		return c
+	}
+	c.first, c.last = pts[0], pts[c.n-1]
+	c.segs = make([]tfSegment, c.n-1)
+	for i := range c.segs {
+		lo, hi := pts[i], pts[i+1]
+		c.segs[i] = tfSegment{
+			loV: lo.V, hiV: hi.V, span: hi.V - lo.V,
+			r: lo.R, g: lo.G, b: lo.B, a: lo.A,
+			dr: hi.R - lo.R, dg: hi.G - lo.G, db: hi.B - lo.B, da: hi.A - lo.A,
+		}
+	}
+	// The transparent range. With every field finite and the points sorted,
+	// a value below the last of the leading points with A <= 0 interpolates
+	// between two of them with a weight in [0,1], and rounding cannot lift
+	// that above zero (fl(hi−lo) <= −lo when hi <= 0). An unsorted or
+	// non-finite table gets no such range and is never skipped over.
+	zeros := 0
+	for i, q := range pts {
+		if !finite32(q.V, q.R, q.G, q.B, q.A) || (i > 0 && q.V < pts[i-1].V) {
+			c.zeroBelow = float32(math.Inf(-1))
+			return c
+		}
+		if zeros == i && q.A <= 0 {
+			zeros++
+		}
+	}
+	switch zeros {
+	case c.n: // transparent everywhere
+	case 0:
+		c.zeroBelow = float32(math.Inf(-1))
+	default:
+		c.zeroBelow = pts[zeros-1].V
+	}
+	return c
+}
+
+func finite32(vs ...float32) bool {
+	for _, v := range vs {
+		if !(v >= -math.MaxFloat32 && v <= math.MaxFloat32) {
+			return false
+		}
+	}
+	return true
+}
+
+// Lookup implements TransferFunc; see compiledTF.
+func (c *compiledTF) Lookup(v float32) (r, g, b, a float32) {
+	if c.n == 0 {
+		return 0, 0, 0, 0
+	}
+	if !(v > c.first.V) {
+		return c.first.R, c.first.G, c.first.B, c.first.A
+	}
+	if v >= c.last.V {
+		return c.last.R, c.last.G, c.last.B, c.last.A
+	}
+	for i := range c.segs {
+		if s := &c.segs[i]; v <= s.hiV {
+			t := float32(0)
+			if s.span > 0 {
+				t = (v - s.loV) / s.span
+			}
+			return s.r + s.dr*t, s.g + s.dg*t, s.b + s.db*t, s.a + s.da*t
+		}
+	}
+	return c.last.R, c.last.G, c.last.B, c.last.A
+}
+
 // LUT is a precomputed 256-entry lookup table, the form a GPU shader would
 // sample; Bake converts any TransferFunc into one.
 type LUT struct {
@@ -71,9 +171,10 @@ func Bake(tf TransferFunc) *LUT {
 	return l
 }
 
-// Lookup implements TransferFunc with nearest-entry sampling.
+// Lookup implements TransferFunc with nearest-entry sampling. The clamps are
+// written so that NaN fails into the first: int(NaN) is not an index.
 func (l *LUT) Lookup(v float32) (r, g, b, a float32) {
-	if v < 0 {
+	if !(v >= 0) {
 		v = 0
 	}
 	if v > 1 {
@@ -122,26 +223,35 @@ var DefaultTF = Piecewise{Points: []ControlPoint{
 	{V: 1.0, R: 1, G: 1, B: 1, A: 0.65},
 }}
 
+// The presets and DefaultTF compiled once, at package init: what PresetTF
+// hands out and what RenderBrick recognises.
+var (
+	compiledPresets = func() map[string]*compiledTF {
+		m := make(map[string]*compiledTF, len(presets))
+		for name, p := range presets {
+			m[name] = p.compile()
+		}
+		return m
+	}()
+	compiledDefault = DefaultTF.compile()
+)
+
 // PresetTF returns the transfer function for a named dataset, falling back
-// to DefaultTF.
+// to DefaultTF (as it stood at package init). The result is the prepared
+// form of the preset: it looks up the same values and renders faster than
+// an arbitrary TransferFunc.
 func PresetTF(name string) TransferFunc {
-	if p, ok := presets[name]; ok {
-		return p
+	if c, ok := compiledPresets[name]; ok {
+		return c
 	}
-	return DefaultTF
+	return compiledDefault
 }
 
-// classify converts a straight-alpha TF sample into a premultiplied,
-// opacity-corrected sample for the given step length relative to the
-// reference step. Opacity correction keeps images stable when the step size
-// changes: a' = 1-(1-a)^(step/ref).
-func classify(tf TransferFunc, v float32, stepRatio float64) img.RGBA {
-	r, g, b, a := tf.Lookup(v)
-	if a <= 0 {
-		return img.RGBA{}
-	}
-	corrected := float32(1 - pow1m(float64(a), stepRatio))
-	return img.RGBA{R: r * corrected, G: g * corrected, B: b * corrected, A: corrected}
+// opacityCorrect returns the opacity of a sample of straight alpha a > 0 for
+// the given step length relative to the reference step. Opacity correction
+// keeps images stable when the step size changes: a' = 1-(1-a)^(step/ref).
+func opacityCorrect(a float32, stepRatio float64) float32 {
+	return float32(1 - pow1m(float64(a), stepRatio))
 }
 
 // pow1m computes (1-a)^e with guards for the endpoints.
@@ -153,5 +263,5 @@ func pow1m(a, e float64) float64 {
 	if base >= 1 {
 		return 1
 	}
-	return powFast(base, e)
+	return math.Pow(base, e)
 }

@@ -1686,17 +1686,19 @@ func (h *Head) finalize(lj *liveJob) {
 	}
 	conn, msgID := lj.conn, lj.msgID
 	h.mu.Unlock()
+	// Count the frame before replying: a client that holds its result must
+	// find it in Stats.
+	h.stats.frameLat.add(time.Since(lj.wall))
+	h.stats.jobsCompleted.Add(1)
+	if lj.req.Batch {
+		h.stats.batchCompleted.Add(1)
+	}
 	if conn == nil {
 		// A recovered job whose client never re-attached: the result waits in
 		// the retained store for the key's re-submission.
 		h.Logf("head: job %d completed with no client attached; result retained", lj.job.ID)
 	} else if err := send(conn, transport.KindResult, msgID, &res); err != nil {
 		h.Logf("head: result reply failed: %v", err)
-	}
-	h.stats.frameLat.add(time.Since(lj.wall))
-	h.stats.jobsCompleted.Add(1)
-	if lj.req.Batch {
-		h.stats.batchCompleted.Add(1)
 	}
 	if h.qosc != nil {
 		lat := units.Duration(time.Since(lj.wall))

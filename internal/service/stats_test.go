@@ -46,6 +46,14 @@ func TestStatsCountersAndHandler(t *testing.T) {
 	if s.HitRatePct < 60 || s.MeanTaskMillis <= 0 || s.Workers != 2 {
 		t.Errorf("derived stats wrong: %+v", s)
 	}
+	// Each worker rendered its brick three times: the first render fetches
+	// every sample, the later ones skip what the plume preset cannot see.
+	for i := 0; i < 2; i++ {
+		samples, skipped := cl.Worker(i).RayStats()
+		if samples <= 0 || skipped <= 0 || skipped >= samples {
+			t.Errorf("worker %d: ray stats %d skipped of %d samples, want some but not all", i, skipped, samples)
+		}
+	}
 
 	// JSON endpoint.
 	rec := httptest.NewRecorder()

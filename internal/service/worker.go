@@ -59,6 +59,9 @@ type Worker struct {
 	// tasks counts executed tasks. Atomic: the serve loop increments it
 	// while callers poll TasksExecuted.
 	tasks atomic.Int64
+	// raySamples and raySkipped total the ray-caster's per-fragment sample
+	// counts; see RayStats.
+	raySamples, raySkipped atomic.Int64
 
 	// slots is the fractional slot count K from the head's hello ack
 	// (§5.13); sem bounds concurrent task executors to it and execWG drains
@@ -239,6 +242,8 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		IsoValue: t.Render.IsoValue,
 		Parallel: true,
 	})
+	w.raySamples.Add(frag.Samples)
+	w.raySkipped.Add(frag.Skipped)
 	// Every encode below copies the pixels out, so the rendered layer goes
 	// back to the free list on the way out.
 	defer img.Put(frag.Image)
@@ -574,6 +579,15 @@ func (w *Worker) ServeLoop(dial func() (transport.Conn, error), rc ReconnectConf
 
 // CachedChunks reports the worker's resident chunk count, for tests.
 func (w *Worker) CachedChunks() int { return w.lru.Len() }
+
+// RayStats reports how many sample positions this worker's rays have
+// visited and how many of them empty-space skipping stepped over without a
+// voxel fetch (raycast.Fragment). The ratio is near zero on a worker whose
+// bricks are evicted before they are rendered twice, and is most of the
+// samples on a warm one: the renderer's half of what a task costs.
+func (w *Worker) RayStats() (samples, skipped int64) {
+	return w.raySamples.Load(), w.raySkipped.Load()
+}
 
 // CacheStats reports the worker cache's cumulative hit/miss/eviction
 // counters. Like CachedChunks it is not synchronized with a live serve
