@@ -32,5 +32,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 20s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzBodyDecode -fuzztime 20s ./internal/service/
+	$(GO) test -run xxx -fuzz FuzzReadGrid -fuzztime 20s ./internal/volume/
 
 check: vet build test race

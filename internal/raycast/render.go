@@ -109,14 +109,20 @@ func (b *Brick) macrocells() *macrocells {
 	return c
 }
 
+// GhostBox is the voxel box a brick's grid covers: its extent plus a
+// one-voxel ghost margin, clipped to the dataset's dimensions.
+func GhostBox(extent volume.Box, fullDims [3]int) volume.Box {
+	return volume.Box{
+		Min: [3]int{extent.Min[0] - 1, extent.Min[1] - 1, extent.Min[2] - 1},
+		Max: [3]int{extent.Max[0] + 1, extent.Max[1] + 1, extent.Max[2] + 1},
+	}.Intersect(volume.Box{Max: fullDims})
+}
+
 // MakeBrick carves the box out of a full grid with a one-voxel ghost margin
 // (clipped to the dataset bounds) so that seam interpolation matches a
 // monolithic render.
 func MakeBrick(full *volume.Grid, box volume.Box) *Brick {
-	ghost := volume.Box{
-		Min: [3]int{box.Min[0] - 1, box.Min[1] - 1, box.Min[2] - 1},
-		Max: [3]int{box.Max[0] + 1, box.Max[1] + 1, box.Max[2] + 1},
-	}.Intersect(full.Bounds())
+	ghost := GhostBox(box, full.Dims)
 	return &Brick{
 		Grid:       full.SubGrid(ghost),
 		Extent:     box,

@@ -106,15 +106,28 @@ func LoadManifest(dir string) (*Manifest, error) {
 }
 
 // LoadBrick reads chunk i's voxels and reassembles the renderable brick.
-func (m *Manifest) LoadBrick(i int) (*raycast.Brick, error) {
+func (m *Manifest) LoadBrick(i int) (*raycast.Brick, error) { return m.LoadBrickInto(i, nil) }
+
+// LoadBrickInto is LoadBrick with a voxel slab to recycle: the brick's grid
+// uses slab's memory when its capacity holds the chunk, and new memory
+// otherwise (volume.LoadGridInto). On error the slab is still the caller's.
+// A file whose grid is not the one the manifest describes — the chunk's
+// extent plus ghost margin, SizeBytes — is refused: the ray-caster indexes
+// the grid by the manifest's geometry.
+func (m *Manifest) LoadBrickInto(i int, slab []float32) (*raycast.Brick, error) {
 	if i < 0 || i >= len(m.Chunks) {
 		return nil, fmt.Errorf("service: dataset %s has no chunk %d", m.Name, i)
 	}
-	g, err := volume.LoadGrid(m.ChunkPath(i))
+	g, err := volume.LoadGridInto(m.ChunkPath(i), slab)
 	if err != nil {
 		return nil, fmt.Errorf("service: loading %s chunk %d: %w", m.Name, i, err)
 	}
 	c := m.Chunks[i]
+	ghost := raycast.GhostBox(c.Extent, m.Dims)
+	if g.Dims != [3]int{ghost.Dx(), ghost.Dy(), ghost.Dz()} || c.GridOrigin != ghost.Min || c.SizeBytes != g.SizeBytes() {
+		return nil, fmt.Errorf("service: %s chunk %d: the file's %v grid is not the manifest's %v (%d bytes from %v)",
+			m.Name, i, g.Dims, ghost, int64(c.SizeBytes), c.GridOrigin)
+	}
 	return &raycast.Brick{
 		Grid:       g,
 		Extent:     c.Extent,

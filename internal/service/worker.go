@@ -28,15 +28,20 @@ type Worker struct {
 	quota   units.Bytes
 
 	// lru tracks residency accounting; bricks holds the payloads. cacheMu
-	// guards both (and datasetIDs): with fractional slots, task executors
-	// run concurrently and contend for the cache — the serialized load
-	// under the lock is the single disk the share model prices, while
-	// renders overlap freely outside it.
+	// guards both (and datasetIDs, datasetNames, slabs): with fractional
+	// slots, task executors run concurrently and contend for the cache — the
+	// serialized load under the lock is the single disk the share model
+	// prices, while renders overlap freely outside it.
 	cacheMu sync.Mutex
 	lru     *cache.LRU
-	bricks  map[volume.ChunkID]*raycast.Brick
-	// datasetIDs gives each dataset name a stable local ID for cache keys.
-	datasetIDs map[string]volume.DatasetID
+	bricks  map[volume.ChunkID]*resident
+	// datasetIDs gives each dataset name a stable local ID for cache keys;
+	// datasetNames[id-1] is its inverse.
+	datasetIDs   map[string]volume.DatasetID
+	datasetNames []string
+	// slabs is the free list of voxel slabs the next loads read into
+	// (§5.16): an evicted brick's slab comes here once no render holds it.
+	slabs [][]float32
 
 	// Codec selects the fragment pixel encoding (CodecFlate by default:
 	// volume fragments are mostly transparent and compress well).
@@ -85,6 +90,23 @@ type Worker struct {
 	Logf func(format string, args ...any)
 }
 
+// resident is one loaded brick and who is using it.
+type resident struct {
+	brick *raycast.Brick
+	// renders counts the executes ray-casting the brick right now; evicted
+	// says the cache dropped it meanwhile, so the render that brings the
+	// count to zero gives the slab back. Both under cacheMu.
+	renders int
+	evicted bool
+}
+
+// maxFreeSlabs bounds the free list. One slab is the steady state of a
+// worker that evicts on every load (the evicted brick's slab waits for the
+// next load); the second takes the slab a concurrent render was still
+// holding when its brick was evicted. Past that, free slabs are memory held
+// beyond the quota for no load that is coming.
+const maxFreeSlabs = 2
+
 // retainedResult is one completed task's replayable output.
 type retainedResult struct {
 	ref   TaskRef
@@ -108,7 +130,7 @@ func NewWorker(name string, catalog *Catalog, quota units.Bytes) *Worker {
 		catalog:    catalog,
 		quota:      quota,
 		lru:        cache.NewLRU(quota),
-		bricks:     make(map[volume.ChunkID]*raycast.Brick),
+		bricks:     make(map[volume.ChunkID]*resident),
 		datasetIDs: make(map[string]volume.DatasetID),
 		Codec:      CodecFlate,
 		Heartbeat:  DefaultHeartbeat,
@@ -139,47 +161,117 @@ func (w *Worker) Slots() int { return int(w.slots.Load()) }
 func (w *Worker) chunkID(dataset string, chunk int) volume.ChunkID {
 	id, ok := w.datasetIDs[dataset]
 	if !ok {
-		id = volume.DatasetID(len(w.datasetIDs) + 1)
+		w.datasetNames = append(w.datasetNames, dataset)
+		id = volume.DatasetID(len(w.datasetNames))
 		w.datasetIDs[dataset] = id
 	}
 	return volume.ChunkID{Dataset: id, Index: chunk}
 }
 
 // datasetName inverts chunkID's mapping for eviction reports.
-func (w *Worker) datasetName(id volume.DatasetID) string {
-	for name, d := range w.datasetIDs {
-		if d == id {
-			return name
+func (w *Worker) datasetName(id volume.DatasetID) string { return w.datasetNames[id-1] }
+
+// takeSlab removes from the free list a slab that holds the given number of
+// voxels, or returns nil. A slab over twice that size stays: the quota
+// counts a brick's voxels, and memory riding under a small brick would be
+// hidden from it.
+func (w *Worker) takeSlab(voxels int) []float32 {
+	for i, s := range w.slabs {
+		if voxels <= cap(s) && cap(s) <= 2*voxels {
+			last := len(w.slabs) - 1
+			w.slabs[i], w.slabs[last] = w.slabs[last], nil
+			w.slabs = w.slabs[:last]
+			return s
 		}
 	}
-	return ""
+	return nil
 }
 
-// loadBrick returns the brick for the task, loading from disk on a miss.
-// It reports whether the access hit and what was evicted.
-func (w *Worker) loadBrick(dataset string, chunk int) (*raycast.Brick, bool, []ChunkRef, error) {
+// recycle puts a slab nobody reads any more on the free list. A full list
+// keeps its larger slabs: they serve any brick the smaller ones would.
+func (w *Worker) recycle(slab []float32) {
+	if len(w.slabs) < maxFreeSlabs {
+		w.slabs = append(w.slabs, slab)
+		return
+	}
+	small := 0
+	for i := range w.slabs {
+		if cap(w.slabs[i]) < cap(w.slabs[small]) {
+			small = i
+		}
+	}
+	if cap(slab) > cap(w.slabs[small]) {
+		w.slabs[small] = slab
+	}
+}
+
+// fetch reads a chunk from disk into a recycled slab when one fits. The
+// slab goes back to the free list when the load fails.
+func (w *Worker) fetch(m *Manifest, chunk int) (*raycast.Brick, error) {
+	var slab []float32
+	if chunk >= 0 && chunk < len(m.Chunks) {
+		slab = w.takeSlab(int(m.Chunks[chunk].SizeBytes / 4))
+	}
+	brick, err := m.LoadBrickInto(chunk, slab)
+	if err != nil && slab != nil {
+		w.recycle(slab)
+	}
+	return brick, err
+}
+
+// drop forgets the bricks the cache evicted and names them for the head.
+// A brick no render holds gives its slab back now; one that is still being
+// ray-cast — another slot's executor, under fractional slots — does when
+// that render lets go (release).
+func (w *Worker) drop(evictedIDs []volume.ChunkID) []ChunkRef {
+	var evicted []ChunkRef
+	for _, ev := range evictedIDs {
+		r := w.bricks[ev]
+		delete(w.bricks, ev)
+		if r.renders == 0 {
+			w.recycle(r.brick.Grid.Data)
+		} else {
+			r.evicted = true
+		}
+		evicted = append(evicted, ChunkRef{Dataset: w.datasetName(ev.Dataset), Index: ev.Index})
+	}
+	return evicted
+}
+
+// release ends one render's hold on a brick (loadBrick took it).
+func (w *Worker) release(r *resident) {
+	w.cacheMu.Lock()
+	defer w.cacheMu.Unlock()
+	r.renders--
+	if r.evicted && r.renders == 0 {
+		w.recycle(r.brick.Grid.Data)
+	}
+}
+
+// loadBrick returns the brick for the task, loading from disk on a miss,
+// and counts the caller as rendering it until release. It reports whether
+// the access hit and what was evicted.
+func (w *Worker) loadBrick(dataset string, chunk int) (*resident, bool, []ChunkRef, error) {
 	w.cacheMu.Lock()
 	defer w.cacheMu.Unlock()
 	cid := w.chunkID(dataset, chunk)
 	if w.lru.Touch(cid) {
-		return w.bricks[cid], true, nil, nil
+		r := w.bricks[cid]
+		r.renders++
+		return r, true, nil, nil
 	}
 	m := w.catalog.Get(dataset)
 	if m == nil {
 		return nil, false, nil, fmt.Errorf("service: unknown dataset %q", dataset)
 	}
-	brick, err := m.LoadBrick(chunk)
+	brick, err := w.fetch(m, chunk)
 	if err != nil {
 		return nil, false, nil, err
 	}
-	evictedIDs := w.lru.Insert(cid, brick.Grid.SizeBytes())
-	var evicted []ChunkRef
-	for _, ev := range evictedIDs {
-		delete(w.bricks, ev)
-		evicted = append(evicted, ChunkRef{Dataset: w.datasetName(ev.Dataset), Index: ev.Index})
-	}
-	w.bricks[cid] = brick
-	return brick, false, evicted, nil
+	evicted := w.drop(w.lru.Insert(cid, brick.Grid.SizeBytes()))
+	r := &resident{brick: brick, renders: 1}
+	w.bricks[cid] = r
+	return r, false, evicted, nil
 }
 
 // prefetch warms one chunk ahead of predicted demand (§5.8). It runs inline
@@ -203,20 +295,18 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 		w.Logf("worker %s: prefetch for unknown dataset %q", w.Name, p.Dataset)
 		return done
 	}
-	brick, err := m.LoadBrick(p.Chunk)
+	brick, err := w.fetch(m, p.Chunk)
 	if err != nil {
 		w.Logf("worker %s: prefetch %s/%d failed: %v", w.Name, p.Dataset, p.Chunk, err)
 		return done
 	}
 	evictedIDs, ok := w.lru.InsertCold(cid, brick.Grid.SizeBytes())
 	if !ok {
+		w.recycle(brick.Grid.Data)
 		return done // quota pinned solid; drop the warm
 	}
-	for _, ev := range evictedIDs {
-		delete(w.bricks, ev)
-		done.Evicted = append(done.Evicted, ChunkRef{Dataset: w.datasetName(ev.Dataset), Index: ev.Index})
-	}
-	w.bricks[cid] = brick
+	done.Evicted = w.drop(evictedIDs)
+	w.bricks[cid] = &resident{brick: brick}
 	done.Loaded = true
 	done.Nanos = time.Since(start).Nanoseconds()
 	return done
@@ -229,13 +319,14 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 // the full frame.
 func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	start := time.Now()
-	brick, hit, evicted, err := w.loadBrick(t.Dataset, t.Chunk)
+	res, hit, evicted, err := w.loadBrick(t.Dataset, t.Chunk)
 	if err != nil {
 		return FragmentBody{}, nil, err
 	}
+	defer w.release(res)
 	cam := raycast.NewCamera(t.Render.Angle, t.Render.Elevation, t.Render.Dist)
 	tf := raycast.PresetTF(w.catalog.Get(t.Dataset).TF)
-	frag := raycast.RenderBrick(brick, cam, tf, raycast.Options{
+	frag := raycast.RenderBrick(res.brick, cam, tf, raycast.Options{
 		Width:    t.Render.Width,
 		Height:   t.Render.Height,
 		Mode:     raycast.Mode(t.Render.Mode),
