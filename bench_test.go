@@ -126,54 +126,90 @@ func BenchmarkFig2Pipeline(b *testing.B) {
 	})
 }
 
+// tableIIICall builds Table III's isolated measurement — a cold 64-node
+// head and a queue of 32 simultaneous 16-chunk jobs over 16 datasets — and
+// returns the scheduler with the Schedule call that is timed.
+func tableIIICall(name string) func() {
+	const nodes, nJobs = 64, 32
+	// FCFSU's uniform decomposition yields one task per node — four times
+	// the tasks of the Chkmax policies here, which is why the paper finds it
+	// the most expensive to schedule.
+	chunks := 16
+	if name == "FCFSU" {
+		chunks = nodes
+	}
+	queue := make([]*core.Job, nJobs)
+	for j := range queue {
+		job := &core.Job{
+			ID:      core.JobID(j + 1),
+			Class:   core.Interactive,
+			Action:  core.ActionID(j%16 + 1),
+			Dataset: volume.DatasetID(j%16 + 1),
+		}
+		job.Tasks = make([]core.Task, chunks)
+		for i := range job.Tasks {
+			job.Tasks[i] = core.Task{
+				Job: job, Index: i,
+				Chunk: volume.ChunkID{Dataset: job.Dataset, Index: i},
+				Size:  512 * units.MB,
+			}
+		}
+		job.Remaining = chunks
+		queue[j] = job
+	}
+	sched, _ := experiments.SchedulerByName(name)
+	head := core.NewHeadState(nodes, 8*units.GB, core.System2CostModel())
+	return func() { sched.Schedule(0, queue, head) }
+}
+
 // BenchmarkTableIIISchedulingCost isolates Table III's "avg. cost": the
 // wall time of one Schedule invocation over a queue of simultaneous jobs,
 // for each policy, on a 64-node head.
 func BenchmarkTableIIISchedulingCost(b *testing.B) {
-	const nodes = 64
-	mkQueue := func(nJobs, chunks int) []*core.Job {
-		queue := make([]*core.Job, nJobs)
-		for j := range queue {
-			job := &core.Job{
-				ID:      core.JobID(j + 1),
-				Class:   core.Interactive,
-				Action:  core.ActionID(j%16 + 1),
-				Dataset: volume.DatasetID(j%16 + 1),
-			}
-			job.Tasks = make([]core.Task, chunks)
-			for i := range job.Tasks {
-				job.Tasks[i] = core.Task{
-					Job: job, Index: i,
-					Chunk: volume.ChunkID{Dataset: job.Dataset, Index: i},
-					Size:  512 * units.MB,
-				}
-			}
-			job.Remaining = chunks
-			queue[j] = job
-		}
-		return queue
-	}
 	for _, name := range []string{"FS", "SF", "FCFS", "FCFSU", "FCFSL", "OURS"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			// FCFSU's uniform decomposition yields one task per node — four
-			// times the tasks of the Chkmax policies here, which is why the
-			// paper finds it the most expensive to schedule.
-			chunks := 16
-			if name == "FCFSU" {
-				chunks = nodes
-			}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sched, _ := experiments.SchedulerByName(name)
-				head := core.NewHeadState(nodes, 8*units.GB, core.System2CostModel())
-				queue := mkQueue(32, chunks)
+				call := tableIIICall(name)
 				b.StartTimer()
-				sched.Schedule(0, queue, head)
+				call()
 			}
 			// Per-job cost, Table III's unit.
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/32, "ns/job")
 		})
+	}
+}
+
+// TestTableIIICostOrdering pins the part of Table III's cost ordering
+// (paper, Scenario 3: FS 677 < FCFSL 1002 < OURS 1446 < FCFSU 2019 µs) that
+// this implementation reproduces with a margin a timing test can hold: FS
+// is the cheapest of the FCFS family and FCFSU, which schedules p tasks a
+// job, is the costliest of the four. Every absolute number moves when the
+// tables or a scheduler get faster (DESIGN.md §5.17); these relations are
+// what EXPERIMENTS.md reports as reproduced. Costs are minima over
+// interleaved repetitions, and a failed comparison is re-measured before it
+// counts, so a noisy neighbour cannot fail the test but an inversion does.
+func TestTableIIICostOrdering(t *testing.T) {
+	names := []string{"FS", "FCFSL", "OURS", "FCFSU"}
+	best := map[string]time.Duration{}
+	for attempt := 1; ; attempt++ {
+		for rep := 0; rep < 10; rep++ {
+			for _, name := range names {
+				call := tableIIICall(name)
+				start := time.Now()
+				call()
+				if d := time.Since(start); best[name] == 0 || d < best[name] {
+					best[name] = d
+				}
+			}
+		}
+		if best["FS"] < best["FCFSL"] && best["FCFSL"] < best["FCFSU"] && best["OURS"] < best["FCFSU"] {
+			return
+		}
+		if attempt == 5 {
+			t.Fatalf("Table III ordering lost: want FS < FCFSL < FCFSU and OURS < FCFSU, measured %v", best)
+		}
 	}
 }
 

@@ -33,8 +33,10 @@ func greedyNode(head *core.HeadState) (core.NodeID, bool) {
 }
 
 // localNode returns the alive node minimizing predicted completion time
-// max(Available, now) + cost(chunk, node) — greedy with data locality.
+// max(Available, now) + cost(chunk, node) — greedy with data locality. The
+// task is priced once for the whole scan (core.ExecPrice).
 func localNode(now units.Time, t *core.Task, head *core.HeadState) (core.NodeID, bool) {
+	price := head.PriceTask(t)
 	best := core.NodeID(-1)
 	var bestDone units.Time
 	for k := 0; k < head.Nodes(); k++ {
@@ -45,7 +47,7 @@ func localNode(now units.Time, t *core.Task, head *core.HeadState) (core.NodeID,
 		if start < now {
 			start = now
 		}
-		done := start.Add(head.PredictExec(t, core.NodeID(k)))
+		done := start.Add(price.On(core.NodeID(k)))
 		if best < 0 || done < bestDone {
 			best = core.NodeID(k)
 			bestDone = done

@@ -96,13 +96,14 @@ func (s *DFRS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState)
 // under Slots × the task's predicted execution there. False when every node
 // is packed — the task stays queued.
 func (s *DFRS) fractionalNode(now units.Time, t *core.Task, head *core.HeadState) (core.NodeID, bool) {
+	price := head.PriceTask(t)
 	best := core.NodeID(-1)
 	var bestDone units.Time
 	for k := 0; k < head.Nodes(); k++ {
 		if !head.Alive(core.NodeID(k)) {
 			continue
 		}
-		exec := head.PredictExec(t, core.NodeID(k))
+		exec := price.On(core.NodeID(k))
 		backlog := head.Available[k].Sub(now)
 		if backlog > 0 && backlog >= exec*units.Duration(s.Slots) {
 			continue // node packed: Slots tasks' worth already committed

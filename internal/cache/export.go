@@ -36,6 +36,11 @@ func (s *Store) Export() []Entry {
 // Clone. Panics if an entry exceeds the quota — an export from a
 // same-quota cache cannot.
 func (s *Store) Restore(entries []Entry, st Stats) {
+	if s.observe != nil {
+		for id := range s.items {
+			s.observe(id, false)
+		}
+	}
 	s.order.Init()
 	s.items = make(map[volume.ChunkID]*storeEntry, len(entries))
 	s.pins = make(map[volume.ChunkID]int)
@@ -46,8 +51,7 @@ func (s *Store) Restore(entries []Entry, st Stats) {
 		}
 		e := &storeEntry{id: ent.ID, size: ent.Size, freq: ent.Freq}
 		e.el = s.order.PushBack(e)
-		s.items[ent.ID] = e
-		s.used += ent.Size
+		s.admit(e)
 		if ent.Pins > 0 {
 			s.pins[ent.ID] = ent.Pins
 			s.pinnedBytes += ent.Size

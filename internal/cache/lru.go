@@ -77,8 +77,12 @@ func (c *LRU) Remove(id volume.ChunkID) bool { return c.s.Remove(id) }
 // Resident returns the resident chunk IDs from most- to least-recently used.
 func (c *LRU) Resident() []volume.ChunkID { return c.s.Resident() }
 
+// Observe installs the residency observer; see Store.Observe.
+func (c *LRU) Observe(fn func(id volume.ChunkID, resident bool)) { c.s.Observe(fn) }
+
 // Clone returns an independent copy with identical contents and recency
-// order, used when the head node seeds a what-if projection.
+// order, used when the head node seeds a what-if projection. A clone
+// carries no observer: mutating it never reaches the original's owner.
 func (c *LRU) Clone() *LRU {
 	return &LRU{s: c.s.Clone()}
 }

@@ -83,6 +83,11 @@ type Store struct {
 	pinnedBytes units.Bytes
 
 	stats Stats
+
+	// observe, when set, is told of every residency change — a chunk
+	// entering (true) or leaving (false) the cache, never a touch or a pin —
+	// so an owner can keep a derived index coherent.
+	observe func(id volume.ChunkID, resident bool)
 }
 
 type storeEntry struct {
@@ -123,6 +128,19 @@ func (s *Store) Len() int { return len(s.items) }
 
 // Stats returns the cumulative hit/miss/eviction counters.
 func (s *Store) Stats() Stats { return s.stats }
+
+// Observe installs (or, with nil, removes) the residency observer. The
+// current contents are not replayed to it.
+func (s *Store) Observe(fn func(id volume.ChunkID, resident bool)) { s.observe = fn }
+
+// admit books a new entry (already linked into order) as resident.
+func (s *Store) admit(e *storeEntry) {
+	s.items[e.id] = e
+	s.used += e.size
+	if s.observe != nil {
+		s.observe(e.id, true)
+	}
+}
 
 // Contains reports residency without recording an access.
 func (s *Store) Contains(id volume.ChunkID) bool {
@@ -230,6 +248,9 @@ func (s *Store) drop(e *storeEntry) {
 		delete(s.pins, e.id)
 		s.pinnedBytes -= e.size
 	}
+	if s.observe != nil {
+		s.observe(e.id, false)
+	}
 }
 
 // Insert adds the chunk (or touches it if resident), evicting under the
@@ -255,8 +276,7 @@ func (s *Store) Insert(id volume.ChunkID, size units.Bytes) []volume.ChunkID {
 	}
 	e := &storeEntry{id: id, size: size, freq: 1}
 	e.el = s.order.PushFront(e)
-	s.items[id] = e
-	s.used += size
+	s.admit(e)
 	return evicted
 }
 
@@ -284,8 +304,7 @@ func (s *Store) InsertCold(id volume.ChunkID, size units.Bytes) (evicted []volum
 	}
 	e := &storeEntry{id: id, size: size, freq: 0}
 	e.el = s.order.PushBack(e)
-	s.items[id] = e
-	s.used += size
+	s.admit(e)
 	return evicted, true
 }
 
@@ -354,7 +373,8 @@ func (s *Store) Resident() []volume.ChunkID {
 }
 
 // Clone returns an independent copy with identical contents, order,
-// frequencies, pins, and counters. The random-eviction stream restarts
+// frequencies, pins, and counters — and no residency observer: a clone's
+// changes are not the original's. The random-eviction stream restarts
 // from the original seed (exact for the deterministic policies, which is
 // every use the head's prediction tables make of it).
 func (s *Store) Clone() *Store {

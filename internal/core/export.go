@@ -139,9 +139,11 @@ func LoadTables(d *TableDump, model CostModel) *HeadState {
 		prefHidden:      d.PrefHidden,
 		prefWasted:      d.PrefWasted,
 	}
+	h.indexResidency()
 	for k, cd := range d.Caches {
-		h.Caches[k] = cache.NewLRU(cd.Quota)
-		h.Caches[k].Restore(cd.Entries, cd.Stats)
+		c := cache.NewLRU(cd.Quota)
+		c.Restore(cd.Entries, cd.Stats)
+		h.adopt(NodeID(k), c)
 	}
 	for _, e := range d.Estimates {
 		h.estimate[e.Chunk] = e.Exec
@@ -178,7 +180,7 @@ func (h *HeadState) ResyncCache(k NodeID, announced []cache.Entry) {
 		ents[i] = cache.Entry{ID: e.ID, Size: e.Size, Freq: e.Freq}
 	}
 	fresh.Restore(ents, cache.Stats{})
-	h.Caches[k] = fresh
+	h.adopt(k, fresh)
 	for key := range h.prefetched {
 		if key.k == k && !fresh.Contains(key.c) {
 			delete(h.prefetched, key)

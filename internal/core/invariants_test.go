@@ -133,6 +133,9 @@ func (w *invariantWorld) cycle() []Assignment {
 // checkState asserts the per-cycle head-state invariants.
 func (w *invariantWorld) checkState(cycleNo int) {
 	h := w.head
+	if err := h.Validate(); err != nil {
+		w.t.Fatalf("cycle %d: %v", cycleNo, err)
+	}
 	// (1) Cache-table consistency: CachedOn(c) must agree with the per-node
 	// caches and contain only HealthUp nodes, and ReplicaCount must be its
 	// cardinality — both views of Cache[c] derive from the same tables.

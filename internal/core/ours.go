@@ -58,10 +58,10 @@ type LocalityScheduler struct {
 	coShare float64
 
 	// Per-cycle scratch, reused across Schedule calls.
-	byChunk                 map[volume.ChunkID]*chunkGroup
+	byChunk                 [2]map[volume.ChunkID]*chunkGroup // H_I, H_B: indexed by Class
+	groups                  [2][]*chunkGroup                  // their entries in chunk order
 	groupSlab               []*chunkGroup
 	usedGroups              int
-	hi, hb                  []*chunkGroup
 	cached, nonCached, rest []*chunkGroup
 	out                     []Assignment
 }
@@ -125,6 +125,9 @@ type chunkGroup struct {
 	chunk volume.ChunkID
 	size  units.Bytes
 	tasks []*Task
+	// on is Cache[c], the head's live residency set: "is c cached on node
+	// k" is a bit test that sees placements committed earlier in the cycle.
+	on nodeSet
 	// est caches Estimate[c] for the non-cached interactive ordering;
 	// replicas caches the predicted replica count for rarest-first batch.
 	est      units.Duration
@@ -132,7 +135,7 @@ type chunkGroup struct {
 }
 
 // newGroup takes a recycled group from the slab (growing it on first use).
-func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes) *chunkGroup {
+func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes, on nodeSet) *chunkGroup {
 	if s.usedGroups == len(s.groupSlab) {
 		s.groupSlab = append(s.groupSlab, new(chunkGroup))
 	}
@@ -141,38 +144,43 @@ func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes) *chunkG
 	g.chunk = c
 	g.size = size
 	g.tasks = g.tasks[:0]
+	g.on = on
 	g.est = 0
 	g.replicas = 0
 	return g
 }
 
-// groupByChunk buckets unassigned tasks of the given class by chunk into
-// dst and returns it sorted by chunk ID for determinism. The byChunk map is
-// cleared and reused between calls.
-func (s *LocalityScheduler) groupByChunk(queue []*Job, class Class, dst []*chunkGroup) []*chunkGroup {
-	clear(s.byChunk)
-	for _, j := range queue {
-		if j.Class != class {
-			continue
+// groupByChunk is lines 2–7: one walk over the queue buckets the unassigned
+// tasks of each class by chunk, the groups of a class sorted by chunk ID for
+// determinism. The byChunk maps are cleared and reused between calls.
+func (s *LocalityScheduler) groupByChunk(queue []*Job, head *HeadState) {
+	s.usedGroups = 0
+	for class := range s.groups {
+		s.groups[class] = s.groups[class][:0]
+		if s.byChunk[class] == nil {
+			s.byChunk[class] = make(map[volume.ChunkID]*chunkGroup)
 		}
+		clear(s.byChunk[class])
+	}
+	for _, j := range queue {
+		byChunk := s.byChunk[j.Class]
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
 			if t.Assigned {
 				continue
 			}
-			g := s.byChunk[t.Chunk]
+			g := byChunk[t.Chunk]
 			if g == nil {
-				g = s.newGroup(t.Chunk, t.Size)
-				s.byChunk[t.Chunk] = g
+				g = s.newGroup(t.Chunk, t.Size, head.residency(t.Chunk))
+				byChunk[t.Chunk] = g
+				s.groups[j.Class] = append(s.groups[j.Class], g)
 			}
 			g.tasks = append(g.tasks, t)
 		}
 	}
-	for _, g := range s.byChunk {
-		dst = append(dst, g)
+	for _, gs := range s.groups {
+		slices.SortFunc(gs, func(a, b *chunkGroup) int { return chunkCompare(a.chunk, b.chunk) })
 	}
-	slices.SortFunc(dst, func(a, b *chunkGroup) int { return chunkCompare(a.chunk, b.chunk) })
-	return dst
 }
 
 func chunkCompare(a, b volume.ChunkID) int {
@@ -185,10 +193,6 @@ func chunkCompare(a, b volume.ChunkID) int {
 // Schedule implements Algorithm 1.
 func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment {
 	lambda := now.Add(s.cycle) // λ: the next scheduling time
-	if s.byChunk == nil {
-		s.byChunk = make(map[volume.ChunkID]*chunkGroup)
-	}
-	s.usedGroups = 0
 	out := s.out[:0]
 	assign := func(t *Task, k NodeID) {
 		t.Assigned = true
@@ -197,15 +201,14 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	}
 
 	// Lines 2–7: decompose queued jobs into per-chunk task groups.
-	hi := s.groupByChunk(queue, Interactive, s.hi[:0])
-	hb := s.groupByChunk(queue, Batch, s.hb[:0])
-	s.hi, s.hb = hi, hb
+	s.groupByChunk(queue, head)
+	hi, hb := s.groups[Interactive], s.groups[Batch]
 
 	// Lines 8–9: split interactive groups into cached / non-cached; sort the
 	// non-cached by estimated execution time so cheap loads start first.
 	cached, nonCached := s.cached[:0], s.nonCached[:0]
 	for _, g := range hi {
-		if head.ReplicaCount(g.chunk) > 0 {
+		if g.on.countIn(head.up) > 0 {
 			cached = append(cached, g)
 		} else {
 			g.est = head.Estimate(g.chunk, g.size, g.tasks[0].Job.GroupSize())
@@ -248,7 +251,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	// drives replica counts past k.
 	if s.Replicas > 1 {
 		for _, g := range hb {
-			rc := head.ReplicaCount(g.chunk)
+			rc := g.on.countIn(head.up)
 			if rc == 0 || rc >= s.Replicas {
 				continue // zero-replica chunks take the rarest-first ε path
 			}
@@ -279,7 +282,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		}
 	cachedBatch:
 		for _, g := range hb {
-			if !head.Caches[k].Contains(g.chunk) {
+			if !g.on.has(node) {
 				continue
 			}
 			for _, t := range g.tasks {
@@ -306,7 +309,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		}
 		g.tasks = pending
 		if len(g.tasks) > 0 {
-			g.replicas = head.ReplicaCount(g.chunk)
+			g.replicas = g.on.countIn(head.up)
 			rest = append(rest, g)
 		}
 	}
@@ -341,7 +344,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 			// same ε and λ conditions the primary placement obeys.
 			target := node
 			if s.Replicas > 1 {
-				if rc := head.ReplicaCount(g.chunk); rc > 0 && rc < s.Replicas {
+				if rc := g.on.countIn(head.up); rc > 0 && rc < s.Replicas {
 					s.spreadTick++
 					if s.spreadTick%s.spreadEvery() == 0 {
 						if sec, ok := head.SecondaryFor(g.chunk); ok && sec != node &&
@@ -381,7 +384,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 			}
 			var pick *Task
 			for _, g := range hb {
-				if !head.Caches[k].Contains(g.chunk) {
+				if !g.on.has(node) {
 					continue
 				}
 				if t := firstUnassigned(g); t != nil {
@@ -428,8 +431,11 @@ func (s *LocalityScheduler) idleOK(head *HeadState, g *chunkGroup, k NodeID, now
 
 // bestNode returns the alive node minimizing predicted completion time for
 // the group's chunk: max(Available[k], now) + cost, where cost is the hit
-// cost on nodes predicted to hold the chunk and Estimate[c] elsewhere.
+// cost on nodes predicted to hold the chunk and Estimate[c] elsewhere. Both
+// costs are the same on every node, so the group is priced once and the
+// scan pays a bit test per node.
 func (s *LocalityScheduler) bestNode(now units.Time, g *chunkGroup, head *HeadState) (NodeID, bool) {
+	price := head.price(g.tasks[0], g.on)
 	best := NodeID(-1)
 	var bestDone units.Time
 	for k := 0; k < head.Nodes(); k++ {
@@ -440,7 +446,7 @@ func (s *LocalityScheduler) bestNode(now units.Time, g *chunkGroup, head *HeadSt
 		if start < now {
 			start = now
 		}
-		done := start.Add(head.PredictExec(g.tasks[0], NodeID(k)))
+		done := start.Add(price.On(NodeID(k)))
 		if best < 0 || done < bestDone {
 			best = NodeID(k)
 			bestDone = done

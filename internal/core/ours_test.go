@@ -1,8 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"vizsched/internal/cache"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 )
@@ -243,4 +248,726 @@ func TestOursBalancesAcrossNodes(t *testing.T) {
 			t.Errorf("node %d overloaded with %d tasks", n, c)
 		}
 	}
+}
+
+// oursLike is what the differential test drives: LocalityScheduler and the
+// reference it replaced.
+type oursLike interface {
+	Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment
+	PlannedPrefetches() []PrefetchDirective
+}
+
+// diffConfig is one randomly drawn configuration, applied to both sides.
+type diffConfig struct {
+	nodes, replicas int
+	noGuard         bool
+	coShare         float64
+	prefetch, src   bool
+}
+
+// stubPlanner asks, every cycle, for one warm on the first alive node that
+// is free before λ — enough to run MarkPrefetched and its evictions through
+// the tables between cycles.
+type stubPlanner struct{ calls int }
+
+func (p *stubPlanner) Plan(now, lambda units.Time, head *HeadState) []PrefetchDirective {
+	p.calls++
+	for k := 0; k < head.Nodes(); k++ {
+		if head.Alive(NodeID(k)) && head.Available[k].Before(lambda) {
+			c := volume.ChunkID{Dataset: volume.DatasetID(p.calls%5 + 1), Index: p.calls % 6}
+			return []PrefetchDirective{{Node: NodeID(k), Chunk: c, Size: diffChunkSize(c.Dataset)}}
+		}
+	}
+	return nil
+}
+
+func diffChunkSize(ds volume.DatasetID) units.Bytes { return units.Bytes(int(ds)%3+1) * 96 * units.MB }
+
+// placed is one assignment in comparable form.
+type placed struct {
+	job  JobID
+	task int
+	node NodeID
+	co   bool
+}
+
+// transcript is everything one side of the differential run decided.
+type transcript struct {
+	cycles   [][]placed
+	dump     *TableDump
+	srcCalls int
+}
+
+// driveOurs runs sched for many cycles over a seeded history of arrivals,
+// completions with evictions, warms, and node health changes. Every random
+// draw depends only on the seed and on table state, so two schedulers that
+// decide alike see identical histories.
+func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles int) transcript {
+	rng := rand.New(rand.NewSource(seed))
+	head := NewHeadState(cfg.nodes, units.GB, System1CostModel())
+	head.SetReplication(cfg.replicas)
+	var tr transcript
+	if cfg.src {
+		head.SetEstimateSource(func(c volume.ChunkID) (units.Duration, bool) {
+			tr.srcCalls++
+			return units.Duration(c.Index+1) * 300 * units.Millisecond, c.Index%2 == 0
+		})
+	}
+	var queue []*Job
+	now := units.Time(0)
+	for next := JobID(1); len(tr.cycles) < cycles; {
+		for i := rng.Intn(5); i > 0; i-- {
+			class := Interactive
+			if rng.Intn(2) == 0 {
+				class = Batch
+			}
+			ds := volume.DatasetID(rng.Intn(5) + 1)
+			j := mkJob(next, class, ActionID(rng.Intn(4)+1), ds, rng.Intn(6)+1, diffChunkSize(ds), now)
+			next++
+			if rng.Intn(4) == 0 && len(j.Tasks) > 1 { // arrives partially assigned
+				j.Tasks[rng.Intn(len(j.Tasks))].Assigned = true
+				j.Remaining--
+			}
+			queue = append(queue, j)
+		}
+		switch k := NodeID(rng.Intn(cfg.nodes)); rng.Intn(10) {
+		case 0:
+			head.MarkFailed(k)
+		case 1:
+			head.MarkSuspect(k)
+		case 2:
+			head.MarkDraining(k)
+		case 3, 4:
+			// Bring the first out-of-service node back, whichever way fits.
+			for n := NodeID(0); int(n) < cfg.nodes; n++ {
+				switch head.Health(n) {
+				case HealthUp:
+					continue
+				case HealthSuspect:
+					head.MarkUp(n)
+				case HealthDraining:
+					head.DemoteHomes(n)
+					head.CompleteDrain(n)
+				case HealthDown:
+					head.MarkRepaired(n, now)
+				}
+				break
+			}
+		}
+
+		var got []placed
+		for _, a := range sched.Schedule(now, queue, head) {
+			got = append(got, placed{a.Task.Job.ID, a.Task.Index, a.Node, a.CoScheduled})
+			a.Task.Job.Remaining--
+			if rng.Intn(2) == 0 {
+				res := TaskResult{
+					Task: a.Task, Node: a.Node, Hit: rng.Intn(2) == 0, Predicted: a.Task.PredictedExec,
+					Exec: a.Task.PredictedExec + units.Duration(rng.Intn(40)-10)*units.Millisecond,
+				}
+				if r := head.Caches[a.Node].Resident(); rng.Intn(3) == 0 {
+					if ev := r[rng.Intn(len(r))]; ev != a.Task.Chunk {
+						res.Evicted = []volume.ChunkID{ev}
+					}
+				}
+				head.Correct(res, now)
+			}
+			if a.CoScheduled && rng.Intn(2) == 0 {
+				head.CoDone(a.Node)
+			}
+		}
+		tr.cycles = append(tr.cycles, got)
+		for _, d := range sched.PlannedPrefetches() {
+			head.MarkPrefetched(d.Chunk, d.Node, d.Size)
+		}
+		if err := head.Validate(); err != nil {
+			t.Fatalf("seed %d cycle %d: %v", seed, len(tr.cycles), err)
+		}
+
+		live := queue[:0]
+		for _, j := range queue {
+			if j.Remaining > 0 {
+				live = append(live, j)
+			}
+		}
+		queue = live
+		now = now.Add([]units.Duration{units.Millisecond, 10 * units.Millisecond, 200 * units.Millisecond, 5 * units.Second}[rng.Intn(4)])
+	}
+	tr.dump = head.Dump()
+	return tr
+}
+
+// TestReferenceScheduleDifferential holds Schedule to the scheduler it
+// replaced: over random queues and table histories the two must return the
+// same assignments cycle for cycle, leave the same tables behind, and ask
+// the cross-shard estimate source the same number of times (the sharded
+// sweep's pinned CSV counts those calls).
+func TestReferenceScheduleDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed * 7919))
+		cfg := diffConfig{
+			nodes:    []int{2, 5, 9, 70}[rng.Intn(4)], // 70: a node set wider than one word
+			replicas: rng.Intn(3) + 1,
+			noGuard:  rng.Intn(3) == 0,
+			prefetch: rng.Intn(2) == 0,
+			src:      rng.Intn(2) == 0,
+		}
+		if rng.Intn(2) == 0 {
+			cfg.coShare = 0.25
+		}
+		fast := NewLocalityScheduler(0)
+		fast.Replicas, fast.DisableIdleGuard, fast.coShare = cfg.replicas, cfg.noGuard, cfg.coShare
+		ref := &referenceScheduler{cycle: DefaultCycle, Replicas: cfg.replicas, DisableIdleGuard: cfg.noGuard, coShare: cfg.coShare}
+		if cfg.prefetch {
+			fast.SetPrefetchPlanner(&stubPlanner{})
+			ref.prefetch = &stubPlanner{}
+		}
+		want := driveOurs(t, seed, cfg, ref, 150)
+		got := driveOurs(t, seed, cfg, fast, 150)
+		for i := range want.cycles {
+			if !reflect.DeepEqual(got.cycles[i], want.cycles[i]) {
+				t.Fatalf("seed %d %+v: cycle %d assigned\n %v\nreference\n %v", seed, cfg, i, got.cycles[i], want.cycles[i])
+			}
+		}
+		if !reflect.DeepEqual(got.dump, want.dump) {
+			t.Fatalf("seed %d %+v: tables differ after identical assignments", seed, cfg)
+		}
+		if got.srcCalls != want.srcCalls {
+			t.Fatalf("seed %d %+v: estimate source asked %d times, reference %d", seed, cfg, got.srcCalls, want.srcCalls)
+		}
+	}
+}
+
+// TestInvariantResidencyIndexRandomOps checks that the residency index and
+// the up mask stay what a scan of Caches and health says, under every
+// operation that touches either — including the outside writers' direct
+// Caches[k].Insert/Remove — with Validate after each.
+func TestInvariantResidencyIndexRandomOps(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := []int{3, 64, 67}[seed%3]
+		h := NewHeadState(nodes, 512*units.MB, System1CostModel())
+		h.SetReplication(2)
+		var pool []*Task
+		for ds := 1; ds <= 6; ds++ {
+			j := mkJob(JobID(ds), Class(ds%2), ActionID(ds), volume.DatasetID(ds), 6, 128*units.MB, 0)
+			for i := range j.Tasks {
+				pool = append(pool, &j.Tasks[i])
+			}
+		}
+		now := units.Time(0)
+		for op := 0; op < 4000; op++ {
+			k := NodeID(rng.Intn(nodes))
+			task := pool[rng.Intn(len(pool))]
+			now = now.Add(units.Millisecond)
+			switch rng.Intn(14) {
+			case 0, 1, 2:
+				h.CommitAssign(task, k, now)
+			case 3:
+				h.CommitCoAssign(task, k, now)
+			case 4, 5:
+				res := TaskResult{Task: task, Node: k, Hit: rng.Intn(2) == 0, Exec: units.Second, Predicted: units.Second}
+				for _, ev := range h.Caches[k].Resident() {
+					if ev != task.Chunk && rng.Intn(2) == 0 {
+						res.Evicted = append(res.Evicted, ev)
+					}
+				}
+				h.Correct(res, now)
+			case 6:
+				h.MarkPrefetched(task.Chunk, k, task.Size)
+			case 7:
+				h.MarkFailed(k)
+			case 8:
+				h.MarkRepaired(k, now)
+			case 9:
+				if !h.MarkDraining(k) && h.Draining(k) {
+					h.DemoteHomes(k)
+					h.CompleteDrain(k)
+				}
+			case 10:
+				if rng.Intn(2) == 0 {
+					h.MarkSuspect(k)
+				} else {
+					h.MarkUp(k)
+				}
+			case 11:
+				var announced []cache.Entry
+				for _, i := range rng.Perm(len(pool))[:rng.Intn(4)] {
+					announced = append(announced, cache.Entry{ID: pool[i].Chunk, Size: pool[i].Size, Pins: 1})
+				}
+				h.ResyncCache(k, announced)
+			case 12:
+				h = LoadTables(h.Dump(), h.Model)
+			case 13:
+				if rng.Intn(2) == 0 {
+					h.Caches[k].Remove(task.Chunk)
+				} else {
+					h.Caches[k].Insert(task.Chunk, task.Size)
+				}
+			}
+			if err := h.Validate(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if got, want := h.ReplicaCount(task.Chunk), scanReplicaCount(h, task.Chunk); got != want || len(h.CachedOn(task.Chunk)) != want {
+				t.Fatalf("seed %d op %d: ReplicaCount(%v)=%d CachedOn=%v, a scan says %d", seed, op, task.Chunk, got, h.CachedOn(task.Chunk), want)
+			}
+		}
+	}
+}
+
+// TestScheduleSteadyStateAllocs: once a cycle has grown the scratch — H_I
+// and H_B tables, group slab, per-group task slices, output — and every
+// chunk has a home, scheduling the same 64-node, 256-job queue again
+// allocates nothing.
+func TestScheduleSteadyStateAllocs(t *testing.T) {
+	s := NewLocalityScheduler(0)
+	head := NewHeadState(64, 8*units.GB, System2CostModel())
+	queue := make([]*Job, 256)
+	for j := range queue {
+		class := Interactive
+		if j%8 == 7 {
+			class = Batch
+		}
+		queue[j] = mkJob(JobID(j+1), class, ActionID(j+1), volume.DatasetID(j%32+1), 16, 512*units.MB, 0)
+	}
+	now := units.Time(0)
+	var assigned int
+	cycle := func() {
+		for _, j := range queue {
+			for i := range j.Tasks {
+				j.Tasks[i].Assigned = false
+			}
+		}
+		now = now.Add(3600 * units.Second) // every node has long drained
+		assigned = len(s.Schedule(now, queue, head))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Errorf("steady-state Schedule allocates %v times a cycle, want 0", allocs)
+	}
+	if want := 224 * 16; assigned < want {
+		t.Errorf("steady-state cycle assigned %d tasks, want at least the %d interactive ones", assigned, want)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The reference scheduler: Algorithm 1 exactly as it stood before the
+// residency index (DESIGN.md §5.17) — two grouping walks, a PredictExec per
+// node in bestNode, a scan of every node's cache for each Cache[c] read. It
+// is kept verbatim, reading the Cache table only through Caches[k].Contains,
+// so TestReferenceScheduleDifferential holds the fast path to it decision
+// for decision.
+
+// scanReplicaCount is the old HeadState.ReplicaCount.
+func scanReplicaCount(h *HeadState, c volume.ChunkID) int {
+	n := 0
+	for k := range h.Caches {
+		if h.health[k] == HealthUp && h.Caches[k].Contains(c) {
+			n++
+		}
+	}
+	return n
+}
+
+// scanSecondaryFor is the old HeadState.SecondaryFor.
+func scanSecondaryFor(h *HeadState, c volume.ChunkID) (NodeID, bool) {
+	if h.replicaK <= 1 {
+		return -1, false
+	}
+	hs := h.homes[c]
+	for _, n := range hs {
+		if h.health[n] == HealthUp && !h.Caches[n].Contains(c) {
+			return n, true
+		}
+	}
+	if len(hs) >= h.replicaK {
+		return -1, false
+	}
+	best := NodeID(-1)
+	for k := range h.pressure {
+		n := NodeID(k)
+		if h.health[n] != HealthUp || h.Caches[n].Contains(c) || slices.Contains(hs, n) {
+			continue
+		}
+		if best < 0 || h.pressure[n] < h.pressure[best] {
+			best = n
+		}
+	}
+	return best, best >= 0
+}
+
+func (s *referenceScheduler) PlannedPrefetches() []PrefetchDirective { return s.prefetches }
+
+type referenceScheduler struct {
+	cycle units.Duration
+	// DisableIdleGuard drops the ε idle-time condition on non-cached batch
+	// placement (ablation: batch loads may then interrupt interactive
+	// streams, the failure mode the guard exists to prevent).
+	DisableIdleGuard bool
+	// Replicas is the replication policy layer's target degree k (§5.6):
+	// when ≥ 2, a bounded fraction of batch placements for under-replicated
+	// chunks is diverted to the chunk's secondary node, so hot chunks become
+	// k-resident out of real work instead of synthetic copies. 0/1 keeps the
+	// paper's single-home behaviour exactly.
+	Replicas int
+	// SpreadEvery bounds the diverted fraction: one in every SpreadEvery
+	// eligible batch placement opportunities goes to the secondary instead
+	// of the primary. Non-positive selects DefaultSpreadEvery.
+	SpreadEvery int
+	// spreadTick counts eligible spread opportunities across cycles; purely
+	// deterministic, so identical runs divert identical tasks.
+	spreadTick int
+
+	// prefetch, when set, plans background chunk warming (§5.8) after every
+	// demand pass has committed — prefetch work ranks strictly below cached
+	// batch and ε-eligible batch work by running last over the idle windows
+	// they left. nil (the default) changes nothing.
+	prefetch   PrefetchPlanner
+	prefetches []PrefetchDirective
+
+	// coShare, when positive, enables the fractional co-scheduling pass
+	// (§5.13): each node the demand passes leave idle hosts one batch guest
+	// at this share, preempted the instant demand work starts there. Zero
+	// (the default) emits no co-scheduled assignments.
+	coShare float64
+
+	// Per-cycle scratch, reused across Schedule calls.
+	byChunk                 map[volume.ChunkID]*refGroup
+	groupSlab               []*refGroup
+	usedGroups              int
+	hi, hb                  []*refGroup
+	cached, nonCached, rest []*refGroup
+	out                     []Assignment
+}
+
+// spreadEvery returns the effective diversion stride.
+func (s *referenceScheduler) spreadEvery() int {
+	if s.SpreadEvery > 0 {
+		return s.SpreadEvery
+	}
+	return DefaultSpreadEvery
+}
+
+// refGroup is one entry of the H_I / H_B hash tables: the unassigned
+// tasks within this cycle that need the same chunk, plus the sort keys
+// Schedule precomputes so its orderings never call into the head tables
+// from inside a comparator.
+type refGroup struct {
+	chunk volume.ChunkID
+	size  units.Bytes
+	tasks []*Task
+	// est caches Estimate[c] for the non-cached interactive ordering;
+	// replicas caches the predicted replica count for rarest-first batch.
+	est      units.Duration
+	replicas int
+}
+
+// newGroup takes a recycled group from the slab (growing it on first use).
+func (s *referenceScheduler) newGroup(c volume.ChunkID, size units.Bytes) *refGroup {
+	if s.usedGroups == len(s.groupSlab) {
+		s.groupSlab = append(s.groupSlab, new(refGroup))
+	}
+	g := s.groupSlab[s.usedGroups]
+	s.usedGroups++
+	g.chunk = c
+	g.size = size
+	g.tasks = g.tasks[:0]
+	g.est = 0
+	g.replicas = 0
+	return g
+}
+
+// groupByChunk buckets unassigned tasks of the given class by chunk into
+// dst and returns it sorted by chunk ID for determinism. The byChunk map is
+// cleared and reused between calls.
+func (s *referenceScheduler) groupByChunk(queue []*Job, class Class, dst []*refGroup) []*refGroup {
+	clear(s.byChunk)
+	for _, j := range queue {
+		if j.Class != class {
+			continue
+		}
+		for i := range j.Tasks {
+			t := &j.Tasks[i]
+			if t.Assigned {
+				continue
+			}
+			g := s.byChunk[t.Chunk]
+			if g == nil {
+				g = s.newGroup(t.Chunk, t.Size)
+				s.byChunk[t.Chunk] = g
+			}
+			g.tasks = append(g.tasks, t)
+		}
+	}
+	for _, g := range s.byChunk {
+		dst = append(dst, g)
+	}
+	slices.SortFunc(dst, func(a, b *refGroup) int { return chunkCompare(a.chunk, b.chunk) })
+	return dst
+}
+
+// Schedule implements Algorithm 1.
+func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment {
+	lambda := now.Add(s.cycle) // λ: the next scheduling time
+	if s.byChunk == nil {
+		s.byChunk = make(map[volume.ChunkID]*refGroup)
+	}
+	s.usedGroups = 0
+	out := s.out[:0]
+	assign := func(t *Task, k NodeID) {
+		t.Assigned = true
+		head.CommitAssign(t, k, now)
+		out = append(out, Assignment{Task: t, Node: k})
+	}
+
+	// Lines 2–7: decompose queued jobs into per-chunk task groups.
+	hi := s.groupByChunk(queue, Interactive, s.hi[:0])
+	hb := s.groupByChunk(queue, Batch, s.hb[:0])
+	s.hi, s.hb = hi, hb
+
+	// Lines 8–9: split interactive groups into cached / non-cached; sort the
+	// non-cached by estimated execution time so cheap loads start first.
+	cached, nonCached := s.cached[:0], s.nonCached[:0]
+	for _, g := range hi {
+		if scanReplicaCount(head, g.chunk) > 0 {
+			cached = append(cached, g)
+		} else {
+			g.est = head.Estimate(g.chunk, g.size, g.tasks[0].Job.GroupSize())
+			nonCached = append(nonCached, g)
+		}
+	}
+	s.cached, s.nonCached = cached, nonCached
+	slices.SortStableFunc(nonCached, func(a, b *refGroup) int {
+		if c := cmp.Compare(a.est, b.est); c != 0 {
+			return c
+		}
+		return chunkCompare(a.chunk, b.chunk)
+	})
+
+	// Lines 10–15: every interactive group goes, whole, to the node with the
+	// earliest predicted completion for its chunk.
+	placeWhole := func(g *refGroup) {
+		k, ok := s.bestNode(now, g, head)
+		if !ok {
+			return // no node alive; engine will retry next cycle
+		}
+		for _, t := range g.tasks {
+			assign(t, k)
+		}
+	}
+	for _, g := range cached {
+		placeWhole(g)
+	}
+	for _, g := range nonCached {
+		placeWhole(g)
+	}
+
+	// Replication pass (§5.6, before cached batch reinforces primaries):
+	// for each cached-but-under-replicated chunk, every spreadEvery-th
+	// opportunity diverts one batch task to the chunk's secondary node. The
+	// task misses there, which loads the chunk — a deliberate replica bought
+	// with real work. The secondary must be ε-idle (the miss implies a disk
+	// load, the same reasoning as non-cached batch) and still inside λ, and
+	// diversion stops once the chunk is k-resident, so the policy never
+	// drives replica counts past k.
+	if s.Replicas > 1 {
+		for _, g := range hb {
+			rc := scanReplicaCount(head, g.chunk)
+			if rc == 0 || rc >= s.Replicas {
+				continue // zero-replica chunks take the rarest-first ε path
+			}
+			s.spreadTick++
+			if s.spreadTick%s.spreadEvery() != 0 {
+				continue
+			}
+			sec, ok := scanSecondaryFor(head, g.chunk)
+			if !ok || !head.Available[sec].Before(lambda) {
+				continue
+			}
+			if !s.DisableIdleGuard {
+				eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
+				if head.InteractiveIdle(sec, now) <= eps {
+					continue
+				}
+			}
+			assign(g.tasks[0], sec)
+		}
+	}
+
+	// Lines 16–22: cached batch tasks fill each node until its predicted
+	// available time crosses λ.
+	for k := 0; k < head.Nodes(); k++ {
+		node := NodeID(k)
+		if !head.Alive(node) {
+			continue
+		}
+	cachedBatch:
+		for _, g := range hb {
+			if !head.Caches[k].Contains(g.chunk) {
+				continue
+			}
+			for _, t := range g.tasks {
+				if t.Assigned {
+					continue
+				}
+				if !head.Available[k].Before(lambda) {
+					break cachedBatch
+				}
+				assign(t, node)
+			}
+		}
+	}
+
+	// Lines 23–31: non-cached batch, rarest chunks first (fewest predicted
+	// replicas), placed only on nodes idle of interactive work for ε.
+	rest := s.rest[:0]
+	for _, g := range hb {
+		pending := g.tasks[:0]
+		for _, t := range g.tasks {
+			if !t.Assigned {
+				pending = append(pending, t)
+			}
+		}
+		g.tasks = pending
+		if len(g.tasks) > 0 {
+			g.replicas = scanReplicaCount(head, g.chunk)
+			rest = append(rest, g)
+		}
+	}
+	s.rest = rest
+	slices.SortStableFunc(rest, func(a, b *refGroup) int {
+		if c := cmp.Compare(a.replicas, b.replicas); c != 0 {
+			return c
+		}
+		return chunkCompare(a.chunk, b.chunk)
+	})
+	gi := 0
+	for k := 0; k < head.Nodes() && gi < len(rest); k++ {
+		node := NodeID(k)
+		if !head.Alive(node) {
+			continue
+		}
+		for gi < len(rest) && head.Available[k].Before(lambda) {
+			g := rest[gi]
+			if len(g.tasks) == 0 {
+				gi++
+				continue
+			}
+			if !s.DisableIdleGuard {
+				eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
+				if head.InteractiveIdle(node, now) <= eps {
+					break // this node served interactive work too recently
+				}
+			}
+			// Replication (§5.6): once the group's first task has seeded a
+			// home (replica count ≥ 1), later tasks of an under-replicated
+			// chunk are occasionally diverted to the secondary, under the
+			// same ε and λ conditions the primary placement obeys.
+			target := node
+			if s.Replicas > 1 {
+				if rc := scanReplicaCount(head, g.chunk); rc > 0 && rc < s.Replicas {
+					s.spreadTick++
+					if s.spreadTick%s.spreadEvery() == 0 {
+						if sec, ok := scanSecondaryFor(head, g.chunk); ok && sec != node &&
+							head.Available[sec].Before(lambda) && s.idleOK(head, g, sec, now) {
+							target = sec
+						}
+					}
+				}
+			}
+			assign(g.tasks[0], target)
+			g.tasks = g.tasks[1:]
+		}
+	}
+	// Co-schedule pass (§5.13): every alive node the demand passes above
+	// left idle — in steady state that means the ε-guard refused it
+	// non-cached batch while it shadows an interactive stream — hosts at
+	// most one batch guest at fractional share. The engine runs the guest
+	// only while the node has no demand task and suspends its share the
+	// instant one starts, so the guard's reason (a started load cannot be
+	// abandoned) no longer applies. Guests prefer a chunk already cached on
+	// the node (a pure-compute guest); failing that, the first pending group
+	// in hb order — with QoS enabled the presented window was popped by DRR,
+	// so guest picks inherit the same fair-order guarantee as demand batch.
+	if s.coShare > 0 {
+		firstUnassigned := func(g *refGroup) *Task {
+			for _, t := range g.tasks {
+				if !t.Assigned {
+					return t
+				}
+			}
+			return nil
+		}
+		for k := 0; k < head.Nodes(); k++ {
+			node := NodeID(k)
+			if !head.Alive(node) || head.CoBusy(node) || head.Available[k].After(now) {
+				continue
+			}
+			var pick *Task
+			for _, g := range hb {
+				if !head.Caches[k].Contains(g.chunk) {
+					continue
+				}
+				if t := firstUnassigned(g); t != nil {
+					pick = t
+					break
+				}
+			}
+			if pick == nil {
+				for _, g := range hb {
+					if t := firstUnassigned(g); t != nil {
+						pick = t
+						break
+					}
+				}
+			}
+			if pick == nil {
+				break // no pending batch work anywhere
+			}
+			pick.Assigned = true
+			head.CommitCoAssign(pick, node, now)
+			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
+		}
+	}
+
+	// Prefetch pass (§5.8): runs last, over whatever idle capacity the
+	// demand passes left inside [now, λ).
+	s.prefetches = s.prefetches[:0]
+	if s.prefetch != nil {
+		s.prefetches = append(s.prefetches, s.prefetch.Plan(now, lambda, head)...)
+	}
+	s.out = out
+	return out
+}
+
+// idleOK reports whether node k satisfies the ε idle-time condition for
+// placing a non-cached batch task of the group's chunk.
+func (s *referenceScheduler) idleOK(head *HeadState, g *refGroup, k NodeID, now units.Time) bool {
+	if s.DisableIdleGuard {
+		return true
+	}
+	eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
+	return head.InteractiveIdle(k, now) > eps
+}
+
+// bestNode returns the alive node minimizing predicted completion time for
+// the group's chunk: max(Available[k], now) + cost, where cost is the hit
+// cost on nodes predicted to hold the chunk and Estimate[c] elsewhere.
+func (s *referenceScheduler) bestNode(now units.Time, g *refGroup, head *HeadState) (NodeID, bool) {
+	best := NodeID(-1)
+	var bestDone units.Time
+	for k := 0; k < head.Nodes(); k++ {
+		if !head.Alive(NodeID(k)) {
+			continue
+		}
+		start := head.Available[k]
+		if start < now {
+			start = now
+		}
+		done := start.Add(head.PredictExec(g.tasks[0], NodeID(k)))
+		if best < 0 || done < bestDone {
+			best = NodeID(k)
+			bestDone = done
+		}
+	}
+	return best, best >= 0
 }

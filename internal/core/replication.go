@@ -121,9 +121,9 @@ func (h *HeadState) SecondaryFor(c volume.ChunkID) (NodeID, bool) {
 	if h.replicaK <= 1 {
 		return -1, false
 	}
-	hs := h.homes[c]
+	hs, on := h.homes[c], h.where[c]
 	for _, n := range hs {
-		if h.health[n] == HealthUp && !h.Caches[n].Contains(c) {
+		if h.health[n] == HealthUp && !on.has(n) {
 			return n, true
 		}
 	}
@@ -133,7 +133,7 @@ func (h *HeadState) SecondaryFor(c volume.ChunkID) (NodeID, bool) {
 	best := NodeID(-1)
 	for k := range h.pressure {
 		n := NodeID(k)
-		if h.health[n] != HealthUp || h.Caches[n].Contains(c) || slices.Contains(hs, n) {
+		if h.health[n] != HealthUp || on.has(n) || slices.Contains(hs, n) {
 			continue
 		}
 		if best < 0 || h.pressure[n] < h.pressure[best] {
@@ -256,10 +256,10 @@ func (h *HeadState) DemoteHomes(k NodeID) (RehomeReport, []volume.ChunkID) {
 // soonest: among HealthUp nodes predicted to hold it, the one whose queue
 // drains earliest (lowest Available; ties break to the lowest node ID).
 func (h *HeadState) warmestReplica(c volume.ChunkID) (NodeID, bool) {
-	best := NodeID(-1)
+	best, on := NodeID(-1), h.where[c]
 	for k := range h.Caches {
 		n := NodeID(k)
-		if h.health[n] != HealthUp || !h.Caches[n].Contains(c) {
+		if h.health[n] != HealthUp || !on.has(n) {
 			continue
 		}
 		if best < 0 || h.Available[n] < h.Available[best] {

@@ -19,9 +19,16 @@ type HeadState struct {
 	// Available[k] predicts when node R_k will have drained its queue.
 	Available []units.Time
 	// Caches[k] predicts node R_k's main-memory residency (the Cache table,
-	// indexed the transposed way: per node rather than per chunk; CachedOn
-	// provides the per-chunk view Algorithm 1 uses).
+	// indexed the transposed way: per node rather than per chunk; the
+	// residency index in residency.go is the per-chunk view Algorithm 1
+	// uses). Mutate a cache freely, but replace one only through adopt.
 	Caches []*cache.LRU
+	// where[c] is the set of nodes whose predicted cache holds chunk c —
+	// Cache[c] as Algorithm 1 reads it — and up the set of HealthUp nodes;
+	// both derived, see residency.go.
+	where   map[volume.ChunkID]nodeSet
+	up      nodeSet
+	setSlab []uint64
 	// lastInteractive[k] is the last time an interactive task was assigned
 	// to R_k.
 	lastInteractive []units.Time
@@ -130,10 +137,9 @@ func NewHeadState(n int, quota units.Bytes, model CostModel) *HeadState {
 		replicaK:        1,
 		pressure:        make([]int, n),
 	}
+	h.indexResidency()
 	for k := range h.Caches {
-		h.Caches[k] = cache.NewLRU(quota)
-	}
-	for k := range h.lastInteractive {
+		h.adopt(NodeID(k), cache.NewLRU(quota))
 		h.lastInteractive[k] = -1 << 62 // long before the epoch: ε starts satisfied
 	}
 	return h
@@ -152,7 +158,7 @@ func (h *HeadState) Health(k NodeID) Health { return h.health[k] }
 // (it may come back) but receives no new work. Down nodes stay down.
 func (h *HeadState) MarkSuspect(k NodeID) {
 	if h.health[k] == HealthUp {
-		h.health[k] = HealthSuspect
+		h.setHealth(k, HealthSuspect)
 	}
 }
 
@@ -160,7 +166,7 @@ func (h *HeadState) MarkSuspect(k NodeID) {
 // Down nodes must rejoin through MarkRepaired instead.
 func (h *HeadState) MarkUp(k NodeID) {
 	if h.health[k] == HealthSuspect {
-		h.health[k] = HealthUp
+		h.setHealth(k, HealthUp)
 	}
 }
 
@@ -171,16 +177,22 @@ func (h *HeadState) MarkUp(k NodeID) {
 // none survives); the report says how much of the failure was absorbed
 // warm. Disabled or untracked, the report is zero.
 func (h *HeadState) MarkFailed(k NodeID) RehomeReport {
-	h.health[k] = HealthDown
+	h.retire(k)
+	return h.rehomeFailed(k)
+}
+
+// retire takes node k out of service with a cold predicted cache — the end
+// state a crash and a completed drain share.
+func (h *HeadState) retire(k NodeID) {
+	h.setHealth(k, HealthDown)
 	h.dropPrefetchedOn(k)
 	h.CoDone(k)
-	h.Caches[k] = cache.NewLRU(h.Caches[k].Quota())
-	return h.rehomeFailed(k)
+	h.adopt(k, cache.NewLRU(h.Caches[k].Quota()))
 }
 
 // MarkRepaired returns a failed node to service with a cold cache.
 func (h *HeadState) MarkRepaired(k NodeID, now units.Time) {
-	h.health[k] = HealthUp
+	h.setHealth(k, HealthUp)
 	h.Available[k] = now
 }
 
@@ -194,7 +206,7 @@ func (h *HeadState) MarkDraining(k NodeID) bool {
 	if h.health[k] != HealthUp {
 		return false
 	}
-	h.health[k] = HealthDraining
+	h.setHealth(k, HealthDraining)
 	return true
 }
 
@@ -207,12 +219,7 @@ func (h *HeadState) Draining(k NodeID) bool { return h.health[k] == HealthDraini
 // nothing is re-homed here and nothing is left for the rarest-first pass to
 // re-seed. The existing rejoin/repair path (MarkRepaired) brings the slot
 // back into service later.
-func (h *HeadState) CompleteDrain(k NodeID) {
-	h.health[k] = HealthDown
-	h.dropPrefetchedOn(k)
-	h.CoDone(k)
-	h.Caches[k] = cache.NewLRU(h.Caches[k].Quota())
-}
+func (h *HeadState) CompleteDrain(k NodeID) { h.retire(k) }
 
 // Estimate returns Estimate[c]: the expected miss execution time for a task
 // on chunk c in a render group of the given size, falling back to the cost
@@ -265,8 +272,9 @@ func (h *HeadState) InteractiveIdle(k NodeID, now units.Time) units.Duration {
 // of the Cache table (Cache[c] in Algorithm 1). Failed nodes are excluded.
 func (h *HeadState) CachedOn(c volume.ChunkID) []NodeID {
 	var nodes []NodeID
+	on := h.where[c]
 	for k := range h.Caches {
-		if h.health[k] == HealthUp && h.Caches[k].Contains(c) {
+		if on.has(NodeID(k)) && h.up.has(NodeID(k)) {
 			nodes = append(nodes, NodeID(k))
 		}
 	}
@@ -276,15 +284,7 @@ func (h *HeadState) CachedOn(c volume.ChunkID) []NodeID {
 // ReplicaCount returns len(CachedOn(c)) without allocating the node list —
 // the form scheduler hot paths use, where only the predicted replica count
 // matters (cached/non-cached splits and rarest-first ordering).
-func (h *HeadState) ReplicaCount(c volume.ChunkID) int {
-	n := 0
-	for k := range h.Caches {
-		if h.health[k] == HealthUp && h.Caches[k].Contains(c) {
-			n++
-		}
-	}
-	return n
-}
+func (h *HeadState) ReplicaCount(c volume.ChunkID) int { return h.where[c].countIn(h.up) }
 
 // hitKey buckets hit-cost observations.
 type hitKey struct {

@@ -347,6 +347,11 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 		if !reflect.DeepEqual(st.Tables.Dump(), d.tables.Dump()) {
 			t.Fatalf("seed %d: replayed tables differ from live tables", seed)
 		}
+		// A dump carries no derived state: the replayed head's residency
+		// index was rebuilt by LoadTables and kept by replay's own writes.
+		if err := st.Tables.Validate(); err != nil {
+			t.Fatalf("seed %d: replayed tables: %v", seed, err)
+		}
 		wantAt := max(snap.At, d.lastAt)
 		if st.NextJobID != d.nextID || st.At != wantAt {
 			t.Fatalf("seed %d: replayed meta (next=%d at=%v) != live (next=%d at=%v)",

@@ -254,11 +254,15 @@ type node struct {
 }
 
 // execution is one running task's suspendable completion: the armed timer,
-// when it would fire, and the callback to re-arm after a stall.
+// when it would fire, and the callback to re-arm after a stall. Records are
+// recycled through Engine.freeExec: fn is bound once, when the record is
+// first made, and finds the node and the completion report in the record.
 type execution struct {
 	timer des.Timer
 	end   units.Time
 	fn    des.Event
+	node  *node
+	res   core.TaskResult
 	// remaining holds the unserved execution time while the node is stalled.
 	remaining units.Duration
 	// slot is the task's fractional progress account (§5.13); nil outside
@@ -349,6 +353,12 @@ type Engine struct {
 	// pendingEvictions carries evictions from an overlap-mode load to the
 	// triggering task's completion report.
 	pendingEvictions map[*core.Task][]volume.ChunkID
+
+	// freeExec holds finished execution records for reuse; jobsTouched and
+	// present are invokeScheduler's per-cycle scratch.
+	freeExec    []*execution
+	jobsTouched map[core.JobID]struct{}
+	present     []*core.Job
 }
 
 // New validates the configuration and builds an engine.
@@ -407,6 +417,7 @@ func New(cfg Config) *Engine {
 		maxExec:  make(map[core.JobID]units.Duration),
 
 		pendingEvictions: make(map[*core.Task][]volume.ChunkID),
+		jobsTouched:      make(map[core.JobID]struct{}),
 	}
 	if cfg.FracShare != nil {
 		e.initFracShare()
@@ -640,7 +651,7 @@ func (e *Engine) invokeScheduler() {
 	}
 	present := e.queue
 	if len(e.queue) > e.cfg.BatchWindow {
-		present = make([]*core.Job, 0, e.cfg.BatchWindow+16)
+		present = e.present[:0]
 		batch := 0
 		for _, j := range e.queue {
 			if j.Class == core.Interactive {
@@ -650,13 +661,15 @@ func (e *Engine) invokeScheduler() {
 				batch++
 			}
 		}
+		e.present = present
 	}
 
 	start := time.Now()
 	assignments := e.cfg.Scheduler.Schedule(e.sim.Now(), present, e.head)
 	wall := time.Since(start)
 
-	jobsTouched := make(map[core.JobID]struct{})
+	jobsTouched := e.jobsTouched
+	clear(jobsTouched)
 	for _, a := range assignments {
 		t := a.Task
 		if !t.Assigned {
@@ -915,15 +928,45 @@ func (e *Engine) startSerial(n *node) {
 			Exec: exec, Predicted: t.PredictedExec,
 			Evicted: evicted,
 		}
-		e.begin(n, t, exec, func(s *des.Simulator) { e.complete(n, res) })
+		e.begin(n, exec, res)
 	}
 }
 
-// begin arms a task's completion as a suspendable execution record.
-func (e *Engine) begin(n *node, t *core.Task, exec units.Duration, fn des.Event) {
-	ex := &execution{end: e.sim.Now().Add(exec), fn: fn}
-	ex.timer = e.sim.After(exec, fn)
-	n.running[t] = ex
+// begin arms a task's completion, exec from now, as a suspendable execution
+// record.
+func (e *Engine) begin(n *node, exec units.Duration, res core.TaskResult) {
+	ex := e.newExecution(n, res)
+	ex.end = e.sim.Now().Add(exec)
+	ex.timer = e.sim.After(exec, ex.fn)
+}
+
+// newExecution books res.Task as running on n under a recycled record.
+func (e *Engine) newExecution(n *node, res core.TaskResult) *execution {
+	var ex *execution
+	if last := len(e.freeExec) - 1; last >= 0 {
+		ex, e.freeExec = e.freeExec[last], e.freeExec[:last]
+	} else {
+		ex = new(execution)
+		ex.fn = func(*des.Simulator) {
+			if e.frac != nil {
+				e.completeFrac(ex.node, ex.res)
+			} else {
+				e.complete(ex.node, ex.res)
+			}
+		}
+	}
+	ex.node, ex.res = n, res
+	n.running[res.Task] = ex
+	return ex
+}
+
+// endExecution takes t off n's running set and recycles its record. The
+// record's timer must have fired or been cancelled.
+func (e *Engine) endExecution(n *node, t *core.Task) {
+	ex := n.running[t]
+	delete(n.running, t)
+	*ex = execution{fn: ex.fn}
+	e.freeExec = append(e.freeExec, ex)
 }
 
 // scaleIO applies a node's slow-disk multiplier to an I/O duration.
@@ -1010,7 +1053,7 @@ func (e *Engine) startOverlap(n *node) {
 			Exec: exec + loadDur, Predicted: t.PredictedExec,
 			Evicted: evicted,
 		}
-		e.begin(n, t, exec, func(s *des.Simulator) { e.complete(n, res) })
+		e.begin(n, exec, res)
 	}
 }
 
@@ -1021,7 +1064,7 @@ func (e *Engine) startOverlap(n *node) {
 // plane (§5.10).
 func (e *Engine) complete(n *node, res core.TaskResult) {
 	res.Finished = e.sim.Now()
-	delete(n.running, res.Task)
+	e.endExecution(n, res.Task)
 	e.emit(trace.Event{
 		Kind: trace.TaskDone, Job: res.Task.Job.ID, Class: res.Task.Job.Class,
 		Task: res.Task.Index, Node: n.id, Chunk: res.Task.Chunk,
@@ -1126,7 +1169,7 @@ func (e *Engine) fail(k core.NodeID) {
 	for t, ex := range n.running {
 		ex.timer.Cancel()
 		requeue(t)
-		delete(n.running, t)
+		e.endExecution(n, t)
 	}
 	n.loadTimer.Cancel()
 	n.loadTimer = des.Timer{}

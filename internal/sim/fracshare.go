@@ -130,13 +130,8 @@ func (e *Engine) beginFrac(n *node, t *core.Task, co bool) {
 		Exec: exec, Predicted: t.PredictedExec,
 		Evicted: evicted,
 	}
-	ex := &execution{
-		slot: fracshare.NewSlot(exec, now),
-		io:   !hit,
-		co:   co,
-	}
-	ex.fn = func(s *des.Simulator) { e.completeFrac(n, t, res) }
-	n.running[t] = ex
+	ex := e.newExecution(n, res)
+	ex.slot, ex.io, ex.co = fracshare.NewSlot(exec, now), !hit, co
 	if co {
 		n.frac.co = t
 	} else {
@@ -148,7 +143,8 @@ func (e *Engine) beginFrac(n *node, t *core.Task, co bool) {
 // force-completed (absorbing sub-nanosecond rounding), the frac bookkeeping
 // is released, and the standard completion path takes over — which ends by
 // calling startFrac, re-pricing the survivors.
-func (e *Engine) completeFrac(n *node, t *core.Task, res core.TaskResult) {
+func (e *Engine) completeFrac(n *node, res core.TaskResult) {
+	t := res.Task
 	ex := n.running[t]
 	if ex == nil {
 		return

@@ -405,10 +405,10 @@ func (se *ShardedEngine) injectGlobal(f Failure) {
 }
 
 // InvariantCheck verifies the cross-shard invariants after (or during) a
-// run: every session stayed with its admitting shard, and the shared
-// directory is structurally consistent (home sets ≤ k, no duplicates, all
-// node references within the cluster). A nil error is the property the
-// sweep and the test suite assert.
+// run: every session stayed with its admitting shard, every shard's derived
+// head state matches its tables, and the shared directory is structurally
+// consistent (home sets ≤ k, no duplicates, all node references within the
+// cluster). A nil error is the property the sweep and the test suite assert.
 func (se *ShardedEngine) InvariantCheck() error {
 	if se.violations > 0 {
 		return fmt.Errorf("sim: %d session(s) admitted by more than one shard", se.violations)
@@ -416,6 +416,11 @@ func (se *ShardedEngine) InvariantCheck() error {
 	for key, s := range se.owners {
 		if want := se.ring.OwnerKey(key); want != s {
 			return fmt.Errorf("sim: session key %x admitted by shard %d, ring owner %d", key, s, want)
+		}
+	}
+	for i, sub := range se.subs {
+		if err := sub.head.Validate(); err != nil {
+			return fmt.Errorf("sim: shard %d: %w", i, err)
 		}
 	}
 	return se.dir.Validate(se.cfg.Nodes)
