@@ -1,6 +1,7 @@
 package compositing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -379,5 +380,112 @@ func TestConcurrentUnderRace(t *testing.T) {
 	layers := randomLayers(rng, 12, 32, 32)
 	for i := 0; i < 4; i++ {
 		Concurrent{Workers: 6}.Composite(layers)
+	}
+}
+
+// randomRectLayers places n layers in a w×h frame at random: whole-frame,
+// interior, pushed against an edge, one pixel, and empty ones, overlapping
+// as they fall. It returns them with the full-frame images — transparent
+// outside each rectangle — that they stand for.
+func randomRectLayers(rng *rand.Rand, n, w, h int) ([]Layer, []*img.Image) {
+	layers := make([]Layer, n)
+	full := make([]*img.Image, n)
+	for i := range layers {
+		var l Layer
+		switch rng.Intn(5) {
+		case 0:
+			l.Image = &img.Image{} // an off-screen brick
+		case 1:
+			l.Image = img.New(w, h)
+		case 2: // clipped by the frame's far corner
+			lw, lh := 1+rng.Intn(w), 1+rng.Intn(h)
+			l = Layer{Image: img.New(lw, lh), X0: w - lw, Y0: h - lh}
+		default:
+			lw, lh := 1+rng.Intn(w), 1+rng.Intn(h)
+			l = Layer{Image: img.New(lw, lh), X0: rng.Intn(w - lw + 1), Y0: rng.Intn(h - lh + 1)}
+		}
+		full[i] = img.New(w, h)
+		for p := range l.Image.Pix {
+			px := img.RGBA{}
+			if rng.Intn(4) > 0 { // fragments are transparent in places
+				a := rng.Float32()
+				px = img.RGBA{R: rng.Float32() * a, G: rng.Float32() * a, B: rng.Float32() * a, A: a}
+			}
+			l.Image.Pix[p] = px
+			full[i].Set(l.X0+p%l.Image.W, l.Y0+p/l.Image.W, px)
+		}
+		layers[i] = l
+	}
+	return layers, full
+}
+
+// samePixels reports whether two images are equal bit for bit.
+func samePixels(a, b *img.Image) bool {
+	if a.W != b.W || a.H != b.H {
+		return false
+	}
+	for i, p := range a.Pix {
+		q := b.Pix[i]
+		if math.Float32bits(p.R) != math.Float32bits(q.R) || math.Float32bits(p.G) != math.Float32bits(q.G) ||
+			math.Float32bits(p.B) != math.Float32bits(q.B) || math.Float32bits(p.A) != math.Float32bits(q.A) {
+			return false
+		}
+	}
+	return true
+}
+
+// Compositing rectangles is compositing the full-frame layers they stand
+// for, bit for bit: 1–9 layers, every band count, frames down to one row.
+func TestCompositingRectLayersMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for round := 0; round < 40; round++ {
+		w, h := 1+rng.Intn(24), 1+rng.Intn(16)
+		for n := 1; n <= 9; n++ {
+			layers, full := randomRectLayers(rng, n, w, h)
+			want, _ := Serial{}.Composite(full)
+			for _, workers := range []int{0, 1, 3, 8} {
+				got := Concurrent{Workers: workers}.CompositeLayers(w, h, layers)
+				if !samePixels(want, got) {
+					t.Fatalf("%dx%d, %d layers, %d workers: differs from serial by %v", w, h, n, workers, img.MaxDiff(want, got))
+				}
+				img.Put(got)
+			}
+		}
+	}
+}
+
+// Whole-frame layers through Composite give Serial's bits too, and no
+// layers at all — every brick off-screen — a transparent frame.
+func TestCompositingConcurrentBitIdenticalToSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 2, 3, 8, 9} {
+		layers := randomLayers(rng, n, 13, 9)
+		want, _ := Serial{}.Composite(layers)
+		for _, workers := range []int{0, 1, 4} {
+			if got, _ := (Concurrent{Workers: workers}).Composite(layers); !samePixels(want, got) {
+				t.Errorf("n=%d workers=%d: not bit-identical to serial", n, workers)
+			}
+		}
+	}
+	if got := (Concurrent{}).CompositeLayers(7, 5, nil); !samePixels(img.New(7, 5), got) {
+		t.Error("no layers did not give a transparent frame")
+	}
+}
+
+func TestCompositingLayerOutsideFramePanics(t *testing.T) {
+	for _, l := range []Layer{
+		{Image: img.New(4, 4), X0: -1},
+		{Image: img.New(4, 4), Y0: 5},
+		{Image: img.New(9, 2)},
+		{Image: img.New(2, 2), X0: math.MaxInt - 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %dx%d layer at (%d,%d) accepted into an 8x8 frame", l.Image.W, l.Image.H, l.X0, l.Y0)
+				}
+			}()
+			Concurrent{}.CompositeLayers(8, 8, []Layer{l})
+		}()
 	}
 }

@@ -106,6 +106,9 @@ func Put(m *Image) {
 	free[bits.Len(uint(len(m.Pix)))].Put(m)
 }
 
+// Bounds returns the image's rectangle, (0,0)–(W,H).
+func (m *Image) Bounds() image.Rectangle { return image.Rect(0, 0, m.W, m.H) }
+
 // At returns the pixel at (x,y); coordinates must be in range.
 func (m *Image) At(x, y int) RGBA { return m.Pix[y*m.W+x] }
 

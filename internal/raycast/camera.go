@@ -11,6 +11,7 @@
 package raycast
 
 import (
+	"image"
 	"math"
 )
 
@@ -103,6 +104,63 @@ func (w *view) ray(u, v float64) Ray {
 	sy := (1 - 2*v) * w.halfH
 	dir := w.fwd.Add(w.right.Scale(sx)).Add(w.up.Scale(sy)).Normalize()
 	return Ray{Origin: w.eye, Dir: dir}
+}
+
+// project returns a pixel rectangle of a width×height frame that holds every
+// pixel whose primary ray can meet the box [lo,hi]. It is conservative, never
+// tight: a box wholly in front of the eye plane projects inside the bounding
+// rectangle of its eight projected corners, and that rectangle is padded a
+// pixel outward, orders of magnitude more than the rounding of the
+// projection; a corner on or behind the eye plane has no projection (the eye
+// may be inside the box), nor has anything under a basis that is not
+// orthonormal (Up along the line of sight), and the answer is then the whole
+// frame. A box outside the frustum gets an empty rectangle.
+func (w *view) project(lo, hi Vec3, width, height int) image.Rectangle {
+	frame := image.Rect(0, 0, width, height)
+	if !(w.right.Dot(w.right) > 0.5 && w.halfW > 0 && w.halfH > 0) {
+		return frame
+	}
+	uMin, vMin := math.Inf(1), math.Inf(1)
+	uMax, vMax := math.Inf(-1), math.Inf(-1)
+	for corner := 0; corner < 8; corner++ {
+		p := lo
+		if corner&1 != 0 {
+			p.X = hi.X
+		}
+		if corner&2 != 0 {
+			p.Y = hi.Y
+		}
+		if corner&4 != 0 {
+			p.Z = hi.Z
+		}
+		d := p.Sub(w.eye)
+		z := d.Dot(w.fwd)
+		if !(z > 1e-9) {
+			return frame
+		}
+		// The inverse of ray: sx = (2u−1)·halfW, sy = (1−2v)·halfH.
+		u := (d.Dot(w.right)/z/w.halfW + 1) / 2
+		v := (1 - d.Dot(w.up)/z/w.halfH) / 2
+		uMin, uMax = math.Min(uMin, u), math.Max(uMax, u)
+		vMin, vMax = math.Min(vMin, v), math.Max(vMax, v)
+	}
+	if !(uMin <= uMax && vMin <= vMax) { // a NaN got in: an eye at infinity
+		return frame
+	}
+	// Pixel x is cast through u = (x+0.5)/width, so it can hit for
+	// uMin·width−0.5 <= x <= uMax·width−0.5. Clamp before converting: the
+	// products may be far outside what an int holds.
+	pixels := func(min, max float64, n int) (int, int) {
+		a := math.Floor(min*float64(n)-0.5) - 1
+		b := math.Ceil(max*float64(n)-0.5) + 2
+		return int(math.Max(a, 0)), int(math.Min(b, float64(n)))
+	}
+	x0, x1 := pixels(uMin, uMax, width)
+	y0, y1 := pixels(vMin, vMax, height)
+	if x0 >= x1 || y0 >= y1 {
+		return image.Rectangle{}
+	}
+	return image.Rect(x0, y0, x1, y1)
 }
 
 // RayThrough returns the primary ray through normalized screen coordinates

@@ -2,6 +2,7 @@ package raycast
 
 import (
 	"fmt"
+	"image"
 	"math"
 	"math/rand"
 	"runtime"
@@ -480,16 +481,36 @@ func firstBitDiff(want, got *img.Image) string {
 	return ""
 }
 
+// drawnBounds is the smallest rectangle holding every pixel of m that is not
+// transparent black, found the slow way.
+func drawnBounds(m *img.Image) image.Rectangle {
+	var r image.Rectangle
+	for i, p := range m.Pix {
+		if p != (img.RGBA{}) {
+			x, y := i%m.W, i/m.W
+			r = r.Union(image.Rect(x, y, x+1, y+1))
+		}
+	}
+	return r
+}
+
 // checkAgainstReference renders b through RenderBrick, serially and in
-// bands, and requires the reference's pixels and sample count from both.
+// bands, and requires the reference's pixels and sample count from both —
+// and, as Fragment.Bounds, exactly the bounds of what the reference drew: a
+// projected rectangle that cut a pixel off fails the first check, bounds
+// that miss one or are not tight fail this one.
 func checkAgainstReference(t *testing.T, what string, b *Brick, cam *Camera, ref, fast TransferFunc, opt Options) {
 	t.Helper()
 	want, samples := renderBrickReference(b, cam, ref, opt)
+	bounds := drawnBounds(want)
 	for _, parallel := range []bool{false, true} {
 		opt.Parallel = parallel
 		f := RenderBrick(b, cam, fast, opt)
 		if d := firstBitDiff(want, f.Image); d != "" {
 			t.Fatalf("%s parallel=%v: %s", what, parallel, d)
+		}
+		if f.Bounds != bounds {
+			t.Fatalf("%s parallel=%v: bounds %v, the reference drew %v", what, parallel, f.Bounds, bounds)
 		}
 		if f.Samples != samples {
 			t.Fatalf("%s parallel=%v: %d samples, reference took %d", what, parallel, f.Samples, samples)
@@ -701,6 +722,77 @@ func TestQuickRandomCamerasMatchReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The projected rectangle is conservative by property, not by luck: seeded
+// random orbits — eye far out, close in, and inside the dataset box — over
+// square, wide, tall and one-pixel-high frames and all three modes, against
+// slabs and octants, so bricks land wholly on screen, across its edges and
+// wholly off it. Every render must be the reference's, pixels and bounds
+// (checkAgainstReference), and the suite must have met each of the three
+// answers project can give.
+func TestQuickProjectedRectangleIsConservative(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 20, 20, 20)
+	var bricks []*Brick
+	for _, l := range layouts(g) {
+		bricks = append(bricks, l...)
+	}
+	tf := presetPairs()[2]
+	sizes := [][2]int{{18, 12}, {12, 18}, {16, 16}, {40, 6}, {24, 1}, {1, 9}}
+	var whole, part, none, blank int
+	f := func(angle, elev uint16, dist, size, mode, look uint8) bool {
+		cam := NewCamera(
+			2*math.Pi*float64(angle)/math.MaxUint16,
+			1.4*(2*float64(elev)/math.MaxUint16-1),
+			[]float64{0.2, 0.45, 0.7, 1.1, 2.4, 6}[dist%6], // the first two put the eye inside the box
+		)
+		if look%3 == 0 {
+			// Look past the dataset, so that bricks leave the frame sideways.
+			cam.LookAt = Vec3{0.5 + float64(look)/128, 0.2, 0.5 - float64(look)/200}
+		}
+		wh := sizes[int(size)%len(sizes)]
+		opt := Options{Width: wh[0], Height: wh[1], Mode: Mode(mode % 3)}
+		v := cam.view(float64(opt.Width) / float64(opt.Height))
+		for i, b := range bricks {
+			lo, hi := b.WorldBounds()
+			switch r := v.project(lo, hi, opt.Width, opt.Height); {
+			case r.Empty():
+				none++
+			case r == image.Rect(0, 0, opt.Width, opt.Height):
+				whole++
+			default:
+				part++
+			}
+			what := fmt.Sprintf("eye %v look %v %dx%d mode %d brick %d", cam.Eye, cam.LookAt, opt.Width, opt.Height, opt.Mode, i)
+			checkAgainstReference(t, what, b, cam, tf.ref, tf.fast, opt)
+			if f := RenderBrick(b, cam, tf.fast, opt); f.Bounds.Empty() {
+				blank++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(17))}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("projected rectangles: %d whole frame, %d part of it, %d empty; %d fragments drew nothing", whole, part, none, blank)
+	if whole == 0 || part == 0 || none == 0 || blank <= none {
+		t.Errorf("the cameras did not reach every case: %d whole, %d part, %d empty, %d blank fragments", whole, part, none, blank)
+	}
+}
+
+// A camera whose Up lies along its line of sight has no basis to project
+// through, and one with no field of view no image plane: the rectangle is
+// then the whole frame and the pixels are the reference's.
+func TestDegenerateCamerasRenderLikeReference(t *testing.T) {
+	g := volume.Generate(volume.Supernova, 16, 16, 16)
+	b := MakeBrick(g, volume.BrickZ(g.Dims, 2)[0])
+	tf := presetPairs()[2]
+	for name, cam := range map[string]*Camera{
+		"straight down": NewCamera(0.3, math.Pi/2, 2),
+		"no field":      {Eye: Vec3{0.5, 0.5, 3}, LookAt: Vec3{0.5, 0.5, 0.5}, Up: Vec3{0, 1, 0}},
+	} {
+		checkAgainstReference(t, name, b, cam, tf.ref, tf.fast, Options{Width: 12, Height: 10})
 	}
 }
 

@@ -1,6 +1,7 @@
 package raycast
 
 import (
+	"image"
 	"math"
 	"runtime"
 	"sync"
@@ -153,7 +154,12 @@ func (b *Brick) WorldBounds() (lo, hi Vec3) {
 // ray parameter at the brick's world-space center as seen from the camera.
 type Fragment struct {
 	Image *img.Image
-	Depth float64
+	// Bounds is the smallest rectangle holding every pixel of Image that is
+	// not transparent black; empty when the brick left no mark on the frame
+	// (off-screen, or classified to nothing). Outside it Image is cleared, so
+	// a consumer may ship or composite Bounds alone and lose nothing.
+	Bounds image.Rectangle
+	Depth  float64
 	// Samples counts the sample positions the rays visited inside the brick;
 	// Skipped is how many of them empty-space skipping passed over without
 	// fetching a voxel.
@@ -167,21 +173,19 @@ type Fragment struct {
 //
 // Every shortcut the march takes is exact: the pixels are, float32 for
 // float32, those of the plain loop kept in the tests as
-// renderBrickReference (DESIGN.md §5.15).
+// renderBrickReference (DESIGN.md §5.15). One of them is that only the
+// pixels inside the brick's projected rectangle (view.project) get a ray.
 func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment {
 	opt.fill()
 	out := img.Get(opt.Width, opt.Height)
 	m := newMarch(b, cam, tf, opt)
 
-	if opt.Parallel {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > opt.Height {
-			workers = opt.Height
-		}
+	rows := m.rect.Dy()
+	if workers := min(runtime.GOMAXPROCS(0), rows); opt.Parallel && workers > 1 {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			y0 := opt.Height * w / workers
-			y1 := opt.Height * (w + 1) / workers
+			y0 := m.rect.Min.Y + rows*w/workers
+			y1 := m.rect.Min.Y + rows*(w+1)/workers
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -190,12 +194,13 @@ func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment 
 		}
 		wg.Wait()
 	} else {
-		m.rows(out, 0, opt.Height)
+		m.rows(out, m.rect.Min.Y, m.rect.Max.Y)
 	}
 
 	center := m.lo.Add(m.hi).Scale(0.5)
 	return &Fragment{
 		Image:   out,
+		Bounds:  m.bounds,
 		Depth:   center.Sub(cam.Eye).Len(),
 		Samples: m.samples.Load(),
 		Skipped: m.skipped.Load(),
@@ -203,12 +208,15 @@ func RenderBrick(b *Brick, cam *Camera, tf TransferFunc, opt Options) *Fragment 
 }
 
 // march is what the rays of one RenderBrick call share. It is filled in once
-// and only read while the bands run, except for the two counters, which
-// each band adds to once, when it is done.
+// and only read while the bands run, except for the two counters and the
+// bounds, which each band adds to once, when it is done.
 type march struct {
 	opt    Options
 	view   view
 	lo, hi Vec3 // the brick's world box
+	// rect holds every pixel whose ray can meet the box; the bands cast
+	// nothing outside it.
+	rect image.Rectangle
 
 	step      float64
 	stepRatio float64 // step over the opacity-correction reference step
@@ -230,6 +238,9 @@ type march struct {
 	zeroBelow float32     // samples below this classify to nothing; −Inf: none known
 
 	samples, skipped atomic.Int64
+
+	boundsMu sync.Mutex
+	bounds   image.Rectangle // of the non-transparent pixels written so far
 }
 
 func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
@@ -249,6 +260,7 @@ func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
 		zeroBelow: float32(math.Inf(-1)),
 	}
 	m.lo, m.hi = b.WorldBounds()
+	m.rect = m.view.project(m.lo, m.hi, opt.Width, opt.Height)
 	if m.step <= 0 {
 		maxDim := float64(max(b.FullDims[0], max(b.FullDims[1], b.FullDims[2])))
 		m.step = 0.5 / maxDim
@@ -261,14 +273,16 @@ func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
 	return m
 }
 
-// rows renders scanlines y0..y1-1 into out.
+// rows renders the part of scanlines y0..y1-1 that lies inside m.rect into
+// out, and folds the bounds of what it drew into m.bounds.
 func (m *march) rows(out *img.Image, y0, y1 int) {
 	w, h := m.opt.Width, m.opt.Height
 	var n, skipped int64
+	var drawn image.Rectangle
 	for y := y0; y < y1; y++ {
 		v := (float64(y) + 0.5) / float64(h)
 		row := out.Pix[y*w : (y+1)*w]
-		for x := range row {
+		for x := m.rect.Min.X; x < m.rect.Max.X; x++ {
 			u := (float64(x) + 0.5) / float64(w)
 			ray := m.view.ray(u, v)
 			tmin, tmax, ok := intersectAABB(ray, m.lo, m.hi)
@@ -291,10 +305,16 @@ func (m *march) rows(out *img.Image, y0, y1 int) {
 			}
 			n += int64(ns)
 			skipped += int64(nk)
+			if row[x] != (img.RGBA{}) {
+				drawn = drawn.Union(image.Rect(x, y, x+1, y+1))
+			}
 		}
 	}
 	m.samples.Add(n)
 	m.skipped.Add(skipped)
+	m.boundsMu.Lock()
+	m.bounds = m.bounds.Union(drawn)
+	m.boundsMu.Unlock()
 }
 
 // The three march loops below share a shape. t advances by repeated

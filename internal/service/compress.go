@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"image"
 	"io"
 	"math"
 	"sync"
@@ -50,29 +51,37 @@ func (s *flateState) scratch(n int) []byte {
 	return s.quant[:n]
 }
 
-// encodePixels serializes an image under the codec. The returned slice is
-// the caller's: it shares nothing with m or with pooled state.
-func encodePixels(m *img.Image, codec int) ([]byte, error) {
+// encodePixels serializes the pixels of m inside r — which must lie inside m
+// and hold at least one pixel — under the codec, row by row out of the image
+// in place. The returned slice is the caller's: it shares nothing with m or
+// with pooled state.
+func encodePixels(m *img.Image, r image.Rectangle, codec int) ([]byte, error) {
+	row := func(y int) []img.RGBA { return m.Pix[y*m.W+r.Min.X:][:r.Dx()] }
 	switch codec {
 	case CodecRaw:
-		buf := make([]byte, 0, len(m.Pix)*16)
-		var scratch [4]byte
-		for _, p := range m.Pix {
-			for _, v := range [4]float32{p.R, p.G, p.B, p.A} {
-				binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(v))
-				buf = append(buf, scratch[:]...)
+		buf := make([]byte, 0, r.Dx()*r.Dy()*16)
+		for y := r.Min.Y; y < r.Max.Y; y++ {
+			for _, p := range row(y) {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.R))
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.G))
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.B))
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.A))
 			}
 		}
 		return buf, nil
 	case CodecFlate:
 		s := flateStates.Get().(*flateState)
 		defer flateStates.Put(s)
-		quant := s.scratch(len(m.Pix) * 8)
-		for i, p := range m.Pix {
-			binary.LittleEndian.PutUint16(quant[i*8+0:], quant16(p.R))
-			binary.LittleEndian.PutUint16(quant[i*8+2:], quant16(p.G))
-			binary.LittleEndian.PutUint16(quant[i*8+4:], quant16(p.B))
-			binary.LittleEndian.PutUint16(quant[i*8+6:], quant16(p.A))
+		quant := s.scratch(r.Dx() * r.Dy() * 8)
+		i := 0
+		for y := r.Min.Y; y < r.Max.Y; y++ {
+			for _, p := range row(y) {
+				binary.LittleEndian.PutUint16(quant[i+0:], quant16(p.R))
+				binary.LittleEndian.PutUint16(quant[i+2:], quant16(p.G))
+				binary.LittleEndian.PutUint16(quant[i+4:], quant16(p.B))
+				binary.LittleEndian.PutUint16(quant[i+6:], quant16(p.A))
+				i += 8
+			}
 		}
 		s.out.Reset()
 		if s.zw == nil {

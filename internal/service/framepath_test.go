@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"vizsched/internal/compositing"
 	"vizsched/internal/core"
 	"vizsched/internal/img"
+	"vizsched/internal/raycast"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
@@ -48,7 +52,7 @@ func TestDecodePixelsRejectsDeflateBomb(t *testing.T) {
 	}
 	// One byte over is over.
 	m := img.New(16, 16)
-	exact, _ := encodePixels(m, CodecFlate)
+	exact, _ := encodePixels(m, m.Bounds(), CodecFlate)
 	if _, err := decodePixels(16, 16, CodecFlate, exact); err != nil {
 		t.Fatalf("exact-size stream rejected: %v", err)
 	}
@@ -78,11 +82,31 @@ func TestDecodePixelsRejectsBadSizes(t *testing.T) {
 	}
 }
 
-// lyingWorker handshakes like a worker and answers every task with a
-// well-formed fragment of the wrong size.
-func lyingWorker(conn transport.Conn, w, h int) {
+// honestFragment is what the scripted workers below answer a task with: a
+// small tinted rectangle whose place in the frame and depth follow the task
+// index, so a job's fragments overlap. Nothing is rendered.
+func honestFragment(task TaskBody) FragmentBody {
+	m := img.New(8, 6)
+	for i := range m.Pix {
+		a := float32(i%7+1) / 8
+		m.Pix[i] = img.RGBA{R: a * float32(task.TaskIndex+1) / 4, G: a / 2, B: a / 3, A: a}
+	}
+	data, _ := encodePixels(m, m.Bounds(), CodecFlate)
+	return FragmentBody{
+		JobID: task.JobID, TaskIndex: task.TaskIndex,
+		X0: 3 + 5*task.TaskIndex, Y0: 4 + 3*task.TaskIndex, W: m.W, H: m.H,
+		Codec: CodecFlate, Data: data, Depth: float64(task.TaskIndex + 1), Hit: true,
+	}
+}
+
+// lyingWorker handshakes like a worker and answers every task with its
+// honestFragment — except the last task of the first job it sees, whose
+// fragment lie rewrites first (nil: it never lies). The fragments before
+// that one are good, so the head has decoded layers in hand when it meets
+// the bad one.
+func lyingWorker(conn transport.Conn, lie func(*FragmentBody)) {
 	_ = send(conn, transport.KindHello, 0, HelloBody{Name: "liar", MemQuota: int64(64 * units.MB)})
-	data, _ := encodePixels(img.New(w, h), CodecFlate)
+	var first uint64
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -95,42 +119,126 @@ func lyingWorker(conn transport.Conn, w, h int) {
 		if transport.Decode(msg.Body, &task) != nil {
 			return
 		}
-		_ = send(conn, transport.KindFragment, msg.ID, FragmentBody{
-			JobID: task.JobID, TaskIndex: task.TaskIndex, W: w, H: h, Codec: CodecFlate, Data: data, Depth: 1, Hit: true,
-		})
+		if first == 0 {
+			first = task.JobID
+		}
+		frag := honestFragment(task)
+		if lie != nil && task.JobID == first && task.TaskIndex == lyingTasks-1 {
+			lie(&frag)
+		}
+		_ = send(conn, transport.KindFragment, msg.ID, frag)
 	}
 }
 
-// The head composites only fragments of the size it asked for: a worker
-// reporting another W×H fails the job instead of sizing the head's
-// allocations (or, with one task, the client's frame).
-func TestFinalizeRejectsWrongSizedFragment(t *testing.T) {
-	cat := testCatalog(t, 1)
-	head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
-	head.Logf = func(string, ...any) {}
-	headSide, workerSide := transport.Pipe()
-	go lyingWorker(workerSide, 8, 8)
-	if err := head.AddWorker(headSide); err != nil {
-		t.Fatal(err)
-	}
-	if err := head.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer head.Stop()
-	clientSide, clientHead := transport.Pipe()
-	go head.HandleClient(clientHead)
-	client := NewClient(clientSide)
-	defer client.Close()
+// lyingTasks is how many bricks, and so tasks a job, the catalog of the
+// lyingWorker tests has.
+const lyingTasks = 3
 
-	res, err := client.Render(RenderBody{Dataset: "supernova", Dist: 2.4, Width: 32, Height: 32})
-	if err == nil {
-		t.Fatalf("a 32x32 request answered with a %v frame", res.Image.Bounds())
+// deflated returns n zero bytes as a flate stream.
+func deflated(n int) []byte {
+	var buf bytes.Buffer
+	zw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	zw.Write(make([]byte, n))
+	zw.Close()
+	return buf.Bytes()
+}
+
+// A fragment is a rectangle of the job's frame, and the rectangle comes off
+// the wire. One that is not inside the frame — or whose payload is not
+// exactly its size — fails the job with an error that names rectangle and
+// frame, before it sizes an allocation (or, alone in a job, the client's
+// frame), even when its sums would wrap. The layers decoded before the bad
+// one go back to the free list whole: the next frame of the same size is
+// byte for byte the frame of a head that was never lied to.
+func TestFinalizeRejectsWrongSizedFragment(t *testing.T) {
+	cat := testCatalog(t, lyingTasks)
+	req := RenderBody{Dataset: "supernova", Dist: 2.4, Width: 32, Height: 32}
+	// render starts a head over one lyingWorker and hands its client to fn.
+	serve := func(t *testing.T, lie func(*FragmentBody), fn func(*Head, *Client)) {
+		head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+		head.Logf = func(string, ...any) {}
+		headSide, workerSide := transport.Pipe()
+		go lyingWorker(workerSide, lie)
+		if err := head.AddWorker(headSide); err != nil {
+			t.Fatal(err)
+		}
+		if err := head.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer head.Stop()
+		clientSide, clientHead := transport.Pipe()
+		go head.HandleClient(clientHead)
+		client := NewClient(clientSide)
+		defer client.Close()
+		fn(head, client)
 	}
-	if !strings.Contains(err.Error(), "8x8") || !strings.Contains(err.Error(), "32x32") {
-		t.Errorf("error does not name the sizes: %v", err)
-	}
-	if st := head.Stats(); st.JobsFailed != 1 {
-		t.Errorf("jobs failed = %d, want 1", st.JobsFailed)
+	var good []byte
+	serve(t, nil, func(_ *Head, client *Client) {
+		res, err := client.Render(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = res.PNG
+	})
+
+	for _, c := range []struct {
+		name string
+		lie  func(*FragmentBody)
+	}{
+		{"negative x origin", func(f *FragmentBody) { f.X0 = -1 }},
+		{"negative y origin", func(f *FragmentBody) { f.Y0 = -3 }},
+		{"origin past the frame", func(f *FragmentBody) { f.X0, f.Y0 = 32, 40 }},
+		{"one column past the edge", func(f *FragmentBody) { f.X0 = 32 - f.W + 1 }},
+		{"one row past the edge", func(f *FragmentBody) { f.Y0 = 32 - f.H + 1 }},
+		{"wider than the frame", func(f *FragmentBody) { f.X0, f.W = 0, 33 }},
+		{"a whole other frame", func(f *FragmentBody) { f.X0, f.Y0, f.W, f.H = 0, 0, 64, 64 }},
+		{"width that wraps the sum", func(f *FragmentBody) { f.X0, f.W = 1, math.MaxInt }},
+		{"height that wraps the sum", func(f *FragmentBody) { f.Y0, f.H = 2, math.MaxInt }},
+		{"origin that wraps the sum", func(f *FragmentBody) { f.X0 = math.MaxInt - 3 }},
+		{"both near MaxInt", func(f *FragmentBody) { f.Y0, f.H = math.MaxInt, math.MaxInt }},
+		{"beyond any frame", func(f *FragmentBody) { f.W, f.H = maxFrameEdge+1, 1 }},
+		{"no size, yet data", func(f *FragmentBody) { f.W, f.H = 0, 0 }},
+		{"no width", func(f *FragmentBody) { f.W = 0 }},
+		{"negative size", func(f *FragmentBody) { f.W, f.H = -8, -6 }},
+		{"size without data", func(f *FragmentBody) { f.Data = nil }},
+		{"payload a byte long", func(f *FragmentBody) { f.Data = deflated(f.W*f.H*8 + 1) }},
+		{"payload a byte short", func(f *FragmentBody) { f.Data = deflated(f.W*f.H*8 - 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lied := honestFragment(TaskBody{TaskIndex: lyingTasks - 1})
+			c.lie(&lied)
+			serve(t, c.lie, func(head *Head, client *Client) {
+				var res RenderResult
+				var err error
+				spent := totalAlloc(func() { res, err = client.Render(req) })
+				if err == nil {
+					t.Fatalf("a 32x32 request answered with a %v frame", res.Image.Bounds())
+				}
+				for _, want := range []string{
+					fmt.Sprintf("a %dx%d rectangle at (%d,%d)", lied.W, lied.H, lied.X0, lied.Y0), "of a 32x32 frame",
+				} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error does not say %q: %v", want, err)
+					}
+				}
+				// Every legitimate buffer of a 32×32 frame together is a few
+				// hundred KB; the codec state, if the pool had to rebuild it,
+				// a little over 1 MB. A lie that sized anything is far above.
+				if spent > 8<<20 && !raceEnabled {
+					t.Errorf("rejecting the fragment allocated %d bytes", spent)
+				}
+				if st := head.Stats(); st.JobsFailed != 1 || st.JobsCompleted != 0 {
+					t.Errorf("jobs failed = %d, completed = %d; want 1, 0", st.JobsFailed, st.JobsCompleted)
+				}
+				res, err = client.Render(req)
+				if err != nil {
+					t.Fatalf("the frame after the rejected one: %v", err)
+				}
+				if !bytes.Equal(res.PNG, good) {
+					t.Error("the frame after the rejected one differs from a never-lied-to head's")
+				}
+			})
+		})
 	}
 }
 
@@ -211,5 +319,81 @@ func TestLiveFramesRecycleBuffers(t *testing.T) {
 	t.Logf("steady state: %d KB allocated per frame", perFrame>>10)
 	if perFrame > ceiling && !raceEnabled {
 		t.Errorf("steady-state frame allocates %d bytes, ceiling %d", perFrame, ceiling)
+	}
+}
+
+// A fragment carries only the bounds of what its brick drew, and a brick that
+// drew nothing — here some are outside the frustum — carries no pixels at
+// all. From a close, tall view of eight slabs the frame must still be, byte
+// for byte, the frame of the plain pipeline (every brick rendered, shipped
+// and composited full-frame by Serial), on the default path and on the DFB
+// path alike, and the head's pixel counters must say exactly what was saved.
+func TestRectangleFragmentsMatchFullFramePipeline(t *testing.T) {
+	cat := testCatalog(t, 8)
+	req := RenderBody{Dataset: "supernova", Angle: math.Pi / 2, Elevation: 0.1, Dist: 1.0, Width: 32, Height: 64}
+
+	man := cat.Get(req.Dataset)
+	images := make([]*img.Image, len(man.Chunks))
+	depths := make([]float64, len(man.Chunks))
+	var empty int
+	var shipped int64
+	for i := range man.Chunks {
+		b, err := man.LoadBrick(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := raycast.RenderBrick(b, raycast.NewCamera(req.Angle, req.Elevation, req.Dist), raycast.PresetTF(man.TF),
+			raycast.Options{Width: req.Width, Height: req.Height})
+		if f.Bounds.Empty() {
+			empty++
+		}
+		shipped += int64(f.Bounds.Dx() * f.Bounds.Dy())
+		data, err := encodePixels(f.Image, f.Image.Bounds(), CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if images[i], err = decodePixels(req.Width, req.Height, CodecFlate, data); err != nil {
+			t.Fatal(err)
+		}
+		depths[i] = f.Depth
+	}
+	if empty == 0 || empty == len(man.Chunks) {
+		t.Fatalf("%d of %d bricks drew nothing; the view is meant to lose some and keep some", empty, len(man.Chunks))
+	}
+	t.Logf("%d of %d bricks drew nothing; the rest drew inside %d of %d pixels", empty, len(man.Chunks), shipped, req.Width*req.Height*len(man.Chunks))
+	frame, _ := compositing.Serial{}.Composite(compositing.ByDepth(images, depths))
+	var want bytes.Buffer
+	if err := frame.EncodePNG(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	frames := int64(req.Width * req.Height * len(man.Chunks))
+	for _, c := range []struct {
+		name      string
+		configure func(*Head)
+		shipped   int64
+	}{
+		{"default", nil, shipped},
+		// Tiles cover the frame, whatever the brick drew.
+		{"dfb", func(h *Head) { h.Compositing, h.TileSize = "dfb", 16 }, frames},
+	} {
+		cl, err := StartClusterWith(core.NewLocalityScheduler(2*units.Millisecond), cat, 3, 64*units.MB, c.configure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := cl.Connect()
+		res, err := client.Render(req)
+		client.Close()
+		st := cl.Head.Stats()
+		cl.Stop()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(res.PNG, want.Bytes()) {
+			t.Errorf("%s: the frame differs from the full-frame pipeline's", c.name)
+		}
+		if st.FragmentPixels != c.shipped || st.FramePixels != frames {
+			t.Errorf("%s: %d fragment pixels of %d frame pixels, want %d of %d", c.name, st.FragmentPixels, st.FramePixels, c.shipped, frames)
+		}
 	}
 }

@@ -2,9 +2,12 @@ package service
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1579,6 +1582,47 @@ func (h *Head) trackWaste(fn func()) {
 	}
 }
 
+// compose decodes a completed job's fragments and composites them, nearest
+// first, into its w×h frame. A fragment is a rectangle of that frame, and
+// the rectangle comes off the wire: it is held to the frame before it sizes
+// anything — W and H to [1, maxFrameEdge] first, so that the differences
+// below cannot wrap, then the origin to what leaves room for them. The one
+// rectangle outside that rule is none at all: a brick that drew nothing.
+func compose(w, h int, frags []*FragmentBody) (*img.Image, error) {
+	// Stable, so fragments at one depth keep task order — the tile reducer's
+	// (Depth, TaskIndex) order, which makes the two paths agree bit for bit.
+	order := slices.Clone(frags)
+	slices.SortStableFunc(order, func(a, b *FragmentBody) int { return cmp.Compare(a.Depth, b.Depth) })
+	layers := make([]compositing.Layer, 0, len(order))
+	rejected := func(f *FragmentBody, err error) error {
+		return fmt.Errorf("fragment %d, a %dx%d rectangle at (%d,%d) of a %dx%d frame: %w", f.TaskIndex, f.W, f.H, f.X0, f.Y0, w, h, err)
+	}
+	// The decoded layers go back to the free list however this ends.
+	defer func() {
+		for _, l := range layers {
+			img.Put(l.Image)
+		}
+	}()
+	for _, f := range order {
+		if f.W == 0 && f.H == 0 && len(f.Data) == 0 {
+			continue
+		}
+		if f.W <= 0 || f.H <= 0 || f.W > maxFrameEdge || f.H > maxFrameEdge ||
+			f.X0 < 0 || f.Y0 < 0 || f.X0 > w-f.W || f.Y0 > h-f.H {
+			return nil, rejected(f, errors.New("it is not inside the frame"))
+		}
+		m, err := decodePixels(f.W, f.H, f.Codec, f.Data)
+		if err != nil {
+			return nil, rejected(f, err)
+		}
+		layers = append(layers, compositing.Layer{Image: m, X0: f.X0, Y0: f.Y0})
+	}
+	// The head composites with real goroutine parallelism; the swap
+	// algorithms in internal/compositing model the distributed exchange the
+	// workers would perform and are verified equal to this result.
+	return compositing.Concurrent{}.CompositeLayers(w, h, layers), nil
+}
+
 // pngScratch recycles the buffer finalize encodes a frame's PNG into.
 var pngScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -1607,6 +1651,9 @@ func (h *Head) finalize(lj *liveJob) {
 			misses++
 		}
 	}
+	// What whole-frame fragments would have carried, and what these did.
+	frames := int64(lj.req.Width) * int64(lj.req.Height) * int64(len(lj.frags))
+	var shipped int64
 	var final *img.Image
 	if h.Compositing == "dfb" {
 		// The tile reducer assembled the frame as fragments arrived; the
@@ -1624,32 +1671,15 @@ func (h *Head) finalize(lj *liveJob) {
 			img.Put(tm)
 		}
 		lj.out, lj.red, lj.tiles = nil, nil, nil
+		shipped = frames // every task sends every tile
 	} else {
-		images := make([]*img.Image, len(lj.frags))
-		depths := make([]float64, len(lj.frags))
-		for i, f := range lj.frags {
-			// A worker renders at the size the task asked for; anything else
-			// is a corrupt or hostile report, and must not size an allocation.
-			if f.W != lj.req.Width || f.H != lj.req.Height {
-				failf(fmt.Errorf("fragment %d is %dx%d, job frame is %dx%d",
-					f.TaskIndex, f.W, f.H, lj.req.Width, lj.req.Height))
-				return
-			}
-			m, err := decodePixels(f.W, f.H, f.Codec, f.Data)
-			if err != nil {
-				failf(err)
-				return
-			}
-			images[i] = m
-			depths[i] = f.Depth
+		var err error
+		if final, err = compose(lj.req.Width, lj.req.Height, lj.frags); err != nil {
+			failf(err)
+			return
 		}
-		layers := compositing.ByDepth(images, depths)
-		// The head composites with real goroutine parallelism; the swap
-		// algorithms in internal/compositing model the distributed exchange
-		// the workers would perform and are verified equal to this result.
-		final, _ = compositing.Concurrent{}.Composite(layers)
-		for _, m := range images {
-			img.Put(m)
+		for _, f := range lj.frags {
+			shipped += int64(f.W) * int64(f.H) // compose held them to the frame
 		}
 	}
 
@@ -1690,6 +1720,8 @@ func (h *Head) finalize(lj *liveJob) {
 	// find it in Stats.
 	h.stats.frameLat.add(time.Since(lj.wall))
 	h.stats.jobsCompleted.Add(1)
+	h.stats.fragmentPixels.Add(shipped)
+	h.stats.framePixels.Add(frames)
 	if lj.req.Batch {
 		h.stats.batchCompleted.Add(1)
 	}

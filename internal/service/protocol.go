@@ -19,7 +19,7 @@ type HelloBody struct {
 	// TileSize, in the head's ack, switches the worker to distributed-
 	// framebuffer compositing (§5.9): render results are pushed as per-tile
 	// TileFragBody messages of this tile edge, with the FragmentBody reduced
-	// to a pixel-free execution report. Zero keeps full-frame fragments.
+	// to a pixel-free execution report. Zero keeps one fragment per task.
 	TileSize int
 	// Shard, in the head's ack, is the shard index of the head this worker
 	// registered with (§5.11) — zero for a standalone head. The worker echoes
@@ -96,10 +96,14 @@ type ChunkRef struct {
 }
 
 // FragmentBody returns one rendered fragment plus execution facts the head
-// uses to correct its tables.
+// uses to correct its tables. The pixels are a rectangle of the job's frame:
+// W×H of them, row-major, the first at the frame's (X0,Y0); everything the
+// fragment does not carry is transparent. A brick that drew nothing reports
+// W = H = 0 and no Data.
 type FragmentBody struct {
 	JobID     uint64
 	TaskIndex int
+	X0, Y0    int
 	W, H      int
 	// Codec selects the pixel encoding of Data (CodecRaw or CodecFlate).
 	Codec     int

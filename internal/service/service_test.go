@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"image"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -326,7 +328,7 @@ func TestPixelCodecs(t *testing.T) {
 	m.Set(1, 1, img.RGBA{R: 0.1, G: 0.2, B: 0.3, A: 0.4})
 	m.Set(7, 9, img.RGBA{R: 0.9, G: 0.05, B: 0.5, A: 1})
 
-	raw, err := encodePixels(m, CodecRaw)
+	raw, err := encodePixels(m, m.Bounds(), CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestPixelCodecs(t *testing.T) {
 		t.Error("raw codec not lossless")
 	}
 
-	packed, err := encodePixels(m, CodecFlate)
+	packed, err := encodePixels(m, m.Bounds(), CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +356,21 @@ func TestPixelCodecs(t *testing.T) {
 	if len(packed)*4 > len(raw) {
 		t.Errorf("flate %dB vs raw %dB: no compression on sparse fragment", len(packed), len(raw))
 	}
+	// A rectangle of the image encodes as the crop would, without the crop.
+	r := image.Rect(1, 1, 9, 11)
+	crop := img.New(r.Dx(), r.Dy())
+	for y := 0; y < crop.H; y++ {
+		copy(crop.Pix[y*crop.W:][:crop.W], m.Pix[(r.Min.Y+y)*m.W+r.Min.X:])
+	}
+	for _, codec := range []int{CodecRaw, CodecFlate} {
+		got, _ := encodePixels(m, r, codec)
+		want, _ := encodePixels(crop, crop.Bounds(), codec)
+		if !bytes.Equal(got, want) {
+			t.Errorf("codec %d: a rectangle does not encode as its crop", codec)
+		}
+	}
 	// Errors: bad codec, truncated payloads.
-	if _, err := encodePixels(m, 99); err == nil {
+	if _, err := encodePixels(m, m.Bounds(), 99); err == nil {
 		t.Error("unknown codec accepted on encode")
 	}
 	if _, err := decodePixels(16, 16, 99, raw); err == nil {

@@ -26,6 +26,11 @@ type headStats struct {
 	renderNanos    atomic.Int64
 	workersDown    atomic.Int64
 
+	// Of completed jobs: the pixels their fragments carried, and the pixels
+	// of one whole frame per task — what full-frame fragments would have.
+	fragmentPixels atomic.Int64
+	framePixels    atomic.Int64
+
 	// Fault-tolerance counters (§VI-D): deadline-triggered re-dispatches,
 	// overload sheds, rejoins, and the accumulated down-time behind MTTR.
 	tasksRedispatched atomic.Int64
@@ -168,6 +173,13 @@ type StatsSnapshot struct {
 	// CacheEvictions counts bricks worker caches dropped to make room —
 	// with ChunkHits/ChunkMisses, the full cache-efficacy picture.
 	CacheEvictions int64 `json:"cache_evictions"`
+
+	// FragmentPixels totals the pixels the fragments of completed jobs
+	// carried, FramePixels one whole frame per task of those jobs: their
+	// ratio is the share of the screen a brick's fragment covers, and what
+	// shipping rectangles instead of frames saves.
+	FragmentPixels int64 `json:"fragment_pixels"`
+	FramePixels    int64 `json:"frame_pixels"`
 
 	// QoS is present only when the head runs with a QoS config.
 	QoS *QoSSnapshot `json:"qos,omitempty"`
@@ -345,6 +357,8 @@ func (h *Head) Stats() StatsSnapshot {
 		ChunksRehomed:     h.stats.chunksRehomed.Load(),
 		ChunksReseeded:    h.stats.chunksReseeded.Load(),
 		CacheEvictions:    h.stats.evictions.Load(),
+		FragmentPixels:    h.stats.fragmentPixels.Load(),
+		FramePixels:       h.stats.framePixels.Load(),
 
 		QueueDepth:   h.stats.queueDepth.Load(),
 		BatchBacklog: h.stats.batchBacklog.Load(),
@@ -496,6 +510,8 @@ func (h *Head) StatsHandler() http.Handler {
 		write("chunks_rehomed_total", float64(s.ChunksRehomed))
 		write("chunks_reseeded_total", float64(s.ChunksReseeded))
 		write("cache_evictions_total", float64(s.CacheEvictions))
+		write("fragment_pixels_total", float64(s.FragmentPixels))
+		write("frame_pixels_total", float64(s.FramePixels))
 		write("queue_depth", float64(s.QueueDepth))
 		write("batch_backlog", float64(s.BatchBacklog))
 		write("mttr_seconds", s.MTTRSeconds)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -55,6 +56,11 @@ func TestStatsCountersAndHandler(t *testing.T) {
 		}
 	}
 
+	// Three 16×16 jobs of two tasks; a brick covers part of the screen.
+	if s.FramePixels != 3*2*16*16 || s.FragmentPixels <= 0 || s.FragmentPixels >= s.FramePixels {
+		t.Errorf("fragments carried %d of %d frame pixels, want some of %d", s.FragmentPixels, s.FramePixels, 3*2*16*16)
+	}
+
 	// JSON endpoint.
 	rec := httptest.NewRecorder()
 	cl.Head.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -74,6 +80,8 @@ func TestStatsCountersAndHandler(t *testing.T) {
 		"vizsched_jobs_issued_total 3",
 		"vizsched_chunk_misses_total 2",
 		"vizsched_workers 2",
+		"vizsched_frame_pixels_total 1536",
+		fmt.Sprintf("vizsched_fragment_pixels_total %d", s.FragmentPixels),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

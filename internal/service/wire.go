@@ -158,6 +158,8 @@ func (b *TaskBody) ParseBody(src []byte) error {
 func (b FragmentBody) AppendBody(dst []byte) []byte {
 	dst = transport.AppendUint64(dst, b.JobID)
 	dst = transport.AppendInt(dst, b.TaskIndex)
+	dst = transport.AppendInt(dst, b.X0)
+	dst = transport.AppendInt(dst, b.Y0)
 	dst = transport.AppendInt(dst, b.W)
 	dst = transport.AppendInt(dst, b.H)
 	dst = transport.AppendInt(dst, b.Codec)
@@ -174,6 +176,8 @@ func (b *FragmentBody) ParseBody(src []byte) error {
 	*b = FragmentBody{
 		JobID:     r.Uint64(),
 		TaskIndex: r.Int(),
+		X0:        r.Int(),
+		Y0:        r.Int(),
 		W:         r.Int(),
 		H:         r.Int(),
 		Codec:     r.Int(),

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"image"
 	"log"
 	"math/rand"
 	"sync"
@@ -312,11 +313,12 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 	return done
 }
 
-// execute runs one task and builds its fragment. When the head enabled
-// distributed-framebuffer compositing (tileSize > 0), the rendered layer is
-// split into per-tile fragments and the returned FragmentBody carries only
-// the execution facts (nil Data); otherwise tiles is nil and the body holds
-// the full frame.
+// execute runs one task and builds its fragment: the pixels inside the
+// bounds of what the brick drew, and where in the frame they sit — nothing at
+// all (W = H = 0, no Data) for a brick that drew nothing. When the head
+// enabled distributed-framebuffer compositing (tileSize > 0), the rendered
+// layer is split into per-tile fragments instead and the returned
+// FragmentBody carries only the execution facts; otherwise tiles is nil.
 func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	start := time.Now()
 	res, hit, evicted, err := w.loadBrick(t.Dataset, t.Chunk)
@@ -341,19 +343,16 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	meta := FragmentBody{
 		JobID:     t.JobID,
 		TaskIndex: t.TaskIndex,
-		W:         frag.Image.W, H: frag.Image.H,
-		Codec:   w.Codec,
-		Depth:   frag.Depth,
-		Hit:     hit,
-		Evicted: evicted,
+		Codec:     w.Codec,
+		Depth:     frag.Depth,
+		Hit:       hit,
+		Evicted:   evicted,
 	}
 	if ts := w.tileSize; ts > 0 {
 		layout := dfb.NewLayout(frag.Image.W, frag.Image.H, ts)
 		tiles := make([]TileFragBody, layout.NumTiles())
 		for tl := range tiles {
-			x0, y0, x1, y1 := layout.Bounds(tl)
-			tm := &img.Image{W: x1 - x0, H: y1 - y0, Pix: dfb.ExtractTile(layout, frag.Image, tl)}
-			data, err := encodePixels(tm, w.Codec)
+			data, err := encodePixels(frag.Image, image.Rect(layout.Bounds(tl)), w.Codec)
 			if err != nil {
 				return FragmentBody{}, nil, err
 			}
@@ -371,11 +370,12 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		meta.ExecNanos = time.Since(start).Nanoseconds()
 		return meta, tiles, nil
 	}
-	data, err := encodePixels(frag.Image, w.Codec)
-	if err != nil {
-		return FragmentBody{}, nil, err
+	if r := frag.Bounds; !r.Empty() {
+		meta.X0, meta.Y0, meta.W, meta.H = r.Min.X, r.Min.Y, r.Dx(), r.Dy()
+		if meta.Data, err = encodePixels(frag.Image, r, w.Codec); err != nil {
+			return FragmentBody{}, nil, err
+		}
 	}
-	meta.Data = data
 	meta.ExecNanos = time.Since(start).Nanoseconds()
 	return meta, nil, nil
 }
