@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz check
+.PHONY: all build vet test race node-model bench fuzz check
 
 all: check
 
@@ -17,6 +17,13 @@ test:
 # experiment runner, the DES kernel it drives, and the live service.
 race:
 	$(GO) test -race ./internal/experiments/ ./internal/des/ ./internal/sim/ ./internal/service/ ./internal/raycast/
+
+# The node-model row of CI's race-suite matrix: the simulator's node
+# executor — the four node models pinned to their recorded outcomes, every
+# pair of extensions composing, a crash requeueing in start order — three
+# times over under the race detector.
+node-model:
+	$(GO) test -race -count=3 -run 'NodeModelGolden|ExtensionPairsCompose|CrashRequeueOrder' ./...
 
 # Short benchmark smoke: verifies the DES kernel stays allocation-free and
 # the scheduler and renderer benchmarks still run. Not a performance

@@ -381,34 +381,14 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 // BenchmarkAblationNodeModel compares the paper's serial node model
 // (Definition 1) against the future-work extensions: overlapped I/O,
 // a two-level GPU-memory hierarchy, and dual-GPU nodes, all under OURS on
-// scenario 2.
+// scenario 2. The rows are nodeModels, which TestNodeModelGolden pins.
 func BenchmarkAblationNodeModel(b *testing.B) {
-	base := workload.Scenario(workload.Scenario2, benchScale(0.1))
-	variants := []struct {
-		name string
-		mod  func(*sim.Config)
-	}{
-		{"serial", func(*sim.Config) {}},
-		{"overlap-io", func(c *sim.Config) { c.OverlapIO = true }},
-		{"gpu-cache-1GB", func(c *sim.Config) { c.GPUCache = units.GB }},
-		{"dual-gpu", func(c *sim.Config) { c.GPUsPerNode = 2 }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	scale := benchScale(0.1)
+	for _, m := range nodeModels {
+		b.Run(m.name, func(b *testing.B) {
 			var rep *metrics.Report
 			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{
-					Nodes:     base.Nodes,
-					MemQuota:  base.MemQuota,
-					Model:     core.System1CostModel(),
-					Scheduler: core.NewLocalityScheduler(0),
-					Library:   base.Library(volume.MaxChunk{Chkmax: base.Chkmax}),
-					Jitter:    experiments.Jitter,
-					Seed:      7,
-					Preload:   true,
-				}
-				v.mod(&cfg)
-				rep = sim.New(cfg).Run(workload.Generate(base.Spec), 0)
+				rep = runNodeModel(scale, m.mod)
 			}
 			reportScenario(b, rep)
 		})

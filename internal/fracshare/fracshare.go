@@ -118,12 +118,13 @@ type Slot struct {
 
 // NewSlot opens a progress account for a task of the given full-share
 // execution time. The slot starts suspended (rate 0) at now; the owner calls
-// SetRate to start it.
-func NewSlot(total units.Duration, now units.Time) *Slot {
+// SetRate to start it. A Slot is a value: the owner keeps it wherever it
+// keeps the task.
+func NewSlot(total units.Duration, now units.Time) Slot {
 	if total < 0 {
 		total = 0
 	}
-	return &Slot{total: float64(total), last: now}
+	return Slot{total: float64(total), last: now}
 }
 
 // advance folds progress since the last account into done. Monotone time is
@@ -145,8 +146,10 @@ func (s *Slot) advance(now units.Time) {
 // SetRate re-prices the slot at now: elapsed progress is credited at the old
 // rate, then the rate becomes share/penalty. Share is clamped to [0,1] and
 // penalty floored at 1, so the rate never exceeds 1 — the invariant behind
-// the full-share lower bound. Share 0 suspends the slot (preemption).
-func (s *Slot) SetRate(now units.Time, share, penalty float64) {
+// the full-share lower bound. Share 0 suspends the slot (preemption). It
+// reports whether the rate changed; a completion time armed from Remaining
+// stands until it does.
+func (s *Slot) SetRate(now units.Time, share, penalty float64) (changed bool) {
 	s.advance(now)
 	if share < 0 {
 		share = 0
@@ -157,7 +160,9 @@ func (s *Slot) SetRate(now units.Time, share, penalty float64) {
 	if penalty < 1 {
 		penalty = 1
 	}
+	old := s.rate
 	s.rate = share / penalty
+	return s.rate != old
 }
 
 // Rate returns the current progress rate.

@@ -62,7 +62,7 @@ func TestSlotFullShareLowerBound(t *testing.T) {
 		total := units.Duration(1+rng.Int63n(int64(10*units.Second))) + units.Millisecond
 		s := NewSlot(total, 0)
 		pts := randomSchedule(rng, 1+rng.Intn(12), 100*units.Millisecond)
-		end := playOut(s, pts, 0)
+		end := playOut(&s, pts, 0)
 		if end < units.Time(total) {
 			t.Fatalf("trial %d: completed at %v, before full-share lower bound %v (schedule %+v)",
 				trial, end, total, pts)
@@ -81,7 +81,7 @@ func TestSlotRepriceOrderIndependent(t *testing.T) {
 		pts := randomSchedule(rng, 1+rng.Intn(10), 50*units.Millisecond)
 
 		clean := NewSlot(total, 0)
-		endClean := playOut(clean, pts, 0)
+		endClean := playOut(&clean, pts, 0)
 
 		// Same schedule, but with redundant probes and re-prices injected
 		// between every pair of steps.
@@ -159,7 +159,7 @@ func TestSlotDeterministicReplay(t *testing.T) {
 		total := units.Duration(1 + rng.Int63n(int64(3*units.Second)))
 		pts := randomSchedule(rng, 1+rng.Intn(8), 30*units.Millisecond)
 		a, b := NewSlot(total, 0), NewSlot(total, 0)
-		ea, eb := playOut(a, pts, 0), playOut(b, pts, 0)
+		ea, eb := playOut(&a, pts, 0), playOut(&b, pts, 0)
 		if ea != eb {
 			t.Fatalf("trial %d: identical schedules diverged: %v vs %v", trial, ea, eb)
 		}

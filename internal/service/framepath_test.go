@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vizsched/internal/compositing"
 	"vizsched/internal/core"
@@ -395,5 +396,61 @@ func TestRectangleFragmentsMatchFullFramePipeline(t *testing.T) {
 		if st.FragmentPixels != c.shipped || st.FramePixels != frames {
 			t.Errorf("%s: %d fragment pixels of %d frame pixels, want %d of %d", c.name, st.FragmentPixels, st.FramePixels, c.shipped, frames)
 		}
+	}
+}
+
+// A camera comes off the wire too. One that is not a finite place is
+// refused at submission — it is never a job, so nothing fails later — and
+// the connection that sent it goes on rendering what a fresh head renders.
+func TestSubmitRefusesNonFiniteCamera(t *testing.T) {
+	want, _ := renderOnce(t, nil)
+	good := RenderBody{Dataset: "supernova", Angle: 0.7, Elevation: 0.3, Dist: 2.4, Width: 48, Height: 48}
+
+	cl, err := StartCluster(core.NewLocalityScheduler(5*units.Millisecond), testCatalog(t, 3), 3, 64*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	client := cl.Connect()
+	defer client.Close()
+
+	fields := []struct {
+		name string
+		set  func(*RenderBody, float64)
+	}{
+		{"Angle", func(r *RenderBody, v float64) { r.Angle = v }},
+		{"Elevation", func(r *RenderBody, v float64) { r.Elevation = v }},
+		{"Dist", func(r *RenderBody, v float64) { r.Dist = v }},
+	}
+	frames := int64(0)
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := good
+			f.set(&bad, v)
+			ch, err := client.RenderAsync(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case out := <-ch:
+				if out.Err == nil || !strings.Contains(out.Err.Error(), "bad camera") {
+					t.Errorf("%s = %v: reply %v, want a bad-camera error", f.name, v, out.Err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s = %v: no reply; the request was admitted", f.name, v)
+			}
+			res, err := client.Render(good)
+			if err != nil {
+				t.Fatalf("good frame after %s = %v: %v", f.name, v, err)
+			}
+			frames++
+			if !bytes.Equal(res.PNG, want) {
+				t.Errorf("good frame after %s = %v differs from a fresh head's", f.name, v)
+			}
+		}
+	}
+	if s := cl.Head.Stats(); s.JobsFailed != 0 || s.JobsIssued != frames || s.JobsCompleted != frames {
+		t.Errorf("issued %d, completed %d, failed %d; want the %d good frames and no failure",
+			s.JobsIssued, s.JobsCompleted, s.JobsFailed, frames)
 	}
 }

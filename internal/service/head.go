@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -1765,6 +1766,13 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 	}
 	if req.Width <= 0 || req.Width > maxFrameEdge || req.Height <= 0 || req.Height > maxFrameEdge {
 		return fmt.Errorf("bad image size %dx%d", req.Width, req.Height)
+	}
+	// A ray from a camera that is not a finite place never leaves its march
+	// loop, and the worker marching it never takes another task.
+	for _, v := range [...]float64{req.Angle, req.Elevation, req.Dist} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("bad camera angle %v elevation %v dist %v", req.Angle, req.Elevation, req.Dist)
+		}
 	}
 	h.mu.Lock()
 	h.nextJobID++

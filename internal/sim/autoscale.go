@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"slices"
-
 	"vizsched/internal/autoscale"
 	"vizsched/internal/core"
 	"vizsched/internal/des"
@@ -248,7 +246,7 @@ func (e *Engine) beginDrain(now units.Time) {
 		}
 		cands = append(cands, autoscale.Candidate{
 			ID:           core.NodeID(k),
-			Busy:         len(n.running) > 0 || n.loadActive,
+			Busy:         n.executing() || n.loadActive,
 			HomePressure: e.head.Pressure(core.NodeID(k)),
 			CacheBytes:   e.head.Caches[k].Used(),
 		})
@@ -285,7 +283,7 @@ func (e *Engine) beginDrain(now units.Time) {
 	migrate := func(t *core.Task) {
 		t.Assigned = false
 		t.PredictedExec = 0
-		delete(e.pendingEvictions, t)
+		delete(n.accessed, t)
 		delete(e.pinned, t)
 		if t.Job.Remaining == 0 {
 			e.queue = append(e.queue, t.Job)
@@ -296,12 +294,7 @@ func (e *Engine) beginDrain(now units.Time) {
 	for t := n.pop(); t != nil; t = n.pop() {
 		migrate(t)
 	}
-	chunks := make([]volume.ChunkID, 0, len(n.waiters))
-	for c := range n.waiters {
-		chunks = append(chunks, c)
-	}
-	slices.SortFunc(chunks, core.CompareChunks)
-	for _, c := range chunks {
+	for _, c := range n.waitingChunks() {
 		for _, t := range n.waiters[c] {
 			migrate(t)
 		}
@@ -362,7 +355,7 @@ func (e *Engine) advanceDrain(now units.Time) {
 		return
 	}
 	e.pumpEvacuation(now)
-	idle := len(n.running) == 0 && !n.loadActive
+	idle := !n.executing() && !n.loadActive
 	safe := len(s.drainPending) == 0
 	expired := now.Sub(s.drainStart) >= s.pol.Config().MaxDrain
 	if (idle && safe) || expired {

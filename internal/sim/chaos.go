@@ -171,9 +171,11 @@ func (e *Engine) inject(f Failure) {
 	}
 }
 
-// stallNode freezes a live node: running executions and any in-flight load
-// are suspended with their remaining times recorded. Returns nil when the
-// node is already down or stalled.
+// stallNode freezes a live node. Running tasks suspend through their share
+// accounts: re-pricing with the node stalled zeroes every slot's rate
+// (crediting progress up to now first). An in-flight load is suspended with
+// its remaining time recorded. Returns nil when the node is already down or
+// stalled.
 func (e *Engine) stallNode(k core.NodeID) *node {
 	n := e.nodes[k]
 	if n.failed || n.stalled {
@@ -181,21 +183,7 @@ func (e *Engine) stallNode(k core.NodeID) *node {
 	}
 	n.stalled = true
 	now := e.sim.Now()
-	if e.frac != nil {
-		// Frac mode suspends through the share accounts: re-pricing with the
-		// node stalled zeroes every slot's rate (crediting progress up to
-		// now first), so the stalled span accrues no progress and resume
-		// re-prices from exactly where each task stopped.
-		e.repriceNode(n)
-	} else {
-		for _, ex := range n.running {
-			ex.timer.Cancel()
-			ex.remaining = ex.end.Sub(now)
-			if ex.remaining < 0 {
-				ex.remaining = 0
-			}
-		}
-	}
+	e.reprice(n)
 	if n.loadActive {
 		n.loadTimer.Cancel()
 		n.loadTimer = des.Timer{}
@@ -222,33 +210,20 @@ func (e *Engine) stallNode(k core.NodeID) *node {
 	return n
 }
 
-// resumeNode unfreezes a stalled node, re-arming every suspended execution
-// and load for its remaining time. If the node crashed during the stall the
-// engine swapped in a fresh node and this is a no-op.
+// resumeNode unfreezes a stalled node: start fills the slots tasks queued
+// during the stall may take and re-prices, which restores every suspended
+// slot's rate and re-arms its completion from where it stopped; a suspended
+// load re-arms for its remaining time. If the node crashed during the stall
+// the engine swapped in a fresh node and this is a no-op.
 func (e *Engine) resumeNode(k core.NodeID, n *node) {
 	if e.nodes[k] != n || !n.stalled {
 		return
 	}
 	n.stalled = false
-	now := e.sim.Now()
-	if e.frac != nil {
-		// startFrac fills freed slots and re-prices, which restores every
-		// suspended slot's rate and re-arms its completion timer.
-		e.startFrac(n)
-		return
-	}
-	for _, ex := range n.running {
-		ex.end = now.Add(ex.remaining)
-		ex.timer = e.sim.After(ex.remaining, ex.fn)
-	}
+	e.start(n)
 	if n.loadActive {
-		n.loadEnd = now.Add(n.loadRemaining)
+		n.loadEnd = e.sim.Now().Add(n.loadRemaining)
 		n.loadTimer = e.sim.After(n.loadRemaining, n.loadFn)
-	}
-	if e.cfg.OverlapIO {
-		e.startOverlap(n)
-	} else {
-		e.startSerial(n)
 	}
 	e.kickLoad(n)
 }

@@ -9,17 +9,22 @@
 // the wall clock, which is what Table III's "avg. cost" column reports.
 //
 // The node model defaults to the paper's cost model (Definition 1: a task
-// serially occupies its node for tio + trender + tcomposite). Three
-// extensions the paper names as future work are available as options:
-// overlapped I/O (OverlapIO — the three-thread latency hiding of §V-C),
-// a two-level main-memory/GPU-memory hierarchy (GPUCache), and multi-GPU
-// nodes (GPUsPerNode — System 2 has two GPUs per node). The eviction policy
-// is pluggable for the ablation benchmarks.
+// serially occupies its node for tio + trender + tcomposite). Every node
+// runs on one executor (executor.go): K task slots over a compute capacity
+// of C, a task's rate its share of C. The paper's node is K = C = 1; what
+// the paper names as future work are settings of the same executor —
+// multi-GPU nodes (GPUsPerNode, K = C = 2 on System 2), fractional slots
+// (FracShare, K slots over the same C), overlapped I/O (OverlapIO — the
+// three-thread latency hiding of §V-C, which moves a task's load from its
+// slot to the node's I/O channel) and a two-level main-memory/GPU-memory
+// hierarchy (GPUCache). They compose freely. The eviction policy is
+// pluggable for the ablation benchmarks.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"vizsched/internal/autoscale"
@@ -102,10 +107,12 @@ type Config struct {
 	// GPU-resident. Zero folds the upload into the miss path (Definition 1).
 	GPUCache units.Bytes
 	// OverlapIO lets a node keep rendering resident chunks while a missing
-	// chunk loads on its I/O channel, instead of blocking (Definition 1).
+	// chunk loads on its I/O channel, instead of holding a slot through the
+	// load (Definition 1).
 	OverlapIO bool
-	// GPUsPerNode runs up to this many tasks concurrently per node;
-	// zero/one is the serial default.
+	// GPUsPerNode is the node's compute capacity C in full-rate tasks, and
+	// its slot count K unless FracShare sets one; zero/one is the serial
+	// default.
 	GPUsPerNode int
 	// Trace, when non-nil, records scheduling and execution events for CSV
 	// or Gantt export. Cap it (trace.New(n)) on large runs.
@@ -165,15 +172,12 @@ type Config struct {
 	// code path untouched, so golden outputs are bit-identical.
 	Autoscale *autoscale.Config
 	// FracShare enables the fractional-capacity layer (§5.13): nodes run up
-	// to Slots concurrent tasks at fractional shares, completions are
-	// re-priced deterministically on every share change, and schedulers
+	// to Slots concurrent tasks at fractional shares of GPUsPerNode, disk
+	// loads sharing a node contend super-linearly, and schedulers
 	// implementing core.CoScheduleSetter (OURS) may co-schedule one cached
 	// batch guest per node inside the ε-guard window, preempted the instant
-	// demand work starts. Incompatible with OverlapIO, GPUsPerNode > 1,
-	// Prefetch, Autoscale, and sharded runs — the slot model replaces the
-	// node's executor, and those extensions assume the serial/overlap one.
-	// nil (the default) leaves every code path untouched, so golden outputs
-	// are bit-identical.
+	// demand work starts. nil (the default) keeps every share at 1 and
+	// reports no FracShare outcome, so golden outputs are bit-identical.
 	FracShare *fracshare.Config
 	// Compositing selects the algorithm the cost model charges per task
 	// (§5.9): "binary-swap", "2-3-swap" and "direct-send" price the group's
@@ -187,19 +191,20 @@ type Config struct {
 
 // node is the actual state of one rendering node.
 type node struct {
-	id   core.NodeID
-	mem  cache.Chunks
-	gpu  cache.Chunks // nil unless the two-level hierarchy is enabled
-	gpus int
+	id  core.NodeID
+	mem cache.Chunks
+	gpu cache.Chunks // nil unless the two-level hierarchy is enabled
 
-	// fifo is the serial-mode task queue, or the ready queue in overlap
-	// mode. head gives amortized O(1) pops.
+	// fifo holds the tasks ready for a slot, in arrival order. head gives
+	// amortized O(1) pops.
 	fifo []*core.Task
 	head int
 
-	// running maps executing tasks to their execution records so a crash
-	// can abort them and a stall can suspend and later resume them.
-	running map[*core.Task]*execution
+	// order holds the running demand tasks in start order — the order
+	// re-pricing, stall, resume and a crash's requeue walk; guest is the
+	// at-most-one co-scheduled task (§5.13), outside the K demand slots.
+	order []*execution
+	guest *execution
 
 	// Overlap-mode I/O channel: one load at a time; tasks whose chunk is in
 	// flight wait in waiters.
@@ -208,14 +213,14 @@ type node struct {
 	waiters    map[volume.ChunkID][]*core.Task
 	loadTimer  des.Timer
 	loadActive bool
-	// loadFn/loadEnd/loadRemaining let a stall suspend the in-flight load
-	// the same way executions are suspended.
+	// loadFn/loadEnd/loadRemaining let a stall suspend the in-flight load.
 	loadFn        des.Event
 	loadEnd       units.Time
 	loadRemaining units.Duration
-	// missLoad remembers, per waiting task, the load duration it should
-	// report (only the load-triggering task carries it).
-	missLoad map[*core.Task]units.Duration
+	// accessed holds, per task the I/O channel has seen, what its access
+	// step found; the task hands it to its slot (only the load-triggering
+	// task carries the load's duration and evictions).
+	accessed map[*core.Task]access
 
 	// Background warm channel (§5.8): at most one prefetch load in flight,
 	// modeled as an extra I/O stream that never occupies the executor.
@@ -248,31 +253,10 @@ type node struct {
 	// ioScale multiplies disk I/O times; 1 is healthy, FaultSlowDisk raises
 	// it for an interval.
 	ioScale float64
-	// frac holds the node's fractional-slot bookkeeping (§5.13); nil unless
-	// Config.FracShare is set.
-	frac *fracNode
 }
 
-// execution is one running task's suspendable completion: the armed timer,
-// when it would fire, and the callback to re-arm after a stall. Records are
-// recycled through Engine.freeExec: fn is bound once, when the record is
-// first made, and finds the node and the completion report in the record.
-type execution struct {
-	timer des.Timer
-	end   units.Time
-	fn    des.Event
-	node  *node
-	res   core.TaskResult
-	// remaining holds the unserved execution time while the node is stalled.
-	remaining units.Duration
-	// slot is the task's fractional progress account (§5.13); nil outside
-	// frac mode, where end/remaining carry the timing instead. io marks the
-	// execution as I/O-heavy (it paid a disk load) for super-linear
-	// contention pricing, and co marks a co-scheduled guest.
-	slot *fracshare.Slot
-	io   bool
-	co   bool
-}
+// executing reports whether any slot of n holds a task.
+func (n *node) executing() bool { return len(n.order) > 0 || n.guest != nil }
 
 func (n *node) push(t *core.Task) { n.fifo = append(n.fifo, t) }
 
@@ -288,6 +272,17 @@ func (n *node) pop() *core.Task {
 		n.head = 0
 	}
 	return t
+}
+
+// waitingChunks lists the chunks tasks wait on the I/O channel for, in chunk
+// order, so that walking the waiters never depends on map order.
+func (n *node) waitingChunks() []volume.ChunkID {
+	chunks := make([]volume.ChunkID, 0, len(n.waiters))
+	for c := range n.waiters {
+		chunks = append(chunks, c)
+	}
+	slices.SortFunc(chunks, core.CompareChunks)
+	return chunks
 }
 
 func (n *node) popLoad() (volume.ChunkID, bool) {
@@ -327,9 +322,16 @@ type Engine struct {
 	// scaler is the elastic-fleet machinery (nil when disabled); see
 	// autoscale.go.
 	scaler *autoScaler
-	// frac is the fractional-capacity runtime (nil when disabled); see
-	// fracshare.go.
-	frac *fracRuntime
+
+	// The node executor's parameters (executor.go): slots is K, capacity is
+	// C, gamma the I/O contention exponent and coShare a guest's share of an
+	// otherwise idle node. frac holds the FracShare outcome and busy-share
+	// meters — reporting only, nil unless Config.FracShare is set.
+	slots    int
+	capacity float64
+	gamma    float64
+	coShare  float64
+	frac     *fracRuntime
 
 	// headDown marks a control-plane outage (FaultHeadCrash): no admission,
 	// scheduling, or completion processing until the standby takes over.
@@ -350,10 +352,6 @@ type Engine struct {
 	// maxExec tracks each in-flight job's largest task execution — the
 	// denominator of the batch stretch metric (§5.13).
 	maxExec map[core.JobID]units.Duration
-	// pendingEvictions carries evictions from an overlap-mode load to the
-	// triggering task's completion report.
-	pendingEvictions map[*core.Task][]volume.ChunkID
-
 	// freeExec holds finished execution records for reuse; jobsTouched and
 	// present are invokeScheduler's per-cycle scratch.
 	freeExec    []*execution
@@ -381,18 +379,6 @@ func New(cfg Config) *Engine {
 	if cfg.GPUsPerNode <= 0 {
 		cfg.GPUsPerNode = 1
 	}
-	if cfg.FracShare != nil {
-		switch {
-		case cfg.OverlapIO:
-			panic("sim: FracShare is incompatible with OverlapIO")
-		case cfg.GPUsPerNode > 1:
-			panic("sim: FracShare is incompatible with GPUsPerNode > 1")
-		case cfg.Prefetch != nil:
-			panic("sim: FracShare is incompatible with Prefetch")
-		case cfg.Autoscale != nil:
-			panic("sim: FracShare is incompatible with Autoscale")
-		}
-	}
 	for _, d := range cfg.Library.All() {
 		for _, c := range d.Chunks {
 			if cfg.GPUMem > 0 && c.Size > cfg.GPUMem {
@@ -416,8 +402,13 @@ func New(cfg Config) *Engine {
 		finished: make(map[core.JobID]int),
 		maxExec:  make(map[core.JobID]units.Duration),
 
-		pendingEvictions: make(map[*core.Task][]volume.ChunkID),
-		jobsTouched:      make(map[core.JobID]struct{}),
+		// γ = 1 prices every load at its share, so with C ≥ K rates are
+		// exactly 1 and the slots' float accounts stay exact integers.
+		slots:    cfg.GPUsPerNode,
+		capacity: float64(cfg.GPUsPerNode),
+		gamma:    1,
+
+		jobsTouched: make(map[core.JobID]struct{}),
 	}
 	if cfg.FracShare != nil {
 		e.initFracShare()
@@ -464,17 +455,13 @@ func (e *Engine) newNode(id core.NodeID) *node {
 	n := &node{
 		id:       id,
 		mem:      cache.NewStore(e.cfg.EvictionPolicy, e.cfg.MemQuota, e.cfg.Seed+int64(id)*101),
-		gpus:     e.cfg.GPUsPerNode,
-		running:  make(map[*core.Task]*execution),
+		order:    make([]*execution, 0, e.slots),
 		waiters:  make(map[volume.ChunkID][]*core.Task),
-		missLoad: make(map[*core.Task]units.Duration),
+		accessed: make(map[*core.Task]access),
 		ioScale:  1,
 	}
 	if e.cfg.GPUCache > 0 {
 		n.gpu = cache.NewStore(e.cfg.EvictionPolicy, e.cfg.GPUCache, e.cfg.Seed+int64(id)*131+7)
-	}
-	if e.frac != nil {
-		n.frac = &fracNode{}
 	}
 	return n
 }
@@ -519,6 +506,12 @@ func (e *Engine) Run(wl *workload.Schedule, horizon units.Time) *metrics.Report 
 	}
 	e.report.Horizon = horizon
 	e.sim.Run(horizon)
+	return e.finish(horizon)
+}
+
+// finish attaches the extensions' outcomes to the report once the clock has
+// reached the horizon.
+func (e *Engine) finish(horizon units.Time) *metrics.Report {
 	if e.qosc != nil {
 		e.report.QoS = e.qosc.Outcome()
 	}
@@ -730,60 +723,65 @@ func (e *Engine) schedulerCycle() units.Duration {
 	return core.DefaultCycle
 }
 
-// enqueue routes an assigned task into the node's execution machinery.
+// enqueue takes an assigned task to its node. Config.OverlapIO selects the
+// access step and nothing else: Definition 1 queues the task as it is and
+// its slot pays the access, §V-C sends it through the node's I/O channel
+// first. Either way the task ends in the FIFO the slots fill from. A full
+// node starts nothing, so its shares stand and the re-price is skipped.
 func (e *Engine) enqueue(n *node, t *core.Task) {
-	if e.frac != nil {
-		n.push(t)
-		e.startFrac(n)
-		return
-	}
-	if !e.cfg.OverlapIO {
-		if e.pref != nil && n.mem.Pin(t.Chunk) {
-			e.pinned[t] = true
+	if e.cfg.OverlapIO {
+		if !e.accessOnChannel(n, t) {
+			return
 		}
-		n.push(t)
-		e.startSerial(n)
-		return
+	} else if e.pref != nil && n.mem.Pin(t.Chunk) {
+		e.pinned[t] = true
 	}
-	// Overlap mode: residency decides between the ready queue and the I/O
-	// channel. The hit/miss metric is recorded at access, as on a real node.
+	n.push(t)
+	if len(n.order) < e.slots {
+		e.start(n)
+	}
+}
+
+// accessOnChannel is §V-C's access step, at assignment: a resident chunk
+// makes the task ready at once, a missing one queues a load on the node's
+// I/O channel and the task waits for it outside the slots. It reports
+// whether the task is ready. The hit/miss metric is recorded at access, as
+// on a real node.
+func (e *Engine) accessOnChannel(n *node, t *core.Task) (ready bool) {
 	if _, seen := e.started[t.Job.ID]; !seen {
 		e.started[t.Job.ID] = e.sim.Now()
 	}
 	if n.mem.Touch(t.Chunk) {
 		e.report.TaskAccess(true)
-		if e.pref != nil {
-			if e.head.DemandTouchPrefetched(t.Chunk, n.id) {
-				e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: t.Chunk, Hit: true})
-			}
-			if n.mem.Pin(t.Chunk) {
-				e.pinned[t] = true
-			}
+		e.demandTouch(n, t)
+		if e.pref != nil && n.mem.Pin(t.Chunk) {
+			e.pinned[t] = true
 		}
-		n.push(t)
-		e.startOverlap(n)
-		return
+		n.accessed[t] = access{}
+		return true
 	}
 	e.report.TaskAccess(false)
-	n.missLoad[t] = 0 // marks the task as a miss; the trigger carries the load time
-	if e.pref != nil && n.pfActive && n.pfChunk == t.Chunk {
+	a := access{miss: true} // the load's trigger will carry its time
+	if n.pfActive && n.pfChunk == t.Chunk {
 		// The chunk is already warming: the demand task absorbs the
 		// in-flight load and waits only for its remainder ("hidden hit").
 		if len(n.pfWaiters) == 0 {
 			if rem := n.pfEnd.Sub(e.sim.Now()); rem > 0 {
-				n.missLoad[t] = rem
+				a.channel = rem
 			}
 		}
+		n.accessed[t] = a
 		n.pfWaiters = append(n.pfWaiters, t)
-		return
+		return false
 	}
-	if ws, loading := n.waiters[t.Chunk]; loading {
-		n.waiters[t.Chunk] = append(ws, t)
-		return
+	n.accessed[t] = a
+	ws, loading := n.waiters[t.Chunk]
+	n.waiters[t.Chunk] = append(ws, t)
+	if !loading {
+		n.loadq = append(n.loadq, t.Chunk)
+		e.kickLoad(n)
 	}
-	n.waiters[t.Chunk] = []*core.Task{t}
-	n.loadq = append(n.loadq, t.Chunk)
-	e.kickLoad(n)
+	return false
 }
 
 // emit records a trace event when tracing is enabled.
@@ -860,115 +858,6 @@ func (e *Engine) compositeTime(group int) units.Duration {
 	}
 }
 
-// startSerial begins queued tasks on an idle serial-mode node (Definition
-// 1: a miss occupies the node for the whole of tio + trender + tcomposite).
-func (e *Engine) startSerial(n *node) {
-	for !n.failed && !n.stalled && len(n.running) < n.gpus {
-		t := n.pop()
-		if t == nil {
-			return
-		}
-		now := e.sim.Now()
-		// A warm in flight for this very chunk is absorbed: the task pays
-		// only the load's remaining time instead of a full miss.
-		var absorbed units.Duration
-		absorbing := false
-		if e.pref != nil {
-			if e.pinned[t] {
-				delete(e.pinned, t)
-				n.mem.Unpin(t.Chunk)
-			}
-			if n.pfActive && n.pfChunk == t.Chunk {
-				absorbing = true
-				n.pfTimer.Cancel()
-				n.pfTimer = des.Timer{}
-				n.pfActive = false
-				n.pfWaiters = nil
-				if absorbed = n.pfEnd.Sub(now); absorbed < 0 {
-					absorbed = 0
-				}
-				e.pref.Absorbed(n.id, t.Chunk)
-				e.head.NotePrefetchHidden()
-				e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: t.Chunk, Dur: absorbed})
-			}
-		}
-		hit := n.mem.Touch(t.Chunk)
-		if hit && e.pref != nil && e.head.DemandTouchPrefetched(t.Chunk, n.id) {
-			e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: t.Chunk, Hit: true})
-		}
-		var evicted []volume.ChunkID
-		if !hit {
-			evicted = n.mem.Insert(t.Chunk, t.Size)
-		}
-		exec := e.renderCost(n, t)
-		if !hit && !absorbing {
-			if n.gpu != nil {
-				// Two-level: the load brings the chunk to main memory; the
-				// upload was already charged by renderCost's GPU miss.
-				exec += scaleIO(e.cfg.Model.DiskRate.TimeFor(t.Size), n.ioScale)
-			} else {
-				exec += scaleIO(e.cfg.Model.IOTime(t.Size), n.ioScale)
-			}
-		}
-		exec = e.jitter(exec)
-		if absorbing {
-			// The remainder is added after jitter: the load finishes when the
-			// in-flight transfer finishes, noise applies to the render only.
-			exec += absorbed
-		}
-		if _, seen := e.started[t.Job.ID]; !seen {
-			e.started[t.Job.ID] = now
-		}
-		e.report.TaskExecuted(hit, exec, len(evicted))
-		if !hit {
-			e.report.LoadAdd()
-		}
-		res := core.TaskResult{
-			Task: t, Node: n.id, Hit: hit,
-			Exec: exec, Predicted: t.PredictedExec,
-			Evicted: evicted,
-		}
-		e.begin(n, exec, res)
-	}
-}
-
-// begin arms a task's completion, exec from now, as a suspendable execution
-// record.
-func (e *Engine) begin(n *node, exec units.Duration, res core.TaskResult) {
-	ex := e.newExecution(n, res)
-	ex.end = e.sim.Now().Add(exec)
-	ex.timer = e.sim.After(exec, ex.fn)
-}
-
-// newExecution books res.Task as running on n under a recycled record.
-func (e *Engine) newExecution(n *node, res core.TaskResult) *execution {
-	var ex *execution
-	if last := len(e.freeExec) - 1; last >= 0 {
-		ex, e.freeExec = e.freeExec[last], e.freeExec[:last]
-	} else {
-		ex = new(execution)
-		ex.fn = func(*des.Simulator) {
-			if e.frac != nil {
-				e.completeFrac(ex.node, ex.res)
-			} else {
-				e.complete(ex.node, ex.res)
-			}
-		}
-	}
-	ex.node, ex.res = n, res
-	n.running[res.Task] = ex
-	return ex
-}
-
-// endExecution takes t off n's running set and recycles its record. The
-// record's timer must have fired or been cancelled.
-func (e *Engine) endExecution(n *node, t *core.Task) {
-	ex := n.running[t]
-	delete(n.running, t)
-	*ex = execution{fn: ex.fn}
-	e.freeExec = append(e.freeExec, ex)
-}
-
 // scaleIO applies a node's slow-disk multiplier to an I/O duration.
 func scaleIO(d units.Duration, factor float64) units.Duration {
 	if factor == 1 {
@@ -994,11 +883,7 @@ func (e *Engine) kickLoad(n *node) {
 		return
 	}
 	size := ws[0].Size
-	dur := e.cfg.Model.IOTime(size)
-	if n.gpu != nil {
-		dur = e.cfg.Model.DiskRate.TimeFor(size) // upload deferred to render
-	}
-	dur = scaleIO(e.jitter(dur), n.ioScale)
+	dur := scaleIO(e.jitter(e.loadTime(n, size)), n.ioScale)
 	fn := func(s *des.Simulator) {
 		n.loadActive = false
 		n.loadTimer = des.Timer{}
@@ -1013,76 +898,17 @@ func (e *Engine) kickLoad(n *node) {
 			if i == 0 {
 				// The trigger task reports the load in its execution time
 				// and carries the evictions to the head's correction.
-				n.missLoad[t] = dur
-				e.pendingEvictions[t] = evicted
+				n.accessed[t] = access{miss: true, channel: dur, evicted: evicted}
 			}
 			n.push(t)
 		}
-		e.startOverlap(n)
+		e.start(n)
 		e.kickLoad(n)
 	}
 	n.loadActive = true
 	n.loadFn = fn
 	n.loadEnd = e.sim.Now().Add(dur)
 	n.loadTimer = e.sim.After(dur, fn)
-}
-
-// startOverlap begins ready tasks on an overlap-mode node.
-func (e *Engine) startOverlap(n *node) {
-	for !n.failed && !n.stalled && len(n.running) < n.gpus {
-		t := n.pop()
-		if t == nil {
-			return
-		}
-		if e.pref != nil && e.pinned[t] {
-			delete(e.pinned, t)
-			n.mem.Unpin(t.Chunk)
-		}
-		n.mem.Touch(t.Chunk)
-		exec := e.jitter(e.renderCost(n, t))
-		// Utilization in overlap mode counts executor occupancy only: the
-		// whole point of the three-thread design is that loads do not hold
-		// the GPU.
-		e.report.BusyAdd(exec)
-		loadDur, wasMiss := n.missLoad[t]
-		delete(n.missLoad, t)
-		evicted := e.pendingEvictions[t]
-		delete(e.pendingEvictions, t)
-		res := core.TaskResult{
-			Task: t, Node: n.id, Hit: !wasMiss,
-			Exec: exec + loadDur, Predicted: t.PredictedExec,
-			Evicted: evicted,
-		}
-		e.begin(n, exec, res)
-	}
-}
-
-// complete finishes a task on its node. When the head is reachable the
-// report is accounted immediately; when it is not (head outage or the
-// node's partition), the node retains the report for reconciliation and
-// keeps draining its local queue — the data plane outlives the control
-// plane (§5.10).
-func (e *Engine) complete(n *node, res core.TaskResult) {
-	res.Finished = e.sim.Now()
-	e.endExecution(n, res.Task)
-	e.emit(trace.Event{
-		Kind: trace.TaskDone, Job: res.Task.Job.ID, Class: res.Task.Job.Class,
-		Task: res.Task.Index, Node: n.id, Chunk: res.Task.Chunk,
-		Dur: res.Exec, Hit: res.Hit,
-	})
-	if e.headDown || n.partitioned {
-		n.pendingResults = append(n.pendingResults, res)
-		e.report.Recovery.ResultDeferred()
-	} else {
-		e.account(res)
-	}
-	if e.frac != nil {
-		e.startFrac(n)
-	} else if e.cfg.OverlapIO {
-		e.startOverlap(n)
-	} else {
-		e.startSerial(n)
-	}
 }
 
 // account applies one completion report at the head: table correction, job
@@ -1157,7 +983,6 @@ func (e *Engine) fail(k core.NodeID) {
 	requeue := func(t *core.Task) {
 		t.Assigned = false
 		t.PredictedExec = 0
-		delete(e.pendingEvictions, t)
 		delete(e.pinned, t)
 		if t.Job.Remaining == 0 {
 			// The job had left the queue; put it back.
@@ -1166,22 +991,30 @@ func (e *Engine) fail(k core.NodeID) {
 		t.Job.Remaining++
 		e.report.Recovery.TaskRedispatched()
 	}
-	for t, ex := range n.running {
+	// Running tasks go back in start order, the guest last — never in map
+	// order, which would make the re-dispatch order differ run to run.
+	abort := func(ex *execution) {
 		ex.timer.Cancel()
-		requeue(t)
-		e.endExecution(n, t)
+		requeue(ex.res.Task)
+		e.recycle(ex)
 	}
+	for _, ex := range n.order {
+		abort(ex)
+	}
+	if n.guest != nil {
+		abort(n.guest)
+	}
+	n.order, n.guest = nil, nil
 	n.loadTimer.Cancel()
 	n.loadTimer = des.Timer{}
 	n.loadActive = false
 	for t := n.pop(); t != nil; t = n.pop() {
 		requeue(t)
 	}
-	for c, ws := range n.waiters {
-		for _, t := range ws {
+	for _, c := range n.waitingChunks() {
+		for _, t := range n.waiters[c] {
 			requeue(t)
 		}
-		delete(n.waiters, c)
 	}
 	for _, t := range n.pfWaiters {
 		requeue(t)
@@ -1198,10 +1031,7 @@ func (e *Engine) fail(k core.NodeID) {
 	fresh := e.newNode(k)
 	fresh.failed = true
 	e.nodes[k] = fresh
-	if e.frac != nil {
-		e.frac.meter.Set(int(k), 0, e.sim.Now())
-		e.frac.coMeter.Set(int(k), 0, e.sim.Now())
-	}
+	e.reprice(fresh) // nothing runs on it: the busy-share meters read zero
 	if e.cfg.Scheduler.Trigger() == core.OnArrival {
 		e.invokeScheduler()
 	}

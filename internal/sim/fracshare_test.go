@@ -266,38 +266,6 @@ type fracSummary struct {
 	preempt        int64
 }
 
-// TestFracShareRejectsUnsupportedCombos: the slot model replaces the node's
-// executor, so extensions that assume the serial/overlap executor are
-// rejected loudly at construction.
-func TestFracShareRejectsUnsupportedCombos(t *testing.T) {
-	good := oneNodeConfig(baselines.FCFS{}, &fracshare.Config{}, true)
-	breakers := map[string]func(Config) Config{
-		"overlap":  func(c Config) Config { c.OverlapIO = true; return c },
-		"multigpu": func(c Config) Config { c.GPUsPerNode = 2; return c },
-	}
-	for name, breaker := range breakers {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			New(breaker(good))
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded: no panic")
-			}
-		}()
-		c := good
-		c.Shards = 2
-		c.NewScheduler = func() core.Scheduler { return baselines.FCFS{} }
-		NewSharded(c)
-	}()
-}
-
 // TestFracShareCrashRequeuesGuest: a node crash mid-guest returns the
 // guest's task to the queue like any running task, clears the head's
 // guest mark, and the work completes elsewhere.

@@ -28,14 +28,10 @@ func (e *Engine) startPrefetch(d core.PrefetchDirective) {
 		e.emit(trace.Event{Kind: trace.PrefetchCancel, Node: d.Node, Chunk: d.Chunk})
 		return
 	}
-	dur := e.cfg.Model.IOTime(d.Size)
-	if n.gpu != nil {
-		dur = e.cfg.Model.DiskRate.TimeFor(d.Size) // upload deferred to render
-	}
 	// No jitter: warms must not consume draws from the demand jitter
 	// stream, or a prefetch-on run would perturb demand execution times and
 	// the off-by-default bit-identity guarantee would be unverifiable.
-	dur = scaleIO(dur, n.ioScale)
+	dur := scaleIO(e.loadTime(n, d.Size), n.ioScale)
 	n.pfActive = true
 	n.pfChunk = d.Chunk
 	n.pfSize = d.Size
@@ -67,13 +63,15 @@ func (e *Engine) completePrefetch(n *node) {
 			if i == 0 {
 				// The first waiter carries the evictions to the head's
 				// correction, like an ordinary load trigger.
-				e.pendingEvictions[t] = evicted
+				a := n.accessed[t]
+				a.evicted = evicted
+				n.accessed[t] = a
 			}
 			e.head.NotePrefetchHidden()
 			e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: c})
 			n.push(t)
 		}
-		e.startOverlap(n)
+		e.start(n)
 		return
 	}
 

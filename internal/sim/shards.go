@@ -67,16 +67,13 @@ func NewSharded(cfg Config) *ShardedEngine {
 	if s <= 0 {
 		s = 1
 	}
-	if cfg.FracShare != nil {
-		panic("sim: FracShare is incompatible with sharded runs")
-	}
 	if cfg.NewScheduler == nil {
 		panic("sim: NewSharded requires Config.NewScheduler (one scheduler instance per shard)")
 	}
 	if cfg.Autoscale != nil {
 		// Per-shard fleets would need cross-shard victim coordination and a
 		// shared node-hours bill; not wired yet.
-		panic("sim: Config.Autoscale is not supported with sharded runs yet")
+		panic("sim: Config.Autoscale is incompatible with sharded runs (not wired yet)")
 	}
 	if cfg.Nodes < s {
 		panic(fmt.Sprintf("sim: %d shards need at least %d nodes, have %d", s, s, cfg.Nodes))
@@ -211,12 +208,7 @@ func (se *ShardedEngine) Run(wl *workload.Schedule, horizon units.Time) *Sharded
 	}
 	se.sim.Run(horizon)
 	for _, sub := range se.subs {
-		if sub.qosc != nil {
-			sub.report.QoS = sub.qosc.Outcome()
-		}
-		if sub.pref != nil {
-			sub.report.Prefetch = sub.pref.Outcome(sub.head)
-		}
+		sub.finish(horizon)
 	}
 	return se.Report()
 }
@@ -282,10 +274,10 @@ func (se *ShardedEngine) donationCycle() units.Duration {
 	return core.DefaultCycle
 }
 
-// idleExecutors counts shard i's executors with nothing running and
-// nothing queued — the donation board's advertised capacity. A shard with
-// any queued work of its own advertises zero: the ε-guard keeps donation
-// strictly work-conserving.
+// idleExecutors counts shard i's free slots on nodes with nothing queued —
+// the donation board's advertised capacity. A shard with any queued work of
+// its own advertises zero: the ε-guard keeps donation strictly
+// work-conserving.
 func (se *ShardedEngine) idleExecutors(i int) int {
 	sub := se.subs[i]
 	if sub.QueueLen() > 0 || sub.headDown {
@@ -293,8 +285,8 @@ func (se *ShardedEngine) idleExecutors(i int) int {
 	}
 	idle := 0
 	for _, n := range sub.nodes {
-		if !n.failed && !n.stalled && !n.partitioned && len(n.running) == 0 && n.head >= len(n.fifo) {
-			idle += n.gpus
+		if !n.failed && !n.stalled && !n.partitioned && n.head >= len(n.fifo) {
+			idle += sub.slots - len(n.order)
 		}
 	}
 	return idle
