@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race node-model bench fuzz check
+.PHONY: all build vet test race node-model worker-lanes bench fuzz check
 
 all: check
 
@@ -24,6 +24,12 @@ race:
 # times over under the race detector.
 node-model:
 	$(GO) test -race -count=3 -run 'NodeModelGolden|ExtensionPairsCompose|CrashRequeueOrder' ./...
+
+# The worker-lanes row of CI's race-suite matrix: the live worker's two
+# lanes and yielding background renders (DESIGN.md §5.18), the FIFO under
+# them, and the far-camera march — three times over under the race detector.
+worker-lanes:
+	$(GO) test -race -count=3 -run 'Overtake|Background|Lane|Fifo|FarCamera|SustainedInteractive|DropsQueued|BatchExecNet' ./...
 
 # Short benchmark smoke: verifies the DES kernel stays allocation-free and
 # the scheduler and renderer benchmarks still run. Not a performance

@@ -163,7 +163,7 @@ func main() {
 	useAutoscale := flag.Bool("autoscale", false,
 		"enable the elastic autoscaler (head mode): a hysteresis control loop that gracefully drains quiet workers (migrating their queued batch work and pre-warming survivors) and raises the desired-workers gauge under pressure; drained slots rejoin through the ordinary bring-up path")
 	fracSlots := flag.Int("fracshare", 0,
-		"fractional task slots per worker (head mode, §5.13): workers run up to K tasks concurrently and the head exports the fracshare_* busy-share gauges; 0 keeps serial FIFO execution")
+		"fractional task slots per worker (head mode, §5.13): workers drain each of their two lanes (interactive, batch) with K executors and the head exports the fracshare_* busy-share gauges; 0 is one executor a lane")
 	usePrefetch := flag.Bool("prefetch", false,
 		"enable predictive chunk prefetching (head mode, OURS scheduler): warm predicted bricks into worker caches during idle windows")
 	compositing := flag.String("compositing", "",

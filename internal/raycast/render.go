@@ -47,6 +47,11 @@ type Options struct {
 	// Parallel renders scanline bands on all CPUs; single-threaded rendering
 	// remains available for deterministic profiling.
 	Parallel bool
+	// Yield, when set, is called by every band after each scanline it
+	// renders: the seam at which a background render gives the processor up
+	// (the live worker sets it on batch tasks, DESIGN.md §5.18). It may
+	// block. The pixels do not depend on it.
+	Yield func()
 }
 
 func (o *Options) fill() {
@@ -286,7 +291,11 @@ func (m *march) rows(out *img.Image, y0, y1 int) {
 			u := (float64(x) + 0.5) / float64(w)
 			ray := m.view.ray(u, v)
 			tmin, tmax, ok := intersectAABB(ray, m.lo, m.hi)
-			if !ok {
+			if !ok || tmax+m.step/2 == tmax {
+				// No hit — or an eye so far off that a step is below the
+				// rounding of t (step < ulp(tmax)): `t += step` would leave t
+				// where it is and the march would never end. When the test is
+				// false every t <= tmax strictly advances.
 				continue
 			}
 			// Phase-align sampling to global multiples of step so that
@@ -308,6 +317,9 @@ func (m *march) rows(out *img.Image, y0, y1 int) {
 			if row[x] != (img.RGBA{}) {
 				drawn = drawn.Union(image.Rect(x, y, x+1, y+1))
 			}
+		}
+		if m.opt.Yield != nil {
+			m.opt.Yield()
 		}
 	}
 	m.samples.Add(n)

@@ -107,28 +107,17 @@ type rejoinEvent struct {
 // block sending a task to a worker whose fragment replies are themselves
 // waiting on the dispatcher — a classic two-channel deadlock.
 type sender struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []transport.Message
-	closed bool
+	queue *fifo[transport.Message]
 }
 
 func newSender(conn transport.Conn, onErr func(error)) *sender {
-	s := &sender{}
-	s.cond = sync.NewCond(&s.mu)
+	s := &sender{queue: newFifo[transport.Message]()}
 	go func() {
 		for {
-			s.mu.Lock()
-			for len(s.queue) == 0 && !s.closed {
-				s.cond.Wait()
-			}
-			if s.closed && len(s.queue) == 0 {
-				s.mu.Unlock()
+			m, ok := s.queue.pop()
+			if !ok {
 				return
 			}
-			m := s.queue[0]
-			s.queue = s.queue[1:]
-			s.mu.Unlock()
 			if err := conn.Send(m); err != nil {
 				onErr(err)
 				return
@@ -140,23 +129,14 @@ func newSender(conn transport.Conn, onErr func(error)) *sender {
 
 // Send enqueues without blocking the caller.
 func (s *sender) Send(m transport.Message) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if !s.queue.push(m) {
 		return transport.ErrClosed
 	}
-	s.queue = append(s.queue, m)
-	s.cond.Signal()
 	return nil
 }
 
 // Close stops the writer after the queue drains.
-func (s *sender) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Signal()
-	s.mu.Unlock()
-}
+func (s *sender) Close() { s.queue.close() }
 
 // Head is the master node: it owns the job queue, the scheduler and its
 // prediction tables, and the worker connections. One dispatcher goroutine
@@ -324,11 +304,11 @@ type Head struct {
 
 	// FracShare, when set before Start, enables the fractional-capacity
 	// layer (§5.13) on the live fleet: the hello ack advertises the slot
-	// count K and workers execute up to K tasks concurrently, with the
-	// operating system doing the actual time-slicing the simulator's share
-	// model prices. The head keeps the busy-share account (per-node
-	// in-flight and utilization gauges, the fracshare_* metrics family).
-	// Nil keeps the serial-FIFO worker behaviour exactly.
+	// count K and workers drain each of their two lanes with K executors
+	// (§5.18), with the operating system doing the actual time-slicing the
+	// simulator's share model prices. The head keeps the busy-share account
+	// (per-node in-flight and utilization gauges, the fracshare_* metrics
+	// family). Nil advertises no count: one executor a lane, no account.
 	FracShare *fracshare.Config
 	frac      *fracTracker
 

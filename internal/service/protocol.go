@@ -28,9 +28,10 @@ type HelloBody struct {
 	// worker never completed a registration).
 	Shard int
 	// Slots, in the head's ack, is the fractional-capacity slot count K
-	// (§5.13): the worker executes up to K tasks concurrently, letting the
+	// (§5.13): the worker drains each of its two lanes — interactive tasks,
+	// and batch tasks with warms (§5.18) — with K executors, letting the
 	// operating system time-slice the node the way the simulator's share
-	// model prices it. Zero or one keeps the serial FIFO executor exactly.
+	// model prices it. Zero means one, the serial worker.
 	Slots int
 	// Resync marks a reconnection to a recovered (or restarted) head
 	// (§5.10): alongside Rejoin, the worker re-announces its full state so
@@ -106,10 +107,14 @@ type FragmentBody struct {
 	X0, Y0    int
 	W, H      int
 	// Codec selects the pixel encoding of Data (CodecRaw or CodecFlate).
-	Codec     int
-	Data      []byte
-	Depth     float64
-	Hit       bool
+	Codec int
+	Data  []byte
+	Depth float64
+	Hit   bool
+	// ExecNanos is what the task cost the node: load, render and pixel
+	// encode, wall clock. For a batch task that is net of the time the
+	// worker had interactive tasks in flight meanwhile — the render stood
+	// aside for them (§5.18), and their own fragments report that time.
 	ExecNanos int64
 	// Evicted lists bricks the worker's cache dropped to make room.
 	Evicted []ChunkRef

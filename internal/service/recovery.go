@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -187,8 +186,8 @@ func (h *Head) Crash() {
 // resynced. Attempted dispatches fail like sends to a dead node would, and
 // the rejoin path swaps in a live sender.
 func closedSender() *sender {
-	s := &sender{closed: true}
-	s.cond = sync.NewCond(&s.mu)
+	s := &sender{queue: newFifo[transport.Message]()}
+	s.queue.close()
 	return s
 }
 

@@ -5,6 +5,7 @@ import (
 	"image"
 	"log"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,21 +19,23 @@ import (
 	"vizsched/internal/volume"
 )
 
-// Worker is one rendering node of the live service: it executes assigned
-// tasks FIFO, keeps loaded bricks in an LRU-managed memory budget, renders
-// with the software ray caster, and streams fragments back to the head —
-// the render/communication thread split of the paper's implementation
-// (§V-C) maps onto its executor and network goroutines.
+// Worker is one rendering node of the live service: it files assigned tasks
+// into two FIFO lanes — interactive work ahead of batch work and warms, each
+// lane drained in arrival order (lanes.go, DESIGN.md §5.18) — keeps loaded
+// bricks in an LRU-managed memory budget, renders with the software ray
+// caster, and streams fragments back to the head — the render/communication
+// thread split of the paper's implementation (§V-C) maps onto its executor
+// and network goroutines.
 type Worker struct {
 	Name    string
 	catalog *Catalog
 	quota   units.Bytes
 
 	// lru tracks residency accounting; bricks holds the payloads. cacheMu
-	// guards both (and datasetIDs, datasetNames, slabs): with fractional
-	// slots, task executors run concurrently and contend for the cache — the
-	// serialized load under the lock is the single disk the share model
-	// prices, while renders overlap freely outside it.
+	// guards both (and datasetIDs, datasetNames, slabs): the lanes' executors
+	// run concurrently and contend for the cache — the serialized load under
+	// the lock is the single disk the share model prices, while renders
+	// overlap freely outside it.
 	cacheMu sync.Mutex
 	lru     *cache.LRU
 	bricks  map[volume.ChunkID]*resident
@@ -59,28 +62,29 @@ type Worker struct {
 	// standalone head, -1 until the ack arrives. Atomic like node.
 	shard atomic.Int64
 	// tileSize is the distributed-framebuffer tile edge from the head's
-	// hello ack; 0 keeps full-frame fragments. Serve-loop owned: the ack is
-	// processed and tasks execute on the same goroutine.
-	tileSize int
-	// tasks counts executed tasks. Atomic: the serve loop increments it
-	// while callers poll TasksExecuted.
+	// hello ack; 0 keeps full-frame fragments. Atomic: the serve loop writes
+	// it, the lanes' executors read it.
+	tileSize atomic.Int64
+	// tasks counts executed tasks. Atomic: the executors increment it while
+	// callers poll TasksExecuted.
 	tasks atomic.Int64
 	// raySamples and raySkipped total the ray-caster's per-fragment sample
 	// counts; see RayStats.
 	raySamples, raySkipped atomic.Int64
 
 	// slots is the fractional slot count K from the head's hello ack
-	// (§5.13); sem bounds concurrent task executors to it and execWG drains
-	// them before serve returns. 0 or 1 keeps the serial FIFO path: tasks
-	// execute inline on the serve goroutine exactly as before.
-	slots  atomic.Int64
-	sem    chan struct{}
-	execWG sync.WaitGroup
+	// (§5.13): a session drains each lane with max(1, K) executors, so 0 and
+	// 1 are the serial worker and K > 1 the fractional one.
+	slots atomic.Int64
+
+	// fg accounts for the interactive tasks in flight; background renders
+	// stand aside for them (yield) and report their time net of its clock.
+	fg foreground
 
 	// retained holds recently completed results for the resync replay
 	// (§5.10): a head recovered from snapshot+journal lists the tasks it
 	// still considers outstanding, and the worker re-sends retained results
-	// instead of re-rendering. retainMu guards it against concurrent slot
+	// instead of re-rendering. retainMu guards it against concurrent
 	// executors; Resync reads it with the executors drained. RetainCap
 	// bounds it; zero means DefaultRetain.
 	retainMu  sync.Mutex
@@ -139,6 +143,7 @@ func NewWorker(name string, catalog *Catalog, quota units.Bytes) *Worker {
 	}
 	w.node.Store(-1)
 	w.shard.Store(-1)
+	w.fg.cond.L = &w.fg.mu
 	return w
 }
 
@@ -154,8 +159,8 @@ func (w *Worker) Shard() int { return int(w.shard.Load()) }
 func (w *Worker) TasksExecuted() int64 { return w.tasks.Load() }
 
 // Slots reports the fractional slot count the head's hello ack assigned
-// (§5.13): 0 before the ack (or with the layer off), in which case tasks
-// execute serially.
+// (§5.13): 0 before the ack (or with the layer off), in which case each lane
+// has one executor.
 func (w *Worker) Slots() int { return int(w.slots.Load()) }
 
 // chunkID maps a wire chunk reference to a local cache key.
@@ -222,8 +227,7 @@ func (w *Worker) fetch(m *Manifest, chunk int) (*raycast.Brick, error) {
 
 // drop forgets the bricks the cache evicted and names them for the head.
 // A brick no render holds gives its slab back now; one that is still being
-// ray-cast — another slot's executor, under fractional slots — does when
-// that render lets go (release).
+// ray-cast by another executor does when that render lets go (release).
 func (w *Worker) drop(evictedIDs []volume.ChunkID) []ChunkRef {
 	var evicted []ChunkRef
 	for _, ev := range evictedIDs {
@@ -275,8 +279,9 @@ func (w *Worker) loadBrick(dataset string, chunk int) (*resident, bool, []ChunkR
 	return r, false, evicted, nil
 }
 
-// prefetch warms one chunk ahead of predicted demand (§5.8). It runs inline
-// in the serve loop: the head's planner only issues warms into windows it
+// prefetch warms one chunk ahead of predicted demand (§5.8). It runs in the
+// background lane, behind the batch tasks filed before it and never ahead of
+// an interactive one: the head's planner only issues warms into windows it
 // predicts idle, so a directive racing queued demand work was mis-planned
 // and is cheap to absorb; a production worker would run it on the dedicated
 // I/O thread of the paper's §V-C split. The brick enters the cache at the
@@ -319,8 +324,25 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 // enabled distributed-framebuffer compositing (tileSize > 0), the rendered
 // layer is split into per-tile fragments instead and the returned
 // FragmentBody carries only the execution facts; otherwise tiles is nil.
+//
+// A batch task renders in the background: its bands stand aside at every
+// scanline (yield), and the time it reports is its own — the wall time net
+// of the interactive work it stood aside for, which those tasks' fragments
+// have already reported to the head.
 func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	start := time.Now()
+	opt := raycast.Options{
+		Width:    t.Render.Width,
+		Height:   t.Render.Height,
+		Mode:     raycast.Mode(t.Render.Mode),
+		IsoValue: t.Render.IsoValue,
+		Parallel: true,
+	}
+	var fgBefore time.Duration // the foreground clock as this task begins
+	if t.Render.Batch {
+		opt.Yield = w.yield
+		fgBefore = w.fg.clock()
+	}
 	res, hit, evicted, err := w.loadBrick(t.Dataset, t.Chunk)
 	if err != nil {
 		return FragmentBody{}, nil, err
@@ -328,13 +350,7 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	defer w.release(res)
 	cam := raycast.NewCamera(t.Render.Angle, t.Render.Elevation, t.Render.Dist)
 	tf := raycast.PresetTF(w.catalog.Get(t.Dataset).TF)
-	frag := raycast.RenderBrick(res.brick, cam, tf, raycast.Options{
-		Width:    t.Render.Width,
-		Height:   t.Render.Height,
-		Mode:     raycast.Mode(t.Render.Mode),
-		IsoValue: t.Render.IsoValue,
-		Parallel: true,
-	})
+	frag := raycast.RenderBrick(res.brick, cam, tf, opt)
 	w.raySamples.Add(frag.Samples)
 	w.raySkipped.Add(frag.Skipped)
 	// Every encode below copies the pixels out, so the rendered layer goes
@@ -348,9 +364,10 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		Hit:       hit,
 		Evicted:   evicted,
 	}
-	if ts := w.tileSize; ts > 0 {
+	var tiles []TileFragBody
+	if ts := int(w.tileSize.Load()); ts > 0 {
 		layout := dfb.NewLayout(frag.Image.W, frag.Image.H, ts)
-		tiles := make([]TileFragBody, layout.NumTiles())
+		tiles = make([]TileFragBody, layout.NumTiles())
 		for tl := range tiles {
 			data, err := encodePixels(frag.Image, image.Rect(layout.Bounds(tl)), w.Codec)
 			if err != nil {
@@ -367,21 +384,37 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 				Data:      data,
 			}
 		}
-		meta.ExecNanos = time.Since(start).Nanoseconds()
-		return meta, tiles, nil
-	}
-	if r := frag.Bounds; !r.Empty() {
+	} else if r := frag.Bounds; !r.Empty() {
 		meta.X0, meta.Y0, meta.W, meta.H = r.Min.X, r.Min.Y, r.Dx(), r.Dy()
 		if meta.Data, err = encodePixels(frag.Image, r, w.Codec); err != nil {
 			return FragmentBody{}, nil, err
 		}
 	}
-	meta.ExecNanos = time.Since(start).Nanoseconds()
-	return meta, nil, nil
+	exec := time.Since(start)
+	if t.Render.Batch {
+		exec = max(exec-(w.fg.clock()-fgBefore), 0)
+	}
+	meta.ExecNanos = exec.Nanoseconds()
+	return meta, tiles, nil
+}
+
+// yield is the hook a background render's bands call after every scanline
+// (raycast.Options.Yield). With interactive tasks in flight the band waits
+// for the ones it saw; otherwise it offers the processor to whatever else is
+// runnable, so nothing in the process — this worker's foreground executors
+// and reader, a co-located worker, an in-process head's senders, readers,
+// dispatcher and finalize — waits behind a background render longer than
+// one scanline.
+func (w *Worker) yield() {
+	if !w.fg.wait() {
+		runtime.Gosched()
+	}
 }
 
 // Serve processes messages from the head until the connection closes or a
-// shutdown message arrives. Tasks execute strictly FIFO.
+// shutdown message arrives. Interactive tasks execute in arrival order, and
+// so do batch tasks and warms; an interactive task does not wait for a batch
+// task that arrived before it.
 func (w *Worker) Serve(conn transport.Conn) error {
 	hello := HelloBody{Name: w.Name, MemQuota: int64(w.quota), NodeID: w.Node()}
 	return w.serve(conn, hello)
@@ -467,9 +500,9 @@ func (w *Worker) replayRetained(conn transport.Conn, outstanding []TaskRef) erro
 
 // runTask executes one task and ships its output: tile fragments first,
 // then the execution report — the per-task FIFO contract the head's reducer
-// relies on, which holds per goroutine under fractional slots too. The
-// returned error is a dead connection; execution failures are reported to
-// the head and absorbed.
+// relies on, which holds because one executor sends them all, whatever the
+// other executors send in between. The returned error is a dead connection;
+// execution failures are reported to the head and absorbed.
 func (w *Worker) runTask(conn transport.Conn, msgID uint64, t TaskBody) error {
 	frag, tiles, err := w.execute(t)
 	if err != nil {
@@ -493,101 +526,36 @@ func (w *Worker) runTask(conn transport.Conn, msgID uint64, t TaskBody) error {
 	return send(conn, transport.KindFragment, msgID, &frag)
 }
 
-// serve sends the hello, starts the heartbeat beacon, and runs the task
-// loop.
+// serve sends the hello, starts the heartbeat beacon, and reads messages
+// into a session's lanes until the connection closes or the head says
+// shutdown. It returns with the session's executors gone: a Resync after
+// reconnect reads the retained results they write.
 func (w *Worker) serve(conn transport.Conn, hello HelloBody) error {
 	if err := send(conn, transport.KindHello, 0, hello); err != nil {
 		return err
 	}
-	// Fractional-slot executors must drain before the session ends: a
-	// Resync after reconnect reads the retained results they write.
-	defer w.execWG.Wait()
 	if w.Heartbeat > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
-		go func() {
-			t := time.NewTicker(w.Heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					// A send error means the connection is gone; the task
-					// loop sees it too and returns.
-					if err := conn.Send(transport.Message{Kind: transport.KindHeartbeat}); err != nil {
-						return
-					}
-				}
-			}
-		}()
+		go w.beat(conn, stop)
 	}
+	s := newSession(w, conn)
+	return s.end(s.read())
+}
+
+// beat sends the liveness beacon until stop closes or a send fails — the
+// connection is gone then, and the reader sees it too and returns.
+func (w *Worker) beat(conn transport.Conn, stop <-chan struct{}) {
+	t := time.NewTicker(w.Heartbeat)
+	defer t.Stop()
 	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			if err == transport.ErrClosed {
-				return nil
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			if err := conn.Send(transport.Message{Kind: transport.KindHeartbeat}); err != nil {
+				return
 			}
-			return err
-		}
-		switch msg.Kind {
-		case transport.KindShutdown:
-			return nil
-		case transport.KindHello:
-			// The head's ack assigns (or confirms) this worker's node slot.
-			var ack HelloBody
-			if err := transport.Decode(msg.Body, &ack); err == nil {
-				w.node.Store(int64(ack.NodeID))
-				w.shard.Store(int64(ack.Shard))
-				w.tileSize = ack.TileSize
-				w.slots.Store(int64(ack.Slots))
-				if ack.Slots > 1 {
-					w.sem = make(chan struct{}, ack.Slots)
-				} else {
-					w.sem = nil
-				}
-				if len(ack.Outstanding) > 0 {
-					if err := w.replayRetained(conn, ack.Outstanding); err != nil {
-						return err
-					}
-				}
-			}
-		case transport.KindTask:
-			var t TaskBody
-			if err := transport.Decode(msg.Body, &t); err != nil {
-				w.Logf("worker %s: bad task: %v", w.Name, err)
-				continue
-			}
-			if w.sem != nil {
-				// Fractional slots (§5.13): run up to K tasks concurrently,
-				// blocking intake at the K+1th so the head's FIFO still
-				// backpressures. A send failure here means the connection
-				// died; the serve loop's Recv sees it too and returns.
-				w.sem <- struct{}{}
-				w.execWG.Add(1)
-				go func(msgID uint64, t TaskBody) {
-					defer w.execWG.Done()
-					defer func() { <-w.sem }()
-					if err := w.runTask(conn, msgID, t); err != nil {
-						w.Logf("worker %s: task J%d/T%d send failed: %v", w.Name, t.JobID, t.TaskIndex, err)
-					}
-				}(msg.ID, t)
-				continue
-			}
-			if err := w.runTask(conn, msg.ID, t); err != nil {
-				return err
-			}
-		case transport.KindPrefetch:
-			var p PrefetchBody
-			if err := transport.Decode(msg.Body, &p); err != nil {
-				w.Logf("worker %s: bad prefetch: %v", w.Name, err)
-				continue
-			}
-			if err := send(conn, transport.KindPrefetchDone, msg.ID, w.prefetch(p)); err != nil {
-				return err
-			}
-		default:
-			w.Logf("worker %s: unexpected %v message", w.Name, msg.Kind)
 		}
 	}
 }
