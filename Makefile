@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race node-model worker-lanes bench fuzz check
+.PHONY: all build vet test race node-model worker-lanes cycle-trigger bench fuzz check
 
 all: check
 
@@ -30,6 +30,14 @@ node-model:
 # them, and the far-camera march — three times over under the race detector.
 worker-lanes:
 	$(GO) test -race -count=3 -run 'Overtake|Background|Lane|Fifo|FarCamera|SustainedInteractive|DropsQueued|BatchExecNet' ./...
+
+# The cycle-trigger row of CI's race-suite matrix: the live head's
+# arrival-triggered cycle (DESIGN.md §5.19) — an interactive frame on an idle
+# head is scheduled at once, batch work and a busy cluster wait for the tick,
+# DropStale and MaxQueue shedding still act on what a busy node makes wait —
+# three times over under the race detector.
+cycle-trigger:
+	$(GO) test -race -count=3 -run 'IdleHead|WaitsForTick|DropStale|OverloadShed' ./...
 
 # Short benchmark smoke: verifies the DES kernel stays allocation-free and
 # the scheduler and renderer benchmarks still run. Not a performance

@@ -211,7 +211,10 @@ func main() {
 	}
 
 	if headStats != nil {
-		if snap := headStats(); snap.QoS != nil {
+		snap := headStats()
+		fmt.Printf("\nscheduler: %d passes with work, %d of them started by an arrival instead of the tick\n",
+			snap.SchedCycles, snap.EarlyCycles)
+		if snap.QoS != nil {
 			q := snap.QoS
 			fmt.Printf("\nqos: level %s (peak %d, %d transitions), throttled %d, rejected %d, shed %d, jain %.3f\n",
 				q.LevelName, q.MaxLevel, q.LevelChanges, q.JobsThrottled, q.JobsRejected, snap.JobsShed, q.Jain)

@@ -108,7 +108,11 @@ type Trigger int
 
 // Trigger values. OnArrival schedulers (the FCFS family) run once per job as
 // it enters the queue; Periodic schedulers (OURS, FS, SF) run every Cycle
-// and see the whole queue.
+// and see the whole queue. Periodic says when the queue is batched, not that
+// an idle head must sit on a frame: the live head also runs a Periodic
+// scheduler at the arrival of an interactive job that finds nothing else
+// waiting and a node idle (service.Head.arrivalCycle, DESIGN.md §5.19); the
+// simulator keeps the paper's strictly periodic trigger.
 const (
 	OnArrival Trigger = iota
 	Periodic

@@ -154,6 +154,19 @@ func (h *HeadState) Alive(k NodeID) bool { return h.health[k] == HealthUp }
 // Health returns node k's liveness state.
 func (h *HeadState) Health(k NodeID) Health { return h.health[k] }
 
+// AnyIdle reports whether some alive node is predicted to have drained its
+// queue by now — the back-pressure test of the arrival-triggered cycle
+// (DESIGN.md §5.19). A node becoming available at exactly now counts: a task
+// sent to it starts at once.
+func (h *HeadState) AnyIdle(now units.Time) bool {
+	for k, av := range h.Available {
+		if av <= now && h.health[k] == HealthUp {
+			return true
+		}
+	}
+	return false
+}
+
 // MarkSuspect demotes an up node to suspect: it keeps its predicted caches
 // (it may come back) but receives no new work. Down nodes stay down.
 func (h *HeadState) MarkSuspect(k NodeID) {

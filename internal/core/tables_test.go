@@ -194,3 +194,40 @@ func TestPredictExecUsesCacheState(t *testing.T) {
 		t.Errorf("hit = %v", hit)
 	}
 }
+
+// AnyIdle is the back-pressure test of the arrival-triggered cycle: only a
+// node that takes work counts, and one that frees up at exactly now is idle.
+func TestIdleHeadCountsOnlyAliveNodes(t *testing.T) {
+	const now = units.Time(10 * units.Millisecond)
+	h := newHead(4)
+	if !h.AnyIdle(now) {
+		t.Error("a fresh cluster is idle")
+	}
+	for k := range h.Available {
+		h.Available[k] = now + 1
+	}
+	if h.AnyIdle(now) {
+		t.Error("every node busy past now, yet one reads idle")
+	}
+	h.Available[2] = now
+	if !h.AnyIdle(now) {
+		t.Error("a node available at exactly now is idle")
+	}
+	// The one idle node, taken out of service each way a node can be.
+	h.MarkSuspect(2)
+	if h.AnyIdle(now) {
+		t.Error("a suspect node takes no work")
+	}
+	h.MarkUp(2)
+	if !h.MarkDraining(2) || h.AnyIdle(now) {
+		t.Error("a draining node takes no work")
+	}
+	h.CompleteDrain(2)
+	if h.AnyIdle(now) {
+		t.Error("a down node takes no work")
+	}
+	h.MarkRepaired(2, now)
+	if !h.AnyIdle(now) {
+		t.Error("a repaired node is available from now")
+	}
+}

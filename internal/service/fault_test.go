@@ -208,13 +208,13 @@ func TestHeartbeatSuspectRejoinsOnTraffic(t *testing.T) {
 }
 
 // TestOverloadShedFailsStaleInteractive drives the bounded queue: with
-// MaxQueue = 1 and a slow scheduler tick, a burst of interactive frames
-// sheds the oldest undispatched frames (each superseded request errors) while
-// the newest still renders, and a batch job arriving at the bound is
-// rejected outright.
+// MaxQueue = 1, a slow scheduler tick and the only node taken by the first
+// frame of a burst, the frames behind it shed the oldest undispatched one
+// (each shed request errors) while the newest still renders, and a batch
+// job arriving at the bound is rejected outright.
 func TestOverloadShedFailsStaleInteractive(t *testing.T) {
 	cat := testCatalog(t, 2)
-	head := NewHead(core.NewLocalityScheduler(200*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+	head := NewHead(watched(200*units.Millisecond, true), cat, 64*units.MB, core.DefaultCostModel())
 	head.Logf = func(string, ...any) {}
 	head.MaxQueue = 1
 
@@ -236,7 +236,7 @@ func TestOverloadShedFailsStaleInteractive(t *testing.T) {
 	defer client.Close()
 
 	var chans []<-chan Outcome
-	for f := 0; f < 3; f++ {
+	for f := 0; f < 4; f++ {
 		ch, err := client.RenderAsync(RenderBody{
 			Dataset: "plume", Angle: 0.2 * float64(f), Dist: 2.4,
 			Width: 24, Height: 24, Action: 1,
@@ -245,9 +245,6 @@ func TestOverloadShedFailsStaleInteractive(t *testing.T) {
 			t.Fatal(err)
 		}
 		chans = append(chans, ch)
-		// Give the dispatcher time to admit each frame before the next, so
-		// the arrival order is deterministic.
-		time.Sleep(10 * time.Millisecond)
 	}
 	batchCh, err := client.RenderAsync(RenderBody{
 		Dataset: "plume", Dist: 2.4, Width: 24, Height: 24, Batch: true,
@@ -284,8 +281,8 @@ func TestOverloadShedFailsStaleInteractive(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if completed < 1 {
-		t.Error("no interactive frame survived the shedding")
+	if completed != 2 {
+		t.Errorf("completed = %d, want 2: the frame that took the node and the newest", completed)
 	}
 	if shed != 2 {
 		t.Errorf("shed = %d, want 2", shed)

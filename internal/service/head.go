@@ -595,8 +595,30 @@ func (h *Head) taskDeadline(t *core.Task) time.Duration {
 	return d
 }
 
+// arrivalCycle runs a scheduling pass for the job just admitted when it need
+// not wait for the ω tick (DESIGN.md §5.19): always under an OnArrival
+// scheduler; under a Periodic one only when the job is interactive, nothing
+// is waiting ahead of it (ahead counts the working queue and, with QoS on,
+// the fair queue) and some alive node is predicted idle. Batch work is
+// deferred by design, a waiting job means a loaded head whose tick batches,
+// supersedes and sheds arrivals together, and with every node busy an early
+// pass would only lengthen a node's queue. The ticker is left alone: a job
+// that does not qualify is scheduled exactly when it always was.
+func (h *Head) arrivalCycle(lj *liveJob, ahead int, runSched func()) {
+	if h.sched.Trigger() == core.OnArrival {
+		runSched()
+		return
+	}
+	if lj.job.Class == core.Interactive && ahead == 0 && h.state.AnyIdle(h.now()) {
+		runSched()
+		h.stats.earlyCycles.Add(1)
+	}
+}
+
 // dispatch is the single goroutine owning the queue, tables, and in-flight
-// job state.
+// job state. A Periodic scheduler's passes start at the ω tick, and — so
+// that an interactive frame arriving at an idle head is not made to wait out
+// the rest of a cycle — at the arrivals arrivalCycle admits.
 func (h *Head) dispatch() {
 	defer close(h.doneCh)
 	queue := make([]*liveJob, 0, 64)
@@ -651,6 +673,7 @@ func (h *Head) dispatch() {
 		pcycle = core.DefaultCycle
 	}
 
+	var jobs []*core.Job // runSched's scratch: the queued jobs with work left
 	runSched := func() {
 		if h.qosc != nil {
 			// Refill the working window from the fair queue: every queued
@@ -685,13 +708,14 @@ func (h *Head) dispatch() {
 			}
 			return
 		}
-		jobs := make([]*core.Job, 0, len(queue))
+		jobs = jobs[:0]
 		for _, lj := range queue {
 			if lj.job.Remaining > 0 {
 				jobs = append(jobs, lj.job)
 			}
 		}
 		if len(jobs) > 0 {
+			h.stats.schedCycles.Add(1)
 			// One clock read for the pass: every CommitAssign inside Schedule
 			// and every journaled dispatch record must carry the same instant,
 			// or replay could not reproduce the tables.
@@ -730,6 +754,7 @@ func (h *Head) dispatch() {
 					h.frac.noteDispatch(int(a.Node))
 				}
 			}
+			clear(jobs) // the scratch must not pin finished jobs
 		}
 		// The scheduler's own planner fitted warms into this cycle's leftover
 		// idle windows (strictly below every demand assignment); ship them.
@@ -986,9 +1011,7 @@ func (h *Head) dispatch() {
 				}
 			}
 		}
-		if h.sched.Trigger() == core.OnArrival {
-			runSched()
-		}
+		h.arrivalCycle(lj, len(queue)+h.qosc.QueueLen()-1, runSched)
 	}
 
 	// admit applies the overload policy and enqueues an arriving job. A
@@ -1059,9 +1082,7 @@ func (h *Head) dispatch() {
 		h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
 			hastate.AdmitBody{Job: h.jobRecord(lj)})
 		queue = append(queue, lj)
-		if h.sched.Trigger() == core.OnArrival {
-			runSched()
-		}
+		h.arrivalCycle(lj, len(queue)-1, runSched)
 	}
 
 	// rejoin restores a node's slot with a fresh connection: the §VI-D

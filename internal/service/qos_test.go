@@ -38,11 +38,12 @@ func settleOutcome(t *testing.T, head *Head) *metrics.QoSOutcome {
 }
 
 // TestQoSMaxQueueBoundaryMixedTenants drives the bounded fair queue with two
-// tenants: at MaxQueue the backstop sheds the oldest queued interactive frame
-// and rejects queued batch work, while per-tenant accounting stays exact.
+// tenants behind a frame that has taken the only node: at MaxQueue the
+// backstop sheds the oldest queued interactive frame and rejects queued batch
+// work, while per-tenant accounting stays exact.
 func TestQoSMaxQueueBoundaryMixedTenants(t *testing.T) {
 	cat := testCatalog(t, 2)
-	head := NewHead(core.NewLocalityScheduler(200*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+	head := NewHead(watched(200*units.Millisecond, true), cat, 64*units.MB, core.DefaultCostModel())
 	head.Logf = func(string, ...any) {}
 	head.MaxQueue = 1
 	head.QoS = &qos.Config{InteractiveRate: 1000, InteractiveBurst: 1000, BatchRate: 1000, BatchBurst: 1000}
@@ -64,11 +65,12 @@ func TestQoSMaxQueueBoundaryMixedTenants(t *testing.T) {
 	client := NewClient(clientSide)
 	defer client.Close()
 
-	// Alternate tenants so the shed victims cross tenant lines: t1 frame,
-	// t2 frame (sheds t1's), t1 frame (sheds t2's), then a t2 batch job that
-	// cannot fit the bound at all.
+	// Alternate tenants so the shed victims cross tenant lines: a t1 frame
+	// (finds the head idle, takes the node), a t2 frame (queues), a t1 frame
+	// (sheds t2's), a t2 frame (sheds t1's), then a t2 batch job that cannot
+	// fit the bound at all.
 	var chans []<-chan Outcome
-	for f := 0; f < 3; f++ {
+	for f := 0; f < 4; f++ {
 		ch, err := client.RenderAsync(RenderBody{
 			Dataset: "plume", Angle: 0.2 * float64(f), Dist: 2.4,
 			Width: 24, Height: 24, Action: f%2 + 1, Tenant: f%2 + 1,
@@ -77,7 +79,6 @@ func TestQoSMaxQueueBoundaryMixedTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 		chans = append(chans, ch)
-		time.Sleep(10 * time.Millisecond)
 	}
 	batchCh, err := client.RenderAsync(RenderBody{
 		Dataset: "plume", Dist: 2.4, Width: 24, Height: 24,
@@ -115,8 +116,8 @@ func TestQoSMaxQueueBoundaryMixedTenants(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if completed < 1 {
-		t.Error("no interactive frame survived the shedding")
+	if completed != 2 {
+		t.Errorf("completed = %d, want 2: the frame that took the node and the newest", completed)
 	}
 	if shed != 2 {
 		t.Errorf("shed = %d, want 2", shed)
@@ -137,8 +138,8 @@ func TestQoSMaxQueueBoundaryMixedTenants(t *testing.T) {
 			t.Errorf("tenant %d: %d arrival sheds, want all sheds from the queue bound", ts.Tenant, ts.ShedOnArrival())
 		}
 	}
-	if issued != 4 || sheds != 3 {
-		t.Errorf("outcome issued=%d sheds=%d, want 4 and 3", issued, sheds)
+	if issued != 5 || sheds != 3 {
+		t.Errorf("outcome issued=%d sheds=%d, want 5 and 3", issued, sheds)
 	}
 }
 

@@ -81,6 +81,11 @@ type headStats struct {
 	queueDepth   atomic.Int64
 	batchBacklog atomic.Int64
 
+	// Scheduler passes that had work to place, and those of them a Periodic
+	// scheduler ran at an interactive arrival instead of the ω tick (§5.19).
+	schedCycles atomic.Int64
+	earlyCycles atomic.Int64
+
 	// Autoscale counters (§5.12) — deliberately disjoint from the crash
 	// counters above: a graceful drain increments these and never
 	// workersDown, tasksRedispatched, the MTTR accumulators, or
@@ -169,6 +174,13 @@ type StatsSnapshot struct {
 	// exported whether or not autoscaling is on.
 	QueueDepth   int64 `json:"queue_depth"`
 	BatchBacklog int64 `json:"batch_backlog"`
+
+	// SchedCycles counts scheduler passes run with a non-empty queue;
+	// EarlyCycles is the subset a Periodic scheduler ran at the arrival of an
+	// interactive frame that found the head idle, rather than at the ω tick
+	// (§5.19). An OnArrival scheduler has no tick and counts none early.
+	SchedCycles int64 `json:"sched_cycles"`
+	EarlyCycles int64 `json:"early_cycles"`
 
 	// CacheEvictions counts bricks worker caches dropped to make room —
 	// with ChunkHits/ChunkMisses, the full cache-efficacy picture.
@@ -363,6 +375,10 @@ func (h *Head) Stats() StatsSnapshot {
 		QueueDepth:   h.stats.queueDepth.Load(),
 		BatchBacklog: h.stats.batchBacklog.Load(),
 	}
+	// Early first: the dispatcher counts a pass, then counts it early, so
+	// this order never reads more early passes than passes.
+	s.EarlyCycles = h.stats.earlyCycles.Load()
+	s.SchedCycles = h.stats.schedCycles.Load()
 	if n := h.stats.mttrEvents.Load(); n > 0 {
 		s.MTTRSeconds = time.Duration(h.stats.mttrNanos.Load() / n).Seconds()
 	}
@@ -514,6 +530,10 @@ func (h *Head) StatsHandler() http.Handler {
 		write("frame_pixels_total", float64(s.FramePixels))
 		write("queue_depth", float64(s.QueueDepth))
 		write("batch_backlog", float64(s.BatchBacklog))
+		// "tick" is the scheduler's own trigger (the ω tick of a Periodic one);
+		// "arrival" is the early passes of §5.19.
+		writeL("sched_cycles_total", `trigger="tick"`, float64(s.SchedCycles-s.EarlyCycles))
+		writeL("sched_cycles_total", `trigger="arrival"`, float64(s.EarlyCycles))
 		write("mttr_seconds", s.MTTRSeconds)
 		write("uptime_seconds", s.UptimeSeconds)
 		if q := s.QoS; q != nil {

@@ -109,36 +109,36 @@ func TestStatsCountsFailures(t *testing.T) {
 	}
 }
 
+// The frames a busy node makes wait are the ones DropStale thins: the first
+// frame finds the head idle and takes the only node at once; the two behind
+// it queue until the half-second tick, and the newer supersedes the older.
 func TestDropStaleSupersedesQueuedFrames(t *testing.T) {
-	cat := testCatalog(t, 2)
-	// A half-second cycle keeps the first frame queued long enough for the
-	// second to supersede it.
-	cl, err := StartCluster(core.NewLocalityScheduler(500*units.Millisecond), cat, 1, 64*units.MB)
+	cl, err := StartClusterWith(watched(500*units.Millisecond, true), testCatalog(t, 2), 1, 64*units.MB,
+		func(h *Head) { h.DropStale = true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Head.DropStale = true
 	defer cl.Stop()
 	client := cl.Connect()
 	defer client.Close()
 
-	req := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Action: 1}
-	ch1, err := client.RenderAsync(req)
-	if err != nil {
-		t.Fatal(err)
+	var outs [3]<-chan Outcome
+	for f := range outs {
+		outs[f], err = client.RenderAsync(RenderBody{
+			Dataset: "plume", Angle: 0.5 * float64(f), Dist: 2.4, Width: 16, Height: 16, Action: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	req.Angle = 0.5
-	ch2, err := client.RenderAsync(req)
-	if err != nil {
-		t.Fatal(err)
+	if o := within(t, outs[0], 10*time.Second, "dispatched frame"); o.Err != nil {
+		t.Errorf("frame dispatched to the idle node failed: %v", o.Err)
 	}
-	o1 := <-ch1
-	o2 := <-ch2
-	if o1.Err == nil {
+	if o := within(t, outs[1], 10*time.Second, "stale frame"); o.Err == nil {
 		t.Error("stale frame was not superseded")
 	}
-	if o2.Err != nil {
-		t.Errorf("fresh frame failed: %v", o2.Err)
+	if o := within(t, outs[2], 10*time.Second, "fresh frame"); o.Err != nil {
+		t.Errorf("fresh frame failed: %v", o.Err)
 	}
 }
 
