@@ -166,9 +166,6 @@ func main() {
 		"fractional task slots per worker (head mode, §5.13): workers drain each of their two lanes (interactive, batch) with K executors and the head exports the fracshare_* busy-share gauges; 0 is one executor a lane")
 	usePrefetch := flag.Bool("prefetch", false,
 		"enable predictive chunk prefetching (head mode, OURS scheduler): warm predicted bricks into worker caches during idle windows")
-	compositing := flag.String("compositing", "",
-		"fragment assembly (head mode): dfb enables the asynchronous tile-based distributed framebuffer; empty keeps full-frame compositing")
-	tile := flag.Int("tile", 0, "dfb tile edge in pixels (head mode); 0 selects the default")
 	journalPath := flag.String("journal", "",
 		"write-ahead journal path (head mode): log every recoverable mutation to this file and a snapshot to <path>.snap, enabling standby takeover")
 	standby := flag.Bool("standby", false,
@@ -200,6 +197,23 @@ func main() {
 		if err != nil {
 			log.Fatal("vizserver: ", err)
 		}
+		// configure applies the extension flags to a head: the one head, or
+		// each shard of the sharded plane.
+		configure := func(h *service.Head) {
+			h.Replicas = *replicas
+			if *useQoS {
+				h.QoS = qos.DefaultConfig()
+			}
+			if *usePrefetch {
+				h.Prefetch = prefetch.DefaultConfig()
+			}
+			if *useAutoscale {
+				h.Autoscale = autoscale.DefaultConfig()
+			}
+			if *fracSlots > 0 {
+				h.FracShare = &fracshare.Config{Slots: *fracSlots}
+			}
+		}
 		if *shards > 1 {
 			// Sharded control plane (§5.11). The journal/standby failover
 			// path is per-head: replaying one shard's WAL against tables fed
@@ -218,25 +232,7 @@ func main() {
 			if err != nil {
 				log.Fatal("vizserver: ", err)
 			}
-			mh.Configure(func(h *service.Head) {
-				h.Replicas = *replicas
-				if *useQoS {
-					h.QoS = qos.DefaultConfig()
-				}
-				if *usePrefetch {
-					h.Prefetch = prefetch.DefaultConfig()
-				}
-				if *compositing != "" {
-					h.Compositing = *compositing
-					h.TileSize = *tile
-				}
-				if *useAutoscale {
-					h.Autoscale = autoscale.DefaultConfig()
-				}
-				if *fracSlots > 0 {
-					h.FracShare = &fracshare.Config{Slots: *fracSlots}
-				}
-			})
+			mh.Configure(configure)
 			wl, err := transport.ListenTCP(*workerAddr)
 			if err != nil {
 				log.Fatal("vizserver: ", err)
@@ -287,26 +283,17 @@ func main() {
 			return
 		}
 		head := service.NewHead(sched, catalog, quota, core.DefaultCostModel())
-		head.Replicas = *replicas
-		if *useQoS {
-			head.QoS = qos.DefaultConfig()
+		configure(head)
+		if head.QoS != nil {
 			log.Printf("head: QoS enabled (admission control + fair queuing + degradation ladder)")
 		}
-		if *usePrefetch {
-			head.Prefetch = prefetch.DefaultConfig()
+		if head.Prefetch != nil {
 			log.Printf("head: predictive prefetching enabled (Markov trajectory + frequency prior, governed warming)")
 		}
-		if *compositing != "" {
-			head.Compositing = *compositing
-			head.TileSize = *tile
-			log.Printf("head: %s compositing enabled (asynchronous per-tile reduction)", *compositing)
-		}
-		if *useAutoscale {
-			head.Autoscale = autoscale.DefaultConfig()
+		if head.Autoscale != nil {
 			log.Printf("head: elastic autoscaling enabled (hysteresis control loop, graceful drains, desired-workers gauge)")
 		}
-		if *fracSlots > 0 {
-			head.FracShare = &fracshare.Config{Slots: *fracSlots}
+		if head.FracShare != nil {
 			log.Printf("head: fractional capacity enabled (%d task slots per worker, busy-share gauges)", head.FracShare.SlotCount())
 		}
 		wl, err := transport.ListenTCP(*workerAddr)

@@ -69,23 +69,3 @@ func (d DFB) Composite(layers []*img.Image) (*img.Image, compositing.Stats) {
 	}
 	return out, st
 }
-
-// AlgorithmByName resolves a compositing algorithm from its experiment
-// name, including dfb. It lives here rather than in package compositing
-// because dfb imports compositing and the registry must see both.
-func AlgorithmByName(name string) (compositing.Algorithm, error) {
-	switch name {
-	case "serial":
-		return compositing.Serial{}, nil
-	case "direct-send":
-		return compositing.DirectSend{}, nil
-	case "binary-swap":
-		return compositing.BinarySwap{}, nil
-	case "2-3-swap":
-		return compositing.TwoThreeSwap{}, nil
-	case "dfb":
-		return DFB{}, nil
-	default:
-		return nil, fmt.Errorf("dfb: unknown compositing algorithm %q", name)
-	}
-}

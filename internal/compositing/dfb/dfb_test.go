@@ -233,18 +233,3 @@ func TestDFBAlgorithmMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestDFBAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"serial", "direct-send", "binary-swap", "2-3-swap", "dfb"} {
-		alg, err := AlgorithmByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alg.Name() != name {
-			t.Fatalf("AlgorithmByName(%q).Name() = %q", name, alg.Name())
-		}
-	}
-	if _, err := AlgorithmByName("nope"); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}

@@ -158,7 +158,7 @@ func (g *gateConn) Send(m transport.Message) error {
 	g.mu.Lock()
 	sw := g.swallow
 	g.mu.Unlock()
-	if sw && (m.Kind == transport.KindFragment || m.Kind == transport.KindTileFrag) {
+	if sw && m.Kind == transport.KindFragment {
 		return nil
 	}
 	return g.Conn.Send(m)
@@ -290,84 +290,77 @@ func TestResyncEpochReconcilesUnackedCompletion(t *testing.T) {
 }
 
 // TestNetChaosIdempotentDuplicates runs the service under duplicate-heavy
-// network chaos on the worker→head direction: every fragment (and tile
-// fragment, in dfb mode) may arrive twice, yet completion accounting stays
-// exact and the delivered PNGs are byte-identical to a chaos-free run.
+// network chaos on the worker→head direction: every fragment may arrive
+// twice, yet completion accounting stays exact and the delivered PNGs are
+// byte-identical to a chaos-free run.
 func TestNetChaosIdempotentDuplicates(t *testing.T) {
-	for _, mode := range []string{"", "dfb"} {
-		name := "fullframe"
-		if mode == "dfb" {
-			name = "dfb"
-		}
-		t.Run(name, func(t *testing.T) {
-			cat := testCatalog(t, 3)
-			render := func(chaos bool) ([][]byte, *Head, *transport.FaultInjector) {
-				head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
-				quietHead(head)
-				head.Compositing = mode
-				var inj *transport.FaultInjector
-				if chaos {
-					inj = transport.NewFaultInjector(transport.FaultConfig{Seed: 42, Duplicate: 0.5})
+	t.Run("fullframe", func(t *testing.T) {
+		cat := testCatalog(t, 3)
+		render := func(chaos bool) ([][]byte, *Head, *transport.FaultInjector) {
+			head := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+			quietHead(head)
+			var inj *transport.FaultInjector
+			if chaos {
+				inj = transport.NewFaultInjector(transport.FaultConfig{Seed: 42, Duplicate: 0.5})
+			}
+			for i := 0; i < 2; i++ {
+				w := NewWorker("w", cat, 64*units.MB)
+				w.Logf = head.Logf
+				headSide, workerSide := transport.Pipe()
+				up := transport.Conn(workerSide)
+				if inj != nil {
+					up = inj.Wrap(up)
 				}
-				for i := 0; i < 2; i++ {
-					w := NewWorker("w", cat, 64*units.MB)
-					w.Logf = head.Logf
-					headSide, workerSide := transport.Pipe()
-					up := transport.Conn(workerSide)
-					if inj != nil {
-						up = inj.Wrap(up)
-					}
-					go func() { _ = w.Serve(up) }()
-					if err := head.AddWorker(headSide); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := head.Start(); err != nil {
+				go func() { _ = w.Serve(up) }()
+				if err := head.AddWorker(headSide); err != nil {
 					t.Fatal(err)
 				}
-				clientSide, headClientSide := transport.Pipe()
-				go head.HandleClient(headClientSide)
-				client := NewClient(clientSide)
-				defer client.Close()
-				const frames = 4
-				pngs := make([][]byte, frames)
-				for f := 0; f < frames; f++ {
-					res, err := client.Render(RenderBody{
-						Dataset: "supernova", Angle: 0.25 * float64(f), Dist: 2.4,
-						Width: 32, Height: 32,
-					})
-					if err != nil {
-						t.Fatalf("frame %d: %v", f, err)
-					}
-					pngs[f] = res.PNG
+			}
+			if err := head.Start(); err != nil {
+				t.Fatal(err)
+			}
+			clientSide, headClientSide := transport.Pipe()
+			go head.HandleClient(headClientSide)
+			client := NewClient(clientSide)
+			defer client.Close()
+			const frames = 4
+			pngs := make([][]byte, frames)
+			for f := 0; f < frames; f++ {
+				res, err := client.Render(RenderBody{
+					Dataset: "supernova", Angle: 0.25 * float64(f), Dist: 2.4,
+					Width: 32, Height: 32,
+				})
+				if err != nil {
+					t.Fatalf("frame %d: %v", f, err)
 				}
-				return pngs, head, inj
+				pngs[f] = res.PNG
 			}
+			return pngs, head, inj
+		}
 
-			clean, cleanHead, _ := render(false)
-			cleanHead.Stop()
-			chaotic, chaosHead, inj := render(true)
-			defer chaosHead.Stop()
+		clean, cleanHead, _ := render(false)
+		cleanHead.Stop()
+		chaotic, chaosHead, inj := render(true)
+		defer chaosHead.Stop()
 
-			for f := range clean {
-				if !bytes.Equal(clean[f], chaotic[f]) {
-					t.Errorf("frame %d PNG differs under duplication chaos", f)
-				}
+		for f := range clean {
+			if !bytes.Equal(clean[f], chaotic[f]) {
+				t.Errorf("frame %d PNG differs under duplication chaos", f)
 			}
-			if inj.Stats().Duplicated == 0 {
-				t.Fatal("the injector never duplicated anything; the test is vacuous")
-			}
-			s := chaosHead.Stats()
-			if s.JobsCompleted != 4 {
-				t.Errorf("jobs completed = %d, want 4", s.JobsCompleted)
-			}
-			// Exactly one accounting event per task: duplicates must not
-			// double-count cache stats.
-			if total := s.ChunkHits + s.ChunkMisses; total != 4*3 {
-				t.Errorf("hits+misses = %d, want %d", total, 4*3)
-			}
-		})
-	}
+		}
+		if inj.Stats().Duplicated == 0 {
+			t.Fatal("the injector never duplicated anything; the test is vacuous")
+		}
+		s := chaosHead.Stats()
+		if s.JobsCompleted != 4 {
+			t.Errorf("jobs completed = %d, want 4", s.JobsCompleted)
+		}
+		// Exactly one accounting event per task: duplicates must not
+		// double-count cache stats.
+		if total := s.ChunkHits + s.ChunkMisses; total != 4*3 {
+			t.Errorf("hits+misses = %d, want %d", total, 4*3)
+		}
+	})
 }
 
 // TestNetChaosPartitionSuspectHeals drives the transport-level partition

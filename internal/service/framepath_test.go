@@ -327,8 +327,8 @@ func TestLiveFramesRecycleBuffers(t *testing.T) {
 // drew nothing — here some are outside the frustum — carries no pixels at
 // all. From a close, tall view of eight slabs the frame must still be, byte
 // for byte, the frame of the plain pipeline (every brick rendered, shipped
-// and composited full-frame by Serial), on the default path and on the DFB
-// path alike, and the head's pixel counters must say exactly what was saved.
+// and composited full-frame by Serial), and the head's pixel counters must
+// say exactly what was saved.
 func TestRectangleFragmentsMatchFullFramePipeline(t *testing.T) {
 	cat := testCatalog(t, 8)
 	req := RenderBody{Dataset: "supernova", Angle: math.Pi / 2, Elevation: 0.1, Dist: 1.0, Width: 32, Height: 64}
@@ -369,33 +369,119 @@ func TestRectangleFragmentsMatchFullFramePipeline(t *testing.T) {
 	}
 
 	frames := int64(req.Width * req.Height * len(man.Chunks))
-	for _, c := range []struct {
-		name      string
-		configure func(*Head)
-		shipped   int64
-	}{
-		{"default", nil, shipped},
-		// Tiles cover the frame, whatever the brick drew.
-		{"dfb", func(h *Head) { h.Compositing, h.TileSize = "dfb", 16 }, frames},
-	} {
-		cl, err := StartClusterWith(core.NewLocalityScheduler(2*units.Millisecond), cat, 3, 64*units.MB, c.configure)
-		if err != nil {
+	cl, err := StartCluster(core.NewLocalityScheduler(2*units.Millisecond), cat, 3, 64*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := cl.Connect()
+	res, err := client.Render(req)
+	client.Close()
+	st := cl.Head.Stats()
+	cl.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.PNG, want.Bytes()) {
+		t.Error("the frame differs from the full-frame pipeline's")
+	}
+	if st.FragmentPixels != shipped || st.FramePixels != frames {
+		t.Errorf("%d fragment pixels of %d frame pixels, want %d of %d", st.FragmentPixels, st.FramePixels, shipped, frames)
+	}
+}
+
+// onceRequest is the frame renderOnce renders.
+var onceRequest = RenderBody{Dataset: "supernova", Angle: 0.7, Elevation: 0.3, Dist: 2.4, Width: 48, Height: 48}
+
+// renderOnce starts a three-worker cluster, renders onceRequest on it and
+// returns the PNG: what a fresh head makes of that request.
+func renderOnce(t *testing.T) []byte {
+	t.Helper()
+	cl, err := StartCluster(core.NewLocalityScheduler(5*units.Millisecond), testCatalog(t, 3), 3, 64*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	client := cl.Connect()
+	defer client.Close()
+	res, err := client.Render(onceRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PNG
+}
+
+// staleConn is a worker's end of its connection that sends, ahead of the
+// worker's first fragment, a message of a kind the head does not know.
+type staleConn struct {
+	transport.Conn
+	once sync.Once
+}
+
+func (c *staleConn) Send(m transport.Message) error {
+	if m.Kind == transport.KindFragment {
+		c.once.Do(func() {
+			_ = c.Conn.Send(transport.Message{Kind: transport.Kind(11), ID: m.ID, Body: []byte("not a body of this protocol")})
+		})
+	}
+	return c.Conn.Send(m)
+}
+
+// A worker built before the distributed framebuffer left the service sends
+// tile fragments, transport.Kind(11), which this head has no case for. Such a
+// message in the middle of a job is logged and dropped: the job is not
+// failed, and its frame is the frame of a cluster that never saw one.
+func TestUnknownKindFromWorkerIgnored(t *testing.T) {
+	want := renderOnce(t)
+
+	cat := testCatalog(t, 3)
+	head := NewHead(core.NewLocalityScheduler(5*units.Millisecond), cat, 64*units.MB, core.DefaultCostModel())
+	var mu sync.Mutex
+	var logged []string
+	head.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	for i := 0; i < 3; i++ {
+		w := NewWorker(fmt.Sprintf("worker-%d", i), cat, 64*units.MB)
+		w.Logf = func(string, ...any) {}
+		headSide, workerSide := transport.Pipe()
+		go func() { _ = w.Serve(&staleConn{Conn: workerSide}) }()
+		if err := head.AddWorker(headSide); err != nil {
 			t.Fatal(err)
 		}
-		client := cl.Connect()
-		res, err := client.Render(req)
-		client.Close()
-		st := cl.Head.Stats()
-		cl.Stop()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	}
+	if err := head.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer head.Stop()
+	clientSide, headClientSide := transport.Pipe()
+	go head.HandleClient(headClientSide)
+	client := NewClient(clientSide)
+	defer client.Close()
+
+	res, err := client.Render(onceRequest)
+	if err != nil {
+		t.Fatalf("the job an unknown message arrived in the middle of: %v", err)
+	}
+	if !bytes.Equal(res.PNG, want) {
+		t.Error("the frame differs from a fresh head's")
+	}
+	if s := head.Stats(); s.JobsCompleted != 1 || s.JobsFailed != 0 {
+		t.Errorf("completed/failed = %d/%d, want 1/0", s.JobsCompleted, s.JobsFailed)
+	}
+	// A worker's stray message goes ahead of its fragment on the same
+	// connection, so the head has handled it by the time it replies.
+	mu.Lock()
+	defer mu.Unlock()
+	var strays int
+	for _, l := range logged {
+		if strings.Contains(l, "unexpected kind(11) from node") {
+			strays++
 		}
-		if !bytes.Equal(res.PNG, want.Bytes()) {
-			t.Errorf("%s: the frame differs from the full-frame pipeline's", c.name)
-		}
-		if st.FragmentPixels != c.shipped || st.FramePixels != frames {
-			t.Errorf("%s: %d fragment pixels of %d frame pixels, want %d of %d", c.name, st.FragmentPixels, st.FramePixels, c.shipped, frames)
-		}
+	}
+	if strays == 0 {
+		t.Errorf("no unknown-kind message was logged; the log:\n%s", strings.Join(logged, "\n"))
 	}
 }
 
@@ -403,8 +489,8 @@ func TestRectangleFragmentsMatchFullFramePipeline(t *testing.T) {
 // refused at submission — it is never a job, so nothing fails later — and
 // the connection that sent it goes on rendering what a fresh head renders.
 func TestSubmitRefusesNonFiniteCamera(t *testing.T) {
-	want, _ := renderOnce(t, nil)
-	good := RenderBody{Dataset: "supernova", Angle: 0.7, Elevation: 0.3, Dist: 2.4, Width: 48, Height: 48}
+	want := renderOnce(t)
+	good := onceRequest
 
 	cl, err := StartCluster(core.NewLocalityScheduler(5*units.Millisecond), testCatalog(t, 3), 3, 64*units.MB)
 	if err != nil {

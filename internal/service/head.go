@@ -16,7 +16,6 @@ import (
 	"vizsched/internal/autoscale"
 	"vizsched/internal/cache"
 	"vizsched/internal/compositing"
-	"vizsched/internal/compositing/dfb"
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
 	"vizsched/internal/hastate"
@@ -24,7 +23,6 @@ import (
 	"vizsched/internal/journal"
 	"vizsched/internal/prefetch"
 	"vizsched/internal/qos"
-	"vizsched/internal/trace"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
@@ -53,25 +51,6 @@ type liveJob struct {
 	conn  transport.Conn
 	msgID uint64
 	wall  time.Time
-
-	// Distributed-framebuffer state (§5.9), nil/zero when Compositing is off:
-	// red reduces arriving TileFragBody pixels straight into out under
-	// layout, and finalize ships out instead of decoding and compositing
-	// full-frame fragments. Created lazily from the first tile fragment,
-	// whose FrameW/FrameH must be the job's (possibly QoS-degraded) frame size.
-	layout dfb.Layout
-	out    *img.Image
-	red    *dfb.Reducer
-	// tiles are the decoded tile fragments whose pixels red may still hold;
-	// finalize returns them to the img free list once the reduction is done.
-	tiles []*img.Image
-	// tileFrags counts tile fragments folded into red, so the in-flight
-	// gauge can be settled when the job delivers or fails.
-	tileFrags int
-	// tileSeen dedups tile fragments by (task, tile): a duplicated delivery
-	// (network chaos, a resync replay) must not be reduced twice. Lazily
-	// allocated on the dfb path only.
-	tileSeen map[int64]struct{}
 
 	// restoredDone marks tasks whose completion was journaled before a head
 	// crash (§5.10): the replayed tables already reflect them, so when the
@@ -212,23 +191,6 @@ type Head struct {
 	Prefetch *prefetch.Config
 	prefc    *prefetch.Controller
 	prefSrc  core.PrefetchSource
-
-	// Compositing selects how the head assembles a job's fragments: ""
-	// (default) keeps the decode-then-composite path exactly, while "dfb"
-	// enables the asynchronous tile-owner distributed framebuffer (§5.9) —
-	// workers push per-tile fragments as they render, the head reduces each
-	// tile the moment its expected fragment count is met, and the delivered
-	// PNG is byte-identical to the default path (the reducer replays the
-	// same stable depth order). Set before AddWorker: the hello ack
-	// advertises the tile size to workers.
-	Compositing string
-	// TileSize is the dfb tile edge; 0 selects dfb.DefaultTileSize.
-	TileSize int
-
-	// Trace, when set before Start, receives per-tile compositing events
-	// (trace.TileFrag per fragment folded, trace.TileDone per tile
-	// finalized). Dispatcher-owned while running; read it only after Stop.
-	Trace *trace.Log
 
 	// BatchWindow caps how many batch jobs the fair queue releases into the
 	// scheduler's working set per pass when QoS is active; zero means the
@@ -396,9 +358,7 @@ func (h *Head) AddWorker(conn transport.Conn) error {
 	}
 	node := len(h.workers)
 	h.workers = append(h.workers, conn)
-	return send(conn, transport.KindHello, 0, HelloBody{
-		NodeID: node, TileSize: h.dfbTile(), Shard: h.ShardID, Slots: h.fracSlots(),
-	})
+	return send(conn, transport.KindHello, 0, HelloBody{NodeID: node, Shard: h.ShardID, Slots: h.fracSlots()})
 }
 
 // fracSlots returns the fractional slot count workers must run with, or 0
@@ -408,18 +368,6 @@ func (h *Head) fracSlots() int {
 		return 0
 	}
 	return h.FracShare.SlotCount()
-}
-
-// dfbTile returns the tile edge workers must fragment to, or 0 when the
-// distributed framebuffer is off.
-func (h *Head) dfbTile() int {
-	if h.Compositing != "dfb" {
-		return 0
-	}
-	if h.TileSize > 0 {
-		return h.TileSize
-	}
-	return dfb.DefaultTileSize
 }
 
 // Rejoin re-registers a reconnecting worker under its previous NodeID —
@@ -469,9 +417,6 @@ func (h *Head) rejoinDecoded(conn transport.Conn, hello HelloBody) error {
 func (h *Head) Start() error {
 	if len(h.workers) == 0 {
 		return fmt.Errorf("service: no workers")
-	}
-	if h.Compositing != "" && h.Compositing != "dfb" {
-		return fmt.Errorf("service: unknown compositing algorithm %q", h.Compositing)
 	}
 	n := len(h.workers)
 	h.state = core.NewHeadState(n, h.memQuota, h.model)
@@ -775,10 +720,6 @@ func (h *Head) dispatch() {
 	// (shed victims) or never admitted.
 	failJob := func(lj *liveJob, msg string) {
 		h.stats.jobsFailed.Add(1)
-		if lj.tileFrags > 0 {
-			h.stats.fragsInFlight.Add(-int64(lj.tileFrags))
-			lj.tileFrags = 0
-		}
 		if _, admitted := inflight[lj.job.ID]; admitted {
 			// Only journaled-admitted jobs get a fail record; replay drops
 			// them so a standby never resurrects an abandoned job.
@@ -1157,7 +1098,7 @@ func (h *Head) dispatch() {
 		}
 		h.stats.workersRejoined.Add(1)
 		h.Logf("head: node %d rejoined (%s, resync=%v)", node, ev.hello.Name, ev.hello.Resync)
-		ack := HelloBody{NodeID: int(node), TileSize: h.dfbTile(), Shard: h.ShardID, Slots: h.fracSlots()}
+		ack := HelloBody{NodeID: int(node), Shard: h.ShardID, Slots: h.fracSlots()}
 		if ev.hello.Resync {
 			for _, lj := range inflight {
 				for i := range lj.job.Tasks {
@@ -1307,20 +1248,6 @@ func (h *Head) dispatch() {
 			switch ev.msg.Kind {
 			case transport.KindHeartbeat:
 				// Liveness only; handled above.
-			case transport.KindTileFrag:
-				var tf TileFragBody
-				if err := transport.Decode(ev.msg.Body, &tf); err != nil {
-					h.Logf("head: bad tile fragment from node %d: %v", ev.node, err)
-					continue
-				}
-				lj := inflight[core.JobID(tf.JobID)]
-				if lj == nil {
-					continue // job already failed
-				}
-				if err := h.tileFrag(lj, ev.node, &tf); err != nil {
-					h.Logf("head: tile fragment from node %d: %v", ev.node, err)
-					fail(lj, err.Error())
-				}
 			case transport.KindFragment:
 				var frag FragmentBody
 				if err := transport.Decode(ev.msg.Body, &frag); err != nil {
@@ -1406,80 +1333,6 @@ func (h *Head) dispatch() {
 			}
 		}
 	}
-}
-
-// tileFrag folds one per-tile fragment into the job's distributed-
-// framebuffer reduction (§5.9). Dispatcher-owned. The reducer is created
-// lazily from the first fragment's frame size; fragments are unranked
-// (Rank -1), so each tile buffers until its expected count is met and then
-// reduces after a stable (Depth, TaskIndex) sort — the exact schedule the
-// full-frame path's ByDepth+composite runs, making the output bit-identical.
-func (h *Head) tileFrag(lj *liveJob, node core.NodeID, tf *TileFragBody) error {
-	if tf.TaskIndex < 0 || tf.TaskIndex >= len(lj.frags) {
-		return fmt.Errorf("tile fragment task %d out of range (%d tasks)", tf.TaskIndex, len(lj.frags))
-	}
-	if lj.red == nil {
-		if tf.FrameW != lj.req.Width || tf.FrameH != lj.req.Height {
-			return fmt.Errorf("tile fragment frame %dx%d does not match job frame %dx%d",
-				tf.FrameW, tf.FrameH, lj.req.Width, lj.req.Height)
-		}
-		lj.layout = dfb.NewLayout(tf.FrameW, tf.FrameH, h.dfbTile())
-		lj.out = img.Get(tf.FrameW, tf.FrameH)
-		lj.red = dfb.NewReducer(lj.layout, len(lj.frags), lj.out)
-	}
-	if lj.out.W != tf.FrameW || lj.out.H != tf.FrameH {
-		return fmt.Errorf("tile fragment frame %dx%d does not match job frame %dx%d",
-			tf.FrameW, tf.FrameH, lj.out.W, lj.out.H)
-	}
-	if tf.Tile < 0 || tf.Tile >= lj.layout.NumTiles() {
-		return fmt.Errorf("tile %d out of range (layout has %d)", tf.Tile, lj.layout.NumTiles())
-	}
-	// Dedup by (task, tile): a duplicated delivery must not be reduced
-	// twice — the reducer counts fragments per tile, so a duplicate would
-	// both overcount toward finalization and double-blend the layer.
-	seen := int64(tf.TaskIndex)<<32 | int64(tf.Tile)
-	if _, dup := lj.tileSeen[seen]; dup {
-		return nil
-	}
-	if lj.tileSeen == nil {
-		lj.tileSeen = make(map[int64]struct{})
-	}
-	lj.tileSeen[seen] = struct{}{}
-	x0, y0, x1, y1 := lj.layout.Bounds(tf.Tile)
-	tm, err := decodePixels(x1-x0, y1-y0, tf.Codec, tf.Data)
-	if err != nil {
-		return fmt.Errorf("decoding tile %d: %w", tf.Tile, err)
-	}
-	lj.tiles = append(lj.tiles, tm) // the reducer keeps tm.Pix until the tile finalizes
-	finalized, err := lj.red.Add(dfb.Fragment{
-		Tile:  tf.Tile,
-		Rank:  -1,
-		Depth: tf.Depth,
-		Seq:   tf.TaskIndex,
-		Pix:   tm.Pix,
-	})
-	if err != nil {
-		return err
-	}
-	lj.tileFrags++
-	h.stats.tileFragments.Add(1)
-	h.stats.fragsInFlight.Add(1)
-	if h.Trace != nil {
-		h.Trace.Add(trace.Event{
-			At: h.now(), Kind: trace.TileFrag, Job: lj.job.ID, Class: lj.job.Class,
-			Task: tf.TaskIndex, Node: node, Level: tf.Tile,
-		})
-	}
-	if finalized {
-		h.stats.tilesFinalized.Add(1)
-		if h.Trace != nil {
-			h.Trace.Add(trace.Event{
-				At: h.now(), Kind: trace.TileDone, Job: lj.job.ID, Class: lj.job.Class,
-				Task: tf.TaskIndex, Node: node, Level: tf.Tile,
-			})
-		}
-	}
-	return nil
 }
 
 // correct feeds a fragment's execution facts back into the tables (§V-B) at
@@ -1591,8 +1444,8 @@ func (h *Head) trackWaste(fn func()) {
 // below cannot wrap, then the origin to what leaves room for them. The one
 // rectangle outside that rule is none at all: a brick that drew nothing.
 func compose(w, h int, frags []*FragmentBody) (*img.Image, error) {
-	// Stable, so fragments at one depth keep task order — the tile reducer's
-	// (Depth, TaskIndex) order, which makes the two paths agree bit for bit.
+	// Stable, so fragments at one depth keep task order, as
+	// compositing.ByDepth leaves them.
 	order := slices.Clone(frags)
 	slices.SortStableFunc(order, func(a, b *FragmentBody) int { return cmp.Compare(a.Depth, b.Depth) })
 	layers := make([]compositing.Layer, 0, len(order))
@@ -1653,41 +1506,21 @@ func (h *Head) finalize(lj *liveJob) {
 			misses++
 		}
 	}
+	final, err := compose(lj.req.Width, lj.req.Height, lj.frags)
+	if err != nil {
+		failf(err)
+		return
+	}
 	// What whole-frame fragments would have carried, and what these did.
 	frames := int64(lj.req.Width) * int64(lj.req.Height) * int64(len(lj.frags))
 	var shipped int64
-	var final *img.Image
-	if h.Compositing == "dfb" {
-		// The tile reducer assembled the frame as fragments arrived; the
-		// connection's FIFO order guarantees every worker's tiles preceded
-		// its execution report, so a complete job means a complete frame.
-		h.stats.fragsInFlight.Add(-int64(lj.tileFrags))
-		if lj.red == nil || !lj.red.Done() {
-			failf(fmt.Errorf("incomplete tile reduction at finalize"))
-			return
-		}
-		final = lj.out
-		// Every tile has been reduced into out, so the reducer is done with
-		// the decoded tiles it buffered.
-		for _, tm := range lj.tiles {
-			img.Put(tm)
-		}
-		lj.out, lj.red, lj.tiles = nil, nil, nil
-		shipped = frames // every task sends every tile
-	} else {
-		var err error
-		if final, err = compose(lj.req.Width, lj.req.Height, lj.frags); err != nil {
-			failf(err)
-			return
-		}
-		for _, f := range lj.frags {
-			shipped += int64(f.W) * int64(f.H) // compose held them to the frame
-		}
+	for _, f := range lj.frags {
+		shipped += int64(f.W) * int64(f.H) // compose held them to the frame
 	}
 
 	buf := pngScratch.Get().(*bytes.Buffer)
 	buf.Reset()
-	err := final.EncodePNG(buf)
+	err = final.EncodePNG(buf)
 	w, ht := final.W, final.H
 	img.Put(final)
 	// The PNG outlives this call (the reply, the retained-result store), so

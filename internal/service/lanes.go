@@ -137,7 +137,6 @@ func (s *session) read() error {
 			}
 			w.node.Store(int64(ack.NodeID))
 			w.shard.Store(int64(ack.Shard))
-			w.tileSize.Store(int64(ack.TileSize))
 			w.slots.Store(int64(ack.Slots))
 			if len(ack.Outstanding) > 0 {
 				if err := w.replayRetained(s.conn, ack.Outstanding); err != nil {

@@ -136,9 +136,8 @@ func (h *laneHead) task(job uint64, size int, batch bool) {
 	}
 }
 
-// fragment reads up to the next execution report, counting into tiles (when
-// the test expects any) the tile fragments that came before it, by job.
-func (h *laneHead) fragment(tiles map[uint64]int) FragmentBody {
+// fragment reads up to the worker's next fragment.
+func (h *laneHead) fragment() FragmentBody {
 	h.t.Helper()
 	for {
 		msg, err := h.conn.Recv()
@@ -146,11 +145,6 @@ func (h *laneHead) fragment(tiles map[uint64]int) FragmentBody {
 			h.t.Fatalf("reading the worker's output: %v", err)
 		}
 		switch msg.Kind {
-		case transport.KindTileFrag:
-			if tiles == nil {
-				h.t.Fatalf("job %d sent a tile fragment without a tile size", msg.ID)
-			}
-			tiles[msg.ID]++
 		case transport.KindFragment:
 			var f FragmentBody
 			if err := transport.Decode(msg.Body, &f); err != nil {
@@ -184,7 +178,7 @@ func (h *laneHead) warm() {
 	h.t.Helper()
 	for job := uint64(1); job <= 2; job++ {
 		h.task(job, 16, false)
-		h.fragment(nil)
+		h.fragment()
 	}
 }
 
@@ -210,7 +204,7 @@ func TestInteractiveOvertakesQueuedBatch(t *testing.T) {
 	}
 	var batch, interactive, batchBeforeInteractive int
 	for batch+interactive < nBatch+nInteractive {
-		f := h.fragment(nil)
+		f := h.fragment()
 		switch {
 		case f.JobID == firstBatchJob+uint64(batch):
 			batch++
@@ -241,8 +235,8 @@ func TestBatchExecNetOfForeground(t *testing.T) {
 	sent := time.Now()
 	h.task(firstInteractiveJob, 512, false) // the gate: a long interactive render
 	h.task(firstBatchJob, 32, true)
-	fg := h.fragment(nil)
-	bg := h.fragment(nil)
+	fg := h.fragment()
+	bg := h.fragment()
 	wall := time.Since(sent)
 	if fg.JobID != firstInteractiveJob || bg.JobID != firstBatchJob {
 		t.Fatalf("fragments of jobs %d, %d; want the interactive one first", fg.JobID, bg.JobID)
@@ -276,7 +270,7 @@ func TestLaneBatchAdvancesUnderInteractiveStream(t *testing.T) {
 	}
 	h.task(firstBatchJob, 32, true)
 	for back < sent {
-		if f := h.fragment(nil); f.JobID == firstBatchJob {
+		if f := h.fragment(); f.JobID == firstBatchJob {
 			finishedAfter = back
 			continue
 		}
@@ -286,7 +280,7 @@ func TestLaneBatchAdvancesUnderInteractiveStream(t *testing.T) {
 		}
 	}
 	if finishedAfter < 0 {
-		h.fragment(nil) // the stream has run out; now it finishes
+		h.fragment() // the stream has run out; now it finishes
 		t.Fatalf("the batch task outlasted a stream of %d interactive tasks", limit)
 	}
 	t.Logf("the batch task finished beside interactive task %d", finishedAfter)
@@ -379,7 +373,7 @@ func TestWorkerDropsQueuedTasksOnClose(t *testing.T) {
 	defer h.stop()
 	h.task(firstBatchJob+queued, 32, true)
 	got := make(chan FragmentBody, 1)
-	go func() { got <- h.fragment(nil) }()
+	go func() { got <- h.fragment() }()
 	select {
 	case f := <-got:
 		if f.JobID != firstBatchJob+queued {
@@ -387,30 +381,5 @@ func TestWorkerDropsQueuedTasksOnClose(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("a batch task of the resynced session never finished")
-	}
-}
-
-// Under distributed-framebuffer compositing every tile of a task reaches the
-// head before the task's execution report, with both lanes sending on the
-// one connection.
-func TestLaneDFBTilesBeforeReport(t *testing.T) {
-	const size, tile = 48, 16
-	const tilesPerTask = (size / tile) * (size / tile)
-	h := startLaneWorker(t, testCatalog(t, 1), HelloBody{TileSize: tile})
-	defer h.stop()
-	const each = 8
-	for i := 0; i < each; i++ {
-		h.task(firstBatchJob+uint64(i), size, true)
-		h.task(firstInteractiveJob+uint64(i), size, false)
-	}
-	tiles := make(map[uint64]int)
-	for i := 0; i < 2*each; i++ {
-		f := h.fragment(tiles)
-		if got := tiles[f.JobID]; got != tilesPerTask {
-			t.Errorf("job %d: %d of %d tiles had arrived when its report did", f.JobID, got, tilesPerTask)
-		}
-		if f.Data != nil {
-			t.Errorf("job %d: the report carries pixels", f.JobID)
-		}
 	}
 }

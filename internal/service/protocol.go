@@ -16,11 +16,6 @@ type HelloBody struct {
 	// Rejoin marks a reconnection after a failure: the head restores the
 	// node's slot (cold cache) instead of registering a new worker.
 	Rejoin bool
-	// TileSize, in the head's ack, switches the worker to distributed-
-	// framebuffer compositing (§5.9): render results are pushed as per-tile
-	// TileFragBody messages of this tile edge, with the FragmentBody reduced
-	// to a pixel-free execution report. Zero keeps one fragment per task.
-	TileSize int
 	// Shard, in the head's ack, is the shard index of the head this worker
 	// registered with (§5.11) — zero for a standalone head. The worker echoes
 	// it in rejoin/resync hellos so MultiHead.Rejoin can route the connection
@@ -118,27 +113,6 @@ type FragmentBody struct {
 	ExecNanos int64
 	// Evicted lists bricks the worker's cache dropped to make room.
 	Evicted []ChunkRef
-}
-
-// TileFragBody is one task's contribution to one tile of the distributed
-// framebuffer (§5.9). A worker running with a non-zero hello TileSize sends
-// every tile of its rendered layer as a TileFragBody — the head reduces them
-// into the output frame as they arrive — followed by a FragmentBody with nil
-// Data carrying the execution facts.
-type TileFragBody struct {
-	JobID     uint64
-	TaskIndex int
-	// Tile indexes the dfb.Layout over FrameW×FrameH with the agreed tile
-	// edge; the head derives the tile's pixel rectangle from the same layout.
-	Tile           int
-	FrameW, FrameH int
-	// Depth orders this task's layer among the tile's fragments (ties break
-	// by TaskIndex, matching the full-frame path's stable ByDepth sort).
-	Depth float64
-	// Codec/Data carry the tile-local pixel run (see ExtractTile), encoded
-	// exactly like a FragmentBody payload.
-	Codec int
-	Data  []byte
 }
 
 // PrefetchBody asks a worker to warm one chunk into its cache ahead of

@@ -208,9 +208,6 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	if len(h.workers) != 0 {
 		return fmt.Errorf("service: StartRecovered with pre-added workers; workers rejoin via resync")
 	}
-	if h.Compositing != "" && h.Compositing != "dfb" {
-		return fmt.Errorf("service: unknown compositing algorithm %q", h.Compositing)
-	}
 	// Decode every recovered request before touching the head: a journal or
 	// snapshot this build cannot read is refused whole, not half-adopted.
 	restored := make([]*liveJob, len(st.Jobs))

@@ -68,13 +68,6 @@ type headStats struct {
 	prefetchBytes     atomic.Int64
 	prefetchNanos     atomic.Int64
 
-	// Distributed-framebuffer counters (§5.9): tiles whose reduction
-	// completed, tile fragments folded in, and the gauge of fragments
-	// reduced into frames not yet delivered.
-	tilesFinalized atomic.Int64
-	tileFragments  atomic.Int64
-	fragsInFlight  atomic.Int64
-
 	// Queue gauges: every job waiting for a node (the scheduler's working
 	// window plus the QoS fair queues) and its batch-class subset. The
 	// dispatcher refreshes them on its health-check tick.
@@ -193,13 +186,16 @@ type StatsSnapshot struct {
 	FragmentPixels int64 `json:"fragment_pixels"`
 	FramePixels    int64 `json:"frame_pixels"`
 
+	// FrameP50Millis..FrameP99Millis are render-request-to-reply latency
+	// quantiles over the most recent completed frames (zero before the first).
+	FrameP50Millis float64 `json:"frame_p50_ms"`
+	FrameP95Millis float64 `json:"frame_p95_ms"`
+	FrameP99Millis float64 `json:"frame_p99_ms"`
+
 	// QoS is present only when the head runs with a QoS config.
 	QoS *QoSSnapshot `json:"qos,omitempty"`
 	// Prefetch is present only when the head runs with a prefetch config.
 	Prefetch *PrefetchSnapshot `json:"prefetch,omitempty"`
-	// Compositing is present only when the head runs the distributed
-	// framebuffer (Compositing = "dfb").
-	Compositing *CompositingSnapshot `json:"compositing,omitempty"`
 	// Autoscale is present only when the head runs with an autoscale config.
 	Autoscale *AutoscaleSnapshot `json:"autoscale,omitempty"`
 	// FracShare is present only when the head runs with a fractional-capacity
@@ -221,21 +217,6 @@ type AutoscaleSnapshot struct {
 	DrainOrphaned   int64 `json:"drain_orphaned"`
 	OrphanWarms     int64 `json:"orphan_warms"`
 	BringupWarms    int64 `json:"bringup_warms"`
-}
-
-// CompositingSnapshot is the distributed framebuffer's slice of a stats
-// snapshot (§5.9): the tile pipeline's throughput counters, the fragments
-// currently reduced into undelivered frames, and end-to-end frame latency
-// quantiles over the recent completion window.
-type CompositingSnapshot struct {
-	Algorithm      string  `json:"algorithm"`
-	TileSize       int     `json:"tile_size"`
-	TilesFinalized int64   `json:"tiles_finalized"`
-	TileFragments  int64   `json:"tile_fragments"`
-	FragsInFlight  int64   `json:"fragments_in_flight"`
-	FrameP50Millis float64 `json:"frame_p50_ms"`
-	FrameP95Millis float64 `json:"frame_p95_ms"`
-	FrameP99Millis float64 `json:"frame_p99_ms"`
 }
 
 // PrefetchSnapshot is the predictive-warming layer's slice of a stats
@@ -385,6 +366,8 @@ func (h *Head) Stats() StatsSnapshot {
 	if h.started {
 		s.UptimeSeconds = time.Since(h.start).Seconds()
 	}
+	p50, p95, p99 := h.stats.frameLat.quantiles()
+	s.FrameP50Millis, s.FrameP95Millis, s.FrameP99Millis = p50.Seconds()*1e3, p95.Seconds()*1e3, p99.Seconds()*1e3
 	if total := s.ChunkHits + s.ChunkMisses; total > 0 {
 		s.HitRatePct = 100 * float64(s.ChunkHits) / float64(total)
 		s.MeanTaskMillis = float64(h.stats.renderNanos.Load()) / float64(total) / 1e6
@@ -440,19 +423,6 @@ func (h *Head) Stats() StatsSnapshot {
 			p.MeanLoadMillis = float64(h.stats.prefetchNanos.Load()) / float64(p.Loaded) / 1e6
 		}
 		s.Prefetch = p
-	}
-	if h.Compositing == "dfb" {
-		p50, p95, p99 := h.stats.frameLat.quantiles()
-		s.Compositing = &CompositingSnapshot{
-			Algorithm:      h.Compositing,
-			TileSize:       h.dfbTile(),
-			TilesFinalized: h.stats.tilesFinalized.Load(),
-			TileFragments:  h.stats.tileFragments.Load(),
-			FragsInFlight:  h.stats.fragsInFlight.Load(),
-			FrameP50Millis: p50.Seconds() * 1e3,
-			FrameP95Millis: p95.Seconds() * 1e3,
-			FrameP99Millis: p99.Seconds() * 1e3,
-		}
 	}
 	if h.Autoscale != nil {
 		a := &AutoscaleSnapshot{
@@ -534,6 +504,14 @@ func (h *Head) StatsHandler() http.Handler {
 		// "arrival" is the early passes of §5.19.
 		writeL("sched_cycles_total", `trigger="tick"`, float64(s.SchedCycles-s.EarlyCycles))
 		writeL("sched_cycles_total", `trigger="arrival"`, float64(s.EarlyCycles))
+		for _, pq := range []struct {
+			q string
+			v float64
+		}{
+			{"0.5", s.FrameP50Millis}, {"0.95", s.FrameP95Millis}, {"0.99", s.FrameP99Millis},
+		} {
+			writeL("frame_latency_seconds", "quantile=\""+pq.q+"\"", pq.v/1e3)
+		}
 		write("mttr_seconds", s.MTTRSeconds)
 		write("uptime_seconds", s.UptimeSeconds)
 		if q := s.QoS; q != nil {
@@ -573,22 +551,6 @@ func (h *Head) StatsHandler() http.Handler {
 			write("prefetch_wasted_total", float64(p.Wasted))
 			write("prefetch_bytes_moved_total", float64(p.BytesMoved))
 			write("prefetch_hit_rate_pct", p.HitRatePct)
-		}
-		if c := s.Compositing; c != nil {
-			write("dfb_tile_size", float64(c.TileSize))
-			write("dfb_tiles_finalized_total", float64(c.TilesFinalized))
-			write("dfb_tile_fragments_total", float64(c.TileFragments))
-			write("dfb_fragments_in_flight", float64(c.FragsInFlight))
-			for _, pq := range []struct {
-				q string
-				v float64
-			}{
-				{"0.5", c.FrameP50Millis}, {"0.95", c.FrameP95Millis}, {"0.99", c.FrameP99Millis},
-			} {
-				_, _ = w.Write([]byte("vizsched_frame_latency_seconds{quantile=\"" + pq.q + "\"} "))
-				_, _ = w.Write(appendFloat(nil, pq.v/1e3))
-				_, _ = w.Write([]byte("\n"))
-			}
 		}
 		if a := s.Autoscale; a != nil {
 			write("autoscale_desired_workers", float64(a.DesiredWorkers))

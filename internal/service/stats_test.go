@@ -61,6 +61,11 @@ func TestStatsCountersAndHandler(t *testing.T) {
 		t.Errorf("fragments carried %d of %d frame pixels, want some of %d", s.FragmentPixels, s.FramePixels, 3*2*16*16)
 	}
 
+	// Frame-latency quantiles come from every head, whatever its settings.
+	if s.FrameP50Millis <= 0 || s.FrameP50Millis > s.FrameP95Millis || s.FrameP95Millis > s.FrameP99Millis {
+		t.Errorf("frame latency p50/p95/p99 = %v/%v/%v ms, want positive and ordered", s.FrameP50Millis, s.FrameP95Millis, s.FrameP99Millis)
+	}
+
 	// JSON endpoint.
 	rec := httptest.NewRecorder()
 	cl.Head.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -82,6 +87,9 @@ func TestStatsCountersAndHandler(t *testing.T) {
 		"vizsched_workers 2",
 		"vizsched_frame_pixels_total 1536",
 		fmt.Sprintf("vizsched_fragment_pixels_total %d", s.FragmentPixels),
+		`vizsched_frame_latency_seconds{quantile="0.5"} `,
+		`vizsched_frame_latency_seconds{quantile="0.95"} `,
+		`vizsched_frame_latency_seconds{quantile="0.99"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

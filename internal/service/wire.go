@@ -64,7 +64,6 @@ func (b HelloBody) AppendBody(dst []byte) []byte {
 	dst = transport.AppendInt64(dst, b.MemQuota)
 	dst = transport.AppendInt(dst, b.NodeID)
 	dst = transport.AppendBool(dst, b.Rejoin)
-	dst = transport.AppendInt(dst, b.TileSize)
 	dst = transport.AppendInt(dst, b.Shard)
 	dst = transport.AppendInt(dst, b.Slots)
 	dst = transport.AppendBool(dst, b.Resync)
@@ -81,7 +80,6 @@ func (b *HelloBody) ParseBody(src []byte) error {
 		MemQuota:    r.Int64(),
 		NodeID:      r.Int(),
 		Rejoin:      r.Bool(),
-		TileSize:    r.Int(),
 		Shard:       r.Int(),
 		Slots:       r.Int(),
 		Resync:      r.Bool(),
@@ -186,34 +184,6 @@ func (b *FragmentBody) ParseBody(src []byte) error {
 		Hit:       r.Bool(),
 		ExecNanos: r.Int64(),
 		Evicted:   readChunkRefs(&r),
-	}
-	return r.Done()
-}
-
-// AppendBody implements transport.BodyAppender.
-func (b TileFragBody) AppendBody(dst []byte) []byte {
-	dst = transport.AppendUint64(dst, b.JobID)
-	dst = transport.AppendInt(dst, b.TaskIndex)
-	dst = transport.AppendInt(dst, b.Tile)
-	dst = transport.AppendInt(dst, b.FrameW)
-	dst = transport.AppendInt(dst, b.FrameH)
-	dst = transport.AppendFloat64(dst, b.Depth)
-	dst = transport.AppendInt(dst, b.Codec)
-	return transport.AppendBytes(dst, b.Data)
-}
-
-// ParseBody implements transport.BodyParser. Data aliases src.
-func (b *TileFragBody) ParseBody(src []byte) error {
-	r := transport.NewBodyReader(src)
-	*b = TileFragBody{
-		JobID:     r.Uint64(),
-		TaskIndex: r.Int(),
-		Tile:      r.Int(),
-		FrameW:    r.Int(),
-		FrameH:    r.Int(),
-		Depth:     r.Float64(),
-		Codec:     r.Int(),
-		Data:      r.Bytes(),
 	}
 	return r.Done()
 }

@@ -26,7 +26,7 @@ var sampleRender = RenderBody{
 	Action: 7, Tenant: 3, Key: 0xfeedfacecafebeef,
 }
 
-// wireBodies lists, for each of the nine protocol bodies, a constructor for
+// wireBodies lists, for each of the eight protocol bodies, a constructor for
 // an empty one and a fully populated sample. FuzzBodyDecode selects from it
 // by index, so the order is part of the checked-in corpus.
 var wireBodies = []struct {
@@ -35,7 +35,7 @@ var wireBodies = []struct {
 	sample wireBody
 }{
 	{"hello", func() wireBody { return new(HelloBody) }, &HelloBody{
-		Name: "worker-3", MemQuota: 1 << 33, NodeID: 3, Rejoin: true, TileSize: 64, Shard: -1, Slots: 2, Resync: true,
+		Name: "worker-3", MemQuota: 1 << 33, NodeID: 3, Rejoin: true, Shard: -1, Slots: 2, Resync: true,
 		Cached:      []ChunkRef{{"plume", 0}, {"supernova", 5}},
 		Completed:   []TaskRef{{JobID: 1 << 41, TaskIndex: 2}},
 		Outstanding: []TaskRef{{JobID: 9, TaskIndex: 0}, {JobID: 9, TaskIndex: 1}},
@@ -47,9 +47,6 @@ var wireBodies = []struct {
 	{"fragment", func() wireBody { return new(FragmentBody) }, &FragmentBody{
 		JobID: 12, TaskIndex: 1, X0: 17, Y0: 40, W: 61, H: 33, Codec: CodecFlate, Data: []byte{1, 2, 3, 4, 5},
 		Depth: 2.25, Hit: true, ExecNanos: 4_200_000, Evicted: []ChunkRef{{"plume", 3}},
-	}},
-	{"tile-frag", func() wireBody { return new(TileFragBody) }, &TileFragBody{
-		JobID: 12, TaskIndex: 1, Tile: 5, FrameW: 128, FrameH: 96, Depth: 2.25, Codec: CodecRaw, Data: []byte{9, 9},
 	}},
 	{"prefetch", func() wireBody { return new(PrefetchBody) }, &PrefetchBody{Dataset: "plume", Chunk: 4}},
 	{"prefetch-done", func() wireBody { return new(PrefetchDoneBody) }, &PrefetchDoneBody{
@@ -100,9 +97,22 @@ func TestBodiesRejectTruncationAndTrailingBytes(t *testing.T) {
 	}
 }
 
+// pinnedHello and its bytes, cut where builds before PR 22 carried one more
+// field: the tile edge, a varint between Rejoin and Shard.
+var pinnedHello = HelloBody{
+	Name: "w1", MemQuota: 1 << 30, NodeID: 2, Rejoin: true, Shard: 1, Slots: 2, Resync: true,
+	Cached: []ChunkRef{{"d0", 1}}, Completed: []TaskRef{{JobID: 300, TaskIndex: 2}}, Outstanding: []TaskRef{{JobID: 301}},
+}
+
+const (
+	helloHexHead = "027731" + "8080808008" + "04" + "01" // "w1", 1 GiB, node 2, rejoin
+	helloHexTail = "02" + "04" + "01" +                  // shard 1, 2 slots, resync
+		"01" + "026430" + "02" + "01" + "ac02" + "04" + "01" + "ad02" + "00" // cached d0/1, completed 300/2, outstanding 301/0
+)
+
 // The layouts are a wire contract between builds: these are the exact bytes
-// of one Task and one Fragment. A change here is a protocol change — bump
-// reqVersion (a RenderBody is journaled) and say so in DESIGN.md.
+// of one Hello, one Task and one Fragment. A change here is a protocol change
+// — bump reqVersion (a RenderBody is journaled) and say so in DESIGN.md.
 func TestPinnedWireBytes(t *testing.T) {
 	task := TaskBody{JobID: 300, TaskIndex: 2, Dataset: "d0", Chunk: 2, Render: RenderBody{
 		Dataset: "d0", Angle: 0.5, Elevation: 0.25, Dist: 2.4, Width: 64, Height: 64, Action: 1,
@@ -122,7 +132,7 @@ func TestPinnedWireBytes(t *testing.T) {
 		name string
 		body transport.BodyAppender
 		want string
-	}{{"task", task, taskHex}, {"fragment", frag, fragHex}} {
+	}{{"hello", pinnedHello, helloHexHead + helloHexTail}, {"task", task, taskHex}, {"fragment", frag, fragHex}} {
 		if got := hex.EncodeToString(c.body.AppendBody(nil)); got != c.want {
 			t.Errorf("%s wire bytes changed:\n got  %s\n want %s", c.name, got, c.want)
 		}
@@ -184,9 +194,20 @@ func FuzzBodyDecode(f *testing.F) {
 	} {
 		f.Add(uint8(3), frag.AppendBody(nil))
 	}
+	// Hellos from a build that still sent a tile edge, so that every field
+	// after it is read one place late: pinnedHello with an edge of 64, and
+	// that layout's empty hello, eleven zero bytes.
+	stale, err := hex.DecodeString(helloHexHead + "8001" + helloHexTail)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), stale)
+	f.Add(uint8(0), stale[:len(stale)/2])
+	f.Add(uint8(0), append(bytes.Clone(stale), 0xff))
+	f.Add(uint8(0), make([]byte, 11))
 	// A list count and a string length far beyond the input.
 	f.Add(uint8(0), []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Add(uint8(8), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'})
+	f.Add(uint8(7), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'})
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		b := wireBodies[int(kind)%len(wireBodies)]
 		v := b.empty()

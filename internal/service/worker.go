@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"image"
 	"log"
 	"math/rand"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"vizsched/internal/cache"
-	"vizsched/internal/compositing/dfb"
 	"vizsched/internal/img"
 	"vizsched/internal/raycast"
 	"vizsched/internal/transport"
@@ -61,10 +59,6 @@ type Worker struct {
 	// shard is the shard index from the head's hello ack (§5.11); 0 for a
 	// standalone head, -1 until the ack arrives. Atomic like node.
 	shard atomic.Int64
-	// tileSize is the distributed-framebuffer tile edge from the head's
-	// hello ack; 0 keeps full-frame fragments. Atomic: the serve loop writes
-	// it, the lanes' executors read it.
-	tileSize atomic.Int64
 	// tasks counts executed tasks. Atomic: the executors increment it while
 	// callers poll TasksExecuted.
 	tasks atomic.Int64
@@ -114,9 +108,8 @@ const maxFreeSlabs = 2
 
 // retainedResult is one completed task's replayable output.
 type retainedResult struct {
-	ref   TaskRef
-	frag  FragmentBody
-	tiles []TileFragBody
+	ref  TaskRef
+	frag FragmentBody
 }
 
 // DefaultRetain is the retained-result window when RetainCap is zero.
@@ -320,16 +313,13 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 
 // execute runs one task and builds its fragment: the pixels inside the
 // bounds of what the brick drew, and where in the frame they sit — nothing at
-// all (W = H = 0, no Data) for a brick that drew nothing. When the head
-// enabled distributed-framebuffer compositing (tileSize > 0), the rendered
-// layer is split into per-tile fragments instead and the returned
-// FragmentBody carries only the execution facts; otherwise tiles is nil.
+// all (W = H = 0, no Data) for a brick that drew nothing.
 //
 // A batch task renders in the background: its bands stand aside at every
 // scanline (yield), and the time it reports is its own — the wall time net
 // of the interactive work it stood aside for, which those tasks' fragments
 // have already reported to the head.
-func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
+func (w *Worker) execute(t TaskBody) (FragmentBody, error) {
 	start := time.Now()
 	opt := raycast.Options{
 		Width:    t.Render.Width,
@@ -345,7 +335,7 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	}
 	res, hit, evicted, err := w.loadBrick(t.Dataset, t.Chunk)
 	if err != nil {
-		return FragmentBody{}, nil, err
+		return FragmentBody{}, err
 	}
 	defer w.release(res)
 	cam := raycast.NewCamera(t.Render.Angle, t.Render.Elevation, t.Render.Dist)
@@ -353,7 +343,7 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 	frag := raycast.RenderBrick(res.brick, cam, tf, opt)
 	w.raySamples.Add(frag.Samples)
 	w.raySkipped.Add(frag.Skipped)
-	// Every encode below copies the pixels out, so the rendered layer goes
+	// The encode below copies the pixels out, so the rendered layer goes
 	// back to the free list on the way out.
 	defer img.Put(frag.Image)
 	meta := FragmentBody{
@@ -364,30 +354,10 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		Hit:       hit,
 		Evicted:   evicted,
 	}
-	var tiles []TileFragBody
-	if ts := int(w.tileSize.Load()); ts > 0 {
-		layout := dfb.NewLayout(frag.Image.W, frag.Image.H, ts)
-		tiles = make([]TileFragBody, layout.NumTiles())
-		for tl := range tiles {
-			data, err := encodePixels(frag.Image, image.Rect(layout.Bounds(tl)), w.Codec)
-			if err != nil {
-				return FragmentBody{}, nil, err
-			}
-			tiles[tl] = TileFragBody{
-				JobID:     t.JobID,
-				TaskIndex: t.TaskIndex,
-				Tile:      tl,
-				FrameW:    frag.Image.W,
-				FrameH:    frag.Image.H,
-				Depth:     frag.Depth,
-				Codec:     w.Codec,
-				Data:      data,
-			}
-		}
-	} else if r := frag.Bounds; !r.Empty() {
+	if r := frag.Bounds; !r.Empty() {
 		meta.X0, meta.Y0, meta.W, meta.H = r.Min.X, r.Min.Y, r.Dx(), r.Dy()
 		if meta.Data, err = encodePixels(frag.Image, r, w.Codec); err != nil {
-			return FragmentBody{}, nil, err
+			return FragmentBody{}, err
 		}
 	}
 	exec := time.Since(start)
@@ -395,7 +365,7 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, []TileFragBody, error) {
 		exec = max(exec-(w.fg.clock()-fgBefore), 0)
 	}
 	meta.ExecNanos = exec.Nanoseconds()
-	return meta, tiles, nil
+	return meta, nil
 }
 
 // yield is the hook a background render's bands call after every scanline
@@ -473,8 +443,7 @@ func (w *Worker) retain(r retainedResult) {
 
 // replayRetained re-sends retained results for the tasks the head's resync
 // ack listed as outstanding: completed-but-unacked work delivers without a
-// second render. Tiles go before the execution report, preserving the FIFO
-// contract the reducer relies on.
+// second render.
 func (w *Worker) replayRetained(conn transport.Conn, outstanding []TaskRef) error {
 	want := make(map[TaskRef]struct{}, len(outstanding))
 	for _, ref := range outstanding {
@@ -485,11 +454,6 @@ func (w *Worker) replayRetained(conn transport.Conn, outstanding []TaskRef) erro
 		if _, ok := want[r.ref]; !ok {
 			continue
 		}
-		for t := range r.tiles {
-			if err := send(conn, transport.KindTileFrag, r.ref.JobID, &r.tiles[t]); err != nil {
-				return err
-			}
-		}
 		if err := send(conn, transport.KindFragment, r.ref.JobID, &r.frag); err != nil {
 			return err
 		}
@@ -498,31 +462,17 @@ func (w *Worker) replayRetained(conn transport.Conn, outstanding []TaskRef) erro
 	return nil
 }
 
-// runTask executes one task and ships its output: tile fragments first,
-// then the execution report — the per-task FIFO contract the head's reducer
-// relies on, which holds because one executor sends them all, whatever the
-// other executors send in between. The returned error is a dead connection;
-// execution failures are reported to the head and absorbed.
+// runTask executes one task and ships its fragment. The returned error is
+// a dead connection; execution failures are reported to the head and
+// absorbed.
 func (w *Worker) runTask(conn transport.Conn, msgID uint64, t TaskBody) error {
-	frag, tiles, err := w.execute(t)
+	frag, err := w.execute(t)
 	if err != nil {
 		w.Logf("worker %s: task J%d/T%d failed: %v", w.Name, t.JobID, t.TaskIndex, err)
 		return send(conn, transport.KindError, msgID, ErrorBody{Msg: err.Error()})
 	}
 	w.tasks.Add(1)
-	w.retain(retainedResult{
-		ref:   TaskRef{JobID: t.JobID, TaskIndex: t.TaskIndex},
-		frag:  frag,
-		tiles: tiles,
-	})
-	// Tile fragments go first: the connection preserves send order, so the
-	// head sees every tile before the execution report that completes the
-	// task's accounting.
-	for i := range tiles {
-		if err := send(conn, transport.KindTileFrag, msgID, &tiles[i]); err != nil {
-			return err
-		}
-	}
+	w.retain(retainedResult{ref: TaskRef{JobID: t.JobID, TaskIndex: t.TaskIndex}, frag: frag})
 	return send(conn, transport.KindFragment, msgID, &frag)
 }
 

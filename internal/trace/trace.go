@@ -46,12 +46,6 @@ const (
 	PrefetchHit
 	PrefetchCancel
 	PrefetchWaste
-	// Distributed-framebuffer compositing (§5.9): TileFrag marks one
-	// per-tile fragment folded into the head's reducer, TileDone a tile
-	// finalizing (its expected fragment count met). For both, Task carries
-	// the contributing task index and Level the tile index.
-	TileFrag
-	TileDone
 	// Control-plane chaos (§5.10): HeadFail/HeadRepair bound a head outage
 	// (the interval snapshot+journal recovery spans), NodePartition/NodeHeal
 	// bound a transport partition that isolates a live node from the head —
@@ -97,10 +91,6 @@ func (k Kind) String() string {
 		return "prefetch-cancel"
 	case PrefetchWaste:
 		return "prefetch-waste"
-	case TileFrag:
-		return "tile-frag"
-	case TileDone:
-		return "tile-done"
 	case HeadFail:
 		return "head-fail"
 	case HeadRepair:
@@ -127,8 +117,7 @@ type Event struct {
 	Dur   units.Duration
 	Hit   bool
 	// Tenant identifies the job's tenant for QoS events (zero otherwise);
-	// Level is the degradation-ladder rung carried by Degrade events and
-	// the tile index carried by TileFrag/TileDone events.
+	// Level is the degradation-ladder rung carried by Degrade events.
 	Tenant core.TenantID
 	Level  int
 }

@@ -69,7 +69,7 @@ func TestNetChaosDuplicateAndReorder(t *testing.T) {
 	a, b := Pipe()
 	fi := NewFaultInjector(FaultConfig{Seed: 3, Duplicate: 1})
 	fa := fi.Wrap(a)
-	fa.Send(Message{Kind: KindTileFrag, ID: 1})
+	fa.Send(Message{Kind: KindFragment, ID: 1})
 	got := collect(b, 2)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 1 {
 		t.Fatalf("duplicate not delivered twice: %+v", got)
@@ -81,9 +81,9 @@ func TestNetChaosDuplicateAndReorder(t *testing.T) {
 	a2, b2 := Pipe()
 	fi2 := NewFaultInjector(FaultConfig{Seed: 3, Reorder: 1})
 	fa2 := fi2.Wrap(a2)
-	fa2.Send(Message{Kind: KindTileFrag, ID: 1}) // held
-	fa2.Send(Message{Kind: KindTileFrag, ID: 2}) // ships, then releases 1... but 2 is also held-eligible
-	fa2.Send(Message{Kind: KindTileFrag, ID: 3})
+	fa2.Send(Message{Kind: KindFragment, ID: 1}) // held
+	fa2.Send(Message{Kind: KindFragment, ID: 2}) // ships, then releases 1... but 2 is also held-eligible
+	fa2.Send(Message{Kind: KindFragment, ID: 3})
 	fa2.Close() // flush any held message
 	got2 := collect(b2, 3)
 	if len(got2) != 3 {

@@ -43,12 +43,6 @@ const (
 	// KindPrefetchDone reports a warm's outcome back to the head (payload:
 	// PrefetchDoneBody).
 	KindPrefetchDone
-	// KindTileFrag pushes one renderer's tile fragment to the tile's owner
-	// in the distributed-framebuffer compositing path (payload: a tile
-	// fragment body defined by the sender's layer).
-	KindTileFrag
-	// KindTileDone delivers a finalized tile from its owner to the display.
-	KindTileDone
 )
 
 // String implements fmt.Stringer.
@@ -74,10 +68,6 @@ func (k Kind) String() string {
 		return "prefetch"
 	case KindPrefetchDone:
 		return "prefetch-done"
-	case KindTileFrag:
-		return "tile-frag"
-	case KindTileDone:
-		return "tile-done"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
