@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race node-model worker-lanes cycle-trigger bench fuzz design-metrics check
+.PHONY: all build vet test race node-model worker-lanes cycle-trigger head-loop bench fuzz design-metrics check
 
 all: check
 
@@ -39,6 +39,15 @@ worker-lanes:
 cycle-trigger:
 	$(GO) test -race -count=3 -run 'IdleHead|WaitsForTick|DropStale|OverloadShed' ./...
 
+# The head-loop row of CI's race-suite matrix: the live head driven one
+# step(event) at a time on a settable clock (loop_test.go) — the health
+# ladder, and deadline → backoff → give-up, each pinning its journal — and
+# the keyed batch refusal that must not strand its key. The stepped tests
+# take milliseconds, so twenty rounds under the race detector is what shows
+# they are deterministic.
+head-loop:
+	$(GO) test -race -count=20 -run 'HeadLoop|KeyedBatchRefused' ./...
+
 # Short benchmark smoke: verifies the DES kernel stays allocation-free and
 # the scheduler and renderer benchmarks still run. Not a performance
 # measurement.
@@ -56,13 +65,18 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadGrid -fuzztime 20s ./internal/volume/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
-# non-test Go lines outside bench/, the live head's file and its dispatcher
-# loop, and the extension pairs still rejected as incompatible. CI prints
-# them ungated; a re-anchor reads them here instead of recounting.
+# non-test Go lines outside bench/, the live head's file, the longest
+# function in the live service, what is left of the head loop's closures,
+# callbacks and wall-clock reads, and the extension pairs still rejected as
+# incompatible. CI prints them ungated; a re-anchor reads them here instead
+# of recounting.
 design-metrics:
 	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)"
 	@printf 'internal/service/head.go lines: %s\n' "$$(wc -l < internal/service/head.go)"
-	@printf 'Head.dispatch lines: %s\n' "$$(awk '/^func \(h \*Head\) dispatch\(/{s=NR} s&&/^}/{print NR-s+1; exit}' internal/service/head.go)"
+	@printf 'longest function under internal/service: %s\n' "$$(awk 'FNR==1{s=0} /^func .*[^}]$$/{s=FNR; n=$$0; sub(/^func (\([^)]*\) )?/, "", n); sub(/[\[(].*/, "", n)} s&&/^}/{print FNR-s+1, n, "(" FILENAME ")"; s=0}' $$(ls internal/service/*.go | grep -v _test.go) | sort -rn | head -1)"
+	@printf 'closures assigned in head.go + loop.go: %s\n' "$$(cat internal/service/head.go internal/service/loop.go | grep -cE '^\s+\w+ := func\(')"
+	@printf "lines carrying 'func(' in autoscale.go: %s\n" "$$(grep -c 'func(' internal/service/autoscale.go)"
+	@printf 'head-side wall-clock reads: %s\n' "$$(cd internal/service && cat head.go loop.go recovery.go autoscale.go fracstats.go stats.go multihead.go | grep -cE 'time\.(Now|Since)\b')"
 	@printf 'incompatible guards: %s\n' "$$(grep -rn 'incompatible' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)"
 
 check: vet build test race

@@ -39,7 +39,7 @@ import (
 
 // liveScaler is the dispatcher-side drain/scale machinery around the policy.
 type liveScaler struct {
-	h   *Head
+	l   *headLoop
 	pol *autoscale.Policy
 
 	lastEval units.Time
@@ -62,8 +62,9 @@ type liveScaler struct {
 }
 
 // newLiveScaler normalizes the config against the registered fleet and
-// seeds the desired-workers gauge. Called from the dispatcher at startup.
-func (h *Head) newLiveScaler() *liveScaler {
+// seeds the desired-workers gauge.
+func newLiveScaler(l *headLoop) *liveScaler {
+	h := l.h
 	cfg := *h.Autoscale
 	n := len(h.workers)
 	if cfg.MaxNodes <= 0 || cfg.MaxNodes > n {
@@ -72,7 +73,7 @@ func (h *Head) newLiveScaler() *liveScaler {
 	if cfg.MinNodes > cfg.MaxNodes {
 		cfg.MinNodes = cfg.MaxNodes
 	}
-	s := &liveScaler{h: h, pol: autoscale.NewPolicy(&cfg), draining: -1, desired: n,
+	s := &liveScaler{l: l, pol: autoscale.NewPolicy(&cfg), draining: -1, desired: n,
 		warming: make(map[core.NodeID]time.Time)}
 	h.stats.desiredWorkers.Store(int64(n))
 	return s
@@ -80,19 +81,18 @@ func (h *Head) newLiveScaler() *liveScaler {
 
 // tick runs once per dispatcher health-check: advance any drain in flight,
 // and — at the policy's own interval — sample the signals and act.
-func (s *liveScaler) tick(inflight map[core.JobID]*liveJob, queueLen func() int,
-	migrate func(*liveJob, int), sendPrefetches func([]core.PrefetchDirective), runSched func()) {
-	h := s.h
+func (s *liveScaler) tick() {
+	h := s.l.h
 	if s.draining >= 0 {
-		s.advance(inflight, sendPrefetches)
+		s.advance()
 	}
-	s.pumpWarmup(sendPrefetches)
+	s.pumpWarmup()
 	now := h.now()
 	if now.Sub(s.lastEval) < s.pol.Config().Interval {
 		return
 	}
 	s.lastEval = now
-	switch s.pol.Evaluate(now, s.signals(queueLen)) {
+	switch s.pol.Evaluate(now, s.signals()) {
 	case autoscale.ScaleUp:
 		if s.desired < s.pol.Config().MaxNodes {
 			s.desired++
@@ -100,7 +100,7 @@ func (s *liveScaler) tick(inflight map[core.JobID]*liveJob, queueLen func() int,
 			h.Logf("head: autoscale wants %d workers; bring-up rides the rejoin path", s.desired)
 		}
 	case autoscale.Drain:
-		s.begin(inflight, migrate, sendPrefetches, runSched)
+		s.begin()
 	}
 }
 
@@ -108,14 +108,14 @@ func (s *liveScaler) tick(inflight map[core.JobID]*liveJob, queueLen func() int,
 // (re)joined through the rejoin path — the live half of pre-warmed node
 // bring-up. Dispatcher goroutine only.
 func (s *liveScaler) noteBringup(k core.NodeID) {
-	s.warming[k] = time.Now().Add(s.pol.Config().Warmup.Std())
+	s.warming[k] = s.l.h.wall().Add(s.pol.Config().Warmup.Std())
 }
 
 // pumpWarmup offers one governed bring-up warm per warming worker per tick,
 // copying the predictor's hottest chunks onto nodes inside their warm-up
 // window so they take interactive work warm instead of paying demand misses.
-func (s *liveScaler) pumpWarmup(sendPrefetches func([]core.PrefetchDirective)) {
-	h := s.h
+func (s *liveScaler) pumpWarmup() {
+	h := s.l.h
 	if h.prefc == nil || len(s.warming) == 0 {
 		return
 	}
@@ -126,21 +126,21 @@ func (s *liveScaler) pumpWarmup(sendPrefetches func([]core.PrefetchDirective)) {
 	slices.Sort(nodes)
 	now := h.now()
 	for _, k := range nodes {
-		if time.Now().After(s.warming[k]) || h.state.Health(k) != core.HealthUp {
+		if h.wall().After(s.warming[k]) || h.state.Health(k) != core.HealthUp {
 			delete(s.warming, k)
 			continue
 		}
 		if d, ok := h.prefc.Warmup(now, k, h.state); ok {
 			h.stats.bringupWarms.Add(1)
-			sendPrefetches([]core.PrefetchDirective{d})
+			s.l.sendPrefetches([]core.PrefetchDirective{d})
 		}
 	}
 }
 
 // signals samples the policy inputs from dispatcher-owned tables.
-func (s *liveScaler) signals(queueLen func() int) autoscale.Signals {
-	h := s.h
-	sig := autoscale.Signals{QueueDepth: queueLen(), MinHeadroom: 1}
+func (s *liveScaler) signals() autoscale.Signals {
+	h := s.l.h
+	sig := autoscale.Signals{QueueDepth: len(s.l.queue), MinHeadroom: 1}
 	for k := range h.healthView {
 		switch h.state.Health(core.NodeID(k)) {
 		case core.HealthUp, core.HealthSuspect:
@@ -174,17 +174,8 @@ func (s *liveScaler) signals(queueLen func() int) autoscale.Signals {
 }
 
 // begin picks a victim and starts its graceful exit.
-func (s *liveScaler) begin(inflight map[core.JobID]*liveJob,
-	migrate func(*liveJob, int), sendPrefetches func([]core.PrefetchDirective), runSched func()) {
-	h := s.h
-	busy := make(map[core.NodeID]bool)
-	for _, lj := range inflight {
-		for i := range lj.job.Tasks {
-			if lj.job.Tasks[i].Assigned && lj.frags[i] == nil {
-				busy[lj.nodes[i]] = true
-			}
-		}
-	}
+func (s *liveScaler) begin() {
+	h := s.l.h
 	var cands []autoscale.Candidate
 	for k := range h.healthView {
 		node := core.NodeID(k)
@@ -193,7 +184,7 @@ func (s *liveScaler) begin(inflight map[core.JobID]*liveJob,
 		}
 		cands = append(cands, autoscale.Candidate{
 			ID:           node,
-			Busy:         busy[node],
+			Busy:         len(s.l.outstanding(node)) > 0,
 			HomePressure: h.state.Pressure(node),
 			CacheBytes:   h.state.Caches[k].Used(),
 		})
@@ -204,7 +195,7 @@ func (s *liveScaler) begin(inflight map[core.JobID]*liveJob,
 	}
 	h.healthView[victim].Store(int32(core.HealthDraining))
 	s.draining = victim
-	s.drainStart = time.Now()
+	s.drainStart = h.wall()
 	h.stats.drains.Add(1)
 	if h.prefc != nil {
 		// Abandon any warm the victim had in flight; its cache has no future.
@@ -215,34 +206,28 @@ func (s *liveScaler) begin(inflight map[core.JobID]*liveJob,
 	// left to finish — they are latency-critical and nearly done. A late
 	// completion from the victim is absorbed by the first-report-wins dedup.
 	migrated := 0
-	for _, lj := range inflight {
-		if lj.job.Class != core.Batch {
-			continue
-		}
-		for i := range lj.job.Tasks {
-			t := &lj.job.Tasks[i]
-			if t.Assigned && lj.frags[i] == nil && lj.nodes[i] == victim {
-				migrate(lj, i)
-				migrated++
-			}
+	for _, t := range s.l.outstanding(victim) {
+		if t.lj.job.Class == core.Batch {
+			s.l.requeue(t.lj, t.i, &h.stats.tasksMigrated)
+			migrated++
 		}
 	}
 	s.drainPending = h.state.DrainOrphans(victim)
 	h.Logf("head: draining node %d (migrated %d batch tasks, %d orphan chunks to evacuate)",
 		victim, migrated, len(s.drainPending))
-	s.pump(sendPrefetches)
+	s.pump()
 	if migrated > 0 {
-		runSched()
+		s.l.schedule()
 	}
 }
 
 // pump drops pending orphans that have landed on a survivor and offers the
 // rest to the prefetch governor for evacuation warming.
-func (s *liveScaler) pump(sendPrefetches func([]core.PrefetchDirective)) {
+func (s *liveScaler) pump() {
 	if len(s.drainPending) == 0 {
 		return
 	}
-	h := s.h
+	h := s.l.h
 	live := s.drainPending[:0]
 	for _, c := range s.drainPending {
 		if h.state.ReplicaCount(c) == 0 {
@@ -255,13 +240,13 @@ func (s *liveScaler) pump(sendPrefetches func([]core.PrefetchDirective)) {
 	}
 	ds := h.prefc.Evacuate(h.now(), s.drainPending, h.state, s.draining)
 	h.stats.orphanWarms.Add(int64(len(ds)))
-	sendPrefetches(ds)
+	s.l.sendPrefetches(ds)
 }
 
 // advance progresses the drain in flight and completes it once the victim
 // is idle and its working set is safe (or MaxDrain expired).
-func (s *liveScaler) advance(inflight map[core.JobID]*liveJob, sendPrefetches func([]core.PrefetchDirective)) {
-	h := s.h
+func (s *liveScaler) advance() {
+	h := s.l.h
 	if h.state.Health(s.draining) != core.HealthDraining {
 		// The victim crashed (or went silent) mid-drain: nodeDown's crash
 		// path has taken over — MarkFailed, redispatch, Recovery accounting.
@@ -269,20 +254,9 @@ func (s *liveScaler) advance(inflight map[core.JobID]*liveJob, sendPrefetches fu
 		s.drainPending = nil
 		return
 	}
-	s.pump(sendPrefetches)
-	idle := true
-	for _, lj := range inflight {
-		for i := range lj.job.Tasks {
-			if lj.job.Tasks[i].Assigned && lj.frags[i] == nil && lj.nodes[i] == s.draining {
-				idle = false
-				break
-			}
-		}
-		if !idle {
-			break
-		}
-	}
-	expired := time.Since(s.drainStart) >= s.pol.Config().MaxDrain.Std()
+	s.pump()
+	idle := len(s.l.outstanding(s.draining)) == 0
+	expired := h.wall().Sub(s.drainStart) >= s.pol.Config().MaxDrain.Std()
 	if (idle && len(s.drainPending) == 0) || expired {
 		s.finish()
 	}
@@ -292,7 +266,7 @@ func (s *liveScaler) advance(inflight map[core.JobID]*liveJob, sendPrefetches fu
 // the worker with a clean Shutdown — the voluntary exit that never touches
 // workersDown, the MTTR accumulators, or the re-seed counters.
 func (s *liveScaler) finish() {
-	h := s.h
+	h := s.l.h
 	victim := s.draining
 	now := h.now()
 	// One KindRehome record: a standby's replay runs MarkFailed, which
@@ -323,5 +297,5 @@ func (s *liveScaler) finish() {
 	h.stats.desiredWorkers.Store(int64(s.desired))
 	h.stats.drainsCompleted.Add(1)
 	h.Logf("head: node %d drained in %v (%d chunks re-homed, %d orphaned)",
-		victim, time.Since(s.drainStart).Round(time.Millisecond), rep.Rehomed, len(orphans))
+		victim, h.wall().Sub(s.drainStart).Round(time.Millisecond), rep.Rehomed, len(orphans))
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vizsched/internal/core"
+	"vizsched/internal/fracshare"
 	"vizsched/internal/hastate"
 	"vizsched/internal/journal"
 	"vizsched/internal/transport"
@@ -466,6 +467,7 @@ func TestFailoverServeLoopResyncsToStandby(t *testing.T) {
 	}
 	standby := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, model)
 	quietHead(standby)
+	standby.FracShare = &fracshare.Config{Slots: 3}
 	if err := standby.StartRecovered(st); err != nil {
 		t.Fatal(err)
 	}
@@ -488,6 +490,11 @@ func TestFailoverServeLoopResyncsToStandby(t *testing.T) {
 	defer client2.Close()
 	if _, err := client2.Render(RenderBody{Dataset: "plume", Angle: 0.3, Dist: 2.4, Width: 24, Height: 24}); err != nil {
 		t.Fatalf("render via resynced ServeLoop worker: %v", err)
+	}
+	// The rejoin ack told the worker to run 3 executors a lane; the head
+	// that said so keeps the busy-share account for them.
+	if fs := standby.Stats().FracShare; fs == nil || fs.Slots != 3 {
+		t.Errorf("recovered head's FracShare snapshot = %+v, want Slots 3", fs)
 	}
 	standby.Stop()
 	select {

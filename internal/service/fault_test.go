@@ -292,6 +292,42 @@ func TestOverloadShedFailsStaleInteractive(t *testing.T) {
 	}
 }
 
+// TestKeyedBatchRefusedThenRetried: a batch job refused at the queue bound
+// must not keep its idempotency key. With one frame on the node and one
+// queued (MaxQueue = 1), a keyed batch job is refused; the client's retry
+// under the same key is a new job — refused again or rendered, but answered —
+// not a re-attachment to the job that was never admitted.
+func TestKeyedBatchRefusedThenRetried(t *testing.T) {
+	cl, err := StartClusterWith(watched(hour, true), testCatalog(t, 2), 1, 64*units.MB, func(h *Head) { h.MaxQueue = 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	client := cl.Connect()
+	defer client.Close()
+
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+	for f := 0; f < 2; f++ { // the first takes the node, the second waits for the tick
+		frame.Angle = 0.5 * float64(f)
+		if _, err := client.RenderAsync(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Batch: true, Key: 77}
+	for _, try := range []string{"keyed batch at the bound", "its retry under the same key"} {
+		ch, err := client.RenderAsync(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := within(t, ch, 3*time.Second, try); out.Err == nil || !strings.Contains(out.Err.Error(), "overloaded") {
+			t.Errorf("%s: err = %v, want an overloaded refusal", try, out.Err)
+		}
+	}
+	if s := cl.Head.Stats(); s.JobsReattached != 0 || s.JobsShed != 2 {
+		t.Errorf("JobsReattached = %d, JobsShed = %d, want 0 and 2: a refused job has nothing to re-attach to", s.JobsReattached, s.JobsShed)
+	}
+}
+
 // TestWorkerRejoinRejectedWhileUp: a rejoin hello for a live slot must be
 // refused, not allowed to hijack the connection.
 func TestWorkerRejoinRejectedWhileUp(t *testing.T) {

@@ -138,26 +138,27 @@ func TestFracShareOffByDefault(t *testing.T) {
 // with 2 of K=2 slots busy integrates at full share, releases clamp at
 // zero, and quantiles appear once sampled.
 func TestFracTrackerAccounting(t *testing.T) {
-	tr := newFracTracker(2, 2)
-	tr.noteDispatch(0)
-	tr.noteDispatch(0)
-	tr.noteDispatch(0) // over-subscribed: share clamps at 1
-	time.Sleep(5 * time.Millisecond)
-	tr.sample()
-	tr.noteDone(0, true)
-	tr.noteDone(0, true)
-	tr.noteDone(0, false) // a release, not a completion
-	tr.noteDone(0, false) // straggler: clamped, never negative
-	tr.noteDone(-1, true) // out of range: ignored
-	s := tr.snapshot()
+	t0 := time.Unix(0, 0)
+	tr := newFracTracker(2, 2, t0)
+	tr.noteDispatch(0, t0)
+	tr.noteDispatch(0, t0)
+	tr.noteDispatch(0, t0) // over-subscribed: share clamps at 1
+	t1 := t0.Add(5 * time.Millisecond)
+	tr.sample(t1)
+	tr.noteDone(0, true, t1)
+	tr.noteDone(0, true, t1)
+	tr.noteDone(0, false, t1) // a release, not a completion
+	tr.noteDone(0, false, t1) // straggler: clamped, never negative
+	tr.noteDone(-1, true, t1) // out of range: ignored
+	s := tr.snapshot(t0.Add(10 * time.Millisecond))
 	if s.Slots != 2 || s.TasksDispatched != 3 || s.TasksCompleted != 2 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	if s.NodeInFlight[0] != 0 || s.NodeInFlight[1] != 0 {
 		t.Errorf("in-flight = %v, want zeros", s.NodeInFlight)
 	}
-	if s.NodeBusyPct[0] <= 0 {
-		t.Error("node 0 accumulated no busy share")
+	if s.NodeBusyPct[0] != 50 {
+		t.Errorf("node 0 busy = %v%%, want 50: full share for 5 of 10 ms", s.NodeBusyPct[0])
 	}
 	if s.NodeBusyPct[1] != 0 {
 		t.Errorf("idle node 1 busy = %v", s.NodeBusyPct[1])

@@ -11,7 +11,8 @@ import (
 // dispatcher notes every task handoff and completion; between transitions a
 // node's busy share is the piecewise-constant min(in-flight, K)/K, so the
 // per-node integral accumulates exactly like the simulator's meter does on
-// virtual time. A periodic sample of the cluster-mean share feeds a fixed
+// virtual time. Every instant comes from the caller, who reads the head's
+// clock. A periodic sample of the cluster-mean share feeds a fixed
 // ring for quantiles, mirroring the frame-latency ring.
 type fracTracker struct {
 	mu         sync.Mutex
@@ -26,8 +27,7 @@ type fracTracker struct {
 	ring shareRing
 }
 
-func newFracTracker(nodes, slots int) *fracTracker {
-	now := time.Now()
+func newFracTracker(nodes, slots int, now time.Time) *fracTracker {
 	t := &fracTracker{
 		slots:    slots,
 		inflight: make([]int, nodes),
@@ -58,14 +58,14 @@ func (t *fracTracker) fold(k int, now time.Time) {
 	}
 }
 
-// noteDispatch records a task handed to node k.
-func (t *fracTracker) noteDispatch(k int) {
+// noteDispatch records a task handed to node k at now.
+func (t *fracTracker) noteDispatch(k int, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if k < 0 || k >= len(t.inflight) {
 		return
 	}
-	t.fold(k, time.Now())
+	t.fold(k, now)
 	t.inflight[k]++
 	t.dispatched++
 }
@@ -74,13 +74,13 @@ func (t *fracTracker) noteDispatch(k int) {
 // release/migration returning it to the queue. Clamped at zero: a straggler
 // fragment arriving after its task was presumed lost and released decrements
 // only once.
-func (t *fracTracker) noteDone(k int, completed bool) {
+func (t *fracTracker) noteDone(k int, completed bool, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if k < 0 || k >= len(t.inflight) {
 		return
 	}
-	t.fold(k, time.Now())
+	t.fold(k, now)
 	if t.inflight[k] > 0 {
 		t.inflight[k]--
 	}
@@ -91,9 +91,8 @@ func (t *fracTracker) noteDone(k int, completed bool) {
 
 // sample pushes the cluster-mean busy share into the quantile ring; the
 // dispatcher calls it on the health-check tick.
-func (t *fracTracker) sample() {
+func (t *fracTracker) sample(now time.Time) {
 	t.mu.Lock()
-	now := time.Now()
 	var sum float64
 	for k := range t.inflight {
 		t.fold(k, now)
@@ -105,9 +104,8 @@ func (t *fracTracker) sample() {
 }
 
 // snapshot builds the exported view.
-func (t *fracTracker) snapshot() *FracShareSnapshot {
+func (t *fracTracker) snapshot(now time.Time) *FracShareSnapshot {
 	t.mu.Lock()
-	now := time.Now()
 	s := &FracShareSnapshot{
 		Slots:           t.slots,
 		TasksDispatched: t.dispatched,

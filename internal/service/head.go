@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"vizsched/internal/autoscale"
-	"vizsched/internal/cache"
 	"vizsched/internal/compositing"
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
@@ -69,11 +68,6 @@ type workerEvent struct {
 	err  error
 }
 
-// clientEvent is a job arrival from a client connection.
-type clientEvent struct {
-	lj *liveJob
-}
-
 // rejoinEvent asks the dispatcher to restore a down node's slot with a
 // fresh connection.
 type rejoinEvent struct {
@@ -119,8 +113,9 @@ func (s *sender) Close() { s.queue.close() }
 
 // Head is the master node: it owns the job queue, the scheduler and its
 // prediction tables, and the worker connections. One dispatcher goroutine
-// owns all mutable state; listening goroutines feed it through channels —
-// the listening/dispatching thread pair of the paper's design (§III-A).
+// owns all mutable state (headLoop, loop.go); listening goroutines feed it
+// through channels — the listening/dispatching thread pair of the paper's
+// design (§III-A).
 type Head struct {
 	sched    core.Scheduler
 	state    *core.HeadState
@@ -146,7 +141,7 @@ type Head struct {
 	downAt     []time.Time
 	healthView []atomic.Int32
 
-	jobCh    chan clientEvent
+	jobCh    chan *liveJob
 	workCh   chan workerEvent
 	rejoinCh chan rejoinEvent
 	stopCh   chan struct{}
@@ -158,6 +153,7 @@ type Head struct {
 
 	stats headStats
 	rng   *rand.Rand
+	clock func() time.Time // the wall clock, except in tests that drive step
 
 	// DropStale, when set before Start, supersedes queued-but-undispatched
 	// interactive frames when a newer frame of the same action arrives —
@@ -227,18 +223,14 @@ type Head struct {
 	// crash may lose. Nil disables journaling exactly.
 	Journal *journal.Writer
 
-	// Failover machinery (§5.10). recovered/recoveredQueue carry jobs
-	// rebuilt by StartRecovered until the dispatcher adopts them. byKey is
-	// the idempotency-key index over in-flight jobs and retained/
-	// retainedOrder hold delivered results for client re-attach; all three
-	// are mu-guarded so finalize can atomically move a key from byKey to
-	// retained while the dispatcher admits — a re-submission always sees
-	// exactly one of the two and never re-renders.
-	recovered      []*liveJob
-	recoveredQueue []*liveJob
-	byKey          map[uint64]*liveJob
-	retained       map[uint64]ResultBody
-	retainedOrder  []uint64
+	// Failover machinery (§5.10). byKey is the idempotency-key index over
+	// in-flight jobs and retained/retainedOrder hold delivered results for
+	// client re-attach; all three are mu-guarded so finalize can atomically
+	// move a key from byKey to retained while the dispatcher admits — a
+	// re-submission always sees exactly one of the two and never re-renders.
+	byKey         map[uint64]*liveJob
+	retained      map[uint64]ResultBody
+	retainedOrder []uint64
 
 	snapCh    chan snapRequest
 	crashCh   chan struct{}
@@ -309,7 +301,7 @@ func NewHead(sched core.Scheduler, catalog *Catalog, memQuota units.Bytes, model
 		model:    model,
 		dsIDs:    make(map[string]volume.DatasetID),
 		dsNames:  make(map[volume.DatasetID]string),
-		jobCh:    make(chan clientEvent, 64),
+		jobCh:    make(chan *liveJob, 64),
 		workCh:   make(chan workerEvent, 256),
 		rejoinCh: make(chan rejoinEvent, 4),
 		stopCh:   make(chan struct{}),
@@ -319,6 +311,7 @@ func NewHead(sched core.Scheduler, catalog *Catalog, memQuota units.Bytes, model
 		byKey:    make(map[uint64]*liveJob),
 		retained: make(map[uint64]ResultBody),
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
+		clock:    time.Now,
 		Logf:     log.Printf,
 
 		DeadlineFactor: 4,
@@ -345,20 +338,26 @@ func (h *Head) AddWorker(conn transport.Conn) error {
 	if h.started {
 		return fmt.Errorf("service: AddWorker after Start")
 	}
-	msg, err := conn.Recv()
-	if err != nil {
-		return fmt.Errorf("service: worker hello: %w", err)
-	}
-	if msg.Kind != transport.KindHello {
-		return fmt.Errorf("service: expected hello, got %v", msg.Kind)
-	}
-	var hello HelloBody
-	if err := transport.Decode(msg.Body, &hello); err != nil {
+	if _, err := recvHello(conn, "worker hello"); err != nil {
 		return err
 	}
 	node := len(h.workers)
 	h.workers = append(h.workers, conn)
 	return send(conn, transport.KindHello, 0, HelloBody{NodeID: node, Shard: h.ShardID, Slots: h.fracSlots()})
+}
+
+// recvHello reads the hello a worker opens its connection with; what names
+// the handshake in the error.
+func recvHello(conn transport.Conn, what string) (HelloBody, error) {
+	var hello HelloBody
+	msg, err := conn.Recv()
+	if err != nil {
+		return hello, fmt.Errorf("service: %s: %w", what, err)
+	}
+	if msg.Kind != transport.KindHello {
+		return hello, fmt.Errorf("service: expected hello, got %v", msg.Kind)
+	}
+	return hello, transport.Decode(msg.Body, &hello)
 }
 
 // fracSlots returns the fractional slot count workers must run with, or 0
@@ -378,15 +377,8 @@ func (h *Head) Rejoin(conn transport.Conn) error {
 	if !h.started {
 		return fmt.Errorf("service: Rejoin before Start")
 	}
-	msg, err := conn.Recv()
+	hello, err := recvHello(conn, "rejoin hello")
 	if err != nil {
-		return fmt.Errorf("service: rejoin hello: %w", err)
-	}
-	if msg.Kind != transport.KindHello {
-		return fmt.Errorf("service: expected hello, got %v", msg.Kind)
-	}
-	var hello HelloBody
-	if err := transport.Decode(msg.Body, &hello); err != nil {
 		return err
 	}
 	return h.rejoinDecoded(conn, hello)
@@ -415,8 +407,20 @@ func (h *Head) rejoinDecoded(conn transport.Conn, hello HelloBody) error {
 // Start launches the dispatcher and worker readers. At least one worker
 // must have been added.
 func (h *Head) Start() error {
+	l, err := h.boot()
+	if err != nil {
+		return err
+	}
+	go l.run()
+	return nil
+}
+
+// boot is Start up to the dispatcher goroutine: tables, extensions and one
+// sender and reader per worker, and the loop state for run — or, in a test,
+// for whoever calls step.
+func (h *Head) boot() (*headLoop, error) {
 	if len(h.workers) == 0 {
-		return fmt.Errorf("service: no workers")
+		return nil, fmt.Errorf("service: no workers")
 	}
 	n := len(h.workers)
 	h.state = core.NewHeadState(n, h.memQuota, h.model)
@@ -425,6 +429,27 @@ func (h *Head) Start() error {
 	}
 	if h.Replicas > 1 {
 		h.state.SetReplication(h.Replicas)
+	}
+	h.start = h.wall()
+	h.wireExtensions(n)
+	h.started = true
+	h.gens = make([]uint64, n)
+	h.lastBeat = make([]time.Time, n)
+	h.downAt = make([]time.Time, n)
+	h.healthView = make([]atomic.Int32, n)
+	for i, conn := range h.workers {
+		h.lastBeat[i] = h.start
+		h.senders = append(h.senders, h.attach(core.NodeID(i), 0, conn))
+	}
+	return newHeadLoop(h), nil
+}
+
+// wireExtensions builds the optional layers' controllers for an n-worker
+// fleet, on fresh tables and recovered ones alike: the scheduler's replica
+// knob (§5.6), QoS (§5.7), prefetch (§5.8) and the fractional-share account
+// (§5.13). h.start must be set.
+func (h *Head) wireExtensions(n int) {
+	if h.Replicas > 1 {
 		if rs, ok := h.sched.(core.ReplicaSetter); ok {
 			rs.SetReplicas(h.Replicas)
 		}
@@ -444,29 +469,13 @@ func (h *Head) Start() error {
 		}
 	}
 	if h.FracShare != nil {
-		h.frac = newFracTracker(n, h.fracSlots())
+		h.frac = newFracTracker(n, h.fracSlots(), h.start)
 	}
-	h.start = time.Now()
-	h.started = true
-	h.gens = make([]uint64, n)
-	h.lastBeat = make([]time.Time, n)
-	h.downAt = make([]time.Time, n)
-	h.healthView = make([]atomic.Int32, n)
-	for i, conn := range h.workers {
-		node := core.NodeID(i)
-		h.lastBeat[i] = h.start
-		h.senders = append(h.senders, newSender(conn, func(err error) {
-			h.workCh <- workerEvent{node: node, err: err}
-		}))
-		h.readWorker(node, 0, conn)
-	}
-	go h.dispatch()
-	return nil
 }
 
-// readWorker spawns the reader goroutine for one incarnation of a worker
-// connection.
-func (h *Head) readWorker(node core.NodeID, gen uint64, conn transport.Conn) {
+// attach starts the reader and the writer of one incarnation of node's
+// connection, both feeding the dispatcher events stamped with gen.
+func (h *Head) attach(node core.NodeID, gen uint64, conn transport.Conn) *sender {
 	go func() {
 		for {
 			msg, err := conn.Recv()
@@ -477,6 +486,9 @@ func (h *Head) readWorker(node core.NodeID, gen uint64, conn transport.Conn) {
 			h.workCh <- workerEvent{node: node, gen: gen, msg: msg}
 		}
 	}()
+	return newSender(conn, func(err error) {
+		h.workCh <- workerEvent{node: node, gen: gen, err: err}
+	})
 }
 
 // Stop shuts the service down and waits for the dispatcher to exit. A head
@@ -489,8 +501,13 @@ func (h *Head) Stop() {
 	<-h.doneCh
 }
 
+// wall reads the head's clock. Everything head-side that asks what time it
+// is asks here (or now), so a test that sets the clock owns the head's time;
+// workers time real ray-casts and read the wall clock themselves.
+func (h *Head) wall() time.Time { return h.clock() }
+
 // now returns service-relative time for the scheduler's tables.
-func (h *Head) now() units.Time { return units.Time(time.Since(h.start)) }
+func (h *Head) now() units.Time { return units.Time(h.wall().Sub(h.start)) }
 
 // chunkSize resolves a scheduler chunk ID to its manifest byte size; zero
 // for chunks the predictor extrapolated past a dataset edge.
@@ -538,801 +555,6 @@ func (h *Head) taskDeadline(t *core.Task) time.Duration {
 		d = h.MinDeadline
 	}
 	return d
-}
-
-// arrivalCycle runs a scheduling pass for the job just admitted when it need
-// not wait for the ω tick (DESIGN.md §5.19): always under an OnArrival
-// scheduler; under a Periodic one only when the job is interactive, nothing
-// is waiting ahead of it (ahead counts the working queue and, with QoS on,
-// the fair queue) and some alive node is predicted idle. Batch work is
-// deferred by design, a waiting job means a loaded head whose tick batches,
-// supersedes and sheds arrivals together, and with every node busy an early
-// pass would only lengthen a node's queue. The ticker is left alone: a job
-// that does not qualify is scheduled exactly when it always was.
-func (h *Head) arrivalCycle(lj *liveJob, ahead int, runSched func()) {
-	if h.sched.Trigger() == core.OnArrival {
-		runSched()
-		return
-	}
-	if lj.job.Class == core.Interactive && ahead == 0 && h.state.AnyIdle(h.now()) {
-		runSched()
-		h.stats.earlyCycles.Add(1)
-	}
-}
-
-// dispatch is the single goroutine owning the queue, tables, and in-flight
-// job state. A Periodic scheduler's passes start at the ω tick, and — so
-// that an interactive frame arriving at an idle head is not made to wait out
-// the rest of a cycle — at the arrivals arrivalCycle admits.
-func (h *Head) dispatch() {
-	defer close(h.doneCh)
-	queue := make([]*liveJob, 0, 64)
-	inflight := make(map[core.JobID]*liveJob)
-
-	// A recovered head (StartRecovered) arrives with replayed jobs: adopt
-	// them before the first event so completions and resyncs find them.
-	for _, lj := range h.recovered {
-		inflight[lj.job.ID] = lj
-	}
-	queue = append(queue, h.recoveredQueue...)
-	h.recovered, h.recoveredQueue = nil, nil
-
-	cycle := h.sched.Cycle()
-	var tick <-chan time.Time
-	if h.sched.Trigger() == core.Periodic {
-		t := time.NewTicker(cycle.Std())
-		defer t.Stop()
-		tick = t.C
-	}
-	checkEvery := h.CheckInterval
-	if checkEvery <= 0 {
-		checkEvery = 50 * time.Millisecond
-	}
-	check := time.NewTicker(checkEvery)
-	defer check.Stop()
-
-	var scaler *liveScaler
-	if h.Autoscale != nil {
-		scaler = h.newLiveScaler()
-	}
-
-	// sendPrefetches ships warm directives to their workers. A failed send
-	// is left to the connection reader: the node-down path abandons the
-	// controller's in-flight record along with everything else.
-	sendPrefetches := func(ds []core.PrefetchDirective) {
-		for _, d := range ds {
-			h.stats.prefetchIssued.Add(1)
-			h.stats.prefetchBytes.Add(int64(d.Size))
-			raw, err := transport.Encode(PrefetchBody{Dataset: h.dsNames[d.Chunk.Dataset], Chunk: d.Chunk.Index})
-			if err != nil {
-				h.Logf("head: encoding prefetch: %v", err)
-				continue
-			}
-			if err := h.senders[d.Node].Send(transport.Message{Kind: transport.KindPrefetch, Body: raw}); err != nil {
-				h.Logf("head: prefetch send to node %d failed: %v", d.Node, err)
-			}
-		}
-	}
-	pcycle := cycle
-	if pcycle <= 0 {
-		pcycle = core.DefaultCycle
-	}
-
-	var jobs []*core.Job // runSched's scratch: the queued jobs with work left
-	runSched := func() {
-		if h.qosc != nil {
-			// Refill the working window from the fair queue: every queued
-			// interactive frame (one per tenant per round), then batch jobs by
-			// deficit round robin up to the window. Popped jobs whose liveJob
-			// is gone (failed or shed meanwhile) are dropped silently.
-			popped := h.qosc.PopInteractive(nil)
-			bw := h.BatchWindow
-			if bw <= 0 {
-				bw = 256
-			}
-			batchHere := 0
-			for _, lj := range queue {
-				if lj.job.Class == core.Batch {
-					batchHere++
-				}
-			}
-			if batchHere < bw {
-				popped = h.qosc.PopBatch(popped, bw-batchHere)
-			}
-			for _, j := range popped {
-				if lj := inflight[j.ID]; lj != nil {
-					queue = append(queue, lj)
-				}
-			}
-		}
-		if len(queue) == 0 {
-			// A truly idle cycle still warms: the in-Schedule planner only
-			// runs when there is demand work to schedule around.
-			if h.prefc != nil {
-				sendPrefetches(h.prefc.Plan(h.now(), h.now().Add(pcycle), h.state))
-			}
-			return
-		}
-		jobs = jobs[:0]
-		for _, lj := range queue {
-			if lj.job.Remaining > 0 {
-				jobs = append(jobs, lj.job)
-			}
-		}
-		if len(jobs) > 0 {
-			h.stats.schedCycles.Add(1)
-			// One clock read for the pass: every CommitAssign inside Schedule
-			// and every journaled dispatch record must carry the same instant,
-			// or replay could not reproduce the tables.
-			now := h.now()
-			assignments := h.sched.Schedule(now, jobs, h.state)
-			for _, a := range assignments {
-				lj := inflight[a.Task.Job.ID]
-				lj.nodes[a.Task.Index] = a.Node
-				if lj.restoredDone != nil {
-					lj.restoredDone[a.Task.Index] = false
-				}
-				body := TaskBody{
-					JobID:     uint64(lj.job.ID),
-					TaskIndex: a.Task.Index,
-					Dataset:   h.dsNames[lj.job.Dataset],
-					Chunk:     a.Task.Index,
-					Render:    lj.req,
-				}
-				a.Task.Job.Remaining--
-				h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
-					hastate.DispatchBody{Predicted: a.Task.PredictedExec})
-				if h.DeadlineFactor > 0 {
-					lj.deadline[a.Task.Index] = time.Now().Add(h.taskDeadline(a.Task))
-				}
-				raw, err := transport.Encode(&body)
-				if err != nil {
-					h.Logf("head: encoding task: %v", err)
-					continue
-				}
-				if err := h.senders[a.Node].Send(transport.Message{
-					Kind: transport.KindTask, ID: uint64(lj.job.ID), Body: raw,
-				}); err != nil {
-					h.Logf("head: send to node %d failed: %v", a.Node, err)
-				}
-				if h.frac != nil {
-					h.frac.noteDispatch(int(a.Node))
-				}
-			}
-			clear(jobs) // the scratch must not pin finished jobs
-		}
-		// The scheduler's own planner fitted warms into this cycle's leftover
-		// idle windows (strictly below every demand assignment); ship them.
-		if h.prefSrc != nil {
-			sendPrefetches(h.prefSrc.PlannedPrefetches())
-		}
-		live := queue[:0]
-		for _, lj := range queue {
-			if lj.job.Remaining > 0 {
-				live = append(live, lj)
-			}
-		}
-		queue = live
-	}
-
-	// failJob fails a job back to its client without touching the QoS
-	// controller's books — for jobs the controller already accounted for
-	// (shed victims) or never admitted.
-	failJob := func(lj *liveJob, msg string) {
-		h.stats.jobsFailed.Add(1)
-		if _, admitted := inflight[lj.job.ID]; admitted {
-			// Only journaled-admitted jobs get a fail record; replay drops
-			// them so a standby never resurrects an abandoned job.
-			h.journalRec(journal.KindFail, lj.job.ID, -1, -1, h.now(), nil)
-		}
-		delete(inflight, lj.job.ID)
-		h.dropKey(lj)
-		// Drop it from the queue too: a failed job must never reach the
-		// scheduler again.
-		for i, q := range queue {
-			if q == lj {
-				queue = append(queue[:i], queue[i+1:]...)
-				break
-			}
-		}
-		if lj.conn == nil {
-			return // a recovered job with no re-attached client yet
-		}
-		if err := send(lj.conn, transport.KindError, lj.msgID, ErrorBody{Msg: msg}); err != nil {
-			h.Logf("head: error reply failed: %v", err)
-		}
-	}
-
-	// fail additionally tells the QoS controller an admitted job was lost,
-	// so per-tenant accounting and the in-flight session bound stay exact.
-	fail := func(lj *liveJob, msg string) {
-		if h.qosc != nil {
-			h.qosc.Forget(lj.job)
-		}
-		failJob(lj, msg)
-	}
-
-	// release returns a presumed-lost task to the schedulable queue.
-	release := func(lj *liveJob, i int) {
-		t := &lj.job.Tasks[i]
-		t.Assigned = false
-		t.PredictedExec = 0
-		lj.deadline[i] = time.Time{}
-		lj.retryAt[i] = time.Time{}
-		if lj.restoredDone != nil {
-			// A restored-Done task being released means its retained replay
-			// never arrived; it will be re-rendered as a fresh dispatch whose
-			// completion must be journaled like any other.
-			lj.restoredDone[i] = false
-		}
-		if lj.job.Remaining == 0 {
-			queue = append(queue, lj)
-		}
-		lj.job.Remaining++
-		h.stats.tasksRedispatched.Add(1)
-		if h.frac != nil {
-			h.frac.noteDone(int(lj.nodes[i]), false)
-		}
-	}
-
-	// migrate is release's drain-side twin (§5.12): the task returns to the
-	// queue as a migration, never as crash redispatch — the counters the
-	// autoscaler must keep disjoint from Recovery.
-	migrate := func(lj *liveJob, i int) {
-		t := &lj.job.Tasks[i]
-		t.Assigned = false
-		t.PredictedExec = 0
-		lj.deadline[i] = time.Time{}
-		lj.retryAt[i] = time.Time{}
-		if lj.restoredDone != nil {
-			lj.restoredDone[i] = false
-		}
-		if lj.job.Remaining == 0 {
-			queue = append(queue, lj)
-		}
-		lj.job.Remaining++
-		h.stats.tasksMigrated.Add(1)
-		if h.frac != nil {
-			h.frac.noteDone(int(lj.nodes[i]), false)
-		}
-	}
-
-	// nodeDown declares worker node dead: close its connection, mark it
-	// failed, and requeue the unfinished tasks it held (§VI-D).
-	nodeDown := func(node core.NodeID) {
-		if h.state.Health(node) == core.HealthDown {
-			return
-		}
-		h.Logf("head: node %d down; re-scheduling its tasks", node)
-		h.stats.workersDown.Add(1)
-		if h.prefc != nil {
-			h.prefc.FailNode(node)
-		}
-		h.journalRec(journal.KindRehome, 0, -1, node, h.now(), nil)
-		var rehome core.RehomeReport
-		h.trackWaste(func() { rehome = h.state.MarkFailed(node) })
-		if rehome.Rehomed > 0 || rehome.Reseeded > 0 {
-			h.stats.chunksRehomed.Add(int64(rehome.Rehomed))
-			h.stats.chunksReseeded.Add(int64(rehome.Reseeded))
-			h.Logf("head: node %d chunks re-homed: %d warm, %d re-seeding rarest-first", node, rehome.Rehomed, rehome.Reseeded)
-		}
-		h.healthView[node].Store(int32(core.HealthDown))
-		if h.OnNodeDown != nil {
-			h.OnNodeDown(node)
-		}
-		h.downAt[node] = time.Now()
-		h.senders[node].Close()
-		h.mu.Lock()
-		conn := h.workers[node]
-		h.mu.Unlock()
-		if conn != nil { // a recovered head's slot may never have connected
-			conn.Close()
-		}
-		for _, lj := range inflight {
-			for i := range lj.job.Tasks {
-				t := &lj.job.Tasks[i]
-				if t.Assigned && lj.frags[i] == nil && lj.nodes[i] == node {
-					release(lj, i)
-				}
-			}
-		}
-	}
-
-	// checkHealth scans heartbeat freshness and task deadlines — the
-	// periodic half of the fault-tolerance layer.
-	checkHealth := func() {
-		now := time.Now()
-		for k := range h.lastBeat {
-			node := core.NodeID(k)
-			if h.state.Health(node) == core.HealthDown {
-				continue
-			}
-			silent := now.Sub(h.lastBeat[k])
-			switch {
-			case h.DownAfter > 0 && silent > h.DownAfter:
-				h.Logf("head: node %d silent for %v; declaring it down", k, silent.Round(time.Millisecond))
-				nodeDown(node)
-			case h.SuspectAfter > 0 && silent > h.SuspectAfter:
-				if h.state.Health(node) == core.HealthUp {
-					h.Logf("head: node %d silent for %v; suspect", k, silent.Round(time.Millisecond))
-					h.setHealth(node, core.HealthSuspect)
-				}
-			}
-		}
-		if h.DeadlineFactor <= 0 {
-			return
-		}
-		changed := false
-		for _, lj := range inflight {
-			for i := range lj.job.Tasks {
-				t := &lj.job.Tasks[i]
-				if !t.Assigned || lj.frags[i] != nil {
-					continue
-				}
-				if !lj.retryAt[i].IsZero() {
-					if now.After(lj.retryAt[i]) {
-						release(lj, i)
-						changed = true
-					}
-					continue
-				}
-				if lj.deadline[i].IsZero() || now.Before(lj.deadline[i]) {
-					continue
-				}
-				// Overdue: presumed lost. Retry with exponential backoff +
-				// jitter, or fail the job once the budget is spent.
-				lj.deadline[i] = time.Time{}
-				lj.retries[i]++
-				if lj.retries[i] > h.MaxRetries {
-					fail(lj, fmt.Sprintf("task %d lost %d times; giving up", i, lj.retries[i]))
-					break
-				}
-				backoff := h.RetryBackoff << (lj.retries[i] - 1)
-				backoff += time.Duration(h.rng.Int63n(int64(backoff)/2 + 1))
-				h.Logf("head: task %v overdue on node %d; retry %d after %v",
-					lj.job.Tasks[i].String(), lj.nodes[i], lj.retries[i], backoff.Round(time.Millisecond))
-				lj.retryAt[i] = now.Add(backoff)
-			}
-		}
-		if changed {
-			runSched()
-		}
-	}
-
-	// admitQoS runs an arriving job through the QoS controller: the token
-	// buckets and degradation ladder decide admit/throttle/reject, admitted
-	// jobs enter the per-tenant fair queue, and MaxQueue acts as a backstop
-	// over the fair queue plus the working window.
-	admitQoS := func(lj *liveJob) {
-		// Rung 2 of the ladder: shrink the requested image before any task
-		// dispatches, trading interactive fidelity for latency.
-		if s := h.qosc.ResolutionScale(); s < 1 && lj.job.Class == core.Interactive {
-			if w := int(float64(lj.req.Width) * s); w >= 16 {
-				lj.req.Width = w
-			}
-			if ht := int(float64(lj.req.Height) * s); ht >= 16 {
-				lj.req.Height = ht
-			}
-		}
-		dec, victim := h.qosc.Admit(lj.job, h.now())
-		if victim != nil {
-			h.stats.jobsShed.Add(1)
-			if vlj := inflight[victim.ID]; vlj != nil {
-				failJob(vlj, "superseded by a newer frame")
-			}
-		}
-		switch dec {
-		case qos.Rejected:
-			h.stats.jobsRejected.Add(1)
-			failJob(lj, "rejected by admission control")
-			return
-		case qos.ShedStale:
-			h.stats.jobsShed.Add(1)
-			failJob(lj, "shed: session already at its in-flight frame bound")
-			return
-		case qos.Throttled:
-			h.stats.jobsThrottled.Add(1)
-		}
-		inflight[lj.job.ID] = lj
-		h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
-			hastate.AdmitBody{Job: h.jobRecord(lj)})
-		if h.MaxQueue > 0 && h.qosc.QueueLen()+len(queue) > h.MaxQueue {
-			if lj.job.Class == core.Batch {
-				if h.qosc.ShedQueued(lj.job) {
-					h.stats.jobsShed.Add(1)
-					failJob(lj, "head overloaded: batch queue full")
-					return
-				}
-			} else if old := h.qosc.OldestInteractive(); old != nil && old.ID != lj.job.ID {
-				if h.qosc.ShedQueued(old) {
-					h.stats.jobsShed.Add(1)
-					if vlj := inflight[old.ID]; vlj != nil {
-						failJob(vlj, "shed under overload")
-					}
-				}
-			}
-		}
-		h.arrivalCycle(lj, len(queue)+h.qosc.QueueLen()-1, runSched)
-	}
-
-	// admit applies the overload policy and enqueues an arriving job. A
-	// non-zero idempotency key is resolved first: a key already in flight
-	// re-attaches the reply path (the client reconnected after losing the
-	// head or its reply), and a key with a retained result is served from
-	// the store — neither renders anything twice.
-	admit := func(lj *liveJob) {
-		if key := lj.req.Key; key != 0 {
-			// One critical section: finalize moves a key from byKey to the
-			// retained store atomically, so checking both under the same
-			// hold guarantees a duplicate key hits exactly one of them.
-			h.mu.Lock()
-			if prior := h.byKey[key]; prior != nil {
-				prior.conn, prior.msgID = lj.conn, lj.msgID
-				h.mu.Unlock()
-				h.stats.jobsReattached.Add(1)
-				return
-			}
-			if res, ok := h.retained[key]; ok {
-				h.mu.Unlock()
-				h.stats.retainedServed.Add(1)
-				// Off the dispatcher: a slow client must not stall dispatch.
-				go func(conn transport.Conn, msgID uint64) {
-					_ = send(conn, transport.KindResult, msgID, res)
-				}(lj.conn, lj.msgID)
-				return
-			}
-			h.byKey[key] = lj
-			h.mu.Unlock()
-		}
-		if h.qosc != nil {
-			admitQoS(lj)
-			return
-		}
-		if h.MaxQueue > 0 && len(queue) >= h.MaxQueue {
-			if lj.job.Class == core.Batch {
-				h.stats.jobsShed.Add(1)
-				h.stats.jobsFailed.Add(1)
-				if err := send(lj.conn, transport.KindError, lj.msgID, ErrorBody{Msg: "head overloaded: batch queue full"}); err != nil {
-					h.Logf("head: shed reply failed: %v", err)
-				}
-				return
-			}
-			// Interactive frames are always admitted; make room by shedding
-			// the oldest still-undispatched interactive frame, if any.
-			for i, old := range queue {
-				if old.job.Class == core.Interactive && old.job.Remaining == len(old.job.Tasks) {
-					queue = append(queue[:i], queue[i+1:]...)
-					h.stats.jobsShed.Add(1)
-					fail(old, "shed under overload")
-					break
-				}
-			}
-		}
-		if h.DropStale && lj.job.Class == core.Interactive {
-			for i, old := range queue {
-				if old.job.Class == core.Interactive &&
-					old.job.Action == lj.job.Action &&
-					old.job.Remaining == len(old.job.Tasks) {
-					queue = append(queue[:i], queue[i+1:]...)
-					fail(old, "superseded by a newer frame")
-					break
-				}
-			}
-		}
-		inflight[lj.job.ID] = lj
-		h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
-			hastate.AdmitBody{Job: h.jobRecord(lj)})
-		queue = append(queue, lj)
-		h.arrivalCycle(lj, len(queue)-1, runSched)
-	}
-
-	// rejoin restores a node's slot with a fresh connection: the §VI-D
-	// repair path for a down node, extended (§5.10) with the resync epoch a
-	// recovered head runs — the worker re-announces its cache and retained
-	// completions, the head adopts the announced truth into its tables, and
-	// the ack lists the tasks the head still considers outstanding so the
-	// worker replays retained results instead of re-rendering them.
-	rejoin := func(ev rejoinEvent) {
-		node := core.NodeID(ev.hello.NodeID)
-		health := h.state.Health(node)
-		if health != core.HealthDown && !ev.hello.Resync {
-			h.Logf("head: rejected rejoin for node %d (health %v)", node, health)
-			ev.conn.Close()
-			return
-		}
-		h.gens[node]++
-		gen := h.gens[node]
-		h.mu.Lock()
-		prior := h.workers[node]
-		h.workers[node] = ev.conn
-		h.mu.Unlock()
-		if health != core.HealthDown {
-			// The slot's previous incarnation was never declared down (a
-			// recovered standby's unconnected placeholder, or a worker that
-			// reconnected before the silence threshold): retire it.
-			h.senders[node].Close()
-			if prior != nil && prior != ev.conn {
-				prior.Close()
-			}
-		}
-		h.senders[node] = newSender(ev.conn, func(err error) {
-			h.workCh <- workerEvent{node: node, gen: gen, err: err}
-		})
-		h.readWorker(node, gen, ev.conn)
-		now := h.now()
-		if ev.hello.Resync {
-			// Adopt the worker's announced cache wholesale: the head's
-			// prediction may be stale (a recovered table, or drift across the
-			// disconnect), and the worker holds ground truth.
-			entries := make([]cache.Entry, 0, len(ev.hello.Cached))
-			for _, cr := range ev.hello.Cached {
-				id, ok := h.dsIDs[cr.Dataset]
-				if !ok {
-					continue
-				}
-				c := volume.ChunkID{Dataset: id, Index: cr.Index}
-				size := h.chunkSize(c)
-				if size <= 0 {
-					continue
-				}
-				entries = append(entries, cache.Entry{ID: c, Size: size})
-			}
-			h.trackWaste(func() { h.state.ResyncCache(node, entries) })
-			h.journalRec(journal.KindResync, 0, -1, node, now, hastate.ResyncBody{Entries: entries})
-			h.stats.workersResynced.Add(1)
-		}
-		switch health {
-		case core.HealthDown:
-			h.state.MarkRepaired(node, now)
-			h.journalRec(journal.KindRepair, 0, -1, node, now, nil)
-		case core.HealthSuspect:
-			h.state.MarkUp(node)
-			h.journalRec(journal.KindUp, 0, -1, node, now, nil)
-		}
-		h.healthView[node].Store(int32(core.HealthUp))
-		h.lastBeat[node] = time.Now()
-		if !h.downAt[node].IsZero() {
-			h.stats.mttrNanos.Add(time.Since(h.downAt[node]).Nanoseconds())
-			h.stats.mttrEvents.Add(1)
-			h.downAt[node] = time.Time{}
-		}
-		h.stats.workersRejoined.Add(1)
-		h.Logf("head: node %d rejoined (%s, resync=%v)", node, ev.hello.Name, ev.hello.Resync)
-		ack := HelloBody{NodeID: int(node), Shard: h.ShardID, Slots: h.fracSlots()}
-		if ev.hello.Resync {
-			for _, lj := range inflight {
-				for i := range lj.job.Tasks {
-					t := &lj.job.Tasks[i]
-					if t.Assigned && lj.frags[i] == nil && lj.nodes[i] == node {
-						ack.Outstanding = append(ack.Outstanding, TaskRef{JobID: uint64(lj.job.ID), TaskIndex: i})
-					}
-				}
-			}
-		}
-		if err := send(ev.conn, transport.KindHello, 0, ack); err != nil {
-			h.Logf("head: rejoin ack failed: %v", err)
-		}
-		// A node just became schedulable; put waiting work on it now rather
-		// than at the next tick or arrival.
-		runSched()
-		// Pre-warmed bring-up: a worker that came back from Down is cold —
-		// for the warm-up window the autoscaler's tick copies the hottest
-		// predicted chunks onto it through the governor.
-		if scaler != nil && health == core.HealthDown {
-			scaler.noteBringup(node)
-		}
-	}
-
-	stop := func() {
-		h.mu.Lock()
-		workers := append([]transport.Conn(nil), h.workers...)
-		h.mu.Unlock()
-		for i, w := range workers {
-			_ = h.senders[i].Send(transport.Message{Kind: transport.KindShutdown})
-			h.senders[i].Close()
-			if w != nil {
-				w.Close()
-			}
-		}
-		if h.Journal != nil {
-			_ = h.Journal.Sync()
-		}
-	}
-	// crash is abrupt death (Crash): connections drop with no shutdown
-	// handshake and the journal is NOT synced — workers and clients see a
-	// broken pipe, and records still in the batch buffer are lost, exactly
-	// as a real head crash would lose them.
-	crash := func() {
-		h.mu.Lock()
-		workers := append([]transport.Conn(nil), h.workers...)
-		h.mu.Unlock()
-		for i, w := range workers {
-			h.senders[i].Close()
-			if w != nil {
-				w.Close()
-			}
-		}
-	}
-	// snapshot serves one snapshot request. With req.next set, the cut is
-	// atomic with a journal rotation: the old log is synced and retired,
-	// the snapshot built, and the new writer installed before any further
-	// event can journal — so every record in the old log is ≤ the cut and
-	// every record after it lands in the new log. Without this atomicity a
-	// completion racing the cut would appear both in the snapshot's tables
-	// and in the log replayed on top of them (a duplicate the replayer
-	// rejects).
-	snapshot := func(req snapRequest) {
-		if req.next != nil && h.Journal != nil {
-			_ = h.Journal.Sync()
-		}
-		snap := h.buildSnapshot(inflight)
-		if req.next != nil {
-			h.Journal = req.next
-		}
-		req.reply <- snap
-	}
-
-	for {
-		// Termination has strict priority. Go's select picks uniformly at
-		// random among ready cases, so once Crash or Stop has fired the
-		// loop could otherwise keep draining worker completions — each
-		// journaling a record "after" the death, which a recovery test
-		// would then see as work the dead head somehow did.
-		select {
-		case <-h.crashCh:
-			crash()
-			return
-		case <-h.stopCh:
-			stop()
-			return
-		default:
-		}
-
-		select {
-		case <-h.stopCh:
-			stop()
-			return
-
-		case <-h.crashCh:
-			crash()
-			return
-
-		case req := <-h.snapCh:
-			snapshot(req)
-
-		case ev := <-h.jobCh:
-			admit(ev.lj)
-
-		case ev := <-h.rejoinCh:
-			rejoin(ev)
-
-		case <-tick:
-			runSched()
-
-		case <-check.C:
-			checkHealth()
-			// Refresh the queue-depth/backlog gauges on the same cadence the
-			// autoscaler samples them — cheap, and /metrics reads atomics.
-			depth, backlog := len(queue), 0
-			for _, lj := range queue {
-				if lj.job.Class == core.Batch {
-					backlog++
-				}
-			}
-			if h.qosc != nil {
-				depth += h.qosc.QueueLen()
-				backlog += h.qosc.BatchBacklog()
-			}
-			h.stats.queueDepth.Store(int64(depth))
-			h.stats.batchBacklog.Store(int64(backlog))
-			if h.frac != nil {
-				h.frac.sample()
-			}
-			if scaler != nil {
-				scaler.tick(inflight, func() int { return len(queue) }, migrate, sendPrefetches, runSched)
-			}
-
-		case ev := <-h.workCh:
-			if ev.gen != h.gens[ev.node] {
-				continue // stale connection incarnation
-			}
-			if ev.err != nil {
-				nodeDown(ev.node)
-				continue
-			}
-			// Any traffic proves liveness; a suspect node is rehabilitated.
-			h.lastBeat[ev.node] = time.Now()
-			if h.state.Health(ev.node) == core.HealthSuspect {
-				h.setHealth(ev.node, core.HealthUp)
-			}
-			switch ev.msg.Kind {
-			case transport.KindHeartbeat:
-				// Liveness only; handled above.
-			case transport.KindFragment:
-				var frag FragmentBody
-				if err := transport.Decode(ev.msg.Body, &frag); err != nil {
-					h.Logf("head: bad fragment from node %d: %v", ev.node, err)
-					continue
-				}
-				lj := inflight[core.JobID(frag.JobID)]
-				if lj == nil {
-					continue // job already failed or delivered (stale duplicate)
-				}
-				if frag.TaskIndex < 0 || frag.TaskIndex >= len(lj.frags) {
-					h.Logf("head: fragment task %d out of range from node %d", frag.TaskIndex, ev.node)
-					continue
-				}
-				// Only the first report per task is folded in: a duplicated
-				// delivery (network chaos, a resync replay racing the
-				// original) must not double-correct the tables or
-				// double-count cache stats.
-				if lj.frags[frag.TaskIndex] == nil {
-					i := frag.TaskIndex
-					t := &lj.job.Tasks[i]
-					if !t.Assigned {
-						// The task was presumed lost and released for
-						// re-dispatch, but the original completed after all:
-						// reclaim it before a duplicate is scheduled.
-						t.Assigned = true
-						lj.job.Remaining--
-						if lj.job.Remaining == 0 {
-							// Keep the invariant "queued ⟺ Remaining > 0"
-							// that release relies on.
-							for qi, q := range queue {
-								if q == lj {
-									queue = append(queue[:qi], queue[qi+1:]...)
-									break
-								}
-							}
-						}
-					}
-					lj.deadline[i] = time.Time{}
-					lj.retryAt[i] = time.Time{}
-					if lj.restoredDone != nil && lj.restoredDone[i] {
-						// The completion was journaled before the crash and
-						// the replayed tables already reflect it; this is the
-						// worker's retained replay carrying the pixels. Store
-						// without correcting or re-journaling.
-					} else {
-						now := h.now()
-						touch, evicted := h.correct(lj, ev.node, &frag, now)
-						h.journalRec(journal.KindComplete, lj.job.ID, i, ev.node, now,
-							hastate.CompleteBody{
-								Hit: frag.Hit, Touch: touch,
-								Exec: units.Duration(frag.ExecNanos), Evicted: evicted,
-							})
-					}
-					lj.frags[i] = &frag
-					lj.got++
-					if h.frac != nil {
-						h.frac.noteDone(int(ev.node), true)
-					}
-				}
-				if lj.got == len(lj.frags) {
-					delete(inflight, lj.job.ID)
-					// The key binding survives until finalize retires it
-					// into the retained store, so a re-submission racing
-					// the PNG encode re-attaches instead of re-rendering.
-					go h.finalize(lj)
-				}
-			case transport.KindPrefetchDone:
-				var pd PrefetchDoneBody
-				if err := transport.Decode(ev.msg.Body, &pd); err != nil {
-					h.Logf("head: bad prefetch report from node %d: %v", ev.node, err)
-					continue
-				}
-				h.prefetchDone(ev.node, pd)
-			case transport.KindError:
-				var eb ErrorBody
-				_ = transport.Decode(ev.msg.Body, &eb)
-				if lj := inflight[core.JobID(ev.msg.ID)]; lj != nil {
-					fail(lj, eb.Msg)
-				}
-			default:
-				h.Logf("head: unexpected %v from node %d", ev.msg.Kind, ev.node)
-			}
-		}
-	}
 }
 
 // correct feeds a fragment's execution facts back into the tables (§V-B) at
@@ -1535,7 +757,7 @@ func (h *Head) finalize(lj *liveJob) {
 		Width:        w,
 		Height:       ht,
 		PNG:          png,
-		ElapsedNanos: time.Since(lj.wall).Nanoseconds(),
+		ElapsedNanos: h.wall().Sub(lj.wall).Nanoseconds(),
 		Hits:         hits,
 		Misses:       misses,
 	}
@@ -1553,7 +775,7 @@ func (h *Head) finalize(lj *liveJob) {
 	h.mu.Unlock()
 	// Count the frame before replying: a client that holds its result must
 	// find it in Stats.
-	h.stats.frameLat.add(time.Since(lj.wall))
+	h.stats.frameLat.add(h.wall().Sub(lj.wall))
 	h.stats.jobsCompleted.Add(1)
 	h.stats.fragmentPixels.Add(shipped)
 	h.stats.framePixels.Add(frames)
@@ -1568,7 +790,7 @@ func (h *Head) finalize(lj *liveJob) {
 		h.Logf("head: result reply failed: %v", err)
 	}
 	if h.qosc != nil {
-		lat := units.Duration(time.Since(lj.wall))
+		lat := units.Duration(h.wall().Sub(lj.wall))
 		if changed, level := h.qosc.Observe(lj.job, lat, h.now()); changed {
 			h.Logf("head: qos degradation ladder -> %v", level)
 		}
@@ -1640,7 +862,7 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 	if req.Batch {
 		h.stats.batchIssued.Add(1)
 	}
-	h.jobCh <- clientEvent{lj: &liveJob{
+	h.jobCh <- &liveJob{
 		job:      job,
 		req:      req,
 		frags:    make([]*FragmentBody, len(job.Tasks)),
@@ -1650,8 +872,8 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 		retries:  make([]int, len(job.Tasks)),
 		conn:     conn,
 		msgID:    msgID,
-		wall:     time.Now(),
-	}}
+		wall:     h.wall(),
+	}
 	return nil
 }
 

@@ -1,0 +1,842 @@
+package service
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"vizsched/internal/cache"
+	"vizsched/internal/core"
+	"vizsched/internal/hastate"
+	"vizsched/internal/journal"
+	"vizsched/internal/qos"
+	"vizsched/internal/transport"
+	"vizsched/internal/units"
+	"vizsched/internal/volume"
+)
+
+// eventKind names what happened to the head.
+type eventKind uint8
+
+const (
+	evArrival  eventKind = iota // a client's job: event.lj
+	evWorker                    // a worker's message, or its connection's error: event.work
+	evRejoin                    // a reconnecting worker's hello: event.rejoin
+	evTick                      // the scheduler's ω tick
+	evCheck                     // the health, deadline and autoscale check
+	evSnapshot                  // a snapshot request: event.snap
+	evStop                      // graceful shutdown
+	evCrash                     // abrupt death
+)
+
+// event is one thing that happens to the head. It is a tagged struct passed
+// by value, not an interface: a frame is a dozen and more worker events, and
+// boxing each would be an allocation apiece.
+type event struct {
+	kind   eventKind
+	lj     *liveJob
+	work   workerEvent
+	rejoin rejoinEvent
+	snap   snapRequest
+}
+
+// taskAt names task i of a live job.
+type taskAt struct {
+	lj *liveJob
+	i  int
+}
+
+// headLoop is the dispatching thread's state (§III-A), owned by whichever
+// goroutine calls step: run's, or a test's, which then also owns the head's
+// clock. A job is queued exactly while it has tasks left to dispatch
+// (Remaining > 0) — or, undispatched and with QoS on, waits in the fair queue.
+type headLoop struct {
+	h        *Head
+	queue    []*liveJob
+	inflight map[core.JobID]*liveJob
+	jobs     []*core.Job // schedule's scratch: the queued jobs with work left
+	scaler   *liveScaler // nil unless Head.Autoscale is set
+}
+
+// newHeadLoop builds the loop state for a head whose tables and extensions
+// are wired (Start, StartRecovered).
+func newHeadLoop(h *Head) *headLoop {
+	l := &headLoop{h: h, queue: make([]*liveJob, 0, 64), inflight: make(map[core.JobID]*liveJob)}
+	if h.Autoscale != nil {
+		l.scaler = newLiveScaler(l)
+	}
+	return l
+}
+
+// run is the dispatcher goroutine. It owns what only a goroutine can — the
+// two tickers and the order in which ready channels are taken — and hands
+// every event to step. A Periodic scheduler's passes start at the ω tick,
+// and at the arrivals arrivalCycle admits.
+func (l *headLoop) run() {
+	h := l.h
+	defer close(h.doneCh)
+	var tick <-chan time.Time
+	if h.sched.Trigger() == core.Periodic {
+		t := time.NewTicker(h.sched.Cycle().Std())
+		defer t.Stop()
+		tick = t.C
+	}
+	checkEvery := h.CheckInterval
+	if checkEvery <= 0 {
+		checkEvery = 50 * time.Millisecond
+	}
+	check := time.NewTicker(checkEvery)
+	defer check.Stop()
+
+	for {
+		// Termination has strict priority. Go's select picks uniformly at
+		// random among ready cases, so once Crash or Stop has fired the
+		// loop could otherwise keep draining worker completions — each
+		// journaling a record "after" the death, which a recovery test
+		// would then see as work the dead head somehow did.
+		select {
+		case <-h.crashCh:
+			l.step(event{kind: evCrash})
+			return
+		case <-h.stopCh:
+			l.step(event{kind: evStop})
+			return
+		default:
+		}
+
+		select {
+		case <-h.stopCh:
+			l.step(event{kind: evStop})
+			return
+		case <-h.crashCh:
+			l.step(event{kind: evCrash})
+			return
+		case req := <-h.snapCh:
+			l.step(event{kind: evSnapshot, snap: req})
+		case lj := <-h.jobCh:
+			l.step(event{kind: evArrival, lj: lj})
+		case ev := <-h.rejoinCh:
+			l.step(event{kind: evRejoin, rejoin: ev})
+		case <-tick:
+			l.step(event{kind: evTick})
+		case <-check.C:
+			l.step(event{kind: evCheck})
+		case ev := <-h.workCh:
+			l.step(event{kind: evWorker, work: ev})
+		}
+	}
+}
+
+// step applies one event to the head: the only entry to the queue, the
+// tables and the in-flight jobs.
+func (l *headLoop) step(ev event) {
+	switch ev.kind {
+	case evArrival:
+		l.admit(ev.lj)
+	case evWorker:
+		l.fromWorker(&ev.work)
+	case evRejoin:
+		l.rejoin(&ev.rejoin)
+	case evTick:
+		l.schedule()
+	case evCheck:
+		l.check()
+	case evSnapshot:
+		l.snapshot(ev.snap)
+	case evStop:
+		l.closeWorkers(true)
+	case evCrash:
+		l.closeWorkers(false)
+	}
+}
+
+// sendPrefetches ships warm directives to their workers. A failed send is
+// left to the connection reader: the node-down path abandons the
+// controller's in-flight record along with everything else.
+func (l *headLoop) sendPrefetches(ds []core.PrefetchDirective) {
+	h := l.h
+	for _, d := range ds {
+		h.stats.prefetchIssued.Add(1)
+		h.stats.prefetchBytes.Add(int64(d.Size))
+		raw, err := transport.Encode(PrefetchBody{Dataset: h.dsNames[d.Chunk.Dataset], Chunk: d.Chunk.Index})
+		if err != nil {
+			h.Logf("head: encoding prefetch: %v", err)
+			continue
+		}
+		if err := h.senders[d.Node].Send(transport.Message{Kind: transport.KindPrefetch, Body: raw}); err != nil {
+			h.Logf("head: prefetch send to node %d failed: %v", d.Node, err)
+		}
+	}
+}
+
+// schedule runs one scheduling pass over the working queue and dispatches
+// what it assigns: journal record, deadline, then the task on its way.
+func (l *headLoop) schedule() {
+	h := l.h
+	if h.qosc != nil {
+		// Refill the working window from the fair queue: every queued
+		// interactive frame (one per tenant per round), then batch jobs by
+		// deficit round robin up to the window. Popped jobs whose liveJob
+		// is gone (failed or shed meanwhile) are dropped silently.
+		popped := h.qosc.PopInteractive(nil)
+		bw := h.BatchWindow
+		if bw <= 0 {
+			bw = 256
+		}
+		batchHere := 0
+		for _, lj := range l.queue {
+			if lj.job.Class == core.Batch {
+				batchHere++
+			}
+		}
+		if batchHere < bw {
+			popped = h.qosc.PopBatch(popped, bw-batchHere)
+		}
+		for _, j := range popped {
+			if lj := l.inflight[j.ID]; lj != nil {
+				l.queue = append(l.queue, lj)
+			}
+		}
+	}
+	if len(l.queue) == 0 {
+		// A truly idle cycle still warms: the in-Schedule planner only
+		// runs when there is demand work to schedule around.
+		if h.prefc != nil {
+			pcycle := h.sched.Cycle()
+			if pcycle <= 0 {
+				pcycle = core.DefaultCycle
+			}
+			l.sendPrefetches(h.prefc.Plan(h.now(), h.now().Add(pcycle), h.state))
+		}
+		return
+	}
+	l.jobs = l.jobs[:0]
+	for _, lj := range l.queue {
+		if lj.job.Remaining > 0 {
+			l.jobs = append(l.jobs, lj.job)
+		}
+	}
+	if len(l.jobs) > 0 {
+		h.stats.schedCycles.Add(1)
+		// One clock read for the pass: every CommitAssign inside Schedule
+		// and every journaled dispatch record must carry the same instant,
+		// or replay could not reproduce the tables.
+		now := h.now()
+		for _, a := range h.sched.Schedule(now, l.jobs, h.state) {
+			lj := l.inflight[a.Task.Job.ID]
+			lj.nodes[a.Task.Index] = a.Node
+			if lj.restoredDone != nil {
+				lj.restoredDone[a.Task.Index] = false
+			}
+			body := TaskBody{
+				JobID:     uint64(lj.job.ID),
+				TaskIndex: a.Task.Index,
+				Dataset:   h.dsNames[lj.job.Dataset],
+				Chunk:     a.Task.Index,
+				Render:    lj.req,
+			}
+			a.Task.Job.Remaining--
+			h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
+				hastate.DispatchBody{Predicted: a.Task.PredictedExec})
+			if h.DeadlineFactor > 0 {
+				lj.deadline[a.Task.Index] = h.wall().Add(h.taskDeadline(a.Task))
+			}
+			raw, err := transport.Encode(&body)
+			if err != nil {
+				h.Logf("head: encoding task: %v", err)
+				continue
+			}
+			if err := h.senders[a.Node].Send(transport.Message{
+				Kind: transport.KindTask, ID: uint64(lj.job.ID), Body: raw,
+			}); err != nil {
+				h.Logf("head: send to node %d failed: %v", a.Node, err)
+			}
+			if h.frac != nil {
+				h.frac.noteDispatch(int(a.Node), h.wall())
+			}
+		}
+		clear(l.jobs) // the scratch must not pin finished jobs
+	}
+	// The scheduler's own planner fitted warms into this cycle's leftover
+	// idle windows (strictly below every demand assignment); ship them.
+	if h.prefSrc != nil {
+		l.sendPrefetches(h.prefSrc.PlannedPrefetches())
+	}
+	live := l.queue[:0]
+	for _, lj := range l.queue {
+		if lj.job.Remaining > 0 {
+			live = append(live, lj)
+		}
+	}
+	l.queue = live
+}
+
+// arrivalCycle runs a scheduling pass for the job just admitted when it need
+// not wait for the ω tick (DESIGN.md §5.19): always under an OnArrival
+// scheduler; under a Periodic one only when the job is interactive, nothing
+// is waiting ahead of it (ahead counts the working queue and, with QoS on,
+// the fair queue) and some alive node is predicted idle. Batch work is
+// deferred by design, a waiting job means a loaded head whose tick batches,
+// supersedes and sheds arrivals together, and with every node busy an early
+// pass would only lengthen a node's queue. The ticker is left alone: a job
+// that does not qualify is scheduled exactly when it always was.
+func (l *headLoop) arrivalCycle(lj *liveJob, ahead int) {
+	h := l.h
+	if h.sched.Trigger() == core.OnArrival {
+		l.schedule()
+		return
+	}
+	if lj.job.Class == core.Interactive && ahead == 0 && h.state.AnyIdle(h.now()) {
+		l.schedule()
+		h.stats.earlyCycles.Add(1)
+	}
+}
+
+// unqueue takes lj out of the working queue, if it is there.
+func (l *headLoop) unqueue(lj *liveJob) {
+	for i, q := range l.queue {
+		if q == lj {
+			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+// failJob fails a job back to its client without touching the QoS
+// controller's books — for jobs the controller already accounted for (shed
+// victims) or never admitted.
+func (l *headLoop) failJob(lj *liveJob, msg string) {
+	h := l.h
+	h.stats.jobsFailed.Add(1)
+	if _, admitted := l.inflight[lj.job.ID]; admitted {
+		// Only journaled-admitted jobs get a fail record; replay drops
+		// them so a standby never resurrects an abandoned job.
+		h.journalRec(journal.KindFail, lj.job.ID, -1, -1, h.now(), nil)
+	}
+	delete(l.inflight, lj.job.ID)
+	h.dropKey(lj)
+	// A failed job must never reach the scheduler again.
+	l.unqueue(lj)
+	if lj.conn == nil {
+		return // a recovered job with no re-attached client yet
+	}
+	if err := send(lj.conn, transport.KindError, lj.msgID, ErrorBody{Msg: msg}); err != nil {
+		h.Logf("head: error reply failed: %v", err)
+	}
+}
+
+// fail additionally tells the QoS controller an admitted job was lost, so
+// per-tenant accounting and the in-flight session bound stay exact.
+func (l *headLoop) fail(lj *liveJob, msg string) {
+	if l.h.qosc != nil {
+		l.h.qosc.Forget(lj.job)
+	}
+	l.failJob(lj, msg)
+}
+
+// requeue returns dispatched task i to the schedulable queue and counts it:
+// as a crash redispatch when the task is presumed lost, as a migration when
+// a drain steals it back (§5.12) — the two counters the autoscaler must keep
+// disjoint.
+func (l *headLoop) requeue(lj *liveJob, i int, counter *atomic.Int64) {
+	t := &lj.job.Tasks[i]
+	t.Assigned = false
+	t.PredictedExec = 0
+	lj.deadline[i] = time.Time{}
+	lj.retryAt[i] = time.Time{}
+	if lj.restoredDone != nil {
+		// A restored-Done task being requeued means its retained replay
+		// never arrived; it will be re-rendered as a fresh dispatch whose
+		// completion must be journaled like any other.
+		lj.restoredDone[i] = false
+	}
+	if lj.job.Remaining == 0 {
+		l.queue = append(l.queue, lj)
+	}
+	lj.job.Remaining++
+	counter.Add(1)
+	if l.h.frac != nil {
+		l.h.frac.noteDone(int(lj.nodes[i]), false, l.h.wall())
+	}
+}
+
+// outstanding lists the tasks dispatched to node whose fragment has not come
+// back — what the node owes the head.
+func (l *headLoop) outstanding(node core.NodeID) []taskAt {
+	var out []taskAt
+	for _, lj := range l.inflight {
+		for i := range lj.job.Tasks {
+			if lj.job.Tasks[i].Assigned && lj.frags[i] == nil && lj.nodes[i] == node {
+				out = append(out, taskAt{lj, i})
+			}
+		}
+	}
+	return out
+}
+
+// nodeDown declares worker node dead: close its connection, mark it failed,
+// and requeue the unfinished tasks it held (§VI-D).
+func (l *headLoop) nodeDown(node core.NodeID) {
+	h := l.h
+	if h.state.Health(node) == core.HealthDown {
+		return
+	}
+	h.Logf("head: node %d down; re-scheduling its tasks", node)
+	h.stats.workersDown.Add(1)
+	if h.prefc != nil {
+		h.prefc.FailNode(node)
+	}
+	h.journalRec(journal.KindRehome, 0, -1, node, h.now(), nil)
+	var rehome core.RehomeReport
+	h.trackWaste(func() { rehome = h.state.MarkFailed(node) })
+	if rehome.Rehomed > 0 || rehome.Reseeded > 0 {
+		h.stats.chunksRehomed.Add(int64(rehome.Rehomed))
+		h.stats.chunksReseeded.Add(int64(rehome.Reseeded))
+		h.Logf("head: node %d chunks re-homed: %d warm, %d re-seeding rarest-first", node, rehome.Rehomed, rehome.Reseeded)
+	}
+	h.healthView[node].Store(int32(core.HealthDown))
+	if h.OnNodeDown != nil {
+		h.OnNodeDown(node)
+	}
+	h.downAt[node] = h.wall()
+	h.senders[node].Close()
+	h.mu.Lock()
+	conn := h.workers[node]
+	h.mu.Unlock()
+	if conn != nil { // a recovered head's slot may never have connected
+		conn.Close()
+	}
+	for _, t := range l.outstanding(node) {
+		l.requeue(t.lj, t.i, &h.stats.tasksRedispatched)
+	}
+}
+
+// check is the periodic event: the fault-tolerance scan, then what samples
+// on the same cadence — the queue gauges /metrics reads, the busy-share
+// account and the autoscaler.
+func (l *headLoop) check() {
+	h := l.h
+	l.checkHealth()
+	depth, backlog := len(l.queue), 0
+	for _, lj := range l.queue {
+		if lj.job.Class == core.Batch {
+			backlog++
+		}
+	}
+	if h.qosc != nil {
+		depth += h.qosc.QueueLen()
+		backlog += h.qosc.BatchBacklog()
+	}
+	h.stats.queueDepth.Store(int64(depth))
+	h.stats.batchBacklog.Store(int64(backlog))
+	if h.frac != nil {
+		h.frac.sample(h.wall())
+	}
+	if l.scaler != nil {
+		l.scaler.tick()
+	}
+}
+
+// checkHealth scans heartbeat freshness and task deadlines — the periodic
+// half of the fault-tolerance layer.
+func (l *headLoop) checkHealth() {
+	h := l.h
+	now := h.wall()
+	for k := range h.lastBeat {
+		node := core.NodeID(k)
+		if h.state.Health(node) == core.HealthDown {
+			continue
+		}
+		silent := now.Sub(h.lastBeat[k])
+		switch {
+		case h.DownAfter > 0 && silent > h.DownAfter:
+			h.Logf("head: node %d silent for %v; declaring it down", k, silent.Round(time.Millisecond))
+			l.nodeDown(node)
+		case h.SuspectAfter > 0 && silent > h.SuspectAfter:
+			if h.state.Health(node) == core.HealthUp {
+				h.Logf("head: node %d silent for %v; suspect", k, silent.Round(time.Millisecond))
+				h.setHealth(node, core.HealthSuspect)
+			}
+		}
+	}
+	if h.DeadlineFactor <= 0 {
+		return
+	}
+	changed := false
+	for _, lj := range l.inflight {
+		for i := range lj.job.Tasks {
+			t := &lj.job.Tasks[i]
+			if !t.Assigned || lj.frags[i] != nil {
+				continue
+			}
+			if !lj.retryAt[i].IsZero() {
+				if now.After(lj.retryAt[i]) {
+					l.requeue(lj, i, &h.stats.tasksRedispatched)
+					changed = true
+				}
+				continue
+			}
+			if lj.deadline[i].IsZero() || now.Before(lj.deadline[i]) {
+				continue
+			}
+			// Overdue: presumed lost. Retry with exponential backoff +
+			// jitter, or fail the job once the budget is spent.
+			lj.deadline[i] = time.Time{}
+			lj.retries[i]++
+			if lj.retries[i] > h.MaxRetries {
+				l.fail(lj, fmt.Sprintf("task %d lost %d times; giving up", i, lj.retries[i]))
+				break
+			}
+			backoff := h.RetryBackoff << (lj.retries[i] - 1)
+			backoff += time.Duration(h.rng.Int63n(int64(backoff)/2 + 1))
+			h.Logf("head: task %v overdue on node %d; retry %d after %v",
+				lj.job.Tasks[i].String(), lj.nodes[i], lj.retries[i], backoff.Round(time.Millisecond))
+			lj.retryAt[i] = now.Add(backoff)
+		}
+	}
+	if changed {
+		l.schedule()
+	}
+}
+
+// admitQoS runs an arriving job through the QoS controller: the token
+// buckets and degradation ladder decide admit/throttle/reject, admitted jobs
+// enter the per-tenant fair queue, and MaxQueue acts as a backstop over the
+// fair queue plus the working window.
+func (l *headLoop) admitQoS(lj *liveJob) {
+	h := l.h
+	// Rung 2 of the ladder: shrink the requested image before any task
+	// dispatches, trading interactive fidelity for latency.
+	if s := h.qosc.ResolutionScale(); s < 1 && lj.job.Class == core.Interactive {
+		if w := int(float64(lj.req.Width) * s); w >= 16 {
+			lj.req.Width = w
+		}
+		if ht := int(float64(lj.req.Height) * s); ht >= 16 {
+			lj.req.Height = ht
+		}
+	}
+	dec, victim := h.qosc.Admit(lj.job, h.now())
+	if victim != nil {
+		h.stats.jobsShed.Add(1)
+		if vlj := l.inflight[victim.ID]; vlj != nil {
+			l.failJob(vlj, "superseded by a newer frame")
+		}
+	}
+	switch dec {
+	case qos.Rejected:
+		h.stats.jobsRejected.Add(1)
+		l.failJob(lj, "rejected by admission control")
+		return
+	case qos.ShedStale:
+		h.stats.jobsShed.Add(1)
+		l.failJob(lj, "shed: session already at its in-flight frame bound")
+		return
+	case qos.Throttled:
+		h.stats.jobsThrottled.Add(1)
+	}
+	l.inflight[lj.job.ID] = lj
+	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
+		hastate.AdmitBody{Job: h.jobRecord(lj)})
+	if h.MaxQueue > 0 && h.qosc.QueueLen()+len(l.queue) > h.MaxQueue {
+		if lj.job.Class == core.Batch {
+			if h.qosc.ShedQueued(lj.job) {
+				h.stats.jobsShed.Add(1)
+				l.failJob(lj, "head overloaded: batch queue full")
+				return
+			}
+		} else if old := h.qosc.OldestInteractive(); old != nil && old.ID != lj.job.ID {
+			if h.qosc.ShedQueued(old) {
+				h.stats.jobsShed.Add(1)
+				if vlj := l.inflight[old.ID]; vlj != nil {
+					l.failJob(vlj, "shed under overload")
+				}
+			}
+		}
+	}
+	l.arrivalCycle(lj, len(l.queue)+h.qosc.QueueLen()-1)
+}
+
+// admit applies the overload policy and enqueues an arriving job. A non-zero
+// idempotency key is resolved first: a key already in flight re-attaches the
+// reply path (the client reconnected after losing the head or its reply),
+// and a key with a retained result is served from the store — neither
+// renders anything twice.
+func (l *headLoop) admit(lj *liveJob) {
+	h := l.h
+	if key := lj.req.Key; key != 0 {
+		// One critical section: finalize moves a key from byKey to the
+		// retained store atomically, so checking both under the same
+		// hold guarantees a duplicate key hits exactly one of them.
+		h.mu.Lock()
+		if prior := h.byKey[key]; prior != nil {
+			prior.conn, prior.msgID = lj.conn, lj.msgID
+			h.mu.Unlock()
+			h.stats.jobsReattached.Add(1)
+			return
+		}
+		if res, ok := h.retained[key]; ok {
+			h.mu.Unlock()
+			h.stats.retainedServed.Add(1)
+			// Off the dispatcher: a slow client must not stall dispatch.
+			go func(conn transport.Conn, msgID uint64) {
+				_ = send(conn, transport.KindResult, msgID, res)
+			}(lj.conn, lj.msgID)
+			return
+		}
+		h.byKey[key] = lj
+		h.mu.Unlock()
+	}
+	if h.qosc != nil {
+		l.admitQoS(lj)
+		return
+	}
+	if h.MaxQueue > 0 && len(l.queue) >= h.MaxQueue {
+		if lj.job.Class == core.Batch {
+			h.stats.jobsShed.Add(1)
+			l.failJob(lj, "head overloaded: batch queue full")
+			return
+		}
+		// Interactive frames are always admitted; make room by shedding
+		// the oldest still-undispatched interactive frame, if any.
+		for _, old := range l.queue {
+			if old.job.Class == core.Interactive && old.job.Remaining == len(old.job.Tasks) {
+				h.stats.jobsShed.Add(1)
+				l.fail(old, "shed under overload")
+				break
+			}
+		}
+	}
+	if h.DropStale && lj.job.Class == core.Interactive {
+		for _, old := range l.queue {
+			if old.job.Class == core.Interactive &&
+				old.job.Action == lj.job.Action &&
+				old.job.Remaining == len(old.job.Tasks) {
+				l.fail(old, "superseded by a newer frame")
+				break
+			}
+		}
+	}
+	l.inflight[lj.job.ID] = lj
+	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
+		hastate.AdmitBody{Job: h.jobRecord(lj)})
+	l.queue = append(l.queue, lj)
+	l.arrivalCycle(lj, len(l.queue)-1)
+}
+
+// rejoin restores a node's slot with a fresh connection: the §VI-D repair
+// path for a down node, extended (§5.10) with the resync epoch a recovered
+// head runs — the worker re-announces its cache and retained completions,
+// the head adopts the announced truth into its tables, and the ack lists the
+// tasks the head still considers outstanding so the worker replays retained
+// results instead of re-rendering them.
+func (l *headLoop) rejoin(ev *rejoinEvent) {
+	h := l.h
+	node := core.NodeID(ev.hello.NodeID)
+	health := h.state.Health(node)
+	if health != core.HealthDown && !ev.hello.Resync {
+		h.Logf("head: rejected rejoin for node %d (health %v)", node, health)
+		ev.conn.Close()
+		return
+	}
+	h.gens[node]++
+	gen := h.gens[node]
+	h.mu.Lock()
+	prior := h.workers[node]
+	h.workers[node] = ev.conn
+	h.mu.Unlock()
+	if health != core.HealthDown {
+		// The slot's previous incarnation was never declared down (a
+		// recovered standby's unconnected placeholder, or a worker that
+		// reconnected before the silence threshold): retire it.
+		h.senders[node].Close()
+		if prior != nil && prior != ev.conn {
+			prior.Close()
+		}
+	}
+	h.senders[node] = h.attach(node, gen, ev.conn)
+	now := h.now()
+	if ev.hello.Resync {
+		// Adopt the worker's announced cache wholesale: the head's
+		// prediction may be stale (a recovered table, or drift across the
+		// disconnect), and the worker holds ground truth.
+		entries := make([]cache.Entry, 0, len(ev.hello.Cached))
+		for _, cr := range ev.hello.Cached {
+			id, ok := h.dsIDs[cr.Dataset]
+			if !ok {
+				continue
+			}
+			c := volume.ChunkID{Dataset: id, Index: cr.Index}
+			size := h.chunkSize(c)
+			if size <= 0 {
+				continue
+			}
+			entries = append(entries, cache.Entry{ID: c, Size: size})
+		}
+		h.trackWaste(func() { h.state.ResyncCache(node, entries) })
+		h.journalRec(journal.KindResync, 0, -1, node, now, hastate.ResyncBody{Entries: entries})
+		h.stats.workersResynced.Add(1)
+	}
+	switch health {
+	case core.HealthDown:
+		h.state.MarkRepaired(node, now)
+		h.journalRec(journal.KindRepair, 0, -1, node, now, nil)
+	case core.HealthSuspect:
+		h.state.MarkUp(node)
+		h.journalRec(journal.KindUp, 0, -1, node, now, nil)
+	}
+	h.healthView[node].Store(int32(core.HealthUp))
+	h.lastBeat[node] = h.wall()
+	if !h.downAt[node].IsZero() {
+		h.stats.mttrNanos.Add(h.wall().Sub(h.downAt[node]).Nanoseconds())
+		h.stats.mttrEvents.Add(1)
+		h.downAt[node] = time.Time{}
+	}
+	h.stats.workersRejoined.Add(1)
+	h.Logf("head: node %d rejoined (%s, resync=%v)", node, ev.hello.Name, ev.hello.Resync)
+	ack := HelloBody{NodeID: int(node), Shard: h.ShardID, Slots: h.fracSlots()}
+	if ev.hello.Resync {
+		for _, t := range l.outstanding(node) {
+			ack.Outstanding = append(ack.Outstanding, TaskRef{JobID: uint64(t.lj.job.ID), TaskIndex: t.i})
+		}
+	}
+	if err := send(ev.conn, transport.KindHello, 0, ack); err != nil {
+		h.Logf("head: rejoin ack failed: %v", err)
+	}
+	// A node just became schedulable; put waiting work on it now rather
+	// than at the next tick or arrival.
+	l.schedule()
+	// Pre-warmed bring-up: a worker that came back from Down is cold —
+	// for the warm-up window the autoscaler's tick copies the hottest
+	// predicted chunks onto it through the governor.
+	if l.scaler != nil && health == core.HealthDown {
+		l.scaler.noteBringup(node)
+	}
+}
+
+// closeWorkers ends the head's side of every worker connection. Graceful is
+// Stop: a shutdown handshake, then the journal synced. Not graceful is abrupt
+// death (Crash): connections drop with no handshake and the journal is NOT
+// synced — workers and clients see a broken pipe, and records still in the
+// batch buffer are lost, exactly as a real head crash would lose them.
+func (l *headLoop) closeWorkers(graceful bool) {
+	h := l.h
+	h.mu.Lock()
+	workers := append([]transport.Conn(nil), h.workers...)
+	h.mu.Unlock()
+	for i, w := range workers {
+		if graceful {
+			_ = h.senders[i].Send(transport.Message{Kind: transport.KindShutdown})
+		}
+		h.senders[i].Close()
+		if w != nil {
+			w.Close()
+		}
+	}
+	if graceful && h.Journal != nil {
+		_ = h.Journal.Sync()
+	}
+}
+
+// fromWorker takes one event off a worker connection: its death, or a
+// message — which, whatever it says, proves the worker alive.
+func (l *headLoop) fromWorker(ev *workerEvent) {
+	h := l.h
+	if ev.gen != h.gens[ev.node] {
+		return // stale connection incarnation
+	}
+	if ev.err != nil {
+		l.nodeDown(ev.node)
+		return
+	}
+	// Any traffic proves liveness; a suspect node is rehabilitated.
+	h.lastBeat[ev.node] = h.wall()
+	if h.state.Health(ev.node) == core.HealthSuspect {
+		h.setHealth(ev.node, core.HealthUp)
+	}
+	switch ev.msg.Kind {
+	case transport.KindHeartbeat:
+		// Liveness only; handled above.
+	case transport.KindFragment:
+		l.fragment(ev.node, ev.msg.Body)
+	case transport.KindPrefetchDone:
+		var pd PrefetchDoneBody
+		if err := transport.Decode(ev.msg.Body, &pd); err != nil {
+			h.Logf("head: bad prefetch report from node %d: %v", ev.node, err)
+			return
+		}
+		h.prefetchDone(ev.node, pd)
+	case transport.KindError:
+		var eb ErrorBody
+		_ = transport.Decode(ev.msg.Body, &eb)
+		if lj := l.inflight[core.JobID(ev.msg.ID)]; lj != nil {
+			l.fail(lj, eb.Msg)
+		}
+	default:
+		h.Logf("head: unexpected %v from node %d", ev.msg.Kind, ev.node)
+	}
+}
+
+// fragment folds one rendered fragment from node into its job, and hands the
+// job to finalize when it was the last.
+func (l *headLoop) fragment(node core.NodeID, body []byte) {
+	h := l.h
+	var frag FragmentBody
+	if err := transport.Decode(body, &frag); err != nil {
+		h.Logf("head: bad fragment from node %d: %v", node, err)
+		return
+	}
+	lj := l.inflight[core.JobID(frag.JobID)]
+	if lj == nil {
+		return // job already failed or delivered (stale duplicate)
+	}
+	if frag.TaskIndex < 0 || frag.TaskIndex >= len(lj.frags) {
+		h.Logf("head: fragment task %d out of range from node %d", frag.TaskIndex, node)
+		return
+	}
+	// Only the first report per task is folded in: a duplicated delivery
+	// (network chaos, a resync replay racing the original) must not
+	// double-correct the tables or double-count cache stats.
+	if i := frag.TaskIndex; lj.frags[i] == nil {
+		t := &lj.job.Tasks[i]
+		if !t.Assigned {
+			// The task was presumed lost and released for re-dispatch, but
+			// the original completed after all: reclaim it before a
+			// duplicate is scheduled.
+			t.Assigned = true
+			lj.job.Remaining--
+			if lj.job.Remaining == 0 {
+				// Keep the invariant "queued ⟺ Remaining > 0" that requeue
+				// relies on.
+				l.unqueue(lj)
+			}
+		}
+		lj.deadline[i] = time.Time{}
+		lj.retryAt[i] = time.Time{}
+		if lj.restoredDone != nil && lj.restoredDone[i] {
+			// The completion was journaled before the crash and the
+			// replayed tables already reflect it; this is the worker's
+			// retained replay carrying the pixels. Store without
+			// correcting or re-journaling.
+		} else {
+			now := h.now()
+			touch, evicted := h.correct(lj, node, &frag, now)
+			h.journalRec(journal.KindComplete, lj.job.ID, i, node, now,
+				hastate.CompleteBody{
+					Hit: frag.Hit, Touch: touch,
+					Exec: units.Duration(frag.ExecNanos), Evicted: evicted,
+				})
+		}
+		lj.frags[i] = &frag
+		lj.got++
+		if h.frac != nil {
+			h.frac.noteDone(int(node), true, h.wall())
+		}
+	}
+	if lj.got == len(lj.frags) {
+		delete(l.inflight, lj.job.ID)
+		// The key binding survives until finalize retires it into the
+		// retained store, so a re-submission racing the PNG encode
+		// re-attaches instead of re-rendering.
+		go h.finalize(lj)
+	}
+}

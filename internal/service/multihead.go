@@ -138,16 +138,8 @@ func (m *MultiHead) AddWorker(conn transport.Conn) (int, error) {
 // the owning head's ordinary rejoin path. Valid after Start; safe to call
 // from any goroutine.
 func (m *MultiHead) Rejoin(conn transport.Conn) error {
-	msg, err := conn.Recv()
+	hello, err := recvHello(conn, "rejoin hello")
 	if err != nil {
-		return fmt.Errorf("service: rejoin hello: %w", err)
-	}
-	if msg.Kind != transport.KindHello {
-		conn.Close()
-		return fmt.Errorf("service: expected hello, got %v", msg.Kind)
-	}
-	var hello HelloBody
-	if err := transport.Decode(msg.Body, &hello); err != nil {
 		conn.Close()
 		return err
 	}

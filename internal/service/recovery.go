@@ -9,8 +9,6 @@ import (
 	"vizsched/internal/core"
 	"vizsched/internal/hastate"
 	"vizsched/internal/journal"
-	"vizsched/internal/prefetch"
-	"vizsched/internal/qos"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
@@ -94,10 +92,19 @@ func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
 	return rec
 }
 
-// buildSnapshot assembles the durable state. Dispatcher-owned: called only
-// from the event loop, so tables and in-flight jobs are mutation-free for
-// the duration.
-func (h *Head) buildSnapshot(inflight map[core.JobID]*liveJob) *hastate.Snapshot {
+// snapshot serves one snapshot request with the durable state as of this
+// step, so it holds no half-applied mutation. With req.next set, the cut is
+// atomic with a journal rotation: the old log is synced and retired, the
+// snapshot built, and the new writer installed before any further event can
+// journal — so every record in the old log is ≤ the cut and every record
+// after it lands in the new log. Without this atomicity a completion racing
+// the cut would appear both in the snapshot's tables and in the log replayed
+// on top of them (a duplicate the replayer rejects).
+func (l *headLoop) snapshot(req snapRequest) {
+	h := l.h
+	if req.next != nil && h.Journal != nil {
+		_ = h.Journal.Sync()
+	}
 	h.mu.Lock()
 	next := h.nextJobID
 	h.mu.Unlock()
@@ -109,37 +116,24 @@ func (h *Head) buildSnapshot(inflight map[core.JobID]*liveJob) *hastate.Snapshot
 	if h.qosc != nil {
 		snap.QoS = h.qosc.Export()
 	}
-	ljs := make([]*liveJob, 0, len(inflight))
-	for _, lj := range inflight {
+	ljs := make([]*liveJob, 0, len(l.inflight))
+	for _, lj := range l.inflight {
 		ljs = append(ljs, lj)
 	}
 	sort.Slice(ljs, func(i, j int) bool { return ljs[i].job.ID < ljs[j].job.ID })
 	for _, lj := range ljs {
 		snap.Jobs = append(snap.Jobs, h.jobRecord(lj))
 	}
-	return snap
+	if req.next != nil {
+		h.Journal = req.next
+	}
+	req.reply <- snap
 }
 
 // Snapshot captures the head's complete durable state at one dispatch-loop
 // instant — the base a journal replays on top of. Safe from any goroutine;
 // valid after Start.
-func (h *Head) Snapshot() (*hastate.Snapshot, error) {
-	if !h.started {
-		return nil, fmt.Errorf("service: Snapshot before Start")
-	}
-	req := snapRequest{reply: make(chan *hastate.Snapshot, 1)}
-	select {
-	case h.snapCh <- req:
-	case <-h.doneCh:
-		return nil, fmt.Errorf("service: Snapshot after dispatcher exit")
-	}
-	select {
-	case snap := <-req.reply:
-		return snap, nil
-	case <-h.doneCh:
-		return nil, fmt.Errorf("service: Snapshot after dispatcher exit")
-	}
-}
+func (h *Head) Snapshot() (*hastate.Snapshot, error) { return h.cut("Snapshot", nil) }
 
 // SnapshotRotate captures the head's durable state and swaps the journal
 // to next in one dispatcher step: the old log is synced (so it is complete
@@ -149,23 +143,29 @@ func (h *Head) Snapshot() (*hastate.Snapshot, error) {
 // — the checkpoint operation a long-running head uses to truncate its
 // WAL.
 func (h *Head) SnapshotRotate(next *journal.Writer) (*hastate.Snapshot, error) {
-	if !h.started {
-		return nil, fmt.Errorf("service: SnapshotRotate before Start")
-	}
-	if next == nil {
+	if h.started && next == nil {
 		return nil, fmt.Errorf("service: SnapshotRotate needs a journal writer (use Snapshot for a plain capture)")
+	}
+	return h.cut("SnapshotRotate", next)
+}
+
+// cut asks the dispatcher for a snapshot, rotating the journal to next when
+// that is set, on behalf of the exported method named what.
+func (h *Head) cut(what string, next *journal.Writer) (*hastate.Snapshot, error) {
+	if !h.started {
+		return nil, fmt.Errorf("service: %s before Start", what)
 	}
 	req := snapRequest{reply: make(chan *hastate.Snapshot, 1), next: next}
 	select {
 	case h.snapCh <- req:
 	case <-h.doneCh:
-		return nil, fmt.Errorf("service: SnapshotRotate after dispatcher exit")
+		return nil, fmt.Errorf("service: %s after dispatcher exit", what)
 	}
 	select {
 	case snap := <-req.reply:
 		return snap, nil
 	case <-h.doneCh:
-		return nil, fmt.Errorf("service: SnapshotRotate after dispatcher exit")
+		return nil, fmt.Errorf("service: %s after dispatcher exit", what)
 	}
 }
 
@@ -220,41 +220,23 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	}
 	h.state = st.Tables
 	n := len(st.Tables.Available)
-	if h.Replicas > 1 {
-		// The tables already carry the replication degree; only the
-		// scheduler's own knob needs setting.
-		if rs, ok := h.sched.(core.ReplicaSetter); ok {
-			rs.SetReplicas(h.Replicas)
-		}
-	}
-	if h.QoS != nil {
-		cfg := *h.QoS
-		if h.DropStale {
-			cfg.AlwaysShedStale = true
-		}
-		h.qosc = qos.NewController(&cfg)
-		if st.QoS != nil {
-			h.qosc.Restore(st.QoS)
-		}
-	}
-	if h.Prefetch != nil {
-		if ps, ok := h.sched.(core.PrefetchSetter); ok {
-			h.prefc = prefetch.NewController(h.Prefetch, n, h.chunkSize)
-			ps.SetPrefetchPlanner(h.prefc)
-			h.prefSrc, _ = h.sched.(core.PrefetchSource)
-		}
-	}
 	// Back-date the wall anchor so the service clock resumes at the
 	// recovered instant: journal records written from here on sort after
 	// everything replayed, and Estimate aging sees no time warp.
-	h.start = time.Now().Add(-time.Duration(st.At))
+	wall := h.wall()
+	h.start = wall.Add(-time.Duration(st.At))
+	// The tables already carry the replication degree; the controllers are
+	// built as on a fresh head, and QoS then takes its books back.
+	h.wireExtensions(n)
+	if h.qosc != nil && st.QoS != nil {
+		h.qosc.Restore(st.QoS)
+	}
 	h.workers = make([]transport.Conn, n)
 	h.senders = make([]*sender, n)
 	h.gens = make([]uint64, n)
 	h.lastBeat = make([]time.Time, n)
 	h.downAt = make([]time.Time, n)
 	h.healthView = make([]atomic.Int32, n)
-	wall := time.Now()
 	for k := 0; k < n; k++ {
 		node := core.NodeID(k)
 		h.senders[k] = closedSender()
@@ -275,12 +257,13 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	h.nextJobID = st.NextJobID
 	h.mu.Unlock()
 
-	// Rebuild the live jobs. The dispatcher adopts recovered/recoveredQueue
-	// before its first event.
+	// Hand the live jobs to the loop before its first event, so completions
+	// and resyncs find them.
+	l := newHeadLoop(h)
 	var live []*core.Job
 	for i, rj := range st.Jobs {
 		lj := restored[i]
-		h.recovered = append(h.recovered, lj)
+		l.inflight[lj.job.ID] = lj
 		if key := lj.req.Key; key != 0 {
 			h.byKey[key] = lj
 		}
@@ -297,7 +280,7 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 			h.qosc.Requeue(rj.Job)
 			continue
 		}
-		h.recoveredQueue = append(h.recoveredQueue, lj)
+		l.queue = append(l.queue, lj)
 	}
 	if h.qosc != nil {
 		// The journal-reconstructed job list is the authority on session
@@ -305,7 +288,7 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 		h.qosc.Rebind(live)
 	}
 	h.started = true
-	go h.dispatch()
+	go l.run()
 	return nil
 }
 
@@ -321,7 +304,7 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 		deadline: make([]time.Time, len(job.Tasks)),
 		retryAt:  make([]time.Time, len(job.Tasks)),
 		retries:  make([]int, len(job.Tasks)),
-		wall:     time.Now(),
+		wall:     h.wall(),
 	}
 	req := rj.Rec.Req
 	if len(req) == 0 || req[0] != reqVersion {
@@ -330,7 +313,6 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 	if err := lj.req.ParseBody(req[1:]); err != nil {
 		return nil, fmt.Errorf("service: recovered job %d: decoding request: %w", job.ID, err)
 	}
-	now := time.Now()
 	for i := range rj.Rec.Tasks {
 		ti := &rj.Rec.Tasks[i]
 		if ti.State == hastate.TaskQueued {
@@ -341,7 +323,7 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 			// Outstanding work gets a reconnect grace on top of its usual
 			// deadline: the worker holding the result must have time to
 			// resync and replay before the task is presumed lost.
-			lj.deadline[i] = now.Add(h.DownAfter + h.taskDeadline(&job.Tasks[i]))
+			lj.deadline[i] = lj.wall.Add(h.DownAfter + h.taskDeadline(&job.Tasks[i]))
 		}
 		if ti.State == hastate.TaskDone {
 			if lj.restoredDone == nil {
@@ -357,16 +339,9 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 // FIFO eviction, so the window covers the most recent deliveries.
 const retainedCap = 128
 
-// storeRetained records a delivered result under its idempotency key.
-func (h *Head) storeRetained(key uint64, res ResultBody) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.storeRetainedLocked(key, res)
-}
-
-// storeRetainedLocked is storeRetained with h.mu already held — used by
-// finalize, which must store the result and drop the key binding in one
-// critical section so a racing re-submission sees exactly one of them.
+// storeRetainedLocked records a delivered result under its idempotency key,
+// with h.mu held: finalize must store the result and drop the key binding in
+// one critical section so a racing re-submission sees exactly one of them.
 func (h *Head) storeRetainedLocked(key uint64, res ResultBody) {
 	if _, exists := h.retained[key]; !exists {
 		h.retainedOrder = append(h.retainedOrder, key)
@@ -376,14 +351,6 @@ func (h *Head) storeRetainedLocked(key uint64, res ResultBody) {
 		}
 	}
 	h.retained[key] = res
-}
-
-// lookupRetained serves a re-submitted key from the delivered-result store.
-func (h *Head) lookupRetained(key uint64) (ResultBody, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	res, ok := h.retained[key]
-	return res, ok
 }
 
 // dropKey removes a finished job's idempotency-key binding. byKey is

@@ -364,7 +364,7 @@ func (h *Head) Stats() StatsSnapshot {
 		s.MTTRSeconds = time.Duration(h.stats.mttrNanos.Load() / n).Seconds()
 	}
 	if h.started {
-		s.UptimeSeconds = time.Since(h.start).Seconds()
+		s.UptimeSeconds = h.wall().Sub(h.start).Seconds()
 	}
 	p50, p95, p99 := h.stats.frameLat.quantiles()
 	s.FrameP50Millis, s.FrameP95Millis, s.FrameP99Millis = p50.Seconds()*1e3, p95.Seconds()*1e3, p99.Seconds()*1e3
@@ -446,7 +446,7 @@ func (h *Head) Stats() StatsSnapshot {
 		s.Autoscale = a
 	}
 	if h.frac != nil {
-		s.FracShare = h.frac.snapshot()
+		s.FracShare = h.frac.snapshot(h.wall())
 	}
 	return s
 }
