@@ -20,7 +20,6 @@ import (
 
 	"vizsched/internal/cache"
 	"vizsched/internal/compositing"
-	"vizsched/internal/compositing/dfb"
 	"vizsched/internal/core"
 	"vizsched/internal/des"
 	"vizsched/internal/experiments"
@@ -220,7 +219,7 @@ func BenchmarkFig8ActionsSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("actions-%d", actions), func(b *testing.B) {
 			var pts []experiments.Fig8Point
 			for i := 0; i < b.N; i++ {
-				pts = experiments.Fig8ActionSweep([]int{actions}, 2)
+				pts = experiments.Fig8ActionSweepN([]int{actions}, 2, 1)
 			}
 			p := pts[0]
 			b.ReportMetric(float64(p.Cost["OURS"].Nanoseconds()), "ours_ns/job")
@@ -238,7 +237,7 @@ func BenchmarkFig9DatasetSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("datasets-%d", datasets), func(b *testing.B) {
 			var pts []experiments.Fig9Point
 			for i := 0; i < b.N; i++ {
-				pts = experiments.Fig9DatasetSweep([]int{datasets}, 3)
+				pts = experiments.Fig9DatasetSweepN([]int{datasets}, 3, 1)
 			}
 			p := pts[0]
 			b.ReportMetric(float64(p.Cost.Nanoseconds()), "sched_ns/job")
@@ -252,7 +251,8 @@ func BenchmarkFig9DatasetSweep(b *testing.B) {
 
 // BenchmarkAblationCompositing compares the sort-last compositing
 // algorithms across render-group sizes (supports the choice of 2-3 swap,
-// reference [13]).
+// reference [13]), including the sizes the compsweep experiment prices: the
+// single-machine cost of each algorithm's float work and data movement.
 func BenchmarkAblationCompositing(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	mkLayers := func(n int) []*img.Image {
@@ -267,49 +267,16 @@ func BenchmarkAblationCompositing(b *testing.B) {
 		}
 		return layers
 	}
-	for _, n := range []int{4, 16, 64} {
+	for _, n := range []int{4, 8, 16, 27, 64} {
 		layers := mkLayers(n)
-		for _, alg := range []compositing.Algorithm{
+		for _, alg := range []interface {
+			Name() string
+			Composite([]*img.Image) (*img.Image, compositing.Stats)
+		}{
 			compositing.Serial{}, compositing.DirectSend{},
 			compositing.BinarySwap{}, compositing.TwoThreeSwap{},
 		} {
 			b.Run(fmt.Sprintf("%s/layers-%d", alg.Name(), n), func(b *testing.B) {
-				var st compositing.Stats
-				for i := 0; i < b.N; i++ {
-					_, st = alg.Composite(layers)
-				}
-				b.ReportMetric(float64(st.Messages), "msgs")
-				b.ReportMetric(float64(st.PixelsSent), "px_moved")
-			})
-		}
-	}
-}
-
-// BenchmarkComposite compares the synchronous swap collectives against the
-// asynchronous tile-owner distributed framebuffer (§5.9) at the render-group
-// sizes the compsweep experiment uses — the single-machine cost of each
-// algorithm's float work and data movement.
-func BenchmarkComposite(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	mkLayers := func(n int) []*img.Image {
-		layers := make([]*img.Image, n)
-		for i := range layers {
-			m := img.New(128, 128)
-			for p := range m.Pix {
-				a := rng.Float32()
-				m.Pix[p] = img.RGBA{R: rng.Float32() * a, G: rng.Float32() * a, B: rng.Float32() * a, A: a}
-			}
-			layers[i] = m
-		}
-		return layers
-	}
-	for _, n := range []int{8, 27, 64} {
-		layers := mkLayers(n)
-		for _, alg := range []compositing.Algorithm{
-			compositing.Serial{}, compositing.BinarySwap{},
-			compositing.TwoThreeSwap{}, dfb.DFB{},
-		} {
-			b.Run(fmt.Sprintf("%s/procs-%d", alg.Name(), n), func(b *testing.B) {
 				var st compositing.Stats
 				for i := 0; i < b.N; i++ {
 					_, st = alg.Composite(layers)

@@ -50,6 +50,7 @@ func main() {
 	opt := raycast.Options{Width: *size, Height: *size, Shading: *shade, Parallel: true, IsoValue: float32(*iso)}
 	switch *mode {
 	case "composite":
+		opt.Mode = raycast.ModeComposite
 	case "mip":
 		opt.Mode = raycast.ModeMIP
 	case "iso":

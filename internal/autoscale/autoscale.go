@@ -12,8 +12,6 @@
 package autoscale
 
 import (
-	"sort"
-
 	"vizsched/internal/core"
 	"vizsched/internal/units"
 )
@@ -295,12 +293,6 @@ func victimLess(a, b Candidate) bool {
 		return a.CacheBytes < b.CacheBytes
 	}
 	return a.ID > b.ID
-}
-
-// SortCandidates orders a slice by drain preference (best victim first).
-// Exposed for callers that want a fallback list rather than a single pick.
-func SortCandidates(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return victimLess(cands[i], cands[j]) })
 }
 
 // Headroom computes SLO headroom from an observed p95 latency: 1 − p95/SLO

@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"sort"
 	"testing"
 
 	"vizsched/internal/units"
@@ -136,11 +137,11 @@ func TestAutoscalePickVictim(t *testing.T) {
 	if !ok || id != 4 {
 		t.Fatalf("PickVictim = %v,%v; want node 4 (idle, lightest homes, smallest cache, highest ID)", id, ok)
 	}
-	SortCandidates(cands)
+	sort.SliceStable(cands, func(i, j int) bool { return victimLess(cands[i], cands[j]) })
 	want := []int{4, 3, 2, 1, 0}
 	for i, c := range cands {
 		if int(c.ID) != want[i] {
-			t.Fatalf("SortCandidates order %v at %d; want %v", c.ID, i, want)
+			t.Fatalf("drain preference order %v at %d; want %v", c.ID, i, want)
 		}
 	}
 }

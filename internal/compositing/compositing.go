@@ -45,14 +45,6 @@ type Stats struct {
 // BytesSent returns the wire volume assuming 16-byte RGBA pixels.
 func (s Stats) BytesSent() int64 { return s.PixelsSent * 16 }
 
-// Algorithm is a sort-last compositing strategy.
-type Algorithm interface {
-	// Name identifies the algorithm in experiment output.
-	Name() string
-	// Composite merges layers (front-to-back) into the final image.
-	Composite(layers []*img.Image) (*img.Image, Stats)
-}
-
 // validate panics on degenerate input; compositing zero layers is always a
 // pipeline bug upstream.
 func validate(layers []*img.Image) (w, h int) {
@@ -72,10 +64,10 @@ func validate(layers []*img.Image) (w, h int) {
 // algorithm must match, and the degenerate case for a one-node render group.
 type Serial struct{}
 
-// Name implements Algorithm.
+// Name identifies the algorithm in experiment output.
 func (Serial) Name() string { return "serial" }
 
-// Composite implements Algorithm.
+// Composite merges layers (front-to-back) into the final image.
 func (Serial) Composite(layers []*img.Image) (*img.Image, Stats) {
 	validate(layers)
 	// Everyone ships their full layer to the root: n-1 messages, then the
@@ -130,10 +122,10 @@ func compositePieces(front, back []img.RGBA) {
 // gathers. Simple, but every processor talks to every other.
 type DirectSend struct{}
 
-// Name implements Algorithm.
+// Name identifies the algorithm in experiment output.
 func (DirectSend) Name() string { return "direct-send" }
 
-// Composite implements Algorithm.
+// Composite merges layers (front-to-back) into the final image.
 func (DirectSend) Composite(layers []*img.Image) (*img.Image, Stats) {
 	w, h := validate(layers)
 	n := len(layers)
@@ -292,10 +284,10 @@ func swap(layers []*img.Image, radixOnly int) (*img.Image, Stats) {
 // Non-power-of-two layer counts are folded in first.
 type BinarySwap struct{}
 
-// Name implements Algorithm.
+// Name identifies the algorithm in experiment output.
 func (BinarySwap) Name() string { return "binary-swap" }
 
-// Composite implements Algorithm.
+// Composite merges layers (front-to-back) into the final image.
 func (BinarySwap) Composite(layers []*img.Image) (*img.Image, Stats) {
 	return swap(layers, 2)
 }
@@ -305,10 +297,10 @@ func (BinarySwap) Composite(layers []*img.Image) (*img.Image, Stats) {
 // the algorithm the paper's implementation uses [13].
 type TwoThreeSwap struct{}
 
-// Name implements Algorithm.
+// Name identifies the algorithm in experiment output.
 func (TwoThreeSwap) Name() string { return "2-3-swap" }
 
-// Composite implements Algorithm.
+// Composite merges layers (front-to-back) into the final image.
 func (TwoThreeSwap) Composite(layers []*img.Image) (*img.Image, Stats) {
 	return swap(layers, 0)
 }
@@ -361,7 +353,7 @@ func DirectSendRounds(n int) int {
 
 // ByDepth sorts fragments' layers front-to-back given parallel slices of
 // images and depths, returning the ordered layers. It is the small glue the
-// service and tests use before calling an Algorithm.
+// service and tests use before compositing.
 func ByDepth(images []*img.Image, depths []float64) []*img.Image {
 	if len(images) != len(depths) {
 		panic("compositing: images/depths length mismatch")

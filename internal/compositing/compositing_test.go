@@ -28,7 +28,13 @@ func randomLayers(rng *rand.Rand, n, w, h int) []*img.Image {
 	return layers
 }
 
-var algorithms = []Algorithm{Serial{}, DirectSend{}, BinarySwap{}, TwoThreeSwap{}}
+// algorithm is what every compositor in the package offers.
+type algorithm interface {
+	Name() string
+	Composite(layers []*img.Image) (*img.Image, Stats)
+}
+
+var algorithms = []algorithm{Serial{}, DirectSend{}, BinarySwap{}, TwoThreeSwap{}}
 
 // Every algorithm must produce the serial reference image, for processor
 // counts exercising equal splits, fold-ins, and 2-3 mixes.
@@ -250,7 +256,7 @@ func TestQuickSwapMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		layers := randomLayers(rng, n, w, h)
 		want, _ := Serial{}.Composite(layers)
-		for _, alg := range []Algorithm{BinarySwap{}, TwoThreeSwap{}, DirectSend{}} {
+		for _, alg := range algorithms[1:] {
 			got, _ := alg.Composite(layers)
 			if img.MaxDiff(want, got) > 1e-5 {
 				return false
@@ -330,6 +336,54 @@ func TestByDepthMismatchPanics(t *testing.T) {
 		}
 	}()
 	ByDepth([]*img.Image{img.New(1, 1)}, nil)
+}
+
+// TestCompositingEquivalenceRandomDepths runs every algorithm over layers
+// arriving with randomized depths, ByDepth ordering them first as the
+// service does; each must match serial within float tolerance.
+func TestCompositingEquivalenceRandomDepths(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 3, 5, 7, 9, 11, 16, 27} {
+		layers := randomLayers(rng, n, 24, 20)
+		depths := make([]float64, n)
+		for i := range depths {
+			depths[i] = rng.Float64() * 10
+		}
+		if n > 2 {
+			depths[1] = depths[0] // exercise the stable tie-break
+		}
+		ordered := ByDepth(layers, depths)
+		want, _ := Serial{}.Composite(ordered)
+		for _, alg := range algorithms[1:] {
+			got, _ := alg.Composite(ordered)
+			if d := img.MaxDiff(want, got); d > 1e-5 {
+				t.Errorf("%s with n=%d differs from serial by %v", alg.Name(), n, d)
+			}
+		}
+	}
+}
+
+// TestCompositingEquivalenceDroppedProc drops one processor's layer — the
+// fault the service sees when a node dies mid-frame and the job re-resolves
+// over the survivors. Every algorithm must agree on the surviving set, at
+// every drop position (front, middle, back).
+func TestCompositingEquivalenceDroppedProc(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{3, 8, 12} {
+		layers := randomLayers(rng, n, 16, 12)
+		for _, drop := range []int{0, n / 2, n - 1} {
+			survivors := make([]*img.Image, 0, n-1)
+			survivors = append(survivors, layers[:drop]...)
+			survivors = append(survivors, layers[drop+1:]...)
+			want, _ := Serial{}.Composite(survivors)
+			for _, alg := range algorithms[1:] {
+				got, _ := alg.Composite(survivors)
+				if d := img.MaxDiff(want, got); d > 1e-5 {
+					t.Errorf("%s n=%d drop=%d differs by %v", alg.Name(), n, drop, d)
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkCompositing64Layers(b *testing.B) {

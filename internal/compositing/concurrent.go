@@ -19,8 +19,8 @@ type Layer struct {
 
 // Concurrent composites on the goroutines of one machine — the form a
 // multi-core head node actually executes. Each goroutine owns a band of the
-// frame's rows and composites it across all layers; the Algorithm
-// implementations in this package move the same data single-threaded over
+// frame's rows and composites it across all layers; the other compositors
+// in this package move the same data single-threaded over
 // modelled processors (which is what their message accounting measures),
 // and the tests hold the two to identical output.
 type Concurrent struct {
@@ -28,7 +28,7 @@ type Concurrent struct {
 	Workers int
 }
 
-// Name implements Algorithm.
+// Name identifies the algorithm in experiment output.
 func (c Concurrent) Name() string { return "concurrent-direct-send" }
 
 // bands is how many row bands a frame of h rows is cut into.
@@ -40,8 +40,7 @@ func (c Concurrent) bands(h int) int {
 	return max(1, min(workers, h))
 }
 
-// Composite implements Algorithm: CompositeLayers with every layer the size
-// of the frame.
+// Composite is CompositeLayers with every layer the size of the frame.
 func (c Concurrent) Composite(layers []*img.Image) (*img.Image, Stats) {
 	w, h := validate(layers)
 	placed := make([]Layer, len(layers))

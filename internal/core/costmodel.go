@@ -101,14 +101,6 @@ func (m CostModel) MissExec(size units.Bytes, group int) units.Duration {
 	return m.IOTime(size) + m.HitExec(size, group)
 }
 
-// TaskExec selects hit or miss cost.
-func (m CostModel) TaskExec(size units.Bytes, group int, hit bool) units.Duration {
-	if hit {
-		return m.HitExec(size, group)
-	}
-	return m.MissExec(size, group)
-}
-
 // ceilLog2 returns ⌈log₂ n⌉ for n ≥ 1.
 func ceilLog2(n int) int {
 	if n <= 1 {

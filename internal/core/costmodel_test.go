@@ -57,17 +57,6 @@ func TestCompositeTimeGrowsWithGroup(t *testing.T) {
 	}
 }
 
-func TestTaskExecSelectsHitOrMiss(t *testing.T) {
-	m := DefaultCostModel()
-	const chunk = 256 * units.MB
-	if m.TaskExec(chunk, 8, true) != m.HitExec(chunk, 8) {
-		t.Error("hit selection wrong")
-	}
-	if m.TaskExec(chunk, 8, false) != m.MissExec(chunk, 8) {
-		t.Error("miss selection wrong")
-	}
-}
-
 // Property: costs are monotone in chunk size.
 func TestQuickCostMonotoneInSize(t *testing.T) {
 	m := DefaultCostModel()

@@ -58,15 +58,6 @@ func (h *HeadState) SetReplication(k int) {
 	h.replicaK = k
 }
 
-// ReplicaTarget returns the configured replication degree k (1 when the
-// layer is disabled).
-func (h *HeadState) ReplicaTarget() int {
-	if h.replicaK < 1 {
-		return 1
-	}
-	return h.replicaK
-}
-
 // Home returns chunk c's primary home node, the first member of its home
 // set; ok is false when the policy is disabled or the chunk has never been
 // placed (or was orphaned and awaits re-seeding).

@@ -235,7 +235,7 @@ func TestMassCancellationReapsQueue(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Far-future events: without reaping these would linger for hours of
 		// virtual time.
-		timers = append(timers, s.At(units.Time(units.Duration(i+1)*units.Minute), func(*Simulator) {}))
+		timers = append(timers, s.At(units.Time(units.Duration(i+1)*60*units.Second), func(*Simulator) {}))
 	}
 	if s.Pending() != n {
 		t.Fatalf("pending = %d, want %d", s.Pending(), n)

@@ -82,13 +82,6 @@ func CompSweepN(nodes []int, workers int) []CompSweepPoint {
 	return out
 }
 
-// WriteCompSweep runs and prints the compositing sweep.
-func WriteCompSweep(w io.Writer, workers int) []CompSweepPoint {
-	points := CompSweep(workers)
-	PrintCompSweep(w, points)
-	return points
-}
-
 // PrintCompSweep prints already-computed compositing-sweep points.
 func PrintCompSweep(w io.Writer, points []CompSweepPoint) {
 	fmt.Fprintf(w, "Compositing sweep — per-frame latency at %.2f fps, straggler = one node 3.5× slow\n", TargetFPS)

@@ -7,21 +7,6 @@ import (
 	"testing"
 )
 
-// TestCompSweepDeterministicAcrossWorkers is the bit-reproducibility
-// guarantee: any -parallel worker count produces identical points.
-func TestCompSweepDeterministicAcrossWorkers(t *testing.T) {
-	one := CompSweepN([]int{8, 27, 64}, 1)
-	many := CompSweepN([]int{8, 27, 64}, 8)
-	if len(one) != len(many) {
-		t.Fatalf("length mismatch: %d vs %d", len(one), len(many))
-	}
-	for i := range one {
-		if one[i] != many[i] {
-			t.Fatalf("cell %d diverged across worker counts:\n  1: %+v\n  8: %+v", i, one[i], many[i])
-		}
-	}
-}
-
 // TestCompSweepDFBWins pins the acceptance criterion: dfb mean frame
 // latency strictly below 2-3 swap at ≥27 nodes, with a materially smaller
 // straggler degradation than both swap collectives.

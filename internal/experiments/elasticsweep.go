@@ -203,15 +203,10 @@ func runElasticCell(nodes int, mode string, seconds int) ElasticSweepPoint {
 	return p
 }
 
-// ElasticSweep runs the elastic sweep sequentially.
-func ElasticSweep(fleets []int, scale float64) []ElasticSweepPoint {
-	return ElasticSweepN(fleets, scale, 1)
-}
-
-// ElasticSweepN is ElasticSweep with an explicit worker count. Every cell is
-// an independent virtual-time simulation into an index-addressed slot, and
-// the derived savings pair cells positionally, so results are bit-identical
-// at any worker count.
+// ElasticSweepN runs the elastic sweep on up to workers goroutines. Every
+// cell is an independent virtual-time simulation into an index-addressed
+// slot, and the derived savings pair cells positionally, so results are
+// bit-identical at any worker count.
 func ElasticSweepN(fleets []int, scale float64, workers int) []ElasticSweepPoint {
 	seconds := int(120 * scale)
 	if seconds < 20 {
@@ -233,13 +228,6 @@ func ElasticSweepN(fleets []int, scale float64, workers int) []ElasticSweepPoint
 		}
 	}
 	return out
-}
-
-// WriteElasticSweep runs and prints the elastic sweep.
-func WriteElasticSweep(w io.Writer, fleets []int, scale float64, workers int) []ElasticSweepPoint {
-	points := ElasticSweepN(fleets, scale, workers)
-	PrintElasticSweep(w, points)
-	return points
 }
 
 // PrintElasticSweep prints already-computed elastic-sweep points.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -48,28 +47,6 @@ func TestElasticSweepAcceptance(t *testing.T) {
 		}
 		if elastic.MinActive >= n {
 			t.Errorf("fleet %d: MinActive %d — the fleet never shrank", n, elastic.MinActive)
-		}
-	}
-}
-
-// TestElasticSweepDeterministicAcrossWorkers pins the bit-identical CSV
-// guarantee at -parallel 1, 4, and 8: every cell is an independent
-// virtual-time simulation into an index-addressed slot, so the worker count
-// must not leak into any byte of the output.
-func TestElasticSweepDeterministicAcrossWorkers(t *testing.T) {
-	fleets := []int{10, 12}
-	var first []byte
-	for _, workers := range []int{1, 4, 8} {
-		var buf bytes.Buffer
-		if err := ElasticSweepCSV(&buf, ElasticSweepN(fleets, 0.25, workers)); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if first == nil {
-			first = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(first, buf.Bytes()) {
-			t.Errorf("workers=%d: CSV differs from workers=1 output", workers)
 		}
 	}
 }

@@ -55,18 +55,6 @@ func SchedulerByName(name string) (core.Scheduler, error) {
 // the prediction-correction path honest without breaking determinism.
 const Jitter = 0.05
 
-// ScenarioResult is one scheduler's outcome in one scenario: a bar group in
-// Figs. 4–7 plus a Table III cell pair.
-type ScenarioResult struct {
-	Report *metrics.Report
-}
-
-// RunScenarioAll runs one scenario under every scheduler at the given scale,
-// sequentially. See RunScenarioAllN to use multiple workers.
-func RunScenarioAll(id workload.ScenarioID, scale float64) []*metrics.Report {
-	return RunScenarioAllN(id, scale, 1)
-}
-
 // Fig2Row is one pipeline stage of Fig. 2.
 type Fig2Row struct {
 	Stage string
@@ -122,17 +110,9 @@ func WriteTableII(w io.Writer, scale float64) {
 	fmt.Fprintln(w)
 }
 
-// WriteScenario runs one scenario under all schedulers and prints the
-// corresponding figure (Fig. 4, 5, 6, or 7).
-func WriteScenario(w io.Writer, id workload.ScenarioID, scale float64) []*metrics.Report {
-	reports := RunScenarioAll(id, scale)
-	PrintScenario(w, id, scale, reports)
-	return reports
-}
-
-// PrintScenario prints one scenario figure from already-computed reports —
-// the printing half of WriteScenario, so cmd/vizbench can compute all
-// scenarios in parallel and still emit them in canonical order.
+// PrintScenario prints one scenario figure (Fig. 4, 5, 6, or 7) from
+// already-computed reports, so cmd/vizbench can compute all scenarios in
+// parallel and still emit them in canonical order.
 func PrintScenario(w io.Writer, id workload.ScenarioID, scale float64, reports []*metrics.Report) {
 	fig := map[workload.ScenarioID]string{
 		workload.Scenario1: "Fig 4 — Scenario 1 (8 nodes, fully cacheable, interactive only)",
@@ -193,18 +173,6 @@ type Fig8Point struct {
 	Cost    map[string]time.Duration // scheduler -> avg scheduling cost per job
 }
 
-// Fig8ActionSweep reproduces Fig. 8: scheduling cost per job versus number
-// of simultaneous user actions on 32 nodes with 16 datasets of 4 GB,
-// comparing OURS, FCFSL, and FCFSU. Sequential; see Fig8ActionSweepN.
-func Fig8ActionSweep(actionCounts []int, seconds int) []Fig8Point {
-	return Fig8ActionSweepN(actionCounts, seconds, 1)
-}
-
-// WriteFig8 runs and prints the action sweep.
-func WriteFig8(w io.Writer, actionCounts []int, seconds int) {
-	PrintFig8(w, Fig8ActionSweep(actionCounts, seconds))
-}
-
 // PrintFig8 prints already-computed action-sweep points.
 func PrintFig8(w io.Writer, points []Fig8Point) {
 	fmt.Fprintln(w, "Fig 8 — scheduling cost vs number of user actions (32 nodes, 16x4GB datasets)")
@@ -225,20 +193,6 @@ type Fig9Point struct {
 	Cost      time.Duration
 	Framerate float64
 	Latency   units.Duration
-}
-
-// Fig9DatasetSweep reproduces Fig. 9: OURS scheduling cost, interactive
-// framerate, and latency versus the number of 8 GB datasets in use on 16
-// nodes with mixed interactive and batch jobs. Past 16 datasets the data
-// exceeds the 128 GB total memory, the regime the bottom panels highlight.
-// Sequential; see Fig9DatasetSweepN.
-func Fig9DatasetSweep(datasetCounts []int, seconds int) []Fig9Point {
-	return Fig9DatasetSweepN(datasetCounts, seconds, 1)
-}
-
-// WriteFig9 runs and prints the dataset sweep.
-func WriteFig9(w io.Writer, datasetCounts []int, seconds int) {
-	PrintFig9(w, Fig9DatasetSweep(datasetCounts, seconds))
 }
 
 // PrintFig9 prints already-computed dataset-sweep points.

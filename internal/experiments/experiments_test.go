@@ -82,8 +82,9 @@ func TestScenario1ShapeSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run")
 	}
+	reports := RunScenarios([]workload.ScenarioID{workload.Scenario1}, 0.1, 1)[workload.Scenario1]
 	var buf bytes.Buffer
-	reports := WriteScenario(&buf, workload.Scenario1, 0.1)
+	PrintScenario(&buf, workload.Scenario1, 0.1, reports)
 	get := func(name string) *metrics.Report {
 		for _, r := range reports {
 			if r.Scheduler == name {
@@ -138,7 +139,7 @@ func TestFig8SweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run")
 	}
-	points := Fig8ActionSweep([]int{1, 4}, 2)
+	points := Fig8ActionSweepN([]int{1, 4}, 2, 1)
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -155,7 +156,7 @@ func TestFig9SweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run")
 	}
-	points := Fig9DatasetSweep([]int{2, 8}, 3)
+	points := Fig9DatasetSweepN([]int{2, 8}, 3, 1)
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}

@@ -114,18 +114,13 @@ func failPoint(rate float64, rep *metrics.Report) FailSweepPoint {
 	}
 }
 
-// FailureSweep runs Scenario 2 under OURS, FCFSL, and FCFSU at each fault
-// rate (faults per simulated minute), sequentially. Results are grouped by
-// rate, in failSweepNames order within each rate, and are deterministic:
-// the same rates always produce bit-identical virtual-time metrics.
-func FailureSweep(rates []float64, scale float64) []FailSweepPoint {
-	return FailureSweepN(rates, scale, 1)
-}
-
-// FailureSweepN is FailureSweep with an explicit worker count; every
-// (rate, scheduler) cell is an independent simulation, so all cells run
-// concurrently. The fault schedule for a rate is built once and shared
-// read-only across that rate's schedulers.
+// FailureSweepN runs Scenario 2 under OURS, FCFSL, and FCFSU at each fault
+// rate (faults per simulated minute). Every (rate, scheduler) cell is an
+// independent simulation, so all cells run concurrently on up to workers
+// goroutines. Results are grouped by rate, in failSweepNames order within
+// each rate, and are deterministic: the same rates always produce
+// bit-identical virtual-time metrics. The fault schedule for a rate is built
+// once and shared read-only across that rate's schedulers.
 func FailureSweepN(rates []float64, scale float64, workers int) []FailSweepPoint {
 	cfg := workload.Scenario(workload.Scenario2, scale)
 	schedules := make([][]sim.Failure, len(rates))
@@ -138,13 +133,6 @@ func FailureSweepN(rates []float64, scale float64, workers int) []FailSweepPoint
 		out[cell] = runFailCell(cfg, failSweepNames[ni], rates[ri], schedules[ri])
 	})
 	return out
-}
-
-// WriteFailureSweep runs and prints the failure sweep.
-func WriteFailureSweep(w io.Writer, rates []float64, scale float64, workers int) []FailSweepPoint {
-	points := FailureSweepN(rates, scale, workers)
-	PrintFailureSweep(w, points)
-	return points
 }
 
 // PrintFailureSweep prints already-computed failure-sweep points.

@@ -15,24 +15,6 @@ var failSweepRates = []float64{0, 1, 2, 3}
 
 const failSweepScale = 0.5
 
-// TestFailureSweepDeterministicAcrossWorkers: every metric in the sweep is
-// virtual-time, so the points must be bit-identical whether the cells run
-// sequentially or concurrently, and across repeated runs.
-func TestFailureSweepDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs full simulations")
-	}
-	seq := FailureSweepN(failSweepRates, failSweepScale, 1)
-	par := FailureSweepN(failSweepRates, failSweepScale, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("sweep diverges across worker counts:\nseq: %+v\npar: %+v", seq, par)
-	}
-	again := FailureSweepN(failSweepRates, failSweepScale, 4)
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("sweep not reproducible:\nfirst: %+v\nagain: %+v", par, again)
-	}
-}
-
 // TestFailureSweepOursStaysAhead: under the same chaos schedule, the paper's
 // scheduler must keep the highest framerate at every fault rate — locality
 // plus urgency degrades more gracefully than either FCFS baseline.

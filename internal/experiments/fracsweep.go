@@ -193,13 +193,8 @@ func runFracCell(mode string, seconds int) FracSweepPoint {
 	return p
 }
 
-// FracSweep runs the frac sweep sequentially.
-func FracSweep(scale float64) []FracSweepPoint {
-	return FracSweepN(scale, 1)
-}
-
-// FracSweepN is FracSweep with an explicit worker count. Every mode is an
-// independent virtual-time simulation into an index-addressed slot, so
+// FracSweepN runs the frac sweep on up to workers goroutines. Every mode is
+// an independent virtual-time simulation into an index-addressed slot, so
 // results are bit-identical at any worker count.
 func FracSweepN(scale float64, workers int) []FracSweepPoint {
 	seconds := int(90 * scale)
@@ -211,13 +206,6 @@ func FracSweepN(scale float64, workers int) []FracSweepPoint {
 		out[cell] = runFracCell(fracSweepModes[cell], seconds)
 	})
 	return out
-}
-
-// WriteFracSweep runs and prints the frac sweep.
-func WriteFracSweep(w io.Writer, scale float64, workers int) []FracSweepPoint {
-	points := FracSweepN(scale, workers)
-	PrintFracSweep(w, points)
-	return points
 }
 
 // PrintFracSweep prints already-computed frac-sweep points.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -52,26 +51,5 @@ func TestFracSweepAcceptance(t *testing.T) {
 	// hair differently.
 	if limit := ours.P95 + ours.P95/20; co.P95 > limit {
 		t.Errorf("OURS+co p95 %v exceeds OURS %v by more than 5%%", co.P95, ours.P95)
-	}
-}
-
-// TestFracSweepDeterministicAcrossWorkers pins the bit-identical CSV
-// guarantee at -parallel 1, 4, and 8: every mode is an independent
-// virtual-time simulation into an index-addressed slot, so the worker count
-// must not leak into any byte of the output.
-func TestFracSweepDeterministicAcrossWorkers(t *testing.T) {
-	var first []byte
-	for _, workers := range []int{1, 4, 8} {
-		var buf bytes.Buffer
-		if err := FracSweepCSV(&buf, FracSweepN(0.25, workers)); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if first == nil {
-			first = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(first, buf.Bytes()) {
-			t.Errorf("workers=%d: CSV differs from workers=1 output", workers)
-		}
 	}
 }

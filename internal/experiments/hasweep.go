@@ -111,18 +111,12 @@ func runHACell(cfg workload.ScenarioConfig, mode string, outage float64) HASweep
 	}
 }
 
-// HASweep runs the head-failover sweep sequentially: Scenario 2 under OURS
-// for each outage fraction, in the three haSweepModes. Results are grouped
-// by outage with modes in haSweepModes order, and are deterministic: the
-// whole sweep runs in virtual time, so values are bit-identical at any
-// worker count.
-func HASweep(outages []float64, scale float64) []HASweepPoint {
-	return HASweepN(outages, scale, 1)
-}
-
-// HASweepN is HASweep with an explicit worker count; every (outage, mode)
-// cell is an independent simulation, so all cells run concurrently into
-// index-addressed slots.
+// HASweepN runs the head-failover sweep: Scenario 2 under OURS for each
+// outage fraction, in the three haSweepModes. Results are grouped by outage
+// with modes in haSweepModes order. Every (outage, mode) cell is an
+// independent simulation, so all cells run concurrently on up to workers
+// goroutines into index-addressed slots; the whole sweep runs in virtual
+// time, so values are bit-identical at any worker count.
 func HASweepN(outages []float64, scale float64, workers int) []HASweepPoint {
 	cfg := workload.Scenario(workload.Scenario2, scale)
 	out := make([]HASweepPoint, len(outages)*len(haSweepModes))
@@ -132,13 +126,6 @@ func HASweepN(outages []float64, scale float64, workers int) []HASweepPoint {
 		out[cell] = runHACell(cfg, haSweepModes[mi], outages[oi])
 	})
 	return out
-}
-
-// WriteHASweep runs and prints the HA sweep.
-func WriteHASweep(w io.Writer, outages []float64, scale float64, workers int) []HASweepPoint {
-	points := HASweepN(outages, scale, workers)
-	PrintHASweep(w, points)
-	return points
 }
 
 // PrintHASweep prints already-computed HA-sweep points.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -10,24 +9,6 @@ import (
 var haSweepOutages = []float64{0.05, 0.1}
 
 const haSweepScale = 0.1
-
-// TestHASweepDeterministicAcrossWorkers: the whole sweep runs in virtual
-// time — crash, resync epoch, and reconciliation included — so it must be
-// bit-identical whether cells run sequentially or concurrently.
-func TestHASweepDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs full simulations")
-	}
-	seq := HASweepN(haSweepOutages, haSweepScale, 1)
-	par := HASweepN(haSweepOutages, haSweepScale, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("sweep diverges across worker counts:\nseq: %+v\npar: %+v", seq, par)
-	}
-	again := HASweepN(haSweepOutages, haSweepScale, 4)
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("sweep not reproducible:\nfirst: %+v\nagain: %+v", par, again)
-	}
-}
 
 // TestHASweepCommittedSurvival is the acceptance criterion: across every
 // outage length and fault shape, zero committed sessions are lost and zero

@@ -60,23 +60,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunScenarioAllN is RunScenarioAll with an explicit worker count: each
-// scheduler's run of the scenario is an independent simulation, so the six
-// policies execute concurrently. Reports come back in the canonical
-// Schedulers() order regardless of completion order, and every virtual-time
-// metric is bit-identical to a sequential run — each run owns a fresh
-// engine, scheduler, and workload; only the read-only scenario config is
-// shared.
-func RunScenarioAllN(id workload.ScenarioID, scale float64, workers int) []*metrics.Report {
-	cfg := workload.Scenario(id, scale)
-	scheds := Schedulers()
-	out := make([]*metrics.Report, len(scheds))
-	ForEach(workers, len(scheds), func(i int) {
-		out[i] = sim.RunScenario(cfg, scheds[i], Jitter)
-	})
-	return out
-}
-
 // RunScenarios runs every (scenario, scheduler) pair across the given
 // scenario IDs with up to workers concurrent simulations — the fan-out
 // cmd/vizbench uses, where all cells of Figs. 4–7 and Table III are
@@ -159,9 +142,11 @@ func runFig8Cell(name string, lib *volume.Library, n, seconds int) time.Duration
 	return eng.Run(wl, 0).AvgSchedCostPerJob()
 }
 
-// Fig8ActionSweepN is Fig8ActionSweep with an explicit worker count; all
-// (point, scheduler) cells run concurrently. Note the Cost values are
-// wall-clock measurements — record reference numbers with workers == 1.
+// Fig8ActionSweepN reproduces Fig. 8: scheduling cost per job versus number
+// of simultaneous user actions on 32 nodes with 16 datasets of 4 GB,
+// comparing OURS, FCFSL, and FCFSU. All (point, scheduler) cells run
+// concurrently on up to workers goroutines. The Cost values are wall-clock
+// measurements — record reference numbers with workers == 1.
 func Fig8ActionSweepN(actionCounts []int, seconds, workers int) []Fig8Point {
 	libs := fig8Libraries()
 	out := make([]Fig8Point, len(actionCounts))
@@ -225,10 +210,14 @@ func runFig9Point(n, seconds int) Fig9Point {
 	}
 }
 
-// Fig9DatasetSweepN is Fig9DatasetSweep with an explicit worker count; the
-// sweep points run concurrently. As with Fig. 8, the Cost column is
-// wall-clock — record reference numbers with workers == 1; Framerate and
-// Latency are virtual-time and identical at any worker count.
+// Fig9DatasetSweepN reproduces Fig. 9: OURS scheduling cost, interactive
+// framerate, and latency versus the number of 8 GB datasets in use on 16
+// nodes with mixed interactive and batch jobs. Past 16 datasets the data
+// exceeds the 128 GB total memory, the regime the bottom panels highlight.
+// The sweep points run concurrently on up to workers goroutines. As with
+// Fig. 8, the Cost column is wall-clock — record reference numbers with
+// workers == 1; Framerate and Latency are virtual-time and identical at any
+// worker count.
 func Fig9DatasetSweepN(datasetCounts []int, seconds, workers int) []Fig9Point {
 	out := make([]Fig9Point, len(datasetCounts))
 	ForEach(workers, len(datasetCounts), func(i int) {

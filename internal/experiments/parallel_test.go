@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -49,8 +51,9 @@ func stripWallClock(r *metrics.Report) {
 // check on the worker pool and the shared scenario config/library.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, id := range []workload.ScenarioID{workload.Scenario1, workload.Scenario2} {
-		seq := RunScenarioAllN(id, 0.05, 1)
-		par := RunScenarioAllN(id, 0.05, 4)
+		ids := []workload.ScenarioID{id}
+		seq := RunScenarios(ids, 0.05, 1)[id]
+		par := RunScenarios(ids, 0.05, 4)[id]
 		if len(seq) != len(par) {
 			t.Fatalf("scenario %d: %d sequential vs %d parallel reports", id, len(seq), len(par))
 		}
@@ -73,7 +76,7 @@ func TestRunScenariosMatchesPerScenario(t *testing.T) {
 	ids := []workload.ScenarioID{workload.Scenario1, workload.Scenario2}
 	got := RunScenarios(ids, 0.05, 4)
 	for _, id := range ids {
-		want := RunScenarioAllN(id, 0.05, 1)
+		want := RunScenarios([]workload.ScenarioID{id}, 0.05, 1)[id]
 		if len(got[id]) != len(want) {
 			t.Fatalf("scenario %d: got %d reports, want %d", id, len(got[id]), len(want))
 		}
@@ -139,5 +142,77 @@ func TestFig8SweepShape(t *testing.T) {
 				t.Errorf("point %d missing cost for %s", i, name)
 			}
 		}
+	}
+}
+
+// sweepRun is one extension sweep as the determinism test drives it.
+type sweepRun struct {
+	name string
+	long bool // skipped under -short: the sweep runs full scenario simulations
+	run  func(workers int) (points any, csv []byte, err error)
+}
+
+func sweepCase[P any](name string, long bool, run func(workers int) []P, toCSV func(io.Writer, []P) error) sweepRun {
+	return sweepRun{name, long, func(workers int) (any, []byte, error) {
+		points := run(workers)
+		var buf bytes.Buffer
+		err := toCSV(&buf, points)
+		return points, buf.Bytes(), err
+	}}
+}
+
+// TestSweepsDeterministicAcrossWorkers: every extension sweep is a grid of
+// independent virtual-time simulations written into index-addressed slots,
+// so its points, and the CSV bytes `vizbench -parallel` writes from them,
+// must be the same whether the cells run one at a time or eight at once.
+func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
+	for _, s := range []sweepRun{
+		sweepCase("failure", true, func(w int) []FailSweepPoint {
+			return FailureSweepN(failSweepRates, failSweepScale, w)
+		}, FailureSweepCSV),
+		sweepCase("replica", true, func(w int) []ReplicaSweepPoint {
+			return ReplicaSweepN(replSweepKs, replSweepRates, replSweepScale, w)
+		}, ReplicaSweepCSV),
+		sweepCase("prefetch", false, func(w int) []PrefetchSweepPoint {
+			return PrefetchSweepN([]int{2, 3}, []float64{0.5, 1.0, 2.0}, w)
+		}, PrefetchSweepCSV),
+		sweepCase("qos", true, func(w int) []QoSSweepPoint {
+			return QoSSweepN(qosSweepSkews, qosSweepLoads, qosSweepScale, w)
+		}, QoSSweepCSV),
+		sweepCase("ha", true, func(w int) []HASweepPoint {
+			return HASweepN(haSweepOutages, haSweepScale, w)
+		}, HASweepCSV),
+		sweepCase("shard", true, func(w int) []ShardSweepPoint {
+			return ShardSweepN(shardSweepCounts, shardSweepScale, w)
+		}, ShardSweepCSV),
+		sweepCase("elastic", false, func(w int) []ElasticSweepPoint {
+			return ElasticSweepN([]int{10, 12}, 0.25, w)
+		}, ElasticSweepCSV),
+		sweepCase("frac", false, func(w int) []FracSweepPoint {
+			return FracSweepN(0.25, w)
+		}, FracSweepCSV),
+		sweepCase("comp", false, func(w int) []CompSweepPoint {
+			return CompSweepN([]int{8, 27, 64}, w)
+		}, CompSweepCSV),
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			if s.long && testing.Short() {
+				t.Skip("sweep runs full simulations")
+			}
+			seq, seqCSV, err := s.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, parCSV, err := s.run(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("points diverge across worker counts:\n-parallel 1: %+v\n-parallel 8: %+v", seq, par)
+			}
+			if !bytes.Equal(seqCSV, parCSV) {
+				t.Errorf("CSV diverges across worker counts:\n-- -parallel 1 --\n%s\n-- -parallel 8 --\n%s", seqCSV, parCSV)
+			}
+		})
 	}
 }

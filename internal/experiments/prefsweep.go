@@ -113,16 +113,12 @@ func runPrefetchCell(quotaChunks int, load float64, mode string) PrefetchSweepPo
 	return p
 }
 
-// PrefetchSweep runs the prefetch sweep sequentially: for each cache quota
-// (in 512 MB chunks) and load multiplier, the demand-only baseline and the
-// predictive prefetcher on the same session-revisit workload.
-func PrefetchSweep(quotas []int, loads []float64) []PrefetchSweepPoint {
-	return PrefetchSweepN(quotas, loads, 1)
-}
-
-// PrefetchSweepN is PrefetchSweep with an explicit worker count; every cell
-// is an independent simulation writing into an index-addressed slot, so
-// output order and values are bit-identical for any worker count.
+// PrefetchSweepN runs the prefetch sweep: for each cache quota (in 512 MB
+// chunks) and load multiplier, the demand-only baseline and the predictive
+// prefetcher on the same session-revisit workload. Every cell is an
+// independent simulation writing into an index-addressed slot on up to
+// workers goroutines, so output order and values are bit-identical for any
+// worker count.
 func PrefetchSweepN(quotas []int, loads []float64, workers int) []PrefetchSweepPoint {
 	out := make([]PrefetchSweepPoint, len(quotas)*len(loads)*len(prefSweepModes))
 	ForEach(workers, len(out), func(cell int) {
@@ -154,13 +150,6 @@ func PrintPrefetchSweep(w io.Writer, points []PrefetchSweepPoint) {
 			p.Issued, p.Loaded, p.Hits, p.HiddenHits, p.Wasted, p.BytesMoved)
 	}
 	fmt.Fprintln(w)
-}
-
-// WritePrefetchSweep runs and prints the prefetch sweep.
-func WritePrefetchSweep(w io.Writer, quotas []int, loads []float64, workers int) []PrefetchSweepPoint {
-	points := PrefetchSweepN(quotas, loads, workers)
-	PrintPrefetchSweep(w, points)
-	return points
 }
 
 // PrefetchSweepCSV writes the prefetch sweep as CSV.

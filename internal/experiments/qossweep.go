@@ -92,17 +92,12 @@ func runQoSCell(scale, skew, load float64, mode string) QoSSweepPoint {
 	return p
 }
 
-// QoSSweep runs the multi-tenant QoS sweep sequentially: for each tenant
-// skew and load multiplier, the FIFO baseline and the QoS subsystem on the
-// same generated workload. Results are grouped by (skew, load) with modes in
-// qosSweepModes order, and are deterministic at any worker count.
-func QoSSweep(skews, loads []float64, scale float64) []QoSSweepPoint {
-	return QoSSweepN(skews, loads, scale, 1)
-}
-
-// QoSSweepN is QoSSweep with an explicit worker count; every cell is an
-// independent simulation, so all cells run concurrently into index-addressed
-// slots — output order and values are identical for any worker count.
+// QoSSweepN runs the multi-tenant QoS sweep: for each tenant skew and load
+// multiplier, the FIFO baseline and the QoS subsystem on the same generated
+// workload. Results are grouped by (skew, load) with modes in qosSweepModes
+// order. Every cell is an independent simulation, so all cells run
+// concurrently on up to workers goroutines into index-addressed slots —
+// output order and values are identical for any worker count.
 func QoSSweepN(skews, loads []float64, scale float64, workers int) []QoSSweepPoint {
 	out := make([]QoSSweepPoint, len(skews)*len(loads)*len(qosSweepModes))
 	ForEach(workers, len(out), func(cell int) {
@@ -138,13 +133,6 @@ func PrintQoSSweep(w io.Writer, points []QoSSweepPoint) {
 			p.Jain, p.Admitted, p.Throttled, p.Rejected, p.Shed, level)
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteQoSSweep runs and prints the QoS sweep.
-func WriteQoSSweep(w io.Writer, skews, loads []float64, scale float64, workers int) []QoSSweepPoint {
-	points := QoSSweepN(skews, loads, scale, workers)
-	PrintQoSSweep(w, points)
-	return points
 }
 
 // QoSSweepCSV writes the QoS sweep as CSV.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,25 +14,6 @@ var (
 )
 
 const qosSweepScale = 0.1
-
-// TestQoSSweepDeterministicAcrossWorkers: every cell is an independent
-// virtual-time simulation into an index-addressed slot, so the sweep must be
-// bit-identical whether cells run sequentially or concurrently, and across
-// repeated runs — the property `vizbench -parallel` relies on.
-func TestQoSSweepDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs full simulations")
-	}
-	seq := QoSSweepN(qosSweepSkews, qosSweepLoads, qosSweepScale, 1)
-	par := QoSSweepN(qosSweepSkews, qosSweepLoads, qosSweepScale, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("sweep diverges across worker counts:\nseq: %+v\npar: %+v", seq, par)
-	}
-	again := QoSSweepN(qosSweepSkews, qosSweepLoads, qosSweepScale, 4)
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("sweep not reproducible:\nfirst: %+v\nagain: %+v", par, again)
-	}
-}
 
 // TestQoSSweepFairnessImproves is the acceptance criterion: with skewed
 // tenant demand at 2× overload and beyond, admission control plus DRR must

@@ -84,15 +84,10 @@ func replicaPoint(rate float64, k int, rep *metrics.Report) ReplicaSweepPoint {
 	}
 }
 
-// ReplicaSweep runs the replica sweep sequentially: for each fault rate, an
-// FCFSU baseline row (K=0) followed by an OURS row per replication degree in
-// ks. See ReplicaSweepN.
-func ReplicaSweep(ks []int, rates []float64, scale float64) []ReplicaSweepPoint {
-	return ReplicaSweepN(ks, rates, scale, 1)
-}
-
-// ReplicaSweepN is ReplicaSweep with an explicit worker count; every cell is
-// an independent simulation, so all cells run concurrently. The fault
+// ReplicaSweepN runs the replica sweep: for each fault rate, an FCFSU
+// baseline row (K=0) followed by an OURS row per replication degree in ks.
+// Every cell is an independent simulation, so all cells run concurrently on
+// up to workers goroutines. The fault
 // schedule for a rate is built once (identical to the failure sweep's for
 // the same rate) and replayed by every cell of that rate, so differences
 // between degrees are differences in recovery policy, not in luck. Results
@@ -116,13 +111,6 @@ func ReplicaSweepN(ks []int, rates []float64, scale float64, workers int) []Repl
 		}
 	})
 	return out
-}
-
-// WriteReplicaSweep runs and prints the replica sweep.
-func WriteReplicaSweep(w io.Writer, ks []int, rates []float64, scale float64, workers int) []ReplicaSweepPoint {
-	points := ReplicaSweepN(ks, rates, scale, workers)
-	PrintReplicaSweep(w, points)
-	return points
 }
 
 // PrintReplicaSweep prints already-computed replica-sweep points.

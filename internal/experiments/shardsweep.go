@@ -133,15 +133,10 @@ func runShardCell(shards, seconds int) ShardSweepPoint {
 	return p
 }
 
-// ShardSweep runs the shard-scaling sweep sequentially.
-func ShardSweep(shardCounts []int, scale float64) []ShardSweepPoint {
-	return ShardSweepN(shardCounts, scale, 1)
-}
-
-// ShardSweepN is ShardSweep with an explicit worker count. Every cell is an
-// independent virtual-time simulation into an index-addressed slot, so the
-// results — including the derived speedups — are bit-identical at any
-// worker count.
+// ShardSweepN runs the shard-scaling sweep on up to workers goroutines.
+// Every cell is an independent virtual-time simulation into an
+// index-addressed slot, so the results — including the derived speedups —
+// are bit-identical at any worker count.
 func ShardSweepN(shardCounts []int, scale float64, workers int) []ShardSweepPoint {
 	seconds := int(8 * scale)
 	if seconds < 2 {
@@ -157,13 +152,6 @@ func ShardSweepN(shardCounts []int, scale float64, workers int) []ShardSweepPoin
 		}
 	}
 	return out
-}
-
-// WriteShardSweep runs and prints the shard sweep.
-func WriteShardSweep(w io.Writer, shardCounts []int, scale float64, workers int) []ShardSweepPoint {
-	points := ShardSweepN(shardCounts, scale, workers)
-	PrintShardSweep(w, points)
-	return points
 }
 
 // PrintShardSweep prints already-computed shard-sweep points.

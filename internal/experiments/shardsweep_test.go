@@ -10,31 +10,6 @@ var shardSweepCounts = []int{1, 2, 4}
 
 const shardSweepScale = 0.5
 
-// TestShardSweepDeterministicAcrossWorkers is the acceptance guard for the
-// sharded engine's virtual-time merge: the sweep's CSV must be bit-identical
-// at -parallel 1, 4, and 8 — every shard's event stream, the donation
-// decisions, and the derived speedups leave no room for scheduling races.
-func TestShardSweepDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs full simulations")
-	}
-	csvAt := func(workers int) string {
-		points := ShardSweepN(shardSweepCounts, shardSweepScale, workers)
-		var buf bytes.Buffer
-		if err := ShardSweepCSV(&buf, points); err != nil {
-			t.Fatalf("CSV at %d workers: %v", workers, err)
-		}
-		return buf.String()
-	}
-	one := csvAt(1)
-	for _, workers := range []int{4, 8} {
-		if got := csvAt(workers); got != one {
-			t.Errorf("shardsweep CSV diverges at -parallel %d:\n-- parallel 1 --\n%s\n-- parallel %d --\n%s",
-				workers, one, workers, got)
-		}
-	}
-}
-
 // TestShardSweepScaling is the headline acceptance criterion: on the
 // overload scenario (arrivals at 3.5× one head's admission capacity), four
 // shards must complete at least 3× the sessions one shard does, with zero

@@ -266,13 +266,5 @@ func (m *Meter) Busy(k int) units.Duration {
 	return units.Duration(m.busy[k])
 }
 
-// Fraction returns node k's mean busy share over the horizon.
-func (m *Meter) Fraction(k int, horizon units.Time) float64 {
-	if horizon <= 0 || k < 0 || k >= len(m.busy) {
-		return 0
-	}
-	return m.busy[k] / float64(horizon)
-}
-
 // Nodes returns the meter's node count.
 func (m *Meter) Nodes() int { return len(m.share) }

@@ -238,9 +238,6 @@ func TestShareMeterIntegrates(t *testing.T) {
 	if got := m.Busy(0); got != want {
 		t.Fatalf("busy integral = %v, want %v", got, want)
 	}
-	if got := m.Fraction(0, units.Time(4*units.Second)); math.Abs(got-0.875) > 1e-12 {
-		t.Fatalf("busy fraction = %v, want 0.875", got)
-	}
 	if got := m.Busy(1); got != 0 {
 		t.Fatalf("idle node busy = %v, want 0", got)
 	}

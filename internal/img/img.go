@@ -230,28 +230,6 @@ func (m *Image) SavePNG(path string) error {
 	return f.Close()
 }
 
-// EncodePPM writes the image as a binary P6 PPM — useful where a viewer
-// without PNG support inspects output, and as a second, trivially parseable
-// format for tests.
-func (m *Image) EncodePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", m.W, m.H); err != nil {
-		return err
-	}
-	row := make([]byte, m.W*3)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			p := m.At(x, y).Over(RGBA{0, 0, 0, 1})
-			row[x*3+0] = to8(p.R)
-			row[x*3+1] = to8(p.G)
-			row[x*3+2] = to8(p.B)
-		}
-		if _, err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Luminance returns the mean luminance of the image composited on black,
 // a cheap scalar summary tests use to assert "something visible rendered".
 func (m *Image) Luminance() float64 {

@@ -170,29 +170,6 @@ func TestSavePNG(t *testing.T) {
 	}
 }
 
-func TestPPMEncode(t *testing.T) {
-	m := New(3, 2)
-	m.Set(0, 0, RGBA{1, 1, 1, 1})
-	var buf bytes.Buffer
-	if err := m.EncodePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "P6\n3 2\n255\n"
-	if got := buf.String()[:len(want)]; got != want {
-		t.Errorf("header = %q", got)
-	}
-	if buf.Len() != len(want)+3*2*3 {
-		t.Errorf("payload length = %d", buf.Len())
-	}
-	body := buf.Bytes()[len(want):]
-	if body[0] != 255 || body[1] != 255 || body[2] != 255 {
-		t.Errorf("first pixel = %v", body[:3])
-	}
-	if body[3] != 0 {
-		t.Errorf("second pixel R = %v", body[3])
-	}
-}
-
 func TestLuminance(t *testing.T) {
 	black := New(4, 4)
 	if black.Luminance() != 0 {

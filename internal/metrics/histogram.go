@@ -100,15 +100,6 @@ func (h *Histogram) Summarize() QuantileSummary {
 	return QuantileSummary{N: h.total, P50: h.P50(), P95: h.P95(), P99: h.P99()}
 }
 
-// Quantiles evaluates several quantiles at once, in the order given.
-func (h *Histogram) Quantiles(qs ...float64) []units.Duration {
-	out := make([]units.Duration, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
 // HistogramDump is a Histogram's serializable form: only the non-empty
 // buckets are listed, so dumps stay small and deep-equal for equal
 // histograms regardless of how they were built.
@@ -149,15 +140,6 @@ func (h *Histogram) Restore(d HistogramDump) {
 			idx = bucketCount - 1
 		}
 		h.counts[idx] += b.Count
-	}
-}
-
-// Merge folds another histogram in.
-func (h *Histogram) Merge(o *Histogram) {
-	h.total += o.total
-	h.under += o.under
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
 	}
 }
 

@@ -74,24 +74,6 @@ func TestHistogramUnderflow(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Add(units.Millisecond)
-		b.Add(units.Second)
-	}
-	a.Merge(&b)
-	if a.N() != 200 {
-		t.Errorf("merged N = %d", a.N())
-	}
-	if a.P50() > 10*units.Millisecond {
-		t.Errorf("p50 = %v", a.P50())
-	}
-	if a.P99() < 500*units.Millisecond {
-		t.Errorf("p99 = %v", a.P99())
-	}
-}
-
 func TestHistogramRender(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 50; i++ {

@@ -8,7 +8,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -413,14 +412,6 @@ func (r *Report) EvictionsAdd(n int) { r.Evictions += int64(n) }
 // LoadAdd records one disk load.
 func (r *Report) LoadAdd() { r.Loads++ }
 
-// TaskExecuted records one serial task execution's cache outcome and node
-// time in one call.
-func (r *Report) TaskExecuted(hit bool, exec units.Duration, evictions int) {
-	r.TaskAccess(hit)
-	r.EvictionsAdd(evictions)
-	r.BusyAdd(exec)
-}
-
 // IdleSampled attributes one cycle's worth of idle-with-pending-batch time on
 // one node to the ε-guard (guard=true) or to ordinary queueing.
 func (r *Report) IdleSampled(guard bool, d units.Duration) {
@@ -501,24 +492,6 @@ func (r *Report) MeanFirstFrameLatency() units.Duration {
 		return 0
 	}
 	return units.Duration(sum / float64(n))
-}
-
-// MinFramerate returns the worst per-action framerate (fairness floor).
-func (r *Report) MinFramerate() float64 {
-	min := math.Inf(1)
-	any := false
-	for _, a := range r.actions {
-		if f := a.Framerate(); f > 0 {
-			any = true
-			if f < min {
-				min = f
-			}
-		}
-	}
-	if !any {
-		return 0
-	}
-	return min
 }
 
 // ActionCount returns the number of interactive actions observed.

@@ -92,9 +92,6 @@ func TestReportAggregation(t *testing.T) {
 	if f := r.MeanFramerate(); math.Abs(f-33.333) > 0.01 {
 		t.Errorf("mean framerate = %v", f)
 	}
-	if f := r.MinFramerate(); math.Abs(f-33.333) > 0.01 {
-		t.Errorf("min framerate = %v", f)
-	}
 }
 
 func TestHitRateAndUtilization(t *testing.T) {
@@ -103,9 +100,15 @@ func TestHitRateAndUtilization(t *testing.T) {
 	if r.HitRate() != 0 {
 		t.Error("empty hit rate not zero")
 	}
-	r.TaskExecuted(true, 2*units.Second, 0)
-	r.TaskExecuted(true, 2*units.Second, 1)
-	r.TaskExecuted(false, 6*units.Second, 2)
+	for _, task := range []struct {
+		hit       bool
+		exec      units.Duration
+		evictions int
+	}{{true, 2 * units.Second, 0}, {true, 2 * units.Second, 1}, {false, 6 * units.Second, 2}} {
+		r.TaskAccess(task.hit)
+		r.EvictionsAdd(task.evictions)
+		r.BusyAdd(task.exec)
+	}
 	if hr := r.HitRate(); math.Abs(hr-2.0/3) > 1e-9 {
 		t.Errorf("hit rate = %v", hr)
 	}

@@ -29,22 +29,6 @@ type PrefetchOutcome struct {
 	BytesMoved units.Bytes
 }
 
-// HitRatio returns hits per loaded warm; with nothing loaded, zero.
-func (o *PrefetchOutcome) HitRatio() float64 { return o.ratio(o.Hits) }
-
-// HiddenHitRatio returns hidden hits per issued warm.
-func (o *PrefetchOutcome) HiddenHitRatio() float64 { return o.ratio(o.HiddenHits) }
-
-// WasteRatio returns warmed-then-evicted chunks per loaded warm.
-func (o *PrefetchOutcome) WasteRatio() float64 { return o.ratio(o.Wasted) }
-
-func (o *PrefetchOutcome) ratio(n int64) float64 {
-	if o.Loaded == 0 {
-		return 0
-	}
-	return float64(n) / float64(o.Loaded)
-}
-
 // String renders a one-line summary.
 func (o *PrefetchOutcome) String() string {
 	return fmt.Sprintf(

@@ -62,12 +62,6 @@ func NewController(cfg *Config, n int, sizeOf func(volume.ChunkID) units.Bytes) 
 	}
 }
 
-// Predictor exposes the trained predictor for tests and introspection.
-func (c *Controller) Predictor() *Predictor { return c.pred }
-
-// Governor exposes the bandwidth governor for tests and introspection.
-func (c *Controller) Governor() *Governor { return c.gov }
-
 // Observe trains the predictor with one completed task. It also clears the
 // churn guard: demand work re-anchors the caches, so chunks a warm once
 // displaced become fair candidates again.

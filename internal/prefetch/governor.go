@@ -20,10 +20,6 @@ type Governor struct {
 
 	tokens []units.Bytes
 	last   []units.Time
-
-	granted units.Bytes
-	grants  int64
-	denials int64
 }
 
 // NewGovernor builds a governor for n nodes with full buckets, so a cold
@@ -74,12 +70,9 @@ func (g *Governor) refill(k int, now units.Time) {
 func (g *Governor) Allow(k core.NodeID, size units.Bytes, now units.Time) bool {
 	g.refill(int(k), now)
 	if size > g.tokens[int(k)] {
-		g.denials++
 		return false
 	}
 	g.tokens[int(k)] -= size
-	g.granted += size
-	g.grants++
 	return true
 }
 
@@ -87,18 +80,4 @@ func (g *Governor) Allow(k core.NodeID, size units.Bytes, now units.Time) bool {
 func (g *Governor) Available(k core.NodeID, now units.Time) units.Bytes {
 	g.refill(int(k), now)
 	return g.tokens[int(k)]
-}
-
-// Granted returns the total bytes granted across all nodes.
-func (g *Governor) Granted() units.Bytes { return g.granted }
-
-// Refund returns tokens for a warm that was cancelled before any bytes
-// moved (e.g. the target node failed between planning and issue).
-func (g *Governor) Refund(k core.NodeID, size units.Bytes) {
-	g.tokens[int(k)] += size
-	if g.tokens[int(k)] > g.burst {
-		g.tokens[int(k)] = g.burst
-	}
-	g.granted -= size
-	g.grants--
 }

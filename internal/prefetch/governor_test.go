@@ -63,20 +63,6 @@ func TestGovernorHugeGapNoOverflow(t *testing.T) {
 	}
 }
 
-func TestGovernorRefund(t *testing.T) {
-	g := NewGovernor(1, units.MB, 10*units.MB)
-	if !g.Allow(0, 6*units.MB, at(0)) {
-		t.Fatal("grant denied")
-	}
-	g.Refund(0, 6*units.MB)
-	if g.Granted() != 0 {
-		t.Fatalf("granted after refund = %v, want 0", g.Granted())
-	}
-	if !g.Allow(0, 10*units.MB, at(0)) {
-		t.Fatal("refund did not restore tokens")
-	}
-}
-
 // The no-starvation property: over any prefix of any request sequence with
 // monotone timestamps, total granted bytes per node never exceed
 // burst + rate * elapsed — demand I/O always keeps at least the residual

@@ -95,8 +95,6 @@ type Predictor struct {
 	t2      map[trans2Key]*dist
 	streams map[core.ActionID]*stream
 	freqs   map[volume.ChunkID]*emaEntry
-
-	observed int64
 }
 
 // NewPredictor builds an empty predictor; nil selects all defaults.
@@ -114,9 +112,6 @@ func NewPredictor(cfg *Config) *Predictor {
 	}
 }
 
-// Observed returns the number of Observe calls, for reporting.
-func (p *Predictor) Observed() int64 { return p.observed }
-
 // decayTo folds the exponential decay since the entry's last update.
 func (p *Predictor) decayTo(e *emaEntry, now units.Time) {
 	if dt := now.Sub(e.at); dt > 0 {
@@ -130,7 +125,6 @@ func (p *Predictor) decayTo(e *emaEntry, now units.Time) {
 // tables. Call it in completion order — virtual time in the simulator,
 // fragment arrival in the live head — so runs are reproducible.
 func (p *Predictor) Observe(action core.ActionID, c volume.ChunkID, now units.Time) {
-	p.observed++
 	e := p.freqs[c]
 	if e == nil {
 		e = &emaEntry{at: now}

@@ -163,15 +163,6 @@ func (w *view) project(lo, hi Vec3, width, height int) image.Rectangle {
 	return image.Rect(x0, y0, x1, y1)
 }
 
-// RayThrough returns the primary ray through normalized screen coordinates
-// (u,v) ∈ [0,1]² for an image with the given aspect ratio (w/h). v grows
-// downward, matching image row order. It resolves the camera's basis on
-// every call; RenderBrick resolves it once per render.
-func (c *Camera) RayThrough(u, v, aspect float64) Ray {
-	w := c.view(aspect)
-	return w.ray(u, v)
-}
-
 // intersectAABB returns the parametric entry/exit of the ray with the box
 // [lo,hi], and whether it hits at all. tmin is clamped to 0 (rays starting
 // inside the box enter immediately).

@@ -98,7 +98,8 @@ func TestCameraRaysPointForward(t *testing.T) {
 	cam := NewCamera(0.7, 0.3, 2.2)
 	fwd := cam.LookAt.Sub(cam.Eye).Normalize()
 	for _, uv := range [][2]float64{{0.5, 0.5}, {0, 0}, {1, 1}, {0.25, 0.9}} {
-		r := cam.RayThrough(uv[0], uv[1], 1)
+		w := cam.view(1)
+		r := w.ray(uv[0], uv[1])
 		if r.Dir.Dot(fwd) <= 0 {
 			t.Errorf("ray at %v points backward", uv)
 		}
@@ -107,7 +108,8 @@ func TestCameraRaysPointForward(t *testing.T) {
 		}
 	}
 	// Center ray goes straight at the look-at point.
-	r := cam.RayThrough(0.5, 0.5, 1)
+	w := cam.view(1)
+	r := w.ray(0.5, 0.5)
 	if r.Dir.Sub(fwd).Len() > 1e-9 {
 		t.Error("center ray deviates from forward")
 	}
@@ -135,21 +137,6 @@ func TestPiecewiseLookup(t *testing.T) {
 	if _, _, _, a := empty.Lookup(0.5); a != 0 {
 		t.Error("empty TF not transparent")
 	}
-}
-
-func TestLUTMatchesSource(t *testing.T) {
-	lut := Bake(DefaultTF)
-	for _, v := range []float32{0, 0.1, 0.33, 0.5, 0.77, 1} {
-		lr, lg, lb, la := lut.Lookup(v)
-		r, g, b, a := DefaultTF.Lookup(v)
-		if math.Abs(float64(lr-r)) > 0.01 || math.Abs(float64(lg-g)) > 0.01 ||
-			math.Abs(float64(lb-b)) > 0.01 || math.Abs(float64(la-a)) > 0.01 {
-			t.Errorf("LUT diverges at %v", v)
-		}
-	}
-	// Out-of-range lookups clamp rather than panic.
-	lut.Lookup(-1)
-	lut.Lookup(2)
 }
 
 func TestPresetTF(t *testing.T) {
@@ -408,7 +395,8 @@ func renderBrickReference(b *Brick, cam *Camera, tf TransferFunc, opt Options) (
 		v := (float64(y) + 0.5) / float64(opt.Height)
 		for x := 0; x < opt.Width; x++ {
 			u := (float64(x) + 0.5) / float64(opt.Width)
-			ray := cam.RayThrough(u, v, aspect)
+			w := cam.view(aspect) // the basis resolved afresh for every pixel
+			ray := w.ray(u, v)
 			tmin, tmax, ok := intersectAABB(ray, lo, hi)
 			if !ok {
 				continue
@@ -571,7 +559,6 @@ func adversarialPairs() []tfPair {
 		prepared("single-transparent", Piecewise{Points: []ControlPoint{{V: 0.5, R: 1}}}),
 		prepared("empty", Piecewise{}),
 		{"raw-piecewise", presets["supernova"], presets["supernova"]},
-		{"lut", Bake(presets["supernova"]), Bake(presets["supernova"])},
 		{"user-defined", bandTF{}, bandTF{}},
 	}
 }
@@ -797,8 +784,8 @@ func TestDegenerateCamerasRenderLikeReference(t *testing.T) {
 }
 
 // A corrupt chunk file can put anything in a voxel. NaN and ±Inf must render
-// — through every mode, a preset, a LUT — as the reference renders them, and
-// must not panic on the way.
+// — through every mode, a preset, a user-defined function — as the reference
+// renders them, and must not panic on the way.
 func TestNonFiniteVoxelsRenderLikeReference(t *testing.T) {
 	g := volume.Generate(volume.Supernova, 20, 20, 20)
 	rng := rand.New(rand.NewSource(5))
@@ -806,8 +793,7 @@ func TestNonFiniteVoxelsRenderLikeReference(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g.Data[rng.Intn(len(g.Data))] = poison[i%len(poison)]
 	}
-	lut := Bake(presets["supernova"])
-	pairs := []tfPair{presetPairs()[2], {"lut", lut, lut}, adversarialPairs()[0]}
+	pairs := []tfPair{presetPairs()[2], {"user-defined", bandTF{}, bandTF{}}, adversarialPairs()[0]}
 	for lname, bricks := range layouts(g) {
 		for _, tf := range pairs {
 			for v := 0; v < 3; v++ {
@@ -828,7 +814,7 @@ func TestNonFiniteVoxelsRenderLikeReference(t *testing.T) {
 func TestNaNSampleClassifiesAsBottomOfRange(t *testing.T) {
 	nan := float32(math.NaN())
 	p := Piecewise{Points: []ControlPoint{{V: 0.2, R: 0.1, A: 0}, {V: 0.8, R: 1, A: 0.6}}}
-	for name, tf := range map[string]TransferFunc{"piecewise": p, "compiled": p.compile(), "lut": Bake(p)} {
+	for name, tf := range map[string]TransferFunc{"piecewise": p, "compiled": p.compile()} {
 		r, _, _, a := tf.Lookup(nan)
 		if r != 0.1 || a != 0 {
 			t.Errorf("%s: Lookup(NaN) = r %v a %v, want the first control point (r 0.1, a 0)", name, r, a)

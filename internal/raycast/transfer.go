@@ -8,8 +8,7 @@ import "math"
 //
 // A voxel file can hold anything, so Lookup must accept any float32. The
 // implementations here treat a NaN sample as "no data", the bottom of the
-// range: Piecewise and the presets return their first control point, a LUT
-// its entry 0.
+// range: Piecewise and the presets return their first control point.
 type TransferFunc interface {
 	Lookup(v float32) (r, g, b, a float32)
 }
@@ -153,35 +152,6 @@ func (c *compiledTF) Lookup(v float32) (r, g, b, a float32) {
 		}
 	}
 	return c.last.R, c.last.G, c.last.B, c.last.A
-}
-
-// LUT is a precomputed 256-entry lookup table, the form a GPU shader would
-// sample; Bake converts any TransferFunc into one.
-type LUT struct {
-	table [256][4]float32
-}
-
-// Bake samples tf into a LUT.
-func Bake(tf TransferFunc) *LUT {
-	l := &LUT{}
-	for i := 0; i < 256; i++ {
-		r, g, b, a := tf.Lookup(float32(i) / 255)
-		l.table[i] = [4]float32{r, g, b, a}
-	}
-	return l
-}
-
-// Lookup implements TransferFunc with nearest-entry sampling. The clamps are
-// written so that NaN fails into the first: int(NaN) is not an index.
-func (l *LUT) Lookup(v float32) (r, g, b, a float32) {
-	if !(v >= 0) {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	e := l.table[int(v*255+0.5)]
-	return e[0], e[1], e[2], e[3]
 }
 
 // Preset transfer functions for the Fig. 10 analogue datasets. Opacities are

@@ -12,7 +12,7 @@ import (
 )
 
 // hour is a cycle no test outlives, and a busy period no render outlasts.
-const hour = 60 * units.Minute
+const hour = 3600 * units.Second
 
 // watchedScheduler is OURS observed: it records the queue length of every
 // Schedule call, as bench/'s tracedScheduler does. With hold set it is also

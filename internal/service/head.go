@@ -232,7 +232,7 @@ type Head struct {
 	retained      map[uint64]ResultBody
 	retainedOrder []uint64
 
-	snapCh    chan snapRequest
+	snapCh    chan chan *hastate.Snapshot
 	crashCh   chan struct{}
 	crashOnce sync.Once
 	stopOnce  sync.Once
@@ -306,7 +306,7 @@ func NewHead(sched core.Scheduler, catalog *Catalog, memQuota units.Bytes, model
 		rejoinCh: make(chan rejoinEvent, 4),
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
-		snapCh:   make(chan snapRequest),
+		snapCh:   make(chan chan *hastate.Snapshot),
 		crashCh:  make(chan struct{}),
 		byKey:    make(map[uint64]*liveJob),
 		retained: make(map[uint64]ResultBody),

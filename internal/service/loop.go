@@ -1,7 +1,9 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +26,7 @@ const (
 	evRejoin                    // a reconnecting worker's hello: event.rejoin
 	evTick                      // the scheduler's ω tick
 	evCheck                     // the health, deadline and autoscale check
-	evSnapshot                  // a snapshot request: event.snap
+	evSnapshot                  // a snapshot request: event.snap, its reply channel
 	evStop                      // graceful shutdown
 	evCrash                     // abrupt death
 )
@@ -37,7 +39,7 @@ type event struct {
 	lj     *liveJob
 	work   workerEvent
 	rejoin rejoinEvent
-	snap   snapRequest
+	snap   chan *hastate.Snapshot
 }
 
 // taskAt names task i of a live job.
@@ -360,11 +362,24 @@ func (l *headLoop) requeue(lj *liveJob, i int, counter *atomic.Int64) {
 	}
 }
 
+// byAdmission returns the in-flight jobs oldest first. Job IDs are issued in
+// submission order, so every walk over the jobs — the node-down requeue, the
+// deadline scan, a snapshot — takes the same order on every run instead of
+// the map's.
+func (l *headLoop) byAdmission() []*liveJob {
+	ljs := make([]*liveJob, 0, len(l.inflight))
+	for _, lj := range l.inflight {
+		ljs = append(ljs, lj)
+	}
+	slices.SortFunc(ljs, func(a, b *liveJob) int { return cmp.Compare(a.job.ID, b.job.ID) })
+	return ljs
+}
+
 // outstanding lists the tasks dispatched to node whose fragment has not come
-// back — what the node owes the head.
+// back — what the node owes the head — oldest job first.
 func (l *headLoop) outstanding(node core.NodeID) []taskAt {
 	var out []taskAt
-	for _, lj := range l.inflight {
+	for _, lj := range l.byAdmission() {
 		for i := range lj.job.Tasks {
 			if lj.job.Tasks[i].Assigned && lj.frags[i] == nil && lj.nodes[i] == node {
 				out = append(out, taskAt{lj, i})
@@ -463,7 +478,7 @@ func (l *headLoop) checkHealth() {
 		return
 	}
 	changed := false
-	for _, lj := range l.inflight {
+	for _, lj := range l.byAdmission() {
 		for i := range lj.job.Tasks {
 			t := &lj.job.Tasks[i]
 			if !t.Assigned || lj.frags[i] != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -346,5 +347,39 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 		"dispatch 1 1 0 1.7s",
 		"dispatch 1 1 0 3.1s",
 		"fail 1 -1 -1 4.1s",
+	)
+}
+
+// A node that goes down owes the head a brick of each of three frames; they
+// go back to the queue, and so to the survivor, oldest frame first — on every
+// run, not in the in-flight map's order.
+func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
+	s := newSteppedHead(t, 2, func(h *Head) { h.DeadlineFactor = 0 })
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+	for i := 1; i <= 3; i++ {
+		s.submit(uint64(i), frame)
+		s.l.step(event{kind: evTick})
+		s.wantTasks(0, 1)
+		s.wantTasks(1, 1)
+	}
+	s.at(time.Second)
+	s.l.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.gens[0], err: io.EOF}})
+	s.l.step(event{kind: evTick})
+	s.wantTasks(1, 3)
+
+	s.wantJournal(
+		"admit 1 -1 -1 0s",
+		"dispatch 1 0 0 0s",
+		"dispatch 1 1 1 0s",
+		"admit 2 -1 -1 0s",
+		"dispatch 2 0 0 0s",
+		"dispatch 2 1 1 0s",
+		"admit 3 -1 -1 0s",
+		"dispatch 3 0 0 0s",
+		"dispatch 3 1 1 0s",
+		"rehome 0 -1 0 1s",
+		"dispatch 1 0 1 1s",
+		"dispatch 2 0 1 1s",
+		"dispatch 3 0 1 1s",
 	)
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -18,14 +17,6 @@ import (
 // builder, the crash hook used by tests and the failover example, and
 // StartRecovered — the warm-standby entry point that resumes dispatching
 // from a replayed hastate.State.
-
-// snapRequest asks the dispatcher for a consistent snapshot: built on the
-// dispatcher goroutine, so it observes no half-applied mutation. A non-nil
-// next additionally rotates the journal at the cut (see SnapshotRotate).
-type snapRequest struct {
-	reply chan *hastate.Snapshot
-	next  *journal.Writer
-}
 
 // journalRec appends one record to the write-ahead log. A nil Journal makes
 // this a no-op, keeping the non-HA configuration byte-identical. Append
@@ -93,18 +84,10 @@ func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
 }
 
 // snapshot serves one snapshot request with the durable state as of this
-// step, so it holds no half-applied mutation. With req.next set, the cut is
-// atomic with a journal rotation: the old log is synced and retired, the
-// snapshot built, and the new writer installed before any further event can
-// journal — so every record in the old log is ≤ the cut and every record
-// after it lands in the new log. Without this atomicity a completion racing
-// the cut would appear both in the snapshot's tables and in the log replayed
-// on top of them (a duplicate the replayer rejects).
-func (l *headLoop) snapshot(req snapRequest) {
+// step: built on the dispatcher's thread, so it holds no half-applied
+// mutation.
+func (l *headLoop) snapshot(reply chan<- *hastate.Snapshot) {
 	h := l.h
-	if req.next != nil && h.Journal != nil {
-		_ = h.Journal.Sync()
-	}
 	h.mu.Lock()
 	next := h.nextJobID
 	h.mu.Unlock()
@@ -116,56 +99,30 @@ func (l *headLoop) snapshot(req snapRequest) {
 	if h.qosc != nil {
 		snap.QoS = h.qosc.Export()
 	}
-	ljs := make([]*liveJob, 0, len(l.inflight))
-	for _, lj := range l.inflight {
-		ljs = append(ljs, lj)
-	}
-	sort.Slice(ljs, func(i, j int) bool { return ljs[i].job.ID < ljs[j].job.ID })
-	for _, lj := range ljs {
+	for _, lj := range l.byAdmission() {
 		snap.Jobs = append(snap.Jobs, h.jobRecord(lj))
 	}
-	if req.next != nil {
-		h.Journal = req.next
-	}
-	req.reply <- snap
+	reply <- snap
 }
 
 // Snapshot captures the head's complete durable state at one dispatch-loop
 // instant — the base a journal replays on top of. Safe from any goroutine;
 // valid after Start.
-func (h *Head) Snapshot() (*hastate.Snapshot, error) { return h.cut("Snapshot", nil) }
-
-// SnapshotRotate captures the head's durable state and swaps the journal
-// to next in one dispatcher step: the old log is synced (so it is complete
-// up to the cut), the snapshot is built, and next is installed before any
-// further mutation can be journaled. The returned snapshot plus the new
-// log replays to exactly the same tables as the old base plus the old log
-// — the checkpoint operation a long-running head uses to truncate its
-// WAL.
-func (h *Head) SnapshotRotate(next *journal.Writer) (*hastate.Snapshot, error) {
-	if h.started && next == nil {
-		return nil, fmt.Errorf("service: SnapshotRotate needs a journal writer (use Snapshot for a plain capture)")
-	}
-	return h.cut("SnapshotRotate", next)
-}
-
-// cut asks the dispatcher for a snapshot, rotating the journal to next when
-// that is set, on behalf of the exported method named what.
-func (h *Head) cut(what string, next *journal.Writer) (*hastate.Snapshot, error) {
+func (h *Head) Snapshot() (*hastate.Snapshot, error) {
 	if !h.started {
-		return nil, fmt.Errorf("service: %s before Start", what)
+		return nil, fmt.Errorf("service: Snapshot before Start")
 	}
-	req := snapRequest{reply: make(chan *hastate.Snapshot, 1), next: next}
+	reply := make(chan *hastate.Snapshot, 1)
 	select {
-	case h.snapCh <- req:
+	case h.snapCh <- reply:
 	case <-h.doneCh:
-		return nil, fmt.Errorf("service: %s after dispatcher exit", what)
+		return nil, fmt.Errorf("service: Snapshot after dispatcher exit")
 	}
 	select {
-	case snap := <-req.reply:
+	case snap := <-reply:
 		return snap, nil
 	case <-h.doneCh:
-		return nil, fmt.Errorf("service: %s after dispatcher exit", what)
+		return nil, fmt.Errorf("service: Snapshot after dispatcher exit")
 	}
 }
 

@@ -586,9 +586,6 @@ func (w *Worker) ServeLoop(dial func() (transport.Conn, error), rc ReconnectConf
 	}
 }
 
-// CachedChunks reports the worker's resident chunk count, for tests.
-func (w *Worker) CachedChunks() int { return w.lru.Len() }
-
 // RayStats reports how many sample positions this worker's rays have
 // visited and how many of them empty-space skipping stepped over without a
 // voxel fetch (raycast.Fragment). The ratio is near zero on a worker whose
@@ -599,6 +596,6 @@ func (w *Worker) RayStats() (samples, skipped int64) {
 }
 
 // CacheStats reports the worker cache's cumulative hit/miss/eviction
-// counters. Like CachedChunks it is not synchronized with a live serve
-// loop; read it after Serve returns or accept approximate values.
+// counters. It is not synchronized with a live serve loop; read it after
+// Serve returns or accept approximate values.
 func (w *Worker) CacheStats() cache.Stats { return w.lru.Stats() }

@@ -126,7 +126,7 @@ func TestAutoscaleDrainMigratesQueuedTasks(t *testing.T) {
 		QueueHigh: 1e9,
 		QueueLow:  1e9 - 1,
 		HoldDown:  1,
-		Cooldown:  units.Duration(10 * units.Minute),
+		Cooldown:  units.Duration(600 * units.Second),
 	}
 	s := &workload.Schedule{Length: units.Time(60 * units.Second)}
 	for i := 0; i < 40; i++ {

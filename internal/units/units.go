@@ -62,7 +62,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
 )
 
 // Add advances a time by a duration.
@@ -97,9 +96,6 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // String formats the duration using the time package's conventions.
 func (d Duration) String() string { return time.Duration(d).String() }
-
-// FromStd converts a time.Duration to a simulated Duration.
-func FromStd(d time.Duration) Duration { return Duration(d) }
 
 // Rate is a data-transfer rate in bytes per simulated second.
 type Rate float64

@@ -51,9 +51,6 @@ func TestDurationConversions(t *testing.T) {
 	if d.Std() != 1500*time.Microsecond {
 		t.Errorf("Std = %v", d.Std())
 	}
-	if FromStd(2*time.Second) != 2*Second {
-		t.Error("FromStd mismatch")
-	}
 }
 
 func TestRateTimeFor(t *testing.T) {

@@ -44,9 +44,6 @@ type Dataset struct {
 	Chunks []Chunk
 }
 
-// ChunkCount returns the number of chunks in the decomposition.
-func (d *Dataset) ChunkCount() int { return len(d.Chunks) }
-
 // Decomposition is a policy for splitting a dataset into chunks (§III-C).
 type Decomposition interface {
 	// Split returns the chunk sizes for a dataset of the given total size.
@@ -124,16 +121,6 @@ func NewDataset(id DatasetID, name string, size units.Bytes, policy Decompositio
 		d.Chunks[i] = Chunk{ID: ChunkID{Dataset: id, Index: i}, Size: s}
 	}
 	return d
-}
-
-// TotalChunkSize returns the sum of chunk sizes; it must equal Size for any
-// correct decomposition (a property the tests enforce).
-func (d *Dataset) TotalChunkSize() units.Bytes {
-	var sum units.Bytes
-	for _, c := range d.Chunks {
-		sum += c.Size
-	}
-	return sum
 }
 
 // Library is an ordered collection of datasets, as served by a head node.

@@ -123,11 +123,15 @@ func TestNewDatasetAndLibrary(t *testing.T) {
 	lib := NewLibrary()
 	for i := 0; i < 3; i++ {
 		d := NewDataset(DatasetID(i), "ds", 2*units.GB, MaxChunk{Chkmax: 512 * units.MB})
-		if d.ChunkCount() != 4 {
-			t.Fatalf("chunk count = %d, want 4", d.ChunkCount())
+		if len(d.Chunks) != 4 {
+			t.Fatalf("chunk count = %d, want 4", len(d.Chunks))
 		}
-		if d.TotalChunkSize() != d.Size {
-			t.Fatalf("TotalChunkSize = %v, want %v", d.TotalChunkSize(), d.Size)
+		var sum units.Bytes
+		for _, c := range d.Chunks {
+			sum += c.Size
+		}
+		if sum != d.Size {
+			t.Fatalf("chunk sizes sum to %v, want %v", sum, d.Size)
 		}
 		lib.Add(d)
 	}

@@ -18,9 +18,6 @@ func (b Box) Dx() int { return b.Max[0] - b.Min[0] }
 func (b Box) Dy() int { return b.Max[1] - b.Min[1] }
 func (b Box) Dz() int { return b.Max[2] - b.Min[2] }
 
-// Voxels returns the number of voxels inside the box.
-func (b Box) Voxels() int { return b.Dx() * b.Dy() * b.Dz() }
-
 // Empty reports whether the box contains no voxels.
 func (b Box) Empty() bool { return b.Dx() <= 0 || b.Dy() <= 0 || b.Dz() <= 0 }
 

@@ -140,27 +140,6 @@ func readVoxels(r io.Reader, dims [3]int, n int, slab []float32) (*Grid, error) 
 	return &Grid{Dims: dims, Data: data}, nil
 }
 
-// ReadGrid reads a VSVOL1 volume from r.
-func ReadGrid(r io.Reader) (*Grid, error) { return ReadGridInto(r, nil) }
-
-// ReadGridInto is ReadGrid with a destination to recycle: the grid's Data
-// is slab's memory when cap(slab) holds the volume, and newly allocated
-// otherwise. On error the slab is still the caller's, its contents
-// unspecified.
-func ReadGridInto(r io.Reader, slab []float32) (*Grid, error) {
-	dims, n, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	// A reader that knows what it has left (bytes.Reader, bytes.Buffer,
-	// strings.Reader) is held to it before anything is allocated; LoadGridInto
-	// does the same for a file.
-	if sized, ok := r.(interface{ Len() int }); ok && sized.Len() < 4*n {
-		return nil, fmt.Errorf("volume: reading voxels: %w", io.ErrUnexpectedEOF)
-	}
-	return readVoxels(r, dims, n, slab)
-}
-
 // SaveGrid writes g to the named file.
 func SaveGrid(path string, g *Grid) error {
 	f, err := os.Create(path)
@@ -174,12 +153,11 @@ func SaveGrid(path string, g *Grid) error {
 	return f.Close()
 }
 
-// LoadGrid reads a volume from the named file.
-func LoadGrid(path string) (*Grid, error) { return LoadGridInto(path, nil) }
-
-// LoadGridInto is LoadGrid with a destination to recycle, as ReadGridInto.
-// The file must be exactly as long as its header says, which is checked
-// before the voxels get anywhere to go.
+// LoadGridInto reads a volume from the named file into a destination to
+// recycle: the grid's Data is slab's memory when cap(slab) holds the volume,
+// and newly allocated otherwise. On error the slab is still the caller's,
+// its contents unspecified. The file must be exactly as long as its header
+// says, which is checked before the voxels get anywhere to go.
 func LoadGridInto(path string, slab []float32) (*Grid, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -14,13 +14,29 @@ import (
 	"testing"
 )
 
+// readGridInto decodes a VSVOL1 volume from memory: LoadGridInto's
+// readHeader and readVoxels without a file, so the decoder tests and the
+// fuzzer can feed it bytes directly. As LoadGridInto holds a header to the
+// file's size, it holds one to what the reader has left before anything is
+// allocated.
+func readGridInto(r io.Reader, slab []float32) (*Grid, error) {
+	dims, n, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if sized, ok := r.(interface{ Len() int }); ok && sized.Len() < 4*n {
+		return nil, fmt.Errorf("volume: reading voxels: %w", io.ErrUnexpectedEOF)
+	}
+	return readVoxels(r, dims, n, slab)
+}
+
 func TestGridRoundTrip(t *testing.T) {
 	g := Generate(Supernova, 12, 10, 14)
 	var buf bytes.Buffer
 	if err := WriteGrid(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGrid(&buf)
+	got, err := readGridInto(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +51,7 @@ func TestGridRoundTrip(t *testing.T) {
 }
 
 func TestReadGridRejectsBadMagic(t *testing.T) {
-	if _, err := ReadGrid(strings.NewReader("NOTVOL\nxxxx")); err == nil {
+	if _, err := readGridInto(strings.NewReader("NOTVOL\nxxxx"), nil); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -47,7 +63,7 @@ func TestReadGridRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadGrid(bytes.NewReader(trunc)); err == nil {
+	if _, err := readGridInto(bytes.NewReader(trunc), nil); err == nil {
 		t.Error("truncated volume accepted")
 	}
 }
@@ -57,7 +73,7 @@ func TestReadGridRejectsHugeDims(t *testing.T) {
 	buf.WriteString(magic)
 	// nx = 1<<20: unreasonable.
 	buf.Write([]byte{0, 0, 16, 0, 1, 0, 0, 0, 1, 0, 0, 0})
-	if _, err := ReadGrid(&buf); err == nil {
+	if _, err := readGridInto(&buf, nil); err == nil {
 		t.Error("huge dims accepted")
 	}
 }
@@ -68,7 +84,7 @@ func TestSaveLoadGrid(t *testing.T) {
 	if err := SaveGrid(path, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadGrid(path)
+	got, err := LoadGridInto(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +97,7 @@ func TestSaveLoadGrid(t *testing.T) {
 }
 
 func TestLoadGridMissingFile(t *testing.T) {
-	if _, err := LoadGrid(filepath.Join(t.TempDir(), "missing.vsvol")); err == nil {
+	if _, err := LoadGridInto(filepath.Join(t.TempDir(), "missing.vsvol"), nil); err == nil {
 		t.Error("missing file did not error")
 	}
 }
@@ -104,7 +120,7 @@ func writeGridReference(w io.Writer, g *Grid) error {
 	return bw.Flush()
 }
 
-// readGridReference is the decoder ReadGrid replaced.
+// readGridReference is the decoder readHeader and readVoxels replaced.
 func readGridReference(r io.Reader) (*Grid, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	got := make([]byte, len(magic))
@@ -167,7 +183,7 @@ func TestGridCodecMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadGrid(bytes.NewReader(want.Bytes()))
+	back, err := readGridInto(bytes.NewReader(want.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +232,7 @@ func TestReadGridIntoRecyclesSlab(t *testing.T) {
 	for i := range slab {
 		slab[i] = -1
 	}
-	got, err := ReadGridInto(bytes.NewReader(buf.Bytes()), slab[:3])
+	got, err := readGridInto(bytes.NewReader(buf.Bytes()), slab[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +240,7 @@ func TestReadGridIntoRecyclesSlab(t *testing.T) {
 		t.Error("a slab with room was not used")
 	}
 	sameBits(t, got.Data, g.Data)
-	small, err := ReadGridInto(bytes.NewReader(buf.Bytes()), slab[:0:100])
+	small, err := readGridInto(bytes.NewReader(buf.Bytes()), slab[:0:100])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +286,11 @@ func TestHeaderCannotForceAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := allocated(func() {
-			if _, err := ReadGrid(bytes.NewReader(tc.file)); err == nil {
-				t.Errorf("%s: ReadGrid accepted it", tc.name)
+			if _, err := readGridInto(bytes.NewReader(tc.file), nil); err == nil {
+				t.Errorf("%s: readGridInto accepted it", tc.name)
 			}
-			if _, err := LoadGrid(path); err == nil {
-				t.Errorf("%s: LoadGrid accepted it", tc.name)
+			if _, err := LoadGridInto(path, nil); err == nil {
+				t.Errorf("%s: LoadGridInto accepted it", tc.name)
 			}
 		})
 		if got > 64<<10 {
@@ -297,13 +313,13 @@ func TestLoadGridRequiresExactSize(t *testing.T) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadGrid(path); err == nil {
+		if _, err := LoadGridInto(path, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// FuzzReadGrid feeds ReadGrid arbitrary bytes: it must not panic, must not
+// FuzzReadGrid feeds readGridInto arbitrary bytes: it must not panic, must not
 // allocate more than the input could fill (plus a constant), and whatever it
 // accepts must encode back to the bytes it was read from.
 func FuzzReadGrid(f *testing.F) {
@@ -321,9 +337,9 @@ func FuzzReadGrid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g *Grid
 		var err error
-		got := allocated(func() { g, err = ReadGrid(bytes.NewReader(data)) })
+		got := allocated(func() { g, err = readGridInto(bytes.NewReader(data), nil) })
 		if limit := uint64(len(data)) + 1<<20; got > limit {
-			t.Fatalf("%d input bytes made ReadGrid allocate %d", len(data), got)
+			t.Fatalf("%d input bytes made readGridInto allocate %d", len(data), got)
 		}
 		if err != nil {
 			return

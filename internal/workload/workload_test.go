@@ -221,8 +221,8 @@ func TestScenarioLibrary(t *testing.T) {
 		t.Fatalf("library size = %d", lib.Len())
 	}
 	for _, d := range lib.All() {
-		if d.ChunkCount() != 4 {
-			t.Errorf("dataset %s chunks = %d, want 4", d.Name, d.ChunkCount())
+		if len(d.Chunks) != 4 {
+			t.Errorf("dataset %s chunks = %d, want 4", d.Name, len(d.Chunks))
 		}
 	}
 }
