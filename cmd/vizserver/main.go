@@ -268,8 +268,8 @@ func main() {
 			}()
 			if *httpAddr != "" {
 				go func() {
-					log.Printf("head: shard-0 stats on http://%s/ and /metrics", *httpAddr)
-					if err := http.ListenAndServe(*httpAddr, mh.Shard(0).StatsHandler()); err != nil {
+					log.Printf("head: stats of all %d shards on http://%s/ and /metrics", *shards, *httpAddr)
+					if err := http.ListenAndServe(*httpAddr, mh.StatsHandler()); err != nil {
 						log.Printf("head: stats server: %v", err)
 					}
 				}()

@@ -138,7 +138,7 @@ func live() {
 	for frame := 6; frame < 9; frame++ {
 		render(frame)
 	}
-	fmt.Println(cluster.Head.Recovery())
+	fmt.Println(recoveryLine(cluster.Head.Stats()))
 }
 
 // headFailover runs the same keyed animation twice: once uninterrupted, once
@@ -239,14 +239,14 @@ func headFailover() {
 	if err := cluster.ResyncTo(standby); err != nil {
 		log.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); standby.Recovery().WorkersResynced < 2; {
+	for deadline := time.Now().Add(5 * time.Second); standby.Stats().WorkersResynced < 2; {
 		if time.Now().After(deadline) {
 			log.Fatal("workers did not resync in time")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	fmt.Printf("  >> workers resynced: %d (cache re-announcement + retained replay)\n",
-		standby.Recovery().WorkersResynced)
+		standby.Stats().WorkersResynced)
 
 	// The client reconnects and re-submits its last pre-crash key: the
 	// standby serves it from the retained store, then the animation finishes.
@@ -269,7 +269,18 @@ func headFailover() {
 	fmt.Printf("  all %d frames byte-identical to the uninterrupted run\n", frames)
 	fmt.Printf("  tasks executed: %d before crash, %d rendered post-takeover (re-submitted key 3 re-rendered nothing)\n",
 		tasksBefore, tasksAfter-tasksBefore)
-	fmt.Println(" ", standby.Recovery())
+	fmt.Println(" ", recoveryLine(standby.Stats()))
+}
+
+// recoveryLine renders a head's fault-tolerance counters: jobs lost counts
+// every job that failed back to a client, and MTTR is the mean time from a
+// node's down verdict to its rejoin.
+func recoveryLine(s service.StatsSnapshot) string {
+	mttr := time.Duration(s.MTTRSeconds * float64(time.Second)).Round(time.Millisecond)
+	return fmt.Sprintf(
+		"recovery: workers down=%d rejoined=%d, tasks re-dispatched=%d, jobs lost=%d (shed=%d), chunks re-homed=%d (re-seeded=%d), MTTR=%v",
+		s.WorkersDown, s.WorkersRejoined, s.TasksRedispatched, s.JobsFailed, s.JobsShed,
+		s.ChunksRehomed, s.ChunksReseeded, mttr)
 }
 
 func main() {

@@ -98,12 +98,12 @@ func TestAutoscaleLiveDrainIsNeverACrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitHealth(t, cl.Head, victim, core.HealthUp)
-	rec := cl.Head.Recovery()
+	rec := cl.Head.Stats()
 	if rec.WorkersRejoined != 1 {
 		t.Errorf("WorkersRejoined = %d, want 1", rec.WorkersRejoined)
 	}
-	if rec.MTTR != 0 {
-		t.Errorf("MTTR = %v after drain + rejoin, want 0 (a drain is not a repair)", rec.MTTR)
+	if rec.MTTRSeconds != 0 {
+		t.Errorf("MTTR = %vs after drain + rejoin, want 0 (a drain is not a repair)", rec.MTTRSeconds)
 	}
 	if rec.WorkersDown != 0 {
 		t.Errorf("WorkersDown = %d, want 0", rec.WorkersDown)
@@ -140,10 +140,10 @@ func TestMultiHeadShardAwareRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitHealth(t, mc.MH.Shard(1), 1, core.HealthUp)
-	if got := mc.MH.Shard(1).Recovery().WorkersRejoined; got != 1 {
+	if got := mc.MH.Shard(1).Stats().WorkersRejoined; got != 1 {
 		t.Errorf("shard 1 rejoins = %d, want 1", got)
 	}
-	if got := mc.MH.Shard(0).Recovery().WorkersRejoined; got != 0 {
+	if got := mc.MH.Shard(0).Stats().WorkersRejoined; got != 0 {
 		t.Errorf("shard 0 rejoins = %d, want 0 — rejoin landed on the wrong shard", got)
 	}
 

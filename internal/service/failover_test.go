@@ -128,12 +128,12 @@ func TestHeadFailoverJournalRecovery(t *testing.T) {
 	if got := cl.Worker(0).TasksExecuted() + cl.Worker(1).TasksExecuted(); got != tasksBefore {
 		t.Errorf("tasks executed rose %d -> %d across failover: work was re-rendered", tasksBefore, got)
 	}
-	rec := standby.Recovery()
+	rec := standby.Stats()
 	if rec.WorkersResynced != 2 {
 		t.Errorf("workers resynced = %d, want 2", rec.WorkersResynced)
 	}
-	if rec.JobsLost != 0 {
-		t.Errorf("jobs lost = %d, want 0", rec.JobsLost)
+	if rec.JobsFailed != 0 {
+		t.Errorf("jobs lost = %d, want 0", rec.JobsFailed)
 	}
 	if rec.JobsReattached+rec.RetainedServed != frames {
 		t.Errorf("reattached+retained = %d+%d, want %d total",
@@ -280,7 +280,7 @@ func TestResyncEpochReconcilesUnackedCompletion(t *testing.T) {
 	if res.Image == nil {
 		t.Fatal("re-submission returned no image")
 	}
-	if got := standby.Recovery().RetainedServed; got != 1 {
+	if got := standby.Stats().RetainedServed; got != 1 {
 		t.Errorf("retained served = %d, want 1", got)
 	}
 	if got := w.TasksExecuted(); got != 2 {
@@ -411,7 +411,7 @@ func TestNetChaosPartitionSuspectHeals(t *testing.T) {
 	if got := head.Stats().WorkersDown; got != 0 {
 		t.Errorf("workers down = %d, want 0 (partition healed before DownAfter)", got)
 	}
-	if got := head.Recovery().JobsLost; got != 0 {
+	if got := head.Stats().JobsFailed; got != 0 {
 		t.Errorf("jobs lost = %d, want 0", got)
 	}
 }
@@ -505,7 +505,7 @@ func TestFailoverServeLoopResyncsToStandby(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("ServeLoop did not exit after head Stop")
 	}
-	if got := standby.Recovery().WorkersResynced; got < 1 {
+	if got := standby.Stats().WorkersResynced; got < 1 {
 		t.Errorf("workers resynced = %d, want >= 1", got)
 	}
 }

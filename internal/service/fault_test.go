@@ -73,15 +73,15 @@ func TestKillWorkerMidJobRejoin(t *testing.T) {
 		}
 	}
 
-	rec := cl.Head.Recovery()
+	rec := cl.Head.Stats()
 	if rec.WorkersDown != 1 || rec.WorkersRejoined != 1 {
 		t.Errorf("down/rejoined = %d/%d, want 1/1", rec.WorkersDown, rec.WorkersRejoined)
 	}
-	if rec.MTTR <= 0 {
-		t.Errorf("MTTR = %v, want > 0", rec.MTTR)
+	if rec.MTTRSeconds <= 0 {
+		t.Errorf("MTTR = %vs, want > 0", rec.MTTRSeconds)
 	}
-	if rec.JobsLost != 0 {
-		t.Errorf("jobs lost = %d, want 0", rec.JobsLost)
+	if rec.JobsFailed != 0 {
+		t.Errorf("jobs lost = %d, want 0", rec.JobsFailed)
 	}
 }
 
@@ -157,12 +157,12 @@ func TestDeadlineRedispatch(t *testing.T) {
 	if res.Image == nil {
 		t.Fatal("no image")
 	}
-	rec := head.Recovery()
+	rec := head.Stats()
 	if rec.TasksRedispatched == 0 {
 		t.Error("no deadline re-dispatch was recorded")
 	}
-	if rec.JobsLost != 0 {
-		t.Errorf("jobs lost = %d, want 0", rec.JobsLost)
+	if rec.JobsFailed != 0 {
+		t.Errorf("jobs lost = %d, want 0", rec.JobsFailed)
 	}
 	if got := head.WorkerHealth(1); got != core.HealthSuspect {
 		t.Errorf("silent node health = %v, want suspect", got)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
@@ -138,19 +137,18 @@ func TestFracShareOffByDefault(t *testing.T) {
 // with 2 of K=2 slots busy integrates at full share, releases clamp at
 // zero, and quantiles appear once sampled.
 func TestFracTrackerAccounting(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	tr := newFracTracker(2, 2, t0)
-	tr.noteDispatch(0, t0)
-	tr.noteDispatch(0, t0)
-	tr.noteDispatch(0, t0) // over-subscribed: share clamps at 1
-	t1 := t0.Add(5 * time.Millisecond)
-	tr.sample(t1)
-	tr.noteDone(0, true, t1)
-	tr.noteDone(0, true, t1)
-	tr.noteDone(0, false, t1) // a release, not a completion
-	tr.noteDone(0, false, t1) // straggler: clamped, never negative
-	tr.noteDone(-1, true, t1) // out of range: ignored
-	s := tr.snapshot(t0.Add(10 * time.Millisecond))
+	tr := newFracTracker(2, 2)
+	tr.note(0, +1, false, 0)
+	tr.note(0, +1, false, 0)
+	tr.note(0, +1, false, 0) // over-subscribed: share clamps at 1
+	t1 := units.Time(5 * units.Millisecond)
+	tr.sample()
+	tr.note(0, -1, true, t1)
+	tr.note(0, -1, true, t1)
+	tr.note(0, -1, false, t1) // a release, not a completion
+	tr.note(0, -1, false, t1) // straggler: clamped, never negative
+	tr.note(-1, -1, true, t1) // out of range: ignored
+	s := tr.snapshot(units.Time(10 * units.Millisecond))
 	if s.Slots != 2 || s.TasksDispatched != 3 || s.TasksCompleted != 2 {
 		t.Errorf("snapshot = %+v", s)
 	}

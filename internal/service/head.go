@@ -447,7 +447,7 @@ func (h *Head) boot() (*headLoop, error) {
 // wireExtensions builds the optional layers' controllers for an n-worker
 // fleet, on fresh tables and recovered ones alike: the scheduler's replica
 // knob (§5.6), QoS (§5.7), prefetch (§5.8) and the fractional-share account
-// (§5.13). h.start must be set.
+// (§5.13).
 func (h *Head) wireExtensions(n int) {
 	if h.Replicas > 1 {
 		if rs, ok := h.sched.(core.ReplicaSetter); ok {
@@ -469,7 +469,7 @@ func (h *Head) wireExtensions(n int) {
 		}
 	}
 	if h.FracShare != nil {
-		h.frac = newFracTracker(n, h.fracSlots(), h.start)
+		h.frac = newFracTracker(n, h.fracSlots())
 	}
 }
 

@@ -254,7 +254,7 @@ func (l *headLoop) schedule() {
 				h.Logf("head: send to node %d failed: %v", a.Node, err)
 			}
 			if h.frac != nil {
-				h.frac.noteDispatch(int(a.Node), h.wall())
+				h.frac.note(int(a.Node), +1, false, h.now())
 			}
 		}
 		clear(l.jobs) // the scratch must not pin finished jobs
@@ -358,7 +358,7 @@ func (l *headLoop) requeue(lj *liveJob, i int, counter *atomic.Int64) {
 	lj.job.Remaining++
 	counter.Add(1)
 	if l.h.frac != nil {
-		l.h.frac.noteDone(int(lj.nodes[i]), false, l.h.wall())
+		l.h.frac.note(int(lj.nodes[i]), -1, false, l.h.now())
 	}
 }
 
@@ -445,7 +445,7 @@ func (l *headLoop) check() {
 	h.stats.queueDepth.Store(int64(depth))
 	h.stats.batchBacklog.Store(int64(backlog))
 	if h.frac != nil {
-		h.frac.sample(h.wall())
+		h.frac.sample()
 	}
 	if l.scaler != nil {
 		l.scaler.tick()
@@ -844,7 +844,7 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 		lj.frags[i] = &frag
 		lj.got++
 		if h.frac != nil {
-			h.frac.noteDone(int(node), true, h.wall())
+			h.frac.note(int(node), -1, true, h.now())
 		}
 	}
 	if lj.got == len(lj.frags) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -12,7 +14,9 @@ import (
 	"time"
 
 	"vizsched/internal/core"
+	"vizsched/internal/fracshare"
 	"vizsched/internal/journal"
+	"vizsched/internal/qos"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
@@ -234,8 +238,9 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	if got := s.h.WorkerHealth(0); got != core.HealthUp {
 		t.Errorf("node 0 after rejoin: %v, want up", got)
 	}
-	if r := s.h.Recovery(); r.MTTR != time.Second || r.WorkersDown != 1 || r.WorkersRejoined != 1 || r.TasksRedispatched != 1 {
-		t.Errorf("recovery = %+v, want MTTR exactly 1s over one down, one rejoin, one task re-dispatched", r)
+	if r := s.h.Stats(); r.MTTRSeconds != 1 || r.WorkersDown != 1 || r.WorkersRejoined != 1 || r.TasksRedispatched != 1 {
+		t.Errorf("MTTR = %vs, down %d, rejoined %d, re-dispatched %d; want MTTR exactly 1s over one down, one rejoin, one task re-dispatched",
+			r.MTTRSeconds, r.WorkersDown, r.WorkersRejoined, r.TasksRedispatched)
 	}
 
 	s.wantJournal(
@@ -383,3 +388,254 @@ func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
 		"dispatch 3 0 1 1s",
 	)
 }
+
+// wantResult reads the next reply on the client connection, which must be a
+// result, and waits for finalize to hand the frame's latency to the QoS
+// controller: finalize replies first and runs off the stepping goroutine.
+func (s *steppedHead) wantResult(completed int64) {
+	s.t.Helper()
+	recvBody[ResultBody](s, s.client, transport.KindResult)
+	for {
+		var n int64
+		for _, t := range s.h.qosc.Outcome().Tenants {
+			n += t.Completed
+		}
+		if n >= completed {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// frags steps an empty fragment from the node each listed task of lj went to.
+func (s *steppedHead) frags(lj *liveJob, tasks ...int) {
+	s.t.Helper()
+	for _, i := range tasks {
+		s.fromWorker(lj.nodes[i], transport.KindFragment, &FragmentBody{
+			JobID: uint64(lj.job.ID), TaskIndex: i, ExecNanos: 4_000_000, Hit: i == 0,
+		})
+	}
+}
+
+// The stats pages, byte for byte: a stepped head with QoS and two-slot
+// fractional capacity runs interactive and batch frames, a deadline requeue,
+// a node down and its rejoin, and a health-tick sample, and /metrics and the
+// JSON page then read exactly these counters, gauges and quantiles.
+func TestHeadLoopStatsPages(t *testing.T) {
+	s := newSteppedHead(t, 2, func(h *Head) {
+		h.QoS = &qos.Config{InteractiveRate: 1000, BatchRate: 1000}
+		h.FracShare = &fracshare.Config{Slots: 2}
+		h.DeadlineFactor = 4
+		h.MinDeadline = time.Second
+		h.RetryBackoff = 100 * time.Millisecond
+		h.SuspectAfter = time.Minute
+		h.DownAfter = 2 * time.Minute
+	})
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+
+	// An interactive frame, one brick on each node, back in 10 ms.
+	a := s.submit(1, frame)
+	s.l.step(event{kind: evTick})
+	s.wantTasks(a.nodes[0], 1)
+	s.wantTasks(a.nodes[1], 1)
+	s.at(10 * time.Millisecond)
+	s.frags(a, 0, 1)
+	s.wantResult(1)
+
+	// A batch frame whose second brick misses its deadline, is held for the
+	// backoff and re-dispatched.
+	s.at(20 * time.Millisecond)
+	batch := frame
+	batch.Batch, batch.Angle = true, 1
+	b := s.submit(2, batch)
+	s.l.step(event{kind: evTick})
+	s.wantTasks(b.nodes[0], 1)
+	s.wantTasks(b.nodes[1], 1)
+	s.at(30 * time.Millisecond)
+	s.frags(b, 0)
+	s.at(1020 * time.Millisecond)
+	s.l.step(event{kind: evCheck})
+	s.at(1200 * time.Millisecond)
+	s.l.step(event{kind: evCheck})
+	s.l.step(event{kind: evTick})
+	s.wantTasks(b.nodes[1], 1)
+	s.at(1250 * time.Millisecond)
+	s.frags(b, 1)
+	s.wantResult(2)
+
+	// Node 0 drops its connection and rejoins 200 ms later.
+	s.at(1300 * time.Millisecond)
+	s.l.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.gens[0], err: io.EOF}})
+	s.at(1500 * time.Millisecond)
+	headSide, workerSide := transport.Pipe()
+	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w0", NodeID: 0, Rejoin: true}}})
+	recvBody[HelloBody](s, workerSide, transport.KindHello)
+	s.peers[0] = workerSide
+
+	// A second interactive frame, both bricks in flight at one health tick
+	// that samples the busy share and none at the next.
+	s.at(1600 * time.Millisecond)
+	frame.Angle = 0.5
+	c := s.submit(3, frame)
+	s.l.step(event{kind: evTick})
+	s.wantTasks(c.nodes[0], 1)
+	s.wantTasks(c.nodes[1], 1)
+	s.at(1650 * time.Millisecond)
+	s.l.step(event{kind: evCheck})
+	s.at(1660 * time.Millisecond)
+	s.frags(c, 0, 1)
+	s.wantResult(3)
+	s.at(1700 * time.Millisecond)
+	s.l.step(event{kind: evCheck})
+
+	for _, page := range []struct{ path, want string }{
+		{"/metrics", statsPagesMetrics},
+		{"/", statsPagesJSON},
+	} {
+		rec := httptest.NewRecorder()
+		s.h.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", page.path, nil))
+		if got := rec.Body.String(); got != page.want {
+			t.Errorf("GET %s:\n%s\nwant:\n%s", page.path, got, page.want)
+		}
+	}
+}
+
+const statsPagesMetrics = `vizsched_jobs_issued_total 3
+vizsched_jobs_completed_total 3
+vizsched_jobs_failed_total 0
+vizsched_batch_issued_total 1
+vizsched_batch_completed_total 1
+vizsched_chunk_hits_total 3
+vizsched_chunk_misses_total 3
+vizsched_workers 2
+vizsched_workers_down 1
+vizsched_tasks_redispatched_total 1
+vizsched_jobs_shed_total 0
+vizsched_workers_rejoined_total 1
+vizsched_workers_resynced_total 0
+vizsched_jobs_reattached_total 0
+vizsched_retained_served_total 0
+vizsched_chunks_rehomed_total 0
+vizsched_chunks_reseeded_total 1
+vizsched_cache_evictions_total 0
+vizsched_fragment_pixels_total 0
+vizsched_frame_pixels_total 1536
+vizsched_queue_depth 0
+vizsched_batch_backlog 0
+vizsched_sched_cycles_total{trigger="tick"} 2
+vizsched_sched_cycles_total{trigger="arrival"} 2
+vizsched_frame_latency_seconds{quantile="0.5"} 0.06
+vizsched_frame_latency_seconds{quantile="0.95"} 1.23
+vizsched_frame_latency_seconds{quantile="0.99"} 1.23
+vizsched_mttr_seconds 0.2
+vizsched_uptime_seconds 1.7
+vizsched_jobs_throttled_total 0
+vizsched_jobs_rejected_total 0
+vizsched_qos_level 0
+vizsched_qos_max_level 0
+vizsched_qos_level_changes_total 0
+vizsched_fairness_jain 1
+vizsched_qos_slo_seconds 0.1
+vizsched_qos_min_headroom_pct 44.891013
+vizsched_tenant_jobs_issued_total{tenant="0"} 3
+vizsched_tenant_jobs_admitted_total{tenant="0"} 3
+vizsched_tenant_jobs_throttled_total{tenant="0"} 0
+vizsched_tenant_jobs_rejected_total{tenant="0"} 0
+vizsched_tenant_jobs_shed_total{tenant="0"} 0
+vizsched_tenant_jobs_completed_total{tenant="0"} 3
+vizsched_tenant_jobs_failed_total{tenant="0"} 0
+vizsched_tenant_latency_seconds{tenant="0",quantile="0.5"} 0.055108987
+vizsched_tenant_latency_seconds{tenant="0",quantile="0.95"} 0.055108987
+vizsched_tenant_latency_seconds{tenant="0",quantile="0.99"} 0.055108987
+vizsched_tenant_slo_headroom_pct{tenant="0"} 44.891013
+vizsched_fracshare_slots 2
+vizsched_fracshare_tasks_dispatched_total 7
+vizsched_fracshare_tasks_completed_total 6
+vizsched_fracshare_mean_busy_pct 20.294117647058822
+vizsched_fracshare_node_busy_pct{node="0"} 2.3529411764705883
+vizsched_fracshare_node_in_flight{node="0"} 0
+vizsched_fracshare_node_busy_pct{node="1"} 38.23529411764706
+vizsched_fracshare_node_in_flight{node="1"} 0
+vizsched_fracshare_busy_pct{quantile="0.5"} 25
+vizsched_fracshare_busy_pct{quantile="0.95"} 50
+vizsched_fracshare_busy_pct{quantile="0.99"} 50
+`
+
+const statsPagesJSON = `{
+  "uptime_seconds": 1.7,
+  "jobs_issued": 3,
+  "jobs_completed": 3,
+  "jobs_failed": 0,
+  "batch_issued": 1,
+  "batch_completed": 1,
+  "chunk_hits": 3,
+  "chunk_misses": 3,
+  "hit_rate_pct": 50,
+  "mean_task_ms": 4,
+  "workers": 2,
+  "workers_down": 1,
+  "tasks_redispatched": 1,
+  "jobs_shed": 0,
+  "workers_rejoined": 1,
+  "workers_resynced": 0,
+  "jobs_reattached": 0,
+  "retained_served": 0,
+  "mttr_seconds": 0.2,
+  "chunks_rehomed": 0,
+  "chunks_reseeded": 1,
+  "queue_depth": 0,
+  "batch_backlog": 0,
+  "sched_cycles": 4,
+  "early_cycles": 2,
+  "cache_evictions": 0,
+  "fragment_pixels": 0,
+  "frame_pixels": 1536,
+  "frame_p50_ms": 60,
+  "frame_p95_ms": 1230,
+  "frame_p99_ms": 1230,
+  "qos": {
+    "level": 0,
+    "level_name": "normal",
+    "max_level": 0,
+    "level_changes": 0,
+    "jobs_throttled": 0,
+    "jobs_rejected": 0,
+    "jain_fairness": 1,
+    "slo_ms": 100,
+    "min_headroom_pct": 44.891013,
+    "tenants": [
+      {
+        "tenant": 0,
+        "issued": 3,
+        "admitted": 3,
+        "throttled": 0,
+        "rejected": 0,
+        "shed": 0,
+        "completed": 3,
+        "failed": 0,
+        "p50_ms": 55.108987,
+        "p95_ms": 55.108987,
+        "p99_ms": 55.108987,
+        "headroom_pct": 44.891013
+      }
+    ]
+  },
+  "fracshare": {
+    "slots": 2,
+    "tasks_dispatched": 7,
+    "tasks_completed": 6,
+    "mean_busy_pct": 20.294117647058822,
+    "node_busy_pct": [
+      2.3529411764705883,
+      38.23529411764706
+    ],
+    "node_in_flight": [
+      0,
+      0
+    ],
+    "busy_p50_pct": 25,
+    "busy_p95_pct": 50,
+    "busy_p99_pct": 50
+  }
+}
+`

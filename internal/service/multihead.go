@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
 
 	"vizsched/internal/core"
@@ -97,6 +98,11 @@ func (m *MultiHead) Shards() int { return len(m.heads) }
 
 // Shard returns shard i's head, for introspection and tests.
 func (m *MultiHead) Shard(i int) *Head { return m.heads[i] }
+
+// StatsHandler serves every shard's counters on one pair of pages: JSON / is
+// an array of snapshots in shard order, and each /metrics sample carries
+// shard="i" as its first label.
+func (m *MultiHead) StatsHandler() http.Handler { return statsHandler(m.heads) }
 
 // Ring exposes the session→shard hash ring.
 func (m *MultiHead) Ring() *shard.Ring { return m.ring }

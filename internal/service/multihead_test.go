@@ -1,6 +1,9 @@
 package service
 
 import (
+	"encoding/json"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,5 +132,50 @@ func TestMultiHeadNeedsWorkerPerShard(t *testing.T) {
 		return core.NewLocalityScheduler(2 * units.Millisecond)
 	}, cat, 2, 64*units.MB, nil); err == nil {
 		t.Fatal("3 shards started with 2 workers")
+	}
+}
+
+// TestShardedStatsPage renders one frame on each shard of a two-shard plane
+// and reads both shards off the plane's one pair of stats pages.
+func TestShardedStatsPage(t *testing.T) {
+	cat := testCatalog(t, 2)
+	mc, err := StartMultiCluster(2, func() core.Scheduler {
+		return core.NewLocalityScheduler(2 * units.Millisecond)
+	}, cat, 2, 64*units.MB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Stop()
+	client := mc.Connect()
+	defer client.Close()
+	for s := 0; s < 2; s++ {
+		a := core.ActionID(1)
+		for mc.MH.Ring().Owner(0, a) != s {
+			a++
+		}
+		if _, err := client.Render(RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Action: int(a)}); err != nil {
+			t.Fatalf("render on shard %d: %v", s, err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	mc.MH.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		"vizsched_jobs_issued_total{shard=\"0\"} 1\nvizsched_jobs_issued_total{shard=\"1\"} 1\n",
+		`vizsched_frame_latency_seconds{shard="1",quantile="0.5"} `,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics is missing %q:\n%s", want, rec.Body.String())
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	mc.MH.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	var snaps []StatsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snaps); err != nil {
+		t.Fatalf("JSON page: %v", err)
+	}
+	if len(snaps) != 2 || snaps[0].JobsCompleted != 1 || snaps[1].JobsCompleted != 1 {
+		t.Errorf("JSON page: %d snapshots, want two with one completed job each: %+v", len(snaps), snaps)
 	}
 }

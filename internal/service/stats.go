@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,22 +96,22 @@ type headStats struct {
 	bringupWarms    atomic.Int64
 
 	// frameLat samples end-to-end frame latencies for the quantile view.
-	frameLat latRing
+	frameLat ring[time.Duration]
 }
 
-// latRing keeps the most recent frame latencies in a fixed ring for cheap
-// streaming quantiles — enough history for a monitoring scrape, bounded
-// memory forever.
-type latRing struct {
+// ring keeps the most recent samples in a fixed window for cheap streaming
+// quantiles — enough history for a monitoring scrape, bounded memory
+// forever. Frame latencies and the fractional layer's busy share use it.
+type ring[T cmp.Ordered] struct {
 	mu   sync.Mutex
-	buf  [512]time.Duration
+	buf  [512]T
 	next int
 	n    int
 }
 
-func (r *latRing) add(d time.Duration) {
+func (r *ring[T]) add(v T) {
 	r.mu.Lock()
-	r.buf[r.next] = d
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
@@ -117,30 +120,26 @@ func (r *latRing) add(d time.Duration) {
 }
 
 // quantiles returns nearest-rank p50/p95/p99 over the retained window, or
-// zeros when nothing has completed yet.
-func (r *latRing) quantiles() (p50, p95, p99 time.Duration) {
+// zeros when nothing has been added yet.
+func (r *ring[T]) quantiles() (p50, p95, p99 T) {
 	r.mu.Lock()
-	sorted := append([]time.Duration(nil), r.buf[:r.n]...)
+	sorted := append([]T(nil), r.buf[:r.n]...)
 	r.mu.Unlock()
 	if len(sorted) == 0 {
-		return 0, 0, 0
+		return p50, p95, p99
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(p int) time.Duration {
-		i := (len(sorted)*p + 99) / 100
-		if i < 1 {
-			i = 1
-		}
-		return sorted[i-1]
-	}
+	slices.Sort(sorted)
+	rank := func(p int) T { return sorted[max((len(sorted)*p+99)/100, 1)-1] }
 	return rank(50), rank(95), rank(99)
 }
 
 // StatsSnapshot is a point-in-time view of the service counters.
 type StatsSnapshot struct {
-	UptimeSeconds  float64 `json:"uptime_seconds"`
-	JobsIssued     int64   `json:"jobs_issued"`
-	JobsCompleted  int64   `json:"jobs_completed"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	JobsIssued    int64   `json:"jobs_issued"`
+	JobsCompleted int64   `json:"jobs_completed"`
+	// JobsFailed counts every job that failed back to a client, whatever
+	// the cause: the jobs a clean recovery loses, which stays zero.
 	JobsFailed     int64   `json:"jobs_failed"`
 	BatchIssued    int64   `json:"batch_issued"`
 	BatchCompleted int64   `json:"batch_completed"`
@@ -151,13 +150,15 @@ type StatsSnapshot struct {
 	Workers        int     `json:"workers"`
 	WorkersDown    int64   `json:"workers_down"`
 
-	TasksRedispatched int64   `json:"tasks_redispatched"`
-	JobsShed          int64   `json:"jobs_shed"`
-	WorkersRejoined   int64   `json:"workers_rejoined"`
-	WorkersResynced   int64   `json:"workers_resynced"`
-	JobsReattached    int64   `json:"jobs_reattached"`
-	RetainedServed    int64   `json:"retained_served"`
-	MTTRSeconds       float64 `json:"mttr_seconds"`
+	TasksRedispatched int64 `json:"tasks_redispatched"`
+	JobsShed          int64 `json:"jobs_shed"`
+	WorkersRejoined   int64 `json:"workers_rejoined"`
+	WorkersResynced   int64 `json:"workers_resynced"`
+	JobsReattached    int64 `json:"jobs_reattached"`
+	RetainedServed    int64 `json:"retained_served"`
+	// MTTRSeconds is the mean wall time from a node's down verdict to its
+	// rejoin; zero before the first rejoin.
+	MTTRSeconds float64 `json:"mttr_seconds"`
 
 	ChunksRehomed  int64 `json:"chunks_rehomed"`
 	ChunksReseeded int64 `json:"chunks_reseeded"`
@@ -268,64 +269,6 @@ type TenantQoSSnapshot struct {
 	// HeadroomPct is this tenant's SLO headroom, 100 × (1 − p95/SLO) clamped
 	// to [0,100]; 100 with no observations yet.
 	HeadroomPct float64 `json:"headroom_pct"`
-}
-
-// RecoveryReport summarizes the service's fault-tolerance activity: how
-// often workers went down, how fast they came back (mean time to repair),
-// how much work had to be re-dispatched, and how many jobs were lost to
-// clients despite it.
-type RecoveryReport struct {
-	WorkersDown       int64
-	WorkersRejoined   int64
-	TasksRedispatched int64
-	JobsLost          int64
-	JobsShed          int64
-	// WorkersResynced / JobsReattached / RetainedServed count the head-
-	// failover machinery's activity (§5.10): workers that re-announced state
-	// to a recovered head, clients re-attached to still-running jobs by
-	// idempotency key, and re-submissions served from retained results.
-	WorkersResynced int64
-	JobsReattached  int64
-	RetainedServed  int64
-	// ChunksRehomed / ChunksReseeded count the replication layer's response
-	// to worker deaths: homes moved warm to a surviving replica versus
-	// dropped for rarest-first re-seeding.
-	ChunksRehomed  int64
-	ChunksReseeded int64
-	// MTTR is the mean wall time from a node being declared down to its
-	// rejoin; zero if no node has rejoined yet.
-	MTTR time.Duration
-}
-
-// String renders the report for operators and the failover example.
-func (r RecoveryReport) String() string {
-	return fmt.Sprintf(
-		"recovery: workers down=%d rejoined=%d, tasks re-dispatched=%d, jobs lost=%d (shed=%d), chunks re-homed=%d (re-seeded=%d), MTTR=%v",
-		r.WorkersDown, r.WorkersRejoined, r.TasksRedispatched, r.JobsLost, r.JobsShed,
-		r.ChunksRehomed, r.ChunksReseeded,
-		r.MTTR.Round(time.Millisecond))
-}
-
-// Recovery returns the fault-tolerance counters as a report. JobsLost counts
-// every job that failed back to a client, whatever the cause — under a
-// clean recovery it stays zero.
-func (h *Head) Recovery() RecoveryReport {
-	r := RecoveryReport{
-		WorkersDown:       h.stats.workersDown.Load(),
-		WorkersRejoined:   h.stats.workersRejoined.Load(),
-		TasksRedispatched: h.stats.tasksRedispatched.Load(),
-		JobsLost:          h.stats.jobsFailed.Load(),
-		JobsShed:          h.stats.jobsShed.Load(),
-		WorkersResynced:   h.stats.workersResynced.Load(),
-		JobsReattached:    h.stats.jobsReattached.Load(),
-		RetainedServed:    h.stats.retainedServed.Load(),
-		ChunksRehomed:     h.stats.chunksRehomed.Load(),
-		ChunksReseeded:    h.stats.chunksReseeded.Load(),
-	}
-	if n := h.stats.mttrEvents.Load(); n > 0 {
-		r.MTTR = time.Duration(h.stats.mttrNanos.Load() / n)
-	}
-	return r
 }
 
 // Stats returns the service counters. Valid after Start.
@@ -446,7 +389,7 @@ func (h *Head) Stats() StatsSnapshot {
 		s.Autoscale = a
 	}
 	if h.frac != nil {
-		s.FracShare = h.frac.snapshot(h.wall())
+		s.FracShare = h.frac.snapshot(h.now())
 	}
 	return s
 }
@@ -457,163 +400,176 @@ func (h *Head) Stats() StatsSnapshot {
 //	mux := http.NewServeMux()
 //	mux.Handle("/", head.StatsHandler())
 //	go http.ListenAndServe(":8080", mux)
-func (h *Head) StatsHandler() http.Handler {
+func (h *Head) StatsHandler() http.Handler { return statsHandler([]*Head{h}) }
+
+// statsHandler serves the stats pages of one head or of every shard of a
+// sharded plane. With more than one head, JSON / is an array of snapshots in
+// shard order and every /metrics sample carries shard="i" as its first label.
+func statsHandler(heads []*Head) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(h.Stats())
+		if len(heads) == 1 {
+			_ = enc.Encode(heads[0].Stats())
+			return
+		}
+		snaps := make([]StatsSnapshot, len(heads))
+		for i, h := range heads {
+			snaps[i] = h.Stats()
+		}
+		_ = enc.Encode(snaps)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s := h.Stats()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		write := func(name string, v float64) {
-			_, _ = w.Write([]byte("vizsched_" + name + " "))
-			_, _ = w.Write(appendFloat(nil, v))
-			_, _ = w.Write([]byte("\n"))
-		}
-		writeL := func(name, labels string, v float64) {
-			_, _ = w.Write([]byte("vizsched_" + name + "{" + labels + "} "))
-			_, _ = w.Write(appendFloat(nil, v))
-			_, _ = w.Write([]byte("\n"))
-		}
-		write("jobs_issued_total", float64(s.JobsIssued))
-		write("jobs_completed_total", float64(s.JobsCompleted))
-		write("jobs_failed_total", float64(s.JobsFailed))
-		write("batch_issued_total", float64(s.BatchIssued))
-		write("batch_completed_total", float64(s.BatchCompleted))
-		write("chunk_hits_total", float64(s.ChunkHits))
-		write("chunk_misses_total", float64(s.ChunkMisses))
-		write("workers", float64(s.Workers))
-		write("workers_down", float64(s.WorkersDown))
-		write("tasks_redispatched_total", float64(s.TasksRedispatched))
-		write("jobs_shed_total", float64(s.JobsShed))
-		write("workers_rejoined_total", float64(s.WorkersRejoined))
-		write("workers_resynced_total", float64(s.WorkersResynced))
-		write("jobs_reattached_total", float64(s.JobsReattached))
-		write("retained_served_total", float64(s.RetainedServed))
-		write("chunks_rehomed_total", float64(s.ChunksRehomed))
-		write("chunks_reseeded_total", float64(s.ChunksReseeded))
-		write("cache_evictions_total", float64(s.CacheEvictions))
-		write("fragment_pixels_total", float64(s.FragmentPixels))
-		write("frame_pixels_total", float64(s.FramePixels))
-		write("queue_depth", float64(s.QueueDepth))
-		write("batch_backlog", float64(s.BatchBacklog))
-		// "tick" is the scheduler's own trigger (the ω tick of a Periodic one);
-		// "arrival" is the early passes of §5.19.
-		writeL("sched_cycles_total", `trigger="tick"`, float64(s.SchedCycles-s.EarlyCycles))
-		writeL("sched_cycles_total", `trigger="arrival"`, float64(s.EarlyCycles))
-		for _, pq := range []struct {
-			q string
-			v float64
-		}{
-			{"0.5", s.FrameP50Millis}, {"0.95", s.FrameP95Millis}, {"0.99", s.FrameP99Millis},
-		} {
-			writeL("frame_latency_seconds", "quantile=\""+pq.q+"\"", pq.v/1e3)
-		}
-		write("mttr_seconds", s.MTTRSeconds)
-		write("uptime_seconds", s.UptimeSeconds)
-		if q := s.QoS; q != nil {
-			write("jobs_throttled_total", float64(q.JobsThrottled))
-			write("jobs_rejected_total", float64(q.JobsRejected))
-			write("qos_level", float64(q.Level))
-			write("qos_max_level", float64(q.MaxLevel))
-			write("qos_level_changes_total", float64(q.LevelChanges))
-			write("fairness_jain", q.Jain)
-			write("qos_slo_seconds", q.SLOMillis/1e3)
-			write("qos_min_headroom_pct", q.MinHeadroomPct)
-			for _, t := range q.Tenants {
-				l := fmt.Sprintf("tenant=%q", fmt.Sprint(t.Tenant))
-				writeL("tenant_jobs_issued_total", l, float64(t.Issued))
-				writeL("tenant_jobs_admitted_total", l, float64(t.Admitted))
-				writeL("tenant_jobs_throttled_total", l, float64(t.Throttled))
-				writeL("tenant_jobs_rejected_total", l, float64(t.Rejected))
-				writeL("tenant_jobs_shed_total", l, float64(t.Shed))
-				writeL("tenant_jobs_completed_total", l, float64(t.Completed))
-				writeL("tenant_jobs_failed_total", l, float64(t.Failed))
-				for _, pq := range []struct {
-					q string
-					v float64
-				}{
-					{"0.5", t.P50Millis}, {"0.95", t.P95Millis}, {"0.99", t.P99Millis},
-				} {
-					writeL("tenant_latency_seconds", l+",quantile=\""+pq.q+"\"", pq.v/1e3)
-				}
-				writeL("tenant_slo_headroom_pct", l, t.HeadroomPct)
+		var p metricsPage
+		for i, h := range heads {
+			if len(heads) > 1 {
+				p.shard = label("shard", i)
 			}
+			p.snapshot(h.Stats())
 		}
-		if p := s.Prefetch; p != nil {
-			write("prefetch_issued_total", float64(p.Issued))
-			write("prefetch_loaded_total", float64(p.Loaded))
-			write("prefetch_cancelled_total", float64(p.Cancelled))
-			write("prefetch_hits_total", float64(p.Hits))
-			write("prefetch_wasted_total", float64(p.Wasted))
-			write("prefetch_bytes_moved_total", float64(p.BytesMoved))
-			write("prefetch_hit_rate_pct", p.HitRatePct)
+		if len(heads) > 1 {
+			p.groupFamilies()
 		}
-		if a := s.Autoscale; a != nil {
-			write("autoscale_desired_workers", float64(a.DesiredWorkers))
-			write("autoscale_active_workers", float64(a.ActiveWorkers))
-			write("autoscale_draining_workers", float64(a.DrainingWorkers))
-			write("autoscale_drains_total", float64(a.Drains))
-			write("autoscale_drains_completed_total", float64(a.DrainsCompleted))
-			write("autoscale_tasks_migrated_total", float64(a.TasksMigrated))
-			write("autoscale_drain_rehomed_total", float64(a.DrainRehomed))
-			write("autoscale_drain_orphaned_total", float64(a.DrainOrphaned))
-			write("autoscale_orphan_warms_total", float64(a.OrphanWarms))
-			write("autoscale_bringup_warms_total", float64(a.BringupWarms))
-		}
-		if f := s.FracShare; f != nil {
-			write("fracshare_slots", float64(f.Slots))
-			write("fracshare_tasks_dispatched_total", float64(f.TasksDispatched))
-			write("fracshare_tasks_completed_total", float64(f.TasksCompleted))
-			write("fracshare_mean_busy_pct", f.MeanBusyPct)
-			for k := range f.NodeBusyPct {
-				l := fmt.Sprintf("node=%q", fmt.Sprint(k))
-				writeL("fracshare_node_busy_pct", l, f.NodeBusyPct[k])
-				writeL("fracshare_node_in_flight", l, float64(f.NodeInFlight[k]))
-			}
-			for _, pq := range []struct {
-				q string
-				v float64
-			}{
-				{"0.5", f.BusyP50Pct}, {"0.95", f.BusyP95Pct}, {"0.99", f.BusyP99Pct},
-			} {
-				writeL("fracshare_busy_pct", "quantile=\""+pq.q+"\"", pq.v)
-			}
-		}
+		_, _ = w.Write(p.buf)
 	})
 	return mux
 }
 
-// appendFloat formats v compactly for the exposition format.
-func appendFloat(dst []byte, v float64) []byte {
-	if v == float64(int64(v)) {
-		return appendInt(dst, int64(v))
-	}
-	return []byte(jsonNumber(v))
+// metricsPage renders snapshots in the Prometheus text exposition format.
+type metricsPage struct {
+	buf   []byte
+	shard string // every sample's first label when set
 }
 
-func appendInt(dst []byte, v int64) []byte {
-	if v == 0 {
-		return append(dst, '0')
+// label renders one name="v" label pair.
+func label(name string, v int) string { return name + `="` + strconv.Itoa(v) + `"` }
+
+// write appends one sample line.
+func (p *metricsPage) write(name string, v float64, labels ...string) {
+	if p.shard != "" {
+		labels = append([]string{p.shard}, labels...)
 	}
-	if v < 0 {
-		dst = append(dst, '-')
-		v = -v
+	p.buf = append(p.buf, "vizsched_"+name...)
+	if len(labels) > 0 {
+		p.buf = append(p.buf, "{"+strings.Join(labels, ",")+"}"...)
 	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(dst, tmp[i:]...)
+	p.buf = append(strconv.AppendFloat(append(p.buf, ' '), v, 'f', -1, 64), '\n')
 }
 
-func jsonNumber(v float64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
+// quantiles appends the p50/p95/p99 samples of one family, each divided by
+// div, with quantile="q" after the other labels.
+func (p *metricsPage) quantiles(name string, div, p50, p95, p99 float64, labels ...string) {
+	for _, q := range [...]struct {
+		q string
+		v float64
+	}{{"0.5", p50}, {"0.95", p95}, {"0.99", p99}} {
+		p.write(name, q.v/div, append(labels, `quantile="`+q.q+`"`)...)
+	}
+}
+
+// groupFamilies makes each family's samples one contiguous group, as the
+// exposition format requires of a page holding several shards: families keep
+// the order they first appear in, and a family's samples keep shard order.
+func (p *metricsPage) groupFamilies() {
+	lines := bytes.SplitAfter(p.buf, []byte("\n"))
+	family := func(line []byte) string { return string(line[:max(bytes.IndexAny(line, "{ "), 0)]) }
+	first := map[string]int{}
+	for i, line := range lines {
+		if _, ok := first[family(line)]; !ok {
+			first[family(line)] = i
+		}
+	}
+	slices.SortStableFunc(lines, func(a, b []byte) int { return cmp.Compare(first[family(a)], first[family(b)]) })
+	p.buf = bytes.Join(lines, nil)
+}
+
+// snapshot appends every family of one head's snapshot.
+func (p *metricsPage) snapshot(s StatsSnapshot) {
+	p.write("jobs_issued_total", float64(s.JobsIssued))
+	p.write("jobs_completed_total", float64(s.JobsCompleted))
+	p.write("jobs_failed_total", float64(s.JobsFailed))
+	p.write("batch_issued_total", float64(s.BatchIssued))
+	p.write("batch_completed_total", float64(s.BatchCompleted))
+	p.write("chunk_hits_total", float64(s.ChunkHits))
+	p.write("chunk_misses_total", float64(s.ChunkMisses))
+	p.write("workers", float64(s.Workers))
+	p.write("workers_down", float64(s.WorkersDown))
+	p.write("tasks_redispatched_total", float64(s.TasksRedispatched))
+	p.write("jobs_shed_total", float64(s.JobsShed))
+	p.write("workers_rejoined_total", float64(s.WorkersRejoined))
+	p.write("workers_resynced_total", float64(s.WorkersResynced))
+	p.write("jobs_reattached_total", float64(s.JobsReattached))
+	p.write("retained_served_total", float64(s.RetainedServed))
+	p.write("chunks_rehomed_total", float64(s.ChunksRehomed))
+	p.write("chunks_reseeded_total", float64(s.ChunksReseeded))
+	p.write("cache_evictions_total", float64(s.CacheEvictions))
+	p.write("fragment_pixels_total", float64(s.FragmentPixels))
+	p.write("frame_pixels_total", float64(s.FramePixels))
+	p.write("queue_depth", float64(s.QueueDepth))
+	p.write("batch_backlog", float64(s.BatchBacklog))
+	// "tick" is the scheduler's own trigger (the ω tick of a Periodic one);
+	// "arrival" is the early passes of §5.19.
+	p.write("sched_cycles_total", float64(s.SchedCycles-s.EarlyCycles), `trigger="tick"`)
+	p.write("sched_cycles_total", float64(s.EarlyCycles), `trigger="arrival"`)
+	p.quantiles("frame_latency_seconds", 1e3, s.FrameP50Millis, s.FrameP95Millis, s.FrameP99Millis)
+	p.write("mttr_seconds", s.MTTRSeconds)
+	p.write("uptime_seconds", s.UptimeSeconds)
+	if q := s.QoS; q != nil {
+		p.write("jobs_throttled_total", float64(q.JobsThrottled))
+		p.write("jobs_rejected_total", float64(q.JobsRejected))
+		p.write("qos_level", float64(q.Level))
+		p.write("qos_max_level", float64(q.MaxLevel))
+		p.write("qos_level_changes_total", float64(q.LevelChanges))
+		p.write("fairness_jain", q.Jain)
+		p.write("qos_slo_seconds", q.SLOMillis/1e3)
+		p.write("qos_min_headroom_pct", q.MinHeadroomPct)
+		for _, t := range q.Tenants {
+			l := label("tenant", t.Tenant)
+			p.write("tenant_jobs_issued_total", float64(t.Issued), l)
+			p.write("tenant_jobs_admitted_total", float64(t.Admitted), l)
+			p.write("tenant_jobs_throttled_total", float64(t.Throttled), l)
+			p.write("tenant_jobs_rejected_total", float64(t.Rejected), l)
+			p.write("tenant_jobs_shed_total", float64(t.Shed), l)
+			p.write("tenant_jobs_completed_total", float64(t.Completed), l)
+			p.write("tenant_jobs_failed_total", float64(t.Failed), l)
+			p.quantiles("tenant_latency_seconds", 1e3, t.P50Millis, t.P95Millis, t.P99Millis, l)
+			p.write("tenant_slo_headroom_pct", t.HeadroomPct, l)
+		}
+	}
+	if f := s.Prefetch; f != nil {
+		p.write("prefetch_issued_total", float64(f.Issued))
+		p.write("prefetch_loaded_total", float64(f.Loaded))
+		p.write("prefetch_cancelled_total", float64(f.Cancelled))
+		p.write("prefetch_hits_total", float64(f.Hits))
+		p.write("prefetch_wasted_total", float64(f.Wasted))
+		p.write("prefetch_bytes_moved_total", float64(f.BytesMoved))
+		p.write("prefetch_hit_rate_pct", f.HitRatePct)
+	}
+	if a := s.Autoscale; a != nil {
+		p.write("autoscale_desired_workers", float64(a.DesiredWorkers))
+		p.write("autoscale_active_workers", float64(a.ActiveWorkers))
+		p.write("autoscale_draining_workers", float64(a.DrainingWorkers))
+		p.write("autoscale_drains_total", float64(a.Drains))
+		p.write("autoscale_drains_completed_total", float64(a.DrainsCompleted))
+		p.write("autoscale_tasks_migrated_total", float64(a.TasksMigrated))
+		p.write("autoscale_drain_rehomed_total", float64(a.DrainRehomed))
+		p.write("autoscale_drain_orphaned_total", float64(a.DrainOrphaned))
+		p.write("autoscale_orphan_warms_total", float64(a.OrphanWarms))
+		p.write("autoscale_bringup_warms_total", float64(a.BringupWarms))
+	}
+	if f := s.FracShare; f != nil {
+		p.write("fracshare_slots", float64(f.Slots))
+		p.write("fracshare_tasks_dispatched_total", float64(f.TasksDispatched))
+		p.write("fracshare_tasks_completed_total", float64(f.TasksCompleted))
+		p.write("fracshare_mean_busy_pct", f.MeanBusyPct)
+		for k := range f.NodeBusyPct {
+			l := label("node", k)
+			p.write("fracshare_node_busy_pct", f.NodeBusyPct[k], l)
+			p.write("fracshare_node_in_flight", float64(f.NodeInFlight[k]), l)
+		}
+		p.quantiles("fracshare_busy_pct", 1, f.BusyP50Pct, f.BusyP95Pct, f.BusyP99Pct)
+	}
 }

@@ -77,6 +77,13 @@ func TestStatsCountersAndHandler(t *testing.T) {
 		t.Errorf("JSON completed = %d", decoded.JobsCompleted)
 	}
 
+	// Any other path is not a stats page.
+	rec = httptest.NewRecorder()
+	cl.Head.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
+	if rec.Code != 404 {
+		t.Errorf("GET /metricz: status %d, want 404", rec.Code)
+	}
+
 	// Prometheus endpoint.
 	rec = httptest.NewRecorder()
 	cl.Head.StatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
