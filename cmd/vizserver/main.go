@@ -197,8 +197,7 @@ func main() {
 		if err != nil {
 			log.Fatal("vizserver: ", err)
 		}
-		// configure applies the extension flags to a head: the one head, or
-		// each shard of the sharded plane.
+		// configure applies the extension flags to every head of the plane.
 		configure := func(h *service.Head) {
 			h.Replicas = *replicas
 			if *useQoS {
@@ -214,76 +213,27 @@ func main() {
 				h.FracShare = &fracshare.Config{Slots: *fracSlots}
 			}
 		}
-		if *shards > 1 {
-			// Sharded control plane (§5.11). The journal/standby failover
-			// path is per-head: replaying one shard's WAL against tables fed
-			// by the cross-shard directory would diverge, so the combination
-			// is rejected until shard-local journals are wired.
-			if *journalPath != "" || *standby {
-				log.Fatal("vizserver: -shards is incompatible with -journal/-standby (shard-local journals are not wired yet)")
-			}
-			mh, err := service.NewMultiHead(*shards, func() core.Scheduler {
-				s, err := experiments.SchedulerByName(*schedName)
-				if err != nil {
-					log.Fatal("vizserver: ", err)
-				}
-				return s
-			}, catalog, quota, core.DefaultCostModel())
-			if err != nil {
-				log.Fatal("vizserver: ", err)
-			}
-			mh.Configure(configure)
-			wl, err := transport.ListenTCP(*workerAddr)
-			if err != nil {
-				log.Fatal("vizserver: ", err)
-			}
-			log.Printf("head: %d shards waiting for %d workers on %s", *shards, *workers, wl.Addr())
-			for i := 0; i < *workers; i++ {
-				conn, err := wl.Accept()
-				if err != nil {
-					log.Fatal("vizserver: ", err)
-				}
-				s, err := mh.AddWorker(conn)
-				if err != nil {
-					log.Fatal("vizserver: ", err)
-				}
-				log.Printf("head: worker %d/%d registered with shard %d", i+1, *workers, s)
-			}
-			if err := mh.Start(); err != nil {
-				log.Fatal("vizserver: ", err)
-			}
-			// Keep the registration port open: a crashed (or drained) worker
-			// redials the plane and the shard index echoed from its original
-			// hello ack routes the rejoin to the owning dispatcher.
-			go func() {
-				for {
-					conn, err := wl.Accept()
-					if err != nil {
-						return
-					}
-					if err := mh.Rejoin(conn); err != nil {
-						log.Printf("head: rejoin: %v", err)
-					}
-				}
-			}()
-			if *httpAddr != "" {
-				go func() {
-					log.Printf("head: stats of all %d shards on http://%s/ and /metrics", *shards, *httpAddr)
-					if err := http.ListenAndServe(*httpAddr, mh.StatsHandler()); err != nil {
-						log.Printf("head: stats server: %v", err)
-					}
-				}()
-			}
-			cl, err := transport.ListenTCP(*clientAddr)
-			if err != nil {
-				log.Fatal("vizserver: ", err)
-			}
-			log.Printf("head: serving clients on %s with %s scheduling across %d shards", cl.Addr(), sched.Name(), *shards)
-			mh.ServeClients(cl)
-			return
+		// The journal/standby failover path is per-head: replaying one
+		// shard's WAL against tables fed by the cross-shard directory would
+		// diverge, so the combination is rejected until shard-local journals
+		// are wired.
+		if *shards > 1 && (*journalPath != "" || *standby) {
+			log.Fatal("vizserver: -shards is incompatible with -journal/-standby (shard-local journals are not wired yet)")
 		}
-		head := service.NewHead(sched, catalog, quota, core.DefaultCostModel())
-		configure(head)
+		if *standby && *journalPath == "" {
+			log.Fatal("vizserver: -standby requires -journal")
+		}
+		// One plane of -shards heads (§5.11); with one shard it is a lone
+		// head, which is what -journal and -standby act on.
+		mh, err := service.NewMultiHead(*shards, func() core.Scheduler {
+			s, _ := experiments.SchedulerByName(*schedName) // the name resolved above
+			return s
+		}, catalog, quota, core.DefaultCostModel())
+		if err != nil {
+			log.Fatal("vizserver: ", err)
+		}
+		mh.Configure(configure)
+		head := mh.Shard(0)
 		if head.QoS != nil {
 			log.Printf("head: QoS enabled (admission control + fair queuing + degradation ladder)")
 		}
@@ -300,45 +250,43 @@ func main() {
 		if err != nil {
 			log.Fatal("vizserver: ", err)
 		}
-		if *standby {
-			// Warm-standby takeover (§5.10): rebuild the lost head's tables
-			// from the snapshot + journal, then let workers resync in.
-			if *journalPath == "" {
-				log.Fatal("vizserver: -standby requires -journal")
+		if *journalPath != "" {
+			// A standby appends to the journal it recovers from.
+			mode := os.O_CREATE | os.O_TRUNC
+			if *standby {
+				mode = os.O_APPEND
 			}
-			st, err := recoverState(*journalPath, core.DefaultCostModel())
-			if err != nil {
-				log.Fatal("vizserver: ", err)
-			}
-			jf, err := os.OpenFile(*journalPath, os.O_WRONLY|os.O_APPEND, 0o644)
+			jf, err := os.OpenFile(*journalPath, os.O_WRONLY|mode, 0o644)
 			if err != nil {
 				log.Fatal("vizserver: ", err)
 			}
 			head.Journal = journal.NewWriter(jf, 8)
+		}
+		if *standby {
+			// Warm-standby takeover (§5.10): rebuild the lost head's tables
+			// from the snapshot + journal, then let workers resync in.
+			st, err := recoverState(*journalPath, core.DefaultCostModel())
+			if err != nil {
+				log.Fatal("vizserver: ", err)
+			}
 			if err := head.StartRecovered(st); err != nil {
 				log.Fatal("vizserver: ", err)
 			}
 			log.Printf("head: standby takeover complete; waiting for workers to resync on %s", wl.Addr())
 		} else {
-			if *journalPath != "" {
-				jf, err := os.Create(*journalPath)
-				if err != nil {
-					log.Fatal("vizserver: ", err)
-				}
-				head.Journal = journal.NewWriter(jf, 8)
-			}
-			log.Printf("head: waiting for %d workers on %s", *workers, wl.Addr())
+			log.Printf("head: %d shard(s) waiting for %d workers on %s", *shards, *workers, wl.Addr())
 			for i := 0; i < *workers; i++ {
 				conn, err := wl.Accept()
 				if err != nil {
 					log.Fatal("vizserver: ", err)
 				}
-				if err := head.AddWorker(conn); err != nil {
+				s, err := mh.AddWorker(conn)
+				if err != nil {
 					log.Fatal("vizserver: ", err)
 				}
-				log.Printf("head: worker %d/%d registered", i+1, *workers)
+				log.Printf("head: worker %d/%d registered with shard %d", i+1, *workers, s)
 			}
-			if err := head.Start(); err != nil {
+			if err := mh.Start(); err != nil {
 				log.Fatal("vizserver: ", err)
 			}
 			if *journalPath != "" {
@@ -358,15 +306,17 @@ func main() {
 				log.Printf("head: journaling to %s (snapshot at %s.snap)", *journalPath, *journalPath)
 			}
 		}
-		// Keep the registration port open: crashed or partitioned workers
-		// reattach here (Rejoin), and a standby's workers resync here.
+		// Keep the registration port open: crashed, partitioned or drained
+		// workers reattach here, and a standby's workers resync here; the
+		// shard index echoed from a worker's original hello ack routes it to
+		// the owning dispatcher.
 		go func() {
 			for {
 				conn, err := wl.Accept()
 				if err != nil {
 					return
 				}
-				if err := head.Rejoin(conn); err != nil {
+				if err := mh.Rejoin(conn); err != nil {
 					log.Printf("head: rejoin: %v", err)
 				}
 			}
@@ -374,7 +324,7 @@ func main() {
 		if *httpAddr != "" {
 			go func() {
 				log.Printf("head: stats on http://%s/ and /metrics", *httpAddr)
-				if err := http.ListenAndServe(*httpAddr, head.StatsHandler()); err != nil {
+				if err := http.ListenAndServe(*httpAddr, mh.StatsHandler()); err != nil {
 					log.Printf("head: stats server: %v", err)
 				}
 			}()
@@ -383,8 +333,8 @@ func main() {
 		if err != nil {
 			log.Fatal("vizserver: ", err)
 		}
-		log.Printf("head: serving clients on %s with %s scheduling", cl.Addr(), sched.Name())
-		head.ServeClients(cl)
+		log.Printf("head: serving clients on %s with %s scheduling on %d shard(s)", cl.Addr(), sched.Name(), *shards)
+		mh.ServeClients(cl)
 
 	case "worker":
 		if *name == "" {

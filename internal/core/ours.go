@@ -71,6 +71,11 @@ type LocalityScheduler struct {
 // 33.33 fps target cadence (one request per 30 ms).
 const DefaultCycle = 10 * units.Millisecond
 
+// DefaultBatchWindow caps how many batch jobs one scheduling pass is shown —
+// in the simulator always, in the live head when the QoS fair queue releases
+// them; interactive jobs are always shown.
+const DefaultBatchWindow = 256
+
 // DefaultSpreadEvery is the default diversion stride of the replication
 // layer: one in four eligible batch placements goes to the secondary, slow
 // enough that the primary keeps its locality advantage, fast enough that a

@@ -280,9 +280,7 @@ func (s *liveScaler) finish() {
 	h.stats.drainOrphaned.Add(int64(len(orphans)))
 	h.state.CompleteDrain(victim)
 	h.healthView[victim].Store(int32(core.HealthDown))
-	if h.OnNodeDown != nil {
-		h.OnNodeDown(victim)
-	}
+	h.shard.dropNode(victim)
 	// A clean Shutdown: the worker's serve loop returns nil and its
 	// reconnect loop stops redialing. The eventual connection error event is
 	// swallowed by nodeDown's already-down guard. downAt stays zero, so a

@@ -188,11 +188,6 @@ type Head struct {
 	prefc    *prefetch.Controller
 	prefSrc  core.PrefetchSource
 
-	// BatchWindow caps how many batch jobs the fair queue releases into the
-	// scheduler's working set per pass when QoS is active; zero means the
-	// default of 256 (matching the simulator).
-	BatchWindow int
-
 	// DeadlineFactor is k in the dispatch-deadline rule: a task overdue by
 	// k× its predicted execution time (floored at MinDeadline) is presumed
 	// lost and re-dispatched. Non-positive disables deadlines.
@@ -266,27 +261,10 @@ type Head struct {
 	FracShare *fracshare.Config
 	frac      *fracTracker
 
-	// ShardID is this head's shard index when it runs as one shard of a
-	// MultiHead control plane (§5.11); the hello ack carries it so workers
-	// know which shard they serve. Zero for a standalone head.
-	ShardID int
-
-	// EstimateSource, when set before Start, is consulted on estimate-table
-	// misses: a MultiHead wires every shard to the shared chunk directory so
-	// one shard's measurements seed another's predictions. Nil keeps the
-	// local-tables-only behaviour exactly.
-	EstimateSource func(volume.ChunkID) (units.Duration, bool)
-
-	// OnCorrect, when set before Start, observes every table correction from
-	// the dispatcher goroutine: the local node that ran the task, the chunk,
-	// the measured execution time, and the evictions it caused. A MultiHead
-	// publishes these facts into the shared directory. Nil disables exactly.
-	OnCorrect func(node core.NodeID, chunk volume.ChunkID, exec units.Duration, evicted []volume.ChunkID)
-
-	// OnNodeDown, when set before Start, observes node-death declarations
-	// from the dispatcher goroutine so a MultiHead can drop the node's
-	// residency from the shared directory. Nil disables exactly.
-	OnNodeDown func(core.NodeID)
+	// shard is the head's place in a MultiHead plane (§5.11), which sets it:
+	// the hello ack carries the index, shared estimates fill table misses,
+	// and completions and node deaths are published. Zero for a lone head.
+	shard shardSlot
 
 	// Logf receives diagnostics; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -343,7 +321,7 @@ func (h *Head) AddWorker(conn transport.Conn) error {
 	}
 	node := len(h.workers)
 	h.workers = append(h.workers, conn)
-	return send(conn, transport.KindHello, 0, HelloBody{NodeID: node, Shard: h.ShardID, Slots: h.fracSlots()})
+	return send(conn, transport.KindHello, 0, HelloBody{NodeID: node, Shard: h.shard.index, Slots: h.fracSlots()})
 }
 
 // recvHello reads the hello a worker opens its connection with; what names
@@ -404,10 +382,14 @@ func (h *Head) rejoinDecoded(conn transport.Conn, hello HelloBody) error {
 	}
 }
 
-// Start launches the dispatcher and worker readers. At least one worker
-// must have been added.
+// Start launches the dispatcher and worker readers on fresh tables. At least
+// one worker must have been added.
 func (h *Head) Start() error {
-	l, err := h.boot()
+	st, err := h.fresh()
+	if err != nil {
+		return err
+	}
+	l, err := h.boot(st)
 	if err != nil {
 		return err
 	}
@@ -415,40 +397,50 @@ func (h *Head) Start() error {
 	return nil
 }
 
-// boot is Start up to the dispatcher goroutine: tables, extensions and one
-// sender and reader per worker, and the loop state for run — or, in a test,
-// for whoever calls step.
-func (h *Head) boot() (*headLoop, error) {
+// fresh is the state a new head boots from: empty tables over the added
+// workers, at the replication degree, and nothing else.
+func (h *Head) fresh() (*hastate.State, error) {
 	if len(h.workers) == 0 {
 		return nil, fmt.Errorf("service: no workers")
 	}
-	n := len(h.workers)
-	h.state = core.NewHeadState(n, h.memQuota, h.model)
-	if h.EstimateSource != nil {
-		h.state.SetEstimateSource(h.EstimateSource)
-	}
+	tables := core.NewHeadState(len(h.workers), h.memQuota, h.model)
 	if h.Replicas > 1 {
-		h.state.SetReplication(h.Replicas)
+		tables.SetReplication(h.Replicas)
 	}
-	h.start = h.wall()
-	h.wireExtensions(n)
-	h.started = true
-	h.gens = make([]uint64, n)
-	h.lastBeat = make([]time.Time, n)
-	h.downAt = make([]time.Time, n)
-	h.healthView = make([]atomic.Int32, n)
-	for i, conn := range h.workers {
-		h.lastBeat[i] = h.start
-		h.senders = append(h.senders, h.attach(core.NodeID(i), 0, conn))
-	}
-	return newHeadLoop(h), nil
+	return &hastate.State{Tables: tables}, nil
 }
 
-// wireExtensions builds the optional layers' controllers for an n-worker
-// fleet, on fresh tables and recovered ones alike: the scheduler's replica
-// knob (§5.6), QoS (§5.7), prefetch (§5.8) and the fractional-share account
-// (§5.13).
-func (h *Head) wireExtensions(n int) {
+// boot is the one bring-up, from fresh tables (Start) or replayed ones
+// (StartRecovered), up to the dispatcher goroutine. It returns the loop state
+// for run — or, in a test, for whoever calls step. A worker slot with a
+// connection gets a sender and a reader; a recovered slot waits for its
+// worker's resync.
+func (h *Head) boot(st *hastate.State) (*headLoop, error) {
+	// Decode every recovered request before touching the head: a journal or
+	// snapshot this build cannot read is refused whole, not half-adopted.
+	restored := make([]*liveJob, len(st.Jobs))
+	for i, rj := range st.Jobs {
+		lj, err := h.restoreJob(rj)
+		if err != nil {
+			return nil, err
+		}
+		restored[i] = lj
+	}
+	h.state = st.Tables
+	if h.shard.dir != nil {
+		h.state.SetEstimateSource(h.shard.dir.Estimate)
+	}
+	n := len(h.state.Available)
+	// Anchor the clock at the state's instant (zero on fresh tables): journal
+	// records written from here on sort after everything replayed, and
+	// Estimate aging sees no time warp.
+	wall := h.wall()
+	h.start = wall.Add(-time.Duration(st.At))
+
+	// The optional layers' controllers, on fresh tables and recovered ones
+	// alike: the scheduler's replica knob (§5.6; the tables carry the degree
+	// already), QoS (§5.7) with its books taken back, prefetch (§5.8) and the
+	// fractional-share account (§5.13).
 	if h.Replicas > 1 {
 		if rs, ok := h.sched.(core.ReplicaSetter); ok {
 			rs.SetReplicas(h.Replicas)
@@ -460,6 +452,9 @@ func (h *Head) wireExtensions(n int) {
 			cfg.AlwaysShedStale = true
 		}
 		h.qosc = qos.NewController(&cfg)
+		if st.QoS != nil {
+			h.qosc.Restore(st.QoS)
+		}
 	}
 	if h.Prefetch != nil {
 		if ps, ok := h.sched.(core.PrefetchSetter); ok {
@@ -471,6 +466,70 @@ func (h *Head) wireExtensions(n int) {
 	if h.FracShare != nil {
 		h.frac = newFracTracker(n, h.fracSlots())
 	}
+
+	h.workers = append(h.workers, make([]transport.Conn, n-len(h.workers))...)
+	h.senders = make([]*sender, n)
+	h.gens = make([]uint64, n)
+	h.lastBeat = make([]time.Time, n)
+	h.downAt = make([]time.Time, n)
+	h.healthView = make([]atomic.Int32, n)
+	for k, conn := range h.workers {
+		node := core.NodeID(k)
+		h.lastBeat[k] = wall // a recovered slot's silence counts from takeover
+		if conn != nil {
+			h.senders[k] = h.attach(node, 0, conn)
+		} else {
+			// Sends fail as to a dead node until the rejoin path swaps in a
+			// live sender, and an "up" verdict no connection backs is demoted
+			// to suspect (journaled like any health transition) so nothing
+			// is dispatched blind.
+			h.senders[k] = closedSender()
+			if h.state.Health(node) == core.HealthUp {
+				h.state.MarkSuspect(node)
+				h.journalRec(journal.KindSuspect, 0, -1, node, st.At, nil)
+			}
+		}
+		if h.state.Health(node) == core.HealthDown {
+			h.downAt[k] = wall
+		}
+		h.healthView[k].Store(int32(h.state.Health(node)))
+	}
+	h.mu.Lock()
+	h.nextJobID = st.NextJobID
+	h.mu.Unlock()
+
+	// Hand the recovered jobs to the loop before its first event, so
+	// completions and resyncs find them.
+	l := newHeadLoop(h)
+	var live []*core.Job
+	for i, rj := range st.Jobs {
+		lj := restored[i]
+		l.inflight[lj.job.ID] = lj
+		if key := lj.req.Key; key != 0 {
+			h.byKey[key] = lj
+		}
+		if rj.Rec.Done() {
+			continue // complete; waits for retained replays, renders nothing
+		}
+		live = append(live, rj.Job)
+		if rj.Job.Remaining == 0 {
+			continue // fully in flight; completions or deadlines move it
+		}
+		if h.qosc != nil && rj.Job.Remaining == len(rj.Job.Tasks) {
+			// Undispatched jobs re-enter the fair queue in admission order;
+			// partially-dispatched ones go straight to the working set below.
+			h.qosc.Requeue(rj.Job)
+			continue
+		}
+		l.queue = append(l.queue, lj)
+	}
+	if h.qosc != nil {
+		// The journal-reconstructed job list is the authority on session
+		// in-flight depths; the snapshot's view may lag it.
+		h.qosc.Rebind(live)
+	}
+	h.started = true
+	return l, nil
 }
 
 // attach starts the reader and the writer of one incarnation of node's
@@ -573,17 +632,17 @@ func (h *Head) correct(lj *liveJob, node core.NodeID, frag *FragmentBody, now un
 		h.stats.prefetchHits.Add(1)
 		touch = true
 	}
-	h.trackWaste(func() {
-		h.state.Correct(core.TaskResult{
-			Task:      task,
-			Node:      node,
-			Hit:       frag.Hit,
-			Exec:      units.Duration(frag.ExecNanos),
-			Predicted: task.PredictedExec,
-			Evicted:   evicted,
-			Finished:  now,
-		}, now)
-	})
+	res := core.TaskResult{
+		Task:      task,
+		Node:      node,
+		Hit:       frag.Hit,
+		Exec:      units.Duration(frag.ExecNanos),
+		Predicted: task.PredictedExec,
+		Evicted:   evicted,
+		Finished:  now,
+	}
+	h.trackWaste(func() { h.state.Correct(res, now) })
+	h.shard.publish(h.state, res)
 	if h.prefc != nil {
 		// Every completed fragment trains the predictor's trajectory model.
 		h.prefc.Observe(lj.job.Action, task.Chunk, now)
@@ -595,9 +654,6 @@ func (h *Head) correct(lj *liveJob, node core.NodeID, frag *FragmentBody, now un
 		h.stats.misses.Add(1)
 	}
 	h.stats.renderNanos.Add(frag.ExecNanos)
-	if h.OnCorrect != nil {
-		h.OnCorrect(node, task.Chunk, units.Duration(frag.ExecNanos), evicted)
-	}
 	return touch, evicted
 }
 
@@ -880,6 +936,15 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 // HandleClient serves one client connection: each render request becomes a
 // job; results flow back asynchronously with the request's message ID.
 func (h *Head) HandleClient(conn transport.Conn) {
+	serveClient(conn, func(RenderBody) *Head { return h })
+}
+
+// ServeClients accepts client connections until the listener closes.
+func (h *Head) ServeClients(l transport.Listener) { acceptClients(l, h.HandleClient) }
+
+// serveClient is the one client loop, of a lone head and of a sharded plane:
+// each render request becomes a job on the head route names for it.
+func serveClient(conn transport.Conn, route func(RenderBody) *Head) {
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -892,7 +957,7 @@ func (h *Head) HandleClient(conn transport.Conn) {
 				_ = send(conn, transport.KindError, msg.ID, ErrorBody{Msg: err.Error()})
 				continue
 			}
-			if err := h.submit(conn, msg.ID, req); err != nil {
+			if err := route(req).submit(conn, msg.ID, req); err != nil {
 				_ = send(conn, transport.KindError, msg.ID, ErrorBody{Msg: err.Error()})
 			}
 		case transport.KindShutdown:
@@ -903,13 +968,14 @@ func (h *Head) HandleClient(conn transport.Conn) {
 	}
 }
 
-// ServeClients accepts client connections until the listener closes.
-func (h *Head) ServeClients(l transport.Listener) {
+// acceptClients hands each accepted client connection to handle, on its own
+// goroutine, until the listener closes.
+func acceptClients(l transport.Listener, handle func(transport.Conn)) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		go h.HandleClient(conn)
+		go handle(conn)
 	}
 }

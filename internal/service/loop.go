@@ -61,7 +61,7 @@ type headLoop struct {
 }
 
 // newHeadLoop builds the loop state for a head whose tables and extensions
-// are wired (Start, StartRecovered).
+// boot has installed.
 func newHeadLoop(h *Head) *headLoop {
 	l := &headLoop{h: h, queue: make([]*liveJob, 0, 64), inflight: make(map[core.JobID]*liveJob)}
 	if h.Autoscale != nil {
@@ -181,18 +181,14 @@ func (l *headLoop) schedule() {
 		// deficit round robin up to the window. Popped jobs whose liveJob
 		// is gone (failed or shed meanwhile) are dropped silently.
 		popped := h.qosc.PopInteractive(nil)
-		bw := h.BatchWindow
-		if bw <= 0 {
-			bw = 256
-		}
 		batchHere := 0
 		for _, lj := range l.queue {
 			if lj.job.Class == core.Batch {
 				batchHere++
 			}
 		}
-		if batchHere < bw {
-			popped = h.qosc.PopBatch(popped, bw-batchHere)
+		if batchHere < core.DefaultBatchWindow {
+			popped = h.qosc.PopBatch(popped, core.DefaultBatchWindow-batchHere)
 		}
 		for _, j := range popped {
 			if lj := l.inflight[j.ID]; lj != nil {
@@ -410,9 +406,7 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 		h.Logf("head: node %d chunks re-homed: %d warm, %d re-seeding rarest-first", node, rehome.Rehomed, rehome.Reseeded)
 	}
 	h.healthView[node].Store(int32(core.HealthDown))
-	if h.OnNodeDown != nil {
-		h.OnNodeDown(node)
-	}
+	h.shard.dropNode(node)
 	h.downAt[node] = h.wall()
 	h.senders[node].Close()
 	h.mu.Lock()
@@ -708,7 +702,7 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 	}
 	h.stats.workersRejoined.Add(1)
 	h.Logf("head: node %d rejoined (%s, resync=%v)", node, ev.hello.Name, ev.hello.Resync)
-	ack := HelloBody{NodeID: int(node), Shard: h.ShardID, Slots: h.fracSlots()}
+	ack := HelloBody{NodeID: int(node), Shard: h.shard.index, Slots: h.fracSlots()}
 	if ev.hello.Resync {
 		for _, t := range l.outstanding(node) {
 			ack.Outstanding = append(ack.Outstanding, TaskRef{JobID: uint64(t.lj.job.ID), TaskIndex: t.i})

@@ -15,6 +15,7 @@ import (
 
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
+	"vizsched/internal/hastate"
 	"vizsched/internal/journal"
 	"vizsched/internal/qos"
 	"vizsched/internal/transport"
@@ -39,7 +40,7 @@ type steppedHead struct {
 	t     *testing.T
 	h     *Head
 	l     *headLoop
-	clock fakeClock
+	clock *fakeClock
 	wal   bytes.Buffer
 	// peers[k] is the worker's end of node k's connection; the test reads
 	// there what the head sends. client is the far end of the one client
@@ -48,15 +49,34 @@ type steppedHead struct {
 	client, headClient transport.Conn
 }
 
-func newSteppedHead(t *testing.T, nodes int, configure func(*Head)) *steppedHead {
-	t.Helper()
-	s := &steppedHead{t: t}
+// newHead builds the stepped head on clock, unbooted.
+func newHead(t *testing.T, clock *fakeClock, configure func(*Head)) *steppedHead {
+	s := &steppedHead{t: t, clock: clock}
 	s.h = NewHead(core.NewLocalityScheduler(2*units.Millisecond), testCatalog(t, 2), 64*units.MB, core.DefaultCostModel())
 	quietHead(s.h)
-	s.h.clock = s.clock.now
+	s.h.clock = clock.now
 	s.h.rng = rand.New(rand.NewSource(1))
 	s.h.Journal = journal.NewWriter(&s.wal, 1)
 	configure(s.h)
+	return s
+}
+
+// boot boots the head from st, opens its client connection, and leaves Stop's
+// half of the loop to the test's cleanup: shutdown handshakes, connections
+// closed, and with them the head's sender and reader goroutines.
+func (s *steppedHead) boot(st *hastate.State) {
+	s.t.Helper()
+	var err error
+	if s.l, err = s.h.boot(st); err != nil {
+		s.t.Fatal(err)
+	}
+	s.client, s.headClient = transport.Pipe()
+	s.t.Cleanup(func() { s.l.step(event{kind: evStop}) })
+}
+
+func newSteppedHead(t *testing.T, nodes int, configure func(*Head)) *steppedHead {
+	t.Helper()
+	s := newHead(t, new(fakeClock), configure)
 	for k := 0; k < nodes; k++ {
 		// A pipe buffers, so the hello can be said before anyone listens.
 		headSide, workerSide := transport.Pipe()
@@ -71,15 +91,34 @@ func newSteppedHead(t *testing.T, nodes int, configure func(*Head)) *steppedHead
 		}
 		s.peers = append(s.peers, workerSide)
 	}
-	var err error
-	if s.l, err = s.h.boot(); err != nil {
+	st, err := s.h.fresh()
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.client, s.headClient = transport.Pipe()
-	// Stop's half of the loop: shutdown handshakes, connections closed, and
-	// with them the head's sender and reader goroutines.
-	t.Cleanup(func() { s.l.step(event{kind: evStop}) })
+	s.boot(st)
 	return s
+}
+
+// standby boots a second head from st on s's clock: the recovered head of a
+// takeover, stepped like the first. Its peers are filled in by resync.
+func (s *steppedHead) standby(st *hastate.State, configure func(*Head)) *steppedHead {
+	s.t.Helper()
+	sb := newHead(s.t, s.clock, configure)
+	sb.peers = make([]transport.Conn, len(st.Tables.Available))
+	sb.boot(st)
+	return sb
+}
+
+// resync steps a worker's resync hello — what it caches and what results it
+// retains, for the slot hello.NodeID — and returns the head's ack. The
+// hello's connection becomes the node's peer.
+func (s *steppedHead) resync(hello HelloBody) HelloBody {
+	s.t.Helper()
+	hello.Rejoin, hello.Resync = true, true
+	headSide, workerSide := transport.Pipe()
+	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: hello}})
+	s.peers[hello.NodeID] = workerSide
+	return recvBody[HelloBody](s, workerSide, transport.KindHello)
 }
 
 // recvBody reads the next message on conn, which must be of the given kind,
@@ -386,6 +425,111 @@ func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
 		"dispatch 1 0 1 1s",
 		"dispatch 2 0 1 1s",
 		"dispatch 3 0 1 1s",
+	)
+}
+
+// A crash at one cut, recovered on the stepped head: of a keyed frame's two
+// bricks, node 0's lands and is journaled, and then the head dies. A standby
+// booted from the genesis snapshot and the journal, on the same clock, takes
+// both workers' resyncs and the client's re-submission of the key. Node 0's
+// retained fragment completes its task without a re-dispatch; node 1's task,
+// lost with the head, goes out again when its reconnect grace runs out; and
+// the client gets one result.
+func TestHeadLoopRecoversAtCut(t *testing.T) {
+	configure := func(h *Head) {
+		h.DeadlineFactor = 4
+		h.MinDeadline = time.Second
+		h.RetryBackoff = 100 * time.Millisecond
+		h.SuspectAfter, h.DownAfter = 0, 0 // deadlines alone move this script
+	}
+	s := newSteppedHead(t, 2, configure)
+	reply := make(chan *hastate.Snapshot, 1)
+	s.l.step(event{kind: evSnapshot, snap: reply})
+	genesis := <-reply
+
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Key: 42}
+	a := s.submit(1, frame)
+	if !slices.Equal(a.nodes, []core.NodeID{0, 1}) {
+		t.Fatalf("frame placed on nodes %v, want one brick each", a.nodes)
+	}
+	s.wantTasks(0, 1)
+	s.wantTasks(1, 1)
+	s.at(10 * time.Millisecond)
+	frag0 := &FragmentBody{JobID: uint64(a.job.ID), TaskIndex: 0, ExecNanos: 4_000_000}
+	s.fromWorker(0, transport.KindFragment, frag0)
+	s.wantJournal(
+		"admit 1 -1 -1 0s",
+		"dispatch 1 0 0 0s",
+		"dispatch 1 1 1 0s",
+		"complete 1 0 0 10ms",
+	)
+
+	// The cut.
+	s.l.step(event{kind: evCrash})
+	recs, err := journal.ReadAll(bytes.NewReader(s.wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := hastate.Replay(genesis, recs, core.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := s.standby(st, configure)
+	lj := sb.l.inflight[a.job.ID]
+	if lj == nil {
+		t.Fatal("the standby recovered no job 1")
+	}
+
+	// Node 0 still caches brick 0 and retains its result, which the ack asks
+	// it to replay; node 1 lost its render with the head.
+	ack := sb.resync(HelloBody{Name: "w0", NodeID: 0, Cached: []ChunkRef{{Dataset: "plume", Index: 0}}, Completed: []TaskRef{{JobID: 1, TaskIndex: 0}}})
+	if want := []TaskRef{{JobID: 1, TaskIndex: 0}}; !slices.Equal(ack.Outstanding, want) {
+		t.Errorf("node 0's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
+	}
+	sb.fromWorker(0, transport.KindFragment, frag0)
+	ack = sb.resync(HelloBody{Name: "w1", NodeID: 1})
+	if want := []TaskRef{{JobID: 1, TaskIndex: 1}}; !slices.Equal(ack.Outstanding, want) {
+		t.Errorf("node 1's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
+	}
+
+	// The client re-submits its key and is re-attached to the recovered job.
+	sb.submit(1, frame)
+	if got := sb.h.Stats().JobsReattached; got != 1 {
+		t.Fatalf("re-submission re-attached %d jobs, want 1", got)
+	}
+
+	// Node 1's task misses its grace, is held for the backoff and goes out
+	// again; its fragment completes the frame.
+	s.at(1010 * time.Millisecond)
+	sb.l.step(event{kind: evCheck})
+	s.at(1200 * time.Millisecond)
+	sb.l.step(event{kind: evCheck})
+	node := lj.nodes[1]
+	if got := sb.wantTasks(node, 1); got[0] != (TaskRef{JobID: 1, TaskIndex: 1}) {
+		t.Fatalf("node %d was sent %+v, want task 1 of job 1", node, got[0])
+	}
+	s.at(1250 * time.Millisecond)
+	sb.fromWorker(node, transport.KindFragment, &FragmentBody{JobID: 1, TaskIndex: 1, ExecNanos: 4_000_000})
+	recvBody[ResultBody](sb, sb.client, transport.KindResult)
+	sb.headClient.Close()
+	if msg, err := sb.client.Recv(); err == nil {
+		t.Errorf("a second reply followed the result: %v", msg.Kind)
+	}
+	if err := sb.h.state.Validate(); err != nil {
+		t.Errorf("recovered tables: %v", err)
+	}
+
+	// Neither brick of the frame rendered twice: task 0 was never dispatched
+	// again, task 1 once.
+	sb.wantJournal(
+		"suspect 0 -1 0 10ms",
+		"suspect 0 -1 1 10ms",
+		"resync 0 -1 0 10ms",
+		"up 0 -1 0 10ms",
+		"resync 0 -1 1 10ms",
+		"up 0 -1 1 10ms",
+		fmt.Sprintf("dispatch 1 1 %d 1.2s", node),
+		fmt.Sprintf("complete 1 1 %d 1.25s", node),
 	)
 }
 

@@ -9,7 +9,6 @@ import (
 	"vizsched/internal/shard"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
-	"vizsched/internal/volume"
 )
 
 // MultiHead is the sharded control plane (§5.11): N independent Heads, each
@@ -26,20 +25,44 @@ import (
 // shard — MultiHead.HandleClient routes each request to its owner, and
 // replies multiplex safely over the shared connection because transport
 // sends are frame-atomic.
+//
+// A one-shard plane is a lone head: it builds no directory, and its head
+// publishes nothing and reads no shared estimate.
 type MultiHead struct {
 	heads []*Head
 	ring  *shard.Ring
-	dir   *shard.Directory
-
-	// globals[s][local] is the global node index of shard s's local slot;
-	// filled during AddWorker (single-threaded, pre-Start), read by the
-	// shards' dispatcher hooks after Start.
-	globals [][]int
+	dir   *shard.Directory // built at Start; nil with one shard
 
 	mu      sync.Mutex
-	next    int // round-robin placement cursor
-	total   int // global worker count
+	total   int // global worker count, and the round-robin placement cursor
 	started bool
+}
+
+// shardSlot is a head's place in a sharded plane: its index among n shards
+// and the directory they share. The zero value, and a one-shard plane's slot
+// (no directory), are a lone head.
+type shardSlot struct {
+	index, n int
+	dir      *shard.Directory
+}
+
+// global maps a local node to its plane-wide ID. Placement is round-robin,
+// so local slot l of shard i is global worker l·n + i.
+func (s shardSlot) global(node core.NodeID) int { return int(node)*s.n + s.index }
+
+// publish hands a completion the head's tables have just folded in to the
+// directory's one publication rule.
+func (s shardSlot) publish(tables *core.HeadState, res core.TaskResult) {
+	if s.dir != nil {
+		s.dir.Publish(tables, res, s.global)
+	}
+}
+
+// dropNode retracts a node the head has declared down or drained.
+func (s shardSlot) dropNode(node core.NodeID) {
+	if s.dir != nil {
+		s.dir.DropNode(s.global(node))
+	}
 }
 
 // NewMultiHead builds a sharded control plane over the catalog. Each shard
@@ -53,34 +76,11 @@ func NewMultiHead(shards int, newSched func() core.Scheduler, catalog *Catalog, 
 	if newSched == nil {
 		return nil, fmt.Errorf("service: NewMultiHead needs a scheduler factory")
 	}
-	m := &MultiHead{
-		ring:    shard.NewRing(shards),
-		globals: make([][]int, shards),
-	}
-	k := 1
+	m := &MultiHead{ring: shard.NewRing(shards)}
 	for i := 0; i < shards; i++ {
 		h := NewHead(newSched(), catalog, memQuota, model)
-		h.ShardID = i
+		h.shard = shardSlot{index: i, n: shards}
 		m.heads = append(m.heads, h)
-		if h.Replicas > k {
-			k = h.Replicas
-		}
-	}
-	m.dir = shard.NewDirectory(shards, k)
-	for i, h := range m.heads {
-		si := i
-		h.EstimateSource = m.dir.Estimate
-		h.OnCorrect = func(node core.NodeID, chunk volume.ChunkID, exec units.Duration, evicted []volume.ChunkID) {
-			g := m.globals[si][int(node)]
-			m.dir.PublishEstimate(chunk, exec)
-			m.dir.PublishResident(chunk, g, true)
-			for _, ev := range evicted {
-				m.dir.PublishResident(ev, g, false)
-			}
-		}
-		h.OnNodeDown = func(node core.NodeID) {
-			m.dir.DropNode(m.globals[si][int(node)])
-		}
 	}
 	return m, nil
 }
@@ -93,29 +93,20 @@ func (m *MultiHead) Configure(fn func(*Head)) {
 	}
 }
 
-// Shards returns the shard count.
-func (m *MultiHead) Shards() int { return len(m.heads) }
-
 // Shard returns shard i's head, for introspection and tests.
 func (m *MultiHead) Shard(i int) *Head { return m.heads[i] }
 
 // StatsHandler serves every shard's counters on one pair of pages: JSON / is
 // an array of snapshots in shard order, and each /metrics sample carries
-// shard="i" as its first label.
+// shard="i" as its first label. A one-shard plane's pages are a lone head's.
 func (m *MultiHead) StatsHandler() http.Handler { return statsHandler(m.heads) }
 
 // Ring exposes the session→shard hash ring.
 func (m *MultiHead) Ring() *shard.Ring { return m.ring }
 
-// Directory exposes the shared chunk directory.
+// Directory exposes the shared chunk directory: nil before Start, and for a
+// one-shard plane.
 func (m *MultiHead) Directory() *shard.Directory { return m.dir }
-
-// Workers returns the global worker count across all shards.
-func (m *MultiHead) Workers() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
 
 // AddWorker registers a connected worker with the next shard round-robin.
 // It must be called before Start. Returns the shard the worker landed on.
@@ -125,16 +116,10 @@ func (m *MultiHead) AddWorker(conn transport.Conn) (int, error) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("service: AddWorker after Start")
 	}
-	s := m.next % len(m.heads)
-	m.next++
-	g := m.total
+	s := m.total % len(m.heads)
 	m.total++
-	m.globals[s] = append(m.globals[s], g)
 	m.mu.Unlock()
-	if err := m.heads[s].AddWorker(conn); err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, m.heads[s].AddWorker(conn)
 }
 
 // Rejoin routes a reconnecting worker to the shard that owns its slot. The
@@ -156,8 +141,10 @@ func (m *MultiHead) Rejoin(conn transport.Conn) error {
 	return m.heads[hello.Shard].rejoinDecoded(conn, hello)
 }
 
-// Start launches every shard's dispatcher. Every shard needs at least one
-// worker — with fewer workers than shards the plane cannot start.
+// Start builds the shared directory, its home sets bounded by the configured
+// replication degree, and launches every shard's dispatcher. Every shard
+// needs at least one worker — with fewer workers than shards the plane
+// cannot start.
 func (m *MultiHead) Start() error {
 	m.mu.Lock()
 	m.started = true
@@ -165,6 +152,16 @@ func (m *MultiHead) Start() error {
 	m.mu.Unlock()
 	if total < len(m.heads) {
 		return fmt.Errorf("service: %d shards need at least %d workers, have %d", len(m.heads), len(m.heads), total)
+	}
+	if len(m.heads) > 1 {
+		k := 1
+		for _, h := range m.heads {
+			k = max(k, h.Replicas)
+		}
+		m.dir = shard.NewDirectory(len(m.heads), k)
+		for _, h := range m.heads {
+			h.shard.dir = m.dir
+		}
 	}
 	for i, h := range m.heads {
 		if err := h.Start(); err != nil {
@@ -193,40 +190,10 @@ func (m *MultiHead) Owner(req RenderBody) *Head {
 // HandleClient serves one client connection against the whole plane: each
 // render request is routed to its owning shard, and replies flow back over
 // the shared connection under the request's message ID.
-func (m *MultiHead) HandleClient(conn transport.Conn) {
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch msg.Kind {
-		case transport.KindRender:
-			var req RenderBody
-			if err := transport.Decode(msg.Body, &req); err != nil {
-				_ = send(conn, transport.KindError, msg.ID, ErrorBody{Msg: err.Error()})
-				continue
-			}
-			if err := m.Owner(req).submit(conn, msg.ID, req); err != nil {
-				_ = send(conn, transport.KindError, msg.ID, ErrorBody{Msg: err.Error()})
-			}
-		case transport.KindShutdown:
-			return
-		default:
-			_ = send(conn, transport.KindError, msg.ID, ErrorBody{Msg: "unexpected " + msg.Kind.String()})
-		}
-	}
-}
+func (m *MultiHead) HandleClient(conn transport.Conn) { serveClient(conn, m.Owner) }
 
 // ServeClients accepts client connections until the listener closes.
-func (m *MultiHead) ServeClients(l transport.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go m.HandleClient(conn)
-	}
-}
+func (m *MultiHead) ServeClients(l transport.Listener) { acceptClients(l, m.HandleClient) }
 
 // MultiCluster is the in-process form of a sharded deployment: a MultiHead
 // plus its workers wired over channel transports, mirroring Cluster.

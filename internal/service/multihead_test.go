@@ -77,13 +77,15 @@ func TestMultiHeadRoutingAndDirectory(t *testing.T) {
 	if st.Publishes == 0 {
 		t.Fatal("directory saw no publishes — shards are not sharing locality facts")
 	}
-	if err := mc.MH.Directory().Validate(mc.MH.Workers()); err != nil {
+	if err := mc.MH.Directory().Validate(4); err != nil {
 		t.Fatalf("directory invariant violated: %v", err)
 	}
 }
 
 // TestMultiHeadSharedEstimates: a chunk rendered only by shard 0 must have a
-// directory estimate visible to shard 1's tables via the estimate source.
+// directory estimate visible to shard 1's tables via the estimate source —
+// and that estimate is the miss time, so rendering the same view again, all
+// hits, leaves it where the cold render put it.
 func TestMultiHeadSharedEstimates(t *testing.T) {
 	cat := testCatalog(t, 2)
 	mc, err := StartMultiCluster(2, func() core.Scheduler {
@@ -104,23 +106,38 @@ func TestMultiHeadSharedEstimates(t *testing.T) {
 	}
 	client := mc.Connect()
 	defer client.Close()
-	if _, err := client.Render(RenderBody{
+	view := RenderBody{
 		Dataset: "supernova", Angle: 0.1, Dist: 2.4, Width: 16, Height: 16,
 		Action: int(action),
-	}); err != nil {
+	}
+	if _, err := client.Render(view); err != nil {
 		t.Fatal(err)
 	}
 
 	dir := mc.MH.Directory()
 	id := mc.MH.Shard(0).dsIDs["supernova"]
+	var cold [2]units.Duration
 	found := false
-	for idx := 0; idx < 2; idx++ {
+	for idx := range cold {
 		if d, ok := dir.Estimate(volume.ChunkID{Dataset: id, Index: idx}); ok && d > 0 {
-			found = true
+			cold[idx], found = d, true
 		}
 	}
 	if !found {
 		t.Fatal("no supernova chunk estimate reached the shared directory")
+	}
+
+	res, err := client.Render(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hits != 2 {
+		t.Fatalf("warm render: %d hits, want 2", res.Hits)
+	}
+	for idx, want := range cold {
+		if got, _ := dir.Estimate(volume.ChunkID{Dataset: id, Index: idx}); got != want {
+			t.Errorf("chunk %d: directory estimate %v after a warm render, want the miss time %v", idx, got, want)
+		}
 	}
 }
 

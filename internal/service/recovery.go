@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"vizsched/internal/core"
@@ -149,9 +148,11 @@ func closedSender() *sender {
 }
 
 // StartRecovered launches the head from a replayed hastate.State instead of
-// a fresh table set — the warm-standby takeover (§5.10). No workers may have
-// been added: every worker slot starts disconnected (its health demoted to
-// suspect so nothing is dispatched blind) and workers reattach through the
+// a fresh table set — the warm-standby takeover (§5.10), through the same
+// boot as Start. A request this build cannot decode refuses the whole state.
+// No workers may have been added: every worker slot starts disconnected (its
+// health demoted to suspect so nothing is dispatched blind) and workers
+// reattach through the
 // Rejoin path with Resync set, re-announcing their caches and replaying
 // retained results for completed-but-unacked tasks. Recovered jobs resume
 // where the journal left them: queued tasks reschedule, in-flight tasks get
@@ -165,86 +166,10 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	if len(h.workers) != 0 {
 		return fmt.Errorf("service: StartRecovered with pre-added workers; workers rejoin via resync")
 	}
-	// Decode every recovered request before touching the head: a journal or
-	// snapshot this build cannot read is refused whole, not half-adopted.
-	restored := make([]*liveJob, len(st.Jobs))
-	for i, rj := range st.Jobs {
-		lj, err := h.restoreJob(rj)
-		if err != nil {
-			return err
-		}
-		restored[i] = lj
+	l, err := h.boot(st)
+	if err != nil {
+		return err
 	}
-	h.state = st.Tables
-	n := len(st.Tables.Available)
-	// Back-date the wall anchor so the service clock resumes at the
-	// recovered instant: journal records written from here on sort after
-	// everything replayed, and Estimate aging sees no time warp.
-	wall := h.wall()
-	h.start = wall.Add(-time.Duration(st.At))
-	// The tables already carry the replication degree; the controllers are
-	// built as on a fresh head, and QoS then takes its books back.
-	h.wireExtensions(n)
-	if h.qosc != nil && st.QoS != nil {
-		h.qosc.Restore(st.QoS)
-	}
-	h.workers = make([]transport.Conn, n)
-	h.senders = make([]*sender, n)
-	h.gens = make([]uint64, n)
-	h.lastBeat = make([]time.Time, n)
-	h.downAt = make([]time.Time, n)
-	h.healthView = make([]atomic.Int32, n)
-	for k := 0; k < n; k++ {
-		node := core.NodeID(k)
-		h.senders[k] = closedSender()
-		h.lastBeat[k] = wall // grace: silence is counted from takeover
-		if st.Tables.Health(node) == core.HealthUp {
-			// No connection backs an "up" verdict yet; demote to suspect
-			// (journaled like any health transition) until the resync hello
-			// proves the worker alive.
-			st.Tables.MarkSuspect(node)
-			h.journalRec(journal.KindSuspect, 0, -1, node, st.At, nil)
-		}
-		if st.Tables.Health(node) == core.HealthDown {
-			h.downAt[k] = wall
-		}
-		h.healthView[k].Store(int32(st.Tables.Health(node)))
-	}
-	h.mu.Lock()
-	h.nextJobID = st.NextJobID
-	h.mu.Unlock()
-
-	// Hand the live jobs to the loop before its first event, so completions
-	// and resyncs find them.
-	l := newHeadLoop(h)
-	var live []*core.Job
-	for i, rj := range st.Jobs {
-		lj := restored[i]
-		l.inflight[lj.job.ID] = lj
-		if key := lj.req.Key; key != 0 {
-			h.byKey[key] = lj
-		}
-		if rj.Rec.Done() {
-			continue // complete; waits for retained replays, renders nothing
-		}
-		live = append(live, rj.Job)
-		if rj.Job.Remaining == 0 {
-			continue // fully in flight; completions or deadlines move it
-		}
-		if h.qosc != nil && rj.Job.Remaining == len(rj.Job.Tasks) {
-			// Undispatched jobs re-enter the fair queue in admission order;
-			// partially-dispatched ones go straight to the working set below.
-			h.qosc.Requeue(rj.Job)
-			continue
-		}
-		l.queue = append(l.queue, lj)
-	}
-	if h.qosc != nil {
-		// The journal-reconstructed job list is the authority on session
-		// in-flight depths; the snapshot's view may lag it.
-		h.qosc.Rebind(live)
-	}
-	h.started = true
 	go l.run()
 	return nil
 }

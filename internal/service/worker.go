@@ -79,11 +79,10 @@ type Worker struct {
 	// (§5.10): a head recovered from snapshot+journal lists the tasks it
 	// still considers outstanding, and the worker re-sends retained results
 	// instead of re-rendering. retainMu guards it against concurrent
-	// executors; Resync reads it with the executors drained. RetainCap
-	// bounds it; zero means DefaultRetain.
-	retainMu  sync.Mutex
-	retained  []retainedResult
-	RetainCap int
+	// executors; Resync reads it with the executors drained. DefaultRetain
+	// bounds it.
+	retainMu sync.Mutex
+	retained []retainedResult
 
 	// Logf receives diagnostics; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -112,7 +111,8 @@ type retainedResult struct {
 	frag FragmentBody
 }
 
-// DefaultRetain is the retained-result window when RetainCap is zero.
+// DefaultRetain is the retained-result window: how many completed results a
+// worker keeps for a recovered head's resync replay.
 const DefaultRetain = 64
 
 // DefaultHeartbeat is the worker liveness-beacon interval.
@@ -431,13 +431,9 @@ func (w *Worker) retain(r retainedResult) {
 			return
 		}
 	}
-	cap := w.RetainCap
-	if cap <= 0 {
-		cap = DefaultRetain
-	}
 	w.retained = append(w.retained, r)
-	if len(w.retained) > cap {
-		w.retained = w.retained[len(w.retained)-cap:]
+	if len(w.retained) > DefaultRetain {
+		w.retained = w.retained[len(w.retained)-DefaultRetain:]
 	}
 }
 

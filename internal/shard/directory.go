@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vizsched/internal/core"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 )
@@ -43,7 +44,6 @@ type stripe struct {
 // work toward idle capacity. All methods are safe for concurrent use from
 // every shard's dispatcher.
 type Directory struct {
-	shards int
 	// k bounds every home set, mirroring the replication degree; SetHomes
 	// truncates beyond it so no publisher can violate the invariant.
 	k int
@@ -74,18 +74,12 @@ func NewDirectory(n, k int) *Directory {
 	if k < 1 {
 		k = 1
 	}
-	d := &Directory{shards: n, k: k, capacity: make([]int, n), backlog: make([]int, n)}
+	d := &Directory{k: k, capacity: make([]int, n), backlog: make([]int, n)}
 	for i := range d.stripes {
 		d.stripes[i].chunks = make(map[volume.ChunkID]*entry)
 	}
 	return d
 }
-
-// K returns the home-set bound.
-func (d *Directory) K() int { return d.k }
-
-// Shards returns the shard count the board is sized for.
-func (d *Directory) Shards() int { return d.shards }
 
 // stripeFor picks a chunk's stripe by FNV-1a over its identity.
 func (d *Directory) stripeFor(c volume.ChunkID) *stripe {
@@ -104,9 +98,8 @@ func (s *stripe) ent(c volume.ChunkID, create bool) *entry {
 	return e
 }
 
-// PublishEstimate records an observed miss execution time for a chunk —
-// called by a shard after Correct folds a completion into its own tables,
-// so every shard's next Estimate[c] read sees the observation.
+// PublishEstimate records an observed miss execution time for a chunk, so
+// every shard's next Estimate[c] read sees the observation.
 func (d *Directory) PublishEstimate(c volume.ChunkID, exec units.Duration) {
 	if exec <= 0 {
 		return
@@ -153,6 +146,34 @@ func (d *Directory) PublishResident(c volume.ChunkID, globalNode int, on bool) {
 	}
 	st.mu.Unlock()
 	d.publishes.Add(1)
+}
+
+// Publish is the one rule by which a shard — of the simulator's plane or the
+// live one — tells the directory about a completion it has just folded into
+// its tables. A miss's execution time becomes the chunk's Estimate[c], which
+// is the miss time (a hit's is a warm render's, and would price a shard's
+// next miss far too low); the node holds the chunk and no longer holds what
+// it evicted; and with k > 1 the shard's home set for the chunk follows.
+// global maps the shard's node IDs to the plane's.
+func (d *Directory) Publish(tables *core.HeadState, res core.TaskResult, global func(core.NodeID) int) {
+	c := res.Task.Chunk
+	if !res.Hit {
+		d.PublishEstimate(c, res.Exec)
+	}
+	node := global(res.Node)
+	d.PublishResident(c, node, true)
+	for _, ev := range res.Evicted {
+		d.PublishResident(ev, node, false)
+	}
+	if d.k > 1 {
+		if hs := tables.HomeSet(c); len(hs) > 0 {
+			homes := make([]int, len(hs))
+			for j, n := range hs {
+				homes[j] = global(n)
+			}
+			d.SetHomes(c, homes)
+		}
+	}
 }
 
 // Residents returns the chunk's global residency set, sorted.

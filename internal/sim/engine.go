@@ -91,8 +91,8 @@ type Config struct {
 	Seed int64
 	// BatchWindow caps how many queued batch jobs are presented to the
 	// scheduler per invocation (interactive jobs are always presented).
-	// Zero selects a default of 256. Purely an efficiency bound; deferred
-	// batch work is presented oldest-first.
+	// Zero selects core.DefaultBatchWindow. Purely an efficiency bound;
+	// deferred batch work is presented oldest-first.
 	BatchWindow int
 	// Preload warms every node's cache round-robin with the library's
 	// chunks (as far as quotas allow) and tells the head about it. The
@@ -374,7 +374,7 @@ func New(cfg Config) *Engine {
 		panic("sim: need a scheduler")
 	}
 	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 256
+		cfg.BatchWindow = core.DefaultBatchWindow
 	}
 	if cfg.GPUsPerNode <= 0 {
 		cfg.GPUsPerNode = 1

@@ -9,7 +9,6 @@ import (
 	"vizsched/internal/metrics"
 	"vizsched/internal/shard"
 	"vizsched/internal/units"
-	"vizsched/internal/volume"
 	"vizsched/internal/workload"
 )
 
@@ -118,11 +117,14 @@ func NewSharded(cfg Config) *ShardedEngine {
 		// and the adoptee's accounting maps are keyed by ID.
 		eng.nextJob = core.JobID(i) << 40
 		si, base := i, se.parts[i].Start
-		eng.head.SetEstimateSource(func(c volume.ChunkID) (units.Duration, bool) {
-			return se.dir.Estimate(c)
-		})
-		eng.onCorrect = func(res core.TaskResult) { se.publish(si, base, res) }
-		eng.onNodeDown = func(n core.NodeID) { se.dir.DropNode(base + int(n)) }
+		global := func(n core.NodeID) int { return base + int(n) }
+		eng.head.SetEstimateSource(se.dir.Estimate)
+		eng.onCorrect = func(res core.TaskResult) {
+			// Processing the completion occupies the shard's control loop.
+			se.extendCtl(si, se.sim.Now(), se.cost.Complete)
+			se.dir.Publish(eng.head, res, global)
+		}
+		eng.onNodeDown = func(n core.NodeID) { se.dir.DropNode(global(n)) }
 		se.subs = append(se.subs, eng)
 	}
 	return se
@@ -133,37 +135,6 @@ func (se *ShardedEngine) Ring() *shard.Ring { return se.ring }
 
 // Directory exposes the shared chunk directory.
 func (se *ShardedEngine) Directory() *shard.Directory { return se.dir }
-
-// Shards returns the shard count.
-func (se *ShardedEngine) Shards() int { return len(se.subs) }
-
-// Partition returns shard i's node range in global IDs.
-func (se *ShardedEngine) Partition(i int) shard.Partition { return se.parts[i] }
-
-// publish is a shard's directory tap, run after every completion folds
-// into its own tables: miss executions become shared Estimate[c] facts,
-// residency and home sets follow the shard's predictions, and the
-// completion's processing cost occupies the shard's control loop.
-func (se *ShardedEngine) publish(si, base int, res core.TaskResult) {
-	se.extendCtl(si, se.sim.Now(), se.cost.Complete)
-	c := res.Task.Chunk
-	if !res.Hit && res.Exec > 0 {
-		se.dir.PublishEstimate(c, res.Exec)
-	}
-	se.dir.PublishResident(c, base+int(res.Node), true)
-	for _, ev := range res.Evicted {
-		se.dir.PublishResident(ev, base+int(res.Node), false)
-	}
-	if se.cfg.Replicas > 1 {
-		if hs := se.subs[si].head.HomeSet(c); len(hs) > 0 {
-			g := make([]int, len(hs))
-			for j, n := range hs {
-				g[j] = base + int(n)
-			}
-			se.dir.SetHomes(c, g)
-		}
-	}
-}
 
 // extendCtl occupies shard s's serial control loop for d more virtual time
 // starting no earlier than now.
