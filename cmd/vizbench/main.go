@@ -2,7 +2,8 @@
 // evaluation section in one run: Fig. 2 (pipeline costs), Table II (scenario
 // configurations), Figs. 4–7 (per-scheduler scenario results), Table III
 // (hit rates and scheduling costs), Fig. 8 (scheduling cost vs user
-// actions), and Fig. 9 (OURS vs dataset count).
+// actions), and Fig. 9 (OURS vs dataset count) — and the extension sweeps of
+// experiments.Sweeps, each printed as a table under its CSV column names.
 //
 // Usage:
 //
@@ -20,10 +21,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,14 +35,53 @@ import (
 	"vizsched/internal/workload"
 )
 
+// paperKeys are the -only names of the paper's figures and tables; the
+// extension sweeps are named by experiments.Sweeps.
+var paperKeys = []string{"fig2", "table2", "fig4", "fig5", "fig6", "fig7", "table3", "fig8", "fig9"}
+
+// validKeys lists every name -only accepts.
+func validKeys() []string {
+	keys := append([]string{"all"}, paperKeys...)
+	for _, s := range experiments.Sweeps {
+		keys = append(keys, s.Name)
+	}
+	return keys
+}
+
+// parseOnly reads -only's comma-separated names, trimmed and lowercased,
+// and refuses one that names nothing.
+func parseOnly(only string) (map[string]bool, error) {
+	valid := validKeys()
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.TrimSpace(strings.ToLower(k))
+		if !slices.Contains(valid, k) {
+			return nil, fmt.Errorf("-only: unknown name %q (valid: %s)", k, strings.Join(valid, ", "))
+		}
+		want[k] = true
+	}
+	return want, nil
+}
+
+// fail reports err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "vizbench:", err)
+	os.Exit(code)
+}
+
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale in (0,1]")
-	only := flag.String("only", "all",
-		"comma-separated subset: fig2, table2, fig4, fig5, fig6, fig7, table3, fig8, fig9, failsweep, replsweep, qossweep, prefsweep, compsweep, hasweep, shardsweep, elasticsweep, fracsweep")
+	only := flag.String("only", "all", "comma-separated subset of: "+strings.Join(validKeys(), ", "))
 	csvDir := flag.String("csvdir", "", "also write per-figure CSV files into this directory")
 	parallel := flag.Int("parallel", experiments.DefaultWorkers(),
 		"max concurrent simulation runs; 1 = sequential (reference scheduling-cost numbers)")
 	flag.Parse()
+
+	want, err := parseOnly(*only)
+	if err != nil {
+		fail(2, err)
+	}
+	has := func(k string) bool { return want["all"] || want[k] }
 
 	workers := *parallel
 	if workers < 1 {
@@ -49,31 +92,22 @@ func main() {
 			"wall-clock scheduling-cost columns may reflect CPU contention (use -parallel 1 for reference numbers)\n", workers)
 	}
 
-	writeCSV := func(name string, fn func(w *os.File) error) {
+	writeCSV := func(name string, write func(io.Writer) error) {
 		if *csvDir == "" {
 			return
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "vizbench:", err)
-			os.Exit(1)
+		err := os.MkdirAll(*csvDir, 0o755)
+		var f *os.File
+		if err == nil {
+			f, err = os.Create(filepath.Join(*csvDir, name))
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
+		if err == nil {
+			err = errors.Join(write(f), f.Close())
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vizbench:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
-		if err := fn(f); err != nil {
-			fmt.Fprintln(os.Stderr, "vizbench:", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
-
-	want := map[string]bool{}
-	for _, k := range strings.Split(*only, ",") {
-		want[strings.TrimSpace(strings.ToLower(k))] = true
-	}
-	has := func(k string) bool { return want["all"] || want[k] }
 
 	start := time.Now()
 	out := os.Stdout
@@ -101,88 +135,32 @@ func main() {
 	results := experiments.RunScenarios(ids, *scale, workers)
 	for _, id := range ids {
 		experiments.PrintScenario(out, id, *scale, results[id])
-		id := id
-		writeCSV(scenarioFig[id]+".csv", func(f *os.File) error {
-			return experiments.ScenarioCSV(f, id, results[id])
+		writeCSV(scenarioFig[id]+".csv", func(w io.Writer) error {
+			return experiments.ScenarioCSV(w, id, results[id])
 		})
 	}
 	if needTable3 {
 		experiments.WriteTableIII(out, results)
 	}
+	seconds := max(int(10**scale), 2)
 	if has("fig8") {
-		actions := []int{1, 8, 32, 64, 128}
-		seconds := int(10 * *scale)
-		if seconds < 2 {
-			seconds = 2
-		}
-		points := experiments.Fig8ActionSweepN(actions, seconds, workers)
+		points := experiments.Fig8ActionSweepN([]int{1, 8, 32, 64, 128}, seconds, workers)
 		experiments.PrintFig8(out, points)
-		writeCSV("fig8.csv", func(f *os.File) error { return experiments.Fig8CSV(f, points) })
+		writeCSV("fig8.csv", func(w io.Writer) error { return experiments.Fig8CSV(w, points) })
 	}
 	if has("fig9") {
-		datasets := []int{2, 8, 16, 24, 32}
-		seconds := int(10 * *scale)
-		if seconds < 2 {
-			seconds = 2
-		}
-		points := experiments.Fig9DatasetSweepN(datasets, seconds, workers)
+		points := experiments.Fig9DatasetSweepN([]int{2, 8, 16, 24, 32}, seconds, workers)
 		experiments.PrintFig9(out, points)
-		writeCSV("fig9.csv", func(f *os.File) error { return experiments.Fig9CSV(f, points) })
+		writeCSV("fig9.csv", func(w io.Writer) error { return experiments.Fig9CSV(w, points) })
 	}
-	if has("failsweep") {
-		rates := []float64{0, 1, 2, 4}
-		points := experiments.FailureSweepN(rates, *scale, workers)
-		experiments.PrintFailureSweep(out, points)
-		writeCSV("failsweep.csv", func(f *os.File) error { return experiments.FailureSweepCSV(f, points) })
-	}
-	if has("replsweep") {
-		ks := []int{1, 2, 3}
-		rates := []float64{0, 2, 4}
-		points := experiments.ReplicaSweepN(ks, rates, *scale, workers)
-		experiments.PrintReplicaSweep(out, points)
-		writeCSV("replsweep.csv", func(f *os.File) error { return experiments.ReplicaSweepCSV(f, points) })
-	}
-	if has("qossweep") {
-		skews := []float64{0, 1.5}
-		loads := []float64{1, 2, 3}
-		points := experiments.QoSSweepN(skews, loads, *scale, workers)
-		experiments.PrintQoSSweep(out, points)
-		writeCSV("qossweep.csv", func(f *os.File) error { return experiments.QoSSweepCSV(f, points) })
-	}
-	if has("prefsweep") {
-		quotas := []int{2, 3}
-		loads := []float64{0.5, 1, 2}
-		points := experiments.PrefetchSweepN(quotas, loads, workers)
-		experiments.PrintPrefetchSweep(out, points)
-		writeCSV("prefsweep.csv", func(f *os.File) error { return experiments.PrefetchSweepCSV(f, points) })
-	}
-	if has("hasweep") {
-		outages := []float64{0.05, 0.1, 0.2}
-		points := experiments.HASweepN(outages, *scale, workers)
-		experiments.PrintHASweep(out, points)
-		writeCSV("hasweep.csv", func(f *os.File) error { return experiments.HASweepCSV(f, points) })
-	}
-	if has("shardsweep") {
-		counts := []int{1, 2, 4, 8}
-		points := experiments.ShardSweepN(counts, *scale, workers)
-		experiments.PrintShardSweep(out, points)
-		writeCSV("shardsweep.csv", func(f *os.File) error { return experiments.ShardSweepCSV(f, points) })
-	}
-	if has("compsweep") {
-		points := experiments.CompSweep(workers)
-		experiments.PrintCompSweep(out, points)
-		writeCSV("compsweep.csv", func(f *os.File) error { return experiments.CompSweepCSV(f, points) })
-	}
-	if has("elasticsweep") {
-		fleets := []int{10, 12}
-		points := experiments.ElasticSweepN(fleets, *scale, workers)
-		experiments.PrintElasticSweep(out, points)
-		writeCSV("elasticsweep.csv", func(f *os.File) error { return experiments.ElasticSweepCSV(f, points) })
-	}
-	if has("fracsweep") {
-		points := experiments.FracSweepN(*scale, workers)
-		experiments.PrintFracSweep(out, points)
-		writeCSV("fracsweep.csv", func(f *os.File) error { return experiments.FracSweepCSV(f, points) })
+	for _, s := range experiments.Sweeps {
+		if has(s.Name) {
+			t := s.Run(*scale, workers)
+			if err := t.WriteText(out); err != nil {
+				fail(1, err)
+			}
+			writeCSV(s.Name+".csv", t.WriteCSV)
+		}
 	}
 	fmt.Fprintf(out, "done. (%v, -parallel %d)\n", time.Since(start).Round(time.Millisecond), workers)
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"vizsched/internal/sim"
 	"vizsched/internal/units"
@@ -82,51 +79,23 @@ func CompSweepN(nodes []int, workers int) []CompSweepPoint {
 	return out
 }
 
-// PrintCompSweep prints already-computed compositing-sweep points.
-func PrintCompSweep(w io.Writer, points []CompSweepPoint) {
-	fmt.Fprintf(w, "Compositing sweep — per-frame latency at %.2f fps, straggler = one node 3.5× slow\n", TargetFPS)
-	fmt.Fprintf(w, "  %-6s %-12s %10s %10s %12s %12s\n",
-		"nodes", "algorithm", "mean", "p95", "straggler", "degradation")
-	last := -1
-	for _, p := range points {
-		if p.Nodes != last && last >= 0 {
-			fmt.Fprintln(w)
-		}
-		last = p.Nodes
-		fmt.Fprintf(w, "  %-6d %-12s %10v %10v %12v %11.2fx\n",
-			p.Nodes, p.Algorithm,
-			p.MeanLatency.Std().Round(10*time.Microsecond),
-			p.P95Latency.Std().Round(10*time.Microsecond),
-			p.StragglerLatency.Std().Round(10*time.Microsecond),
-			p.Degradation)
+var compSweepHeader = []string{
+	"nodes", "algorithm", "mean_latency_ms", "p95_latency_ms",
+	"straggler_latency_ms", "degradation",
+}
+
+func (p CompSweepPoint) row() []string {
+	return []string{
+		strconv.Itoa(p.Nodes),
+		p.Algorithm,
+		f3(p.MeanLatency.Milliseconds()),
+		f3(p.P95Latency.Milliseconds()),
+		f3(p.StragglerLatency.Milliseconds()),
+		f3(p.Degradation),
 	}
-	fmt.Fprintln(w)
 }
 
 // CompSweepCSV writes the compositing sweep as CSV.
 func CompSweepCSV(w io.Writer, points []CompSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"nodes", "algorithm", "mean_latency_ms", "p95_latency_ms",
-		"straggler_latency_ms", "degradation",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	for _, p := range points {
-		rec := []string{
-			strconv.Itoa(p.Nodes),
-			p.Algorithm,
-			f(p.MeanLatency.Milliseconds()),
-			f(p.P95Latency.Milliseconds()),
-			f(p.StragglerLatency.Milliseconds()),
-			f(p.Degradation),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", compSweepHeader, points).WriteCSV(w)
 }

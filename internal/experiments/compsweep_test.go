@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"bytes"
+	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -33,22 +32,14 @@ func TestCompSweepDFBWins(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
+// TestCompSweepOutputs: the compositing table has one row per algorithm at
+// each node count, in compSweepAlgorithms order.
 func TestCompSweepOutputs(t *testing.T) {
-	points := CompSweepN([]int{8}, 1)
-	var buf bytes.Buffer
-	PrintCompSweep(&buf, points)
-	if !strings.Contains(buf.String(), "dfb") || !strings.Contains(buf.String(), "degradation") {
-		t.Errorf("print output incomplete:\n%s", buf.String())
+	tab := newTable("", compSweepHeader, CompSweepN([]int{8}, 1))
+	if got := column(t, tab, "algorithm"); !reflect.DeepEqual(got, compSweepAlgorithms) {
+		t.Errorf("algorithm column = %q, want %q", got, compSweepAlgorithms)
 	}
-	buf.Reset()
-	if err := CompSweepCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+len(points) {
-		t.Errorf("CSV has %d lines, want %d", len(lines), 1+len(points))
-	}
-	if !strings.HasPrefix(lines[0], "nodes,algorithm,") {
-		t.Errorf("CSV header wrong: %s", lines[0])
+	if got, want := column(t, tab, "nodes"), []string{"8", "8", "8"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("nodes column = %q, want %q", got, want)
 	}
 }

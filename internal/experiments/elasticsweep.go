@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"time"
 
 	"vizsched/internal/autoscale"
 	"vizsched/internal/core"
@@ -230,52 +228,23 @@ func ElasticSweepN(fleets []int, scale float64, workers int) []ElasticSweepPoint
 	return out
 }
 
-// PrintElasticSweep prints already-computed elastic-sweep points.
-func PrintElasticSweep(w io.Writer, points []ElasticSweepPoint) {
-	fmt.Fprintf(w, "elastic sweep — diurnal sessions, peak-provisioned fixed fleet vs graceful-drain autoscaling, OURS (§5.12)\n")
-	fmt.Fprintf(w, "  %-6s %-8s %7s %9s %6s %8s %10s %8s %7s %7s %9s %8s %8s %7s\n",
-		"nodes", "mode", "issued", "completed", "lost", "p95", "node-hours", "savings",
-		"ups", "drains", "migrated", "evac", "bringup", "active")
-	for _, p := range points {
-		active := "-"
-		savings := "-"
-		if p.Mode == "elastic" {
-			active = fmt.Sprintf("%d..%d", p.MinActive, p.MaxActive)
-			savings = fmt.Sprintf("%.1f%%", p.SavingsPct)
-		}
-		fmt.Fprintf(w, "  %-6d %-8s %7d %9d %6d %8v %10.3f %8s %7d %7d %9d %8d %8d %7s\n",
-			p.Nodes, p.Mode, p.Issued, p.Completed, p.Lost,
-			p.P95.Std().Round(time.Millisecond), p.NodeHours, savings,
-			p.ScaleUps, p.Drains, p.TasksMigrated, p.OrphanWarms, p.BringupWarms, active)
+var elasticSweepHeader = []string{
+	"nodes", "mode", "issued", "completed", "lost", "interactive_p95_ms",
+	"node_hours", "savings_pct", "scale_ups", "drains", "drains_completed",
+	"tasks_migrated", "orphan_warms", "bringup_warms", "min_active", "max_active",
+}
+
+func (p ElasticSweepPoint) row() []string {
+	return []string{
+		strconv.Itoa(p.Nodes), p.Mode, i64(p.Issued), i64(p.Completed), i64(p.Lost),
+		f3(p.P95.Milliseconds()), f3(p.NodeHours), f3(p.SavingsPct),
+		i64(p.ScaleUps), i64(p.Drains), i64(p.DrainsCompleted),
+		i64(p.TasksMigrated), i64(p.OrphanWarms), i64(p.BringupWarms),
+		strconv.Itoa(p.MinActive), strconv.Itoa(p.MaxActive),
 	}
-	fmt.Fprintln(w)
 }
 
 // ElasticSweepCSV writes the elastic sweep as CSV.
 func ElasticSweepCSV(w io.Writer, points []ElasticSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"nodes", "mode", "issued", "completed", "lost", "interactive_p95_ms",
-		"node_hours", "savings_pct", "scale_ups", "drains", "drains_completed",
-		"tasks_migrated", "orphan_warms", "bringup_warms", "min_active", "max_active",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			strconv.Itoa(p.Nodes), p.Mode, i(p.Issued), i(p.Completed), i(p.Lost),
-			f(p.P95.Milliseconds()), f(p.NodeHours), f(p.SavingsPct),
-			i(p.ScaleUps), i(p.Drains), i(p.DrainsCompleted),
-			i(p.TasksMigrated), i(p.OrphanWarms), i(p.BringupWarms),
-			strconv.Itoa(p.MinActive), strconv.Itoa(p.MaxActive),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", elasticSweepHeader, points).WriteCSV(w)
 }

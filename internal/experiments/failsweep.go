@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
-	"time"
 
 	"vizsched/internal/core"
-	"vizsched/internal/metrics"
 	"vizsched/internal/sim"
 	"vizsched/internal/units"
 	"vizsched/internal/workload"
@@ -81,36 +76,51 @@ func FaultSchedule(nodes int, length units.Time, rate float64, seed int64) []sim
 	return fs
 }
 
-// runFailCell plays Scenario 2 under one scheduler with the given fault
-// schedule and distills the recovery metrics.
-func runFailCell(cfg workload.ScenarioConfig, name string, rate float64, faults []sim.Failure) FailSweepPoint {
+// faultSchedules builds one Scenario 2 fault schedule per rate; every cell
+// of a rate replays its schedule read-only, so differences between the
+// cells of a rate are differences in recovery, not in luck.
+func faultSchedules(cfg workload.ScenarioConfig, rates []float64) [][]sim.Failure {
+	out := make([][]sim.Failure, len(rates))
+	for i, rate := range rates {
+		out[i] = FaultSchedule(cfg.Nodes, cfg.Spec.Length, rate, int64(cfg.ID)*104729)
+	}
+	return out
+}
+
+// runFaultCell plays Scenario 2 under one scheduler with the given fault
+// schedule, replicating chunks k ways when k > 1 (k ≤ 1 leaves replication
+// off), and distills the recovery metrics of the failure and replica sweeps.
+func runFaultCell(cfg workload.ScenarioConfig, name string, k int, rate float64, faults []sim.Failure) ReplicaSweepPoint {
 	sched, err := SchedulerByName(name)
 	if err != nil {
 		panic(err)
 	}
 	engCfg := sim.ScenarioEngineConfig(cfg, sched, Jitter)
 	engCfg.Failures = faults
-	eng := sim.New(engCfg)
-	wl := workload.Generate(cfg.Spec)
-	rep := eng.Run(wl, 0)
-	return failPoint(rate, rep)
-}
-
-// failPoint distills one report into a sweep point.
-func failPoint(rate float64, rep *metrics.Report) FailSweepPoint {
-	depth, below := rep.Recovery.FramerateDip(TargetFPS)
-	return FailSweepPoint{
-		Rate:         rate,
-		Scheduler:    rep.Scheduler,
-		Framerate:    rep.MeanFramerate(),
-		Latency:      rep.Interactive.Latency.Mean(),
-		HitRate:      rep.HitRate(),
-		Redispatched: rep.Recovery.TasksRedispatched,
-		MTTR:         rep.Recovery.MTTR(),
-		Unfinished: (rep.Interactive.Issued - rep.Interactive.Completed) +
-			(rep.Batch.Issued - rep.Batch.Completed),
-		DipDepth: depth,
-		DipBelow: below,
+	if k > 1 {
+		engCfg.Replicas = k
+	}
+	rep := sim.New(engCfg).Run(workload.Generate(cfg.Spec), 0)
+	rc := &rep.Recovery
+	depth, below := rc.FramerateDip(TargetFPS)
+	return ReplicaSweepPoint{
+		FailSweepPoint: FailSweepPoint{
+			Rate:         rate,
+			Scheduler:    rep.Scheduler,
+			Framerate:    rep.MeanFramerate(),
+			Latency:      rep.Interactive.Latency.Mean(),
+			HitRate:      rep.HitRate(),
+			Redispatched: rc.TasksRedispatched,
+			MTTR:         rc.MTTR(),
+			Unfinished: (rep.Interactive.Issued - rep.Interactive.Completed) +
+				(rep.Batch.Issued - rep.Batch.Completed),
+			DipDepth: depth,
+			DipBelow: below,
+		},
+		K:              k,
+		ServiceMTTR:    rc.ServiceMTTR(),
+		ChunksRehomed:  rc.ChunksRehomed,
+		ChunksReseeded: rc.ChunksReseeded,
 	}
 }
 
@@ -119,72 +129,40 @@ func failPoint(rate float64, rep *metrics.Report) FailSweepPoint {
 // independent simulation, so all cells run concurrently on up to workers
 // goroutines. Results are grouped by rate, in failSweepNames order within
 // each rate, and are deterministic: the same rates always produce
-// bit-identical virtual-time metrics. The fault schedule for a rate is built
-// once and shared read-only across that rate's schedulers.
+// bit-identical virtual-time metrics.
 func FailureSweepN(rates []float64, scale float64, workers int) []FailSweepPoint {
 	cfg := workload.Scenario(workload.Scenario2, scale)
-	schedules := make([][]sim.Failure, len(rates))
-	for i, rate := range rates {
-		schedules[i] = FaultSchedule(cfg.Nodes, cfg.Spec.Length, rate, int64(cfg.ID)*104729)
-	}
+	schedules := faultSchedules(cfg, rates)
 	out := make([]FailSweepPoint, len(rates)*len(failSweepNames))
 	ForEach(workers, len(out), func(cell int) {
 		ri, ni := cell/len(failSweepNames), cell%len(failSweepNames)
-		out[cell] = runFailCell(cfg, failSweepNames[ni], rates[ri], schedules[ri])
+		out[cell] = runFaultCell(cfg, failSweepNames[ni], 0, rates[ri], schedules[ri]).FailSweepPoint
 	})
 	return out
 }
 
-// PrintFailureSweep prints already-computed failure-sweep points.
-func PrintFailureSweep(w io.Writer, points []FailSweepPoint) {
-	fmt.Fprintf(w, "Failure sweep — Scenario 2 under a chaos fault mix (crash/slowdisk/stall/flap), target %.2f fps\n", TargetFPS)
-	fmt.Fprintf(w, "  %-10s %-6s %8s %12s %9s %8s %9s %10s %10s\n",
-		"faults/min", "sched", "fps", "int-latency", "hit-rate", "redisp", "MTTR", "dip-depth", "dip-time")
-	last := -1.0
-	for _, p := range points {
-		if p.Rate != last && last >= 0 {
-			fmt.Fprintln(w)
-		}
-		last = p.Rate
-		fmt.Fprintf(w, "  %-10.1f %-6s %8.2f %12v %8.2f%% %8d %9v %10.2f %10v\n",
-			p.Rate, p.Scheduler, p.Framerate,
-			p.Latency.Std().Round(time.Millisecond),
-			100*p.HitRate, p.Redispatched,
-			p.MTTR.Std().Round(time.Millisecond),
-			p.DipDepth, p.DipBelow.Std())
+var failSweepHeader = []string{
+	"faults_per_min", "scheduler", "fps", "interactive_latency_ms",
+	"hit_rate_pct", "tasks_redispatched", "mttr_ms", "unfinished_jobs",
+	"dip_depth_fps", "dip_below_target_s",
+}
+
+func (p FailSweepPoint) row() []string {
+	return []string{
+		f3(p.Rate),
+		p.Scheduler,
+		f3(p.Framerate),
+		f3(p.Latency.Milliseconds()),
+		f3(100 * p.HitRate),
+		i64(p.Redispatched),
+		f3(p.MTTR.Milliseconds()),
+		i64(p.Unfinished),
+		f3(p.DipDepth),
+		f3(p.DipBelow.Seconds()),
 	}
-	fmt.Fprintln(w)
 }
 
 // FailureSweepCSV writes the failure sweep as CSV.
 func FailureSweepCSV(w io.Writer, points []FailSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"faults_per_min", "scheduler", "fps", "interactive_latency_ms",
-		"hit_rate_pct", "tasks_redispatched", "mttr_ms", "unfinished_jobs",
-		"dip_depth_fps", "dip_below_target_s",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	for _, p := range points {
-		rec := []string{
-			f(p.Rate),
-			p.Scheduler,
-			f(p.Framerate),
-			f(p.Latency.Milliseconds()),
-			f(100 * p.HitRate),
-			strconv.FormatInt(p.Redispatched, 10),
-			f(p.MTTR.Milliseconds()),
-			strconv.FormatInt(p.Unfinished, 10),
-			f(p.DipDepth),
-			f(p.DipBelow.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", failSweepHeader, points).WriteCSV(w)
 }

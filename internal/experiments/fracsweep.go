@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
@@ -208,46 +205,22 @@ func FracSweepN(scale float64, workers int) []FracSweepPoint {
 	return out
 }
 
-// PrintFracSweep prints already-computed frac-sweep points.
-func PrintFracSweep(w io.Writer, points []FracSweepPoint) {
-	fmt.Fprintf(w, "frac sweep — mixed interactive + batch backlog: batch scheduling vs DFRS vs ε-guard co-scheduling (§5.13)\n")
-	fmt.Fprintf(w, "  %-8s %6s %9s %6s %7s %8s %10s %10s %9s %6s %6s %8s\n",
-		"mode", "fps", "p95", "util", "batch", "stretch",
-		"guard-idle", "queue-idle", "reclaimed", "co", "done", "preempt")
-	for _, p := range points {
-		fmt.Fprintf(w, "  %-8s %6.2f %9v %5.1f%% %7d %8.2f %10v %10v %8.1f%% %6d %6d %8d\n",
-			p.Mode, p.Fps, p.P95.Std().Round(time.Millisecond), 100*p.Utilization,
-			p.BatchCompleted, p.StretchMean,
-			p.GuardIdle.Std().Round(10*time.Millisecond), p.QueueIdle.Std().Round(10*time.Millisecond),
-			p.ReclaimedPct, p.CoScheduled, p.CoCompleted, p.Preemptions)
+var fracSweepHeader = []string{
+	"mode", "fps", "interactive_p95_ms", "utilization_pct", "batch_completed",
+	"stretch_mean", "guard_idle_s", "queue_idle_s", "reclaimed_pct",
+	"co_scheduled", "co_completed", "preemptions",
+}
+
+func (p FracSweepPoint) row() []string {
+	return []string{
+		p.Mode, f3(p.Fps), f3(p.P95.Milliseconds()), f3(100 * p.Utilization),
+		i64(p.BatchCompleted), f3(p.StretchMean),
+		f3(p.GuardIdle.Seconds()), f3(p.QueueIdle.Seconds()), f3(p.ReclaimedPct),
+		i64(p.CoScheduled), i64(p.CoCompleted), i64(p.Preemptions),
 	}
-	fmt.Fprintln(w)
 }
 
 // FracSweepCSV writes the frac sweep as CSV.
 func FracSweepCSV(w io.Writer, points []FracSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"mode", "fps", "interactive_p95_ms", "utilization_pct", "batch_completed",
-		"stretch_mean", "guard_idle_s", "queue_idle_s", "reclaimed_pct",
-		"co_scheduled", "co_completed", "preemptions",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			p.Mode, f(p.Fps), f(p.P95.Milliseconds()), f(100 * p.Utilization),
-			i(p.BatchCompleted), f(p.StretchMean),
-			f(p.GuardIdle.Seconds()), f(p.QueueIdle.Seconds()), f(p.ReclaimedPct),
-			i(p.CoScheduled), i(p.CoCompleted), i(p.Preemptions),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", fracSweepHeader, points).WriteCSV(w)
 }

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
-	"strconv"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/sim"
@@ -128,58 +124,27 @@ func HASweepN(outages []float64, scale float64, workers int) []HASweepPoint {
 	return out
 }
 
-// PrintHASweep prints already-computed HA-sweep points.
-func PrintHASweep(w io.Writer, points []HASweepPoint) {
-	fmt.Fprintf(w, "HA sweep — Scenario 2 under OURS, head crash at 40%% of the horizon (§5.10), target %.2f fps\n", TargetFPS)
-	fmt.Fprintf(w, "  %-7s %-10s %8s %12s %9s %8s %8s %10s %9s %8s %6s %10s %10s\n",
-		"outage", "mode", "fps", "int-latency", "ctl-MTTR", "defer", "retain",
-		"committed", "lost", "redisp", "unfin", "dip-depth", "dip-time")
-	last := -1.0
-	for _, p := range points {
-		if p.Outage != last && last >= 0 {
-			fmt.Fprintln(w)
-		}
-		last = p.Outage
-		fmt.Fprintf(w, "  %-7.2f %-10s %8.2f %12v %9v %8d %8d %10d %9d %8d %6d %10.2f %10v\n",
-			p.Outage, p.Mode, p.Framerate,
-			p.Latency.Std().Round(time.Millisecond),
-			p.ControlMTTR.Std().Round(time.Millisecond),
-			p.ArrivalsDeferred, p.ResultsDeferred,
-			p.CommittedAtCrash, p.CommittedLost, p.Redispatched, p.Unfinished,
-			p.DipDepth, p.DipBelow.Std())
+var haSweepHeader = []string{
+	"outage_fraction", "mode", "fps", "interactive_latency_ms",
+	"control_mttr_ms", "arrivals_deferred", "results_deferred",
+	"committed_at_crash", "committed_lost", "tasks_redispatched",
+	"unfinished_jobs", "dip_depth_fps", "dip_below_target_s",
+	"issued", "completed",
+}
+
+func (p HASweepPoint) row() []string {
+	return []string{
+		f3(p.Outage), p.Mode, f3(p.Framerate),
+		f3(p.Latency.Milliseconds()),
+		f3(p.ControlMTTR.Milliseconds()),
+		i64(p.ArrivalsDeferred), i64(p.ResultsDeferred),
+		i64(p.CommittedAtCrash), i64(p.CommittedLost), i64(p.Redispatched),
+		i64(p.Unfinished), f3(p.DipDepth), f3(p.DipBelow.Seconds()),
+		i64(p.Issued), i64(p.Completed),
 	}
-	fmt.Fprintln(w)
 }
 
 // HASweepCSV writes the HA sweep as CSV.
 func HASweepCSV(w io.Writer, points []HASweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"outage_fraction", "mode", "fps", "interactive_latency_ms",
-		"control_mttr_ms", "arrivals_deferred", "results_deferred",
-		"committed_at_crash", "committed_lost", "tasks_redispatched",
-		"unfinished_jobs", "dip_depth_fps", "dip_below_target_s",
-		"issued", "completed",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			f(p.Outage), p.Mode, f(p.Framerate),
-			f(p.Latency.Milliseconds()),
-			f(p.ControlMTTR.Milliseconds()),
-			i(p.ArrivalsDeferred), i(p.ResultsDeferred),
-			i(p.CommittedAtCrash), i(p.CommittedLost), i(p.Redispatched),
-			i(p.Unfinished), f(p.DipDepth), f(p.DipBelow.Seconds()),
-			i(p.Issued), i(p.Completed),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", haSweepHeader, points).WriteCSV(w)
 }

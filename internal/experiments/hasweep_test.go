@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -64,25 +63,17 @@ func TestHASweepCommittedSurvival(t *testing.T) {
 	}
 }
 
-// TestHASweepOutput: the print and CSV forms render every point.
+// TestHASweepOutput: the HA table has a row for every fault shape, and none
+// loses a committed session.
 func TestHASweepOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs full simulations")
 	}
-	points := HASweepN([]float64{0.1}, haSweepScale, DefaultWorkers())
-	var buf bytes.Buffer
-	PrintHASweep(&buf, points)
-	for _, mode := range haSweepModes {
-		if !strings.Contains(buf.String(), mode) {
-			t.Errorf("printed sweep missing mode %q:\n%s", mode, buf.String())
-		}
+	tab := newTable("", haSweepHeader, HASweepN([]float64{0.1}, haSweepScale, DefaultWorkers()))
+	if got := column(t, tab, "mode"); !reflect.DeepEqual(got, haSweepModes) {
+		t.Errorf("mode column = %q, want %q", got, haSweepModes)
 	}
-	var csvBuf bytes.Buffer
-	if err := HASweepCSV(&csvBuf, points); err != nil {
-		t.Fatalf("CSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if got, want := len(lines), 1+len(points); got != want {
-		t.Errorf("CSV rows = %d, want %d", got, want)
+	if got, want := column(t, tab, "committed_lost"), []string{"0", "0", "0"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("committed_lost column = %q, want %q", got, want)
 	}
 }

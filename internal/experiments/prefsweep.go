@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/prefetch"
@@ -130,53 +128,23 @@ func PrefetchSweepN(quotas []int, loads []float64, workers int) []PrefetchSweepP
 	return out
 }
 
-// PrintPrefetchSweep prints already-computed prefetch-sweep points.
-func PrintPrefetchSweep(w io.Writer, points []PrefetchSweepPoint) {
-	fmt.Fprintf(w, "Prefetch sweep — session-revisit scrub, demand-only vs predictive warming (§5.8)\n")
-	fmt.Fprintf(w, "  %-6s %-5s %-4s %9s %12s %10s %7s %7s %7s %7s %7s %9s\n",
-		"quota", "load", "mode", "sessions", "first-frame", "p95",
-		"issued", "loaded", "hits", "hidden", "wasted", "moved")
-	lastKey := ""
-	for _, p := range points {
-		key := fmt.Sprintf("%d/%v", p.QuotaChunks, p.Load)
-		if key != lastKey && lastKey != "" {
-			fmt.Fprintln(w)
-		}
-		lastKey = key
-		fmt.Fprintf(w, "  %-6s %-5.1f %-4s %9d %12v %10v %7d %7d %7d %7d %7d %9v\n",
-			fmt.Sprintf("%dx512M", p.QuotaChunks), p.Load, p.Mode, p.Sessions,
-			p.FirstFrame.Std().Round(time.Millisecond),
-			p.P95.Std().Round(time.Millisecond),
-			p.Issued, p.Loaded, p.Hits, p.HiddenHits, p.Wasted, p.BytesMoved)
+var prefSweepHeader = []string{
+	"quota_chunks", "load", "mode", "sessions", "completed",
+	"first_frame_ms", "p95_ms",
+	"issued", "loaded", "hits", "hidden_hits", "wasted", "bytes_moved",
+}
+
+func (p PrefetchSweepPoint) row() []string {
+	return []string{
+		strconv.Itoa(p.QuotaChunks), f3(p.Load), p.Mode,
+		strconv.Itoa(p.Sessions), i64(p.Completed),
+		f3(p.FirstFrame.Milliseconds()), f3(p.P95.Milliseconds()),
+		i64(p.Issued), i64(p.Loaded), i64(p.Hits), i64(p.HiddenHits), i64(p.Wasted),
+		i64(int64(p.BytesMoved)),
 	}
-	fmt.Fprintln(w)
 }
 
 // PrefetchSweepCSV writes the prefetch sweep as CSV.
 func PrefetchSweepCSV(w io.Writer, points []PrefetchSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"quota_chunks", "load", "mode", "sessions", "completed",
-		"first_frame_ms", "p95_ms",
-		"issued", "loaded", "hits", "hidden_hits", "wasted", "bytes_moved",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			strconv.Itoa(p.QuotaChunks), f(p.Load), p.Mode,
-			strconv.Itoa(p.Sessions), i(p.Completed),
-			f(p.FirstFrame.Milliseconds()), f(p.P95.Milliseconds()),
-			i(p.Issued), i(p.Loaded), i(p.Hits), i(p.HiddenHits), i(p.Wasted),
-			i(int64(p.BytesMoved)),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", prefSweepHeader, points).WriteCSV(w)
 }

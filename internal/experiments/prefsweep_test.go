@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -47,18 +46,14 @@ func TestPrefetchSweepOffCellsInert(t *testing.T) {
 	}
 }
 
-// TestPrefetchSweepPrint smoke-checks the human-readable table.
+// TestPrefetchSweepPrint: the prefetch table has a row per mode at the
+// quota asked for.
 func TestPrefetchSweepPrint(t *testing.T) {
-	points := PrefetchSweepN([]int{3}, []float64{1.0}, 2)
-	var buf bytes.Buffer
-	PrintPrefetchSweep(&buf, points)
-	if len(points) != 2 {
-		t.Fatalf("expected 2 points, got %d", len(points))
+	tab := newTable("", prefSweepHeader, PrefetchSweepN([]int{3}, []float64{1.0}, 2))
+	if got := column(t, tab, "mode"); !reflect.DeepEqual(got, prefSweepModes) {
+		t.Errorf("mode column = %q, want %q", got, prefSweepModes)
 	}
-	out := buf.String()
-	for _, want := range []string{"Prefetch sweep", "3x512M", "first-frame", "off", "on"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
+	if got, want := column(t, tab, "quota_chunks"), []string{"3", "3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("quota_chunks column = %q, want %q", got, want)
 	}
 }

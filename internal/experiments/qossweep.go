@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"vizsched/internal/qos"
 	"vizsched/internal/sim"
@@ -109,57 +106,23 @@ func QoSSweepN(skews, loads []float64, scale float64, workers int) []QoSSweepPoi
 	return out
 }
 
-// PrintQoSSweep prints already-computed QoS-sweep points.
-func PrintQoSSweep(w io.Writer, points []QoSSweepPoint) {
-	fmt.Fprintf(w, "QoS sweep — Scenario 1 cluster, 4 tenants, Zipf-skewed demand, FIFO vs admission+DRR (§5.7)\n")
-	fmt.Fprintf(w, "  %-5s %-5s %-5s %8s %8s %12s %10s %7s %8s %8s %8s %8s %6s\n",
-		"skew", "load", "mode", "users", "fps", "int-latency", "p95", "jain",
-		"admit", "throttle", "reject", "shed", "level")
-	lastKey := ""
-	for _, p := range points {
-		key := fmt.Sprintf("%v/%v", p.Skew, p.Load)
-		if key != lastKey && lastKey != "" {
-			fmt.Fprintln(w)
-		}
-		lastKey = key
-		level := "-"
-		if p.Mode == "QoS" {
-			level = fmt.Sprintf("%d/%d", p.MaxLevel, p.FinalLevel)
-		}
-		fmt.Fprintf(w, "  %-5.1f %-5.1f %-5s %8d %8.2f %12v %10v %7.3f %8d %8d %8d %8d %6s\n",
-			p.Skew, p.Load, p.Mode, p.Actions, p.Framerate,
-			p.Latency.Std().Round(time.Millisecond),
-			p.P95.Std().Round(time.Millisecond),
-			p.Jain, p.Admitted, p.Throttled, p.Rejected, p.Shed, level)
+var qosSweepHeader = []string{
+	"tenant_skew", "load", "mode", "users", "fps",
+	"interactive_latency_ms", "p95_ms", "jain_fairness",
+	"issued", "completed", "admitted", "throttled", "rejected", "shed",
+	"max_level", "final_level",
+}
+
+func (p QoSSweepPoint) row() []string {
+	return []string{
+		f3(p.Skew), f3(p.Load), p.Mode, strconv.Itoa(p.Actions), f3(p.Framerate),
+		f3(p.Latency.Milliseconds()), f3(p.P95.Milliseconds()), f3(p.Jain),
+		i64(p.Issued), i64(p.Completed), i64(p.Admitted), i64(p.Throttled), i64(p.Rejected), i64(p.Shed),
+		strconv.Itoa(p.MaxLevel), strconv.Itoa(p.FinalLevel),
 	}
-	fmt.Fprintln(w)
 }
 
 // QoSSweepCSV writes the QoS sweep as CSV.
 func QoSSweepCSV(w io.Writer, points []QoSSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"tenant_skew", "load", "mode", "users", "fps",
-		"interactive_latency_ms", "p95_ms", "jain_fairness",
-		"issued", "completed", "admitted", "throttled", "rejected", "shed",
-		"max_level", "final_level",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			f(p.Skew), f(p.Load), p.Mode, strconv.Itoa(p.Actions), f(p.Framerate),
-			f(p.Latency.Milliseconds()), f(p.P95.Milliseconds()), f(p.Jain),
-			i(p.Issued), i(p.Completed), i(p.Admitted), i(p.Throttled), i(p.Rejected), i(p.Shed),
-			strconv.Itoa(p.MaxLevel), strconv.Itoa(p.FinalLevel),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", qosSweepHeader, points).WriteCSV(w)
 }

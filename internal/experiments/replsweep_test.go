@@ -84,8 +84,7 @@ func TestReplicaSweepAcceptance(t *testing.T) {
 }
 
 // TestReplicaSweepRowLayout pins the output contract: rows grouped by rate,
-// FCFSU (K=0) first, then OURS in ks order — what PrintReplicaSweep and the
-// CSV rely on.
+// FCFSU (K=0) first, then OURS in ks order — what the table's rows rely on.
 func TestReplicaSweepRowLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs full simulations")

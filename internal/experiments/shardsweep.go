@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/shard"
@@ -154,52 +151,24 @@ func ShardSweepN(shardCounts []int, scale float64, workers int) []ShardSweepPoin
 	return out
 }
 
-// PrintShardSweep prints already-computed shard-sweep points.
-func PrintShardSweep(w io.Writer, points []ShardSweepPoint) {
-	fmt.Fprintf(w, "shard sweep — sessions at %d/s vs %v per admission (%.1fx one head's capacity), OURS per shard (§5.11)\n",
-		shardSweepRate, shardSweepAdmit.Std(),
-		float64(shardSweepRate)*shardSweepAdmit.Seconds())
-	fmt.Fprintf(w, "  %-7s %9s %10s %9s %8s %8s %12s %10s %s\n",
-		"shards", "issued", "completed", "sess/s", "speedup", "donated", "int-latency", "dir-hits", "invariants")
-	for _, p := range points {
-		inv := "ok"
-		if p.InvariantErr != "" {
-			inv = "VIOLATED: " + p.InvariantErr
-		}
-		fmt.Fprintf(w, "  %-7d %9d %10d %9.1f %8.2f %8d %12v %10d %s\n",
-			p.Shards, p.Issued, p.Completed, p.Throughput, p.Speedup,
-			p.Donated, p.Latency.Std().Round(time.Millisecond),
-			p.Directory.Hits, inv)
+var shardSweepHeader = []string{
+	"shards", "issued", "completed", "sessions_per_s", "speedup",
+	"donated", "interactive_latency_ms", "dir_chunks", "dir_lookups",
+	"dir_hits", "dir_publishes", "invariant_error",
+}
+
+func (p ShardSweepPoint) row() []string {
+	return []string{
+		strconv.Itoa(p.Shards), i64(p.Issued), i64(p.Completed),
+		f3(p.Throughput), f3(p.Speedup), i64(p.Donated),
+		f3(p.Latency.Milliseconds()),
+		strconv.Itoa(p.Directory.Chunks), i64(p.Directory.Lookups),
+		i64(p.Directory.Hits), i64(p.Directory.Publishes),
+		p.InvariantErr,
 	}
-	fmt.Fprintln(w)
 }
 
 // ShardSweepCSV writes the shard sweep as CSV.
 func ShardSweepCSV(w io.Writer, points []ShardSweepPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"shards", "issued", "completed", "sessions_per_s", "speedup",
-		"donated", "interactive_latency_ms", "dir_chunks", "dir_lookups",
-		"dir_hits", "dir_publishes", "invariant_error",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		rec := []string{
-			strconv.Itoa(p.Shards), i(p.Issued), i(p.Completed),
-			f(p.Throughput), f(p.Speedup), i(p.Donated),
-			f(p.Latency.Milliseconds()),
-			strconv.Itoa(p.Directory.Chunks), i(p.Directory.Lookups),
-			i(p.Directory.Hits), i(p.Directory.Publishes),
-			p.InvariantErr,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return newTable("", shardSweepHeader, points).WriteCSV(w)
 }

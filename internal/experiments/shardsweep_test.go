@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -34,23 +33,20 @@ func TestShardSweepScaling(t *testing.T) {
 	}
 }
 
-// TestShardSweepOutput: the print and CSV forms render every point, and a
-// donation-capable cell reports through the donated column.
+// TestShardSweepOutput: the shard table has a row per shard count, each
+// with a clean invariant verdict, and the 1-shard cell donates nothing.
 func TestShardSweepOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs full simulations")
 	}
-	points := ShardSweepN(shardSweepCounts, shardSweepScale, DefaultWorkers())
-	var buf bytes.Buffer
-	PrintShardSweep(&buf, points)
-	if got := strings.Count(buf.String(), "\n"); got < len(points)+2 {
-		t.Errorf("print rendered %d lines, want ≥ %d", got, len(points)+2)
+	tab := newTable("", shardSweepHeader, ShardSweepN(shardSweepCounts, shardSweepScale, DefaultWorkers()))
+	if got, want := column(t, tab, "shards"), []string{"1", "2", "4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shards column = %q, want %q", got, want)
 	}
-	var csvBuf bytes.Buffer
-	if err := ShardSweepCSV(&csvBuf, points); err != nil {
-		t.Fatalf("CSV: %v", err)
+	if got, want := column(t, tab, "invariant_error"), []string{"", "", ""}; !reflect.DeepEqual(got, want) {
+		t.Errorf("invariant_error column = %q, want %q", got, want)
 	}
-	if got, want := strings.Count(csvBuf.String(), "\n"), len(points)+1; got != want {
-		t.Errorf("CSV rows = %d, want %d", got, want)
+	if got := column(t, tab, "donated")[0]; got != "0" {
+		t.Errorf("1-shard cell donated %s jobs", got)
 	}
 }
