@@ -469,8 +469,41 @@ func BenchmarkLiveServiceFrame(b *testing.B) {
 // BenchmarkSchedulerThroughput is a pure scheduler micro-benchmark: jobs
 // scheduled per second through Algorithm 1 at growing queue depths —
 // evidence for the paper's claim that scheduling stays far cheaper than
-// rendering.
+// rendering. The queue-N arms time a cold scheduler's first cycle over
+// interactive jobs; batch-256 times the extension sweeps' steady state, one
+// scheduler cycling over a full batch window of 4-brick jobs on 4 datasets
+// that is almost all still pending: a cycle groups a thousand tasks into 16
+// chunk groups and places one task per node before λ.
 func BenchmarkSchedulerThroughput(b *testing.B) {
+	b.Run("batch-256", func(b *testing.B) {
+		b.ReportAllocs()
+		sched := core.NewLocalityScheduler(0)
+		head := core.NewHeadState(16, 8*units.GB, core.System2CostModel())
+		queue := make([]*core.Job, core.DefaultBatchWindow)
+		for j := range queue {
+			job := &core.Job{ID: core.JobID(j + 1), Class: core.Batch,
+				Action: core.ActionID(j + 1), Dataset: volume.DatasetID(j%4 + 1)}
+			job.Tasks = make([]core.Task, 4)
+			for k := range job.Tasks {
+				job.Tasks[k] = core.Task{Job: job, Index: k,
+					Chunk: volume.ChunkID{Dataset: job.Dataset, Index: k}, Size: 512 * units.MB}
+			}
+			job.Remaining = 4
+			queue[j] = job
+		}
+		now := units.Time(0)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for _, job := range queue {
+				for k := range job.Tasks {
+					job.Tasks[k].Assigned = false
+				}
+			}
+			now = now.Add(3600 * units.Second) // every node has drained
+			b.StartTimer()
+			sched.Schedule(now, queue, head)
+		}
+	})
 	for _, depth := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("queue-%d", depth), func(b *testing.B) {
 			b.ReportAllocs()

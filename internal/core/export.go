@@ -89,7 +89,7 @@ func (h *HeadState) Dump() *TableDump {
 	for c, e := range h.estimate {
 		d.Estimates = append(d.Estimates, EstimateEntry{Chunk: c, Exec: e})
 	}
-	slices.SortFunc(d.Estimates, func(a, b EstimateEntry) int { return chunkCompare(a.Chunk, b.Chunk) })
+	slices.SortFunc(d.Estimates, func(a, b EstimateEntry) int { return CompareChunks(a.Chunk, b.Chunk) })
 	for key, e := range h.hitObs {
 		d.HitObs = append(d.HitObs, HitObsEntry{Size: key.size, Group: key.group, Exec: e})
 	}
@@ -102,12 +102,12 @@ func (h *HeadState) Dump() *TableDump {
 	for c, hs := range h.homes {
 		d.Homes = append(d.Homes, HomeEntry{Chunk: c, Homes: slices.Clone(hs)})
 	}
-	slices.SortFunc(d.Homes, func(a, b HomeEntry) int { return chunkCompare(a.Chunk, b.Chunk) })
+	slices.SortFunc(d.Homes, func(a, b HomeEntry) int { return CompareChunks(a.Chunk, b.Chunk) })
 	for key := range h.prefetched {
 		d.Prefetched = append(d.Prefetched, PrefEntry{Chunk: key.c, Node: key.k})
 	}
 	slices.SortFunc(d.Prefetched, func(a, b PrefEntry) int {
-		if c := chunkCompare(a.Chunk, b.Chunk); c != 0 {
+		if c := CompareChunks(a.Chunk, b.Chunk); c != 0 {
 			return c
 		}
 		return int(a.Node - b.Node)

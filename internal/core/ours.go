@@ -17,7 +17,7 @@ import (
 // is placed only on nodes that have served no interactive task for the
 // idle threshold ε = Estimate[c]/2.
 //
-// A scheduler instance keeps scratch buffers (the H_I/H_B hash tables, the
+// A scheduler instance keeps scratch buffers (the H_I/H_B tables, the
 // group slab, and the assignment output) that are recycled between cycles,
 // so a steady-state cycle allocates only when the queue outgrows every
 // previous cycle. Consequently an instance is not safe for concurrent use,
@@ -58,8 +58,9 @@ type LocalityScheduler struct {
 	coShare float64
 
 	// Per-cycle scratch, reused across Schedule calls.
-	byChunk                 [2]map[volume.ChunkID]*chunkGroup // H_I, H_B: indexed by Class
-	groups                  [2][]*chunkGroup                  // their entries in chunk order
+	byDataset               [2]map[volume.DatasetID]*datasetGroups // H_I, H_B: indexed by Class, then dataset
+	touched                 []*datasetGroups                       // rows the current walk has filled
+	groups                  [2][]*chunkGroup                       // H_I, H_B's entries in chunk order
 	groupSlab               []*chunkGroup
 	usedGroups              int
 	cached, nonCached, rest []*chunkGroup
@@ -122,7 +123,7 @@ func (s *LocalityScheduler) spreadEvery() int {
 	return DefaultSpreadEvery
 }
 
-// chunkGroup is one entry of the H_I / H_B hash tables: the unassigned
+// chunkGroup is one entry of the H_I / H_B tables: the unassigned
 // tasks within this cycle that need the same chunk, plus the sort keys
 // Schedule precomputes so its orderings never call into the head tables
 // from inside a comparator.
@@ -155,44 +156,80 @@ func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes, on node
 	return g
 }
 
+// datasetGroups is one dataset's row of H_I or H_B: at[i] is the group of
+// the dataset's chunk i this walk, nil where no unassigned task needs it.
+// Indexing by Chunk.Index holds a row to one pointer per chunk of a dataset
+// whose tasks the caller already holds (every task comes from its dataset's
+// decomposition, so an index is never negative). Rows outlive the walk —
+// a dataset that leaves the queue and returns finds its row again — but
+// every walk leaves them empty.
+type datasetGroups struct {
+	dataset volume.DatasetID
+	at      []*chunkGroup
+	touched bool // listed in LocalityScheduler.touched
+}
+
+// row returns the class's row for dataset ds, listing it as touched by the
+// current walk.
+func (s *LocalityScheduler) row(class Class, ds volume.DatasetID) *datasetGroups {
+	rows := s.byDataset[class]
+	if rows == nil {
+		rows = make(map[volume.DatasetID]*datasetGroups)
+		s.byDataset[class] = rows
+	}
+	r := rows[ds]
+	if r == nil {
+		r = &datasetGroups{dataset: ds}
+		rows[ds] = r
+	}
+	if !r.touched {
+		r.touched = true
+		s.touched = append(s.touched, r)
+	}
+	return r
+}
+
 // groupByChunk is lines 2–7: one walk over the queue buckets the unassigned
 // tasks of each class by chunk, the groups of a class sorted by chunk ID for
-// determinism. The byChunk maps are cleared and reused between calls.
+// determinism. A task costs a slice index: its dataset's row is looked up
+// once per run of same-dataset tasks — in practice once per job — and the
+// rows the walk filled are emptied before it returns.
 func (s *LocalityScheduler) groupByChunk(queue []*Job, head *HeadState) {
 	s.usedGroups = 0
 	for class := range s.groups {
 		s.groups[class] = s.groups[class][:0]
-		if s.byChunk[class] == nil {
-			s.byChunk[class] = make(map[volume.ChunkID]*chunkGroup)
-		}
-		clear(s.byChunk[class])
 	}
 	for _, j := range queue {
-		byChunk := s.byChunk[j.Class]
+		var row *datasetGroups
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
 			if t.Assigned {
 				continue
 			}
-			g := byChunk[t.Chunk]
+			if row == nil || row.dataset != t.Chunk.Dataset {
+				row = s.row(j.Class, t.Chunk.Dataset)
+			}
+			idx := t.Chunk.Index
+			if idx >= len(row.at) {
+				row.at = append(row.at, make([]*chunkGroup, idx+1-len(row.at))...)
+			}
+			g := row.at[idx]
 			if g == nil {
 				g = s.newGroup(t.Chunk, t.Size, head.residency(t.Chunk))
-				byChunk[t.Chunk] = g
+				row.at[idx] = g
 				s.groups[j.Class] = append(s.groups[j.Class], g)
 			}
 			g.tasks = append(g.tasks, t)
 		}
 	}
+	for _, r := range s.touched {
+		clear(r.at)
+		r.touched = false
+	}
+	s.touched = s.touched[:0]
 	for _, gs := range s.groups {
-		slices.SortFunc(gs, func(a, b *chunkGroup) int { return chunkCompare(a.chunk, b.chunk) })
+		slices.SortFunc(gs, func(a, b *chunkGroup) int { return CompareChunks(a.chunk, b.chunk) })
 	}
-}
-
-func chunkCompare(a, b volume.ChunkID) int {
-	if c := cmp.Compare(a.Dataset, b.Dataset); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Index, b.Index)
 }
 
 // Schedule implements Algorithm 1.
@@ -225,7 +262,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		if c := cmp.Compare(a.est, b.est); c != 0 {
 			return c
 		}
-		return chunkCompare(a.chunk, b.chunk)
+		return CompareChunks(a.chunk, b.chunk)
 	})
 
 	// Lines 10–15: every interactive group goes, whole, to the node with the
@@ -323,7 +360,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		if c := cmp.Compare(a.replicas, b.replicas); c != 0 {
 			return c
 		}
-		return chunkCompare(a.chunk, b.chunk)
+		return CompareChunks(a.chunk, b.chunk)
 	})
 	gi := 0
 	for k := 0; k < head.Nodes() && gi < len(rest); k++ {

@@ -263,6 +263,9 @@ type diffConfig struct {
 	noGuard         bool
 	coShare         float64
 	prefetch, src   bool
+	// shapes adds the job shapes groupByChunk's per-dataset rows must get
+	// right (shapedJobs).
+	shapes bool
 }
 
 // stubPlanner asks, every cycle, for one warm on the first alive node that
@@ -282,6 +285,60 @@ func (p *stubPlanner) Plan(now, lambda units.Time, head *HeadState) []PrefetchDi
 }
 
 func diffChunkSize(ds volume.DatasetID) units.Bytes { return units.Bytes(int(ds)%3+1) * 96 * units.MB }
+
+// jobOver builds a job whose tasks need the given chunks, in that order.
+func jobOver(id JobID, class Class, action ActionID, now units.Time, chunks ...volume.ChunkID) *Job {
+	j := &Job{ID: id, Class: class, Action: action, Dataset: chunks[0].Dataset, Issued: now}
+	j.Tasks = make([]Task, len(chunks))
+	for i, c := range chunks {
+		j.Tasks[i] = Task{Job: j, Index: i, Chunk: c, Size: diffChunkSize(c.Dataset)}
+	}
+	j.Remaining = len(chunks)
+	return j
+}
+
+// shapedJobs draws the arrivals of one cycle that the plain generator never
+// makes: a job whose tasks interleave two datasets; a job whose chunk
+// indices are out of order and have gaps; an interactive and a batch job
+// over the same chunks; and, in two cycles of every five, a job over
+// dataset 9, which is otherwise absent, so its rows empty and fill again.
+func shapedJobs(rng *rand.Rand, next *JobID, now units.Time, cycle int) []*Job {
+	job := func(class Class, chunks ...volume.ChunkID) *Job {
+		j := jobOver(*next, class, ActionID(rng.Intn(4)+1), now, chunks...)
+		*next++
+		return j
+	}
+	class := func() Class { return Class(rng.Intn(2)) }
+	ds := func() volume.DatasetID { return volume.DatasetID(rng.Intn(5) + 1) }
+	var jobs []*Job
+	switch rng.Intn(4) {
+	case 0:
+		a, b := ds(), ds()
+		var cs []volume.ChunkID
+		for i := rng.Intn(4) + 1; i >= 0; i-- {
+			cs = append(cs, volume.ChunkID{Dataset: a, Index: i}, volume.ChunkID{Dataset: b, Index: i})
+		}
+		jobs = append(jobs, job(class(), cs...))
+	case 1:
+		d := ds()
+		var cs []volume.ChunkID
+		for _, i := range rng.Perm(24)[:rng.Intn(5)+1] {
+			cs = append(cs, volume.ChunkID{Dataset: d, Index: i})
+		}
+		jobs = append(jobs, job(class(), cs...))
+	case 2:
+		d := ds()
+		var cs []volume.ChunkID
+		for i := rng.Intn(4); i >= 0; i-- {
+			cs = append(cs, volume.ChunkID{Dataset: d, Index: i * 2})
+		}
+		jobs = append(jobs, job(Interactive, cs...), job(Batch, cs...))
+	}
+	if cycle%5 < 2 {
+		jobs = append(jobs, job(class(), volume.ChunkID{Dataset: 9, Index: rng.Intn(3)}, volume.ChunkID{Dataset: 9, Index: 3}))
+	}
+	return jobs
+}
 
 // placed is one assignment in comparable form.
 type placed struct {
@@ -329,6 +386,9 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 				j.Remaining--
 			}
 			queue = append(queue, j)
+		}
+		if cfg.shapes {
+			queue = append(queue, shapedJobs(rng, &next, now, len(tr.cycles))...)
 		}
 		switch k := NodeID(rng.Intn(cfg.nodes)); rng.Intn(10) {
 		case 0:
@@ -403,37 +463,56 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 // sweep's pinned CSV counts those calls).
 func TestReferenceScheduleDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		rng := rand.New(rand.NewSource(seed * 7919))
-		cfg := diffConfig{
-			nodes:    []int{2, 5, 9, 70}[rng.Intn(4)], // 70: a node set wider than one word
-			replicas: rng.Intn(3) + 1,
-			noGuard:  rng.Intn(3) == 0,
-			prefetch: rng.Intn(2) == 0,
-			src:      rng.Intn(2) == 0,
+		differential(t, seed, false)
+	}
+}
+
+// TestReferenceScheduleDifferentialShapes is the differential over the job
+// shapes that index H_I and H_B by dataset and chunk index: two datasets
+// interleaved in one job, indices out of order and with gaps, a dataset
+// that leaves the queue and returns, the same chunk in both classes.
+func TestReferenceScheduleDifferentialShapes(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		differential(t, seed, true)
+	}
+}
+
+// differential drives Schedule and the reference scheduler through one
+// seeded history and requires identical decisions, tables and estimate
+// source calls.
+func differential(t *testing.T, seed int64, shapes bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed * 7919))
+	cfg := diffConfig{
+		nodes:    []int{2, 5, 9, 70}[rng.Intn(4)], // 70: a node set wider than one word
+		replicas: rng.Intn(3) + 1,
+		noGuard:  rng.Intn(3) == 0,
+		prefetch: rng.Intn(2) == 0,
+		src:      rng.Intn(2) == 0,
+		shapes:   shapes,
+	}
+	if rng.Intn(2) == 0 {
+		cfg.coShare = 0.25
+	}
+	fast := NewLocalityScheduler(0)
+	fast.Replicas, fast.DisableIdleGuard, fast.coShare = cfg.replicas, cfg.noGuard, cfg.coShare
+	ref := &referenceScheduler{cycle: DefaultCycle, Replicas: cfg.replicas, DisableIdleGuard: cfg.noGuard, coShare: cfg.coShare}
+	if cfg.prefetch {
+		fast.SetPrefetchPlanner(&stubPlanner{})
+		ref.prefetch = &stubPlanner{}
+	}
+	want := driveOurs(t, seed, cfg, ref, 150)
+	got := driveOurs(t, seed, cfg, fast, 150)
+	for i := range want.cycles {
+		if !reflect.DeepEqual(got.cycles[i], want.cycles[i]) {
+			t.Fatalf("seed %d %+v: cycle %d assigned\n %v\nreference\n %v", seed, cfg, i, got.cycles[i], want.cycles[i])
 		}
-		if rng.Intn(2) == 0 {
-			cfg.coShare = 0.25
-		}
-		fast := NewLocalityScheduler(0)
-		fast.Replicas, fast.DisableIdleGuard, fast.coShare = cfg.replicas, cfg.noGuard, cfg.coShare
-		ref := &referenceScheduler{cycle: DefaultCycle, Replicas: cfg.replicas, DisableIdleGuard: cfg.noGuard, coShare: cfg.coShare}
-		if cfg.prefetch {
-			fast.SetPrefetchPlanner(&stubPlanner{})
-			ref.prefetch = &stubPlanner{}
-		}
-		want := driveOurs(t, seed, cfg, ref, 150)
-		got := driveOurs(t, seed, cfg, fast, 150)
-		for i := range want.cycles {
-			if !reflect.DeepEqual(got.cycles[i], want.cycles[i]) {
-				t.Fatalf("seed %d %+v: cycle %d assigned\n %v\nreference\n %v", seed, cfg, i, got.cycles[i], want.cycles[i])
-			}
-		}
-		if !reflect.DeepEqual(got.dump, want.dump) {
-			t.Fatalf("seed %d %+v: tables differ after identical assignments", seed, cfg)
-		}
-		if got.srcCalls != want.srcCalls {
-			t.Fatalf("seed %d %+v: estimate source asked %d times, reference %d", seed, cfg, got.srcCalls, want.srcCalls)
-		}
+	}
+	if !reflect.DeepEqual(got.dump, want.dump) {
+		t.Fatalf("seed %d %+v: tables differ after identical assignments", seed, cfg)
+	}
+	if got.srcCalls != want.srcCalls {
+		t.Fatalf("seed %d %+v: estimate source asked %d times, reference %d", seed, cfg, got.srcCalls, want.srcCalls)
 	}
 }
 
@@ -546,6 +625,39 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 	if want := 224 * 16; assigned < want {
 		t.Errorf("steady-state cycle assigned %d tasks, want at least the %d interactive ones", assigned, want)
+	}
+}
+
+// TestScheduleSteadyStateAllocsBatch is the batch-heavy twin, the shape of
+// the extension sweeps' queue: a full 256-job batch window over 4 datasets
+// whose jobs are mostly placed already, so a cycle walks many assigned
+// tasks, groups a few pending ones per chunk and fills nodes until λ.
+func TestScheduleSteadyStateAllocsBatch(t *testing.T) {
+	s := NewLocalityScheduler(0)
+	head := NewHeadState(64, 8*units.GB, System2CostModel())
+	queue := make([]*Job, DefaultBatchWindow)
+	for j := range queue {
+		queue[j] = mkJob(JobID(j+1), Batch, ActionID(j+1), volume.DatasetID(j%4+1), 16, 512*units.MB, 0)
+	}
+	now := units.Time(0)
+	var assigned int
+	cycle := func() {
+		for j, job := range queue {
+			for i := range job.Tasks {
+				job.Tasks[i].Assigned = (i+j)%8 != 0
+			}
+		}
+		now = now.Add(3600 * units.Second)
+		assigned = len(s.Schedule(now, queue, head))
+	}
+	for i := 0; i < 4; i++ { // every chunk finds a home
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Errorf("steady-state batch Schedule allocates %v times a cycle, want 0", allocs)
+	}
+	if assigned < head.Nodes() {
+		t.Errorf("steady-state batch cycle assigned %d tasks, want at least one per node (%d)", assigned, head.Nodes())
 	}
 }
 
@@ -701,7 +813,7 @@ func (s *referenceScheduler) groupByChunk(queue []*Job, class Class, dst []*refG
 	for _, g := range s.byChunk {
 		dst = append(dst, g)
 	}
-	slices.SortFunc(dst, func(a, b *refGroup) int { return chunkCompare(a.chunk, b.chunk) })
+	slices.SortFunc(dst, func(a, b *refGroup) int { return CompareChunks(a.chunk, b.chunk) })
 	return dst
 }
 
@@ -740,7 +852,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 		if c := cmp.Compare(a.est, b.est); c != 0 {
 			return c
 		}
-		return chunkCompare(a.chunk, b.chunk)
+		return CompareChunks(a.chunk, b.chunk)
 	})
 
 	// Lines 10–15: every interactive group goes, whole, to the node with the
@@ -838,7 +950,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 		if c := cmp.Compare(a.replicas, b.replicas); c != 0 {
 			return c
 		}
-		return chunkCompare(a.chunk, b.chunk)
+		return CompareChunks(a.chunk, b.chunk)
 	})
 	gi := 0
 	for k := 0; k < head.Nodes() && gi < len(rest); k++ {

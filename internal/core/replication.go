@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"vizsched/internal/volume"
@@ -193,13 +194,13 @@ func (h *HeadState) DrainOrphans(k NodeID) []volume.ChunkID {
 }
 
 // CompareChunks is the canonical total order on chunk IDs (dataset, then
-// index) used wherever map-collected chunk sets must become deterministic
-// slices.
+// index): the order of Algorithm 1's groups, of the predictor's ties, and
+// wherever map-collected chunk sets must become deterministic slices.
 func CompareChunks(a, b volume.ChunkID) int {
-	if a.Dataset != b.Dataset {
-		return int(a.Dataset) - int(b.Dataset)
+	if c := cmp.Compare(a.Dataset, b.Dataset); c != 0 {
+		return c
 	}
-	return a.Index - b.Index
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // DemoteHomes removes a draining node k from every home set — the graceful

@@ -41,9 +41,10 @@ func (d *dist) bump(next delta) {
 }
 
 // top returns the row's n most likely next deltas, ties broken toward the
-// smaller delta so identical tables always rank identically.
-func (d *dist) top(n int) []delta {
-	keys := make([]delta, 0, len(d.counts))
+// smaller delta so identical tables always rank identically. It ranks in
+// keys' storage and returns the reslice.
+func (d *dist) top(keys []delta, n int) []delta {
+	keys = keys[:0]
 	for k := range d.counts {
 		keys = append(keys, k)
 	}
@@ -95,6 +96,13 @@ type Predictor struct {
 	t2      map[trans2Key]*dist
 	streams map[core.ActionID]*stream
 	freqs   map[volume.ChunkID]*emaEntry
+
+	// Candidates' scratch, cleared and refilled on every call.
+	scores map[volume.ChunkID]float64
+	acts   []core.ActionID
+	deltas []delta
+	chunks []volume.ChunkID
+	out    []Candidate
 }
 
 // NewPredictor builds an empty predictor; nil selects all defaults.
@@ -109,6 +117,7 @@ func NewPredictor(cfg *Config) *Predictor {
 		t2:      make(map[trans2Key]*dist),
 		streams: make(map[core.ActionID]*stream),
 		freqs:   make(map[volume.ChunkID]*emaEntry),
+		scores:  make(map[volume.ChunkID]float64),
 	}
 }
 
@@ -175,18 +184,21 @@ func apply(c volume.ChunkID, d delta) volume.ChunkID {
 // (descending, chunk ID breaking ties): Markov continuations of every live
 // stream blended with the decayed frequency prior. Candidates may name
 // chunks that do not exist (a delta stepping past a dataset edge) — the
-// controller's size lookup filters those.
+// controller's size lookup filters those. The slice is the predictor's
+// scratch, valid until the next call.
 func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
-	scores := make(map[volume.ChunkID]float64)
+	scores := p.scores
+	clear(scores)
 
 	// Markov continuations, streams visited in action order for determinism.
-	acts := make([]core.ActionID, 0, len(p.streams))
+	acts := p.acts[:0]
 	for a, st := range p.streams {
 		if now.Sub(st.seen) <= units.Duration(p.cfg.StreamTTL) {
 			acts = append(acts, a)
 		}
 	}
 	slices.Sort(acts)
+	p.acts = acts
 	for _, a := range acts {
 		st := p.streams[a]
 		var row *dist
@@ -199,7 +211,8 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 		if row == nil || row.total == 0 {
 			continue
 		}
-		for _, d := range row.top(2) {
+		p.deltas = row.top(p.deltas, 2)
+		for _, d := range p.deltas {
 			next := apply(st.last, d)
 			if next == st.last {
 				continue // self-transition: already being demanded
@@ -209,7 +222,7 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 	}
 
 	// Frequency prior, normalized by the hottest chunk.
-	chunks := make([]volume.ChunkID, 0, len(p.freqs))
+	chunks := p.chunks[:0]
 	maxVal := 0.0
 	for c, e := range p.freqs {
 		p.decayTo(e, now)
@@ -218,8 +231,9 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 		}
 		chunks = append(chunks, c)
 	}
+	p.chunks = chunks
 	if maxVal > 0 {
-		slices.SortFunc(chunks, chunkCompare)
+		slices.SortFunc(chunks, core.CompareChunks)
 		for _, c := range chunks {
 			if v := p.freqs[c].val / maxVal; v > 0 {
 				scores[c] += p.cfg.PriorWeight * v
@@ -227,27 +241,21 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 		}
 	}
 
-	out := make([]Candidate, 0, len(scores))
+	out := p.out[:0]
 	for c, s := range scores {
 		if s >= p.cfg.MinScore {
 			out = append(out, Candidate{Chunk: c, Score: s})
 		}
 	}
+	p.out = out
 	slices.SortFunc(out, func(a, b Candidate) int {
 		if c := cmp.Compare(b.Score, a.Score); c != 0 {
 			return c
 		}
-		return chunkCompare(a.Chunk, b.Chunk)
+		return core.CompareChunks(a.Chunk, b.Chunk)
 	})
 	if len(out) > limit {
 		out = out[:limit]
 	}
 	return out
-}
-
-func chunkCompare(a, b volume.ChunkID) int {
-	if c := cmp.Compare(a.Dataset, b.Dataset); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Index, b.Index)
 }

@@ -1,7 +1,11 @@
 package prefetch
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vizsched/internal/core"
@@ -152,5 +156,168 @@ func TestPredictorSkipsSelfTransition(t *testing.T) {
 		if c.Chunk == cid(0, 0) {
 			t.Fatal("self-transition proposed the current chunk")
 		}
+	}
+}
+
+// referenceCandidates is Candidates as it stood before it reused its
+// scratch, kept verbatim (with the top and chunk order it called) so
+// TestPredictorCandidatesMatchReference can hold the scratch-reusing body
+// to it bit for bit.
+func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
+	scores := make(map[volume.ChunkID]float64)
+
+	// Markov continuations, streams visited in action order for determinism.
+	acts := make([]core.ActionID, 0, len(p.streams))
+	for a, st := range p.streams {
+		if now.Sub(st.seen) <= units.Duration(p.cfg.StreamTTL) {
+			acts = append(acts, a)
+		}
+	}
+	slices.Sort(acts)
+	for _, a := range acts {
+		st := p.streams[a]
+		var row *dist
+		if p.cfg.Order >= 2 && st.have >= 3 {
+			row = p.t2[trans2Key{d2: st.d2, d1: st.d1}]
+		}
+		if row == nil && st.have >= 2 {
+			row = p.t1[st.d1]
+		}
+		if row == nil || row.total == 0 {
+			continue
+		}
+		for _, d := range referenceTop(row, 2) {
+			next := apply(st.last, d)
+			if next == st.last {
+				continue // self-transition: already being demanded
+			}
+			scores[next] += p.cfg.MarkovWeight * float64(row.counts[d]) / float64(row.total)
+		}
+	}
+
+	// Frequency prior, normalized by the hottest chunk.
+	chunks := make([]volume.ChunkID, 0, len(p.freqs))
+	maxVal := 0.0
+	for c, e := range p.freqs {
+		p.decayTo(e, now)
+		if e.val > maxVal {
+			maxVal = e.val
+		}
+		chunks = append(chunks, c)
+	}
+	if maxVal > 0 {
+		slices.SortFunc(chunks, referenceChunkCompare)
+		for _, c := range chunks {
+			if v := p.freqs[c].val / maxVal; v > 0 {
+				scores[c] += p.cfg.PriorWeight * v
+			}
+		}
+	}
+
+	out := make([]Candidate, 0, len(scores))
+	for c, s := range scores {
+		if s >= p.cfg.MinScore {
+			out = append(out, Candidate{Chunk: c, Score: s})
+		}
+	}
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return referenceChunkCompare(a.Chunk, b.Chunk)
+	})
+	if len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+func referenceTop(d *dist, n int) []delta {
+	keys := make([]delta, 0, len(d.counts))
+	for k := range d.counts {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b delta) int {
+		if c := cmp.Compare(d.counts[b], d.counts[a]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.ds, b.ds); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	if len(keys) > n {
+		keys = keys[:n]
+	}
+	return keys
+}
+
+func referenceChunkCompare(a, b volume.ChunkID) int {
+	if c := cmp.Compare(a.Dataset, b.Dataset); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
+// observeSeeded feeds every predictor the same seeded stream — up to six
+// actions walking chunks by a few recurring deltas, with pauses long enough
+// to expire streams — and calls ask after every observation.
+func observeSeeded(seed int64, ask func(now units.Time, limit int), preds ...*Predictor) {
+	rng := rand.New(rand.NewSource(seed))
+	steps := []delta{{0, 1}, {0, 1}, {0, 2}, {1, 0}, {0, -1}, {0, 0}}
+	pos := map[core.ActionID]volume.ChunkID{}
+	now := units.Time(0)
+	for i := 0; i < 400; i++ {
+		a := core.ActionID(rng.Intn(6) + 1)
+		c := apply(pos[a], steps[rng.Intn(len(steps))])
+		pos[a] = c
+		for _, p := range preds {
+			p.Observe(a, c, now)
+		}
+		ask(now.Add(units.Duration(rng.Intn(50))*units.Millisecond), rng.Intn(12)+1)
+		step := units.Duration(rng.Intn(400)) * units.Millisecond
+		if rng.Intn(40) == 0 {
+			step = 30 * units.Second
+		}
+		now = now.Add(step)
+	}
+}
+
+// TestPredictorCandidatesMatchReference: on seeded observation streams and
+// every configuration shape, Candidates returns exactly what the
+// allocating body it replaced returned — same chunks, same order, the same
+// float64 bits in every score.
+func TestPredictorCandidatesMatchReference(t *testing.T) {
+	cfgs := []*Config{nil, {Order: 2}, {HalfLife: units.Second, StreamTTL: 2 * units.Second}, {PriorWeight: -1, MinScore: 0.05}}
+	for seed := int64(1); seed <= 12; seed++ {
+		cfg := cfgs[seed%int64(len(cfgs))]
+		fast, ref := NewPredictor(cfg), NewPredictor(cfg)
+		calls := 0
+		observeSeeded(seed, func(now units.Time, limit int) {
+			calls++
+			got, want := fast.Candidates(now, limit), referenceCandidates(ref, now, limit)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d call %d: %d candidates, reference %d", seed, calls, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Chunk != want[i].Chunk || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("seed %d call %d: candidate %d is %+v, reference %+v", seed, calls, i, got[i], want[i])
+				}
+			}
+		}, fast, ref)
+	}
+}
+
+// TestPredictorCandidatesNoAllocs: the planner asks for candidates every
+// scheduling cycle, so once its scratch has grown a call allocates nothing.
+func TestPredictorCandidatesNoAllocs(t *testing.T) {
+	p := NewPredictor(&Config{Order: 2})
+	var last units.Time
+	observeSeeded(3, func(now units.Time, _ int) { last = now }, p)
+	if len(p.Candidates(last, 8)) == 0 {
+		t.Fatal("no candidates after a seeded stream")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { p.Candidates(last, 8) }); allocs != 0 {
+		t.Errorf("Candidates allocates %v times a call, want 0", allocs)
 	}
 }

@@ -676,10 +676,17 @@ func (h *Head) prefetchDone(node core.NodeID, pd PrefetchDoneBody) {
 		h.stats.prefetchCancelled.Add(1)
 		return
 	}
+	size := h.chunkSize(c)
+	if size <= 0 {
+		// A chunk outside the manifest has no size to cache it at; drop the
+		// report as resync drops such a chunk, and free the node.
+		h.Logf("head: node %d reported prefetching %v, which is outside the manifest; ignored", node, c)
+		h.prefc.Cancel(node, c)
+		return
+	}
 	h.prefc.Loaded(node, c)
 	h.stats.prefetchLoaded.Add(1)
 	h.stats.prefetchNanos.Add(pd.Nanos)
-	size := h.chunkSize(c)
 	h.state.MarkPrefetched(c, node, size)
 	evicted := make([]volume.ChunkID, 0, len(pd.Evicted))
 	for _, ev := range pd.Evicted {

@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"vizsched/internal/core"
+	"vizsched/internal/journal"
 	"vizsched/internal/prefetch"
+	"vizsched/internal/transport"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 )
@@ -111,5 +115,48 @@ func TestPrefetchLiveServiceOffNoSnapshot(t *testing.T) {
 	}
 	if s := cl.Head.Stats(); s.Prefetch != nil {
 		t.Fatalf("prefetch snapshot present on a plain head: %+v", s.Prefetch)
+	}
+}
+
+// TestPrefetchDoneOutsideManifestIgnored: a worker reporting a landed warm
+// of a brick the manifest does not have — past the dataset's last brick, or
+// negative — is dropped. The head does not panic, its predicted caches stay
+// as they were, and it journals nothing for the report.
+func TestPrefetchDoneOutsideManifestIgnored(t *testing.T) {
+	s := newSteppedHead(t, 2, func(h *Head) { h.Prefetch = &prefetch.Config{} })
+	// One real warm first, so the caches the check compares are not empty.
+	s.fromWorker(0, transport.KindPrefetchDone, PrefetchDoneBody{Dataset: "plume", Chunk: 1, Loaded: true})
+	before := s.h.state.Dump()
+	if len(before.Caches[0].Entries) != 1 {
+		t.Fatalf("node 0 caches %v after a warm of plume brick 1, want that brick", before.Caches[0].Entries)
+	}
+
+	for _, chunk := range []int{99, 2, -1} {
+		s.fromWorker(0, transport.KindPrefetchDone, PrefetchDoneBody{
+			Dataset: "plume", Chunk: chunk, Loaded: true,
+			Evicted: []ChunkRef{{Dataset: "plume", Index: 1}},
+		})
+		if err := s.h.state.Validate(); err != nil {
+			t.Fatalf("after a warm of plume brick %d: %v", chunk, err)
+		}
+	}
+	if after := s.h.state.Dump(); !reflect.DeepEqual(after, before) {
+		t.Errorf("tables changed by warms outside the manifest:\n%+v\nwant\n%+v", after.Caches, before.Caches)
+	}
+	if err := s.h.Journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.ReadAll(bytes.NewReader(s.wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warms := 0
+	for _, r := range recs {
+		if r.Kind == journal.KindPrefetch {
+			warms++
+		}
+	}
+	if warms != 1 {
+		t.Errorf("journal holds %d prefetch records, want the real warm's 1", warms)
 	}
 }

@@ -93,30 +93,38 @@ func (e *Engine) sampleIdleSplit() {
 		size  units.Bytes
 		tasks int
 	}
-	var groups []group
-	seen := make(map[volume.ChunkID]bool)
+	// The first eight distinct pending batch chunks in queue order; eight
+	// entries are searched faster than hashed.
+	var sample [8]group
+	sampled := 0
+	seen := func(c volume.ChunkID) bool {
+		for _, g := range sample[:sampled] {
+			if g.chunk == c {
+				return true
+			}
+		}
+		return false
+	}
+walk:
 	for _, j := range e.queue {
 		if j.Class != core.Batch {
 			continue
 		}
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned || seen[t.Chunk] {
+			if t.Assigned || seen(t.Chunk) {
 				continue
 			}
-			seen[t.Chunk] = true
-			groups = append(groups, group{t.Chunk, t.Size, j.GroupSize()})
-			if len(groups) >= 8 {
-				break
+			sample[sampled] = group{t.Chunk, t.Size, j.GroupSize()}
+			if sampled++; sampled == len(sample) {
+				break walk
 			}
 		}
-		if len(groups) >= 8 {
-			break
-		}
 	}
-	if len(groups) == 0 {
+	if sampled == 0 {
 		return
 	}
+	groups := sample[:sampled]
 	now := e.sim.Now()
 	cycle := e.schedulerCycle()
 	for k, n := range e.nodes {

@@ -284,3 +284,27 @@ func TestFracShareCrashRequeuesGuest(t *testing.T) {
 			rep.Interactive.Completed, rep.Interactive.Issued)
 	}
 }
+
+// TestFracShareIdleSampleNoAllocs: the idle sampler runs after every
+// periodic scheduling cycle, so it must find its sample of pending batch
+// chunks — the first eight distinct ones in queue order — without
+// allocating, and still attribute every idle node's cycle.
+func TestFracShareIdleSampleNoAllocs(t *testing.T) {
+	e := New(fracMixedConfig(nil))
+	for j := 0; j < 64; j++ {
+		d := e.cfg.Library.Get(volume.DatasetID(j%3 + 1))
+		job := &core.Job{ID: core.JobID(j + 1), Class: core.Batch, Action: core.ActionID(j + 1), Dataset: d.ID}
+		for i, c := range d.Chunks {
+			job.Tasks = append(job.Tasks, core.Task{Job: job, Index: i, Chunk: c.ID, Size: c.Size})
+		}
+		job.Remaining = len(job.Tasks)
+		e.queue = append(e.queue, job)
+	}
+	e.sampleIdleSplit()
+	if got, want := e.report.GuardIdle+e.report.QueueIdle, units.Duration(len(e.nodes))*e.schedulerCycle(); got != want {
+		t.Fatalf("one sample attributed %v of idle time, want a cycle for each of %d idle nodes (%v)", got, len(e.nodes), want)
+	}
+	if allocs := testing.AllocsPerRun(100, e.sampleIdleSplit); allocs != 0 {
+		t.Errorf("sampleIdleSplit allocates %v times a cycle, want 0", allocs)
+	}
+}
