@@ -189,7 +189,12 @@ func BenchmarkTableIIISchedulingCost(b *testing.B) {
 // what EXPERIMENTS.md reports as reproduced. Costs are minima over
 // interleaved repetitions, and a failed comparison is re-measured before it
 // counts, so a noisy neighbour cannot fail the test but an inversion does.
+// The race detector's instrumentation reorders the costs, so it is skipped
+// there.
 func TestTableIIICostOrdering(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing order does not hold under the race detector")
+	}
 	names := []string{"FS", "FCFSL", "OURS", "FCFSU"}
 	best := map[string]time.Duration{}
 	for attempt := 1; ; attempt++ {

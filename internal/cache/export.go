@@ -22,10 +22,9 @@ type Entry struct {
 // pin counts. Feeding the result to Restore on an empty cache of the same
 // quota rebuilds an identical cache (Clone, through a serializable value).
 func (s *Store) Export() []Entry {
-	out := make([]Entry, 0, len(s.items))
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*storeEntry)
-		out = append(out, Entry{ID: e.id, Size: e.size, Freq: e.freq, Pins: s.pins[e.id]})
+	out := make([]Entry, 0, s.items.Len())
+	for e := s.ring.next; e != &s.ring; e = e.next {
+		out = append(out, Entry{ID: e.id, Size: e.size, Freq: e.freq, Pins: e.pins})
 	}
 	return out
 }
@@ -33,27 +32,23 @@ func (s *Store) Export() []Entry {
 // Restore rebuilds the cache from an Export: entries (most-recent first)
 // replace the current contents, and the cumulative stats counters are set
 // to st. The random-eviction stream restarts from the seed, exactly as in
-// Clone. Panics if an entry exceeds the quota — an export from a
-// same-quota cache cannot.
+// Clone. Panics if an entry has a non-positive size, names a chunk twice or
+// overflows the quota — an export from a same-quota cache cannot.
 func (s *Store) Restore(entries []Entry, st Stats) {
-	if s.observe != nil {
-		for id := range s.items {
-			s.observe(id, false)
-		}
+	for s.ring.next != &s.ring {
+		s.drop(s.ring.next)
 	}
-	s.order.Init()
-	s.items = make(map[volume.ChunkID]*storeEntry, len(entries))
-	s.pins = make(map[volume.ChunkID]int)
-	s.used, s.pinnedBytes = 0, 0
+	s.reseed()
 	for _, ent := range entries {
 		if ent.Size <= 0 {
 			panic(fmt.Sprintf("cache: restore of non-positive size %v for %v", ent.Size, ent.ID))
 		}
-		e := &storeEntry{id: ent.ID, size: ent.Size, freq: ent.Freq}
-		e.el = s.order.PushBack(e)
-		s.admit(e)
+		if s.items.Has(ent.ID) {
+			panic(fmt.Sprintf("cache: restore names %v twice", ent.ID))
+		}
+		s.admit(ent.ID, ent.Size, ent.Freq, s.ring.prev).pins = ent.Pins
 		if ent.Pins > 0 {
-			s.pins[ent.ID] = ent.Pins
+			s.pinned++
 			s.pinnedBytes += ent.Size
 		}
 	}

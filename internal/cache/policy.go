@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 
@@ -64,22 +63,32 @@ func (s Stats) HitRate() float64 {
 // demand Insert ignores pins entirely — its eviction choices are identical
 // with and without pins, keeping golden outputs stable — but InsertCold
 // (the prefetch admission path) never evicts a pinned chunk.
+//
+// Entries are owned by the Store: one that leaves the cache goes to a free
+// list and comes back as the next admitted chunk's entry, so a cache at
+// capacity allocates nothing to turn its contents over (DESIGN.md §5.17).
 type Store struct {
 	policy Policy
 	quota  units.Bytes
 	used   units.Bytes
 	seed   int64
 
-	// order is maintained for LRU (recency) and FIFO (insertion).
-	order *list.List
-	items map[volume.ChunkID]*storeEntry
+	// ring is the sentinel of the recency ring, maintained for LRU (recency)
+	// and FIFO (insertion): ring.next is the most recent or newest entry,
+	// ring.prev the victim end. A Store must not be copied.
+	ring  storeEntry
+	items volume.ChunkMap[*storeEntry]
+	// free lists dropped entries for reuse, linked through next.
+	free *storeEntry
 
-	// rng drives random eviction.
+	// rng drives random eviction; the other policies draw nothing and keep
+	// no stream (a source is some 5 KB, and a simulated cluster builds two
+	// caches a node).
 	rng *rand.Rand
 
-	// pins maps pinned chunks to their pin counts; pinnedBytes is the total
-	// size of pinned residents, maintained for InsertCold's feasibility check.
-	pins        map[volume.ChunkID]int
+	// pinned counts residents holding at least one pin and pinnedBytes is
+	// their total size, maintained for InsertCold's feasibility check.
+	pinned      int
 	pinnedBytes units.Bytes
 
 	stats Stats
@@ -91,10 +100,11 @@ type Store struct {
 }
 
 type storeEntry struct {
-	id   volume.ChunkID
-	size units.Bytes
-	el   *list.Element
-	freq int64
+	id         volume.ChunkID
+	size       units.Bytes
+	freq       int64
+	pins       int
+	prev, next *storeEntry
 }
 
 // NewStore returns an empty cache with the given policy and quota. Random
@@ -103,14 +113,16 @@ func NewStore(policy Policy, quota units.Bytes, seed int64) *Store {
 	if quota <= 0 {
 		panic(fmt.Sprintf("cache: non-positive quota %v", quota))
 	}
-	return &Store{
-		policy: policy,
-		quota:  quota,
-		seed:   seed,
-		order:  list.New(),
-		items:  make(map[volume.ChunkID]*storeEntry),
-		rng:    rand.New(rand.NewSource(seed)),
-		pins:   make(map[volume.ChunkID]int),
+	s := &Store{policy: policy, quota: quota, seed: seed}
+	s.ring.prev, s.ring.next = &s.ring, &s.ring
+	s.reseed()
+	return s
+}
+
+// reseed restarts the random-eviction stream from the seed.
+func (s *Store) reseed() {
+	if s.policy == PolicyRandom {
+		s.rng = rand.New(rand.NewSource(s.seed))
 	}
 }
 
@@ -124,7 +136,7 @@ func (s *Store) Quota() units.Bytes { return s.quota }
 func (s *Store) Used() units.Bytes { return s.used }
 
 // Len returns the number of resident chunks.
-func (s *Store) Len() int { return len(s.items) }
+func (s *Store) Len() int { return s.items.Len() }
 
 // Stats returns the cumulative hit/miss/eviction counters.
 func (s *Store) Stats() Stats { return s.stats }
@@ -133,20 +145,39 @@ func (s *Store) Stats() Stats { return s.stats }
 // current contents are not replayed to it.
 func (s *Store) Observe(fn func(id volume.ChunkID, resident bool)) { s.observe = fn }
 
-// admit books a new entry (already linked into order) as resident.
-func (s *Store) admit(e *storeEntry) {
-	s.items[e.id] = e
-	s.used += e.size
-	if s.observe != nil {
-		s.observe(e.id, true)
+// link puts e into the recency ring just after at.
+func link(e, at *storeEntry) {
+	e.prev, e.next = at, at.next
+	at.next.prev = e
+	at.next = e
+}
+
+// unlink takes e out of the recency ring.
+func unlink(e *storeEntry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+}
+
+// admit books a new entry for id, linked just after at, as resident.
+func (s *Store) admit(id volume.ChunkID, size units.Bytes, freq int64, at *storeEntry) *storeEntry {
+	e := s.free
+	if e != nil {
+		s.free = e.next
+	} else {
+		e = new(storeEntry)
 	}
+	*e = storeEntry{id: id, size: size, freq: freq}
+	link(e, at)
+	s.items.Set(id, e)
+	s.used += size
+	if s.observe != nil {
+		s.observe(id, true)
+	}
+	return e
 }
 
 // Contains reports residency without recording an access.
-func (s *Store) Contains(id volume.ChunkID) bool {
-	_, ok := s.items[id]
-	return ok
-}
+func (s *Store) Contains(id volume.ChunkID) bool { return s.items.Has(id) }
 
 // Touch records an access and reports whether the chunk was resident.
 func (s *Store) Touch(id volume.ChunkID) bool {
@@ -161,13 +192,14 @@ func (s *Store) Touch(id volume.ChunkID) bool {
 // touch is Touch without the hit/miss accounting, used by Insert so the
 // miss that triggered an insert is not counted twice.
 func (s *Store) touch(id volume.ChunkID) bool {
-	e, ok := s.items[id]
+	e, ok := s.items.Get(id)
 	if !ok {
 		return false
 	}
 	e.freq++
-	if s.policy == PolicyLRU {
-		s.order.MoveToFront(e.el)
+	if s.policy == PolicyLRU && s.ring.next != e {
+		unlink(e)
+		link(e, &s.ring)
 	}
 	return true
 }
@@ -176,18 +208,16 @@ func (s *Store) touch(id volume.ChunkID) bool {
 func (s *Store) victim() *storeEntry {
 	switch s.policy {
 	case PolicyLRU, PolicyFIFO:
-		return s.order.Back().Value.(*storeEntry)
+		return s.ring.prev
 	case PolicyRandom:
-		n := s.rng.Intn(len(s.items))
-		el := s.order.Front()
-		for i := 0; i < n; i++ {
-			el = el.Next()
+		e := s.ring.next
+		for n := s.rng.Intn(s.items.Len()); n > 0; n-- {
+			e = e.next
 		}
-		return el.Value.(*storeEntry)
+		return e
 	case PolicyLFU:
 		var worst *storeEntry
-		for el := s.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*storeEntry)
+		for e := s.ring.prev; e != &s.ring; e = e.prev {
 			if worst == nil || e.freq < worst.freq {
 				worst = e
 			}
@@ -204,18 +234,15 @@ func (s *Store) victim() *storeEntry {
 func (s *Store) victimUnpinned() *storeEntry {
 	switch s.policy {
 	case PolicyLRU, PolicyFIFO:
-		for el := s.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*storeEntry)
-			if _, pinned := s.pins[e.id]; !pinned {
+		for e := s.ring.prev; e != &s.ring; e = e.prev {
+			if e.pins == 0 {
 				return e
 			}
 		}
 	case PolicyRandom:
-		free := len(s.items) - len(s.pins)
-		n := s.rng.Intn(free)
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*storeEntry)
-			if _, pinned := s.pins[e.id]; pinned {
+		n := s.rng.Intn(s.items.Len() - s.pinned)
+		for e := s.ring.next; e != &s.ring; e = e.next {
+			if e.pins > 0 {
 				continue
 			}
 			if n == 0 {
@@ -225,12 +252,8 @@ func (s *Store) victimUnpinned() *storeEntry {
 		}
 	case PolicyLFU:
 		var worst *storeEntry
-		for el := s.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*storeEntry)
-			if _, pinned := s.pins[e.id]; pinned {
-				continue
-			}
-			if worst == nil || e.freq < worst.freq {
+		for e := s.ring.prev; e != &s.ring; e = e.prev {
+			if e.pins == 0 && (worst == nil || e.freq < worst.freq) {
 				worst = e
 			}
 		}
@@ -239,18 +262,21 @@ func (s *Store) victimUnpinned() *storeEntry {
 	panic("cache: victimUnpinned with no unpinned entries")
 }
 
-// drop removes an entry from all bookkeeping (clearing its pins, if any).
+// drop removes an entry from all bookkeeping (clearing its pins, if any)
+// and puts it on the free list: the caller must not use it afterwards.
 func (s *Store) drop(e *storeEntry) {
-	s.order.Remove(e.el)
-	delete(s.items, e.id)
+	unlink(e)
+	s.items.Delete(e.id)
 	s.used -= e.size
-	if _, pinned := s.pins[e.id]; pinned {
-		delete(s.pins, e.id)
+	if e.pins > 0 {
+		s.pinned--
 		s.pinnedBytes -= e.size
 	}
 	if s.observe != nil {
 		s.observe(e.id, false)
 	}
+	*e = storeEntry{next: s.free}
+	s.free = e
 }
 
 // Insert adds the chunk (or touches it if resident), evicting under the
@@ -270,13 +296,11 @@ func (s *Store) Insert(id volume.ChunkID, size units.Bytes) []volume.ChunkID {
 	var evicted []volume.ChunkID
 	for s.used+size > s.quota {
 		v := s.victim()
+		evicted = append(evicted, v.id)
 		s.drop(v)
 		s.stats.Evictions++
-		evicted = append(evicted, v.id)
 	}
-	e := &storeEntry{id: id, size: size, freq: 1}
-	e.el = s.order.PushFront(e)
-	s.admit(e)
+	s.admit(id, size, 1, &s.ring)
 	return evicted
 }
 
@@ -298,13 +322,11 @@ func (s *Store) InsertCold(id volume.ChunkID, size units.Bytes) (evicted []volum
 	}
 	for s.used+size > s.quota {
 		v := s.victimUnpinned()
+		evicted = append(evicted, v.id)
 		s.drop(v)
 		s.stats.Evictions++
-		evicted = append(evicted, v.id)
 	}
-	e := &storeEntry{id: id, size: size, freq: 0}
-	e.el = s.order.PushBack(e)
-	s.admit(e)
+	s.admit(id, size, 0, s.ring.prev)
 	return evicted, true
 }
 
@@ -312,38 +334,35 @@ func (s *Store) InsertCold(id volume.ChunkID, size units.Bytes) (evicted []volum
 // it from InsertCold eviction. Pins nest (counted); a non-resident chunk
 // cannot be pinned and Pin reports false.
 func (s *Store) Pin(id volume.ChunkID) bool {
-	e, ok := s.items[id]
+	e, ok := s.items.Get(id)
 	if !ok {
 		return false
 	}
-	if s.pins[id] == 0 {
+	if e.pins == 0 {
+		s.pinned++
 		s.pinnedBytes += e.size
 	}
-	s.pins[id]++
+	e.pins++
 	return true
 }
 
 // Unpin releases one pin on the chunk. It is a no-op if the chunk is not
 // pinned (e.g. it was evicted by a demand insert, which clears all pins).
 func (s *Store) Unpin(id volume.ChunkID) {
-	n, ok := s.pins[id]
-	if !ok {
+	e, ok := s.items.Get(id)
+	if !ok || e.pins == 0 {
 		return
 	}
-	if n <= 1 {
-		delete(s.pins, id)
-		if e, resident := s.items[id]; resident {
-			s.pinnedBytes -= e.size
-		}
-		return
+	if e.pins--; e.pins == 0 {
+		s.pinned--
+		s.pinnedBytes -= e.size
 	}
-	s.pins[id] = n - 1
 }
 
 // Pinned reports whether the chunk currently holds at least one pin.
 func (s *Store) Pinned(id volume.ChunkID) bool {
-	_, ok := s.pins[id]
-	return ok
+	e, ok := s.items.Get(id)
+	return ok && e.pins > 0
 }
 
 // PinnedBytes returns the total size of pinned residents.
@@ -352,7 +371,7 @@ func (s *Store) PinnedBytes() units.Bytes { return s.pinnedBytes }
 // Remove drops the chunk if resident (clearing its pins) and reports
 // whether it was.
 func (s *Store) Remove(id volume.ChunkID) bool {
-	e, ok := s.items[id]
+	e, ok := s.items.Get(id)
 	if !ok {
 		return false
 	}
@@ -361,13 +380,13 @@ func (s *Store) Remove(id volume.ChunkID) bool {
 }
 
 // Resident returns resident chunk IDs, most-recent/newest first. The order
-// is the deterministic recency/insertion list (never map order), so
+// is the deterministic recency/insertion ring (never map order), so
 // snapshots and golden comparisons are reproducible; it matches
 // LRU.Resident exactly because LRU is a wrapper over this Store.
 func (s *Store) Resident() []volume.ChunkID {
-	out := make([]volume.ChunkID, 0, len(s.items))
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).id)
+	out := make([]volume.ChunkID, 0, s.items.Len())
+	for e := s.ring.next; e != &s.ring; e = e.next {
+		out = append(out, e.id)
 	}
 	return out
 }
@@ -379,17 +398,10 @@ func (s *Store) Resident() []volume.ChunkID {
 // every use the head's prediction tables make of it).
 func (s *Store) Clone() *Store {
 	n := NewStore(s.policy, s.quota, s.seed)
-	for el := s.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*storeEntry)
-		ne := &storeEntry{id: e.id, size: e.size, freq: e.freq}
-		ne.el = n.order.PushFront(ne)
-		n.items[ne.id] = ne
-		n.used += ne.size
+	for e := s.ring.next; e != &s.ring; e = e.next {
+		n.admit(e.id, e.size, e.freq, n.ring.prev).pins = e.pins
 	}
-	for id, cnt := range s.pins {
-		n.pins[id] = cnt
-	}
-	n.pinnedBytes = s.pinnedBytes
+	n.pinned, n.pinnedBytes = s.pinned, s.pinnedBytes
 	n.stats = s.stats
 	return n
 }

@@ -210,3 +210,58 @@ func TestQuickStoreLRUMatchesLRU(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStoreSteadyStateAllocs: a Store at capacity, under every policy, turns
+// its contents over without allocating — a touch, a residency test, a pin
+// and its release, a removal and the re-insert that refills the slot cost
+// nothing, and an evicting Insert allocates only the slice it returns. The
+// head's prediction tables and every simulated node run these on each task.
+func TestStoreSteadyStateAllocs(t *testing.T) {
+	for _, p := range allPolicies() {
+		s := NewStore(p, 8, 1)
+		// Sixteen chunks over two datasets cycle through eight slots, and
+		// insert skips to the next one not resident, so it always evicts;
+		// two laps grow every row.
+		next := 0
+		insert := func() {
+			for s.Contains(cid(next%2, next%16)) {
+				next++
+			}
+			s.Insert(cid(next%2, next%16), 1)
+		}
+		for i := 0; i < 32; i++ {
+			insert()
+		}
+		if s.Len() != 8 {
+			t.Fatalf("%v: %d residents, want the store full at 8", p, s.Len())
+		}
+		id := s.Resident()[3]
+		ops := map[string]func(){
+			"Touch":         func() { s.Touch(id) },
+			"Contains":      func() { s.Contains(id) },
+			"Pin+Unpin":     func() { s.Pin(id); s.Unpin(id) },
+			"Remove+Insert": func() { s.Remove(id); s.Insert(id, 1) },
+		}
+		for name, op := range ops {
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("%v: %s at capacity allocates %v times, want 0", p, name, allocs)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, insert); allocs != 1 {
+			t.Errorf("%v: an evicting Insert allocates %v times, want 1 (its evicted slice)", p, allocs)
+		}
+	}
+}
+
+// TestStoreRestoreRefusesDuplicates: an entry list naming one chunk twice
+// would leave the ring and the table disagreeing and the bytes counted
+// twice, so Restore panics on it rather than corrupting the cache.
+func TestStoreRestoreRefusesDuplicates(t *testing.T) {
+	s := NewStore(PolicyLRU, 8, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Restore accepted a duplicate: Len %d, Used %v, Resident %v", s.Len(), s.Used(), s.Resident())
+		}
+	}()
+	s.Restore([]Entry{{ID: cid(1, 0), Size: 2}, {ID: cid(1, 1), Size: 2}, {ID: cid(1, 0), Size: 2}}, Stats{})
+}

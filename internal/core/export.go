@@ -86,12 +86,12 @@ func (h *HeadState) Dump() *TableDump {
 	for k, c := range h.Caches {
 		d.Caches[k] = CacheDump{Quota: c.Quota(), Entries: c.Export(), Stats: c.Stats()}
 	}
-	for c, e := range h.estimate {
+	h.estimate.Range(func(c volume.ChunkID, e units.Duration) bool {
 		d.Estimates = append(d.Estimates, EstimateEntry{Chunk: c, Exec: e})
-	}
-	slices.SortFunc(d.Estimates, func(a, b EstimateEntry) int { return CompareChunks(a.Chunk, b.Chunk) })
-	for key, e := range h.hitObs {
-		d.HitObs = append(d.HitObs, HitObsEntry{Size: key.size, Group: key.group, Exec: e})
+		return true
+	})
+	for _, o := range h.hitObs {
+		d.HitObs = append(d.HitObs, HitObsEntry{Size: o.size, Group: o.group, Exec: o.exec})
 	}
 	slices.SortFunc(d.HitObs, func(a, b HitObsEntry) int {
 		if a.Size != b.Size {
@@ -99,15 +99,15 @@ func (h *HeadState) Dump() *TableDump {
 		}
 		return a.Group - b.Group
 	})
-	for c, hs := range h.homes {
+	h.homes.Range(func(c volume.ChunkID, hs []NodeID) bool {
 		d.Homes = append(d.Homes, HomeEntry{Chunk: c, Homes: slices.Clone(hs)})
-	}
-	slices.SortFunc(d.Homes, func(a, b HomeEntry) int { return CompareChunks(a.Chunk, b.Chunk) })
+		return true
+	})
 	for key := range h.prefetched {
 		d.Prefetched = append(d.Prefetched, PrefEntry{Chunk: key.c, Node: key.k})
 	}
 	slices.SortFunc(d.Prefetched, func(a, b PrefEntry) int {
-		if c := CompareChunks(a.Chunk, b.Chunk); c != 0 {
+		if c := volume.CompareChunks(a.Chunk, b.Chunk); c != 0 {
 			return c
 		}
 		return int(a.Node - b.Node)
@@ -129,8 +129,6 @@ func LoadTables(d *TableDump, model CostModel) *HeadState {
 		Available:       slices.Clone(d.Available),
 		Caches:          make([]*cache.LRU, n),
 		lastInteractive: slices.Clone(d.LastInteractive),
-		estimate:        make(map[volume.ChunkID]units.Duration, len(d.Estimates)),
-		hitObs:          make(map[hitKey]units.Duration, len(d.HitObs)),
 		Model:           model,
 		health:          slices.Clone(d.Health),
 		replicaK:        d.ReplicaK,
@@ -146,16 +144,13 @@ func LoadTables(d *TableDump, model CostModel) *HeadState {
 		h.adopt(NodeID(k), c)
 	}
 	for _, e := range d.Estimates {
-		h.estimate[e.Chunk] = e.Exec
+		h.estimate.Set(e.Chunk, e.Exec)
 	}
 	for _, e := range d.HitObs {
-		h.hitObs[hitKey{e.Size, e.Group}] = e.Exec
+		h.hitObs = append(h.hitObs, hitObs{e.Size, e.Group, e.Exec})
 	}
-	if len(d.Homes) > 0 {
-		h.homes = make(map[volume.ChunkID][]NodeID, len(d.Homes))
-		for _, e := range d.Homes {
-			h.homes[e.Chunk] = slices.Clone(e.Homes)
-		}
+	for _, e := range d.Homes {
+		h.homes.Set(e.Chunk, slices.Clone(e.Homes))
 	}
 	if len(d.Prefetched) > 0 {
 		h.prefetched = make(map[prefKey]struct{}, len(d.Prefetched))
@@ -169,15 +164,30 @@ func LoadTables(d *TableDump, model CostModel) *HeadState {
 // ResyncCache reconciles node k's predicted cache with the worker's
 // announced truth during a resync epoch: the announcement (most-recent
 // first, as the worker's own Export reports it) replaces the prediction
-// wholesale. Prefetched-residency tags whose chunk did not survive on the
-// worker settle as wasted — the warmed bytes are gone.
+// wholesale. The announcement comes off the wire, so it is taken as a
+// worker's cache could be: a chunk named twice keeps its first (most
+// recent) place, a sizeless entry is skipped, and admission stops at the
+// first chunk that would overflow the head's quota. Prefetched-residency
+// tags whose chunk did not survive on the worker settle as wasted — the
+// warmed bytes are gone.
 func (h *HeadState) ResyncCache(k NodeID, announced []cache.Entry) {
-	fresh := cache.NewLRU(h.Caches[k].Quota())
-	ents := make([]cache.Entry, len(announced))
-	for i, e := range announced {
+	quota := h.Caches[k].Quota()
+	fresh := cache.NewLRU(quota)
+	ents := make([]cache.Entry, 0, len(announced))
+	var seen volume.ChunkMap[struct{}]
+	var used units.Bytes
+	for _, e := range announced {
+		if e.Size <= 0 || seen.Has(e.ID) {
+			continue
+		}
+		if used+e.Size > quota {
+			break
+		}
+		seen.Set(e.ID, struct{}{})
+		used += e.Size
 		// Announced pins and frequencies are worker-side facts; the
 		// prediction table only needs identity, size, and recency.
-		ents[i] = cache.Entry{ID: e.ID, Size: e.Size, Freq: e.Freq}
+		ents = append(ents, cache.Entry{ID: e.ID, Size: e.Size, Freq: e.Freq})
 	}
 	fresh.Restore(ents, cache.Stats{})
 	h.adopt(k, fresh)

@@ -179,11 +179,12 @@ func (w *invariantWorld) checkState(cycleNo int) {
 			}
 		}
 	}
-	for c := range h.homes {
-		for _, n := range h.homes[c] {
+	h.homes.Range(func(_ volume.ChunkID, hs []NodeID) bool {
+		for _, n := range hs {
 			recount[n]++
 		}
-	}
+		return true
+	})
 	for k, want := range recount {
 		if got := h.Pressure(NodeID(k)); got != want {
 			w.t.Fatalf("cycle %d: pressure[%d]=%d, recount says %d", cycleNo, k, got, want)

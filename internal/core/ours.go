@@ -58,9 +58,8 @@ type LocalityScheduler struct {
 	coShare float64
 
 	// Per-cycle scratch, reused across Schedule calls.
-	byDataset               [2]map[volume.DatasetID]*datasetGroups // H_I, H_B: indexed by Class, then dataset
-	touched                 []*datasetGroups                       // rows the current walk has filled
-	groups                  [2][]*chunkGroup                       // H_I, H_B's entries in chunk order
+	byChunk                 [2]volume.ChunkMap[*chunkGroup] // H_I, H_B, indexed by Class; empty between walks
+	groups                  [2][]*chunkGroup                // H_I, H_B's entries in chunk order
 	groupSlab               []*chunkGroup
 	usedGroups              int
 	cached, nonCached, rest []*chunkGroup
@@ -156,79 +155,37 @@ func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes, on node
 	return g
 }
 
-// datasetGroups is one dataset's row of H_I or H_B: at[i] is the group of
-// the dataset's chunk i this walk, nil where no unassigned task needs it.
-// Indexing by Chunk.Index holds a row to one pointer per chunk of a dataset
-// whose tasks the caller already holds (every task comes from its dataset's
-// decomposition, so an index is never negative). Rows outlive the walk —
-// a dataset that leaves the queue and returns finds its row again — but
-// every walk leaves them empty.
-type datasetGroups struct {
-	dataset volume.DatasetID
-	at      []*chunkGroup
-	touched bool // listed in LocalityScheduler.touched
-}
-
-// row returns the class's row for dataset ds, listing it as touched by the
-// current walk.
-func (s *LocalityScheduler) row(class Class, ds volume.DatasetID) *datasetGroups {
-	rows := s.byDataset[class]
-	if rows == nil {
-		rows = make(map[volume.DatasetID]*datasetGroups)
-		s.byDataset[class] = rows
-	}
-	r := rows[ds]
-	if r == nil {
-		r = &datasetGroups{dataset: ds}
-		rows[ds] = r
-	}
-	if !r.touched {
-		r.touched = true
-		s.touched = append(s.touched, r)
-	}
-	return r
-}
-
 // groupByChunk is lines 2–7: one walk over the queue buckets the unassigned
-// tasks of each class by chunk, the groups of a class sorted by chunk ID for
-// determinism. A task costs a slice index: its dataset's row is looked up
-// once per run of same-dataset tasks — in practice once per job — and the
-// rows the walk filled are emptied before it returns.
+// tasks of each class by chunk, the groups of a class in chunk order for
+// determinism. H_I and H_B are ChunkMaps, so a task costs a slice index
+// rather than a hash; the walk reads each class's groups out of its map in
+// chunk order and leaves the map empty, so no group pointer survives its
+// cycle.
 func (s *LocalityScheduler) groupByChunk(queue []*Job, head *HeadState) {
 	s.usedGroups = 0
-	for class := range s.groups {
-		s.groups[class] = s.groups[class][:0]
-	}
 	for _, j := range queue {
-		var row *datasetGroups
+		byChunk := &s.byChunk[j.Class]
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
 			if t.Assigned {
 				continue
 			}
-			if row == nil || row.dataset != t.Chunk.Dataset {
-				row = s.row(j.Class, t.Chunk.Dataset)
-			}
-			idx := t.Chunk.Index
-			if idx >= len(row.at) {
-				row.at = append(row.at, make([]*chunkGroup, idx+1-len(row.at))...)
-			}
-			g := row.at[idx]
+			g, _ := byChunk.Get(t.Chunk)
 			if g == nil {
 				g = s.newGroup(t.Chunk, t.Size, head.residency(t.Chunk))
-				row.at[idx] = g
-				s.groups[j.Class] = append(s.groups[j.Class], g)
+				byChunk.Set(t.Chunk, g)
 			}
 			g.tasks = append(g.tasks, t)
 		}
 	}
-	for _, r := range s.touched {
-		clear(r.at)
-		r.touched = false
-	}
-	s.touched = s.touched[:0]
-	for _, gs := range s.groups {
-		slices.SortFunc(gs, func(a, b *chunkGroup) int { return CompareChunks(a.chunk, b.chunk) })
+	for class := range s.groups {
+		gs := s.groups[class][:0]
+		s.byChunk[class].Range(func(_ volume.ChunkID, g *chunkGroup) bool {
+			gs = append(gs, g)
+			return true
+		})
+		s.groups[class] = gs
+		s.byChunk[class].Clear()
 	}
 }
 
@@ -262,7 +219,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		if c := cmp.Compare(a.est, b.est); c != 0 {
 			return c
 		}
-		return CompareChunks(a.chunk, b.chunk)
+		return volume.CompareChunks(a.chunk, b.chunk)
 	})
 
 	// Lines 10–15: every interactive group goes, whole, to the node with the
@@ -360,7 +317,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		if c := cmp.Compare(a.replicas, b.replicas); c != 0 {
 			return c
 		}
-		return CompareChunks(a.chunk, b.chunk)
+		return volume.CompareChunks(a.chunk, b.chunk)
 	})
 	gi := 0
 	for k := 0; k < head.Nodes() && gi < len(rest); k++ {

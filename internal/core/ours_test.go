@@ -685,7 +685,7 @@ func scanSecondaryFor(h *HeadState, c volume.ChunkID) (NodeID, bool) {
 	if h.replicaK <= 1 {
 		return -1, false
 	}
-	hs := h.homes[c]
+	hs, _ := h.homes.Get(c)
 	for _, n := range hs {
 		if h.health[n] == HealthUp && !h.Caches[n].Contains(c) {
 			return n, true
@@ -813,7 +813,7 @@ func (s *referenceScheduler) groupByChunk(queue []*Job, class Class, dst []*refG
 	for _, g := range s.byChunk {
 		dst = append(dst, g)
 	}
-	slices.SortFunc(dst, func(a, b *refGroup) int { return CompareChunks(a.chunk, b.chunk) })
+	slices.SortFunc(dst, func(a, b *refGroup) int { return volume.CompareChunks(a.chunk, b.chunk) })
 	return dst
 }
 
@@ -852,7 +852,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 		if c := cmp.Compare(a.est, b.est); c != 0 {
 			return c
 		}
-		return CompareChunks(a.chunk, b.chunk)
+		return volume.CompareChunks(a.chunk, b.chunk)
 	})
 
 	// Lines 10–15: every interactive group goes, whole, to the node with the
@@ -950,7 +950,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 		if c := cmp.Compare(a.replicas, b.replicas); c != 0 {
 			return c
 		}
-		return CompareChunks(a.chunk, b.chunk)
+		return volume.CompareChunks(a.chunk, b.chunk)
 	})
 	gi := 0
 	for k := 0; k < head.Nodes() && gi < len(rest); k++ {

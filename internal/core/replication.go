@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"vizsched/internal/volume"
@@ -63,7 +62,7 @@ func (h *HeadState) SetReplication(k int) {
 // set; ok is false when the policy is disabled or the chunk has never been
 // placed (or was orphaned and awaits re-seeding).
 func (h *HeadState) Home(c volume.ChunkID) (NodeID, bool) {
-	hs := h.homes[c]
+	hs, _ := h.homes.Get(c)
 	if len(hs) == 0 {
 		return -1, false
 	}
@@ -73,7 +72,8 @@ func (h *HeadState) Home(c volume.ChunkID) (NodeID, bool) {
 // HomeSet returns a copy of chunk c's policy-tracked home set (primary
 // first). Nil when untracked.
 func (h *HeadState) HomeSet(c volume.ChunkID) []NodeID {
-	return slices.Clone(h.homes[c])
+	hs, _ := h.homes.Get(c)
+	return slices.Clone(hs)
 }
 
 // Pressure returns node k's placement-pressure score: how many chunk home
@@ -91,14 +91,11 @@ func (h *HeadState) trackPlacement(c volume.ChunkID, k NodeID) {
 	if h.replicaK <= 1 {
 		return
 	}
-	if h.homes == nil {
-		h.homes = make(map[volume.ChunkID][]NodeID)
-	}
-	hs := h.homes[c]
+	hs, _ := h.homes.Get(c)
 	if slices.Contains(hs, k) || len(hs) >= h.replicaK {
 		return
 	}
-	h.homes[c] = append(hs, k)
+	h.homes.Set(c, append(hs, k))
 	h.pressure[k]++
 }
 
@@ -113,7 +110,8 @@ func (h *HeadState) SecondaryFor(c volume.ChunkID) (NodeID, bool) {
 	if h.replicaK <= 1 {
 		return -1, false
 	}
-	hs, on := h.homes[c], h.where[c]
+	hs, _ := h.homes.Get(c)
+	on, _ := h.where.Get(c)
 	for _, n := range hs {
 		if h.health[n] == HealthUp && !on.has(n) {
 			return n, true
@@ -141,34 +139,42 @@ func (h *HeadState) SecondaryFor(c volume.ChunkID) (NodeID, bool) {
 // replica anywhere are dropped from the tables to be re-seeded rarest-first.
 // Called from MarkFailed, which reports the outcome to the caller.
 func (h *HeadState) rehomeFailed(k NodeID) RehomeReport {
-	var rep RehomeReport
-	if h.replicaK <= 1 || len(h.homes) == 0 {
-		return rep
+	rep, orphans := h.removeHome(k)
+	rep.Reseeded = len(orphans)
+	return rep
+}
+
+// removeHome takes node k out of every home set. A chunk left with no home
+// adopts its warmest surviving replica; one with no surviving replica either
+// is dropped from the tables and returned, in chunk order. Each chunk's
+// decision depends only on its own state (Available, caches, health), so
+// the order of the walk cannot change the outcome.
+func (h *HeadState) removeHome(k NodeID) (rep RehomeReport, orphans []volume.ChunkID) {
+	if h.replicaK <= 1 {
+		return rep, nil
 	}
-	// Map iteration order is random, but every per-chunk decision below
-	// depends only on that chunk's own state (Available, caches, health),
-	// so the outcome — and the counts — are order-independent.
-	for c, hs := range h.homes {
+	h.homes.Range(func(c volume.ChunkID, hs []NodeID) bool {
 		idx := slices.Index(hs, k)
 		if idx < 0 {
-			continue
+			return true
 		}
 		hs = slices.Delete(hs, idx, idx+1)
 		h.pressure[k]--
 		if len(hs) == 0 {
 			w, ok := h.warmestReplica(c)
 			if !ok {
-				delete(h.homes, c)
-				rep.Reseeded++
-				continue
+				h.homes.Delete(c)
+				orphans = append(orphans, c)
+				return true
 			}
 			hs = append(hs, w)
 			h.pressure[w]++
 		}
-		h.homes[c] = hs
+		h.homes.Set(c, hs)
 		rep.Rehomed++
-	}
-	return rep
+		return true
+	})
+	return rep, orphans
 }
 
 // DrainOrphans previews what a drain of node k would strand: the chunks
@@ -180,27 +186,17 @@ func (h *HeadState) rehomeFailed(k NodeID) RehomeReport {
 // draining (so k's own residency no longer counts); the result is sorted
 // for deterministic warm ordering. Read-only.
 func (h *HeadState) DrainOrphans(k NodeID) []volume.ChunkID {
-	if h.replicaK <= 1 || len(h.homes) == 0 {
+	if h.replicaK <= 1 {
 		return nil
 	}
 	var orphans []volume.ChunkID
-	for c, hs := range h.homes {
+	h.homes.Range(func(c volume.ChunkID, hs []NodeID) bool {
 		if len(hs) == 1 && hs[0] == k && h.ReplicaCount(c) == 0 {
 			orphans = append(orphans, c)
 		}
-	}
-	slices.SortFunc(orphans, CompareChunks)
+		return true
+	})
 	return orphans
-}
-
-// CompareChunks is the canonical total order on chunk IDs (dataset, then
-// index): the order of Algorithm 1's groups, of the predictor's ties, and
-// wherever map-collected chunk sets must become deterministic slices.
-func CompareChunks(a, b volume.ChunkID) int {
-	if c := cmp.Compare(a.Dataset, b.Dataset); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Index, b.Index)
 }
 
 // DemoteHomes removes a draining node k from every home set — the graceful
@@ -212,43 +208,15 @@ func CompareChunks(a, b volume.ChunkID) int {
 // *not* counted as Reseeded, because a drain must never feed the
 // rarest-first crash-recovery pass. Call with k marked draining.
 func (h *HeadState) DemoteHomes(k NodeID) (RehomeReport, []volume.ChunkID) {
-	var rep RehomeReport
-	if h.replicaK <= 1 || len(h.homes) == 0 {
-		return rep, nil
-	}
-	var orphans []volume.ChunkID
-	// Per-chunk decisions depend only on that chunk's own state, so map
-	// iteration order cannot change the outcome (same argument as
-	// rehomeFailed).
-	for c, hs := range h.homes {
-		idx := slices.Index(hs, k)
-		if idx < 0 {
-			continue
-		}
-		hs = slices.Delete(hs, idx, idx+1)
-		h.pressure[k]--
-		if len(hs) == 0 {
-			w, ok := h.warmestReplica(c)
-			if !ok {
-				delete(h.homes, c)
-				orphans = append(orphans, c)
-				continue
-			}
-			hs = append(hs, w)
-			h.pressure[w]++
-		}
-		h.homes[c] = hs
-		rep.Rehomed++
-	}
-	slices.SortFunc(orphans, CompareChunks)
-	return rep, orphans
+	return h.removeHome(k)
 }
 
 // warmestReplica picks the surviving replica that can serve chunk c
 // soonest: among HealthUp nodes predicted to hold it, the one whose queue
 // drains earliest (lowest Available; ties break to the lowest node ID).
 func (h *HeadState) warmestReplica(c volume.ChunkID) (NodeID, bool) {
-	best, on := NodeID(-1), h.where[c]
+	best := NodeID(-1)
+	on, _ := h.where.Get(c)
 	for k := range h.Caches {
 		n := NodeID(k)
 		if h.health[n] != HealthUp || !on.has(n) {

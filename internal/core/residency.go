@@ -41,10 +41,9 @@ func (s nodeSet) countIn(m nodeSet) int {
 	return n
 }
 
-// indexResidency allocates the index and derives the up mask from health;
-// adopt then fills in each node's cache.
+// indexResidency derives the up mask from health; adopt then fills in the
+// residency index from each node's cache.
 func (h *HeadState) indexResidency() {
-	h.where = make(map[volume.ChunkID]nodeSet)
 	h.up = make(nodeSet, (len(h.health)+63)/64)
 	for k, s := range h.health {
 		h.up.put(NodeID(k), s == HealthUp)
@@ -56,14 +55,14 @@ func (h *HeadState) indexResidency() {
 // holder (a chunkGroup, for one cycle) sees later changes. Sets are cut from
 // a slab, 64 to an allocation.
 func (h *HeadState) residency(c volume.ChunkID) nodeSet {
-	s, ok := h.where[c]
+	s, ok := h.where.Get(c)
 	if !ok {
 		n := len(h.up)
 		if len(h.setSlab) < n {
 			h.setSlab = make([]uint64, 64*n)
 		}
 		s, h.setSlab = h.setSlab[:n:n], h.setSlab[n:]
-		h.where[c] = s
+		h.where.Set(c, s)
 	}
 	return s
 }
@@ -75,7 +74,7 @@ func (h *HeadState) adopt(k NodeID, c *cache.LRU) {
 	if old := h.Caches[k]; old != nil {
 		old.Observe(nil)
 		for _, id := range old.Resident() {
-			h.where[id].put(k, false)
+			h.residency(id).put(k, false)
 		}
 	}
 	h.Caches[k] = c
@@ -101,15 +100,16 @@ func (h *HeadState) Validate() error {
 			return fmt.Errorf("core: up mask says %v for node %d in state %v", h.up.has(NodeID(k)), k, h.health[k])
 		}
 		for _, id := range c.Resident() {
-			if !h.where[id].has(NodeID(k)) {
+			if on, _ := h.where.Get(id); !on.has(NodeID(k)) {
 				return fmt.Errorf("core: chunk %v resident on node %d but not in the residency index", id, k)
 			}
 			resident++
 		}
 	}
-	for _, s := range h.where {
+	h.where.Range(func(_ volume.ChunkID, s nodeSet) bool {
 		indexed += s.countIn(s)
-	}
+		return true
+	})
 	// Every cached chunk is indexed; equal totals make the two sets equal.
 	if indexed != resident {
 		return fmt.Errorf("core: residency index holds %d entries, the caches %d", indexed, resident)
@@ -133,12 +133,15 @@ type ExecPrice struct {
 }
 
 // PriceTask prices task t for a scan over candidate nodes.
-func (h *HeadState) PriceTask(t *Task) ExecPrice { return h.price(t, h.where[t.Chunk]) }
+func (h *HeadState) PriceTask(t *Task) ExecPrice {
+	on, _ := h.where.Get(t.Chunk)
+	return h.price(t, on)
+}
 
 func (h *HeadState) price(t *Task, on nodeSet) ExecPrice {
 	group := t.Job.GroupSize()
 	p := ExecPrice{head: h, task: t, on: on, hit: h.HitEstimate(t.Size, group)}
-	if _, local := h.estimate[t.Chunk]; local || h.estimateSrc == nil {
+	if h.estimateSrc == nil || h.estimate.Has(t.Chunk) {
 		p.miss = h.Estimate(t.Chunk, t.Size, group)
 	} else {
 		p.perNode = true

@@ -26,7 +26,7 @@ type HeadState struct {
 	// where[c] is the set of nodes whose predicted cache holds chunk c —
 	// Cache[c] as Algorithm 1 reads it — and up the set of HealthUp nodes;
 	// both derived, see residency.go.
-	where   map[volume.ChunkID]nodeSet
+	where   volume.ChunkMap[nodeSet]
 	up      nodeSet
 	setSlab []uint64
 	// lastInteractive[k] is the last time an interactive task was assigned
@@ -36,7 +36,7 @@ type HeadState struct {
 	// absent entries fall back to the cost model ("via a test run", §V-B).
 	// Only Correct writes here, which keeps every table mutation inside the
 	// journaled operations the snapshot+journal recovery replays (§5.10).
-	estimate map[volume.ChunkID]units.Duration
+	estimate volume.ChunkMap[units.Duration]
 	// estimateSrc, when non-nil, is consulted on an estimate-table miss
 	// before falling back to the cost model — the hook the multi-head
 	// control plane (§5.11) uses to share Estimate[c] observations across
@@ -48,8 +48,9 @@ type HeadState struct {
 	// hitObs learns actual cached-task execution times per (size, group),
 	// the symmetric correction to estimate: without it, a system whose real
 	// costs differ from the model would mis-rank cached against non-cached
-	// placements.
-	hitObs map[hitKey]units.Duration
+	// placements. It only ever holds a few keys — one per chunk size and
+	// render-group size in the workload — so it is a slice scanned linearly.
+	hitObs []hitObs
 
 	// Model prices task executions for predictions.
 	Model CostModel
@@ -66,7 +67,7 @@ type HeadState struct {
 	// homes[c] is the policy-tracked replica home set for chunk c, primary
 	// first, never longer than replicaK. Residency beyond the set (bestNode
 	// load-balancing) is organic and untracked.
-	homes map[volume.ChunkID][]NodeID
+	homes volume.ChunkMap[[]NodeID]
 	// pressure[k] is node k's placement-pressure score: the number of home
 	// slots the policy has assigned to it. Secondary selection steers to
 	// low-pressure nodes.
@@ -130,8 +131,6 @@ func NewHeadState(n int, quota units.Bytes, model CostModel) *HeadState {
 		Available:       make([]units.Time, n),
 		Caches:          make([]*cache.LRU, n),
 		lastInteractive: make([]units.Time, n),
-		estimate:        make(map[volume.ChunkID]units.Duration),
-		hitObs:          make(map[hitKey]units.Duration),
 		Model:           model,
 		health:          make([]Health, n),
 		replicaK:        1,
@@ -246,7 +245,7 @@ func (h *HeadState) CompleteDrain(k NodeID) { h.retire(k) }
 // observed load could make the scheduler prefer reloading over reusing
 // forever.
 func (h *HeadState) Estimate(c volume.ChunkID, size units.Bytes, group int) units.Duration {
-	e, ok := h.estimate[c]
+	e, ok := h.estimate.Get(c)
 	if !ok && h.estimateSrc != nil {
 		// Cross-shard fallback (§5.11): another shard may have observed this
 		// chunk already. Local observations always win; the directory only
@@ -285,7 +284,7 @@ func (h *HeadState) InteractiveIdle(k NodeID, now units.Time) units.Duration {
 // of the Cache table (Cache[c] in Algorithm 1). Failed nodes are excluded.
 func (h *HeadState) CachedOn(c volume.ChunkID) []NodeID {
 	var nodes []NodeID
-	on := h.where[c]
+	on, _ := h.where.Get(c)
 	for k := range h.Caches {
 		if on.has(NodeID(k)) && h.up.has(NodeID(k)) {
 			nodes = append(nodes, NodeID(k))
@@ -297,19 +296,34 @@ func (h *HeadState) CachedOn(c volume.ChunkID) []NodeID {
 // ReplicaCount returns len(CachedOn(c)) without allocating the node list —
 // the form scheduler hot paths use, where only the predicted replica count
 // matters (cached/non-cached splits and rarest-first ordering).
-func (h *HeadState) ReplicaCount(c volume.ChunkID) int { return h.where[c].countIn(h.up) }
+func (h *HeadState) ReplicaCount(c volume.ChunkID) int {
+	on, _ := h.where.Get(c)
+	return on.countIn(h.up)
+}
 
-// hitKey buckets hit-cost observations.
-type hitKey struct {
+// hitObs is one learned cached-execution time, for tasks of one chunk size
+// in render groups of one size.
+type hitObs struct {
 	size  units.Bytes
 	group int
+	exec  units.Duration
+}
+
+// hitObsAt returns the index of the (size, group) observation, or -1.
+func (h *HeadState) hitObsAt(size units.Bytes, group int) int {
+	for i := range h.hitObs {
+		if h.hitObs[i].size == size && h.hitObs[i].group == group {
+			return i
+		}
+	}
+	return -1
 }
 
 // HitEstimate returns the expected cached-task execution time, preferring
 // observed times over the cost model.
 func (h *HeadState) HitEstimate(size units.Bytes, group int) units.Duration {
-	if obs, ok := h.hitObs[hitKey{size, group}]; ok {
-		return obs
+	if i := h.hitObsAt(size, group); i >= 0 {
+		return h.hitObs[i].exec
 	}
 	return h.Model.HitExec(size, group)
 }
@@ -355,15 +369,15 @@ func (h *HeadState) CommitAssign(t *Task, k NodeID, now units.Time) units.Durati
 // the predicted cache drops whatever the node actually evicted.
 func (h *HeadState) Correct(res TaskResult, now units.Time) {
 	if res.Hit {
-		key := hitKey{res.Task.Size, res.Task.Job.GroupSize()}
-		if prev, ok := h.hitObs[key]; ok {
+		size, group := res.Task.Size, res.Task.Job.GroupSize()
+		if i := h.hitObsAt(size, group); i >= 0 {
 			// Light smoothing keeps one outlier from flapping placements.
-			h.hitObs[key] = (3*prev + res.Exec) / 4
+			h.hitObs[i].exec = (3*h.hitObs[i].exec + res.Exec) / 4
 		} else {
-			h.hitObs[key] = res.Exec
+			h.hitObs = append(h.hitObs, hitObs{size, group, res.Exec})
 		}
 	} else {
-		h.estimate[res.Task.Chunk] = res.Exec
+		h.estimate.Set(res.Task.Chunk, res.Exec)
 	}
 	drift := res.Exec - res.Predicted
 	if drift != 0 {

@@ -137,6 +137,36 @@ func TestCorrectAppliesDriftAndEvictions(t *testing.T) {
 	}
 }
 
+// TestHeadCommitCorrectAllocs: on a warm head — every chunk seen, every
+// (size, group) observed — committing a task and correcting it with its
+// result allocates nothing: not the Estimate and Cache tables' lookups and
+// writes, not the residency index, and not a predicted-cache entry dropped
+// by an eviction report and admitted again by the next commit.
+func TestHeadCommitCorrectAllocs(t *testing.T) {
+	h := newHead(4)
+	j := mkJob(1, Interactive, 1, 3, 8, 128*units.MB, 0)
+	// Tasks i and i+4 share node i%4; the odd tasks report their partner
+	// evicted, so the next round's commit of it is a miss that re-admits it.
+	evicted := make([][]volume.ChunkID, len(j.Tasks))
+	for i := 1; i < len(j.Tasks); i += 2 {
+		evicted[i] = []volume.ChunkID{j.Tasks[(i+4)%8].Chunk}
+	}
+	now := units.Time(0)
+	round := func() {
+		now = now.Add(units.Second)
+		for i := range j.Tasks {
+			task, k := &j.Tasks[i], NodeID(i%4)
+			pred := h.CommitAssign(task, k, now)
+			h.Correct(TaskResult{Task: task, Node: k, Hit: i%2 == 0, Exec: pred + units.Millisecond, Predicted: pred, Evicted: evicted[i]}, now)
+		}
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a warm CommitAssign+Correct round allocates %v times, want 0", allocs)
+	}
+}
+
 func TestCorrectClampsAvailableToNow(t *testing.T) {
 	h := newHead(1)
 	j := mkJob(1, Interactive, 1, 1, 1, units.MB, 0)

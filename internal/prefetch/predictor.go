@@ -95,13 +95,12 @@ type Predictor struct {
 	t1      map[delta]*dist
 	t2      map[trans2Key]*dist
 	streams map[core.ActionID]*stream
-	freqs   map[volume.ChunkID]*emaEntry
+	freqs   volume.ChunkMap[*emaEntry]
 
 	// Candidates' scratch, cleared and refilled on every call.
-	scores map[volume.ChunkID]float64
+	scores volume.ChunkMap[float64]
 	acts   []core.ActionID
 	deltas []delta
-	chunks []volume.ChunkID
 	out    []Candidate
 }
 
@@ -116,8 +115,6 @@ func NewPredictor(cfg *Config) *Predictor {
 		t1:      make(map[delta]*dist),
 		t2:      make(map[trans2Key]*dist),
 		streams: make(map[core.ActionID]*stream),
-		freqs:   make(map[volume.ChunkID]*emaEntry),
-		scores:  make(map[volume.ChunkID]float64),
 	}
 }
 
@@ -134,10 +131,10 @@ func (p *Predictor) decayTo(e *emaEntry, now units.Time) {
 // tables. Call it in completion order — virtual time in the simulator,
 // fragment arrival in the live head — so runs are reproducible.
 func (p *Predictor) Observe(action core.ActionID, c volume.ChunkID, now units.Time) {
-	e := p.freqs[c]
+	e, _ := p.freqs.Get(c)
 	if e == nil {
 		e = &emaEntry{at: now}
-		p.freqs[c] = e
+		p.freqs.Set(c, e)
 	}
 	p.decayTo(e, now)
 	e.val++
@@ -187,8 +184,8 @@ func apply(c volume.ChunkID, d delta) volume.ChunkID {
 // controller's size lookup filters those. The slice is the predictor's
 // scratch, valid until the next call.
 func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
-	scores := p.scores
-	clear(scores)
+	scores := &p.scores
+	scores.Clear()
 
 	// Markov continuations, streams visited in action order for determinism.
 	acts := p.acts[:0]
@@ -217,42 +214,43 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 			if next == st.last {
 				continue // self-transition: already being demanded
 			}
-			scores[next] += p.cfg.MarkovWeight * float64(row.counts[d]) / float64(row.total)
+			s, _ := scores.Get(next)
+			scores.Set(next, s+p.cfg.MarkovWeight*float64(row.counts[d])/float64(row.total))
 		}
 	}
 
 	// Frequency prior, normalized by the hottest chunk.
-	chunks := p.chunks[:0]
 	maxVal := 0.0
-	for c, e := range p.freqs {
+	p.freqs.Range(func(_ volume.ChunkID, e *emaEntry) bool {
 		p.decayTo(e, now)
 		if e.val > maxVal {
 			maxVal = e.val
 		}
-		chunks = append(chunks, c)
-	}
-	p.chunks = chunks
+		return true
+	})
 	if maxVal > 0 {
-		slices.SortFunc(chunks, core.CompareChunks)
-		for _, c := range chunks {
-			if v := p.freqs[c].val / maxVal; v > 0 {
-				scores[c] += p.cfg.PriorWeight * v
+		p.freqs.Range(func(c volume.ChunkID, e *emaEntry) bool {
+			if v := e.val / maxVal; v > 0 {
+				s, _ := scores.Get(c)
+				scores.Set(c, s+p.cfg.PriorWeight*v)
 			}
-		}
+			return true
+		})
 	}
 
 	out := p.out[:0]
-	for c, s := range scores {
+	scores.Range(func(c volume.ChunkID, s float64) bool {
 		if s >= p.cfg.MinScore {
 			out = append(out, Candidate{Chunk: c, Score: s})
 		}
-	}
+		return true
+	})
 	p.out = out
 	slices.SortFunc(out, func(a, b Candidate) int {
 		if c := cmp.Compare(b.Score, a.Score); c != 0 {
 			return c
 		}
-		return core.CompareChunks(a.Chunk, b.Chunk)
+		return volume.CompareChunks(a.Chunk, b.Chunk)
 	})
 	if len(out) > limit {
 		out = out[:limit]

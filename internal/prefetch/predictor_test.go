@@ -162,7 +162,8 @@ func TestPredictorSkipsSelfTransition(t *testing.T) {
 // referenceCandidates is Candidates as it stood before it reused its
 // scratch, kept verbatim (with the top and chunk order it called) so
 // TestPredictorCandidatesMatchReference can hold the scratch-reusing body
-// to it bit for bit.
+// to it bit for bit. Only its read of the frequency table goes through a
+// Go map copied out of the predictor's ChunkMap.
 func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
 	scores := make(map[volume.ChunkID]float64)
 
@@ -196,9 +197,14 @@ func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
 	}
 
 	// Frequency prior, normalized by the hottest chunk.
-	chunks := make([]volume.ChunkID, 0, len(p.freqs))
+	freqs := make(map[volume.ChunkID]*emaEntry)
+	p.freqs.Range(func(c volume.ChunkID, e *emaEntry) bool {
+		freqs[c] = e
+		return true
+	})
+	chunks := make([]volume.ChunkID, 0, len(freqs))
 	maxVal := 0.0
-	for c, e := range p.freqs {
+	for c, e := range freqs {
 		p.decayTo(e, now)
 		if e.val > maxVal {
 			maxVal = e.val
@@ -208,7 +214,7 @@ func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
 	if maxVal > 0 {
 		slices.SortFunc(chunks, referenceChunkCompare)
 		for _, c := range chunks {
-			if v := p.freqs[c].val / maxVal; v > 0 {
+			if v := freqs[c].val / maxVal; v > 0 {
 				scores[c] += p.cfg.PriorWeight * v
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"vizsched/internal/qos"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
+	"vizsched/internal/volume"
 )
 
 // The tests in this file drive the head without its goroutine and without
@@ -531,6 +533,53 @@ func TestHeadLoopRecoversAtCut(t *testing.T) {
 		fmt.Sprintf("dispatch 1 1 %d 1.2s", node),
 		fmt.Sprintf("complete 1 1 %d 1.25s", node),
 	)
+}
+
+// A worker's resync hello is input: one naming a brick twice and more bricks
+// than the head's quota holds neither panics the head nor corrupts its
+// predicted cache. The cache keeps the first mention of each brick and stops
+// at the quota, the tables stay coherent, and replaying the journal over the
+// genesis snapshot rebuilds exactly the live tables.
+func TestHeadLoopResyncHelloDuplicateAndOverQuota(t *testing.T) {
+	brick := func(h *Head, name string, i int) volume.ChunkID {
+		return volume.ChunkID{Dataset: h.dsIDs[name], Index: i}
+	}
+	s := newSteppedHead(t, 2, func(h *Head) {
+		h.DeadlineFactor = 0
+		// Room for plume's two bricks and nothing more.
+		h.memQuota = h.chunkSize(brick(h, "plume", 0)) + h.chunkSize(brick(h, "plume", 1))
+	})
+	reply := make(chan *hastate.Snapshot, 1)
+	s.l.step(event{kind: evSnapshot, snap: reply})
+	genesis := <-reply
+
+	s.at(5 * time.Millisecond)
+	s.resync(HelloBody{Name: "w0", NodeID: 0, Cached: []ChunkRef{
+		{Dataset: "plume", Index: 0}, {Dataset: "plume", Index: 0}, {Dataset: "plume", Index: 1},
+		{Dataset: "supernova", Index: 0}, {Dataset: "supernova", Index: 1},
+	}})
+	c := s.h.state.Caches[0]
+	if want := []volume.ChunkID{brick(s.h, "plume", 0), brick(s.h, "plume", 1)}; !slices.Equal(c.Resident(), want) || c.Used() > c.Quota() {
+		t.Errorf("predicted cache after the hello: %v, %v of %v; want %v within the quota", c.Resident(), c.Used(), c.Quota(), want)
+	}
+	if err := s.h.state.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	if err := s.h.Journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.ReadAll(bytes.NewReader(s.wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := hastate.Replay(genesis, recs, core.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Tables.Dump(), s.h.state.Dump(); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed tables:\n%+v\nlive tables:\n%+v", got, want)
+	}
 }
 
 // wantResult reads the next reply on the client connection, which must be a

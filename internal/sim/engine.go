@@ -281,7 +281,7 @@ func (n *node) waitingChunks() []volume.ChunkID {
 	for c := range n.waiters {
 		chunks = append(chunks, c)
 	}
-	slices.SortFunc(chunks, core.CompareChunks)
+	slices.SortFunc(chunks, volume.CompareChunks)
 	return chunks
 }
 
