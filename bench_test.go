@@ -478,25 +478,16 @@ func BenchmarkLiveServiceFrame(b *testing.B) {
 // interactive jobs; batch-256 times the extension sweeps' steady state, one
 // scheduler cycling over a full batch window of 4-brick jobs on 4 datasets
 // that is almost all still pending: a cycle groups a thousand tasks into 16
-// chunk groups and places one task per node before λ.
+// chunk groups and places one task per node before λ. warm-64 times
+// Scenario 3's steady state: 64 nodes holding all 32 datasets' 512 chunks,
+// and a cycle of 64 interactive 16-brick jobs whose 512 chunk groups each go
+// to the earliest-finishing node, every one a hit.
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	b.Run("batch-256", func(b *testing.B) {
-		b.ReportAllocs()
-		sched := core.NewLocalityScheduler(0)
-		head := core.NewHeadState(16, 8*units.GB, core.System2CostModel())
-		queue := make([]*core.Job, core.DefaultBatchWindow)
-		for j := range queue {
-			job := &core.Job{ID: core.JobID(j + 1), Class: core.Batch,
-				Action: core.ActionID(j + 1), Dataset: volume.DatasetID(j%4 + 1)}
-			job.Tasks = make([]core.Task, 4)
-			for k := range job.Tasks {
-				job.Tasks[k] = core.Task{Job: job, Index: k,
-					Chunk: volume.ChunkID{Dataset: job.Dataset, Index: k}, Size: 512 * units.MB}
-			}
-			job.Remaining = 4
-			queue[j] = job
-		}
+	// cycles times one scheduler cycling over the same queue, its tasks
+	// pending again and every node drained at the start of each cycle.
+	cycles := func(b *testing.B, sched *core.LocalityScheduler, head *core.HeadState, queue []*core.Job) {
 		now := units.Time(0)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			for _, job := range queue {
@@ -508,6 +499,27 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 			b.StartTimer()
 			sched.Schedule(now, queue, head)
 		}
+	}
+	b.Run("batch-256", func(b *testing.B) {
+		b.ReportAllocs()
+		sched := core.NewLocalityScheduler(0)
+		head := core.NewHeadState(16, 8*units.GB, core.System2CostModel())
+		cycles(b, sched, head, schedQueue(core.DefaultBatchWindow, core.Batch, 4, 4))
+	})
+	b.Run("warm-64", func(b *testing.B) {
+		b.ReportAllocs()
+		sched := core.NewLocalityScheduler(0)
+		head := core.NewHeadState(64, 8*units.GB, core.System2CostModel())
+		queue := schedQueue(64, core.Interactive, 32, 16)
+		sched.Schedule(0, queue, head) // a cold cycle loads every chunk
+		for _, job := range queue {
+			for _, t := range job.Tasks {
+				if head.ReplicaCount(t.Chunk) == 0 {
+					b.Fatalf("chunk %v not resident after the warming cycle", t.Chunk)
+				}
+			}
+		}
+		cycles(b, sched, head, queue)
 	})
 	for _, depth := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("queue-%d", depth), func(b *testing.B) {
@@ -516,23 +528,30 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 				b.StopTimer()
 				sched := core.NewLocalityScheduler(0)
 				head := core.NewHeadState(64, 8*units.GB, core.System2CostModel())
-				queue := make([]*core.Job, depth)
-				for j := range queue {
-					job := &core.Job{ID: core.JobID(j + 1), Class: core.Interactive,
-						Action: core.ActionID(j + 1), Dataset: volume.DatasetID(j%32 + 1)}
-					job.Tasks = make([]core.Task, 16)
-					for k := range job.Tasks {
-						job.Tasks[k] = core.Task{Job: job, Index: k,
-							Chunk: volume.ChunkID{Dataset: job.Dataset, Index: k}, Size: 512 * units.MB}
-					}
-					job.Remaining = 16
-					queue[j] = job
-				}
+				queue := schedQueue(depth, core.Interactive, 32, 16)
 				b.StartTimer()
 				sched.Schedule(0, queue, head)
 			}
 		})
 	}
+}
+
+// schedQueue builds depth jobs of one class, job j rendering all chunks of
+// dataset j mod datasets, 512 MB each.
+func schedQueue(depth int, class core.Class, datasets, chunks int) []*core.Job {
+	queue := make([]*core.Job, depth)
+	for j := range queue {
+		job := &core.Job{ID: core.JobID(j + 1), Class: class,
+			Action: core.ActionID(j + 1), Dataset: volume.DatasetID(j%datasets + 1)}
+		job.Tasks = make([]core.Task, chunks)
+		for k := range job.Tasks {
+			job.Tasks[k] = core.Task{Job: job, Index: k,
+				Chunk: volume.ChunkID{Dataset: job.Dataset, Index: k}, Size: 512 * units.MB}
+		}
+		job.Remaining = chunks
+		queue[j] = job
+	}
+	return queue
 }
 
 // BenchmarkDESKernel measures the raw discrete-event kernel under the two

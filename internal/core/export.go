@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -94,10 +95,10 @@ func (h *HeadState) Dump() *TableDump {
 		d.HitObs = append(d.HitObs, HitObsEntry{Size: o.size, Group: o.group, Exec: o.exec})
 	}
 	slices.SortFunc(d.HitObs, func(a, b HitObsEntry) int {
-		if a.Size != b.Size {
-			return int(a.Size - b.Size)
+		if c := cmp.Compare(a.Size, b.Size); c != 0 {
+			return c
 		}
-		return a.Group - b.Group
+		return cmp.Compare(a.Group, b.Group)
 	})
 	h.homes.Range(func(c volume.ChunkID, hs []NodeID) bool {
 		d.Homes = append(d.Homes, HomeEntry{Chunk: c, Homes: slices.Clone(hs)})
@@ -110,7 +111,7 @@ func (h *HeadState) Dump() *TableDump {
 		if c := volume.CompareChunks(a.Chunk, b.Chunk); c != 0 {
 			return c
 		}
-		return int(a.Node - b.Node)
+		return cmp.Compare(a.Node, b.Node)
 	})
 	return d
 }

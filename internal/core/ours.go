@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"vizsched/internal/units"
@@ -63,6 +65,7 @@ type LocalityScheduler struct {
 	groupSlab               []*chunkGroup
 	usedGroups              int
 	cached, nonCached, rest []*chunkGroup
+	starts                  startTree
 	out                     []Assignment
 }
 
@@ -223,7 +226,11 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	})
 
 	// Lines 10–15: every interactive group goes, whole, to the node with the
-	// earliest predicted completion for its chunk.
+	// earliest predicted completion for its chunk. Only the chosen node's
+	// predicted start moves, so the start tree repairs one leaf.
+	if len(hi) > 0 {
+		s.starts.build(now, head)
+	}
 	placeWhole := func(g *chunkGroup) {
 		k, ok := s.bestNode(now, g, head)
 		if !ok {
@@ -232,6 +239,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		for _, t := range g.tasks {
 			assign(t, k)
 		}
+		s.starts.set(k, max(head.Available[k], now))
 	}
 	for _, g := range cached {
 		placeWhole(g)
@@ -430,11 +438,37 @@ func (s *LocalityScheduler) idleOK(head *HeadState, g *chunkGroup, k NodeID, now
 
 // bestNode returns the alive node minimizing predicted completion time for
 // the group's chunk: max(Available[k], now) + cost, where cost is the hit
-// cost on nodes predicted to hold the chunk and Estimate[c] elsewhere. Both
-// costs are the same on every node, so the group is priced once and the
-// scan pays a bit test per node.
+// cost on nodes predicted to hold the chunk and Estimate[c] elsewhere, ties
+// to the lowest node ID. Both costs are the same on every node and the miss
+// is floored above the hit (HeadState.Estimate), so the best node holding no
+// copy is the earliest-starting one — the start tree's root — and only the
+// alive holders are priced besides it (DESIGN.md §5.17 "The start tree").
+// A miss price that comes through the estimate source per node keeps the
+// scan, which asks it once per non-resident node.
 func (s *LocalityScheduler) bestNode(now units.Time, g *chunkGroup, head *HeadState) (NodeID, bool) {
 	price := head.price(g.tasks[0], g.on)
+	if price.perNode {
+		return scanBestNode(now, &price, head)
+	}
+	best := s.starts.root()
+	if s.starts.start[best] == never {
+		return -1, false
+	}
+	bestDone := s.starts.start[best].Add(price.miss)
+	for i, w := range g.on {
+		for w &= head.up[i]; w != 0; w &= w - 1 {
+			k := NodeID(i<<6 | bits.TrailingZeros64(w))
+			if done := s.starts.start[k].Add(price.hit); done < bestDone || done == bestDone && k < best {
+				best, bestDone = k, done
+			}
+		}
+	}
+	return best, true
+}
+
+// scanBestNode is bestNode by a scan of every node, pricing each through
+// price.On.
+func scanBestNode(now units.Time, price *ExecPrice, head *HeadState) (NodeID, bool) {
 	best := NodeID(-1)
 	var bestDone units.Time
 	for k := 0; k < head.Nodes(); k++ {
@@ -452,4 +486,57 @@ func (s *LocalityScheduler) bestNode(now units.Time, g *chunkGroup, head *HeadSt
 		}
 	}
 	return best, best >= 0
+}
+
+// never is the start of a node that takes no work.
+const never = units.Time(math.MaxInt64)
+
+// startTree is a winner (tournament) tree over the nodes keyed by predicted
+// start (max(Available[k], now), k): alive nodes at their start, the rest and
+// the padding up to a power of two at never. It is one cycle's scratch, built
+// before the interactive passes and repaired a leaf per placement.
+type startTree struct {
+	start []units.Time // per leaf
+	win   []int32      // win[i] is the winning leaf under tree node i; leaf k is node len(start)+k
+}
+
+// build fills the tree from the head's tables in O(p).
+func (t *startTree) build(now units.Time, head *HeadState) {
+	n := 1
+	for n < head.Nodes() {
+		n <<= 1
+	}
+	t.start = slices.Grow(t.start[:0], n)[:n]
+	t.win = slices.Grow(t.win[:0], 2*n)[:2*n]
+	for k := range t.start {
+		t.start[k] = never
+		if k < head.Nodes() && head.Alive(NodeID(k)) {
+			t.start[k] = max(head.Available[k], now)
+		}
+		t.win[n+k] = int32(k)
+	}
+	for i := n - 1; i >= 1; i-- {
+		t.win[i] = t.winner(t.win[2*i], t.win[2*i+1])
+	}
+}
+
+// winner returns the earlier-starting of two leaves, the lower on a tie.
+func (t *startTree) winner(a, b int32) int32 {
+	if t.start[b] < t.start[a] {
+		return b
+	}
+	return a
+}
+
+// root returns the earliest-starting node, the lowest ID among equals.
+func (t *startTree) root() NodeID { return NodeID(t.win[1]) }
+
+// set moves alive node k's predicted start and replays its path to the
+// root in O(log p).
+func (t *startTree) set(k NodeID, start units.Time) {
+	n := len(t.start)
+	t.start[k] = start
+	for i := (n + int(k)) >> 1; i >= 1; i >>= 1 {
+		t.win[i] = t.winner(t.win[2*i], t.win[2*i+1])
+	}
 }

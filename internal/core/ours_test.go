@@ -477,6 +477,83 @@ func TestReferenceScheduleDifferentialShapes(t *testing.T) {
 	}
 }
 
+// TestReferenceScheduleDifferentialBestNode holds bestNode's start tree to
+// the reference scan after every placement of a cycle: word and power-of-two
+// node counts (so padding leaves), many nodes tied at Available ≤ now,
+// suspect, draining and down nodes, a learned hit estimate above the modelled
+// miss (the Estimate floor binds), and an estimate source (the per-node
+// path).
+func TestReferenceScheduleDifferentialBestNode(t *testing.T) {
+	const size = 96 * units.MB
+	for _, p := range []int{1, 2, 63, 64, 65, 130} {
+		for seed := int64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewSource(seed*1009 + int64(p)))
+			head := NewHeadState(p, units.GB, System1CostModel())
+			now := units.Time(10 * units.Second)
+			newJob := func(id int, ds volume.DatasetID) *Job {
+				return mkJob(JobID(id), Interactive, ActionID(id), ds, 4, size, now)
+			}
+			if seed%3 == 0 {
+				j := newJob(0, 1)
+				head.Correct(TaskResult{Task: &j.Tasks[0], Node: 0, Hit: true, Exec: 20 * units.Second, Predicted: 20 * units.Second}, now)
+				if hit, miss := head.HitEstimate(size, 4), head.Estimate(volume.ChunkID{Dataset: 2}, size, 4); miss != hit+units.Microsecond {
+					t.Fatalf("p=%d seed %d: learned hit %v, miss %v: the floor does not bind", p, seed, hit, miss)
+				}
+			}
+			if seed%4 == 0 {
+				head.SetEstimateSource(func(c volume.ChunkID) (units.Duration, bool) {
+					return units.Duration(c.Index+1) * 300 * units.Millisecond, c.Index%2 == 0
+				})
+			}
+			for k := 0; k < p; k++ {
+				switch rng.Intn(3) {
+				case 0: // drained long ago: ties at now
+					head.Available[k] = now.Add(-units.Duration(rng.Intn(3)) * units.Second)
+				default: // busy, on a coarse grid so starts tie too
+					head.Available[k] = now.Add(units.Duration(rng.Intn(8)) * 50 * units.Millisecond)
+				}
+				for i := rng.Intn(3); i > 0; i-- {
+					head.Caches[k].Insert(volume.ChunkID{Dataset: volume.DatasetID(rng.Intn(6) + 1), Index: rng.Intn(4)}, size)
+				}
+				switch rng.Intn(8) {
+				case 0:
+					head.MarkSuspect(NodeID(k))
+				case 1:
+					head.MarkDraining(NodeID(k))
+				case 2:
+					head.MarkFailed(NodeID(k))
+				}
+			}
+
+			s := NewLocalityScheduler(0)
+			s.starts.build(now, head)
+			ref := &referenceScheduler{}
+			for id := 1; id <= 60; id++ {
+				ds := volume.DatasetID(rng.Intn(6) + 1)
+				ci := rng.Intn(4)
+				var tasks []*Task
+				for n := rng.Intn(3) + 1; n > 0; n-- {
+					tasks = append(tasks, &newJob(id, ds).Tasks[ci])
+				}
+				g := s.newGroup(tasks[0].Chunk, size, head.residency(tasks[0].Chunk))
+				g.tasks = append(g.tasks, tasks...)
+				got, ok := s.bestNode(now, g, head)
+				want, wantOK := ref.bestNode(now, &refGroup{chunk: g.chunk, size: size, tasks: tasks}, head)
+				if got != want || ok != wantOK {
+					t.Fatalf("p=%d seed %d placement %d (%v): start tree chose %d/%v, the scan %d/%v", p, seed, id, g.chunk, got, ok, want, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				for _, task := range tasks {
+					head.CommitAssign(task, got, now)
+				}
+				s.starts.set(got, max(head.Available[got], now))
+			}
+		}
+	}
+}
+
 // differential drives Schedule and the reference scheduler through one
 // seeded history and requires identical decisions, tables and estimate
 // source calls.
@@ -484,7 +561,7 @@ func differential(t *testing.T, seed int64, shapes bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed * 7919))
 	cfg := diffConfig{
-		nodes:    []int{2, 5, 9, 70}[rng.Intn(4)], // 70: a node set wider than one word
+		nodes:    []int{1, 2, 5, 9, 64, 70}[rng.Intn(6)], // 64: one full word; 70: wider than one word
 		replicas: rng.Intn(3) + 1,
 		noGuard:  rng.Intn(3) == 0,
 		prefetch: rng.Intn(2) == 0,

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"cmp"
 	"slices"
 
 	"vizsched/internal/core"
@@ -119,10 +120,10 @@ func (c *Controller) Export() *StateDump {
 		d.Sessions = append(d.Sessions, SessionState{Tenant: key.tenant, Action: key.action, Inflight: c.inflight[key]})
 	}
 	slices.SortFunc(d.Sessions, func(a, b SessionState) int {
-		if a.Tenant != b.Tenant {
-			return int(a.Tenant - b.Tenant)
+		if c := cmp.Compare(a.Tenant, b.Tenant); c != 0 {
+			return c
 		}
-		return int(a.Action - b.Action)
+		return cmp.Compare(a.Action, b.Action)
 	})
 	return d
 }

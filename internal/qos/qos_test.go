@@ -1,7 +1,9 @@
 package qos
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vizsched/internal/core"
@@ -383,5 +385,38 @@ func TestQoSShedStaleSupersede(t *testing.T) {
 	out := c.Outcome()
 	if out.Shed != int64(sheds)+1 { // +1 for the superseded j1
 		t.Fatalf("outcome shed = %d, want %d", out.Shed, sheds+1)
+	}
+}
+
+// TestQoSExportSessionOrderExtremeIDs: the client picks tenant and action IDs
+// (zig-zag varints on the wire), so the snapshot's session order must be a
+// total order over every int — a subtracting comparator overflows at the
+// extremes and leaves Sessions in map-iteration order.
+func TestQoSExportSessionOrderExtremeIDs(t *testing.T) {
+	c := NewController(nil)
+	ids := []int{math.MinInt, 0, math.MaxInt, -5, 7}
+	id := 1
+	for _, tenant := range ids {
+		for _, action := range ids {
+			if dec, _ := c.Admit(mkJob(id, core.TenantID(tenant), core.Interactive, core.ActionID(action), 1, 0), 0); !dec.Entered() {
+				t.Fatalf("tenant %d action %d: %v", tenant, action, dec)
+			}
+			id++
+		}
+	}
+	first := c.Export().Sessions
+	if len(first) != len(ids)*len(ids) {
+		t.Fatalf("exported %d sessions, want %d", len(first), len(ids)*len(ids))
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.Tenant > b.Tenant || a.Tenant == b.Tenant && a.Action >= b.Action {
+			t.Fatalf("sessions %d and %d out of order: %+v then %+v", i-1, i, a, b)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		if got := c.Export().Sessions; !reflect.DeepEqual(got, first) {
+			t.Fatalf("export %d ordered sessions\n %v\nfirst export\n %v", run, got, first)
+		}
 	}
 }
