@@ -20,10 +20,12 @@ race:
 
 # The node-model row of CI's race-suite matrix: the simulator's node
 # executor — the four node models pinned to their recorded outcomes, every
-# pair of extensions composing, a crash requeueing in start order — three
-# times over under the race detector.
+# pair of extensions composing, a crash requeueing in start order — and the
+# streamed arrivals that feed it (an event queue bounded by the cluster, an
+# unsorted schedule tracing as its sorted copy), three times over under the
+# race detector.
 node-model:
-	$(GO) test -race -count=3 -run 'NodeModelGolden|ExtensionPairsCompose|CrashRequeueOrder' ./...
+	$(GO) test -race -count=3 -run 'NodeModelGolden|ExtensionPairsCompose|CrashRequeueOrder|Arrivals' ./...
 
 # The worker-lanes row of CI's race-suite matrix: the live worker's two
 # lanes and yielding background renders (DESIGN.md §5.18), the FIFO under
@@ -68,8 +70,8 @@ bench:
 	$(GO) test -run xxx -bench 'AblationRaycaster|RenderFull64' -benchtime 3x -benchmem . ./internal/raycast/
 
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
-# wire-format decoders and the dense chunk table under the head's tables.
-# The checked-in corpora replay as regression seeds;
+# wire-format decoders, the dense chunk table under the head's tables and
+# the event kernel's streams. The checked-in corpora replay as regression seeds;
 # the -fuzztime budget explores a little fresh territory per invocation.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBodyDecode -fuzztime 20s ./internal/service/
 	$(GO) test -run xxx -fuzz FuzzReadGrid -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzChunkMap -fuzztime 20s ./internal/volume/
+	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/ and in the sweep harness, the live head's

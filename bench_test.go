@@ -554,11 +554,12 @@ func schedQueue(depth int, class core.Class, datasets, chunks int) []*core.Job {
 	return queue
 }
 
-// BenchmarkDESKernel measures the raw discrete-event kernel under the two
+// BenchmarkDESKernel measures the raw discrete-event kernel under the
 // access patterns the simulator produces: a steady self-perpetuating event
-// chain (the node/arrival loops) and a cancel-heavy mix (timeout timers
-// that almost always cancel, exercising lazy removal plus reaping). With
-// the slab/free-list queue, steady state must report ~0 allocs/op.
+// chain (the node loops), a cancel-heavy mix (timeout timers that almost
+// always cancel, exercising lazy removal plus reaping) and a workload's
+// known arrivals queued up front or streamed. With the slab/free-list
+// queue, steady state and the stream must report ~0 allocs/op.
 func BenchmarkDESKernel(b *testing.B) {
 	b.Run("steady-chain", func(b *testing.B) {
 		b.ReportAllocs()
@@ -595,6 +596,49 @@ func BenchmarkDESKernel(b *testing.B) {
 		s.After(units.Microsecond, step)
 		s.Run(0)
 		b.ReportMetric(float64(n)/time.Since(start).Seconds(), "events/s")
+	})
+	// A workload's arrivals: rounds of 10k known arrivals, one a microsecond,
+	// alongside the steady chain; an op is one arrival. upfront queues each
+	// with its own At and closure; stream queues a round as one des.Stream,
+	// so the heap holds two events, not 10k.
+	b.Run("arrivals", func(b *testing.B) {
+		const round = 10_000
+		for _, stream := range []bool{false, true} {
+			name := "upfront"
+			if stream {
+				name = "stream"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				s := des.New()
+				left := 0
+				arrive := func(*des.Simulator, int) { left-- }
+				var step des.Event
+				step = func(sim *des.Simulator) {
+					if left > 0 {
+						sim.After(units.Microsecond, step)
+					}
+				}
+				start := time.Now()
+				for done := 0; done < b.N; done += round {
+					m := min(round, b.N-done)
+					base := s.Now()
+					at := func(i int) units.Time { return base.Add(units.Duration(i) * units.Microsecond) }
+					left = m
+					if stream {
+						s.Stream(m, at, arrive)
+					} else {
+						for i := 0; i < m; i++ {
+							i := i
+							s.At(at(i), func(sim *des.Simulator) { arrive(sim, i) })
+						}
+					}
+					s.After(0, step)
+					s.Run(0)
+				}
+				b.ReportMetric(float64(s.Fired())/time.Since(start).Seconds(), "events/s")
+			})
+		}
 	})
 }
 

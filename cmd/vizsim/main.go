@@ -52,18 +52,10 @@ func main() {
 		"enable predictive chunk prefetching for OURS: trajectory-aware cache warming in scheduler idle windows")
 	tenants := flag.Int("tenants", 0, "spread users over this many tenants (0: single default tenant)")
 	tenantSkew := flag.Float64("skew", 0, "Zipf exponent for tenant demand skew with -tenants; 0 = uniform")
-	compositing := flag.String("compositing", "",
-		"price compositing per algorithm (dfb, binary-swap, 2-3-swap, direct-send); empty keeps the paper's ceil-log2 model bit-exactly")
 	flag.Parse()
 
 	if *scenario < 1 || *scenario > 4 {
 		fmt.Fprintln(os.Stderr, "vizsim: -scenario must be 1-4")
-		os.Exit(2)
-	}
-	switch *compositing {
-	case "", "dfb", "binary-swap", "2-3-swap", "direct-send":
-	default:
-		fmt.Fprintf(os.Stderr, "vizsim: unknown -compositing %q\n", *compositing)
 		os.Exit(2)
 	}
 	cfg := workload.Scenario(workload.ScenarioID(*scenario), *scale)
@@ -133,7 +125,6 @@ func main() {
 		ecfg := sim.ScenarioEngineConfig(cfg, s, *jitter)
 		ecfg.Failures = faultSchedule
 		ecfg.Replicas = *replicas
-		ecfg.Compositing = *compositing
 		if *useQoS {
 			ecfg.QoS = experiments.SweepQoSConfig()
 		}
@@ -203,7 +194,6 @@ func main() {
 			ecfg := sim.ScenarioEngineConfig(cfg, scheds[i], *jitter)
 			ecfg.Failures = faultSchedule
 			ecfg.Replicas = *replicas
-			ecfg.Compositing = *compositing
 			if *useQoS {
 				ecfg.QoS = experiments.SweepQoSConfig()
 			}

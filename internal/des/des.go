@@ -12,6 +12,16 @@
 // events are skipped lazily when popped, but once they outnumber the live
 // events the heap is compacted in one pass, so a burst of cancellations
 // cannot pin memory until its firing times are reached.
+//
+// A long run of known future events — a workload's arrivals — enters the
+// queue as a stream (Stream): n events at non-decreasing times that hold one
+// heap slot between them, so every pop sifts a heap the size of what can
+// fire soon, not of every request still to come. The call reserves n
+// consecutive sequence numbers and event i carries (at(i), base+i), the key
+// n up-front At calls would have given it. When event i fires the slot
+// re-arms in place at event i+1's key. Nothing whose key lies between the
+// two can be missed: any such event pops first, exactly as it would with
+// all n events queued, so the fire order is identical, not just equivalent.
 package des
 
 import (
@@ -34,6 +44,9 @@ type item struct {
 	// never allocates after creation and its handle stays valid for its
 	// whole life.
 	period units.Duration
+	// st is set for a Stream's slot, which re-arms in place at the stream's
+	// next element until the stream is exhausted.
+	st *stream
 	// gen distinguishes successive occupants of the slot; a Timer whose gen
 	// no longer matches is stale and cancels nothing.
 	gen uint32
@@ -141,6 +154,7 @@ func (s *Simulator) release(idx int32) {
 	it.gen++
 	it.fn = nil
 	it.period = 0
+	it.st = nil
 	it.canceled = false
 	it.queued = false
 	s.free = append(s.free, idx)
@@ -280,6 +294,56 @@ func (s *Simulator) Every(d units.Duration, fn Event) Timer {
 	return Timer{s: s, slot: idx, gen: s.items[idx].gen}
 }
 
+// stream is the state of one Stream: fn(sim, i) fires at at(i), and i is
+// the element the slot is queued for.
+type stream struct {
+	at   func(i int) units.Time
+	fn   func(sim *Simulator, i int)
+	i, n int
+	base uint64
+}
+
+// Stream schedules n events, event i calling fn(sim, i) at at(i), with the
+// fire order of n At(at(i), …) calls made here in index order — but the
+// queue holds one slot for all of them and no element allocates. The times
+// must not decrease: at(0) before now panics here, a later at(i+1) < at(i)
+// panics when event i has fired and the stream reads the next time. Run's
+// horizon and Stop act on the stream's pending elements as on queued events.
+func (s *Simulator) Stream(n int, at func(i int) units.Time, fn func(sim *Simulator, i int)) {
+	if at == nil || fn == nil {
+		panic("des: nil stream function")
+	}
+	if n <= 0 {
+		return
+	}
+	first := at(0)
+	if first < s.now {
+		panic(fmt.Sprintf("des: stream starts at %v before now %v", first, s.now))
+	}
+	st := &stream{at: at, fn: fn, n: n, base: s.seq}
+	idx := s.alloc(first, func(sim *Simulator) { st.fn(sim, st.i) }, 0)
+	s.items[idx].st = st
+	// alloc took base; reserve the rest so event i keeps the key base+i.
+	s.seq += uint64(n - 1)
+}
+
+// next advances a stream's slot to its following element's key and reports
+// whether there was one to re-arm at.
+func (it *item) next() bool {
+	st := it.st
+	if st.i+1 >= st.n {
+		return false
+	}
+	st.i++
+	at := st.at(st.i)
+	if at < it.at {
+		panic(fmt.Sprintf("des: stream element %d at %v precedes element %d at %v", st.i, at, st.i-1, it.at))
+	}
+	it.at = at
+	it.seq = st.base + uint64(st.i)
+	return true
+}
+
 // Stop halts the event loop after the current event returns. Remaining
 // events are discarded by Run.
 func (s *Simulator) Stop() { s.stopped = true }
@@ -310,7 +374,10 @@ func (s *Simulator) Run(horizon units.Time) units.Time {
 		fn(s)
 		// fn may have grown the slab; re-take the pointer before touching it.
 		it = &s.items[idx]
-		if it.period > 0 && !it.canceled && !s.stopped {
+		switch {
+		case it.canceled || s.stopped:
+			s.release(idx)
+		case it.period > 0:
 			// Re-arm the periodic timer in place. The fresh sequence number
 			// is taken after fn ran, so follow-up events fn scheduled at the
 			// same instant keep firing before the next tick — the same order
@@ -319,7 +386,10 @@ func (s *Simulator) Run(horizon units.Time) units.Time {
 			it.seq = s.seq
 			s.seq++
 			s.push(idx)
-		} else {
+		case it.st != nil && it.next():
+			// A stream re-arms at its next element's reserved key.
+			s.push(idx)
+		default:
 			s.release(idx)
 		}
 	}

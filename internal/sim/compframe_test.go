@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"vizsched/internal/core"
 	"vizsched/internal/units"
 )
 
@@ -84,30 +83,4 @@ func TestCompFrameUnknownAlgorithmPanics(t *testing.T) {
 		}
 	}()
 	RunCompFrame(CompFrameConfig{Nodes: 2, Algorithm: "nope"})
-}
-
-// TestEngineCompositingSelector prices the DES composite charge per
-// algorithm: dfb charges one round, the collectives their round count, and
-// "" keeps the paper's ceil-log2 model bit-exactly.
-func TestEngineCompositingSelector(t *testing.T) {
-	m := core.DefaultCostModel()
-	e := &Engine{cfg: Config{Model: m}}
-	if got := e.compositeTime(27); got != m.CompositeTime(27) {
-		t.Errorf("default selector diverged: %v vs %v", got, m.CompositeTime(27))
-	}
-	e.cfg.Compositing = "dfb"
-	if got := e.compositeTime(27); got != m.CompositeRound {
-		t.Errorf("dfb charge = %v, want one round %v", got, m.CompositeRound)
-	}
-	if got := e.compositeTime(1); got != 0 {
-		t.Errorf("single-node group charged %v", got)
-	}
-	e.cfg.Compositing = "2-3-swap"
-	if got := e.compositeTime(27); got != 4*m.CompositeRound {
-		t.Errorf("2-3-swap(27) charge = %v, want 4 rounds", got)
-	}
-	e.cfg.Compositing = "binary-swap"
-	if got := e.compositeTime(32); got != 6*m.CompositeRound {
-		t.Errorf("binary-swap(32) charge = %v, want 6 rounds", got)
-	}
 }

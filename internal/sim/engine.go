@@ -22,6 +22,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -29,7 +30,6 @@ import (
 
 	"vizsched/internal/autoscale"
 	"vizsched/internal/cache"
-	"vizsched/internal/compositing"
 	"vizsched/internal/core"
 	"vizsched/internal/des"
 	"vizsched/internal/fracshare"
@@ -179,14 +179,6 @@ type Config struct {
 	// demand work starts. nil (the default) keeps every share at 1 and
 	// reports no FracShare outcome, so golden outputs are bit-identical.
 	FracShare *fracshare.Config
-	// Compositing selects the algorithm the cost model charges per task
-	// (§5.9): "binary-swap", "2-3-swap" and "direct-send" price the group's
-	// synchronous round count via the compositing package's closed forms,
-	// and "dfb" prices the distributed framebuffer's single asynchronous
-	// push — no barrier, so the charge is one round regardless of group
-	// size. "" (the default) keeps the paper's ⌈log₂ g⌉ CompositeTime
-	// exactly, so golden outputs are bit-identical.
-	Compositing string
 }
 
 // node is the actual state of one rendering node.
@@ -352,11 +344,12 @@ type Engine struct {
 	// maxExec tracks each in-flight job's largest task execution — the
 	// denominator of the batch stretch metric (§5.13).
 	maxExec map[core.JobID]units.Duration
-	// freeExec holds finished execution records for reuse; jobsTouched and
-	// present are invokeScheduler's per-cycle scratch.
-	freeExec    []*execution
-	jobsTouched map[core.JobID]struct{}
-	present     []*core.Job
+	// freeExec holds finished execution records for reuse; present and
+	// remaining (each presented job's Remaining before Schedule) are
+	// invokeScheduler's per-cycle scratch.
+	freeExec  []*execution
+	present   []*core.Job
+	remaining []int
 }
 
 // New validates the configuration and builds an engine.
@@ -407,8 +400,6 @@ func New(cfg Config) *Engine {
 		slots:    cfg.GPUsPerNode,
 		capacity: float64(cfg.GPUsPerNode),
 		gamma:    1,
-
-		jobsTouched: make(map[core.JobID]struct{}),
 	}
 	if cfg.FracShare != nil {
 		e.initFracShare()
@@ -491,10 +482,7 @@ func (e *Engine) Run(wl *workload.Schedule, horizon units.Time) *metrics.Report 
 	if horizon <= 0 {
 		horizon = wl.Length
 	}
-	for i := range wl.Requests {
-		req := wl.Requests[i]
-		e.sim.At(req.At, func(s *des.Simulator) { e.arrive(req) })
-	}
+	streamArrivals(e.sim, wl.Requests, e.arrive)
 	if e.cfg.Scheduler.Trigger() == core.Periodic {
 		e.sim.Every(e.cfg.Scheduler.Cycle(), func(s *des.Simulator) { e.invokeScheduler() })
 	}
@@ -507,6 +495,21 @@ func (e *Engine) Run(wl *workload.Schedule, horizon units.Time) *metrics.Report 
 	e.report.Horizon = horizon
 	e.sim.Run(horizon)
 	return e.finish(horizon)
+}
+
+// streamArrivals queues a schedule's requests as one des.Stream calling
+// arrive for each, in (At, slice index) order — the order one At call per
+// request gave them. A schedule already sorted by At (workload.Generate and
+// the sweeps sort stably) streams in place; only an unsorted one is copied.
+func streamArrivals(s *des.Simulator, reqs []workload.Request, arrive func(workload.Request)) {
+	byAt := func(a, b workload.Request) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(reqs, byAt) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byAt)
+	}
+	s.Stream(len(reqs),
+		func(i int) units.Time { return reqs[i].At },
+		func(_ *des.Simulator, i int) { arrive(reqs[i]) })
 }
 
 // finish attaches the extensions' outcomes to the report once the clock has
@@ -657,12 +660,16 @@ func (e *Engine) invokeScheduler() {
 		e.present = present
 	}
 
+	remaining := e.remaining[:0]
+	for _, j := range present {
+		remaining = append(remaining, j.Remaining)
+	}
+	e.remaining = remaining
+
 	start := time.Now()
 	assignments := e.cfg.Scheduler.Schedule(e.sim.Now(), present, e.head)
 	wall := time.Since(start)
 
-	jobsTouched := e.jobsTouched
-	clear(jobsTouched)
 	for _, a := range assignments {
 		t := a.Task
 		if !t.Assigned {
@@ -672,7 +679,6 @@ func (e *Engine) invokeScheduler() {
 		if t.Job.Remaining < 0 {
 			panic(fmt.Sprintf("sim: task %v assigned twice", t))
 		}
-		jobsTouched[t.Job.ID] = struct{}{}
 		e.emit(trace.Event{Kind: trace.Assign, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: a.Node, Chunk: t.Chunk})
 		n := e.nodes[a.Node]
 		if n.failed || n.partitioned || n.draining {
@@ -686,7 +692,15 @@ func (e *Engine) invokeScheduler() {
 			e.enqueue(n, t)
 		}
 	}
-	e.report.ScheduleCall(wall, len(jobsTouched))
+	// The jobs this cycle touched are the presented ones whose Remaining
+	// dropped.
+	touched := 0
+	for i, j := range present {
+		if j.Remaining < remaining[i] {
+			touched++
+		}
+	}
+	e.report.ScheduleCall(wall, touched)
 
 	// Compact: drop fully assigned jobs from the queue.
 	live := e.queue[:0]
@@ -806,7 +820,7 @@ func (e *Engine) jitter(d units.Duration) units.Duration {
 // composite.
 func (e *Engine) renderCost(n *node, t *core.Task) units.Duration {
 	m := e.cfg.Model
-	work := m.RenderTime(t.Size) + e.compositeTime(t.Job.GroupSize())
+	work := m.RenderTime(t.Size) + m.CompositeTime(t.Job.GroupSize())
 	if e.qosc != nil && t.Job.Class == core.Interactive {
 		// Degradation rung 2: interactive frames render at half linear
 		// resolution, a quarter of the pixels — render and composite both
@@ -821,41 +835,6 @@ func (e *Engine) renderCost(n *node, t *core.Task) units.Duration {
 		n.gpu.Insert(t.Chunk, t.Size)
 	}
 	return exec
-}
-
-// compositeTime prices a task's compositing share under the configured
-// algorithm. The default ("") is the paper's model.CompositeTime; named
-// algorithms charge CompositeRound × their actual synchronous round count,
-// and dfb charges a single round — the asynchronous tile push has no
-// barrier for the group size to stretch.
-func (e *Engine) compositeTime(group int) units.Duration {
-	m := e.cfg.Model
-	switch e.cfg.Compositing {
-	case "":
-		return m.CompositeTime(group)
-	case "dfb":
-		if group <= 1 {
-			return 0
-		}
-		return m.CompositeRound
-	case "binary-swap":
-		if group <= 1 {
-			return 0
-		}
-		return m.CompositeRound * units.Duration(compositing.BinarySwapRounds(group))
-	case "2-3-swap":
-		if group <= 1 {
-			return 0
-		}
-		return m.CompositeRound * units.Duration(compositing.TwoThreeSwapRounds(group))
-	case "direct-send":
-		if group <= 1 {
-			return 0
-		}
-		return m.CompositeRound * units.Duration(compositing.DirectSendRounds(group))
-	default:
-		panic(fmt.Sprintf("sim: unknown compositing algorithm %q", e.cfg.Compositing))
-	}
 }
 
 // scaleIO applies a node's slow-disk multiplier to an I/O duration.

@@ -154,11 +154,9 @@ func (se *ShardedEngine) Run(wl *workload.Schedule, horizon units.Time) *Sharded
 	if horizon <= 0 {
 		horizon = wl.Length
 	}
-	for i := range wl.Requests {
-		req := wl.Requests[i]
-		s := se.ring.Owner(req.Tenant, req.Action)
-		se.sim.At(req.At, func(d *des.Simulator) { se.admit(s, req) })
-	}
+	streamArrivals(se.sim, wl.Requests, func(req workload.Request) {
+		se.admit(se.ring.Owner(req.Tenant, req.Action), req)
+	})
 	for i, sub := range se.subs {
 		if sub.cfg.Scheduler.Trigger() == core.Periodic {
 			i := i
