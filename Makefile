@@ -82,8 +82,10 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
-# non-test Go lines outside bench/ and in the sweep harness, the live head's
-# file and its exported fields (the options a caller can set), the longest
+# non-test Go lines outside bench/, in the sweep harness, in the two control
+# planes (internal/sim + internal/service) and in the autoscale layer (its
+# two plane files and the machine they share), the live head's file and its
+# exported fields (the options a caller can set), the longest
 # function in the live service, what is left of the head loop's closures,
 # callbacks and wall-clock reads, the extension pairs still rejected as
 # incompatible, the tables still declared as Go maps keyed by ChunkID (the
@@ -94,6 +96,8 @@ fuzz:
 design-metrics:
 	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)"
 	@printf 'non-test Go lines in internal/experiments + cmd/vizbench: %s\n' "$$(cat $$(ls internal/experiments/*.go cmd/vizbench/*.go | grep -v _test.go) | wc -l)"
+	@printf 'non-test Go lines in internal/sim + internal/service: %s\n' "$$(cat $$(ls internal/sim/*.go internal/service/*.go | grep -v _test.go) | wc -l)"
+	@printf 'non-test Go lines in the autoscale layer (two planes + autoscale/fleet.go): %s\n' "$$(cat internal/sim/autoscale.go internal/service/autoscale.go internal/autoscale/fleet.go | wc -l)"
 	@printf 'internal/service/head.go lines: %s\n' "$$(wc -l < internal/service/head.go)"
 	@printf 'exported fields on service.Head: %s\n' "$$(awk '/^type Head struct/{f=1; next} f && /^}/{f=0} f && /^\t[A-Z]/{n++} END{print n}' internal/service/head.go)"
 	@printf 'longest function under internal/service: %s\n' "$$(awk 'FNR==1{s=0} /^func .*[^}]$$/{s=FNR; n=$$0; sub(/^func (\([^)]*\) )?/, "", n); sub(/[\[(].*/, "", n)} s&&/^}/{print FNR-s+1, n, "(" FILENAME ")"; s=0}' $$(ls internal/service/*.go | grep -v _test.go) | sort -rn | head -1)"

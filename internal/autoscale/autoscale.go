@@ -134,10 +134,8 @@ type Signals struct {
 	DrainingNodes int
 
 	// QueueDepth is every job waiting for a node: the scheduler's working
-	// window plus the QoS fair queues behind it. BatchBacklog is the
-	// batch-class subset (deferred work, not latency pressure).
-	QueueDepth   int
-	BatchBacklog int
+	// window plus the QoS fair queues behind it.
+	QueueDepth int
 
 	// MinHeadroom is the worst tenant's SLO headroom, 1 − p95/SLO clamped
 	// to [0,1]; 1 when no interactive latency has been observed yet.

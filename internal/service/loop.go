@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"vizsched/internal/cache"
@@ -332,11 +331,11 @@ func (l *headLoop) fail(lj *liveJob, msg string) {
 	l.failJob(lj, msg)
 }
 
-// requeue returns dispatched task i to the schedulable queue and counts it:
-// as a crash redispatch when the task is presumed lost, as a migration when
-// a drain steals it back (§5.12) — the two counters the autoscaler must keep
-// disjoint.
-func (l *headLoop) requeue(lj *liveJob, i int, counter *atomic.Int64) {
+// requeue returns dispatched task i to the schedulable queue. The caller
+// counts it: as a crash redispatch when the task is presumed lost, as a
+// migration when a drain hands it back (§5.12) — the two counters the
+// autoscaler must keep disjoint.
+func (l *headLoop) requeue(lj *liveJob, i int) {
 	t := &lj.job.Tasks[i]
 	t.Assigned = false
 	t.PredictedExec = 0
@@ -352,7 +351,6 @@ func (l *headLoop) requeue(lj *liveJob, i int, counter *atomic.Int64) {
 		l.queue = append(l.queue, lj)
 	}
 	lj.job.Remaining++
-	counter.Add(1)
 	if l.h.frac != nil {
 		l.h.frac.note(int(lj.nodes[i]), -1, false, l.h.now())
 	}
@@ -415,9 +413,11 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 	if conn != nil { // a recovered head's slot may never have connected
 		conn.Close()
 	}
-	for _, t := range l.outstanding(node) {
-		l.requeue(t.lj, t.i, &h.stats.tasksRedispatched)
+	owed := l.outstanding(node)
+	for _, t := range owed {
+		l.requeue(t.lj, t.i)
 	}
+	h.stats.tasksRedispatched.Add(int64(len(owed)))
 }
 
 // check is the periodic event: the fault-tolerance scan, then what samples
@@ -442,7 +442,7 @@ func (l *headLoop) check() {
 		h.frac.sample()
 	}
 	if l.scaler != nil {
-		l.scaler.tick()
+		l.scaler.tick(depth)
 	}
 }
 
@@ -480,7 +480,8 @@ func (l *headLoop) checkHealth() {
 			}
 			if !lj.retryAt[i].IsZero() {
 				if now.After(lj.retryAt[i]) {
-					l.requeue(lj, i, &h.stats.tasksRedispatched)
+					l.requeue(lj, i)
+					h.stats.tasksRedispatched.Add(1)
 					changed = true
 				}
 				continue
@@ -715,8 +716,9 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 	// than at the next tick or arrival.
 	l.schedule()
 	// Pre-warmed bring-up: a worker that came back from Down is cold —
-	// for the warm-up window the autoscaler's tick copies the hottest
-	// predicted chunks onto it through the governor.
+	// its first warm goes out now, and for the rest of the warm-up window
+	// the autoscaler's tick copies the hottest predicted chunks onto it
+	// through the governor.
 	if l.scaler != nil && health == core.HealthDown {
 		l.scaler.noteBringup(node)
 	}

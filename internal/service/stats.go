@@ -14,6 +14,7 @@ import (
 
 	"vizsched/internal/autoscale"
 	"vizsched/internal/core"
+	"vizsched/internal/metrics"
 )
 
 // headStats holds the service's operational counters; all fields are
@@ -82,21 +83,35 @@ type headStats struct {
 	schedCycles atomic.Int64
 	earlyCycles atomic.Int64
 
-	// Autoscale counters (§5.12) — deliberately disjoint from the crash
-	// counters above: a graceful drain increments these and never
+	// Autoscale (§5.12): the live scaler's desired-workers gauge, and its
+	// copy of the shared machine's account — deliberately disjoint from the
+	// crash counters above: a graceful drain counts there and never in
 	// workersDown, tasksRedispatched, the MTTR accumulators, or
 	// chunksReseeded.
-	desiredWorkers  atomic.Int64
-	drains          atomic.Int64
-	drainsCompleted atomic.Int64
-	tasksMigrated   atomic.Int64
-	drainRehomed    atomic.Int64
-	drainOrphaned   atomic.Int64
-	orphanWarms     atomic.Int64
-	bringupWarms    atomic.Int64
+	desiredWorkers atomic.Int64
+	scaledMu       sync.Mutex
+	scaled         metrics.AutoscaleOutcome
 
 	// frameLat samples end-to-end frame latencies for the quantile view.
 	frameLat ring[time.Duration]
+}
+
+// autoscaleSnapshot reads the desired-workers gauge and the account the live
+// scaler last published; the live worker counts are the caller's.
+func (s *headStats) autoscaleSnapshot() *AutoscaleSnapshot {
+	s.scaledMu.Lock()
+	defer s.scaledMu.Unlock()
+	o := &s.scaled
+	return &AutoscaleSnapshot{
+		DesiredWorkers:  s.desiredWorkers.Load(),
+		Drains:          o.Drains,
+		DrainsCompleted: o.DrainsCompleted,
+		TasksMigrated:   o.TasksMigrated,
+		DrainRehomed:    o.DrainRehomed,
+		DrainOrphaned:   o.DrainOrphaned,
+		OrphanWarms:     o.OrphanWarms,
+		BringupWarms:    o.BringupWarms,
+	}
 }
 
 // ring keeps the most recent samples in a fixed window for cheap streaming
@@ -368,16 +383,7 @@ func (h *Head) Stats() StatsSnapshot {
 		s.Prefetch = p
 	}
 	if h.Autoscale != nil {
-		a := &AutoscaleSnapshot{
-			DesiredWorkers:  h.stats.desiredWorkers.Load(),
-			Drains:          h.stats.drains.Load(),
-			DrainsCompleted: h.stats.drainsCompleted.Load(),
-			TasksMigrated:   h.stats.tasksMigrated.Load(),
-			DrainRehomed:    h.stats.drainRehomed.Load(),
-			DrainOrphaned:   h.stats.drainOrphaned.Load(),
-			OrphanWarms:     h.stats.orphanWarms.Load(),
-			BringupWarms:    h.stats.bringupWarms.Load(),
-		}
+		a := h.stats.autoscaleSnapshot()
 		for k := range h.healthView {
 			switch core.Health(h.healthView[k].Load()) {
 			case core.HealthUp, core.HealthSuspect:

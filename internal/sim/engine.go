@@ -490,7 +490,7 @@ func (e *Engine) Run(wl *workload.Schedule, horizon units.Time) *metrics.Report 
 		e.inject(f)
 	}
 	if e.scaler != nil {
-		e.sim.Every(e.scaler.pol.Config().Interval, func(s *des.Simulator) { e.autoscaleTick() })
+		e.sim.Every(e.scaler.fleet.Config().Interval, func(s *des.Simulator) { e.autoscaleTick() })
 	}
 	e.report.Horizon = horizon
 	e.sim.Run(horizon)
@@ -1022,7 +1022,7 @@ func (e *Engine) repair(k core.NodeID) {
 	if !n.failed {
 		return
 	}
-	if e.scaler != nil && e.scaler.inactive[k] {
+	if e.scaler != nil && e.scaler.parked[k] {
 		// The slot is parked by the autoscaler, not crashed; only a
 		// scale-up decision may return it to service.
 		return
