@@ -19,13 +19,14 @@ import (
 // is placed only on nodes that have served no interactive task for the
 // idle threshold ε = Estimate[c]/2.
 //
-// A scheduler instance keeps scratch buffers (the H_I/H_B tables, the
-// group slab, and the assignment output) that are recycled between cycles,
-// so a steady-state cycle allocates only when the queue outgrows every
-// previous cycle. Consequently an instance is not safe for concurrent use,
-// and the slice returned by Schedule is only valid until the next Schedule
-// call — both fine for the engine, which owns one instance per run and
-// consumes assignments synchronously.
+// A scheduler instance keeps scratch buffers (the H_I table, the free
+// groups, and the assignment output) that are recycled between cycles, and
+// carries H_B itself from one cycle to the next (group), so a steady-state
+// cycle allocates only when the queue outgrows every previous cycle.
+// Consequently an instance is not safe for concurrent use, and the slice
+// returned by Schedule is only valid until the next Schedule call — both
+// fine for the engine, which owns one instance per run and consumes
+// assignments synchronously.
 type LocalityScheduler struct {
 	cycle units.Duration
 	// DisableIdleGuard drops the ε idle-time condition on non-cached batch
@@ -59,11 +60,20 @@ type LocalityScheduler struct {
 	// (the default) emits no co-scheduled assignments.
 	coShare float64
 
+	// H_I and H_B, indexed by Class: groups[class] holds a class's groups in
+	// chunk order, byChunk[class] finds them by chunk. H_I lives one cycle
+	// (its map is empty between walks); H_B is carried across cycles, with
+	// the batch jobs it was grouped from (carried, in window order) and the
+	// head whose residency sets its groups hold (hbHead).
+	byChunk [2]volume.ChunkMap[*chunkGroup]
+	groups  [2][]*chunkGroup
+	carried []*Job
+	hbHead  *HeadState
+
 	// Per-cycle scratch, reused across Schedule calls.
-	byChunk                 [2]volume.ChunkMap[*chunkGroup] // H_I, H_B, indexed by Class; empty between walks
-	groups                  [2][]*chunkGroup                // H_I, H_B's entries in chunk order
-	groupSlab               []*chunkGroup
-	usedGroups              int
+	slab                    []*chunkGroup // H_I's groups, reused every cycle
+	free                    []*chunkGroup // groups H_B let go
+	batch                   []*Job        // the presented batch jobs; becomes carried
 	cached, nonCached, rest []*chunkGroup
 	starts                  startTree
 	out                     []Assignment
@@ -125,14 +135,19 @@ func (s *LocalityScheduler) spreadEvery() int {
 	return DefaultSpreadEvery
 }
 
-// chunkGroup is one entry of the H_I / H_B tables: the unassigned
-// tasks within this cycle that need the same chunk, plus the sort keys
-// Schedule precomputes so its orderings never call into the head tables
-// from inside a comparator.
+// chunkGroup is one entry of the H_I / H_B tables: the unassigned tasks that
+// need the same chunk, in window order, plus the sort keys Schedule
+// precomputes so its orderings never call into the head tables from inside
+// a comparator.
 type chunkGroup struct {
 	chunk volume.ChunkID
 	size  units.Bytes
+	// tasks[off:] are the pending tasks. A task leaves the group the moment
+	// it is assigned (drop): its slot is cleared, so a group never pins a
+	// job whose tasks have all been placed, and push compacts the array
+	// before it would grow.
 	tasks []*Task
+	off   int
 	// on is Cache[c], the head's live residency set: "is c cached on node
 	// k" is a bit test that sees placements committed earlier in the cycle.
 	on nodeSet
@@ -142,68 +157,189 @@ type chunkGroup struct {
 	replicas int
 }
 
-// newGroup takes a recycled group from the slab (growing it on first use).
-func (s *LocalityScheduler) newGroup(c volume.ChunkID, size units.Bytes, on nodeSet) *chunkGroup {
-	if s.usedGroups == len(s.groupSlab) {
-		s.groupSlab = append(s.groupSlab, new(chunkGroup))
+// pending returns the group's pending tasks in window order.
+func (g *chunkGroup) pending() []*Task { return g.tasks[g.off:] }
+
+// push appends a pending task.
+func (g *chunkGroup) push(t *Task) {
+	if g.off > 0 && len(g.tasks) == cap(g.tasks) {
+		n := copy(g.tasks, g.tasks[g.off:])
+		clear(g.tasks[n:])
+		g.tasks, g.off = g.tasks[:n], 0
 	}
-	g := s.groupSlab[s.usedGroups]
-	s.usedGroups++
+	g.tasks = append(g.tasks, t)
+}
+
+// drop lets the first pending task leave the group.
+func (g *chunkGroup) drop() {
+	g.tasks[g.off] = nil
+	g.off++
+}
+
+// newGroup returns an empty group for chunk c. A cycle's i-th H_I group is
+// the slab's i-th, so its task array mostly fits already (the walk meets
+// the chunks in much the same order every cycle); an H_B group is one H_B
+// let go, or a new one.
+func (s *LocalityScheduler) newGroup(class Class, c volume.ChunkID, size units.Bytes, on nodeSet) *chunkGroup {
+	var g *chunkGroup
+	switch n := len(s.free); {
+	case class == Interactive:
+		i := s.byChunk[Interactive].Len()
+		if i == len(s.slab) {
+			s.slab = append(s.slab, new(chunkGroup))
+		}
+		g = s.slab[i]
+	case n > 0:
+		g, s.free = s.free[n-1], s.free[:n-1]
+	default:
+		g = new(chunkGroup)
+	}
+	clear(g.pending()) // a placed task's slot is clear already
 	g.chunk = c
 	g.size = size
 	g.tasks = g.tasks[:0]
+	g.off = 0
 	g.on = on
 	g.est = 0
 	g.replicas = 0
 	return g
 }
 
-// groupByChunk is lines 2–7: one walk over the queue buckets the unassigned
-// tasks of each class by chunk, the groups of a class in chunk order for
-// determinism. H_I and H_B are ChunkMaps, so a task costs a slice index
-// rather than a hash; the walk reads each class's groups out of its map in
-// chunk order and leaves the map empty, so no group pointer survives its
-// cycle.
-func (s *LocalityScheduler) groupByChunk(queue []*Job, head *HeadState) {
-	s.usedGroups = 0
+// release empties g, which H_B let go, for newGroup.
+func (s *LocalityScheduler) release(g *chunkGroup) {
+	clear(g.pending())
+	g.tasks, g.off = g.tasks[:0], 0
+	s.free = append(s.free, g)
+}
+
+// group is lines 2–7: the presented jobs' unassigned tasks bucketed by chunk
+// into H_I and H_B, each class's groups in chunk order. H_I is built fresh
+// by one walk over the interactive jobs' tasks. H_B is carried (DESIGN.md
+// §5.17 "The carried window"): when carries says the presented batch jobs
+// extend the ones it holds, only the new jobs' tasks are appended; otherwise
+// H_B is emptied and every presented batch job appended — the same append.
+// Either way a group's tasks stay in window order.
+func (s *LocalityScheduler) group(queue []*Job, head *HeadState) {
+	batch := s.batch[:0]
 	for _, j := range queue {
-		byChunk := &s.byChunk[j.Class]
-		for i := range j.Tasks {
-			t := &j.Tasks[i]
-			if t.Assigned {
-				continue
-			}
-			g, _ := byChunk.Get(t.Chunk)
-			if g == nil {
-				g = s.newGroup(t.Chunk, t.Size, head.residency(t.Chunk))
-				byChunk.Set(t.Chunk, g)
-			}
-			g.tasks = append(g.tasks, t)
+		if j.Class == Batch {
+			batch = append(batch, j)
+		} else {
+			s.add(Interactive, j, head)
 		}
 	}
-	for class := range s.groups {
-		gs := s.groups[class][:0]
-		s.byChunk[class].Range(func(_ volume.ChunkID, g *chunkGroup) bool {
-			gs = append(gs, g)
-			return true
-		})
-		s.groups[class] = gs
-		s.byChunk[class].Clear()
+	from, ok := s.carries(batch, head)
+	if !ok {
+		for _, g := range s.groups[Batch] {
+			s.release(g)
+		}
+		s.groups[Batch] = s.groups[Batch][:0]
+		s.byChunk[Batch].Clear()
+		s.hbHead = head
 	}
+	had := s.byChunk[Batch].Len()
+	for _, j := range batch[from:] {
+		s.add(Batch, j, head)
+	}
+	clear(s.carried)
+	s.carried, s.batch = batch, s.carried[:0]
+	s.readGroups(Interactive)
+	s.byChunk[Interactive].Clear()
+	if s.byChunk[Batch].Len() != had {
+		s.readGroups(Batch)
+	}
+}
+
+// add appends j's unassigned tasks to their class's groups.
+func (s *LocalityScheduler) add(class Class, j *Job, head *HeadState) {
+	byChunk := &s.byChunk[class]
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
+		if t.Assigned {
+			continue
+		}
+		g, _ := byChunk.Get(t.Chunk)
+		if g == nil {
+			g = s.newGroup(class, t.Chunk, t.Size, head.residency(t.Chunk))
+			byChunk.Set(t.Chunk, g)
+		}
+		g.push(t)
+	}
+}
+
+// readGroups reads a class's groups out of its map in chunk order.
+func (s *LocalityScheduler) readGroups(class Class) {
+	gs := s.groups[class][:0]
+	s.byChunk[class].Range(func(_ volume.ChunkID, g *chunkGroup) bool {
+		gs = append(gs, g)
+		return true
+	})
+	s.groups[class] = gs
+}
+
+// carries reports whether H_B as the last cycle left it is the grouping of
+// the presented batch jobs up to the first new one, whose index it returns.
+// Three conditions must hold (DESIGN.md §5.17 "The carried window"):
+//  1. the presented jobs start with the carried ones in the same order, less
+//     those that finished — a job that left with tasks pending, or moved,
+//     fails this;
+//  2. the carried jobs' Remaining sums to the tasks H_B holds: every task H_B
+//     let go was assigned, and Remaining only rises by a requeue, which puts
+//     back a task H_B no longer holds;
+//  3. head is the one whose residency sets H_B's groups hold.
+func (s *LocalityScheduler) carries(batch []*Job, head *HeadState) (int, bool) {
+	if head != s.hbHead {
+		return 0, false
+	}
+	i, remaining := 0, 0
+	for _, j := range s.carried {
+		remaining += j.Remaining
+		if i < len(batch) && batch[i] == j {
+			i++
+		} else if j.Remaining != 0 {
+			return 0, false
+		}
+	}
+	held := 0
+	for _, g := range s.groups[Batch] {
+		held += len(g.pending())
+	}
+	if remaining != held {
+		return 0, false
+	}
+	return i, true
+}
+
+// front returns g's first pending task, nil when it has none. A held task
+// found assigned means H_B went stale unseen: the live head reclaims a
+// requeued task whose first run reported after all, and a requeue in the
+// same interval can balance carries' sum. The task is dropped and H_B is
+// rebuilt next cycle.
+func (s *LocalityScheduler) front(g *chunkGroup) *Task {
+	for ; g.off < len(g.tasks); g.drop() {
+		if t := g.tasks[g.off]; !t.Assigned {
+			return t
+		}
+		s.hbHead = nil
+	}
+	return nil
 }
 
 // Schedule implements Algorithm 1.
 func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment {
 	lambda := now.Add(s.cycle) // λ: the next scheduling time
+	clear(s.out)               // the last cycle's assignments must not pin their jobs
 	out := s.out[:0]
-	assign := func(t *Task, k NodeID) {
+	// take assigns g's first pending task t to node k; t leaves the group.
+	take := func(g *chunkGroup, t *Task, k NodeID) {
+		g.drop()
 		t.Assigned = true
 		head.CommitAssign(t, k, now)
 		out = append(out, Assignment{Task: t, Node: k})
 	}
 
 	// Lines 2–7: decompose queued jobs into per-chunk task groups.
-	s.groupByChunk(queue, head)
+	s.group(queue, head)
 	hi, hb := s.groups[Interactive], s.groups[Batch]
 
 	// Lines 8–9: split interactive groups into cached / non-cached; sort the
@@ -236,8 +372,8 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		if !ok {
 			return // no node alive; engine will retry next cycle
 		}
-		for _, t := range g.tasks {
-			assign(t, k)
+		for _, t := range g.pending() {
+			take(g, t, k)
 		}
 		s.starts.set(k, max(head.Available[k], now))
 	}
@@ -270,13 +406,9 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 			if !ok || !head.Available[sec].Before(lambda) {
 				continue
 			}
-			if !s.DisableIdleGuard {
-				eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
-				if head.InteractiveIdle(sec, now) <= eps {
-					continue
-				}
+			if t := s.front(g); t != nil && s.idleOK(head, g, t, sec, now) {
+				take(g, t, sec)
 			}
-			assign(g.tasks[0], sec)
 		}
 	}
 
@@ -292,14 +424,11 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 			if !g.on.has(node) {
 				continue
 			}
-			for _, t := range g.tasks {
-				if t.Assigned {
-					continue
-				}
+			for t := s.front(g); t != nil; t = s.front(g) {
 				if !head.Available[k].Before(lambda) {
 					break cachedBatch
 				}
-				assign(t, node)
+				take(g, t, node)
 			}
 		}
 	}
@@ -308,14 +437,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	// replicas), placed only on nodes idle of interactive work for ε.
 	rest := s.rest[:0]
 	for _, g := range hb {
-		pending := g.tasks[:0]
-		for _, t := range g.tasks {
-			if !t.Assigned {
-				pending = append(pending, t)
-			}
-		}
-		g.tasks = pending
-		if len(g.tasks) > 0 {
+		if s.front(g) != nil {
 			g.replicas = g.on.countIn(head.up)
 			rest = append(rest, g)
 		}
@@ -335,15 +457,13 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 		}
 		for gi < len(rest) && head.Available[k].Before(lambda) {
 			g := rest[gi]
-			if len(g.tasks) == 0 {
+			t := s.front(g)
+			if t == nil {
 				gi++
 				continue
 			}
-			if !s.DisableIdleGuard {
-				eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
-				if head.InteractiveIdle(node, now) <= eps {
-					break // this node served interactive work too recently
-				}
+			if !s.idleOK(head, g, t, node, now) {
+				break // this node served interactive work too recently
 			}
 			// Replication (§5.6): once the group's first task has seeded a
 			// home (replica count ≥ 1), later tasks of an under-replicated
@@ -355,14 +475,13 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 					s.spreadTick++
 					if s.spreadTick%s.spreadEvery() == 0 {
 						if sec, ok := head.SecondaryFor(g.chunk); ok && sec != node &&
-							head.Available[sec].Before(lambda) && s.idleOK(head, g, sec, now) {
+							head.Available[sec].Before(lambda) && s.idleOK(head, g, t, sec, now) {
 							target = sec
 						}
 					}
 				}
 			}
-			assign(g.tasks[0], target)
-			g.tasks = g.tasks[1:]
+			take(g, t, target)
 		}
 	}
 	// Co-schedule pass (§5.13): every alive node the demand passes above
@@ -376,45 +495,35 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	// in hb order — with QoS enabled the presented window was popped by DRR,
 	// so guest picks inherit the same fair-order guarantee as demand batch.
 	if s.coShare > 0 {
-		firstUnassigned := func(g *chunkGroup) *Task {
-			for _, t := range g.tasks {
-				if !t.Assigned {
-					return t
-				}
-			}
-			return nil
-		}
 		for k := 0; k < head.Nodes(); k++ {
 			node := NodeID(k)
 			if !head.Alive(node) || head.CoBusy(node) || head.Available[k].After(now) {
 				continue
 			}
-			var pick *Task
-			for _, g := range hb {
-				if !g.on.has(node) {
-					continue
-				}
-				if t := firstUnassigned(g); t != nil {
-					pick = t
-					break
-				}
-			}
-			if pick == nil {
-				for _, g := range hb {
-					if t := firstUnassigned(g); t != nil {
-						pick = t
-						break
-					}
-				}
-			}
+			g, pick := s.guest(hb, node)
 			if pick == nil {
 				break // no pending batch work anywhere
 			}
+			g.drop()
 			pick.Assigned = true
 			head.CommitCoAssign(pick, node, now)
 			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
 		}
 	}
+
+	// Empty groups leave H_B before the next cycle: its replication pass
+	// must not count one toward spreadTick.
+	kept := hb[:0]
+	for _, g := range hb {
+		if s.front(g) == nil {
+			s.byChunk[Batch].Delete(g.chunk)
+			s.release(g)
+		} else {
+			kept = append(kept, g)
+		}
+	}
+	clear(hb[len(kept):])
+	s.groups[Batch] = kept
 
 	// Prefetch pass (§5.8): runs last, over whatever idle capacity the
 	// demand passes left inside [now, λ).
@@ -426,13 +535,31 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	return out
 }
 
+// guest picks node k's co-scheduled task: the first pending task of the
+// first group cached on k, else of the first group with one.
+func (s *LocalityScheduler) guest(hb []*chunkGroup, k NodeID) (*chunkGroup, *Task) {
+	for _, g := range hb {
+		if g.on.has(k) {
+			if t := s.front(g); t != nil {
+				return g, t
+			}
+		}
+	}
+	for _, g := range hb {
+		if t := s.front(g); t != nil {
+			return g, t
+		}
+	}
+	return nil, nil
+}
+
 // idleOK reports whether node k satisfies the ε idle-time condition for
-// placing a non-cached batch task of the group's chunk.
-func (s *LocalityScheduler) idleOK(head *HeadState, g *chunkGroup, k NodeID, now units.Time) bool {
+// placing t, a non-cached batch task of the group's chunk.
+func (s *LocalityScheduler) idleOK(head *HeadState, g *chunkGroup, t *Task, k NodeID, now units.Time) bool {
 	if s.DisableIdleGuard {
 		return true
 	}
-	eps := head.IdleThreshold(g.chunk, g.size, g.tasks[0].Job.GroupSize())
+	eps := head.IdleThreshold(g.chunk, g.size, t.Job.GroupSize())
 	return head.InteractiveIdle(k, now) > eps
 }
 
@@ -446,7 +573,7 @@ func (s *LocalityScheduler) idleOK(head *HeadState, g *chunkGroup, k NodeID, now
 // A miss price that comes through the estimate source per node keeps the
 // scan, which asks it once per non-resident node.
 func (s *LocalityScheduler) bestNode(now units.Time, g *chunkGroup, head *HeadState) (NodeID, bool) {
-	price := head.price(g.tasks[0], g.on)
+	price := head.price(g.pending()[0], g.on)
 	if price.perNode {
 		return scanBestNode(now, &price, head)
 	}

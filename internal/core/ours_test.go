@@ -2,10 +2,13 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"vizsched/internal/cache"
 	"vizsched/internal/units"
@@ -263,9 +266,13 @@ type diffConfig struct {
 	noGuard         bool
 	coShare         float64
 	prefetch, src   bool
-	// shapes adds the job shapes groupByChunk's per-dataset rows must get
+	// shapes adds the job shapes H_I and H_B's per-dataset rows must get
 	// right (shapedJobs).
 	shapes bool
+	// window, when positive, shows each cycle only the first window batch
+	// jobs of the queue (and every interactive one), the simulator's
+	// BatchWindow.
+	window int
 }
 
 // stubPlanner asks, every cycle, for one warm on the first alive node that
@@ -356,21 +363,46 @@ type transcript struct {
 }
 
 // driveOurs runs sched for many cycles over a seeded history of arrivals,
-// completions with evictions, warms, and node health changes. Every random
-// draw depends only on the seed and on table state, so two schedulers that
-// decide alike see identical histories.
+// completions with evictions, warms, and node health changes, and of the
+// events a carried H_B must survive: a requeue mid-window, a finished job
+// back at the queue's tail, a batch job leaving with tasks pending (the live
+// head's fail), a fresh head (a standby's tables) and, with cfg.window, a
+// window that slides along a longer queue. Every random draw depends only on
+// the seed and on table state, so two schedulers that decide alike see
+// identical histories. When sched is a LocalityScheduler, the H_B it carries
+// out of every cycle is held to a fresh grouping (checkCarried).
 func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles int) transcript {
 	rng := rand.New(rand.NewSource(seed))
 	head := NewHeadState(cfg.nodes, units.GB, System1CostModel())
 	head.SetReplication(cfg.replicas)
 	var tr transcript
-	if cfg.src {
-		head.SetEstimateSource(func(c volume.ChunkID) (units.Duration, bool) {
-			tr.srcCalls++
-			return units.Duration(c.Index+1) * 300 * units.Millisecond, c.Index%2 == 0
-		})
+	source := func(c volume.ChunkID) (units.Duration, bool) {
+		tr.srcCalls++
+		return units.Duration(c.Index+1) * 300 * units.Millisecond, c.Index%2 == 0
 	}
-	var queue []*Job
+	if cfg.src {
+		head.SetEstimateSource(source)
+	}
+	// requeue hands one of j's assigned tasks back, as a crash or a drain
+	// does: the job is queued again if it had left.
+	var queue, done []*Job
+	requeue := func(j *Job) {
+		var assigned []int
+		for i := range j.Tasks {
+			if j.Tasks[i].Assigned {
+				assigned = append(assigned, i)
+			}
+		}
+		if len(assigned) == 0 {
+			return
+		}
+		task := &j.Tasks[assigned[rng.Intn(len(assigned))]]
+		task.Assigned, task.PredictedExec = false, 0
+		if j.Remaining == 0 {
+			queue = append(queue, j)
+		}
+		j.Remaining++
+	}
 	now := units.Time(0)
 	for next := JobID(1); len(tr.cycles) < cycles; {
 		for i := rng.Intn(5); i > 0; i-- {
@@ -414,9 +446,46 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 				break
 			}
 		}
+		switch rng.Intn(12) {
+		case 0, 1:
+			if len(queue) > 0 {
+				requeue(queue[rng.Intn(len(queue))])
+			}
+		case 2:
+			if len(done) > 0 {
+				i := rng.Intn(len(done))
+				j := done[i]
+				done = slices.Delete(done, i, i+1)
+				requeue(j)
+			}
+		case 3:
+			if i := rng.Intn(len(queue) + 1); i < len(queue) && queue[i].Class == Batch {
+				queue = slices.Delete(queue, i, i+1)
+			}
+		case 4:
+			if rng.Intn(4) == 0 {
+				head = LoadTables(head.Dump(), head.Model)
+				if cfg.src {
+					head.SetEstimateSource(source)
+				}
+			}
+		}
+		present := queue
+		if cfg.window > 0 {
+			present = nil
+			batch := 0
+			for _, j := range queue {
+				if j.Class == Interactive || batch < cfg.window {
+					present = append(present, j)
+				}
+				if j.Class == Batch {
+					batch++
+				}
+			}
+		}
 
 		var got []placed
-		for _, a := range sched.Schedule(now, queue, head) {
+		for _, a := range sched.Schedule(now, present, head) {
 			got = append(got, placed{a.Task.Job.ID, a.Task.Index, a.Node, a.CoScheduled})
 			a.Task.Job.Remaining--
 			if rng.Intn(2) == 0 {
@@ -436,6 +505,11 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 			}
 		}
 		tr.cycles = append(tr.cycles, got)
+		if s, ok := sched.(*LocalityScheduler); ok {
+			if err := checkCarried(s, present, head); err != nil {
+				t.Fatalf("seed %d %+v cycle %d: %v", seed, cfg, len(tr.cycles), err)
+			}
+		}
 		for _, d := range sched.PlannedPrefetches() {
 			head.MarkPrefetched(d.Chunk, d.Node, d.Size)
 		}
@@ -447,13 +521,68 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 		for _, j := range queue {
 			if j.Remaining > 0 {
 				live = append(live, j)
+			} else {
+				done = append(done, j)
 			}
 		}
+		clear(queue[len(live):])
 		queue = live
 		now = now.Add([]units.Duration{units.Millisecond, 10 * units.Millisecond, 200 * units.Millisecond, 5 * units.Second}[rng.Intn(4)])
 	}
 	tr.dump = head.Dump()
 	return tr
+}
+
+// checkCarried holds the H_B a cycle leaves behind to a fresh grouping of
+// the jobs the cycle was shown: the same groups in chunk order, each with
+// the same pending tasks in window order, its chunk's residency set on this
+// head (the same slice, not a copy) and its first task's size, every group
+// found through the map, and the presented batch jobs carried in order.
+func checkCarried(s *LocalityScheduler, present []*Job, head *HeadState) error {
+	var batch []*Job
+	var want []*chunkGroup
+	byChunk := make(map[volume.ChunkID]*chunkGroup)
+	for _, j := range present {
+		if j.Class != Batch {
+			continue
+		}
+		batch = append(batch, j)
+		for i := range j.Tasks {
+			t := &j.Tasks[i]
+			if t.Assigned {
+				continue
+			}
+			g := byChunk[t.Chunk]
+			if g == nil {
+				on, _ := head.where.Get(t.Chunk)
+				g = &chunkGroup{chunk: t.Chunk, size: t.Size, on: on}
+				byChunk[t.Chunk] = g
+				want = append(want, g)
+			}
+			g.tasks = append(g.tasks, t)
+		}
+	}
+	slices.SortFunc(want, func(a, b *chunkGroup) int { return volume.CompareChunks(a.chunk, b.chunk) })
+	if !slices.Equal(s.carried, batch) {
+		return fmt.Errorf("H_B carries %d jobs, the cycle was shown %d batch jobs", len(s.carried), len(batch))
+	}
+	got := s.groups[Batch]
+	if len(got) != len(want) || s.byChunk[Batch].Len() != len(want) {
+		return fmt.Errorf("H_B holds %d groups (%d in its map), a fresh grouping %d", len(got), s.byChunk[Batch].Len(), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.chunk != w.chunk || g.size != w.size || !slices.Equal(g.pending(), w.tasks) {
+			return fmt.Errorf("H_B group %d is %v (%v) %v, a fresh grouping's %v (%v) %v", i, g.chunk, g.size, g.pending(), w.chunk, w.size, w.tasks)
+		}
+		if len(g.on) == 0 || len(w.on) == 0 || &g.on[0] != &w.on[0] {
+			return fmt.Errorf("H_B group %v does not hold the head's residency set", g.chunk)
+		}
+		if m, _ := s.byChunk[Batch].Get(g.chunk); m != g {
+			return fmt.Errorf("H_B's map does not find group %v", g.chunk)
+		}
+	}
+	return nil
 }
 
 // TestReferenceScheduleDifferential holds Schedule to the scheduler it
@@ -535,7 +664,7 @@ func TestReferenceScheduleDifferentialBestNode(t *testing.T) {
 				for n := rng.Intn(3) + 1; n > 0; n-- {
 					tasks = append(tasks, &newJob(id, ds).Tasks[ci])
 				}
-				g := s.newGroup(tasks[0].Chunk, size, head.residency(tasks[0].Chunk))
+				g := s.newGroup(Interactive, tasks[0].Chunk, size, head.residency(tasks[0].Chunk))
 				g.tasks = append(g.tasks, tasks...)
 				got, ok := s.bestNode(now, g, head)
 				want, wantOK := ref.bestNode(now, &refGroup{chunk: g.chunk, size: size, tasks: tasks}, head)
@@ -570,6 +699,9 @@ func differential(t *testing.T, seed int64, shapes bool) {
 	}
 	if rng.Intn(2) == 0 {
 		cfg.coShare = 0.25
+	}
+	if rng.Intn(3) == 0 {
+		cfg.window = rng.Intn(6) + 2
 	}
 	fast := NewLocalityScheduler(0)
 	fast.Replicas, fast.DisableIdleGuard, fast.coShare = cfg.replicas, cfg.noGuard, cfg.coShare
@@ -670,10 +802,71 @@ func TestInvariantResidencyIndexRandomOps(t *testing.T) {
 	}
 }
 
+// TestInvariantScheduleReleasesFinishedJobs: once a later cycle has run,
+// nothing the scheduler keeps — H_I, H_B, the spare groups, the passes'
+// scratch, the last output — reaches a job whose tasks were all assigned,
+// so a carried H_B cannot pin finished jobs.
+func TestInvariantScheduleReleasesFinishedJobs(t *testing.T) {
+	for _, class := range []Class{Interactive, Batch} {
+		s := NewLocalityScheduler(0)
+		head := NewHeadState(8, 8*units.GB, System1CostModel())
+		done := mkJob(1, class, 1, 1, 4, 96*units.MB, 0)
+		ref := weak.Make(done)
+		if n := len(s.Schedule(0, []*Job{done}, head)); n != len(done.Tasks) {
+			t.Fatalf("%v: the first cycle assigned %d of %d tasks", class, n, len(done.Tasks))
+		}
+		done.Remaining = 0
+		done = nil
+		s.Schedule(units.Time(units.Second), []*Job{mkJob(2, class, 2, 2, 1, 96*units.MB, 0)}, head)
+		runtime.GC()
+		if ref.Value() != nil {
+			t.Errorf("%v: a finished job is still reachable after a later cycle", class)
+		}
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(head)
+	}
+}
+
+// TestInvariantCarriedWindowReclaim: the live head can reclaim a requeued
+// task H_B holds (its first run reported after all) while a requeue in the
+// same interval puts back another, which balances carries' Remaining sum.
+// The held task must not be assigned a second time, and the requeued one
+// must still be placed.
+func TestInvariantCarriedWindowReclaim(t *testing.T) {
+	s := NewLocalityScheduler(0)
+	head := NewHeadState(2, 8*units.GB, System1CostModel())
+	j := mkJob(1, Batch, 1, 1, 2, 96*units.MB, 0)
+	j.Tasks[0].Assigned, j.Remaining = true, 1
+	for k := range head.Available {
+		head.Available[k] = units.Time((3600 * units.Second)) // busy: the cycle places nothing
+	}
+	if n := len(s.Schedule(0, []*Job{j}, head)); n != 0 {
+		t.Fatalf("a busy cycle assigned %d tasks", n)
+	}
+	j.Tasks[1].Assigned = true // reclaimed: H_B still holds it
+	j.Tasks[0].Assigned = false
+	now := units.Time(2 * (3600 * units.Second))
+	placed := false
+	for cycle := 0; cycle < 2 && !placed; cycle++ {
+		for _, a := range s.Schedule(now, []*Job{j}, head) {
+			if a.Task != &j.Tasks[0] {
+				t.Fatalf("cycle %d assigned %v, which was already assigned", cycle, a.Task)
+			}
+			placed = true
+			j.Remaining--
+		}
+		now = now.Add((3600 * units.Second))
+	}
+	if !placed {
+		t.Fatal("the requeued task was not placed within two cycles")
+	}
+}
+
 // TestScheduleSteadyStateAllocs: once a cycle has grown the scratch — H_I
-// and H_B tables, group slab, per-group task slices, output — and every
-// chunk has a home, scheduling the same 64-node, 256-job queue again
-// allocates nothing.
+// and H_B tables, spare groups, per-group task slices, output — and every
+// chunk has a home, scheduling the same 64-node, 256-job queue again, every
+// task pending (Remaining restored with it, so H_B is rebuilt), allocates
+// nothing.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := NewLocalityScheduler(0)
 	head := NewHeadState(64, 8*units.GB, System2CostModel())
@@ -692,9 +885,14 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 			for i := range j.Tasks {
 				j.Tasks[i].Assigned = false
 			}
+			j.Remaining = len(j.Tasks)
 		}
 		now = now.Add(3600 * units.Second) // every node has long drained
-		assigned = len(s.Schedule(now, queue, head))
+		out := s.Schedule(now, queue, head)
+		for _, a := range out {
+			a.Task.Job.Remaining--
+		}
+		assigned = len(out)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
@@ -707,8 +905,9 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 
 // TestScheduleSteadyStateAllocsBatch is the batch-heavy twin, the shape of
 // the extension sweeps' queue: a full 256-job batch window over 4 datasets
-// whose jobs are mostly placed already, so a cycle walks many assigned
-// tasks, groups a few pending ones per chunk and fills nodes until λ.
+// whose jobs are mostly placed already, so a cycle that rebuilds H_B walks
+// many assigned tasks, groups a few pending ones per chunk and fills nodes
+// until λ.
 func TestScheduleSteadyStateAllocsBatch(t *testing.T) {
 	s := NewLocalityScheduler(0)
 	head := NewHeadState(64, 8*units.GB, System2CostModel())
@@ -720,12 +919,20 @@ func TestScheduleSteadyStateAllocsBatch(t *testing.T) {
 	var assigned int
 	cycle := func() {
 		for j, job := range queue {
+			job.Remaining = 0
 			for i := range job.Tasks {
 				job.Tasks[i].Assigned = (i+j)%8 != 0
+				if !job.Tasks[i].Assigned {
+					job.Remaining++
+				}
 			}
 		}
 		now = now.Add(3600 * units.Second)
-		assigned = len(s.Schedule(now, queue, head))
+		out := s.Schedule(now, queue, head)
+		for _, a := range out {
+			a.Task.Job.Remaining--
+		}
+		assigned = len(out)
 	}
 	for i := 0; i < 4; i++ { // every chunk finds a home
 		cycle()

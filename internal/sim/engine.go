@@ -515,6 +515,12 @@ func streamArrivals(s *des.Simulator, reqs []workload.Request, arrive func(workl
 // finish attaches the extensions' outcomes to the report once the clock has
 // reached the horizon.
 func (e *Engine) finish(horizon units.Time) *metrics.Report {
+	// The head's derived tables, which every scheduling pass read, must
+	// still agree with their sources: a disagreement is a bug, like a task
+	// assigned twice.
+	if err := e.head.Validate(); err != nil {
+		panic(fmt.Sprintf("sim: head tables at the end of the run: %v", err))
+	}
 	if e.qosc != nil {
 		e.report.QoS = e.qosc.Outcome()
 	}
