@@ -70,8 +70,9 @@ bench:
 	$(GO) test -run xxx -bench 'AblationRaycaster|RenderFull64' -benchtime 3x -benchmem . ./internal/raycast/
 
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
-# wire-format decoders, the dense chunk table under the head's tables and
-# the event kernel's streams. The checked-in corpora replay as regression seeds;
+# wire-format decoders, the dense chunk table under the head's tables, the
+# event kernel's streams and the head's working queue. The checked-in
+# corpora replay as regression seeds;
 # the -fuzztime budget explores a little fresh territory per invocation.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadGrid -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzChunkMap -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/
+	$(GO) test -run xxx -fuzz FuzzBacklog -fuzztime 20s ./internal/core/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/, in the sweep harness, in the two control

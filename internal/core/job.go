@@ -127,10 +127,11 @@ type Scheduler interface {
 	// Cycle is the scheduling period ω for Periodic schedulers; ignored for
 	// OnArrival schedulers.
 	Cycle() units.Duration
-	// Schedule examines the queued jobs (each with ≥1 unassigned task) and
-	// returns task placements. Unassigned tasks stay queued and are
-	// re-presented on the next invocation. Schedule may mutate head's
-	// prediction tables to account for its own assignments.
+	// Schedule examines the queued jobs (Backlog.Present: each with ≥1
+	// unassigned task, not to be reordered) and returns task placements.
+	// Unassigned tasks stay queued and are re-presented on the next
+	// invocation. Schedule may mutate head's prediction tables to account
+	// for its own assignments.
 	Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment
 }
 

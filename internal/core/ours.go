@@ -85,8 +85,8 @@ type LocalityScheduler struct {
 const DefaultCycle = 10 * units.Millisecond
 
 // DefaultBatchWindow caps how many batch jobs one scheduling pass is shown —
-// in the simulator always, in the live head when the QoS fair queue releases
-// them; interactive jobs are always shown.
+// in both planes, always (Backlog.Present): the oldest queued ones.
+// Interactive jobs are always shown.
 const DefaultBatchWindow = 256
 
 // DefaultSpreadEvery is the default diversion stride of the replication

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,9 @@ import (
 // hour is a cycle no test outlives, and a busy period no render outlasts.
 const hour = 3600 * units.Second
 
-// watchedScheduler is OURS observed: it records the queue length of every
-// Schedule call, as bench/'s tracedScheduler does. With hold set it is also
+// watchedScheduler is OURS observed: it records the jobs every Schedule
+// call was given, as bench/'s tracedScheduler records their number. With
+// hold set it is also
 // pessimistic — a node it assigns to is predicted busy for an hour after —
 // so a test gets a node that stays busy without racing a render against the
 // next submission. Embedding the concrete scheduler keeps its optional
@@ -25,7 +27,7 @@ type watchedScheduler struct {
 	hold bool
 
 	mu    sync.Mutex
-	calls []int
+	calls [][]core.JobID
 }
 
 func watched(cycle units.Duration, hold bool) *watchedScheduler {
@@ -39,17 +41,30 @@ func (s *watchedScheduler) Schedule(now units.Time, queue []*core.Job, head *cor
 			head.Available[a.Node] = now.Add(hour)
 		}
 	}
+	ids := make([]core.JobID, len(queue))
+	for i, j := range queue {
+		ids[i] = j.ID
+	}
 	s.mu.Lock()
-	s.calls = append(s.calls, len(queue))
+	s.calls = append(s.calls, ids)
 	s.mu.Unlock()
 	return out
 }
 
-// queueLens returns the queue length each Schedule call so far was given.
-func (s *watchedScheduler) queueLens() []int {
+// queues returns the jobs each Schedule call so far was given.
+func (s *watchedScheduler) queues() [][]core.JobID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.calls...)
+	return slices.Clone(s.calls)
+}
+
+// queueLens returns the queue length each Schedule call so far was given.
+func (s *watchedScheduler) queueLens() []int {
+	var lens []int
+	for _, q := range s.queues() {
+		lens = append(lens, len(q))
+	}
+	return lens
 }
 
 // within returns the outcome on ch, failing the test if none arrives in d.

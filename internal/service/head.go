@@ -517,11 +517,11 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 		}
 		if h.qosc != nil && rj.Job.Remaining == len(rj.Job.Tasks) {
 			// Undispatched jobs re-enter the fair queue in admission order;
-			// partially-dispatched ones go straight to the working set below.
+			// partially-dispatched ones go straight to the backlog below.
 			h.qosc.Requeue(rj.Job)
 			continue
 		}
-		l.queue = append(l.queue, lj)
+		l.backlog.Push(rj.Job)
 	}
 	if h.qosc != nil {
 		// The journal-reconstructed job list is the authority on session

@@ -49,20 +49,20 @@ type taskAt struct {
 
 // headLoop is the dispatching thread's state (§III-A), owned by whichever
 // goroutine calls step: run's, or a test's, which then also owns the head's
-// clock. A job is queued exactly while it has tasks left to dispatch
-// (Remaining > 0) — or, undispatched and with QoS on, waits in the fair queue.
+// clock. A job is in the backlog exactly while it has tasks left to dispatch
+// (Remaining > 0) — or, undispatched and with QoS on, waits in the fair
+// queue; inflight maps a backlog job back to its liveJob.
 type headLoop struct {
 	h        *Head
-	queue    []*liveJob
+	backlog  core.Backlog
 	inflight map[core.JobID]*liveJob
-	jobs     []*core.Job // schedule's scratch: the queued jobs with work left
 	scaler   *liveScaler // nil unless Head.Autoscale is set
 }
 
 // newHeadLoop builds the loop state for a head whose tables and extensions
 // boot has installed.
 func newHeadLoop(h *Head) *headLoop {
-	l := &headLoop{h: h, queue: make([]*liveJob, 0, 64), inflight: make(map[core.JobID]*liveJob)}
+	l := &headLoop{h: h, inflight: make(map[core.JobID]*liveJob)}
 	if h.Autoscale != nil {
 		l.scaler = newLiveScaler(l)
 	}
@@ -170,32 +170,21 @@ func (l *headLoop) sendPrefetches(ds []core.PrefetchDirective) {
 	}
 }
 
-// schedule runs one scheduling pass over the working queue and dispatches
-// what it assigns: journal record, deadline, then the task on its way.
+// schedule runs one scheduling pass over the backlog and dispatches what it
+// assigns: journal record, deadline, then the task on its way.
 func (l *headLoop) schedule() {
 	h := l.h
 	if h.qosc != nil {
-		// Refill the working window from the fair queue: every queued
-		// interactive frame (one per tenant per round), then batch jobs by
-		// deficit round robin up to the window. Popped jobs whose liveJob
-		// is gone (failed or shed meanwhile) are dropped silently.
-		popped := h.qosc.PopInteractive(nil)
-		batchHere := 0
-		for _, lj := range l.queue {
-			if lj.job.Class == core.Batch {
-				batchHere++
-			}
-		}
-		if batchHere < core.DefaultBatchWindow {
-			popped = h.qosc.PopBatch(popped, core.DefaultBatchWindow-batchHere)
-		}
-		for _, j := range popped {
-			if lj := l.inflight[j.ID]; lj != nil {
-				l.queue = append(l.queue, lj)
+		// Released jobs whose liveJob is gone (failed meanwhile) are
+		// dropped, back to front: a removal shifts only checked jobs.
+		popped := l.backlog.Refill(h.qosc)
+		for i := len(popped) - 1; i >= 0; i-- {
+			if l.inflight[popped[i].ID] == nil {
+				l.backlog.Remove(popped[i])
 			}
 		}
 	}
-	if len(l.queue) == 0 {
+	if l.backlog.Len() == 0 {
 		// A truly idle cycle still warms: the in-Schedule planner only
 		// runs when there is demand work to schedule around.
 		if h.prefc != nil {
@@ -207,71 +196,56 @@ func (l *headLoop) schedule() {
 		}
 		return
 	}
-	l.jobs = l.jobs[:0]
-	for _, lj := range l.queue {
-		if lj.job.Remaining > 0 {
-			l.jobs = append(l.jobs, lj.job)
+	h.stats.schedCycles.Add(1)
+	// One clock read for the pass: every CommitAssign inside Schedule and
+	// every journaled dispatch record must carry the same instant, or replay
+	// could not reproduce the tables.
+	now := h.now()
+	for _, a := range h.sched.Schedule(now, l.backlog.Present(), h.state) {
+		lj := l.inflight[a.Task.Job.ID]
+		lj.nodes[a.Task.Index] = a.Node
+		if lj.restoredDone != nil {
+			lj.restoredDone[a.Task.Index] = false
 		}
-	}
-	if len(l.jobs) > 0 {
-		h.stats.schedCycles.Add(1)
-		// One clock read for the pass: every CommitAssign inside Schedule
-		// and every journaled dispatch record must carry the same instant,
-		// or replay could not reproduce the tables.
-		now := h.now()
-		for _, a := range h.sched.Schedule(now, l.jobs, h.state) {
-			lj := l.inflight[a.Task.Job.ID]
-			lj.nodes[a.Task.Index] = a.Node
-			if lj.restoredDone != nil {
-				lj.restoredDone[a.Task.Index] = false
-			}
-			body := TaskBody{
-				JobID:     uint64(lj.job.ID),
-				TaskIndex: a.Task.Index,
-				Dataset:   h.dsNames[lj.job.Dataset],
-				Chunk:     a.Task.Index,
-				Render:    lj.req,
-			}
-			a.Task.Job.Remaining--
-			h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
-				hastate.DispatchBody{Predicted: a.Task.PredictedExec})
-			if h.DeadlineFactor > 0 {
-				lj.deadline[a.Task.Index] = h.wall().Add(h.taskDeadline(a.Task))
-			}
-			raw, err := transport.Encode(&body)
-			if err != nil {
-				h.Logf("head: encoding task: %v", err)
-				continue
-			}
-			if err := h.senders[a.Node].Send(transport.Message{
-				Kind: transport.KindTask, ID: uint64(lj.job.ID), Body: raw,
-			}); err != nil {
-				h.Logf("head: send to node %d failed: %v", a.Node, err)
-			}
-			if h.frac != nil {
-				h.frac.note(int(a.Node), +1, false, h.now())
-			}
+		body := TaskBody{
+			JobID:     uint64(lj.job.ID),
+			TaskIndex: a.Task.Index,
+			Dataset:   h.dsNames[lj.job.Dataset],
+			Chunk:     a.Task.Index,
+			Render:    lj.req,
 		}
-		clear(l.jobs) // the scratch must not pin finished jobs
+		a.Task.Job.Remaining--
+		h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
+			hastate.DispatchBody{Predicted: a.Task.PredictedExec})
+		if h.DeadlineFactor > 0 {
+			lj.deadline[a.Task.Index] = h.wall().Add(h.taskDeadline(a.Task))
+		}
+		raw, err := transport.Encode(&body)
+		if err != nil {
+			h.Logf("head: encoding task: %v", err)
+			continue
+		}
+		if err := h.senders[a.Node].Send(transport.Message{
+			Kind: transport.KindTask, ID: uint64(lj.job.ID), Body: raw,
+		}); err != nil {
+			h.Logf("head: send to node %d failed: %v", a.Node, err)
+		}
+		if h.frac != nil {
+			h.frac.note(int(a.Node), +1, false, h.now())
+		}
 	}
 	// The scheduler's own planner fitted warms into this cycle's leftover
 	// idle windows (strictly below every demand assignment); ship them.
 	if h.prefSrc != nil {
 		l.sendPrefetches(h.prefSrc.PlannedPrefetches())
 	}
-	live := l.queue[:0]
-	for _, lj := range l.queue {
-		if lj.job.Remaining > 0 {
-			live = append(live, lj)
-		}
-	}
-	l.queue = live
+	l.backlog.Compact()
 }
 
 // arrivalCycle runs a scheduling pass for the job just admitted when it need
 // not wait for the ω tick (DESIGN.md §5.19): always under an OnArrival
 // scheduler; under a Periodic one only when the job is interactive, nothing
-// is waiting ahead of it (ahead counts the working queue and, with QoS on,
+// is waiting ahead of it (ahead counts the backlog and, with QoS on,
 // the fair queue) and some alive node is predicted idle. Batch work is
 // deferred by design, a waiting job means a loaded head whose tick batches,
 // supersedes and sheds arrivals together, and with every node busy an early
@@ -289,16 +263,6 @@ func (l *headLoop) arrivalCycle(lj *liveJob, ahead int) {
 	}
 }
 
-// unqueue takes lj out of the working queue, if it is there.
-func (l *headLoop) unqueue(lj *liveJob) {
-	for i, q := range l.queue {
-		if q == lj {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			return
-		}
-	}
-}
-
 // failJob fails a job back to its client without touching the QoS
 // controller's books — for jobs the controller already accounted for (shed
 // victims) or never admitted.
@@ -313,7 +277,7 @@ func (l *headLoop) failJob(lj *liveJob, msg string) {
 	delete(l.inflight, lj.job.ID)
 	h.dropKey(lj)
 	// A failed job must never reach the scheduler again.
-	l.unqueue(lj)
+	l.backlog.Remove(lj.job)
 	if lj.conn == nil {
 		return // a recovered job with no re-attached client yet
 	}
@@ -336,9 +300,7 @@ func (l *headLoop) fail(lj *liveJob, msg string) {
 // migration when a drain hands it back (§5.12) — the two counters the
 // autoscaler must keep disjoint.
 func (l *headLoop) requeue(lj *liveJob, i int) {
-	t := &lj.job.Tasks[i]
-	t.Assigned = false
-	t.PredictedExec = 0
+	l.backlog.Requeue(&lj.job.Tasks[i])
 	lj.deadline[i] = time.Time{}
 	lj.retryAt[i] = time.Time{}
 	if lj.restoredDone != nil {
@@ -347,10 +309,6 @@ func (l *headLoop) requeue(lj *liveJob, i int) {
 		// completion must be journaled like any other.
 		lj.restoredDone[i] = false
 	}
-	if lj.job.Remaining == 0 {
-		l.queue = append(l.queue, lj)
-	}
-	lj.job.Remaining++
 	if l.h.frac != nil {
 		l.h.frac.note(int(lj.nodes[i]), -1, false, l.h.now())
 	}
@@ -426,12 +384,7 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 func (l *headLoop) check() {
 	h := l.h
 	l.checkHealth()
-	depth, backlog := len(l.queue), 0
-	for _, lj := range l.queue {
-		if lj.job.Class == core.Batch {
-			backlog++
-		}
-	}
+	depth, backlog := l.backlog.Len(), l.backlog.Batch()
 	if h.qosc != nil {
 		depth += h.qosc.QueueLen()
 		backlog += h.qosc.BatchBacklog()
@@ -512,7 +465,7 @@ func (l *headLoop) checkHealth() {
 // admitQoS runs an arriving job through the QoS controller: the token
 // buckets and degradation ladder decide admit/throttle/reject, admitted jobs
 // enter the per-tenant fair queue, and MaxQueue acts as a backstop over the
-// fair queue plus the working window.
+// fair queue plus the backlog.
 func (l *headLoop) admitQoS(lj *liveJob) {
 	h := l.h
 	// Rung 2 of the ladder: shrink the requested image before any task
@@ -547,7 +500,7 @@ func (l *headLoop) admitQoS(lj *liveJob) {
 	l.inflight[lj.job.ID] = lj
 	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
 		hastate.AdmitBody{Job: h.jobRecord(lj)})
-	if h.MaxQueue > 0 && h.qosc.QueueLen()+len(l.queue) > h.MaxQueue {
+	if h.MaxQueue > 0 && h.qosc.QueueLen()+l.backlog.Len() > h.MaxQueue {
 		if lj.job.Class == core.Batch {
 			if h.qosc.ShedQueued(lj.job) {
 				h.stats.jobsShed.Add(1)
@@ -563,7 +516,7 @@ func (l *headLoop) admitQoS(lj *liveJob) {
 			}
 		}
 	}
-	l.arrivalCycle(lj, len(l.queue)+h.qosc.QueueLen()-1)
+	l.arrivalCycle(lj, l.backlog.Len()+h.qosc.QueueLen()-1)
 }
 
 // admit applies the overload policy and enqueues an arriving job. A non-zero
@@ -600,7 +553,7 @@ func (l *headLoop) admit(lj *liveJob) {
 		l.admitQoS(lj)
 		return
 	}
-	if h.MaxQueue > 0 && len(l.queue) >= h.MaxQueue {
+	if h.MaxQueue > 0 && l.backlog.Len() >= h.MaxQueue {
 		if lj.job.Class == core.Batch {
 			h.stats.jobsShed.Add(1)
 			l.failJob(lj, "head overloaded: batch queue full")
@@ -608,20 +561,19 @@ func (l *headLoop) admit(lj *liveJob) {
 		}
 		// Interactive frames are always admitted; make room by shedding
 		// the oldest still-undispatched interactive frame, if any.
-		for _, old := range l.queue {
-			if old.job.Class == core.Interactive && old.job.Remaining == len(old.job.Tasks) {
+		for _, old := range l.backlog.Jobs() {
+			if old.Class == core.Interactive && old.Remaining == len(old.Tasks) {
 				h.stats.jobsShed.Add(1)
-				l.fail(old, "shed under overload")
+				l.fail(l.inflight[old.ID], "shed under overload")
 				break
 			}
 		}
 	}
 	if h.DropStale && lj.job.Class == core.Interactive {
-		for _, old := range l.queue {
-			if old.job.Class == core.Interactive &&
-				old.job.Action == lj.job.Action &&
-				old.job.Remaining == len(old.job.Tasks) {
-				l.fail(old, "superseded by a newer frame")
+		for _, old := range l.backlog.Jobs() {
+			if old.Class == core.Interactive && old.Action == lj.job.Action &&
+				old.Remaining == len(old.Tasks) {
+				l.fail(l.inflight[old.ID], "superseded by a newer frame")
 				break
 			}
 		}
@@ -629,8 +581,8 @@ func (l *headLoop) admit(lj *liveJob) {
 	l.inflight[lj.job.ID] = lj
 	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
 		hastate.AdmitBody{Job: h.jobRecord(lj)})
-	l.queue = append(l.queue, lj)
-	l.arrivalCycle(lj, len(l.queue)-1)
+	l.backlog.Push(lj.job)
+	l.arrivalCycle(lj, l.backlog.Len()-1)
 }
 
 // rejoin restores a node's slot with a fresh connection: the §VI-D repair
@@ -813,13 +765,7 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 			// The task was presumed lost and released for re-dispatch, but
 			// the original completed after all: reclaim it before a
 			// duplicate is scheduled.
-			t.Assigned = true
-			lj.job.Remaining--
-			if lj.job.Remaining == 0 {
-				// Keep the invariant "queued ⟺ Remaining > 0" that requeue
-				// relies on.
-				l.unqueue(lj)
-			}
+			l.backlog.Reclaim(t)
 		}
 		lj.deadline[i] = time.Time{}
 		lj.retryAt[i] = time.Time{}

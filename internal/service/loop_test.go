@@ -258,15 +258,15 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	if _, err := s.peers[0].Recv(); err == nil {
 		t.Error("node 0's connection is still open after it was declared down")
 	}
-	if len(s.l.queue) != 1 || s.l.queue[0] != a || a.job.Remaining != 1 {
-		t.Fatalf("queue after node 0 went down: %d jobs, first frame has %d tasks to dispatch; want it alone with 1", len(s.l.queue), a.job.Remaining)
+	if q := s.l.backlog.Jobs(); len(q) != 1 || q[0] != a.job || a.job.Remaining != 1 {
+		t.Fatalf("queue after node 0 went down: %d jobs, first frame has %d tasks to dispatch; want it alone with 1", len(q), a.job.Remaining)
 	}
 	s.l.step(event{kind: evTick})
 	if got := s.wantTasks(1, 1); got[0] != (TaskRef{JobID: uint64(a.job.ID), TaskIndex: 0}) {
 		t.Errorf("survivor was sent %+v, want the dead node's brick of the first frame", got[0])
 	}
-	if len(s.l.queue) != 0 {
-		t.Errorf("%d jobs still queued after the tick", len(s.l.queue))
+	if s.l.backlog.Len() != 0 {
+		t.Errorf("%d jobs still queued after the tick", s.l.backlog.Len())
 	}
 
 	// A rejoin a second after the verdict repairs the slot.
@@ -335,9 +335,9 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	// in the queue and there is nowhere to send them.
 	s.at(1600 * time.Millisecond)
 	s.l.step(event{kind: evCheck})
-	if s.h.WorkerHealth(0) != core.HealthSuspect || lj.job.Remaining != 2 || len(s.l.queue) != 1 {
+	if s.h.WorkerHealth(0) != core.HealthSuspect || lj.job.Remaining != 2 || s.l.backlog.Len() != 1 {
 		t.Fatalf("after the holds: node %v, %d tasks to dispatch, %d jobs queued; want suspect, 2, 1",
-			s.h.WorkerHealth(0), lj.job.Remaining, len(s.l.queue))
+			s.h.WorkerHealth(0), lj.job.Remaining, s.l.backlog.Len())
 	}
 
 	// The original of task 0 completes after all: reclaimed. Its traffic
@@ -369,8 +369,8 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	s.at(4100 * time.Millisecond)
 	s.beat(0)
 	s.l.step(event{kind: evCheck})
-	if len(s.l.inflight) != 0 || len(s.l.queue) != 0 {
-		t.Errorf("after give-up: %d jobs in flight, %d queued", len(s.l.inflight), len(s.l.queue))
+	if len(s.l.inflight) != 0 || s.l.backlog.Len() != 0 {
+		t.Errorf("after give-up: %d jobs in flight, %d queued", len(s.l.inflight), s.l.backlog.Len())
 	}
 	s.headClient.Close()
 	if eb := recvBody[ErrorBody](s, s.client, transport.KindError); !strings.Contains(eb.Msg, "task 1 lost 3 times") {
@@ -832,3 +832,46 @@ const statsPagesJSON = `{
   }
 }
 `
+
+// The live head presents batch work through the same window as the
+// simulator, QoS on or off: with more than core.DefaultBatchWindow batch
+// jobs queued behind busy nodes, a pass sees the window's worth of the
+// oldest, and the rest are presented in order as the first ones leave the
+// backlog. The nodes stay predicted busy for an hour after each pass, so
+// every tick two hours on dispatches a task to each.
+func TestHeadLoopBatchWindow(t *testing.T) {
+	sched := watched(2*units.Millisecond, true)
+	s := newSteppedHead(t, 2, func(h *Head) {
+		h.sched = sched
+		h.DeadlineFactor = 0
+	})
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+	s.submit(1, frame) // its arrival pass makes both nodes busy
+	frame.Batch = true
+	var jobs []*liveJob
+	for i := 0; i < core.DefaultBatchWindow+8; i++ {
+		jobs = append(jobs, s.submit(uint64(i+2), frame))
+	}
+	for tick := 0; slices.ContainsFunc(jobs, func(lj *liveJob) bool { return lj.job.Remaining > 0 }); tick++ {
+		var oldest []core.JobID
+		for _, lj := range jobs {
+			if lj.job.Remaining > 0 && len(oldest) < core.DefaultBatchWindow {
+				oldest = append(oldest, lj.job.ID)
+			}
+		}
+		s.at(time.Duration(tick) * 2 * time.Hour)
+		s.l.step(event{kind: evTick})
+		passes := sched.queues()
+		if got := passes[len(passes)-1]; !slices.Equal(got, oldest) {
+			t.Fatalf("tick %d showed Schedule %d jobs %v…, want the %d oldest queued %v…",
+				tick, len(got), got[:min(len(got), 3)], len(oldest), oldest[:min(len(oldest), 3)])
+		}
+		if tick == 2*len(jobs) {
+			t.Fatalf("%d ticks and batch work still queued", tick)
+		}
+	}
+	if passes := sched.queues(); len(passes[1]) != core.DefaultBatchWindow || passes[1][0] != jobs[0].job.ID {
+		t.Errorf("the first tick showed %d jobs from %d, want the window's %d from %d",
+			len(passes[1]), passes[1][0], core.DefaultBatchWindow, jobs[0].job.ID)
+	}
+}

@@ -81,7 +81,7 @@ func (e *Engine) autoscaleTick() {
 	case autoscale.ScaleUp:
 		e.activateOne(now)
 	case autoscale.Drain:
-		if len(e.queue) > 0 && e.cfg.Scheduler.Trigger() == core.OnArrival {
+		if e.backlog.Len() > 0 && e.cfg.Scheduler.Trigger() == core.OnArrival {
 			e.invokeScheduler()
 		}
 	}
@@ -133,14 +133,9 @@ func (s *autoScaler) Drain(k core.NodeID) int {
 	n.pfActive = false
 	moved := 0
 	migrate := func(t *core.Task) {
-		t.Assigned = false
-		t.PredictedExec = 0
 		delete(n.accessed, t)
 		delete(e.pinned, t)
-		if t.Job.Remaining == 0 {
-			e.queue = append(e.queue, t.Job)
-		}
-		t.Job.Remaining++
+		e.backlog.Requeue(t)
 		moved++
 	}
 	for t := n.pop(); t != nil; t = n.pop() {

@@ -89,11 +89,6 @@ type Config struct {
 	Jitter float64
 	// Seed drives the jitter stream (and random eviction, if selected).
 	Seed int64
-	// BatchWindow caps how many queued batch jobs are presented to the
-	// scheduler per invocation (interactive jobs are always presented).
-	// Zero selects core.DefaultBatchWindow. Purely an efficiency bound;
-	// deferred batch work is presented oldest-first.
-	BatchWindow int
 	// Preload warms every node's cache round-robin with the library's
 	// chunks (as far as quotas allow) and tells the head about it. The
 	// paper's scenarios measure a running service, not a cold boot; without
@@ -296,14 +291,13 @@ type Engine struct {
 	sim   *des.Simulator
 	head  *core.HeadState
 	nodes []*node
-	// queue holds jobs with unassigned tasks awaiting the scheduler. With
-	// QoS enabled it is only the working window: admitted jobs wait in the
-	// controller's fair queue and are pulled here in fair order each
-	// scheduler invocation.
-	queue  []*core.Job
-	report *metrics.Report
-	rng    *rand.Rand
-	qosc   *qos.Controller
+	// backlog holds jobs with unassigned tasks awaiting the scheduler. With
+	// QoS enabled admitted jobs wait in the controller's fair queue and are
+	// pulled into it in fair order each scheduler invocation.
+	backlog core.Backlog
+	report  *metrics.Report
+	rng     *rand.Rand
+	qosc    *qos.Controller
 	// pref is the prefetch controller (nil when disabled); prefSrc reads the
 	// scheduler's planned directives back after each Schedule call.
 	pref    *prefetch.Controller
@@ -344,11 +338,10 @@ type Engine struct {
 	// maxExec tracks each in-flight job's largest task execution — the
 	// denominator of the batch stretch metric (§5.13).
 	maxExec map[core.JobID]units.Duration
-	// freeExec holds finished execution records for reuse; present and
-	// remaining (each presented job's Remaining before Schedule) are
-	// invokeScheduler's per-cycle scratch.
+	// freeExec holds finished execution records for reuse; remaining (each
+	// presented job's Remaining before Schedule) is invokeScheduler's
+	// per-cycle scratch.
 	freeExec  []*execution
-	present   []*core.Job
 	remaining []int
 }
 
@@ -365,9 +358,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Scheduler == nil {
 		panic("sim: need a scheduler")
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = core.DefaultBatchWindow
 	}
 	if cfg.GPUsPerNode <= 0 {
 		cfg.GPUsPerNode = 1
@@ -595,7 +585,7 @@ func (e *Engine) admitArrival(req workload.Request, issued units.Time) {
 			return
 		}
 	} else {
-		e.queue = append(e.queue, j)
+		e.backlog.Push(j)
 	}
 	if e.cfg.Scheduler.Trigger() == core.OnArrival {
 		e.invokeScheduler()
@@ -616,7 +606,7 @@ func admitKind(d qos.Decision) trace.Kind {
 	}
 }
 
-// invokeScheduler presents the queue (interactive fully; batch up to the
+// invokeScheduler presents the backlog (interactive fully; batch up to the
 // window) to the scheduler, timing the call with the wall clock, then
 // executes the returned assignments.
 func (e *Engine) invokeScheduler() {
@@ -624,22 +614,9 @@ func (e *Engine) invokeScheduler() {
 		return // control plane down: nothing admits, schedules, or dispatches
 	}
 	if e.qosc != nil {
-		// Pull admitted work into the window in fair order: interactive
-		// frames fully (tenant round-robin), batch by DRR up to the window
-		// bound net of batch jobs already here from failure requeues or
-		// partial assignment.
-		e.queue = e.qosc.PopInteractive(e.queue)
-		batchHere := 0
-		for _, j := range e.queue {
-			if j.Class == core.Batch {
-				batchHere++
-			}
-		}
-		if batchHere < e.cfg.BatchWindow {
-			e.queue = e.qosc.PopBatch(e.queue, e.cfg.BatchWindow-batchHere)
-		}
+		e.backlog.Refill(e.qosc)
 	}
-	if len(e.queue) == 0 {
+	if e.backlog.Len() == 0 {
 		// Nothing to schedule is the deepest idle window there is: let the
 		// planner warm directly. With demand queued, planning runs inside
 		// Schedule instead, after the demand pass (strictly lower rank).
@@ -651,21 +628,7 @@ func (e *Engine) invokeScheduler() {
 		}
 		return
 	}
-	present := e.queue
-	if len(e.queue) > e.cfg.BatchWindow {
-		present = e.present[:0]
-		batch := 0
-		for _, j := range e.queue {
-			if j.Class == core.Interactive {
-				present = append(present, j)
-			} else if batch < e.cfg.BatchWindow {
-				present = append(present, j)
-				batch++
-			}
-		}
-		e.present = present
-	}
-
+	present := e.backlog.Present()
 	remaining := e.remaining[:0]
 	for _, j := range present {
 		remaining = append(remaining, j.Remaining)
@@ -708,17 +671,7 @@ func (e *Engine) invokeScheduler() {
 	}
 	e.report.ScheduleCall(wall, touched)
 
-	// Compact: drop fully assigned jobs from the queue.
-	live := e.queue[:0]
-	for _, j := range e.queue {
-		if j.Remaining > 0 {
-			live = append(live, j)
-		}
-	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = live
+	e.backlog.Compact()
 
 	// Attribute this cycle's idle-with-pending-batch node time to the
 	// ε-guard or to ordinary queueing (§5.13) — pure observation, after the
@@ -966,14 +919,8 @@ func (e *Engine) fail(k core.NodeID) {
 	}
 
 	requeue := func(t *core.Task) {
-		t.Assigned = false
-		t.PredictedExec = 0
 		delete(e.pinned, t)
-		if t.Job.Remaining == 0 {
-			// The job had left the queue; put it back.
-			e.queue = append(e.queue, t.Job)
-		}
-		t.Job.Remaining++
+		e.backlog.Requeue(t)
 		e.report.Recovery.TaskRedispatched()
 	}
 	// Running tasks go back in start order, the guest last — never in map
@@ -1042,7 +989,7 @@ func (e *Engine) repair(k core.NodeID) {
 // QueueLen exposes the number of jobs still holding unassigned tasks,
 // used by tests.
 func (e *Engine) QueueLen() int {
-	n := len(e.queue)
+	n := e.backlog.Len()
 	if e.qosc != nil {
 		n += e.qosc.QueueLen()
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vizsched/internal/baselines"
@@ -244,21 +245,63 @@ func TestRunScenarioSmoke(t *testing.T) {
 	}
 }
 
+// windowWatcher wraps a scheduler and checks every pass's batch jobs
+// against the engine's queued ones, told apart by job ID: the jobs issued so
+// far (IDs up to the engine's nextJob) that some pass has not yet assigned
+// whole. A pass must see the window's worth of the oldest of them.
+type windowWatcher struct {
+	core.Scheduler
+	t        *testing.T
+	eng      *Engine
+	assigned map[core.JobID]bool
+	widest   int
+}
+
+func (w *windowWatcher) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
+	var seen []core.JobID
+	for _, j := range queue {
+		if j.Class == core.Batch {
+			seen = append(seen, j.ID)
+		}
+	}
+	var oldest []core.JobID
+	for id := core.JobID(1); id <= w.eng.nextJob && len(oldest) < core.DefaultBatchWindow; id++ {
+		if !w.assigned[id] {
+			oldest = append(oldest, id)
+		}
+	}
+	if !slices.Equal(seen, oldest) {
+		w.t.Fatalf("a pass saw %d batch jobs %v…, want the %d oldest queued %v…",
+			len(seen), seen[:min(len(seen), 4)], len(oldest), oldest[:min(len(oldest), 4)])
+	}
+	w.widest = max(w.widest, len(seen))
+	out := w.Scheduler.Schedule(now, queue, head)
+	for _, j := range queue {
+		w.assigned[j.ID] = !slices.ContainsFunc(j.Tasks, func(t core.Task) bool { return !t.Assigned })
+	}
+	return out
+}
+
+// TestBatchWindowLimitsPresentation runs a burst of more batch jobs than
+// core.DefaultBatchWindow: no pass is shown more than the window, those it
+// is shown are the oldest queued, and every job still completes.
 func TestBatchWindowLimitsPresentation(t *testing.T) {
-	cfg := smallConfig(core.NewLocalityScheduler(0), 1)
-	cfg.BatchWindow = 4
-	eng := New(cfg)
-	// A burst of batch jobs; the window bounds per-cycle presentation but
-	// everything eventually completes.
+	const burst = core.DefaultBatchWindow + 44
+	w := &windowWatcher{Scheduler: core.NewLocalityScheduler(0), t: t, assigned: map[core.JobID]bool{}}
+	eng := New(smallConfig(w, 1))
+	w.eng = eng
 	wl := workload.Generate(workload.Spec{
-		Length:         units.Time(30 * units.Second),
+		Length:         units.Time(120 * units.Second),
 		Datasets:       1,
-		TargetBatch:    40,
-		BatchFramesMin: 40, BatchFramesMax: 40,
+		TargetBatch:    burst,
+		BatchFramesMin: burst, BatchFramesMax: burst,
 		Seed: 3,
 	})
 	rep := eng.Run(wl, 0)
-	if rep.Batch.Completed != 40 {
-		t.Errorf("batch completed = %d of 40", rep.Batch.Completed)
+	if w.widest != core.DefaultBatchWindow {
+		t.Errorf("the widest pass saw %d batch jobs, want the window's %d", w.widest, core.DefaultBatchWindow)
+	}
+	if rep.Batch.Completed != burst {
+		t.Errorf("batch completed = %d of %d", rep.Batch.Completed, burst)
 	}
 }

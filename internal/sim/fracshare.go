@@ -106,7 +106,7 @@ func (e *Engine) sampleIdleSplit() {
 		return false
 	}
 walk:
-	for _, j := range e.queue {
+	for _, j := range e.backlog.Jobs() {
 		if j.Class != core.Batch {
 			continue
 		}

@@ -298,7 +298,7 @@ func TestFracShareIdleSampleNoAllocs(t *testing.T) {
 			job.Tasks = append(job.Tasks, core.Task{Job: job, Index: i, Chunk: c.ID, Size: c.Size})
 		}
 		job.Remaining = len(job.Tasks)
-		e.queue = append(e.queue, job)
+		e.backlog.Push(job)
 	}
 	e.sampleIdleSplit()
 	if got, want := e.report.GuardIdle+e.report.QueueIdle, units.Duration(len(e.nodes))*e.schedulerCycle(); got != want {

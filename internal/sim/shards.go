@@ -179,6 +179,11 @@ func (se *ShardedEngine) Run(wl *workload.Schedule, horizon units.Time) *Sharded
 	for _, sub := range se.subs {
 		sub.finish(horizon)
 	}
+	// Like a shard's head tables, the cross-shard invariants are asserted,
+	// not reported: a violation is a bug.
+	if err := se.InvariantCheck(); err != nil {
+		panic(fmt.Sprintf("sim: sharded run ended with %v", err))
+	}
 	return se.Report()
 }
 
@@ -263,19 +268,13 @@ func (se *ShardedEngine) idleExecutors(i int) int {
 
 // batchBacklog counts shard i's queued batch jobs available for adoption:
 // the fair queue's backlog under QoS, otherwise fully-unassigned batch
-// jobs in the working queue.
+// jobs in the backlog.
 func (se *ShardedEngine) batchBacklog(i int) int {
 	sub := se.subs[i]
 	if sub.qosc != nil {
 		return sub.qosc.BatchBacklog()
 	}
-	n := 0
-	for _, j := range sub.queue {
-		if j.Class == core.Batch && j.Remaining == len(j.Tasks) {
-			n++
-		}
-	}
-	return n
+	return sub.backlog.UnstartedBatch()
 }
 
 // donate is the cross-shard work-donation cycle: every shard advertises
@@ -309,7 +308,9 @@ func (se *ShardedEngine) donate() {
 			continue
 		}
 		adoptee := se.subs[i]
-		adoptee.queue = append(adoptee.queue, jobs...)
+		for _, j := range jobs {
+			adoptee.backlog.Push(j)
+		}
 		se.dir.NoteDonation(len(jobs))
 		se.donated += int64(len(jobs))
 		// Moving work is dispatch-shaped control work on both loops.
@@ -330,20 +331,7 @@ func (se *ShardedEngine) takeBatch(donor, n int) []*core.Job {
 	if sub.qosc != nil {
 		return sub.qosc.PopBatch(nil, n)
 	}
-	var out []*core.Job
-	keep := sub.queue[:0]
-	for _, j := range sub.queue {
-		if len(out) < n && j.Class == core.Batch && j.Remaining == len(j.Tasks) {
-			out = append(out, j)
-			continue
-		}
-		keep = append(keep, j)
-	}
-	for i := len(keep); i < len(sub.queue); i++ {
-		sub.queue[i] = nil
-	}
-	sub.queue = keep
-	return out
+	return sub.backlog.TakeUnstartedBatch(n)
 }
 
 // injectGlobal translates a cluster-global failure to its owning shard.

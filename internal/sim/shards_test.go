@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"vizsched/internal/core"
@@ -103,6 +105,22 @@ func TestShardedDeterminism(t *testing.T) {
 				i, a.Shards[i].Interactive.Completed, b.Shards[i].Interactive.Completed)
 		}
 	}
+}
+
+// TestShardedRunPanicsOnBrokenDirectory: a sharded run checks its
+// invariants at the end, as a lone engine checks its head tables — a
+// directory home outside the cluster ends the run in a panic.
+func TestShardedRunPanicsOnBrokenDirectory(t *testing.T) {
+	cfg := shardConfig(8, 6, 256*units.MB)
+	cfg.Shards = 2
+	se := NewSharded(cfg)
+	se.Directory().SetHomes(volume.ChunkID{Dataset: 99}, []int{-1})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "home -1 outside") {
+			t.Fatalf("run ended with %v, want a panic naming the home outside the cluster", r)
+		}
+	}()
+	se.Run(overloadWorkload(40, 5, 6), 0)
 }
 
 // TestShardedInvariants: after a shard-spanning run every cross-shard
