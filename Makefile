@@ -71,9 +71,10 @@ bench:
 
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
 # wire-format decoders, the dense chunk table under the head's tables, the
-# event kernel's streams and the head's working queue. The checked-in
-# corpora replay as regression seeds;
-# the -fuzztime budget explores a little fresh territory per invocation.
+# event kernel's streams, the head's working queue and the rules by which
+# head facts change the head's tables. The checked-in corpora replay as
+# regression seeds; the -fuzztime budget explores a little fresh territory
+# per invocation.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 20s ./internal/transport/
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzChunkMap -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/
 	$(GO) test -run xxx -fuzz FuzzBacklog -fuzztime 20s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzHeadRules -fuzztime 20s ./internal/core/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/, in the sweep harness, in the two control
@@ -91,8 +93,11 @@ fuzz:
 # function in the live service, what is left of the head loop's closures,
 # callbacks and wall-clock reads, the extension pairs still rejected as
 # incompatible, the tables still declared as Go maps keyed by ChunkID (the
-# rest are volume.ChunkMap, DESIGN.md §5.17), and the exported names under
-# internal/ that only tests call
+# rest are volume.ChunkMap, DESIGN.md §5.17), the calls outside the
+# packages that own the head rules which change the tables' prefetch and
+# directory state for a completion, a landed warm or a lost node (DESIGN.md
+# §5.8; the one left is the autoscaler's drain-start FailNode), and the
+# exported names under internal/ that only tests call
 # (exports_test.go lists them, with the reason each kept one stays). CI
 # prints them ungated; a re-anchor reads them here instead of recounting.
 design-metrics:
@@ -108,6 +113,7 @@ design-metrics:
 	@printf 'head-side wall-clock reads: %s\n' "$$(cd internal/service && cat head.go loop.go recovery.go autoscale.go fracstats.go stats.go multihead.go | grep -cE 'time\.(Now|Since)\b')"
 	@printf 'incompatible guards: %s\n' "$$(grep -rn 'incompatible' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)"
 	@printf 'map[volume.ChunkID] tables outside bench/: %s\n' "$$(grep -rn 'map\[volume\.ChunkID\]' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -vc 'make(map')"
+	@printf 'head-rule calls outside internal/core, internal/shard and internal/prefetch: %s\n' "$$(grep -rnE '\.(MarkPrefetched|NotePrefetchEvicted)\(|\.Caches\[[^]]*\]\.Remove\(|dir\.Publish\(|DropNode\(|(pref|prefc)\.(Observe|Loaded|NoteEvicted|FailNode)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core --exclude-dir=shard --exclude-dir=prefetch . | wc -l)"
 	@$(GO) test -count=1 -run '^TestUnreferencedExports$$' -v . | sed -n 's/.*\(exported names under internal\/.*\)/\1/p'
 
 check: vet build test race

@@ -192,10 +192,5 @@ func (h *HeadState) ResyncCache(k NodeID, announced []cache.Entry) {
 	}
 	fresh.Restore(ents, cache.Stats{})
 	h.adopt(k, fresh)
-	for key := range h.prefetched {
-		if key.k == k && !fresh.Contains(key.c) {
-			delete(h.prefetched, key)
-			h.prefWasted++
-		}
-	}
+	h.dropPrefetched(k, fresh)
 }

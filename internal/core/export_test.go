@@ -33,7 +33,7 @@ func mutateRandomly(h *HeadState, rng *rand.Rand, n int) {
 		case 3:
 			h.MarkRepaired(node, now)
 		case 4:
-			h.MarkPrefetched(chunk, node, t.Size)
+			h.LandWarm(chunk, node, t.Size, nil)
 		default:
 			if h.Health(node) != HealthUp {
 				h.MarkRepaired(node, now)
@@ -91,8 +91,8 @@ func TestResyncCacheAdoptsAnnouncedTruth(t *testing.T) {
 	c1 := volume.ChunkID{Dataset: 0, Index: 1}
 	c2 := volume.ChunkID{Dataset: 0, Index: 2}
 	h.Caches[0].Insert(c0, units.MB)
-	h.MarkPrefetched(c1, 0, units.MB)
-	h.MarkPrefetched(c2, 0, units.MB)
+	h.LandWarm(c1, 0, units.MB, nil)
+	h.LandWarm(c2, 0, units.MB, nil)
 
 	// The worker announces: c2 survives, c1 is gone, and it holds c0 plus a
 	// chunk the head never predicted.

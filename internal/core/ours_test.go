@@ -276,7 +276,7 @@ type diffConfig struct {
 }
 
 // stubPlanner asks, every cycle, for one warm on the first alive node that
-// is free before λ — enough to run MarkPrefetched and its evictions through
+// is free before λ — enough to run LandWarm and its evictions through
 // the tables between cycles.
 type stubPlanner struct{ calls int }
 
@@ -511,7 +511,7 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 			}
 		}
 		for _, d := range sched.PlannedPrefetches() {
-			head.MarkPrefetched(d.Chunk, d.Node, d.Size)
+			head.LandWarm(d.Chunk, d.Node, d.Size, nil)
 		}
 		if err := head.Validate(); err != nil {
 			t.Fatalf("seed %d cycle %d: %v", seed, len(tr.cycles), err)
@@ -761,7 +761,7 @@ func TestInvariantResidencyIndexRandomOps(t *testing.T) {
 				}
 				h.Correct(res, now)
 			case 6:
-				h.MarkPrefetched(task.Chunk, k, task.Size)
+				h.LandWarm(task.Chunk, k, task.Size, nil)
 			case 7:
 				h.MarkFailed(k)
 			case 8:

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+
+	"vizsched/internal/cache"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 )
@@ -52,25 +55,33 @@ type prefKey struct {
 	k NodeID
 }
 
-// MarkPrefetched records a completed prefetch in the head tables: the chunk
-// enters node k's predicted cache at the cold end (never displacing a chunk
-// pinned by demand bookkeeping) and is tagged in the Prefetched table so a
-// later demand touch or eviction settles the accuracy counters. Reports
-// false when the predicted cache refused the admission.
-func (h *HeadState) MarkPrefetched(c volume.ChunkID, k NodeID, size units.Bytes) bool {
-	evicted, ok := h.Caches[k].InsertCold(c, size)
-	if !ok {
-		return false
+// LandWarm folds a warm that landed on node k into the tables: the chunk
+// enters the predicted cache at the cold end (never displacing a chunk
+// pinned by demand bookkeeping), tagged so a later demand touch or eviction
+// settles the accuracy counters, and the cache drops what the node reports
+// the warm evicted.
+func (h *HeadState) LandWarm(c volume.ChunkID, k NodeID, size units.Bytes, evicted []volume.ChunkID) {
+	if h.warm != nil {
+		h.warm.Loaded(k, c)
+	}
+	displaced, ok := h.Caches[k].InsertCold(c, size)
+	for _, ev := range displaced {
+		h.settleWaste(ev, k)
+	}
+	if ok {
+		if h.prefetched == nil {
+			h.prefetched = make(map[prefKey]struct{})
+		}
+		h.prefetched[prefKey{c, k}] = struct{}{}
+		h.trackPlacement(c, k)
 	}
 	for _, ev := range evicted {
-		h.NotePrefetchEvicted(ev, k)
+		h.Caches[k].Remove(ev)
+		if h.warm != nil {
+			h.warm.NoteEvicted(k, ev)
+		}
+		h.settleWaste(ev, k)
 	}
-	if h.prefetched == nil {
-		h.prefetched = make(map[prefKey]struct{})
-	}
-	h.prefetched[prefKey{c, k}] = struct{}{}
-	h.trackPlacement(c, k)
-	return true
 }
 
 // IsPrefetched reports whether chunk c is resident on node k due to a
@@ -93,17 +104,19 @@ func (h *HeadState) DemandTouchPrefetched(c volume.ChunkID, k NodeID) bool {
 	return true
 }
 
-// NotePrefetchEvicted settles an eviction against the Prefetched table: a
-// prefetched chunk evicted before any demand touch was wasted bandwidth.
-// Reports whether the eviction hit a prefetched residency.
-func (h *HeadState) NotePrefetchEvicted(c volume.ChunkID, k NodeID) bool {
+// settleWaste settles an eviction of chunk c from node k against the
+// Prefetched table: a prefetched chunk evicted before any demand touch was
+// wasted bandwidth, and the prefetch observer hears of it.
+func (h *HeadState) settleWaste(c volume.ChunkID, k NodeID) {
 	key := prefKey{c, k}
 	if _, ok := h.prefetched[key]; !ok {
-		return false
+		return
 	}
 	delete(h.prefetched, key)
 	h.prefWasted++
-	return true
+	if h.warm != nil {
+		h.warm.Wasted(k, c)
+	}
 }
 
 // NotePrefetchHidden counts a hidden hit: a demand task arrived for a chunk
@@ -118,15 +131,18 @@ func (h *HeadState) PrefetchAccuracy() (hits, hidden, wasted int64) {
 	return h.prefHits, h.prefHidden, h.prefWasted
 }
 
-// dropPrefetchedOn clears every prefetched residency of a failed node,
-// counting each as wasted: the warmed bytes died with the cache. Map
-// iteration order is irrelevant — each entry is independently deleted and
-// counted.
-func (h *HeadState) dropPrefetchedOn(k NodeID) {
+// dropPrefetched settles as wasted every prefetched residency of node k
+// whose chunk keep does not hold (all of them with keep nil), in chunk
+// order so that the observer hears them alike on every run.
+func (h *HeadState) dropPrefetched(k NodeID, keep *cache.LRU) {
+	var gone []volume.ChunkID
 	for key := range h.prefetched {
-		if key.k == k {
-			delete(h.prefetched, key)
-			h.prefWasted++
+		if key.k == k && (keep == nil || !keep.Contains(key.c)) {
+			gone = append(gone, key.c)
 		}
+	}
+	slices.SortFunc(gone, volume.CompareChunks)
+	for _, c := range gone {
+		h.settleWaste(c, k)
 	}
 }

@@ -45,6 +45,11 @@ type HeadState struct {
 	// with whatever source its owner re-installs. Nil (the default) keeps
 	// Estimate byte-identical to the single-head behaviour.
 	estimateSrc func(volume.ChunkID) (units.Duration, bool)
+	// dir and warm hear the head's facts for the shard directory and the
+	// prefetch layer. Attached once, like estimateSrc, and never serialized:
+	// replay's tables have neither, so its rules run with no side effects.
+	dir  DirectoryWriter
+	warm PrefetchObserver
 	// hitObs learns actual cached-task execution times per (size, group),
 	// the symmetric correction to estimate: without it, a system whose real
 	// costs differ from the model would mis-rank cached against non-cached
@@ -81,7 +86,7 @@ type HeadState struct {
 	// prefetched tags residencies created by the prefetching layer (§5.8)
 	// that no demand task has touched yet; the counters below settle its
 	// entries into hits, hidden hits, or waste. Lazily allocated — nil until
-	// the first MarkPrefetched, so prefetch-off runs never touch it.
+	// the first landed warm, so prefetch-off runs never touch it.
 	prefetched map[prefKey]struct{}
 	prefHits   int64
 	prefHidden int64
@@ -189,17 +194,23 @@ func (h *HeadState) MarkUp(k NodeID) {
 // none survives); the report says how much of the failure was absorbed
 // warm. Disabled or untracked, the report is zero.
 func (h *HeadState) MarkFailed(k NodeID) RehomeReport {
+	if h.warm != nil {
+		h.warm.FailNode(k)
+	}
 	h.retire(k)
 	return h.rehomeFailed(k)
 }
 
 // retire takes node k out of service with a cold predicted cache — the end
-// state a crash and a completed drain share.
+// state a crash and a completed drain share — and out of the directory.
 func (h *HeadState) retire(k NodeID) {
 	h.setHealth(k, HealthDown)
-	h.dropPrefetchedOn(k)
+	h.dropPrefetched(k, nil)
 	h.CoDone(k)
 	h.adopt(k, cache.NewLRU(h.Caches[k].Quota()))
+	if h.dir != nil {
+		h.dir.DropNode(k)
+	}
 }
 
 // MarkRepaired returns a failed node to service with a cold cache.
@@ -230,7 +241,8 @@ func (h *HeadState) Draining(k NodeID) bool { return h.health[k] == HealthDraini
 // crash-path side effects — DemoteHomes already moved the home sets, so
 // nothing is re-homed here and nothing is left for the rarest-first pass to
 // re-seed. The existing rejoin/repair path (MarkRepaired) brings the slot
-// back into service later.
+// back into service later. The prefetch observer abandoned the node's warm
+// when the drain began.
 func (h *HeadState) CompleteDrain(k NodeID) { h.retire(k) }
 
 // Estimate returns Estimate[c]: the expected miss execution time for a task
@@ -267,6 +279,30 @@ func (h *HeadState) Estimate(c volume.ChunkID, size units.Bytes, group int) unit
 func (h *HeadState) SetEstimateSource(src func(volume.ChunkID) (units.Duration, bool)) {
 	h.estimateSrc = src
 }
+
+// DirectoryWriter is the shard directory's write side (§5.11), told of
+// every completion the tables fold in and every node they lose.
+type DirectoryWriter interface {
+	Publish(tables *HeadState, res TaskResult)
+	DropNode(k NodeID)
+}
+
+// PrefetchObserver hears each completion, landed warm, eviction, crash and
+// waste the prefetch layer needs (§5.8), in order. prefetch.Controller has
+// all but Wasted, which each plane adds for its own trace or stats.
+type PrefetchObserver interface {
+	Observe(action ActionID, c volume.ChunkID, now units.Time)
+	Loaded(k NodeID, c volume.ChunkID)
+	NoteEvicted(k NodeID, c volume.ChunkID)
+	FailNode(k NodeID)
+	Wasted(k NodeID, c volume.ChunkID)
+}
+
+// SetDirectoryWriter attaches a shard's directory; nil is a lone head.
+func (h *HeadState) SetDirectoryWriter(w DirectoryWriter) { h.dir = w }
+
+// SetPrefetchObserver attaches the prefetch layer; nil is none.
+func (h *HeadState) SetPrefetchObserver(o PrefetchObserver) { h.warm = o }
 
 // IdleThreshold returns ε = Estimate[c]/2, the minimum interactive-idle time
 // a node must show before a non-cached batch task may be placed on it.
@@ -366,7 +402,9 @@ func (h *HeadState) CommitAssign(t *Task, k NodeID, now units.Time) units.Durati
 // Correct reconciles the tables with an actual task completion (§V-B):
 // Estimate[c] tracks the latest observed miss time, the Available
 // prediction absorbs the drift between predicted and actual execution, and
-// the predicted cache drops whatever the node actually evicted.
+// the predicted cache drops whatever the node actually evicted, settling
+// any of it that was an untouched warm as waste. The directory then
+// publishes the completion and the prefetch observer trains on it.
 func (h *HeadState) Correct(res TaskResult, now units.Time) {
 	if res.Hit {
 		size, group := res.Task.Size, res.Task.Job.GroupSize()
@@ -390,11 +428,17 @@ func (h *HeadState) Correct(res TaskResult, now units.Time) {
 	c := h.Caches[res.Node]
 	for _, ev := range res.Evicted {
 		c.Remove(ev)
-		h.NotePrefetchEvicted(ev, res.Node)
+		h.settleWaste(ev, res.Node)
 	}
 	// If the prediction said resident but the node actually missed, the
 	// node has (re)loaded it now either way; make sure the table agrees.
 	if !c.Contains(res.Task.Chunk) {
 		c.Insert(res.Task.Chunk, res.Task.Size)
+	}
+	if h.dir != nil {
+		h.dir.Publish(h, res)
+	}
+	if h.warm != nil {
+		h.warm.Observe(res.Task.Job.Action, res.Task.Chunk, now)
 	}
 }

@@ -9,10 +9,10 @@
 //   - Core tables (Cache/Available/Estimate, health, homes/pressure,
 //     prefetch accuracy) are reconstructed *exactly*: the snapshot captures
 //     them in sorted slice form (core.TableDump) and the journal replays the
-//     very same mutations the live head performed — CommitAssign at the
-//     recorded time, Correct with the recorded facts, MarkFailed/Repaired/
-//     Suspect/Up, MarkPrefetched. Because core.HeadState mutates only
-//     through those operations, replay is deep-equal to the lost head.
+//     very rules the live head ran — CommitAssign at the recorded time,
+//     Correct with the recorded facts, LandWarm, MarkFailed/Repaired/
+//     Suspect/Up, ResyncCache — on tables with no observers attached, so
+//     replay is deep-equal to the lost head by construction.
 //   - Jobs are reconstructed exactly from admit records plus per-task
 //     dispatch/complete records; completed-but-undelivered work is
 //     identified by task state so recovery never re-renders it.
@@ -432,11 +432,7 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			if !body.Loaded {
 				break // a cancelled warm never touched the tables
 			}
-			st.Tables.MarkPrefetched(body.Chunk, node, body.Size)
-			for _, ev := range body.Evicted {
-				st.Tables.Caches[node].Remove(ev)
-				st.Tables.NotePrefetchEvicted(ev, node)
-			}
+			st.Tables.LandWarm(body.Chunk, node, body.Size, body.Evicted)
 
 		default:
 			return nil, fail("unknown record kind")

@@ -251,11 +251,7 @@ func (d *driver) prefetch() {
 			evicted = append(evicted, ev)
 		}
 	}
-	d.tables.MarkPrefetched(c, node, size)
-	for _, ev := range evicted {
-		d.tables.Caches[node].Remove(ev)
-		d.tables.NotePrefetchEvicted(ev, node)
-	}
+	d.tables.LandWarm(c, node, size, evicted)
 	d.journal(journal.KindPrefetch, 0, -1, node,
 		PrefetchBody{Chunk: c, Size: size, Loaded: true, Evicted: evicted})
 }

@@ -9,9 +9,9 @@ import (
 
 // Controller glues predictor and governor into a core.PrefetchPlanner: one
 // instance per engine or live head, wired into the scheduler with
-// core.PrefetchSetter and trained by the execution layer's completion
-// stream. Not safe for concurrent use; its owner serializes access the
-// same way it serializes Schedule calls.
+// core.PrefetchSetter and trained by the completions the head tables fold
+// in (core.PrefetchObserver). Not safe for concurrent use; its owner
+// serializes access the same way it serializes Schedule calls.
 type Controller struct {
 	cfg    Config
 	pred   *Predictor
@@ -71,7 +71,7 @@ func (c *Controller) Observe(action core.ActionID, chunk volume.ChunkID, now uni
 }
 
 // NoteEvicted records that landing a warm displaced chunk from node k. The
-// execution layer calls it for every eviction a cold insert causes; Plan
+// head tables call it for every eviction a landed warm reports; Plan
 // refuses to re-warm such a chunk onto the same node until demand work runs
 // again, breaking warm/evict rotation cycles in long idle windows.
 func (c *Controller) NoteEvicted(k core.NodeID, chunk volume.ChunkID) {
@@ -261,19 +261,13 @@ func (c *Controller) Loaded(k core.NodeID, chunk volume.ChunkID) {
 }
 
 // Cancel records a warm abandoned before completion: the node was busy,
-// failed, or the chunk turned out resident.
+// failed, the chunk turned out resident, or a demand task for it absorbed
+// the load in flight (a hidden hit to the head tables, but the warm itself
+// never finished).
 func (c *Controller) Cancel(k core.NodeID, chunk volume.ChunkID) {
 	if c.settle(k, chunk) {
 		c.cancelled++
 	}
-}
-
-// Absorbed records a warm cancelled because a demand task for the same
-// chunk arrived and absorbed the in-flight load (counted as a hidden hit by
-// the head tables, and as a cancellation here — the warm itself never
-// finished).
-func (c *Controller) Absorbed(k core.NodeID, chunk volume.ChunkID) {
-	c.Cancel(k, chunk)
 }
 
 // FailNode abandons whatever warm node k had in flight (crash/stall).

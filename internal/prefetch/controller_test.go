@@ -64,7 +64,7 @@ func TestPrefetchControllerPlansIdleNode(t *testing.T) {
 
 	// After Loaded the chunk is (simulated) resident; ReplicaCount guards it.
 	ctl.Loaded(d.Node, d.Chunk)
-	head.MarkPrefetched(d.Chunk, d.Node, d.Size)
+	head.LandWarm(d.Chunk, d.Node, d.Size, nil)
 	for _, d3 := range ctl.Plan(at(2), lambda, head) {
 		if d3.Chunk == d.Chunk {
 			t.Fatal("replanned a chunk already predicted resident")
@@ -160,7 +160,7 @@ func TestPrefetchControllerLifecycleCounters(t *testing.T) {
 	}
 }
 
-// MarkPrefetched + demand touch + eviction drive the head-side accuracy
+// Landed warms + demand touch + eviction drive the head-side accuracy
 // counters that Outcome folds in.
 func TestPrefetchAccuracyAccounting(t *testing.T) {
 	ctl, head := newTestController(2)
@@ -168,11 +168,9 @@ func TestPrefetchAccuracyAccounting(t *testing.T) {
 	b := volume.ChunkID{Dataset: 0, Index: 1}
 	c := volume.ChunkID{Dataset: 0, Index: 2}
 
-	if !head.MarkPrefetched(a, 0, testChunk) {
-		t.Fatal("MarkPrefetched refused with an empty cache")
-	}
-	head.MarkPrefetched(b, 0, testChunk)
-	head.MarkPrefetched(c, 1, testChunk)
+	head.LandWarm(a, 0, testChunk, nil)
+	head.LandWarm(b, 0, testChunk, nil)
+	head.LandWarm(c, 1, testChunk, nil)
 
 	if !head.IsPrefetched(a, 0) {
 		t.Fatal("a not marked prefetched")
@@ -181,8 +179,9 @@ func TestPrefetchAccuracyAccounting(t *testing.T) {
 	if head.IsPrefetched(a, 0) {
 		t.Fatal("demand touch did not clear the mark")
 	}
-	head.NotePrefetchEvicted(b, 0) // evicted unused
-	head.NotePrefetchHidden()      // absorbed in flight
+	d := volume.ChunkID{Dataset: 0, Index: 3}
+	head.LandWarm(d, 0, testChunk, []volume.ChunkID{b}) // b evicted unused
+	head.NotePrefetchHidden()                           // absorbed in flight
 
 	out := ctl.Outcome(head)
 	if out.Hits != 1 || out.HiddenHits != 1 || out.Wasted != 1 {

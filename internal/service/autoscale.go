@@ -107,12 +107,12 @@ func (s *liveScaler) Warm(d core.PrefetchDirective) {
 	s.l.sendPrefetches([]core.PrefetchDirective{d})
 }
 
-// Retire implements autoscale.Plane: the head journals the re-home, drops
-// node k from the shard directory, hands back every task it still owes, and
-// retires the worker with a clean Shutdown — its serve loop returns nil and
-// its reconnect loop stops redialing, and the eventual connection error is
-// swallowed by nodeDown's already-down guard. downAt stays zero, so a later
-// rejoin of the slot contributes no MTTR sample.
+// Retire implements autoscale.Plane: the head journals the re-home, hands
+// back every task node k still owes, and retires the worker with a clean
+// Shutdown — its serve loop returns nil and its reconnect loop stops
+// redialing, and the eventual connection error is swallowed by nodeDown's
+// already-down guard. downAt stays zero, so a later rejoin of the slot
+// contributes no MTTR sample.
 func (s *liveScaler) Retire(k core.NodeID) int {
 	h := s.l.h
 	// One KindRehome record: a standby's replay runs MarkFailed, which
@@ -120,7 +120,6 @@ func (s *liveScaler) Retire(k core.NodeID) int {
 	// tables converge without a drain-specific record kind.
 	h.journalRec(journal.KindRehome, 0, -1, k, h.now(), nil)
 	h.healthView[k].Store(int32(core.HealthDown))
-	h.shard.dropNode(k)
 	owed := s.l.outstanding(k)
 	for _, t := range owed {
 		s.l.requeue(t.lj, t.i)

@@ -22,6 +22,7 @@ import (
 	"vizsched/internal/journal"
 	"vizsched/internal/prefetch"
 	"vizsched/internal/qos"
+	"vizsched/internal/shard"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
@@ -262,8 +263,9 @@ type Head struct {
 	frac      *fracTracker
 
 	// shard is the head's place in a MultiHead plane (§5.11), which sets it:
-	// the hello ack carries the index, shared estimates fill table misses,
-	// and completions and node deaths are published. Zero for a lone head.
+	// the hello ack carries the index, and boot attaches the directory to the
+	// tables, which read shared estimates on a miss and publish completions
+	// and lost nodes. Zero for a lone head.
 	shard shardSlot
 
 	// Logf receives diagnostics; defaults to log.Printf.
@@ -429,6 +431,7 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 	h.state = st.Tables
 	if h.shard.dir != nil {
 		h.state.SetEstimateSource(h.shard.dir.Estimate)
+		h.state.SetDirectoryWriter(shard.Writer{Dir: h.shard.dir, First: h.shard.index, Stride: h.shard.n})
 	}
 	n := len(h.state.Available)
 	// Anchor the clock at the state's instant (zero on fresh tables): journal
@@ -459,6 +462,7 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 	if h.Prefetch != nil {
 		if ps, ok := h.sched.(core.PrefetchSetter); ok {
 			h.prefc = prefetch.NewController(h.Prefetch, n, h.chunkSize)
+			h.state.SetPrefetchObserver(warmStats{h.prefc, &h.stats.prefetchWasted})
 			ps.SetPrefetchPlanner(h.prefc)
 			h.prefSrc, _ = h.sched.(core.PrefetchSource)
 		}
@@ -622,31 +626,15 @@ func (h *Head) taskDeadline(t *core.Task) time.Duration {
 // eviction list mapped to scheduler chunk IDs.
 func (h *Head) correct(lj *liveJob, node core.NodeID, frag *FragmentBody, now units.Time) (touch bool, evicted []volume.ChunkID) {
 	task := &lj.job.Tasks[frag.TaskIndex]
-	evicted = make([]volume.ChunkID, 0, len(frag.Evicted))
-	for _, ev := range frag.Evicted {
-		if id, ok := h.dsIDs[ev.Dataset]; ok {
-			evicted = append(evicted, volume.ChunkID{Dataset: id, Index: ev.Index})
-		}
-	}
+	evicted = h.chunkIDs(frag.Evicted)
 	if h.prefc != nil && frag.Hit && h.state.DemandTouchPrefetched(task.Chunk, node) {
 		h.stats.prefetchHits.Add(1)
 		touch = true
 	}
-	res := core.TaskResult{
-		Task:      task,
-		Node:      node,
-		Hit:       frag.Hit,
-		Exec:      units.Duration(frag.ExecNanos),
-		Predicted: task.PredictedExec,
-		Evicted:   evicted,
-		Finished:  now,
-	}
-	h.trackWaste(func() { h.state.Correct(res, now) })
-	h.shard.publish(h.state, res)
-	if h.prefc != nil {
-		// Every completed fragment trains the predictor's trajectory model.
-		h.prefc.Observe(lj.job.Action, task.Chunk, now)
-	}
+	h.state.Correct(core.TaskResult{
+		Task: task, Node: node, Hit: frag.Hit, Exec: units.Duration(frag.ExecNanos),
+		Predicted: task.PredictedExec, Evicted: evicted, Finished: now,
+	}, now)
 	h.stats.evictions.Add(int64(len(frag.Evicted)))
 	if frag.Hit {
 		h.stats.hits.Add(1)
@@ -684,43 +672,36 @@ func (h *Head) prefetchDone(node core.NodeID, pd PrefetchDoneBody) {
 		h.prefc.Cancel(node, c)
 		return
 	}
-	h.prefc.Loaded(node, c)
 	h.stats.prefetchLoaded.Add(1)
 	h.stats.prefetchNanos.Add(pd.Nanos)
-	h.state.MarkPrefetched(c, node, size)
-	evicted := make([]volume.ChunkID, 0, len(pd.Evicted))
-	for _, ev := range pd.Evicted {
-		did, ok := h.dsIDs[ev.Dataset]
-		if !ok {
-			continue
-		}
-		evc := volume.ChunkID{Dataset: did, Index: ev.Index}
-		evicted = append(evicted, evc)
-		h.state.Caches[node].Remove(evc)
-		h.prefc.NoteEvicted(node, evc)
-		if h.state.NotePrefetchEvicted(evc, node) {
-			h.stats.prefetchWasted.Add(1)
-		}
-	}
+	evicted := h.chunkIDs(pd.Evicted)
+	h.state.LandWarm(c, node, size, evicted)
 	h.stats.evictions.Add(int64(len(pd.Evicted)))
 	h.journalRec(journal.KindPrefetch, 0, -1, node, h.now(),
 		hastate.PrefetchBody{Chunk: c, Size: size, Loaded: true, Evicted: evicted})
 }
 
-// trackWaste runs fn and folds any prefetch waste the head tables recorded
-// during it (warmed chunks evicted untouched) into the stats mirror.
-func (h *Head) trackWaste(fn func()) {
-	if h.prefc == nil {
-		fn()
-		return
+// chunkIDs maps a worker's chunk list to scheduler chunk IDs, dropping
+// datasets the catalog does not have.
+func (h *Head) chunkIDs(refs []ChunkRef) []volume.ChunkID {
+	ids := make([]volume.ChunkID, 0, len(refs))
+	for _, r := range refs {
+		if id, ok := h.dsIDs[r.Dataset]; ok {
+			ids = append(ids, volume.ChunkID{Dataset: id, Index: r.Index})
+		}
 	}
-	_, _, before := h.state.PrefetchAccuracy()
-	fn()
-	_, _, after := h.state.PrefetchAccuracy()
-	if after > before {
-		h.stats.prefetchWasted.Add(after - before)
-	}
+	return ids
 }
+
+// warmStats is the live head's prefetch observer on its tables: the
+// controller hears every rule, and each warm the tables settle as wasted
+// counts on the stats pages.
+type warmStats struct {
+	*prefetch.Controller
+	wasted *atomic.Int64
+}
+
+func (w warmStats) Wasted(core.NodeID, volume.ChunkID) { w.wasted.Add(1) }
 
 // compose decodes a completed job's fragments and composites them, nearest
 // first, into its w×h frame. A fragment is a rectangle of that frame, and

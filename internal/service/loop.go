@@ -13,7 +13,6 @@ import (
 	"vizsched/internal/qos"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
-	"vizsched/internal/volume"
 )
 
 // eventKind names what happened to the head.
@@ -192,7 +191,8 @@ func (l *headLoop) schedule() {
 			if pcycle <= 0 {
 				pcycle = core.DefaultCycle
 			}
-			l.sendPrefetches(h.prefc.Plan(h.now(), h.now().Add(pcycle), h.state))
+			now := h.now()
+			l.sendPrefetches(h.prefc.Plan(now, now.Add(pcycle), h.state))
 		}
 		return
 	}
@@ -350,19 +350,13 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 	}
 	h.Logf("head: node %d down; re-scheduling its tasks", node)
 	h.stats.workersDown.Add(1)
-	if h.prefc != nil {
-		h.prefc.FailNode(node)
-	}
 	h.journalRec(journal.KindRehome, 0, -1, node, h.now(), nil)
-	var rehome core.RehomeReport
-	h.trackWaste(func() { rehome = h.state.MarkFailed(node) })
-	if rehome.Rehomed > 0 || rehome.Reseeded > 0 {
+	if rehome := h.state.MarkFailed(node); rehome.Rehomed > 0 || rehome.Reseeded > 0 {
 		h.stats.chunksRehomed.Add(int64(rehome.Rehomed))
 		h.stats.chunksReseeded.Add(int64(rehome.Reseeded))
 		h.Logf("head: node %d chunks re-homed: %d warm, %d re-seeding rarest-first", node, rehome.Rehomed, rehome.Reseeded)
 	}
 	h.healthView[node].Store(int32(core.HealthDown))
-	h.shard.dropNode(node)
 	h.downAt[node] = h.wall()
 	h.senders[node].Close()
 	h.mu.Lock()
@@ -622,19 +616,12 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 		// prediction may be stale (a recovered table, or drift across the
 		// disconnect), and the worker holds ground truth.
 		entries := make([]cache.Entry, 0, len(ev.hello.Cached))
-		for _, cr := range ev.hello.Cached {
-			id, ok := h.dsIDs[cr.Dataset]
-			if !ok {
-				continue
+		for _, c := range h.chunkIDs(ev.hello.Cached) {
+			if size := h.chunkSize(c); size > 0 {
+				entries = append(entries, cache.Entry{ID: c, Size: size})
 			}
-			c := volume.ChunkID{Dataset: id, Index: cr.Index}
-			size := h.chunkSize(c)
-			if size <= 0 {
-				continue
-			}
-			entries = append(entries, cache.Entry{ID: c, Size: size})
 		}
-		h.trackWaste(func() { h.state.ResyncCache(node, entries) })
+		h.state.ResyncCache(node, entries)
 		h.journalRec(journal.KindResync, 0, -1, node, now, hastate.ResyncBody{Entries: entries})
 		h.stats.workersResynced.Add(1)
 	}

@@ -40,29 +40,11 @@ type MultiHead struct {
 
 // shardSlot is a head's place in a sharded plane: its index among n shards
 // and the directory they share. The zero value, and a one-shard plane's slot
-// (no directory), are a lone head.
+// (no directory), are a lone head. Placement is round-robin, so local slot l
+// of shard i is global worker l·n + i.
 type shardSlot struct {
 	index, n int
 	dir      *shard.Directory
-}
-
-// global maps a local node to its plane-wide ID. Placement is round-robin,
-// so local slot l of shard i is global worker l·n + i.
-func (s shardSlot) global(node core.NodeID) int { return int(node)*s.n + s.index }
-
-// publish hands a completion the head's tables have just folded in to the
-// directory's one publication rule.
-func (s shardSlot) publish(tables *core.HeadState, res core.TaskResult) {
-	if s.dir != nil {
-		s.dir.Publish(tables, res, s.global)
-	}
-}
-
-// dropNode retracts a node the head has declared down or drained.
-func (s shardSlot) dropNode(node core.NodeID) {
-	if s.dir != nil {
-		s.dir.DropNode(s.global(node))
-	}
 }
 
 // NewMultiHead builds a sharded control plane over the catalog. Each shard

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,5 +159,46 @@ func TestPrefetchDoneOutsideManifestIgnored(t *testing.T) {
 	}
 	if warms != 1 {
 		t.Errorf("journal holds %d prefetch records, want the real warm's 1", warms)
+	}
+}
+
+// TestPrefetchLiveWasteMirrorsTables: the stats pages count every warm the
+// tables settle as wasted. One worker whose cache holds a brick and a half
+// lands a warm of plume brick 0, then one of brick 1 that displaces it
+// untouched.
+func TestPrefetchLiveWasteMirrorsTables(t *testing.T) {
+	s := newSteppedHead(t, 1, func(h *Head) {
+		h.Prefetch = &prefetch.Config{}
+		h.memQuota = h.chunkSize(volume.ChunkID{Dataset: h.dsIDs["plume"]}) * 3 / 2
+	})
+	check := func(step string, want int64) {
+		t.Helper()
+		_, _, wasted := s.h.state.PrefetchAccuracy()
+		if got := s.h.Stats().Prefetch.Wasted; got != wasted || wasted != want {
+			t.Errorf("after %s: stats count %d wasted warms, the tables %d; want %d", step, got, wasted, want)
+		}
+	}
+	s.fromWorker(0, transport.KindPrefetchDone, PrefetchDoneBody{Dataset: "plume", Chunk: 0, Loaded: true})
+	check("the warm of plume/0", 0)
+	s.fromWorker(0, transport.KindPrefetchDone, PrefetchDoneBody{
+		Dataset: "plume", Chunk: 1, Loaded: true,
+		Evicted: []ChunkRef{{Dataset: "plume", Index: 0}},
+	})
+	check("the warm of plume/1 that evicted it", 1)
+}
+
+// TestPrefetchIdleTickReadsClockOnce: a scheduler tick with nothing queued
+// plans warms over [now, now+ω) from one clock read, so λ is ω after now
+// even on a clock that moves between reads.
+func TestPrefetchIdleTickReadsClockOnce(t *testing.T) {
+	var reads atomic.Int64
+	s := newSteppedHead(t, 1, func(h *Head) {
+		h.Prefetch = &prefetch.Config{}
+		h.clock = func() time.Time { return time.Unix(1_000_000_000, reads.Add(1)*int64(time.Millisecond)) }
+	})
+	reads.Store(0)
+	s.l.step(event{kind: evTick})
+	if n := reads.Load(); n != 1 {
+		t.Errorf("an idle tick read the clock %d times, want 1", n)
 	}
 }

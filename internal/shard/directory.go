@@ -148,19 +148,28 @@ func (d *Directory) PublishResident(c volume.ChunkID, globalNode int, on bool) {
 	d.publishes.Add(1)
 }
 
-// Publish is the one rule by which a shard — of the simulator's plane or the
-// live one — tells the directory about a completion it has just folded into
-// its tables. A miss's execution time becomes the chunk's Estimate[c], which
-// is the miss time (a hit's is a warm render's, and would price a shard's
-// next miss far too low); the node holds the chunk and no longer holds what
-// it evicted; and with k > 1 the shard's home set for the chunk follows.
-// global maps the shard's node IDs to the plane's.
-func (d *Directory) Publish(tables *core.HeadState, res core.TaskResult, global func(core.NodeID) int) {
-	c := res.Task.Chunk
+// Writer is one shard's write side of the directory: the
+// core.DirectoryWriter a shard's head tables call, in the simulator's plane
+// and the live one. The shard's node k is the plane's First + k·Stride.
+type Writer struct {
+	Dir           *Directory
+	First, Stride int
+}
+
+func (w Writer) global(k core.NodeID) int { return w.First + int(k)*w.Stride }
+
+// Publish is the one rule by which a shard tells the directory about a
+// completion its tables have just folded in. A miss's execution time
+// becomes the chunk's Estimate[c], which is the miss time (a hit's is a
+// warm render's, and would price a shard's next miss far too low); the node
+// holds the chunk and no longer holds what it evicted; and with k > 1 the
+// shard's home set for the chunk follows.
+func (w Writer) Publish(tables *core.HeadState, res core.TaskResult) {
+	d, c := w.Dir, res.Task.Chunk
 	if !res.Hit {
 		d.PublishEstimate(c, res.Exec)
 	}
-	node := global(res.Node)
+	node := w.global(res.Node)
 	d.PublishResident(c, node, true)
 	for _, ev := range res.Evicted {
 		d.PublishResident(ev, node, false)
@@ -169,12 +178,15 @@ func (d *Directory) Publish(tables *core.HeadState, res core.TaskResult, global 
 		if hs := tables.HomeSet(c); len(hs) > 0 {
 			homes := make([]int, len(hs))
 			for j, n := range hs {
-				homes[j] = global(n)
+				homes[j] = w.global(n)
 			}
 			d.SetHomes(c, homes)
 		}
 	}
 }
+
+// DropNode retracts a node the shard has declared down or drained.
+func (w Writer) DropNode(k core.NodeID) { w.Dir.DropNode(w.global(k)) }
 
 // Residents returns the chunk's global residency set, sorted.
 func (d *Directory) Residents(c volume.ChunkID) []int {

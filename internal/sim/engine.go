@@ -325,13 +325,6 @@ type Engine struct {
 	headDown bool
 	deferred []workload.Request
 
-	// onCorrect and onNodeDown are the sharded control plane's observation
-	// taps (nil on single-head runs): after a completion folds into this
-	// head's tables the shard publishes the locality facts to the shared
-	// directory, and after a node is declared down the shard retracts it.
-	onCorrect  func(core.TaskResult)
-	onNodeDown func(core.NodeID)
-
 	nextJob  core.JobID
 	started  map[core.JobID]units.Time // JS per in-flight job
 	finished map[core.JobID]int        // completed-task counts
@@ -414,6 +407,7 @@ func New(cfg Config) *Engine {
 				return d.Chunks[c.Index].Size
 			}
 			e.pref = prefetch.NewController(cfg.Prefetch, cfg.Nodes, sizeOf)
+			e.head.SetPrefetchObserver(warmTrace{e.pref, e})
 			ps.SetPrefetchPlanner(e.pref)
 			e.prefSrc, _ = cfg.Scheduler.(core.PrefetchSource)
 			e.pinned = make(map[*core.Task]bool)
@@ -857,12 +851,6 @@ func (e *Engine) kickLoad(n *node) {
 func (e *Engine) account(res core.TaskResult) {
 	now := e.sim.Now()
 	e.head.Correct(res, now)
-	if e.onCorrect != nil {
-		e.onCorrect(res)
-	}
-	if e.pref != nil {
-		e.pref.Observe(res.Task.Job.Action, res.Task.Chunk, now)
-	}
 	j := res.Task.Job
 	if res.Exec > e.maxExec[j.ID] {
 		e.maxExec[j.ID] = res.Exec
@@ -899,9 +887,6 @@ func (e *Engine) fail(k core.NodeID) {
 	}
 	n.failed = true
 	rehome := e.head.MarkFailed(k)
-	if e.onNodeDown != nil {
-		e.onNodeDown(k)
-	}
 	e.report.Recovery.NodeDown(int(k), e.sim.Now())
 	if rehome.Rehomed > 0 || rehome.Reseeded > 0 {
 		e.report.Recovery.ChunksMoved(rehome.Rehomed, rehome.Reseeded)
@@ -912,11 +897,7 @@ func (e *Engine) fail(k core.NodeID) {
 		}
 	}
 	e.emit(trace.Event{Kind: trace.NodeFail, Node: k})
-
-	if e.pref != nil {
-		n.pfTimer.Cancel()
-		e.pref.FailNode(k)
-	}
+	n.pfTimer.Cancel()
 
 	requeue := func(t *core.Task) {
 		delete(e.pinned, t)

@@ -133,7 +133,7 @@ func (e *Engine) accessInSlot(n *node, t *core.Task) (a access) {
 		if a.tail = n.pfEnd.Sub(now); a.tail < 0 {
 			a.tail = 0
 		}
-		e.pref.Absorbed(n.id, t.Chunk)
+		e.pref.Cancel(n.id, t.Chunk)
 		e.head.NotePrefetchHidden()
 		e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: t.Chunk, Dur: a.tail})
 	}

@@ -3,7 +3,9 @@ package sim
 import (
 	"vizsched/internal/core"
 	"vizsched/internal/des"
+	"vizsched/internal/prefetch"
 	"vizsched/internal/trace"
+	"vizsched/internal/volume"
 )
 
 // This file is the execution side of the predictive prefetching layer
@@ -58,7 +60,7 @@ func (e *Engine) completePrefetch(n *node) {
 		evicted := n.mem.Insert(c, size)
 		e.report.EvictionsAdd(len(evicted))
 		e.report.LoadAdd()
-		e.pref.Absorbed(n.id, c)
+		e.pref.Cancel(n.id, c)
 		for i, t := range ws {
 			if i == 0 {
 				// The first waiter carries the evictions to the head's
@@ -83,15 +85,18 @@ func (e *Engine) completePrefetch(n *node) {
 		return
 	}
 	e.report.EvictionsAdd(len(evicted))
-	e.pref.Loaded(n.id, c)
-	e.head.MarkPrefetched(c, n.id, size)
-	// Keep the predicted cache in sync with what the cold insert actually
-	// displaced (there is no TaskResult to carry these through Correct).
-	for _, ev := range evicted {
-		e.head.Caches[n.id].Remove(ev)
-		e.pref.NoteEvicted(n.id, ev)
-		if e.head.NotePrefetchEvicted(ev, n.id) {
-			e.emit(trace.Event{Kind: trace.PrefetchWaste, Node: n.id, Chunk: ev})
-		}
-	}
+	// No TaskResult carries what the cold insert displaced; the landing does.
+	e.head.LandWarm(c, n.id, size, evicted)
+}
+
+// warmTrace is the engine's prefetch observer on its head tables: the
+// controller hears every rule, and each warm the tables settle as wasted
+// becomes a trace event.
+type warmTrace struct {
+	*prefetch.Controller
+	e *Engine
+}
+
+func (w warmTrace) Wasted(k core.NodeID, c volume.ChunkID) {
+	w.e.emit(trace.Event{Kind: trace.PrefetchWaste, Node: k, Chunk: c})
 }

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vizsched/internal/baselines"
 	"vizsched/internal/core"
 	"vizsched/internal/metrics"
 	"vizsched/internal/prefetch"
+	"vizsched/internal/trace"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 	"vizsched/internal/workload"
@@ -179,5 +181,49 @@ func TestPrefetchSimCrashCancelsWarm(t *testing.T) {
 	}
 	if e.QueueLen() != 0 {
 		t.Fatalf("queue not drained after recovery: %d", e.QueueLen())
+	}
+}
+
+// TestPrefetchSimTracesEveryWaste: every warm the head tables settle as
+// wasted — displaced by a later warm, evicted by demand, or lost with a
+// crashed node — is one prefetch-waste trace event, in the same order on
+// every run. The small quotas make the scrub's warms evict each other.
+func TestPrefetchSimTracesEveryWaste(t *testing.T) {
+	// Two landed warms, both untouched, die with the node at 30 s.
+	crash := []Failure{{At: units.Time(30 * units.Second), Node: 0, RepairAt: units.Time(35 * units.Second)}}
+	for _, tc := range []struct {
+		name     string
+		nodes    int
+		quota    units.Bytes
+		failures []Failure
+	}{
+		{"quota 1GB", 1, units.GB, nil},
+		{"quota 2GB", 1, 2 * units.GB, nil},
+		{"crash", 1, units.GB, crash},
+	} {
+		run := func() (*metrics.Report, []trace.Event) {
+			cfg := scrubConfig()
+			cfg.Nodes, cfg.MemQuota, cfg.Failures = tc.nodes, tc.quota, tc.failures
+			cfg.Prefetch = prefetch.DefaultConfig()
+			cfg.Trace = trace.New(0)
+			r := New(cfg).Run(scrubWorkload(8, 6500*units.Millisecond, units.Time(70*units.Second)), 0)
+			var waste []trace.Event
+			for _, ev := range cfg.Trace.Events {
+				if ev.Kind == trace.PrefetchWaste {
+					waste = append(waste, ev)
+				}
+			}
+			return r, waste
+		}
+		r, waste := run()
+		if r.Prefetch.Wasted == 0 {
+			t.Fatalf("%s: no warm wasted, so the check proves nothing: %v", tc.name, r.Prefetch)
+		}
+		if int64(len(waste)) != r.Prefetch.Wasted {
+			t.Errorf("%s: %d prefetch-waste events, the tables count %d wasted warms", tc.name, len(waste), r.Prefetch.Wasted)
+		}
+		if _, again := run(); !slices.Equal(again, waste) {
+			t.Errorf("%s: prefetch-waste events differ between two runs:\n%v\n%v", tc.name, waste, again)
+		}
 	}
 }

@@ -116,18 +116,24 @@ func NewSharded(cfg Config) *ShardedEngine {
 		// Shard-disjoint job ID spaces: donation moves jobs between shards,
 		// and the adoptee's accounting maps are keyed by ID.
 		eng.nextJob = core.JobID(i) << 40
-		si, base := i, se.parts[i].Start
-		global := func(n core.NodeID) int { return base + int(n) }
 		eng.head.SetEstimateSource(se.dir.Estimate)
-		eng.onCorrect = func(res core.TaskResult) {
-			// Processing the completion occupies the shard's control loop.
-			se.extendCtl(si, se.sim.Now(), se.cost.Complete)
-			se.dir.Publish(eng.head, res, global)
-		}
-		eng.onNodeDown = func(n core.NodeID) { se.dir.DropNode(global(n)) }
+		eng.head.SetDirectoryWriter(shardWriter{shard.Writer{Dir: se.dir, First: se.parts[i].Start, Stride: 1}, se, i})
 		se.subs = append(se.subs, eng)
 	}
 	return se
+}
+
+// shardWriter is shard i's directory write side: processing a completion
+// also occupies the shard's serial control loop for HeadCost.Complete.
+type shardWriter struct {
+	shard.Writer
+	se *ShardedEngine
+	i  int
+}
+
+func (w shardWriter) Publish(tables *core.HeadState, res core.TaskResult) {
+	w.se.extendCtl(w.i, w.se.sim.Now(), w.se.cost.Complete)
+	w.Writer.Publish(tables, res)
 }
 
 // Ring exposes the session-routing ring.
