@@ -71,8 +71,9 @@ bench:
 
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
 # wire-format decoders, the dense chunk table under the head's tables, the
-# event kernel's streams, the head's working queue and the rules by which
-# head facts change the head's tables. The checked-in corpora replay as
+# event kernel's streams, the head's working queue, the rules by which
+# head facts change the head's tables and the prefetch predictor's ranking
+# (bit for bit the sorting body it replaced). The checked-in corpora replay as
 # regression seeds; the -fuzztime budget explores a little fresh territory
 # per invocation.
 fuzz:
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/
 	$(GO) test -run xxx -fuzz FuzzBacklog -fuzztime 20s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzHeadRules -fuzztime 20s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzPredictorCandidates -fuzztime 20s ./internal/prefetch/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/, in the sweep harness, in the two control

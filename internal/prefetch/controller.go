@@ -89,9 +89,18 @@ func (c *Controller) NoteEvicted(k core.NodeID, chunk volume.ChunkID) {
 // warming target only if its predicted queue drains inside [now, λ) and it
 // has been free of interactive work for the ε-style guard Estimate[c]/2 —
 // the same idleness reasoning Algorithm 1 applies to non-cached batch,
-// reusing the same Estimate table.
+// reusing the same Estimate table. A cycle with no open node cannot issue a
+// warm, so it only ages the prior, the one lasting effect of Candidates.
 func (c *Controller) Plan(now, lambda units.Time, head *core.HeadState) []core.PrefetchDirective {
 	out := c.scratch[:0]
+	k := 0
+	for k < head.Nodes() && !c.open(core.NodeID(k), lambda, head) {
+		k++
+	}
+	if k == head.Nodes() {
+		c.pred.decay(now)
+		return out
+	}
 	for _, cand := range c.pred.Candidates(now, c.cfg.TopK) {
 		size := c.sizeOf(cand.Chunk)
 		if size <= 0 {
@@ -107,14 +116,8 @@ func (c *Controller) Plan(now, lambda units.Time, head *core.HeadState) []core.P
 		best := core.NodeID(-1)
 		for k := 0; k < head.Nodes(); k++ {
 			node := core.NodeID(k)
-			if !head.Alive(node) {
+			if !c.open(node, lambda, head) {
 				continue
-			}
-			if _, busy := c.inflight[node]; busy {
-				continue
-			}
-			if !head.Available[k].Before(lambda) {
-				continue // demand work fills past λ: no idle window
 			}
 			if c.churned[node][cand.Chunk] {
 				continue // a warm displaced it here; re-warming would cycle
@@ -132,14 +135,25 @@ func (c *Controller) Plan(now, lambda units.Time, head *core.HeadState) []core.P
 		if !c.gov.Allow(best, size, now) {
 			continue
 		}
-		c.inflight[best] = cand.Chunk
-		c.inflightChunk[cand.Chunk]++
-		c.issued++
-		c.bytes += size
-		out = append(out, core.PrefetchDirective{Node: best, Chunk: cand.Chunk, Size: size})
+		out = append(out, c.claim(best, cand.Chunk, size))
 	}
 	c.scratch = out
 	return out
+}
+
+// open reports whether node k is alive, not warming and drained before λ.
+func (c *Controller) open(k core.NodeID, lambda units.Time, head *core.HeadState) bool {
+	_, busy := c.inflight[k]
+	return head.Alive(k) && !busy && head.Available[k].Before(lambda)
+}
+
+// claim records a warm of chunk onto node k and returns its directive.
+func (c *Controller) claim(k core.NodeID, chunk volume.ChunkID, size units.Bytes) core.PrefetchDirective {
+	c.inflight[k] = chunk
+	c.inflightChunk[chunk]++
+	c.issued++
+	c.bytes += size
+	return core.PrefetchDirective{Node: k, Chunk: chunk, Size: size}
 }
 
 // Evacuate plans drain pre-warms (§5.12): directives that copy a draining
@@ -184,11 +198,7 @@ func (c *Controller) Evacuate(now units.Time, chunks []volume.ChunkID, head *cor
 		if !c.gov.Allow(best, size, now) {
 			continue
 		}
-		c.inflight[best] = chunk
-		c.inflightChunk[chunk]++
-		c.issued++
-		c.bytes += size
-		out = append(out, core.PrefetchDirective{Node: best, Chunk: chunk, Size: size})
+		out = append(out, c.claim(best, chunk, size))
 	}
 	return out
 }
@@ -229,11 +239,7 @@ func (c *Controller) Warmup(now units.Time, k core.NodeID, head *core.HeadState)
 		if !c.gov.Allow(k, size, now) {
 			return core.PrefetchDirective{}, false // out of budget this tick
 		}
-		c.inflight[k] = cand.Chunk
-		c.inflightChunk[cand.Chunk]++
-		c.issued++
-		c.bytes += size
-		return core.PrefetchDirective{Node: k, Chunk: cand.Chunk, Size: size}, true
+		return c.claim(k, cand.Chunk, size), true
 	}
 	return core.PrefetchDirective{}, false
 }

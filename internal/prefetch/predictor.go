@@ -40,43 +40,52 @@ func (d *dist) bump(next delta) {
 	d.total++
 }
 
-// top returns the row's n most likely next deltas, ties broken toward the
-// smaller delta so identical tables always rank identically. It ranks in
-// keys' storage and returns the reslice.
-func (d *dist) top(keys []delta, n int) []delta {
-	keys = keys[:0]
+// top2 returns the row's n ≤ 2 most likely next deltas, ties broken toward
+// the smaller delta so identical tables always rank identically.
+func (d *dist) top2() (best [2]delta, n int) {
 	for k := range d.counts {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b delta) int {
-		if c := cmp.Compare(d.counts[b], d.counts[a]); c != 0 {
-			return c
+		if n < 2 {
+			best[n], n = k, n+1
+		} else if d.ahead(k, best[1]) {
+			best[1] = k
 		}
-		if c := cmp.Compare(a.ds, b.ds); c != 0 {
-			return c
+		if n == 2 && d.ahead(best[1], best[0]) {
+			best[0], best[1] = best[1], best[0]
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	if len(keys) > n {
-		keys = keys[:n]
 	}
-	return keys
+	return best, n
+}
+
+// ahead reports whether delta a ranks before b: the larger count first,
+// then the smaller delta.
+func (d *dist) ahead(a, b delta) bool {
+	if ca, cb := d.counts[a], d.counts[b]; ca != cb {
+		return ca > cb
+	}
+	if a.ds != b.ds {
+		return a.ds < b.ds
+	}
+	return a.idx < b.idx
 }
 
 // stream is one action's footprint state: the last chunk seen and the last
 // two deltas, enough to key both Markov orders.
 type stream struct {
-	last   volume.ChunkID
-	d1, d2 delta
-	have   int // chunks observed, saturating at 3
-	seen   units.Time
+	action     core.ActionID
+	last       volume.ChunkID
+	d1, d2     delta
+	have       int // chunks observed, saturating at 3
+	seen       units.Time
+	prev, next *stream // the predictor's stream list, ordered by seen
 }
 
 // emaEntry is one chunk's decayed access frequency, decayed lazily at
 // read/write time so idle chunks cost nothing.
 type emaEntry struct {
-	val float64
-	at  units.Time
+	chunk volume.ChunkID
+	val   float64
+	at    units.Time
+	mark  int32 // 1 + its slot in Candidates' Markov set, valid while the slot holds chunk
 }
 
 // Candidate is one ranked prefetch suggestion.
@@ -87,7 +96,7 @@ type Candidate struct {
 
 // Predictor learns the workload's chunk-access structure online and emits
 // ranked candidates. It is deterministic: identical observation sequences
-// produce identical candidate rankings (all map iterations are sorted).
+// produce identical candidate rankings (every map walk feeds a total order).
 // Not safe for concurrent use; its owner (engine or head dispatcher)
 // serializes access.
 type Predictor struct {
@@ -95,12 +104,16 @@ type Predictor struct {
 	t1      map[delta]*dist
 	t2      map[trans2Key]*dist
 	streams map[core.ActionID]*stream
-	freqs   volume.ChunkMap[*emaEntry]
+	ring    stream // sentinel of the stream list: ring.next oldest, ring.prev newest
+	freqs   []emaEntry
+	index   volume.ChunkMap[int32] // chunk → its entry in freqs
 
-	// Candidates' scratch, cleared and refilled on every call.
-	scores volume.ChunkMap[float64]
-	acts   []core.ActionID
-	deltas []delta
+	decayDt     units.Duration // decayTo's memo: one pass's entries mostly share dt
+	decayFactor float64
+
+	// Candidates' scratch, refilled on every call.
+	live   []*stream
+	marked []Candidate
 	out    []Candidate
 }
 
@@ -110,20 +123,52 @@ func NewPredictor(cfg *Config) *Predictor {
 	if cfg != nil {
 		c = *cfg
 	}
-	return &Predictor{
+	p := &Predictor{
 		cfg:     c.withDefaults(),
 		t1:      make(map[delta]*dist),
 		t2:      make(map[trans2Key]*dist),
 		streams: make(map[core.ActionID]*stream),
 	}
+	p.ring.prev, p.ring.next = &p.ring, &p.ring
+	return p
 }
 
 // decayTo folds the exponential decay since the entry's last update.
 func (p *Predictor) decayTo(e *emaEntry, now units.Time) {
 	if dt := now.Sub(e.at); dt > 0 {
-		e.val *= math.Exp2(-dt.Seconds() / p.cfg.HalfLife.Seconds())
+		if dt != p.decayDt {
+			p.decayDt, p.decayFactor = dt, math.Exp2(-dt.Seconds()/p.cfg.HalfLife.Seconds())
+		}
+		e.val *= p.decayFactor
 		e.at = now
 	}
+}
+
+// decay ages every prior entry to now and returns the largest value.
+func (p *Predictor) decay(now units.Time) float64 {
+	maxVal := 0.0
+	for i := range p.freqs {
+		e := &p.freqs[i]
+		p.decayTo(e, now)
+		if e.val > maxVal {
+			maxVal = e.val
+		}
+	}
+	return maxVal
+}
+
+// relink moves st behind every stream seen no later than it: to the back of
+// the list, one step away, when Observe is called in completion order.
+func (p *Predictor) relink(st *stream) {
+	if st.next != nil {
+		st.prev.next, st.next.prev = st.next, st.prev
+	}
+	at := p.ring.prev
+	for at != &p.ring && at.seen > st.seen {
+		at = at.prev
+	}
+	st.prev, st.next = at, at.next
+	at.next.prev, at.next = st, st
 }
 
 // Observe trains the predictor with one completed task's chunk: bumps the
@@ -131,20 +176,23 @@ func (p *Predictor) decayTo(e *emaEntry, now units.Time) {
 // tables. Call it in completion order — virtual time in the simulator,
 // fragment arrival in the live head — so runs are reproducible.
 func (p *Predictor) Observe(action core.ActionID, c volume.ChunkID, now units.Time) {
-	e, _ := p.freqs.Get(c)
-	if e == nil {
-		e = &emaEntry{at: now}
-		p.freqs.Set(c, e)
+	j, ok := p.index.Get(c)
+	if !ok {
+		j = int32(len(p.freqs))
+		p.freqs = append(p.freqs, emaEntry{chunk: c, at: now})
+		p.index.Set(c, j)
 	}
+	e := &p.freqs[j]
 	p.decayTo(e, now)
 	e.val++
 
 	st := p.streams[action]
 	if st == nil {
-		st = &stream{}
+		st = &stream{action: action}
 		p.streams[action] = st
 	}
 	st.seen = now
+	p.relink(st)
 	if st.have > 0 {
 		d := delta{ds: int(c.Dataset - st.last.Dataset), idx: c.Index - st.last.Index}
 		if st.have >= 2 {
@@ -184,20 +232,16 @@ func apply(c volume.ChunkID, d delta) volume.ChunkID {
 // controller's size lookup filters those. The slice is the predictor's
 // scratch, valid until the next call.
 func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
-	scores := &p.scores
-	scores.Clear()
-
 	// Markov continuations, streams visited in action order for determinism.
-	acts := p.acts[:0]
-	for a, st := range p.streams {
-		if now.Sub(st.seen) <= units.Duration(p.cfg.StreamTTL) {
-			acts = append(acts, a)
-		}
+	// The list is ordered by seen, so the live streams are its newest end.
+	live := p.live[:0]
+	for st := p.ring.prev; st != &p.ring && now.Sub(st.seen) <= units.Duration(p.cfg.StreamTTL); st = st.prev {
+		live = append(live, st)
 	}
-	slices.Sort(acts)
-	p.acts = acts
-	for _, a := range acts {
-		st := p.streams[a]
+	slices.SortFunc(live, func(a, b *stream) int { return cmp.Compare(a.action, b.action) })
+	p.live = live
+	marked := p.marked[:0]
+	for _, st := range live {
 		var row *dist
 		if p.cfg.Order >= 2 && st.have >= 3 {
 			row = p.t2[trans2Key{d2: st.d2, d1: st.d1}]
@@ -208,52 +252,62 @@ func (p *Predictor) Candidates(now units.Time, limit int) []Candidate {
 		if row == nil || row.total == 0 {
 			continue
 		}
-		p.deltas = row.top(p.deltas, 2)
-		for _, d := range p.deltas {
+		top, n := row.top2()
+		for _, d := range top[:n] {
 			next := apply(st.last, d)
 			if next == st.last {
 				continue // self-transition: already being demanded
 			}
-			s, _ := scores.Get(next)
-			scores.Set(next, s+p.cfg.MarkovWeight*float64(row.counts[d])/float64(row.total))
-		}
-	}
-
-	// Frequency prior, normalized by the hottest chunk.
-	maxVal := 0.0
-	p.freqs.Range(func(_ volume.ChunkID, e *emaEntry) bool {
-		p.decayTo(e, now)
-		if e.val > maxVal {
-			maxVal = e.val
-		}
-		return true
-	})
-	if maxVal > 0 {
-		p.freqs.Range(func(c volume.ChunkID, e *emaEntry) bool {
-			if v := e.val / maxVal; v > 0 {
-				s, _ := scores.Get(c)
-				scores.Set(c, s+p.cfg.PriorWeight*v)
+			i := slices.IndexFunc(marked, func(m Candidate) bool { return m.Chunk == next })
+			if i < 0 {
+				i, marked = len(marked), append(marked, Candidate{Chunk: next})
+				if j, ok := p.index.Get(next); ok {
+					p.freqs[j].mark = int32(len(marked))
+				}
 			}
-			return true
-		})
+			marked[i].Score += p.cfg.MarkovWeight * float64(row.counts[d]) / float64(row.total)
+		}
 	}
+	p.marked = marked
 
+	// Frequency prior, normalized by the hottest chunk. A marked chunk's
+	// prior joins its Markov score; every other chunk is ranked on its own.
 	out := p.out[:0]
-	scores.Range(func(c volume.ChunkID, s float64) bool {
-		if s >= p.cfg.MinScore {
-			out = append(out, Candidate{Chunk: c, Score: s})
+	if maxVal := p.decay(now); maxVal > 0 {
+		for i := range p.freqs {
+			e := &p.freqs[i]
+			if v := e.val / maxVal; v > 0 {
+				if m := int(e.mark) - 1; m >= 0 && m < len(marked) && marked[m].Chunk == e.chunk {
+					marked[m].Score += p.cfg.PriorWeight * v
+				} else {
+					out = p.offer(out, limit, Candidate{Chunk: e.chunk, Score: p.cfg.PriorWeight * v})
+				}
+			}
 		}
-		return true
-	})
-	p.out = out
-	slices.SortFunc(out, func(a, b Candidate) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		return volume.CompareChunks(a.Chunk, b.Chunk)
-	})
-	if len(out) > limit {
-		out = out[:limit]
 	}
+	for _, m := range marked {
+		out = p.offer(out, limit, m)
+	}
+	p.out = out
 	return out
+}
+
+// offer inserts c into out, the best limit candidates so far in ranking
+// order, if it scores at least MinScore and ranks among them. The order is
+// total (score descending, then CompareChunks), so out ends as the head of
+// a full sort.
+func (p *Predictor) offer(out []Candidate, limit int, c Candidate) []Candidate {
+	if c.Score < p.cfg.MinScore {
+		return out
+	}
+	i := len(out)
+	for ; i > 0; i-- {
+		if o := out[i-1]; c.Score < o.Score || c.Score == o.Score && volume.CompareChunks(c.Chunk, o.Chunk) > 0 {
+			break
+		}
+	}
+	if i >= limit {
+		return out
+	}
+	return slices.Insert(out[:min(len(out), limit-1)], i, c)
 }

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -163,7 +164,7 @@ func TestPredictorSkipsSelfTransition(t *testing.T) {
 // scratch, kept verbatim (with the top and chunk order it called) so
 // TestPredictorCandidatesMatchReference can hold the scratch-reusing body
 // to it bit for bit. Only its read of the frequency table goes through a
-// Go map copied out of the predictor's ChunkMap.
+// Go map copied out of the predictor's flat entry slice.
 func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
 	scores := make(map[volume.ChunkID]float64)
 
@@ -198,10 +199,9 @@ func referenceCandidates(p *Predictor, now units.Time, limit int) []Candidate {
 
 	// Frequency prior, normalized by the hottest chunk.
 	freqs := make(map[volume.ChunkID]*emaEntry)
-	p.freqs.Range(func(c volume.ChunkID, e *emaEntry) bool {
-		freqs[c] = e
-		return true
-	})
+	for i := range p.freqs {
+		freqs[p.freqs[i].chunk] = &p.freqs[i]
+	}
 	chunks := make([]volume.ChunkID, 0, len(freqs))
 	maxVal := 0.0
 	for c, e := range freqs {
@@ -326,4 +326,71 @@ func TestPredictorCandidatesNoAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { p.Candidates(last, 8) }); allocs != 0 {
 		t.Errorf("Candidates allocates %v times a call, want 0", allocs)
 	}
+}
+
+// scriptConfigs are the configuration shapes of
+// TestPredictorCandidatesMatchReference, for the scripted tests.
+var scriptConfigs = []*Config{nil, {Order: 2}, {HalfLife: units.Second, StreamTTL: 2 * units.Second}, {PriorWeight: -1, MinScore: 0.05}}
+
+// scriptChunk decodes one byte into a chunk: mostly dense IDs in a small
+// block, so streams often continue onto the same chunk, and a quarter
+// spilled ones, with a negative dataset or index or an index of 4,096 and
+// above.
+func scriptChunk(b byte) volume.ChunkID {
+	switch {
+	case b < 192:
+		return cid(int(b>>3)%3, int(b&7))
+	case b < 216:
+		return cid(int(b&1), -1-int(b>>1&7))
+	case b < 240:
+		return cid(int(b&1), 4096+int(b>>1&7))
+	default:
+		return cid(-1, int(b&7))
+	}
+}
+
+// scriptStep decodes one byte into the time between two observations:
+// mostly under a second, sometimes long enough to expire a stream (up to
+// 4 s, or 30 s at 255) and sometimes a step back.
+func scriptStep(b byte) units.Duration {
+	switch {
+	case b < 200:
+		return units.Duration(b) * 5 * units.Millisecond
+	case b < 240:
+		return units.Duration(b-199) * 100 * units.Millisecond
+	case b < 255:
+		return -units.Duration(b-239) * 20 * units.Millisecond
+	default:
+		return 30 * units.Second
+	}
+}
+
+// FuzzPredictorCandidates plays a script of observations and queries on a
+// predictor and on a twin ranked by referenceCandidates, and holds every
+// answer to the reference bit for bit. The first byte picks one of the
+// configurations of TestPredictorCandidatesMatchReference; each step is then
+// three bytes. An even op observes scriptChunk(arg) for one of six actions
+// after scriptStep(dt); an odd op asks for up to arg%40 candidates at a time
+// from 2.4 s before to 4 s after the last observation.
+func FuzzPredictorCandidates(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1024 {
+			return
+		}
+		cfg := scriptConfigs[int(data[0])%len(scriptConfigs)]
+		fast, ref := NewPredictor(cfg), NewPredictor(cfg)
+		now := units.Time(0)
+		for i := 1; i+2 < len(data); i += 3 {
+			op, arg, dt := data[i], data[i+1], data[i+2]
+			if op%2 == 0 {
+				a, c := core.ActionID(op/2%6+1), scriptChunk(arg)
+				now = now.Add(scriptStep(dt))
+				fast.Observe(a, c, now)
+				ref.Observe(a, c, now)
+				continue
+			}
+			q, limit := now.Add(units.Duration(int(dt)-96)*25*units.Millisecond), int(arg%40)
+			sameCandidates(t, fmt.Sprintf("step %d", i/3), fast.Candidates(q, limit), referenceCandidates(ref, q, limit))
+		}
+	})
 }
