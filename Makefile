@@ -98,7 +98,9 @@ fuzz:
 # rest are volume.ChunkMap, DESIGN.md §5.17), the calls outside the
 # packages that own the head rules which change the tables' prefetch and
 # directory state for a completion, a landed warm or a lost node (DESIGN.md
-# §5.8; the one left is the autoscaler's drain-start FailNode), and the
+# §5.8; the one left is the autoscaler's drain-start FailNode), the calls
+# of a core.Scheduler's Schedule outside internal/core (both planes schedule
+# through core.Backlog.Pass, DESIGN.md §5.4 "One pass"), and the
 # exported names under internal/ that only tests call
 # (exports_test.go lists them, with the reason each kept one stays). CI
 # prints them ungated; a re-anchor reads them here instead of recounting.
@@ -116,6 +118,7 @@ design-metrics:
 	@printf 'incompatible guards: %s\n' "$$(grep -rn 'incompatible' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)"
 	@printf 'map[volume.ChunkID] tables outside bench/: %s\n' "$$(grep -rn 'map\[volume\.ChunkID\]' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -vc 'make(map')"
 	@printf 'head-rule calls outside internal/core, internal/shard and internal/prefetch: %s\n' "$$(grep -rnE '\.(MarkPrefetched|NotePrefetchEvicted)\(|\.Caches\[[^]]*\]\.Remove\(|dir\.Publish\(|DropNode\(|(pref|prefc)\.(Observe|Loaded|NoteEvicted|FailNode)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core --exclude-dir=shard --exclude-dir=prefetch . | wc -l)"
+	@printf 'Schedule calls outside internal/core: %s\n' "$$(grep -rn '\.Schedule(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core . | wc -l)"
 	@$(GO) test -count=1 -run '^TestUnreferencedExports$$' -v . | sed -n 's/.*\(exported names under internal\/.*\)/\1/p'
 
 check: vet build test race

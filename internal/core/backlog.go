@@ -1,19 +1,97 @@
 package core
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"vizsched/internal/units"
+)
 
 // Backlog is the head's working job queue (§III-A), kept by both control
 // planes: the jobs with unassigned tasks in the order they entered, and a
-// count of the batch jobs among them. A pass is shown Present(); the plane
-// applies the assignments, each decrementing its job's Remaining, and calls
-// Compact. Between passes a job once pushed is queued exactly while
-// Remaining > 0 and the plane has not removed it. The zero value is an
-// empty backlog under DefaultBatchWindow.
+// count of the batch jobs among them. Both planes schedule through Pass.
+// Between passes a job once pushed is queued exactly while Remaining > 0
+// and the plane has not removed it. The zero value is an empty backlog
+// under DefaultBatchWindow.
 type Backlog struct {
-	jobs    []*Job
-	batch   int    // batch jobs in jobs
-	window  int    // batch jobs a pass is shown; zero is DefaultBatchWindow
-	present []*Job // Present's scratch when the window binds
+	jobs      []*Job
+	batch     int    // batch jobs in jobs
+	window    int    // batch jobs a pass is shown; zero is DefaultBatchWindow
+	present   []*Job // Present's scratch when the window binds
+	remaining []int  // Pass's scratch: each presented job's Remaining before Schedule
+}
+
+// PassResult is what one Pass decided, for the plane to carry out: the
+// assignments, held to the scheduler contract and counted off their jobs'
+// Remaining; the warms to start; the presented jobs that lost a task; and
+// the wall time Schedule took (Table III's "avg. cost"). Assignments and
+// Warms are the scheduler's and the planner's slices, valid until the next
+// pass.
+type PassResult struct {
+	Assignments []Assignment
+	Warms       []PrefetchDirective
+	Touched     int
+	Wall        time.Duration
+}
+
+// CycleOf returns s's scheduling period ω, or DefaultCycle when it has
+// none: the horizon an idle pass warms over.
+func CycleOf(s Scheduler) units.Duration {
+	if c := s.Cycle(); c > 0 {
+		return c
+	}
+	return DefaultCycle
+}
+
+// Pass runs one scheduling pass (§III-A). An empty backlog is the deepest
+// idle window there is: planner, when not nil, plans warms over
+// [now, now+CycleOf(s)) and Schedule does not run. Otherwise s schedules
+// Present() — timed alone — and every assignment is held to the contract:
+// its task marked, its job's Remaining not taken below zero, its node Alive
+// in head. A breach is a scheduler bug and panics. With a planner the warms
+// are those s fitted into the cycle's leftover idle windows
+// (PrefetchSource). The pass ends with Compact.
+func (b *Backlog) Pass(now units.Time, s Scheduler, head *HeadState, planner PrefetchPlanner) PassResult {
+	defer b.Compact()
+	if len(b.jobs) == 0 {
+		if planner == nil {
+			return PassResult{}
+		}
+		return PassResult{Warms: planner.Plan(now, now.Add(CycleOf(s)), head)}
+	}
+	present := b.Present()
+	remaining := b.remaining[:0]
+	for _, j := range present {
+		remaining = append(remaining, j.Remaining)
+	}
+	b.remaining = remaining
+
+	start := time.Now()
+	assignments := s.Schedule(now, present, head)
+	r := PassResult{Assignments: assignments, Wall: time.Since(start)}
+
+	for _, a := range assignments {
+		t := a.Task
+		if !t.Assigned {
+			panic(fmt.Sprintf("core: scheduler %s returned unmarked assignment %v", s.Name(), t))
+		}
+		if t.Job.Remaining--; t.Job.Remaining < 0 {
+			panic(fmt.Sprintf("core: scheduler %s assigned %v twice", s.Name(), t))
+		}
+		if !head.Alive(a.Node) {
+			panic(fmt.Sprintf("core: scheduler %s assigned %v to unavailable node %d", s.Name(), t, a.Node))
+		}
+	}
+	for i, j := range present {
+		if j.Remaining < remaining[i] {
+			r.Touched++
+		}
+	}
+	if src, ok := s.(PrefetchSource); ok && planner != nil {
+		r.Warms = src.PlannedPrefetches()
+	}
+	return r
 }
 
 // FairQueue is the admission layer's queue as Refill reads it

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
+
+	"vizsched/internal/units"
+	"vizsched/internal/volume"
 )
 
 // fifoFair is a FairQueue over one FIFO: every queued interactive job, then
@@ -121,6 +126,8 @@ func (r *refQueue) take(n int) []*Job {
 type backlogScript struct {
 	t      *testing.T
 	b      Backlog
+	sched  stubScheduler // the Backlog's passes
+	head   *HeadState
 	ref    refQueue
 	fair   [2]fifoFair // the Backlog's, the reference's
 	jobs   [2][]*Job
@@ -213,23 +220,27 @@ func (s *backlogScript) run() {
 				s.t.Fatalf("step %d: Refill pulled %v, want %v", s.step, ids(pulled), ids(s.ref.queue[n:]))
 			}
 		case 3: // a pass: assign up to arg%5 tasks of one presented job
-			present, want := s.b.Present(), s.ref.present()
-			s.check(present, want)
-			if len(present) > 0 {
-				p := s.next() % len(present)
-				for _, j := range []*Job{present[p], want[p]} {
-					n := arg % 5
-					for k := range j.Tasks {
-						if t := &j.Tasks[k]; !t.Assigned && n > 0 {
-							t.Assigned = true
-							j.Remaining--
-							n--
-						}
+			want := s.ref.present()
+			p, wantTouched := -1, 0
+			s.sched.assign = func(present []*Job) []Assignment {
+				s.check(present, want)
+				p = s.next() % len(present)
+				return place(0, unassigned(present[p], arg%5)...)
+			}
+			got := s.b.Pass(0, &s.sched, s.head, nil)
+			if p >= 0 {
+				if placed := unassigned(want[p], arg%5); len(placed) > 0 {
+					for _, t := range placed {
+						t.Assigned = true
+						t.Job.Remaining--
 					}
+					wantTouched = 1
 				}
 			}
-			s.b.Compact()
 			s.ref.compact()
+			if got.Touched != wantTouched {
+				s.t.Fatalf("step %d: the pass touched %d jobs, want %d", s.step, got.Touched, wantTouched)
+			}
 			if slices.ContainsFunc(s.b.present[:cap(s.b.present)], func(j *Job) bool { return j != nil }) {
 				s.t.Fatalf("step %d: Present's scratch pins a job after Compact", s.step)
 			}
@@ -317,7 +328,9 @@ func (s *backlogScript) check(present, want []*Job) {
 // FuzzBacklog plays scripts of the backlog's operations — admission,
 // admission through a fair queue and its release, scheduling passes that
 // assign tasks, requeue, reclaim, removal and a donor's take — on a Backlog
-// and on the single-slice queue both planes kept before it. The first byte
+// and on the single-slice queue both planes kept before it; a pass goes
+// through Pass, whose Touched must count the job the reference assigned
+// from. The first byte
 // sets a window of 1–8 jobs so short scripts reach it; a script is at most
 // 512 bytes, since every step checks every job. After every step
 // Present() and the queued jobs must be the reference's, a job is queued
@@ -331,8 +344,153 @@ func FuzzBacklog(f *testing.F) {
 		if len(data) == 0 || len(data) > 512 {
 			return
 		}
-		s := &backlogScript{t: t, data: data[1:], window: 1 + int(data[0])%8}
+		s := &backlogScript{t: t, data: data[1:], window: 1 + int(data[0])%8, head: NewHeadState(1, units.GB, DefaultCostModel())}
 		s.b.window, s.ref.window = s.window, s.window
 		s.run()
 	})
+}
+
+// stubScheduler is a Scheduler whose passes make the assignments assign
+// returns and whose planner fitted warms into them.
+type stubScheduler struct {
+	cycle  units.Duration
+	assign func(queue []*Job) []Assignment
+	warms  []PrefetchDirective
+	calls  int
+}
+
+func (s *stubScheduler) Name() string                           { return "stub" }
+func (s *stubScheduler) Trigger() Trigger                       { return Periodic }
+func (s *stubScheduler) Cycle() units.Duration                  { return s.cycle }
+func (s *stubScheduler) PlannedPrefetches() []PrefetchDirective { return s.warms }
+
+func (s *stubScheduler) Schedule(now units.Time, queue []*Job, head *HeadState) []Assignment {
+	s.calls++
+	return s.assign(queue)
+}
+
+// windowPlanner plans warms over the window it records.
+type windowPlanner struct {
+	from, to units.Time
+	calls    int
+	warms    []PrefetchDirective
+}
+
+func (p *windowPlanner) Plan(now, lambda units.Time, head *HeadState) []PrefetchDirective {
+	p.from, p.to = now, lambda
+	p.calls++
+	return p.warms
+}
+
+// unassigned returns up to n of j's unassigned tasks, first first.
+func unassigned(j *Job, n int) []*Task {
+	var out []*Task
+	for i := range j.Tasks {
+		if t := &j.Tasks[i]; !t.Assigned && len(out) < n {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// place marks tasks assigned, as a Scheduler does, and places each on node.
+func place(node NodeID, tasks ...*Task) []Assignment {
+	var out []Assignment
+	for _, t := range tasks {
+		t.Assigned = true
+		out = append(out, Assignment{Task: t, Node: node})
+	}
+	return out
+}
+
+// TestBacklogPassContract holds Pass to what it promises both planes: a
+// scheduler that returns an unmarked task, assigns one twice, or places one
+// on a node that is not Alive — Down, Suspect or Draining — panics, naming
+// the scheduler; an empty backlog plans warms over [now, now+CycleOf(s))
+// without calling Schedule; the scheduler's fitted warms are read back only
+// when a planner is given; and Touched counts the presented jobs that lost
+// a task.
+func TestBacklogPassContract(t *testing.T) {
+	const now = units.Time(3 * units.Second)
+	idle := PrefetchDirective{Node: 1, Chunk: volume.ChunkID{Dataset: 1}, Size: units.MB}
+	fitted := PrefetchDirective{Node: 2, Chunk: volume.ChunkID{Dataset: 2}, Size: units.MB}
+	first := func(q []*Job) []Assignment { return place(1, &q[0].Tasks[0]) }
+	for _, tc := range []struct {
+		name    string
+		cycle   units.Duration
+		jobs    []int // task counts of the queued jobs
+		health  func(h *HeadState)
+		assign  func(q []*Job) []Assignment
+		planner bool
+		panics  string // in the panic message; empty for none
+		calls   int    // Schedule calls
+		warms   []PrefetchDirective
+		touched int
+		queued  int            // jobs left queued
+		plan    units.Duration // the window an idle pass plans over; zero for none
+	}{
+		{name: "unmarked", jobs: []int{2}, panics: "unmarked",
+			assign: func(q []*Job) []Assignment { return []Assignment{{Task: &q[0].Tasks[0], Node: 0}} }},
+		{name: "twice", jobs: []int{1}, panics: "twice",
+			assign: func(q []*Job) []Assignment { a := first(q); return append(a, a...) }},
+		{name: "down", jobs: []int{1}, assign: first, panics: "unavailable node 1",
+			health: func(h *HeadState) { h.MarkFailed(1) }},
+		{name: "suspect", jobs: []int{1}, assign: first, panics: "unavailable node 1",
+			health: func(h *HeadState) { h.MarkSuspect(1) }},
+		{name: "draining", jobs: []int{1}, assign: first, panics: "unavailable node 1",
+			health: func(h *HeadState) { h.MarkDraining(1) }},
+		{name: "idle at the default cycle", planner: true, warms: []PrefetchDirective{idle}, plan: DefaultCycle},
+		{name: "idle at the scheduler's cycle", cycle: 5 * units.Millisecond, planner: true,
+			warms: []PrefetchDirective{idle}, plan: 5 * units.Millisecond},
+		{name: "idle without a planner"},
+		{name: "fitted warms with a planner", jobs: []int{2}, assign: first, planner: true,
+			calls: 1, warms: []PrefetchDirective{fitted}, touched: 1, queued: 1},
+		{name: "no warms without a planner", jobs: []int{2}, assign: first, calls: 1, touched: 1, queued: 1},
+		{name: "touched", jobs: []int{2, 3, 1, 2}, calls: 1, touched: 2, queued: 2,
+			assign: func(q []*Job) []Assignment { return place(0, &q[0].Tasks[0], &q[0].Tasks[1], &q[2].Tasks[0]) }},
+		{name: "nothing assigned", jobs: []int{2, 1}, calls: 1, queued: 2,
+			assign: func(q []*Job) []Assignment { return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			head := NewHeadState(3, units.GB, DefaultCostModel())
+			if tc.health != nil {
+				tc.health(head)
+			}
+			var b Backlog
+			for i, n := range tc.jobs {
+				j := &Job{ID: JobID(i + 1), Tasks: make([]Task, n), Remaining: n}
+				for k := range j.Tasks {
+					j.Tasks[k] = Task{Job: j, Index: k}
+				}
+				b.Push(j)
+			}
+			s := &stubScheduler{cycle: tc.cycle, assign: tc.assign, warms: []PrefetchDirective{fitted}}
+			p := &windowPlanner{warms: []PrefetchDirective{idle}}
+			var planner PrefetchPlanner
+			if tc.planner {
+				planner = p
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if tc.panics == "" && msg != "<nil>" {
+					t.Fatalf("panicked: %s", msg)
+				}
+				if tc.panics != "" && (!strings.Contains(msg, tc.panics) || !strings.Contains(msg, "scheduler stub")) {
+					t.Fatalf("panic %q, want one naming scheduler stub and %q", msg, tc.panics)
+				}
+			}()
+			r := b.Pass(now, s, head, planner)
+			if tc.panics != "" {
+				return
+			}
+			if s.calls != tc.calls || !slices.Equal(r.Warms, tc.warms) || r.Touched != tc.touched || b.Len() != tc.queued {
+				t.Fatalf("Schedule called %d times, warms %v, touched %d, %d queued; want %d, %v, %d, %d",
+					s.calls, r.Warms, r.Touched, b.Len(), tc.calls, tc.warms, tc.touched, tc.queued)
+			}
+			if tc.plan == 0 && p.calls != 0 || tc.plan > 0 && (p.calls != 1 || p.from != now || p.to != now.Add(tc.plan)) {
+				t.Fatalf("planner called %d times, last over [%v, %v); want %d calls over [%v, %v)",
+					p.calls, p.from, p.to, min(1, int(tc.plan)), now, now.Add(tc.plan))
+			}
+		})
+	}
 }

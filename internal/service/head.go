@@ -187,7 +187,6 @@ type Head struct {
 	// demand-only behaviour exactly.
 	Prefetch *prefetch.Config
 	prefc    *prefetch.Controller
-	prefSrc  core.PrefetchSource
 
 	// DeadlineFactor is k in the dispatch-deadline rule: a task overdue by
 	// k× its predicted execution time (floored at MinDeadline) is presumed
@@ -464,7 +463,6 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 			h.prefc = prefetch.NewController(h.Prefetch, n, h.chunkSize)
 			h.state.SetPrefetchObserver(warmStats{h.prefc, &h.stats.prefetchWasted})
 			ps.SetPrefetchPlanner(h.prefc)
-			h.prefSrc, _ = h.sched.(core.PrefetchSource)
 		}
 	}
 	if h.FracShare != nil {

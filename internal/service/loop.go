@@ -169,8 +169,9 @@ func (l *headLoop) sendPrefetches(ds []core.PrefetchDirective) {
 	}
 }
 
-// schedule runs one scheduling pass over the backlog and dispatches what it
-// assigns: journal record, deadline, then the task on its way.
+// schedule runs the backlog's scheduling pass and carries out what it
+// decided: each assignment's journal record, deadline, then the task on its
+// way; then the warms.
 func (l *headLoop) schedule() {
 	h := l.h
 	if h.qosc != nil {
@@ -183,25 +184,19 @@ func (l *headLoop) schedule() {
 			}
 		}
 	}
-	if l.backlog.Len() == 0 {
-		// A truly idle cycle still warms: the in-Schedule planner only
-		// runs when there is demand work to schedule around.
-		if h.prefc != nil {
-			pcycle := h.sched.Cycle()
-			if pcycle <= 0 {
-				pcycle = core.DefaultCycle
-			}
-			now := h.now()
-			l.sendPrefetches(h.prefc.Plan(now, now.Add(pcycle), h.state))
-		}
-		return
+	if l.backlog.Len() > 0 {
+		h.stats.schedCycles.Add(1)
 	}
-	h.stats.schedCycles.Add(1)
+	var planner core.PrefetchPlanner
+	if h.prefc != nil {
+		planner = h.prefc
+	}
 	// One clock read for the pass: every CommitAssign inside Schedule and
 	// every journaled dispatch record must carry the same instant, or replay
 	// could not reproduce the tables.
 	now := h.now()
-	for _, a := range h.sched.Schedule(now, l.backlog.Present(), h.state) {
+	p := l.backlog.Pass(now, h.sched, h.state, planner)
+	for _, a := range p.Assignments {
 		lj := l.inflight[a.Task.Job.ID]
 		lj.nodes[a.Task.Index] = a.Node
 		if lj.restoredDone != nil {
@@ -214,7 +209,6 @@ func (l *headLoop) schedule() {
 			Chunk:     a.Task.Index,
 			Render:    lj.req,
 		}
-		a.Task.Job.Remaining--
 		h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
 			hastate.DispatchBody{Predicted: a.Task.PredictedExec})
 		if h.DeadlineFactor > 0 {
@@ -234,12 +228,7 @@ func (l *headLoop) schedule() {
 			h.frac.note(int(a.Node), +1, false, h.now())
 		}
 	}
-	// The scheduler's own planner fitted warms into this cycle's leftover
-	// idle windows (strictly below every demand assignment); ship them.
-	if h.prefSrc != nil {
-		l.sendPrefetches(h.prefSrc.PlannedPrefetches())
-	}
-	l.backlog.Compact()
+	l.sendPrefetches(p.Warms)
 }
 
 // arrivalCycle runs a scheduling pass for the job just admitted when it need

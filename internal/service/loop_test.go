@@ -430,6 +430,48 @@ func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
 	)
 }
 
+// blindScheduler places every task it is shown on one node, marked as a
+// core.Scheduler must, whether or not the node is alive.
+type blindScheduler struct{ node core.NodeID }
+
+func (blindScheduler) Name() string          { return "blind" }
+func (blindScheduler) Trigger() core.Trigger { return core.Periodic }
+func (blindScheduler) Cycle() units.Duration { return 2 * units.Millisecond }
+
+func (s blindScheduler) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
+	var out []core.Assignment
+	for _, j := range queue {
+		for i := range j.Tasks {
+			if t := &j.Tasks[i]; !t.Assigned {
+				t.Assigned = true
+				out = append(out, core.Assignment{Task: t, Node: s.node})
+			}
+		}
+	}
+	return out
+}
+
+// A scheduler that places a task on a node the head has stepped down breaks
+// its contract, and the pass refuses it as the simulator's does: the tick
+// panics, naming the scheduler and the node, before a dispatch is journaled
+// or the task sent to the dead node's closed sender.
+func TestHeadLoopSchedulerContract(t *testing.T) {
+	s := newSteppedHead(t, 2, func(h *Head) {
+		h.sched = blindScheduler{node: 1}
+		h.DeadlineFactor = 0
+	})
+	s.l.step(event{kind: evWorker, work: workerEvent{node: 1, gen: s.h.gens[1], err: io.EOF}})
+	s.submit(1, RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Batch: true})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "scheduler blind") || !strings.Contains(msg, "unavailable node 1") {
+			t.Errorf("a tick placing a task on down node 1 panicked with %q, want the scheduler and the node named", msg)
+		}
+		s.wantJournal("rehome 0 -1 1 0s", "admit 1 -1 -1 0s")
+	}()
+	s.l.step(event{kind: evTick})
+}
+
 // A crash at one cut, recovered on the stepped head: of a keyed frame's two
 // bricks, node 0's lands and is journaled, and then the head dies. A standby
 // booted from the genesis snapshot and the journal, on the same clock, takes

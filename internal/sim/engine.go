@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"vizsched/internal/autoscale"
 	"vizsched/internal/cache"
@@ -298,10 +297,8 @@ type Engine struct {
 	report  *metrics.Report
 	rng     *rand.Rand
 	qosc    *qos.Controller
-	// pref is the prefetch controller (nil when disabled); prefSrc reads the
-	// scheduler's planned directives back after each Schedule call.
-	pref    *prefetch.Controller
-	prefSrc core.PrefetchSource
+	// pref is the prefetch controller (nil when disabled).
+	pref *prefetch.Controller
 	// pinned tracks the demand tasks whose resident chunk the engine pinned
 	// at enqueue so a background warm can never evict it (prefetch only).
 	pinned map[*core.Task]bool
@@ -331,11 +328,8 @@ type Engine struct {
 	// maxExec tracks each in-flight job's largest task execution — the
 	// denominator of the batch stretch metric (§5.13).
 	maxExec map[core.JobID]units.Duration
-	// freeExec holds finished execution records for reuse; remaining (each
-	// presented job's Remaining before Schedule) is invokeScheduler's
-	// per-cycle scratch.
-	freeExec  []*execution
-	remaining []int
+	// freeExec holds finished execution records for reuse.
+	freeExec []*execution
 }
 
 // New validates the configuration and builds an engine.
@@ -409,7 +403,6 @@ func New(cfg Config) *Engine {
 			e.pref = prefetch.NewController(cfg.Prefetch, cfg.Nodes, sizeOf)
 			e.head.SetPrefetchObserver(warmTrace{e.pref, e})
 			ps.SetPrefetchPlanner(e.pref)
-			e.prefSrc, _ = cfg.Scheduler.(core.PrefetchSource)
 			e.pinned = make(map[*core.Task]bool)
 		}
 	}
@@ -600,9 +593,10 @@ func admitKind(d qos.Decision) trace.Kind {
 	}
 }
 
-// invokeScheduler presents the backlog (interactive fully; batch up to the
-// window) to the scheduler, timing the call with the wall clock, then
-// executes the returned assignments.
+// invokeScheduler runs the backlog's scheduling pass and carries out what
+// it decided: the assignments traced and queued on their nodes, the call
+// and the cycle's idle split reported, the warms started — strictly after
+// every demand assignment.
 func (e *Engine) invokeScheduler() {
 	if e.headDown {
 		return // control plane down: nothing admits, schedules, or dispatches
@@ -610,84 +604,31 @@ func (e *Engine) invokeScheduler() {
 	if e.qosc != nil {
 		e.backlog.Refill(e.qosc)
 	}
-	if e.backlog.Len() == 0 {
-		// Nothing to schedule is the deepest idle window there is: let the
-		// planner warm directly. With demand queued, planning runs inside
-		// Schedule instead, after the demand pass (strictly lower rank).
-		if e.pref != nil {
-			now := e.sim.Now()
-			for _, d := range e.pref.Plan(now, now.Add(e.schedulerCycle()), e.head) {
-				e.startPrefetch(d)
-			}
-		}
-		return
+	demand := e.backlog.Len() > 0
+	var planner core.PrefetchPlanner
+	if e.pref != nil {
+		planner = e.pref
 	}
-	present := e.backlog.Present()
-	remaining := e.remaining[:0]
-	for _, j := range present {
-		remaining = append(remaining, j.Remaining)
-	}
-	e.remaining = remaining
-
-	start := time.Now()
-	assignments := e.cfg.Scheduler.Schedule(e.sim.Now(), present, e.head)
-	wall := time.Since(start)
-
-	for _, a := range assignments {
+	p := e.backlog.Pass(e.sim.Now(), e.cfg.Scheduler, e.head, planner)
+	for _, a := range p.Assignments {
 		t := a.Task
-		if !t.Assigned {
-			panic(fmt.Sprintf("sim: scheduler %s returned unmarked assignment %v", e.cfg.Scheduler.Name(), t))
-		}
-		t.Job.Remaining--
-		if t.Job.Remaining < 0 {
-			panic(fmt.Sprintf("sim: task %v assigned twice", t))
-		}
 		e.emit(trace.Event{Kind: trace.Assign, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: a.Node, Chunk: t.Chunk})
-		n := e.nodes[a.Node]
-		if n.failed || n.partitioned || n.draining {
-			// A scheduler placing work on a known-failed, suspect, or
-			// draining node is a policy bug; the head state exposes liveness.
-			panic(fmt.Sprintf("sim: scheduler %s assigned %v to unavailable node %d", e.cfg.Scheduler.Name(), t, a.Node))
-		}
 		if a.CoScheduled {
-			e.enqueueCo(n, t)
+			e.enqueueCo(e.nodes[a.Node], t)
 		} else {
-			e.enqueue(n, t)
+			e.enqueue(e.nodes[a.Node], t)
 		}
 	}
-	// The jobs this cycle touched are the presented ones whose Remaining
-	// dropped.
-	touched := 0
-	for i, j := range present {
-		if j.Remaining < remaining[i] {
-			touched++
-		}
+	if demand {
+		e.report.ScheduleCall(p.Wall, p.Touched)
+		// Attribute this cycle's idle-with-pending-batch node time to the
+		// ε-guard or to ordinary queueing (§5.13) — pure observation, after
+		// the scheduler had its full say.
+		e.sampleIdleSplit()
 	}
-	e.report.ScheduleCall(wall, touched)
-
-	e.backlog.Compact()
-
-	// Attribute this cycle's idle-with-pending-batch node time to the
-	// ε-guard or to ordinary queueing (§5.13) — pure observation, after the
-	// scheduler had its full say.
-	e.sampleIdleSplit()
-
-	// Launch whatever warms the scheduler's planner fitted into the cycle's
-	// leftover idle windows — strictly after every demand assignment above.
-	if e.pref != nil && e.prefSrc != nil {
-		for _, d := range e.prefSrc.PlannedPrefetches() {
-			e.startPrefetch(d)
-		}
+	for _, d := range p.Warms {
+		e.startPrefetch(d)
 	}
-}
-
-// schedulerCycle returns the λ horizon used for idle-cycle prefetch
-// planning: the scheduler's own cycle, or the default when it has none.
-func (e *Engine) schedulerCycle() units.Duration {
-	if c := e.cfg.Scheduler.Cycle(); c > 0 {
-		return c
-	}
-	return core.DefaultCycle
 }
 
 // enqueue takes an assigned task to its node. Config.OverlapIO selects the

@@ -126,7 +126,7 @@ walk:
 	}
 	groups := sample[:sampled]
 	now := e.sim.Now()
-	cycle := e.schedulerCycle()
+	cycle := core.CycleOf(e.cfg.Scheduler)
 	for k, n := range e.nodes {
 		if n.failed || n.stalled || n.draining || n.partitioned {
 			continue

@@ -301,7 +301,7 @@ func TestFracShareIdleSampleNoAllocs(t *testing.T) {
 		e.backlog.Push(job)
 	}
 	e.sampleIdleSplit()
-	if got, want := e.report.GuardIdle+e.report.QueueIdle, units.Duration(len(e.nodes))*e.schedulerCycle(); got != want {
+	if got, want := e.report.GuardIdle+e.report.QueueIdle, units.Duration(len(e.nodes))*core.CycleOf(e.cfg.Scheduler); got != want {
 		t.Fatalf("one sample attributed %v of idle time, want a cycle for each of %d idle nodes (%v)", got, len(e.nodes), want)
 	}
 	if allocs := testing.AllocsPerRun(100, e.sampleIdleSplit); allocs != 0 {

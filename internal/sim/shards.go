@@ -170,10 +170,11 @@ func (se *ShardedEngine) Run(wl *workload.Schedule, horizon units.Time) *Sharded
 		}
 	}
 	if se.cfg.Donation && len(se.subs) > 1 {
-		// Registered after every shard's tick: at equal timestamps the FIFO
-		// tie-break runs donation after the owners have scheduled, so a
-		// donor only gives away work its own cycle left queued.
-		se.sim.Every(se.donationCycle(), func(d *des.Simulator) { se.donate() })
+		// Every scheduler cycle, registered after every shard's tick: at
+		// equal timestamps the FIFO tie-break runs donation after the
+		// owners have scheduled, so a donor only gives away work its own
+		// cycle left queued.
+		se.sim.Every(core.CycleOf(se.subs[0].cfg.Scheduler), func(d *des.Simulator) { se.donate() })
 	}
 	for _, f := range se.cfg.Failures {
 		se.injectGlobal(f)
@@ -244,14 +245,6 @@ func (se *ShardedEngine) tick(i int) {
 	if d := sub.report.JobsScheduled - before; d > 0 {
 		se.extendCtl(i, se.sim.Now(), se.cost.Dispatch*units.Duration(d))
 	}
-}
-
-// donationCycle derives the donation cadence from the scheduler period.
-func (se *ShardedEngine) donationCycle() units.Duration {
-	if c := se.subs[0].cfg.Scheduler.Cycle(); c > 0 {
-		return c
-	}
-	return core.DefaultCycle
 }
 
 // idleExecutors counts shard i's free slots on nodes with nothing queued —
