@@ -35,7 +35,6 @@ var keptExports = map[string]string{
 	"prefetch.Controller.InFlight":        "accessor: the controller tests read a node's in-flight warm",
 	"qos.TokenBucket.Tokens":              "accessor: the bucket tests read the balance, throttle debt included",
 	"service.Head.QoSController":          "accessor: the live QoS tests read the head's ladder and outcome",
-	"service.StartMultiCluster":           "harness: the in-process sharded cluster the multi-head tests run",
 	"service.Worker.RayStats":             "accessor: the service tests read a worker's sample and skip counts",
 	"service.Worker.CacheStats":           "accessor: the service tests read a worker's cache counters",
 	"shard.Directory.Residents":           "accessor: shard and core invariant tests read a chunk's resident nodes",

@@ -10,7 +10,7 @@ import (
 
 // A node's main memory holds data chunks under a byte quota; the least
 // recently used chunk is evicted when a new one arrives.
-func ExampleLRU() {
+func ExampleNewLRU() {
 	mem := cache.NewLRU(units.GB)
 	a := volume.ChunkID{Dataset: 1, Index: 0}
 	b := volume.ChunkID{Dataset: 1, Index: 1}
@@ -28,7 +28,7 @@ func ExampleLRU() {
 	// a resident: true
 }
 
-// Store generalizes LRU with pluggable eviction policies for the ablation
+// NewStore generalizes NewLRU with pluggable eviction policies for the ablation
 // benchmarks.
 func ExampleStore() {
 	mem := cache.NewStore(cache.PolicyFIFO, units.GB, 0)

@@ -57,9 +57,3 @@ func (s *Store) Restore(entries []Entry, st Stats) {
 	}
 	s.stats = st
 }
-
-// Export returns the cache contents most-recent first; see Store.Export.
-func (c *LRU) Export() []Entry { return c.s.Export() }
-
-// Restore rebuilds the cache from an Export; see Store.Restore.
-func (c *LRU) Restore(entries []Entry, st Stats) { c.s.Restore(entries, st) }

@@ -1,3 +1,8 @@
+// Package cache provides the byte-quota chunk cache used in two places: as
+// each rendering node's *actual* main-memory state, and as the head node's
+// *predicted* per-node Cache table (paper §V-B). Keeping one implementation
+// for both guarantees the prediction and the reality evict in the same order
+// when fed the same access stream.
 package cache
 
 import (
@@ -55,9 +60,10 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Store is a byte-quota chunk cache with a pluggable eviction policy.
-// LRU is a thin wrapper over a Store with PolicyLRU; the scheduler's hot
-// paths and the eviction ablation share this one implementation.
+// Store is a byte-quota chunk cache with a pluggable eviction policy. The
+// nodes and the head's prediction tables use it with PolicyLRU (NewLRU); the
+// eviction ablation uses the others. It is not safe for concurrent use; each
+// owner guards its own instance.
 //
 // Chunks may be pinned (Pin/Unpin) while a scheduled task depends on them:
 // demand Insert ignores pins entirely — its eviction choices are identical
@@ -118,6 +124,10 @@ func NewStore(policy Policy, quota units.Bytes, seed int64) *Store {
 	s.reseed()
 	return s
 }
+
+// NewLRU returns an empty least-recently-used cache with the given quota. A
+// zero or negative quota panics: a cacheless node cannot render at all.
+func NewLRU(quota units.Bytes) *Store { return NewStore(PolicyLRU, quota, 0) }
 
 // reseed restarts the random-eviction stream from the seed.
 func (s *Store) reseed() {
@@ -359,15 +369,6 @@ func (s *Store) Unpin(id volume.ChunkID) {
 	}
 }
 
-// Pinned reports whether the chunk currently holds at least one pin.
-func (s *Store) Pinned(id volume.ChunkID) bool {
-	e, ok := s.items.Get(id)
-	return ok && e.pins > 0
-}
-
-// PinnedBytes returns the total size of pinned residents.
-func (s *Store) PinnedBytes() units.Bytes { return s.pinnedBytes }
-
 // Remove drops the chunk if resident (clearing its pins) and reports
 // whether it was.
 func (s *Store) Remove(id volume.ChunkID) bool {
@@ -381,8 +382,7 @@ func (s *Store) Remove(id volume.ChunkID) bool {
 
 // Resident returns resident chunk IDs, most-recent/newest first. The order
 // is the deterministic recency/insertion ring (never map order), so
-// snapshots and golden comparisons are reproducible; it matches
-// LRU.Resident exactly because LRU is a wrapper over this Store.
+// snapshots and golden comparisons are reproducible.
 func (s *Store) Resident() []volume.ChunkID {
 	out := make([]volume.ChunkID, 0, s.items.Len())
 	for e := s.ring.next; e != &s.ring; e = e.next {
@@ -405,26 +405,3 @@ func (s *Store) Clone() *Store {
 	n.stats = s.stats
 	return n
 }
-
-// Chunks is the cache interface shared by LRU and Store, which the
-// simulation engine's nodes program against.
-type Chunks interface {
-	Contains(volume.ChunkID) bool
-	Touch(volume.ChunkID) bool
-	Insert(volume.ChunkID, units.Bytes) []volume.ChunkID
-	InsertCold(volume.ChunkID, units.Bytes) ([]volume.ChunkID, bool)
-	Pin(volume.ChunkID) bool
-	Unpin(volume.ChunkID)
-	Remove(volume.ChunkID) bool
-	Resident() []volume.ChunkID
-	Used() units.Bytes
-	Quota() units.Bytes
-	Len() int
-	Stats() Stats
-}
-
-// Compile-time interface checks.
-var (
-	_ Chunks = (*LRU)(nil)
-	_ Chunks = (*Store)(nil)
-)

@@ -158,7 +158,7 @@ func TestQuickStoreInvariants(t *testing.T) {
 	}
 }
 
-// The Store with PolicyLRU must behave identically to the dedicated LRU.
+// NewLRU must behave identically to a Store built with PolicyLRU.
 func TestQuickStoreLRUMatchesLRU(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -169,11 +169,11 @@ func TestPrefetchPinLifecycle(t *testing.T) {
 		t.Fatal("Pin failed on resident chunk")
 	}
 	c.Unpin(cid(1, 0))
-	if !c.Pinned(cid(1, 0)) {
+	if !pinned(c, cid(1, 0)) {
 		t.Error("nested pin released after one Unpin")
 	}
 	c.Unpin(cid(1, 0))
-	if c.Pinned(cid(1, 0)) {
+	if pinned(c, cid(1, 0)) {
 		t.Error("chunk still pinned after matching Unpins")
 	}
 	// Demand eviction of a pinned chunk clears the pin (pins do not change
@@ -184,7 +184,7 @@ func TestPrefetchPinLifecycle(t *testing.T) {
 	if len(ev) != 1 || ev[0] != cid(1, 0) {
 		t.Fatalf("demand insert evicted %v, want the pinned LRU chunk", ev)
 	}
-	if c.Pinned(cid(1, 0)) || c.PinnedBytes() != 0 {
+	if pinned(c, cid(1, 0)) || c.pinnedBytes != 0 {
 		t.Error("pin survived demand eviction")
 	}
 	c.Unpin(cid(1, 0)) // must be a safe no-op
@@ -248,7 +248,7 @@ func TestPrefetchPinQuickProperty(t *testing.T) {
 			case 1:
 				wasPinned := make(map[volume.ChunkID]bool)
 				for _, r := range c.Resident() {
-					wasPinned[r] = c.Pinned(r)
+					wasPinned[r] = pinned(c, r)
 				}
 				evicted, ok := c.InsertCold(id, sizeFor(id))
 				for _, ev := range evicted {
@@ -275,11 +275,11 @@ func TestPrefetchPinQuickProperty(t *testing.T) {
 			}
 			var pinnedSum units.Bytes
 			for _, r := range c.Resident() {
-				if c.Pinned(r) {
+				if pinned(c, r) {
 					pinnedSum += sizes[r]
 				}
 			}
-			if pinnedSum != c.PinnedBytes() {
+			if pinnedSum != c.pinnedBytes {
 				return false // (3) violated
 			}
 		}
@@ -313,4 +313,10 @@ func TestPrefetchResidentDeterministicOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pinned reports whether the chunk is resident and holds at least one pin.
+func pinned(s *Store, id volume.ChunkID) bool {
+	e, ok := s.items.Get(id)
+	return ok && e.pins > 0
 }

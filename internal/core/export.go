@@ -128,7 +128,7 @@ func LoadTables(d *TableDump, model CostModel) *HeadState {
 	}
 	h := &HeadState{
 		Available:       slices.Clone(d.Available),
-		Caches:          make([]*cache.LRU, n),
+		Caches:          make([]*cache.Store, n),
 		lastInteractive: slices.Clone(d.LastInteractive),
 		Model:           model,
 		health:          slices.Clone(d.Health),

@@ -134,7 +134,7 @@ func (h *HeadState) PrefetchAccuracy() (hits, hidden, wasted int64) {
 // dropPrefetched settles as wasted every prefetched residency of node k
 // whose chunk keep does not hold (all of them with keep nil), in chunk
 // order so that the observer hears them alike on every run.
-func (h *HeadState) dropPrefetched(k NodeID, keep *cache.LRU) {
+func (h *HeadState) dropPrefetched(k NodeID, keep *cache.Store) {
 	var gone []volume.ChunkID
 	for key := range h.prefetched {
 		if key.k == k && (keep == nil || !keep.Contains(key.c)) {

@@ -70,7 +70,7 @@ func (h *HeadState) residency(c volume.ChunkID) nodeSet {
 // adopt makes c node k's predicted cache — the only way Caches[k] is ever
 // set — and brings the index in line: the replaced cache's residencies
 // leave it, c's enter it, and c reports every later change itself.
-func (h *HeadState) adopt(k NodeID, c *cache.LRU) {
+func (h *HeadState) adopt(k NodeID, c *cache.Store) {
 	if old := h.Caches[k]; old != nil {
 		old.Observe(nil)
 		for _, id := range old.Resident() {

@@ -99,7 +99,7 @@ func (s *rulesScript) waste(k NodeID, c volume.ChunkID) {
 
 // wasteNode expects every tag on node k whose chunk keep does not hold to
 // settle, in chunk order.
-func (s *rulesScript) wasteNode(k NodeID, keep *cache.LRU) {
+func (s *rulesScript) wasteNode(k NodeID, keep *cache.Store) {
 	var gone []volume.ChunkID
 	for key := range s.tags {
 		if key.k == k && (keep == nil || !keep.Contains(key.c)) {

@@ -22,7 +22,7 @@ type HeadState struct {
 	// indexed the transposed way: per node rather than per chunk; the
 	// residency index in residency.go is the per-chunk view Algorithm 1
 	// uses). Mutate a cache freely, but replace one only through adopt.
-	Caches []*cache.LRU
+	Caches []*cache.Store
 	// where[c] is the set of nodes whose predicted cache holds chunk c —
 	// Cache[c] as Algorithm 1 reads it — and up the set of HealthUp nodes;
 	// both derived, see residency.go.
@@ -134,7 +134,7 @@ func NewHeadState(n int, quota units.Bytes, model CostModel) *HeadState {
 	}
 	h := &HeadState{
 		Available:       make([]units.Time, n),
-		Caches:          make([]*cache.LRU, n),
+		Caches:          make([]*cache.Store, n),
 		lastInteractive: make([]units.Time, n),
 		Model:           model,
 		health:          make([]Health, n),

@@ -95,7 +95,7 @@ func TestAutoscaleLiveDrainIsNeverACrash(t *testing.T) {
 
 	// Bring-up rides the ordinary rejoin path; a voluntary exit left no
 	// downAt, so the rejoin must not produce an MTTR sample.
-	if err := cl.RejoinWorker(victim); err != nil {
+	if err := cl.RejoinWorker(int(victim)); err != nil {
 		t.Fatal(err)
 	}
 	waitHealth(t, cl.Head, victim, core.HealthUp)

@@ -145,16 +145,20 @@ func (c *Client) RenderAsync(req RenderBody) (<-chan Outcome, error) {
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Cluster is an in-process deployment: a head plus n workers wired over
-// channel transports — the single-binary form used by the quickstart
-// example and the tests. Production deployments use cmd/vizserver and TCP.
+// Cluster is an in-process deployment: a control plane of one or more
+// shard heads plus n workers wired over channel transports — the
+// single-binary form used by the examples and the tests. Production
+// deployments use cmd/vizserver and TCP. Head is shard 0; a one-shard
+// cluster's plane is a lone head.
 type Cluster struct {
+	MH      *MultiHead
 	Head    *Head
 	workers []*Worker
 	wg      sync.WaitGroup
 }
 
-// StartCluster builds and starts an in-process service over the catalog.
+// StartCluster builds and starts a one-shard in-process service over the
+// catalog.
 func StartCluster(sched core.Scheduler, catalog *Catalog, nodes int, quota units.Bytes) (*Cluster, error) {
 	return StartClusterWith(sched, catalog, nodes, quota, nil)
 }
@@ -163,18 +167,30 @@ func StartCluster(sched core.Scheduler, catalog *Catalog, nodes int, quota units
 // non-nil) runs on the built head before Start, so fields that must be set
 // pre-Start (QoS, MaxQueue, DropStale, deadlines) can be applied.
 func StartClusterWith(sched core.Scheduler, catalog *Catalog, nodes int, quota units.Bytes, configure func(*Head)) (*Cluster, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("service: need at least one node")
+	return StartMultiCluster(1, func() core.Scheduler { return sched }, catalog, nodes, quota, configure)
+}
+
+// StartMultiCluster builds and starts an in-process service of `shards`
+// heads over `nodes` workers placed round-robin. configure (if non-nil)
+// runs on every shard head before workers attach.
+func StartMultiCluster(shards int, newSched func() core.Scheduler, catalog *Catalog, nodes int, quota units.Bytes, configure func(*Head)) (*Cluster, error) {
+	if nodes < shards {
+		return nil, fmt.Errorf("service: %d shards need at least %d workers, have %d", shards, shards, nodes)
 	}
-	head := NewHead(sched, catalog, quota, core.DefaultCostModel())
-	head.Logf = func(string, ...any) {} // quiet by default; callers can reassign
+	mh, err := NewMultiHead(shards, newSched, catalog, quota, core.DefaultCostModel())
+	if err != nil {
+		return nil, err
+	}
+	mh.Configure(func(h *Head) {
+		h.Logf = func(string, ...any) {} // quiet by default; callers can reassign
+	})
 	if configure != nil {
-		configure(head)
+		mh.Configure(configure)
 	}
-	cl := &Cluster{Head: head}
+	cl := &Cluster{MH: mh, Head: mh.Shard(0)}
 	for i := 0; i < nodes; i++ {
 		w := NewWorker(fmt.Sprintf("worker-%d", i), catalog, quota)
-		w.Logf = head.Logf
+		w.Logf = cl.Head.Logf
 		headSide, workerSide := transport.Pipe()
 		cl.workers = append(cl.workers, w)
 		cl.wg.Add(1)
@@ -182,39 +198,55 @@ func StartClusterWith(sched core.Scheduler, catalog *Catalog, nodes int, quota u
 			defer cl.wg.Done()
 			_ = w.Serve(workerSide)
 		}()
-		if err := head.AddWorker(headSide); err != nil {
+		if _, err := mh.AddWorker(headSide); err != nil {
 			return nil, err
 		}
 	}
-	if err := head.Start(); err != nil {
+	if err := mh.Start(); err != nil {
 		return nil, err
 	}
 	return cl, nil
 }
 
-// RejoinWorker starts a fresh worker process (cold cache) that reclaims the
-// given node slot — the in-process form of restarting a crashed worker and
-// pointing it back at the head. The head must currently consider the node
-// down, or it rejects the rejoin.
-func (cl *Cluster) RejoinWorker(node core.NodeID) error {
-	if int(node) < 0 || int(node) >= len(cl.workers) {
-		return fmt.Errorf("service: no such node %d", node)
+// KillWorker forcibly closes worker g's connection — fault injection for
+// tests and demonstrations of §VI-D's fault tolerance, routed to the owning
+// shard's dispatcher. A g outside the cluster is ignored.
+func (cl *Cluster) KillWorker(g int) {
+	if g < 0 || g >= len(cl.workers) {
+		return
 	}
-	old := cl.workers[int(node)]
+	s, local := cl.MH.locate(g)
+	cl.MH.heads[s].KillWorker(core.NodeID(local))
+}
+
+// RejoinWorker starts a fresh worker process (cold cache) that reclaims
+// worker g's slot — the in-process form of restarting a crashed worker and
+// pointing it back at the plane. The worker echoes the shard index its
+// original registration ack assigned, and MultiHead.Rejoin routes the
+// connection to that shard, which must currently consider the slot down.
+func (cl *Cluster) RejoinWorker(g int) error {
+	if g < 0 || g >= len(cl.workers) {
+		return fmt.Errorf("service: no such worker %d", g)
+	}
+	old := cl.workers[g]
 	w := NewWorker(old.Name, old.catalog, old.quota)
 	w.Logf = cl.Head.Logf
+	// A restarted process learns its shard the way an operator would tell
+	// it: from the slot it is reclaiming.
+	w.shard.Store(int64(old.Shard()))
+	_, local := cl.MH.locate(g)
 	headSide, workerSide := transport.Pipe()
-	cl.workers[int(node)] = w
+	cl.workers[g] = w
 	cl.wg.Add(1)
 	go func() {
 		defer cl.wg.Done()
-		_ = w.Rejoin(workerSide, int(node))
+		_ = w.Rejoin(workerSide, local)
 	}()
-	return cl.Head.Rejoin(headSide)
+	return cl.MH.Rejoin(headSide)
 }
 
-// Worker returns the cluster's worker at node i, for tests and examples
-// that inspect worker-side state (retained results, cache contents).
+// Worker returns the cluster's worker i, for tests and examples that
+// inspect worker-side state (retained results, cache contents).
 func (cl *Cluster) Worker(i int) *Worker {
 	if i < 0 || i >= len(cl.workers) {
 		return nil
@@ -222,16 +254,21 @@ func (cl *Cluster) Worker(i int) *Worker {
 	return cl.workers[i]
 }
 
-// ResyncTo re-homes every surviving worker onto a recovered standby head
-// (§5.10): each worker reconnects over a fresh pipe through the resync path,
-// re-announcing its cache and retained completions. The in-process form of
-// pointing the worker fleet at the address the standby took over. The
-// cluster's Head is replaced; the old head must already be stopped/crashed.
+// ResyncTo re-homes every surviving worker of a one-shard cluster onto a
+// recovered standby head (§5.10): each worker reconnects over a fresh pipe
+// through the resync path, re-announcing its cache and retained
+// completions. The in-process form of pointing the worker fleet at the
+// address the standby took over. The standby replaces shard 0; the old head
+// must already be stopped/crashed. A sharded cluster has no standby and is
+// refused.
 func (cl *Cluster) ResyncTo(head *Head) error {
+	if n := len(cl.MH.heads); n != 1 {
+		return fmt.Errorf("service: ResyncTo needs a one-shard cluster, have %d shards", n)
+	}
 	// The workers' previous serve sessions own their state; wait for the
 	// dead head's connection closes to unwind them before re-entering.
 	cl.wg.Wait()
-	cl.Head = head
+	cl.MH.heads[0], cl.Head = head, head
 	for i, w := range cl.workers {
 		headSide, workerSide := transport.Pipe()
 		cl.wg.Add(1)
@@ -246,15 +283,15 @@ func (cl *Cluster) ResyncTo(head *Head) error {
 	return nil
 }
 
-// Connect returns a client attached to the in-process head.
+// Connect returns a client attached to the plane.
 func (cl *Cluster) Connect() *Client {
 	clientSide, headSide := transport.Pipe()
-	go cl.Head.HandleClient(headSide)
+	go cl.MH.HandleClient(headSide)
 	return NewClient(clientSide)
 }
 
-// Stop shuts down the head and waits for the workers to exit.
+// Stop shuts down every shard and waits for the workers to exit.
 func (cl *Cluster) Stop() {
-	cl.Head.Stop()
+	cl.MH.Stop()
 	cl.wg.Wait()
 }

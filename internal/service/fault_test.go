@@ -7,9 +7,54 @@ import (
 	"time"
 
 	"vizsched/internal/core"
+	"vizsched/internal/hastate"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
+
+// TestKillWorkerWithoutConnection: KillWorker on a slot with no connection
+// to close — a recovered head's slot whose worker has not resynced, or a
+// worker index outside a cluster of one or two shards — does nothing, and a
+// cluster still renders afterwards.
+func TestKillWorkerWithoutConnection(t *testing.T) {
+	cat := testCatalog(t, 2)
+	sched := func() core.Scheduler { return core.NewLocalityScheduler(2 * units.Millisecond) }
+	cluster := func(shards, g int) func(t *testing.T) {
+		return func(t *testing.T) {
+			cl, err := StartMultiCluster(shards, sched, cat, 2, 64*units.MB, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Stop()
+			cl.KillWorker(g)
+			client := cl.Connect()
+			defer client.Close()
+			if _, err := client.Render(RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}); err != nil {
+				t.Fatalf("render after KillWorker(%d): %v", g, err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"recovered slot before resync", func(t *testing.T) {
+			h := NewHead(sched(), cat, 64*units.MB, core.DefaultCostModel())
+			quietHead(h)
+			if err := h.StartRecovered(&hastate.State{Tables: core.NewHeadState(2, 64*units.MB, core.DefaultCostModel())}); err != nil {
+				t.Fatal(err)
+			}
+			defer h.Stop()
+			h.KillWorker(1)
+		}},
+		{"one shard, worker -1", cluster(1, -1)},
+		{"one shard, worker past the end", cluster(1, 2)},
+		{"two shards, worker -1", cluster(2, -1)},
+		{"two shards, worker past the end", cluster(2, 2)},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
 
 // TestKillWorkerMidJobRejoin is the full §VI-D cycle on the live service: a
 // worker is killed while a burst of frames has fragments in flight, every

@@ -845,11 +845,12 @@ func (h *Head) finalize(lj *liveJob) {
 func (h *Head) QoSController() *qos.Controller { return h.qosc }
 
 // KillWorker forcibly closes the connection to worker k — a failure
-// injection hook for tests and demonstrations of §VI-D's fault tolerance.
+// injection hook for tests and demonstrations of §VI-D's fault tolerance. A
+// recovered slot whose worker has not resynced has no connection to close.
 func (h *Head) KillWorker(k core.NodeID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if int(k) < 0 || int(k) >= len(h.workers) {
+	if int(k) < 0 || int(k) >= len(h.workers) || h.workers[k] == nil {
 		return
 	}
 	h.workers[k].Close()

@@ -193,8 +193,10 @@ func (l *headLoop) schedule() {
 	}
 	// One clock read for the pass: every CommitAssign inside Schedule and
 	// every journaled dispatch record must carry the same instant, or replay
-	// could not reproduce the tables.
-	now := h.now()
+	// could not reproduce the tables. The deadlines and the busy-share notes
+	// are taken from it too.
+	wall := h.wall()
+	now := units.Time(wall.Sub(h.start))
 	p := l.backlog.Pass(now, h.sched, h.state, planner)
 	for _, a := range p.Assignments {
 		lj := l.inflight[a.Task.Job.ID]
@@ -212,7 +214,7 @@ func (l *headLoop) schedule() {
 		h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
 			hastate.DispatchBody{Predicted: a.Task.PredictedExec})
 		if h.DeadlineFactor > 0 {
-			lj.deadline[a.Task.Index] = h.wall().Add(h.taskDeadline(a.Task))
+			lj.deadline[a.Task.Index] = wall.Add(h.taskDeadline(a.Task))
 		}
 		raw, err := transport.Encode(&body)
 		if err != nil {
@@ -225,7 +227,7 @@ func (l *headLoop) schedule() {
 			h.Logf("head: send to node %d failed: %v", a.Node, err)
 		}
 		if h.frac != nil {
-			h.frac.note(int(a.Node), +1, false, h.now())
+			h.frac.note(int(a.Node), +1, false, now)
 		}
 	}
 	l.sendPrefetches(p.Warms)

@@ -917,3 +917,28 @@ func TestHeadLoopBatchWindow(t *testing.T) {
 			len(passes[1]), passes[1][0], core.DefaultBatchWindow, jobs[0].job.ID)
 	}
 }
+
+// A scheduling pass reads the head's clock once: the journaled dispatch
+// instant, each task's deadline and the busy-share notes all come from that
+// one reading, even on a clock that moves between reads.
+func TestHeadLoopPassReadsClockOnce(t *testing.T) {
+	var reads atomic.Int64
+	s := newSteppedHead(t, 2, func(h *Head) {
+		h.FracShare = &fracshare.Config{Slots: 2}
+		h.clock = func() time.Time { return time.Unix(1_000_000_000, reads.Add(1)*int64(time.Millisecond)) }
+	})
+	if s.h.DeadlineFactor <= 0 {
+		t.Fatal("deadlines are off by default; the pass would not set any")
+	}
+	b := s.submit(1, RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Batch: true})
+	reads.Store(0)
+	s.l.step(event{kind: evTick})
+	if n := reads.Load(); n != 1 {
+		t.Errorf("a pass that dispatched %d tasks read the clock %d times, want 1", len(b.nodes), n)
+	}
+	s.wantTasks(b.nodes[0], 1)
+	s.wantTasks(b.nodes[1], 1)
+	if b.deadline[0] != b.deadline[1] {
+		t.Errorf("deadlines %v and %v for two like tasks of one pass differ", b.deadline[0], b.deadline[1])
+	}
+}

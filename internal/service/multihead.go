@@ -177,109 +177,8 @@ func (m *MultiHead) HandleClient(conn transport.Conn) { serveClient(conn, m.Owne
 // ServeClients accepts client connections until the listener closes.
 func (m *MultiHead) ServeClients(l transport.Listener) { acceptClients(l, m.HandleClient) }
 
-// MultiCluster is the in-process form of a sharded deployment: a MultiHead
-// plus its workers wired over channel transports, mirroring Cluster.
-type MultiCluster struct {
-	MH      *MultiHead
-	workers []*Worker
-	wg      sync.WaitGroup
-}
-
-// StartMultiCluster builds and starts an in-process sharded service:
-// `shards` heads over `nodes` workers placed round-robin. configure (if
-// non-nil) runs on every shard head before workers attach.
-func StartMultiCluster(shards int, newSched func() core.Scheduler, catalog *Catalog, nodes int, quota units.Bytes, configure func(*Head)) (*MultiCluster, error) {
-	if nodes < shards {
-		return nil, fmt.Errorf("service: %d shards need at least %d workers", shards, shards)
-	}
-	mh, err := NewMultiHead(shards, newSched, catalog, quota, core.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
-	mh.Configure(func(h *Head) {
-		h.Logf = func(string, ...any) {} // quiet by default; callers can reassign
-	})
-	if configure != nil {
-		mh.Configure(configure)
-	}
-	mc := &MultiCluster{MH: mh}
-	for i := 0; i < nodes; i++ {
-		w := NewWorker(fmt.Sprintf("worker-%d", i), catalog, quota)
-		w.Logf = mh.heads[0].Logf
-		headSide, workerSide := transport.Pipe()
-		mc.workers = append(mc.workers, w)
-		mc.wg.Add(1)
-		go func() {
-			defer mc.wg.Done()
-			_ = w.Serve(workerSide)
-		}()
-		if _, err := mh.AddWorker(headSide); err != nil {
-			return nil, err
-		}
-	}
-	if err := mh.Start(); err != nil {
-		return nil, err
-	}
-	return mc, nil
-}
-
 // locate maps a global worker index to its (shard, local slot) under the
 // round-robin placement AddWorker uses.
 func (m *MultiHead) locate(g int) (shardIdx, local int) {
 	return g % len(m.heads), g / len(m.heads)
-}
-
-// KillWorker forcibly closes global worker g's connection — fault injection
-// for tests, routed to the owning shard's dispatcher.
-func (mc *MultiCluster) KillWorker(g int) {
-	s, local := mc.MH.locate(g)
-	mc.MH.heads[s].KillWorker(core.NodeID(local))
-}
-
-// RejoinWorker restarts global worker g as a fresh process (cold cache) and
-// reconnects it through MultiHead.Rejoin: the worker echoes the shard index
-// its original registration ack assigned, and the plane routes the
-// connection to that shard without consulting any shared table. The owning
-// shard must currently consider the slot down.
-func (mc *MultiCluster) RejoinWorker(g int) error {
-	if g < 0 || g >= len(mc.workers) {
-		return fmt.Errorf("service: no such worker %d", g)
-	}
-	old := mc.workers[g]
-	w := NewWorker(old.Name, old.catalog, old.quota)
-	w.Logf = mc.MH.heads[0].Logf
-	// A restarted process learns its shard the way an operator would tell
-	// it: from the slot it is reclaiming.
-	w.shard.Store(int64(old.Shard()))
-	_, local := mc.MH.locate(g)
-	headSide, workerSide := transport.Pipe()
-	mc.workers[g] = w
-	mc.wg.Add(1)
-	go func() {
-		defer mc.wg.Done()
-		_ = w.Rejoin(workerSide, local)
-	}()
-	return mc.MH.Rejoin(headSide)
-}
-
-// Worker returns the cluster's global worker i, for tests that inspect
-// worker-side state.
-func (mc *MultiCluster) Worker(i int) *Worker {
-	if i < 0 || i >= len(mc.workers) {
-		return nil
-	}
-	return mc.workers[i]
-}
-
-// Connect returns a client attached to the sharded plane.
-func (mc *MultiCluster) Connect() *Client {
-	clientSide, headSide := transport.Pipe()
-	go mc.MH.HandleClient(headSide)
-	return NewClient(clientSide)
-}
-
-// Stop shuts down every shard and waits for the workers to exit.
-func (mc *MultiCluster) Stop() {
-	mc.MH.Stop()
-	mc.wg.Wait()
 }

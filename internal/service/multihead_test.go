@@ -30,11 +30,7 @@ func TestMultiHeadRoutingAndDirectory(t *testing.T) {
 	// told it so. The ack is consumed on the worker's serve goroutine, so
 	// poll briefly.
 	for i := 0; i < 4; i++ {
-		deadline := time.Now().Add(2 * time.Second)
-		for mc.Worker(i).Shard() == -1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if got := mc.Worker(i).Shard(); got != i%2 {
+		if got := ackedShard(mc.Worker(i)); got != i%2 {
 			t.Fatalf("worker %d on shard %d, want %d", i, got, i%2)
 		}
 	}
@@ -138,6 +134,58 @@ func TestMultiHeadSharedEstimates(t *testing.T) {
 		if got, _ := dir.Estimate(volume.ChunkID{Dataset: id, Index: idx}); got != want {
 			t.Errorf("chunk %d: directory estimate %v after a warm render, want the miss time %v", idx, got, want)
 		}
+	}
+}
+
+// ackedShard returns the shard w's hello ack named. The ack is consumed on
+// the worker's serve goroutine, so it polls briefly.
+func ackedShard(w *Worker) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for w.Shard() == -1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return w.Shard()
+}
+
+// TestClusterOneShardIsALoneHead: StartCluster's plane is one shard that
+// builds no directory, its Head is that shard, and every worker's ack names
+// shard 0.
+func TestClusterOneShardIsALoneHead(t *testing.T) {
+	cl, err := StartCluster(core.NewLocalityScheduler(2*units.Millisecond), testCatalog(t, 2), 2, 64*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if cl.MH.Directory() != nil {
+		t.Error("a one-shard cluster built a chunk directory")
+	}
+	if cl.Head != cl.MH.Shard(0) {
+		t.Error("the cluster's Head is not its shard 0")
+	}
+	for i := 0; i < 2; i++ {
+		if got := ackedShard(cl.Worker(i)); got != 0 {
+			t.Errorf("worker %d on shard %d, want 0", i, got)
+		}
+	}
+}
+
+// TestClusterResyncToRefusesShards: a sharded cluster has no standby to
+// re-home onto, so ResyncTo refuses it and leaves the plane serving.
+func TestClusterResyncToRefusesShards(t *testing.T) {
+	cat := testCatalog(t, 2)
+	sched := func() core.Scheduler { return core.NewLocalityScheduler(2 * units.Millisecond) }
+	cl, err := StartMultiCluster(2, sched, cat, 2, 64*units.MB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if err := cl.ResyncTo(NewHead(sched(), cat, 64*units.MB, core.DefaultCostModel())); err == nil {
+		t.Fatal("ResyncTo re-homed a two-shard cluster")
+	}
+	client := cl.Connect()
+	defer client.Close()
+	if _, err := client.Render(RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}); err != nil {
+		t.Fatalf("render after a refused ResyncTo: %v", err)
 	}
 }
 

@@ -35,7 +35,7 @@ type Worker struct {
 	// the lock is the single disk the share model prices, while renders
 	// overlap freely outside it.
 	cacheMu sync.Mutex
-	lru     *cache.LRU
+	lru     *cache.Store
 	bricks  map[volume.ChunkID]*resident
 	// datasetIDs gives each dataset name a stable local ID for cache keys;
 	// datasetNames[id-1] is its inverse.

@@ -56,7 +56,8 @@ type HeadCost struct {
 	Complete units.Duration
 }
 
-// DefaultHeadCost is the calibration the shardsweep experiment uses.
+// DefaultHeadCost is what sim.NewSharded charges when Config.HeadCost is
+// nil. The shardsweep experiment sets its own costs.
 func DefaultHeadCost() HeadCost {
 	return HeadCost{
 		Admit:    800 * units.Microsecond,

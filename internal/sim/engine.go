@@ -178,8 +178,8 @@ type Config struct {
 // node is the actual state of one rendering node.
 type node struct {
 	id  core.NodeID
-	mem cache.Chunks
-	gpu cache.Chunks // nil unless the two-level hierarchy is enabled
+	mem *cache.Store
+	gpu *cache.Store // nil unless the two-level hierarchy is enabled
 
 	// fifo holds the tasks ready for a slot, in arrival order. head gives
 	// amortized O(1) pops.
