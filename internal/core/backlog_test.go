@@ -10,9 +10,53 @@ import (
 	"vizsched/internal/volume"
 )
 
-// fifoFair is a FairQueue over one FIFO: every queued interactive job, then
-// batch jobs up to the bound, each in arrival order.
-type fifoFair struct{ jobs []*Job }
+// fifoFair is a Gate over one FIFO that admits every job: every queued
+// interactive job, then batch jobs up to the bound, each in arrival order.
+// With stale set, an interactive arrival supersedes the oldest held frame of
+// its action, as the QoS gate's shed-stale rule does.
+type fifoFair struct {
+	jobs  []*Job
+	stale bool
+}
+
+func (q *fifoFair) Admit(j *Job, now units.Time) (Verdict, *Job) {
+	var victim *Job
+	if i := slices.IndexFunc(q.jobs, func(o *Job) bool {
+		return q.stale && j.Class == Interactive && o.Class == Interactive && o.Action == j.Action
+	}); i >= 0 {
+		victim = q.jobs[i]
+		q.jobs = slices.Delete(q.jobs, i, i+1)
+	}
+	q.jobs = append(q.jobs, j)
+	return Admitted, victim
+}
+
+func (q *fifoFair) QueueLen() int { return len(q.jobs) }
+
+func (q *fifoFair) BatchBacklog() int {
+	n := 0
+	for _, j := range q.jobs {
+		if j.Class == Batch {
+			n++
+		}
+	}
+	return n
+}
+
+func (q *fifoFair) OldestInteractive() *Job {
+	if i := slices.IndexFunc(q.jobs, func(j *Job) bool { return j.Class == Interactive }); i >= 0 {
+		return q.jobs[i]
+	}
+	return nil
+}
+
+func (q *fifoFair) ShedQueued(j *Job) bool {
+	i := slices.Index(q.jobs, j)
+	if i >= 0 {
+		q.jobs = slices.Delete(q.jobs, i, i+1)
+	}
+	return i >= 0
+}
 
 func (q *fifoFair) pop(dst []*Job, class Class, max int) []*Job {
 	keep := q.jobs[:0]
@@ -34,13 +78,13 @@ func (q *fifoFair) PopBatch(dst []*Job, max int) []*Job { return q.pop(dst, Batc
 // refQueue is the working queue as both planes kept it before Backlog, the
 // reference FuzzBacklog holds a Backlog to: one slice, the simulator's
 // refill, window filter and compaction, its crash requeue, the live head's
-// reclaim and unqueue, and the shard donor's take.
+// admission, reclaim and unqueue, and the shard donor's take.
 type refQueue struct {
 	queue  []*Job
 	window int
 }
 
-func (r *refQueue) refill(q FairQueue) {
+func (r *refQueue) refill(q *fifoFair) {
 	r.queue = q.PopInteractive(r.queue)
 	batchHere := 0
 	for _, j := range r.queue {
@@ -98,6 +142,48 @@ func (r *refQueue) unqueue(j *Job) {
 	}
 }
 
+// admit is the live head's admission as it was written once per path. With
+// fair queue q as the gate (gated): admitted into q, then at the bound over
+// both queues a batch j is taken back out and an interactive j sheds q's
+// oldest frame. Without: at the bound a batch j is refused and an
+// interactive j sheds the oldest undispatched frame, then dropStale sheds
+// the oldest undispatched frame of j's action, and j is queued. It returns
+// the shed jobs in the order shed, and whether j was refused.
+func (r *refQueue) admit(q *fifoFair, gated bool, j *Job, maxQueue int, dropStale bool) (shed []*Job, refused bool) {
+	undispatched := func(o *Job) bool { return o.Class == Interactive && o.Remaining == len(o.Tasks) }
+	if gated {
+		q.jobs = append(q.jobs, j)
+		if maxQueue > 0 && len(q.jobs)+len(r.queue) > maxQueue {
+			if j.Class == Batch {
+				q.jobs = q.jobs[:len(q.jobs)-1]
+				return nil, true
+			}
+			if old := q.OldestInteractive(); old != j {
+				q.ShedQueued(old)
+				shed = append(shed, old)
+			}
+		}
+		return shed, false
+	}
+	if maxQueue > 0 && len(r.queue) >= maxQueue {
+		if j.Class == Batch {
+			return nil, true
+		}
+		if i := slices.IndexFunc(r.queue, undispatched); i >= 0 {
+			shed = append(shed, r.queue[i])
+			r.unqueue(r.queue[i])
+		}
+	}
+	if dropStale && j.Class == Interactive {
+		if i := slices.IndexFunc(r.queue, func(o *Job) bool { return undispatched(o) && o.Action == j.Action }); i >= 0 {
+			shed = append(shed, r.queue[i])
+			r.unqueue(r.queue[i])
+		}
+	}
+	r.queue = append(r.queue, j)
+	return shed, false
+}
+
 func (r *refQueue) reclaim(t *Task) {
 	t.Assigned = true
 	t.Job.Remaining--
@@ -129,9 +215,10 @@ type backlogScript struct {
 	sched  stubScheduler // the Backlog's passes
 	head   *HeadState
 	ref    refQueue
-	fair   [2]fifoFair // the Backlog's, the reference's
+	fair   [2]fifoFair // the Backlog's gate, the reference's
+	gated  bool        // fair[0] is the Backlog's gate
 	jobs   [2][]*Job
-	gone   []bool // removed or taken: no longer the script's to touch
+	gone   []bool // removed, shed, refused or taken: no longer the script's to touch
 	data   []byte
 	step   int
 	window int
@@ -155,11 +242,12 @@ func ids(jobs []*Job) []JobID {
 	return out
 }
 
-// newJob makes job len(jobs) on both sides: class and task count from arg.
+// newJob makes job len(jobs) on both sides: class, task count and action
+// from arg.
 func (s *backlogScript) newJob(arg int) (*Job, *Job) {
 	var pair [2]*Job
 	for side := range pair {
-		j := &Job{ID: JobID(len(s.jobs[side]) + 1), Class: Class(arg & 1)}
+		j := &Job{ID: JobID(len(s.jobs[side]) + 1), Class: Class(arg & 1), Action: ActionID(arg >> 3 % 3)}
 		j.Tasks = make([]Task, 1+(arg>>1)%4)
 		for i := range j.Tasks {
 			j.Tasks[i] = Task{Job: j, Index: i}
@@ -208,18 +296,35 @@ func (s *backlogScript) run() {
 			bj, rj := s.newJob(arg)
 			s.b.Push(bj)
 			s.ref.queue = append(s.ref.queue, rj)
-		case 1: // admission into the fair queue
-			bj, rj := s.newJob(arg)
-			s.fair[0].jobs = append(s.fair[0].jobs, bj)
-			s.fair[1].jobs = append(s.fair[1].jobs, rj)
-		case 2: // a fair queue's release
-			n := len(s.ref.queue)
-			pulled := s.b.Refill(&s.fair[0])
-			s.ref.refill(&s.fair[1])
-			if !slices.Equal(ids(pulled), ids(s.ref.queue[n:])) {
-				s.t.Fatalf("step %d: Refill pulled %v, want %v", s.step, ids(pulled), ids(s.ref.queue[n:]))
+		case 1, 2: // admission, with the queue bound and DropStale from a byte of op 2's
+			maxQueue, dropStale := 0, false
+			if op == 2 {
+				lim := s.next()
+				maxQueue, dropStale = lim%4, lim&4 != 0
 			}
-		case 3: // a pass: assign up to arg%5 tasks of one presented job
+			bj, rj := s.newJob(arg)
+			a := s.b.Admit(bj, 0, maxQueue, dropStale)
+			shed, refused := s.ref.admit(&s.fair[1], s.gated, rj, maxQueue, dropStale)
+			var got []*Job
+			for _, v := range []*Job{a.Crowded, a.Stale} {
+				if v != nil {
+					got = append(got, v)
+				}
+			}
+			verdict := Admitted
+			if refused {
+				verdict = Overloaded
+			}
+			if a.Verdict != verdict || !slices.Equal(ids(got), ids(shed)) {
+				s.t.Fatalf("step %d: admitting job %d: %v, crowded out %v, superseded %v; want %v, shed %v",
+					s.step, bj.ID, a.Verdict, a.Crowded, a.Stale, verdict, ids(shed))
+			}
+			for _, j := range shed {
+				s.gone[j.ID-1] = true
+			}
+			s.gone[rj.ID-1] = refused
+		case 3: // a pass: the gate's release, then up to arg%5 tasks of one presented job assigned
+			s.ref.refill(&s.fair[1])
 			want := s.ref.present()
 			p, wantTouched := -1, 0
 			s.sched.assign = func(present []*Job) []Assignment {
@@ -238,8 +343,9 @@ func (s *backlogScript) run() {
 				}
 			}
 			s.ref.compact()
-			if got.Touched != wantTouched {
-				s.t.Fatalf("step %d: the pass touched %d jobs, want %d", s.step, got.Touched, wantTouched)
+			if got.Shown != len(want) || got.Touched != wantTouched {
+				s.t.Fatalf("step %d: the pass showed %d jobs and touched %d, want %d and %d",
+					s.step, got.Shown, got.Touched, len(want), wantTouched)
 			}
 			if slices.ContainsFunc(s.b.present[:cap(s.b.present)], func(j *Job) bool { return j != nil }) {
 				s.t.Fatalf("step %d: Present's scratch pins a job after Compact", s.step)
@@ -265,8 +371,12 @@ func (s *backlogScript) run() {
 				s.ref.unqueue(s.jobs[1][i])
 				s.gone[i] = true
 			}
-		case 7: // a shard donor gives away unstarted batch jobs
-			got, want := s.b.TakeUnstartedBatch(arg%4), s.ref.take(arg%4)
+		case 7: // a shard donor gives away unstarted batch jobs: the gate's, if there is one
+			got := s.b.TakeUnstartedBatch(arg % 4)
+			want := s.fair[1].PopBatch(nil, arg%4)
+			if !s.gated {
+				want = s.ref.take(arg % 4)
+			}
 			if !slices.Equal(ids(got), ids(want)) {
 				s.t.Fatalf("step %d: took %v, want %v", s.step, ids(got), ids(want))
 			}
@@ -288,6 +398,9 @@ func (s *backlogScript) check(present, want []*Job) {
 	if got, want := ids(s.b.Jobs()), ids(s.ref.queue); !slices.Equal(got, want) {
 		t.Fatalf("step %d: queued %v, want %v", s.step, got, want)
 	}
+	if got, want := ids(s.fair[0].jobs), ids(s.fair[1].jobs); !slices.Equal(got, want) {
+		t.Fatalf("step %d: the gate holds %v, want %v", s.step, got, want)
+	}
 	batch, unstarted := 0, 0
 	for _, j := range s.ref.queue {
 		if j.Class == Batch {
@@ -297,9 +410,15 @@ func (s *backlogScript) check(present, want []*Job) {
 			}
 		}
 	}
-	if s.b.Batch() != batch || s.b.Room() != s.window-batch || s.b.UnstartedBatch() != unstarted {
-		t.Fatalf("step %d: Batch() = %d, Room() = %d, UnstartedBatch() = %d; want %d, %d, %d",
-			s.step, s.b.Batch(), s.b.Room(), s.b.UnstartedBatch(), batch, s.window-batch, unstarted)
+	held := s.fair[1].BatchBacklog()
+	if s.gated {
+		unstarted = held
+	}
+	if s.b.Len() != len(s.ref.queue)+len(s.fair[1].jobs) || s.b.Batch() != batch+held ||
+		s.b.Room() != s.window-batch || s.b.UnstartedBatch() != unstarted {
+		t.Fatalf("step %d: Len() = %d, Batch() = %d, Room() = %d, UnstartedBatch() = %d; want %d, %d, %d, %d",
+			s.step, s.b.Len(), s.b.Batch(), s.b.Room(), s.b.UnstartedBatch(),
+			len(s.ref.queue)+len(s.fair[1].jobs), batch+held, s.window-batch, unstarted)
 	}
 	if batch <= s.window && len(present) > 0 && &present[0] != &s.b.Jobs()[0] {
 		t.Fatalf("step %d: Present() copied a backlog the window does not bind", s.step)
@@ -325,27 +444,33 @@ func (s *backlogScript) check(present, want []*Job) {
 	}
 }
 
-// FuzzBacklog plays scripts of the backlog's operations — admission,
-// admission through a fair queue and its release, scheduling passes that
-// assign tasks, requeue, reclaim, removal and a donor's take — on a Backlog
-// and on the single-slice queue both planes kept before it; a pass goes
-// through Pass, whose Touched must count the job the reference assigned
-// from. The first byte
-// sets a window of 1–8 jobs so short scripts reach it; a script is at most
-// 512 bytes, since every step checks every job. After every step
-// Present() and the queued jobs must be the reference's, a job is queued
-// exactly while it has unassigned tasks and was neither given up nor is
-// waiting in the fair queue, Room() is the window less the queued batch
-// jobs, and Present() shares the backlog while the window does not bind.
-// The checked-in seeds include the simulator's old window test: 40 batch
-// jobs of four tasks under a window of 4.
+// FuzzBacklog plays scripts of the backlog's operations — a push past the
+// gate, admission with and without the queue bound and DropStale,
+// scheduling passes that release the gate and assign tasks, requeue,
+// reclaim, removal and a donor's take — on a Backlog and on the
+// single-slice queue both planes kept before it; a pass goes through Pass,
+// whose Shown must count what the reference presents and Touched the job
+// it assigned from. The first byte sets a window of 1–8 jobs so short
+// scripts reach it, and its bit 3 installs a FIFO fair queue as the gate; a
+// script is at most 512 bytes, since every step checks every job. After
+// every step Present(), the queued jobs and the gate's must be the
+// reference's, a job is queued exactly while it has unassigned tasks and
+// was neither given up, shed nor refused, nor is waiting in the gate,
+// Room() is the window less the queued batch jobs, and Present() shares
+// the backlog while the window does not bind. The checked-in seeds include
+// the simulator's old window test: 40 batch jobs of four tasks under a
+// window of 4.
 func FuzzBacklog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
 		}
-		s := &backlogScript{t: t, data: data[1:], window: 1 + int(data[0])%8, head: NewHeadState(1, units.GB, DefaultCostModel())}
+		s := &backlogScript{t: t, data: data[1:], window: 1 + int(data[0])%8, gated: data[0]&8 != 0,
+			head: NewHeadState(1, units.GB, DefaultCostModel())}
 		s.b.window, s.ref.window = s.window, s.window
+		if s.gated {
+			s.b.SetGate(&s.fair[0])
+		}
 		s.run()
 	})
 }
@@ -493,4 +618,111 @@ func TestBacklogPassContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBacklogAdmission holds Admit to its rules, once without a gate and
+// once behind a FIFO gate with a stale rule of its own. The queued jobs are
+// named by class, ID and action ("I1A" is interactive job 1 of action A,
+// "B2" a batch job); a "*" marks one with a task already assigned, which
+// waits past the gate and is never displaced. Without a gate MaxQueue sheds
+// before DropStale; behind one the gate's stale rule runs first.
+func TestBacklogAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		queued    []string
+		arrival   string
+		maxQueue  int
+		dropStale bool
+		verdict   Verdict
+		crowded   JobID // 0 for none
+		stale     JobID
+		left      []JobID // the backlog's jobs, then the gate's
+	}{
+		{name: "zero limits", queued: []string{"I1A", "B2"}, arrival: "I3A",
+			left: []JobID{1, 2, 3}},
+		{name: "below the bound", queued: []string{"I1A"}, arrival: "I2A", maxQueue: 2,
+			left: []JobID{1, 2}},
+		{name: "MaxQueue and DropStale displace two", queued: []string{"I1A", "I2B", "I3B"}, arrival: "I4B",
+			maxQueue: 2, dropStale: true, crowded: 1, stale: 2, left: []JobID{3, 4}},
+		{name: "a batch job at the bound is refused", queued: []string{"I1A"}, arrival: "B2",
+			maxQueue: 1, verdict: Overloaded, left: []JobID{1}},
+		{name: "a frame at the bound crowds out the oldest", queued: []string{"B1", "I2B", "I3A"}, arrival: "I4A",
+			maxQueue: 3, crowded: 2, left: []JobID{1, 3, 4}},
+		{name: "a dispatched frame stays", queued: []string{"I1A*"}, arrival: "I2A",
+			maxQueue: 1, dropStale: true, left: []JobID{1, 2}},
+		{name: "DropStale alone", queued: []string{"I1A", "B2", "I3B"}, arrival: "I4A",
+			dropStale: true, stale: 1, left: []JobID{2, 3, 4}},
+	} {
+		for _, gated := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/gated=%v", tc.name, gated), func(t *testing.T) {
+				var b Backlog
+				gate := &fifoFair{stale: tc.dropStale}
+				if gated {
+					b.SetGate(gate)
+				}
+				for _, name := range tc.queued {
+					j := admissionJob(name)
+					if gated && j.Remaining == len(j.Tasks) {
+						gate.jobs = append(gate.jobs, j)
+					} else {
+						b.Push(j)
+					}
+				}
+				arrival := admissionJob(tc.arrival)
+				a := b.Admit(arrival, 0, tc.maxQueue, tc.dropStale)
+				left := ids(append(slices.Clone(b.Jobs()), gate.jobs...))
+				if a.Verdict != tc.verdict || jobID(a.Crowded) != tc.crowded || jobID(a.Stale) != tc.stale ||
+					!slices.Equal(left, tc.left) {
+					t.Fatalf("%v, crowded out %d, superseded %d, left %v; want %v, %d, %d, %v",
+						a.Verdict, jobID(a.Crowded), jobID(a.Stale), left, tc.verdict, tc.crowded, tc.stale, tc.left)
+				}
+			})
+		}
+	}
+}
+
+// TestBacklogAdmissionZeroLimitsDoNotScan: with no gate and no limits Admit
+// is Push. The backlog holds an entry any scan would dereference, and
+// admission still only appends.
+func TestBacklogAdmissionZeroLimitsDoNotScan(t *testing.T) {
+	var b Backlog
+	b.jobs = append(b.jobs, nil)
+	j := admissionJob("I1A")
+	if a := b.Admit(j, 0, 0, false); a != (Admission{}) || b.Len() != 2 || b.Jobs()[1] != j {
+		t.Fatalf("Admit = %+v with %d queued, want a plain push", a, b.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.jobs = b.jobs[:1]
+		b.Admit(j, 0, 0, false)
+	}); allocs != 0 {
+		t.Fatalf("Admit allocated %v times per arrival, want 0", allocs)
+	}
+}
+
+// admissionJob builds TestBacklogAdmission's job from its name: two tasks,
+// the first assigned when the name ends in "*".
+func admissionJob(name string) *Job {
+	j := &Job{Class: Interactive, Tasks: make([]Task, 2), Remaining: 2}
+	if name[0] == 'B' {
+		j.Class = Batch
+	}
+	fmt.Sscanf(name[1:], "%d", &j.ID)
+	if i := strings.IndexAny(name, "ABC"); i > 0 {
+		j.Action = ActionID(name[i] - 'A')
+	}
+	for i := range j.Tasks {
+		j.Tasks[i] = Task{Job: j, Index: i}
+	}
+	if strings.HasSuffix(name, "*") {
+		j.Tasks[0].Assigned = true
+		j.Remaining--
+	}
+	return j
+}
+
+func jobID(j *Job) JobID {
+	if j == nil {
+		return 0
+	}
+	return j.ID
 }

@@ -5,11 +5,13 @@
 //
 //  1. Admission control: per-tenant token buckets, one per QoS class.
 //     Interactive work carries a latency SLO; batch work is best-effort.
-//     Every arriving job gets an explicit decision — Admit, Throttle
-//     (admitted against borrowed future tokens), Reject, or Shed.
+//     Every arriving job gets an explicit core.Verdict — Admitted,
+//     Throttled (admitted against borrowed future tokens), Rejected, or
+//     ShedStale.
 //  2. Weighted fair queuing: tenant queues served deficit-round-robin
-//     (drr.go) replace the single FIFO, feeding the locality scheduler in
-//     fair order while interactive frames are still always drained first.
+//     (drr.go) wait in front of the head's backlog, releasing jobs to the
+//     scheduler in fair order while interactive frames are still always
+//     released first.
 //  3. SLO-driven degradation ladder (overload.go): under sustained SLO
 //     breach the controller steps through halve-batch → half-resolution →
 //     shed-stale-frames → reject-new-sessions, recovering in reverse.
@@ -114,44 +116,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Decision is the admission outcome for one job.
-type Decision int
-
-// Admission decisions. Exactly one is returned per Admit call, so per
-// tenant Issued = Admitted + Throttled + Rejected + ShedStale-on-arrival.
-const (
-	// Admitted: the job entered the fair queue on regular tokens.
-	Admitted Decision = iota
-	// Throttled: the job entered the fair queue on borrowed tokens; the
-	// tenant's bucket is in debt and further arrivals may be rejected.
-	Throttled
-	// Rejected: the job was refused (bucket exhausted past the throttle
-	// window, or a new session during the reject-sessions rung).
-	Rejected
-	// ShedStale: the arriving interactive frame was dropped because its
-	// action already has ActionDepth unfinished frames in flight.
-	ShedStale
-)
-
-// Entered reports whether the decision put the job in the queue.
-func (d Decision) Entered() bool { return d == Admitted || d == Throttled }
-
-// String implements fmt.Stringer.
-func (d Decision) String() string {
-	switch d {
-	case Admitted:
-		return "admit"
-	case Throttled:
-		return "throttle"
-	case Rejected:
-		return "reject"
-	case ShedStale:
-		return "shed"
-	default:
-		return "decision(?)"
-	}
-}
-
 // sessionKey identifies one stream of related jobs for session rejection
 // and in-flight frame depth accounting.
 type sessionKey struct {
@@ -172,11 +136,12 @@ type tenantAccount struct {
 	latency      metrics.Histogram
 }
 
-// Controller is the QoS layer's front door. The dispatcher (sim engine or
-// head loop) calls Admit / Pop* / Observe; stats exporters call Outcome and
-// the gauge accessors concurrently, so all state is mutex-guarded. The
-// mutex is uncontended in the simulator (single goroutine) and cheap next
-// to a render in the live head.
+// Controller is the QoS layer's front door: the core.Gate of both planes'
+// core.Backlog, which calls Admit, the Pop methods and the queue accessors;
+// the dispatcher (sim engine or head loop) calls Observe and Forget; stats
+// exporters call Outcome and the gauge accessors concurrently, so all state
+// is mutex-guarded. The mutex is uncontended in the simulator (single
+// goroutine) and cheap next to a render in the live head.
 type Controller struct {
 	mu       sync.Mutex
 	cfg      Config
@@ -219,11 +184,12 @@ func (c *Controller) account(t core.TenantID) *tenantAccount {
 }
 
 // Admit decides an arriving job's fate at virtual time now and, when the
-// decision Entered(), places it in the fair queue. The returned victim is
+// verdict Entered(), places it in the fair queue. The returned victim is
 // non-nil when admitting this frame superseded an older queued frame of
 // the same action (stale-frame shed): the victim has been removed from the
-// queue and accounted; the caller must fail it back to its client.
-func (c *Controller) Admit(j *core.Job, now units.Time) (Decision, *core.Job) {
+// queue and accounted; the caller must fail it back to its client. A frame
+// that is not admitted supersedes nothing.
+func (c *Controller) Admit(j *core.Job, now units.Time) (core.Verdict, *core.Job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ta := c.account(j.Tenant)
@@ -236,7 +202,7 @@ func (c *Controller) Admit(j *core.Job, now units.Time) (Decision, *core.Job) {
 	if _, known := c.sessions[key]; !known {
 		if c.ladder.RejectSessions() {
 			ta.rejected++
-			return Rejected, nil
+			return core.Rejected, nil
 		}
 		c.sessions[key] = struct{}{}
 	}
@@ -246,18 +212,13 @@ func (c *Controller) Admit(j *core.Job, now units.Time) (Decision, *core.Job) {
 		// Rung 3: a newer frame supersedes an older queued frame of the
 		// same action; with nothing queued to supersede, bound in-flight
 		// depth by dropping the arrival itself.
-		if victim = c.queue.StaleInteractive(j); victim != nil {
-			c.queue.Remove(victim)
-			va := c.account(victim.Tenant)
-			va.shed++
-			c.decInflight(sessionKey{victim.Tenant, victim.Action})
-		} else if c.inflight[key] >= c.cfg.ActionDepth {
+		if victim = c.queue.StaleInteractive(j); victim == nil && c.inflight[key] >= c.cfg.ActionDepth {
 			ta.shed++
-			return ShedStale, nil
+			return core.ShedStale, nil
 		}
 	}
 
-	dec := Admitted
+	dec := core.Admitted
 	bucket, rate := ta.inter, c.cfg.InteractiveRate
 	cost := 1.0
 	if j.Class == core.Batch {
@@ -268,18 +229,23 @@ func (c *Controller) Admit(j *core.Job, now units.Time) (Decision, *core.Job) {
 		maxDebt := rate * c.cfg.ThrottleWindow.Seconds()
 		switch {
 		case bucket.Take(now, cost):
-			dec = Admitted
+			dec = core.Admitted
 		case bucket.TakeDebt(now, cost, maxDebt):
-			dec = Throttled
+			dec = core.Throttled
 		default:
 			ta.rejected++
-			return Rejected, victim
+			return core.Rejected, nil
 		}
 	}
-	if dec == Throttled {
+	if dec == core.Throttled {
 		ta.throttled++
 	} else {
 		ta.admitted++
+	}
+	if victim != nil {
+		c.queue.Remove(victim)
+		c.account(victim.Tenant).shed++
+		c.decInflight(sessionKey{victim.Tenant, victim.Action})
 	}
 	c.queue.Push(j)
 	if j.Class == core.Interactive {
@@ -324,7 +290,7 @@ func (c *Controller) Forget(j *core.Job) {
 }
 
 // ShedQueued removes a still-queued job and accounts it as shed — the
-// head's MaxQueue backstop expressed through the controller.
+// queue bound of core.Backlog.Admit expressed through the controller.
 func (c *Controller) ShedQueued(j *core.Job) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,7 +305,7 @@ func (c *Controller) ShedQueued(j *core.Job) bool {
 }
 
 // PopInteractive / PopBatch / QueueLen / OldestInteractive expose the fair
-// queue to the dispatcher under the controller's lock.
+// queue to core.Backlog under the controller's lock.
 func (c *Controller) PopInteractive(dst []*core.Job) []*core.Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -248,7 +248,7 @@ func TestQoSAdmissionPartition(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(42))
 	now := units.Time(0)
-	counts := map[Decision]int64{}
+	counts := map[core.Verdict]int64{}
 	for i := 1; i <= 500; i++ {
 		class := core.Interactive
 		if rng.Intn(2) == 0 {
@@ -274,10 +274,10 @@ func TestQoSAdmissionPartition(t *testing.T) {
 	if issued != 500 || partition != 500 {
 		t.Fatalf("decision partition broken: issued=%d partition=%d", issued, partition)
 	}
-	if counts[Rejected] == 0 || counts[Throttled] == 0 {
+	if counts[core.Rejected] == 0 || counts[core.Throttled] == 0 {
 		t.Fatalf("overload run never throttled/rejected: %v", counts)
 	}
-	if out.Admitted != counts[Admitted] || out.Throttled != counts[Throttled] || out.Rejected != counts[Rejected] {
+	if out.Admitted != counts[core.Admitted] || out.Throttled != counts[core.Throttled] || out.Rejected != counts[core.Rejected] {
 		t.Fatalf("outcome aggregates disagree with observed decisions")
 	}
 }
@@ -326,7 +326,7 @@ func TestQoSLadderEngageAndRecover(t *testing.T) {
 	// Rung 4: a brand-new session is refused, the established one still flows.
 	newcomer := mkJob(id, 9, core.Interactive, 99, 1, now)
 	id++
-	if dec, _ := c.Admit(newcomer, now); dec != Rejected {
+	if dec, _ := c.Admit(newcomer, now); dec != core.Rejected {
 		t.Fatalf("new session at reject-sessions rung: %v, want Rejected", dec)
 	}
 	// Recovery: clean completions walk back down to normal.
@@ -356,11 +356,11 @@ func TestQoSShedStaleSupersede(t *testing.T) {
 	now := units.Time(0)
 	j1 := mkJob(1, 1, core.Interactive, 7, 1, now)
 	j2 := mkJob(2, 1, core.Interactive, 7, 1, now.Add(units.Millisecond))
-	if dec, v := c.Admit(j1, now); dec != Admitted || v != nil {
+	if dec, v := c.Admit(j1, now); dec != core.Admitted || v != nil {
 		t.Fatalf("first frame: %v victim=%v", dec, v)
 	}
 	dec, victim := c.Admit(j2, now.Add(units.Millisecond))
-	if dec != Admitted || victim != j1 {
+	if dec != core.Admitted || victim != j1 {
 		t.Fatalf("second frame should supersede first: dec=%v victim=%v", dec, victim)
 	}
 	if c.QueueLen() != 1 {
@@ -373,7 +373,7 @@ func TestQoSShedStaleSupersede(t *testing.T) {
 	for i := 3; i < 10; i++ {
 		j := mkJob(i, 1, core.Interactive, 7, 1, now)
 		d, v := c.Admit(j, now)
-		if d == ShedStale {
+		if d == core.ShedStale {
 			sheds++
 		} else if d.Entered() && v == nil {
 			c.PopInteractive(nil) // dispatched, occupying in-flight depth
@@ -385,6 +385,30 @@ func TestQoSShedStaleSupersede(t *testing.T) {
 	out := c.Outcome()
 	if out.Shed != int64(sheds)+1 { // +1 for the superseded j1
 		t.Fatalf("outcome shed = %d, want %d", out.Shed, sheds+1)
+	}
+}
+
+// TestAdmissionRejectedArrivalKeepsQueuedFrame: a frame the bucket refuses
+// supersedes nothing. Its action's queued frame stays queued, unshed and in
+// flight, and the arrival comes back Rejected with no victim.
+func TestAdmissionRejectedArrivalKeepsQueuedFrame(t *testing.T) {
+	c := NewController(&Config{
+		InteractiveRate: 1, InteractiveBurst: 1, ThrottleWindow: units.Millisecond,
+		AlwaysShedStale: true,
+	})
+	j1 := mkJob(1, 1, core.Interactive, 7, 1, 0)
+	j2 := mkJob(2, 1, core.Interactive, 7, 1, 0)
+	if dec, v := c.Admit(j1, 0); dec != core.Admitted || v != nil {
+		t.Fatalf("first frame: %v victim=%v, want admit and none", dec, v)
+	}
+	if dec, v := c.Admit(j2, 0); dec != core.Rejected || v != nil {
+		t.Fatalf("second frame: %v victim=%v, want reject and none", dec, v)
+	}
+	if c.QueueLen() != 1 || c.OldestInteractive() != j1 {
+		t.Fatalf("queue holds %d jobs, oldest %v; want the first frame alone", c.QueueLen(), c.OldestInteractive())
+	}
+	if out := c.Outcome(); out.Shed != 0 || out.Rejected != 1 {
+		t.Fatalf("outcome shed=%d rejected=%d, want 0 and 1", out.Shed, out.Rejected)
 	}
 }
 

@@ -162,19 +162,21 @@ type Head struct {
 	// The superseded request receives an error reply.
 	DropStale bool
 
-	// MaxQueue, when positive, bounds the number of queued (undispatched)
-	// jobs. At the bound, arriving batch jobs are rejected and arriving
-	// interactive frames shed the oldest queued interactive frame — a batch
-	// burst can delay batch work but can never wedge interactive service.
+	// MaxQueue, when positive, bounds the jobs waiting with tasks left to
+	// dispatch, the QoS fair queue's included (core.Backlog.Admit). At the
+	// bound an arriving batch job is refused and an arriving interactive
+	// frame sheds the oldest undispatched frame — a batch burst can delay
+	// batch work but can never wedge interactive service.
 	MaxQueue int
 
 	// QoS, when set before Start, enables the multi-tenant admission and
-	// fairness layer (§5.7): per-tenant token buckets decide
-	// admit/throttle/reject at arrival, a deficit-round-robin fair queue
-	// replaces the single FIFO, and an SLO-driven degradation ladder sheds
-	// load under sustained overload. Nil keeps the original single-queue
-	// behaviour exactly. When QoS is active, DropStale folds into the
-	// controller (AlwaysShedStale) and MaxQueue bounds the fair queue.
+	// fairness layer (§5.7) as the backlog's gate (core.Gate): per-tenant
+	// token buckets decide admit/throttle/reject at arrival, a
+	// deficit-round-robin fair queue orders what each pass releases, and an
+	// SLO-driven degradation ladder sheds load under sustained overload. Nil
+	// keeps the original single-queue behaviour exactly. When QoS is
+	// active, DropStale folds into the controller (AlwaysShedStale), and
+	// MaxQueue counts the fair queue and the backlog together.
 	QoS  *qos.Config
 	qosc *qos.Controller
 

@@ -10,7 +10,6 @@ import (
 	"vizsched/internal/core"
 	"vizsched/internal/hastate"
 	"vizsched/internal/journal"
-	"vizsched/internal/qos"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
@@ -49,8 +48,8 @@ type taskAt struct {
 // headLoop is the dispatching thread's state (§III-A), owned by whichever
 // goroutine calls step: run's, or a test's, which then also owns the head's
 // clock. A job is in the backlog exactly while it has tasks left to dispatch
-// (Remaining > 0) — or, undispatched and with QoS on, waits in the fair
-// queue; inflight maps a backlog job back to its liveJob.
+// (Remaining > 0) — with QoS on, the fair queue in front of it included;
+// inflight maps a backlog job back to its liveJob.
 type headLoop struct {
 	h        *Head
 	backlog  core.Backlog
@@ -62,6 +61,9 @@ type headLoop struct {
 // boot has installed.
 func newHeadLoop(h *Head) *headLoop {
 	l := &headLoop{h: h, inflight: make(map[core.JobID]*liveJob)}
+	if h.qosc != nil {
+		l.backlog.SetGate(h.qosc)
+	}
 	if h.Autoscale != nil {
 		l.scaler = newLiveScaler(l)
 	}
@@ -174,19 +176,6 @@ func (l *headLoop) sendPrefetches(ds []core.PrefetchDirective) {
 // way; then the warms.
 func (l *headLoop) schedule() {
 	h := l.h
-	if h.qosc != nil {
-		// Released jobs whose liveJob is gone (failed meanwhile) are
-		// dropped, back to front: a removal shifts only checked jobs.
-		popped := l.backlog.Refill(h.qosc)
-		for i := len(popped) - 1; i >= 0; i-- {
-			if l.inflight[popped[i].ID] == nil {
-				l.backlog.Remove(popped[i])
-			}
-		}
-	}
-	if l.backlog.Len() > 0 {
-		h.stats.schedCycles.Add(1)
-	}
 	var planner core.PrefetchPlanner
 	if h.prefc != nil {
 		planner = h.prefc
@@ -198,6 +187,9 @@ func (l *headLoop) schedule() {
 	wall := h.wall()
 	now := units.Time(wall.Sub(h.start))
 	p := l.backlog.Pass(now, h.sched, h.state, planner)
+	if p.Shown > 0 {
+		h.stats.schedCycles.Add(1)
+	}
 	for _, a := range p.Assignments {
 		lj := l.inflight[a.Task.Job.ID]
 		lj.nodes[a.Task.Index] = a.Node
@@ -233,22 +225,22 @@ func (l *headLoop) schedule() {
 	l.sendPrefetches(p.Warms)
 }
 
-// arrivalCycle runs a scheduling pass for the job just admitted when it need
-// not wait for the ω tick (DESIGN.md §5.19): always under an OnArrival
-// scheduler; under a Periodic one only when the job is interactive, nothing
-// is waiting ahead of it (ahead counts the backlog and, with QoS on,
-// the fair queue) and some alive node is predicted idle. Batch work is
+// arrivalCycle runs a scheduling pass for the job just admitted at now when
+// it need not wait for the ω tick (DESIGN.md §5.19): always under an
+// OnArrival scheduler; under a Periodic one only when the job is
+// interactive, nothing is waiting ahead of it (the backlog and, with QoS
+// on, the fair queue) and some alive node is predicted idle. Batch work is
 // deferred by design, a waiting job means a loaded head whose tick batches,
 // supersedes and sheds arrivals together, and with every node busy an early
 // pass would only lengthen a node's queue. The ticker is left alone: a job
 // that does not qualify is scheduled exactly when it always was.
-func (l *headLoop) arrivalCycle(lj *liveJob, ahead int) {
+func (l *headLoop) arrivalCycle(lj *liveJob, now units.Time) {
 	h := l.h
 	if h.sched.Trigger() == core.OnArrival {
 		l.schedule()
 		return
 	}
-	if lj.job.Class == core.Interactive && ahead == 0 && h.state.AnyIdle(h.now()) {
+	if lj.job.Class == core.Interactive && l.backlog.Len() == 1 && h.state.AnyIdle(now) {
 		l.schedule()
 		h.stats.earlyCycles.Add(1)
 	}
@@ -369,13 +361,9 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 func (l *headLoop) check() {
 	h := l.h
 	l.checkHealth()
-	depth, backlog := l.backlog.Len(), l.backlog.Batch()
-	if h.qosc != nil {
-		depth += h.qosc.QueueLen()
-		backlog += h.qosc.BatchBacklog()
-	}
+	depth := l.backlog.Len()
 	h.stats.queueDepth.Store(int64(depth))
-	h.stats.batchBacklog.Store(int64(backlog))
+	h.stats.batchBacklog.Store(int64(l.backlog.Batch()))
 	if h.frac != nil {
 		h.frac.sample()
 	}
@@ -447,68 +435,13 @@ func (l *headLoop) checkHealth() {
 	}
 }
 
-// admitQoS runs an arriving job through the QoS controller: the token
-// buckets and degradation ladder decide admit/throttle/reject, admitted jobs
-// enter the per-tenant fair queue, and MaxQueue acts as a backstop over the
-// fair queue plus the backlog.
-func (l *headLoop) admitQoS(lj *liveJob) {
-	h := l.h
-	// Rung 2 of the ladder: shrink the requested image before any task
-	// dispatches, trading interactive fidelity for latency.
-	if s := h.qosc.ResolutionScale(); s < 1 && lj.job.Class == core.Interactive {
-		if w := int(float64(lj.req.Width) * s); w >= 16 {
-			lj.req.Width = w
-		}
-		if ht := int(float64(lj.req.Height) * s); ht >= 16 {
-			lj.req.Height = ht
-		}
-	}
-	dec, victim := h.qosc.Admit(lj.job, h.now())
-	if victim != nil {
-		h.stats.jobsShed.Add(1)
-		if vlj := l.inflight[victim.ID]; vlj != nil {
-			l.failJob(vlj, "superseded by a newer frame")
-		}
-	}
-	switch dec {
-	case qos.Rejected:
-		h.stats.jobsRejected.Add(1)
-		l.failJob(lj, "rejected by admission control")
-		return
-	case qos.ShedStale:
-		h.stats.jobsShed.Add(1)
-		l.failJob(lj, "shed: session already at its in-flight frame bound")
-		return
-	case qos.Throttled:
-		h.stats.jobsThrottled.Add(1)
-	}
-	l.inflight[lj.job.ID] = lj
-	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
-		hastate.AdmitBody{Job: h.jobRecord(lj)})
-	if h.MaxQueue > 0 && h.qosc.QueueLen()+l.backlog.Len() > h.MaxQueue {
-		if lj.job.Class == core.Batch {
-			if h.qosc.ShedQueued(lj.job) {
-				h.stats.jobsShed.Add(1)
-				l.failJob(lj, "head overloaded: batch queue full")
-				return
-			}
-		} else if old := h.qosc.OldestInteractive(); old != nil && old.ID != lj.job.ID {
-			if h.qosc.ShedQueued(old) {
-				h.stats.jobsShed.Add(1)
-				if vlj := l.inflight[old.ID]; vlj != nil {
-					l.failJob(vlj, "shed under overload")
-				}
-			}
-		}
-	}
-	l.arrivalCycle(lj, l.backlog.Len()+h.qosc.QueueLen()-1)
-}
-
-// admit applies the overload policy and enqueues an arriving job. A non-zero
-// idempotency key is resolved first: a key already in flight re-attaches the
-// reply path (the client reconnected after losing the head or its reply),
-// and a key with a retained result is served from the store — neither
-// renders anything twice.
+// admit takes an arriving job. A non-zero idempotency key is resolved first:
+// a key already in flight re-attaches the reply path (the client reconnected
+// after losing the head or its reply), and a key with a retained result is
+// served from the store — neither renders anything twice. Then the backlog
+// decides the job (core.Backlog.Admit: the QoS gate, MaxQueue, DropStale),
+// and admit carries the decision out: the jobs it displaced and a refused
+// arrival fail back to their clients, an admitted one is journaled.
 func (l *headLoop) admit(lj *liveJob) {
 	h := l.h
 	if key := lj.req.Key; key != 0 {
@@ -534,40 +467,50 @@ func (l *headLoop) admit(lj *liveJob) {
 		h.byKey[key] = lj
 		h.mu.Unlock()
 	}
-	if h.qosc != nil {
-		l.admitQoS(lj)
+	// Rung 2 of the QoS ladder: shrink the requested image before any task
+	// dispatches, trading interactive fidelity for latency.
+	if h.qosc != nil && lj.job.Class == core.Interactive {
+		if s := h.qosc.ResolutionScale(); s < 1 {
+			if w := int(float64(lj.req.Width) * s); w >= 16 {
+				lj.req.Width = w
+			}
+			if ht := int(float64(lj.req.Height) * s); ht >= 16 {
+				lj.req.Height = ht
+			}
+		}
+	}
+	now := h.now()
+	a := l.backlog.Admit(lj.job, now, h.MaxQueue, h.DropStale)
+	// The displaced jobs fail before the arrival is journaled; a gate has
+	// accounted them already.
+	if a.Crowded != nil {
+		h.stats.jobsShed.Add(1)
+		l.failJob(l.inflight[a.Crowded.ID], "shed under overload")
+	}
+	if a.Stale != nil {
+		h.stats.jobsShed.Add(1)
+		l.failJob(l.inflight[a.Stale.ID], "superseded by a newer frame")
+	}
+	switch a.Verdict {
+	case core.Rejected:
+		h.stats.jobsRejected.Add(1)
+		l.failJob(lj, "rejected by admission control")
 		return
-	}
-	if h.MaxQueue > 0 && l.backlog.Len() >= h.MaxQueue {
-		if lj.job.Class == core.Batch {
-			h.stats.jobsShed.Add(1)
-			l.failJob(lj, "head overloaded: batch queue full")
-			return
-		}
-		// Interactive frames are always admitted; make room by shedding
-		// the oldest still-undispatched interactive frame, if any.
-		for _, old := range l.backlog.Jobs() {
-			if old.Class == core.Interactive && old.Remaining == len(old.Tasks) {
-				h.stats.jobsShed.Add(1)
-				l.fail(l.inflight[old.ID], "shed under overload")
-				break
-			}
-		}
-	}
-	if h.DropStale && lj.job.Class == core.Interactive {
-		for _, old := range l.backlog.Jobs() {
-			if old.Class == core.Interactive && old.Action == lj.job.Action &&
-				old.Remaining == len(old.Tasks) {
-				l.fail(l.inflight[old.ID], "superseded by a newer frame")
-				break
-			}
-		}
+	case core.ShedStale:
+		h.stats.jobsShed.Add(1)
+		l.failJob(lj, "shed: session already at its in-flight frame bound")
+		return
+	case core.Overloaded:
+		h.stats.jobsShed.Add(1)
+		l.failJob(lj, "head overloaded: batch queue full")
+		return
+	case core.Throttled:
+		h.stats.jobsThrottled.Add(1)
 	}
 	l.inflight[lj.job.ID] = lj
-	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, h.now(),
+	h.journalRec(journal.KindAdmit, lj.job.ID, -1, -1, now,
 		hastate.AdmitBody{Job: h.jobRecord(lj)})
-	l.backlog.Push(lj.job)
-	l.arrivalCycle(lj, l.backlog.Len()-1)
+	l.arrivalCycle(lj, now)
 }
 
 // rejoin restores a node's slot with a fresh connection: the §VI-D repair

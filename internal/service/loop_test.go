@@ -430,6 +430,55 @@ func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
 	)
 }
 
+// Admission at the bound, journaled, with QoS off and on: MaxQueue is 1 and
+// the only node is held busy by the first frame. The second frame waits, the
+// third crowds it out, and a batch job is refused. The crowded frame's fail
+// record comes before the admit of the frame that displaced it, and the
+// refused batch job leaves no record at all.
+func TestHeadLoopAdmissionAtBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		qos  *qos.Config
+	}{
+		{"qos=off", nil},
+		{"qos=on", &qos.Config{InteractiveRate: 1000, InteractiveBurst: 1000, BatchRate: 1000, BatchBurst: 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSteppedHead(t, 1, func(h *Head) {
+				h.sched = watched(hour, true)
+				h.DeadlineFactor = 0
+				h.MaxQueue = 1
+				h.QoS = tc.qos
+			})
+			frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+			s.submit(1, frame)
+			s.wantTasks(0, 2)
+			s.submit(2, frame)
+			s.submit(3, frame)
+			if eb := recvBody[ErrorBody](s, s.client, transport.KindError); eb.Msg != "shed under overload" {
+				t.Errorf("the waiting frame got %q, want the overload shed", eb.Msg)
+			}
+			frame.Batch = true
+			s.submit(4, frame)
+			if eb := recvBody[ErrorBody](s, s.client, transport.KindError); !strings.Contains(eb.Msg, "overloaded") {
+				t.Errorf("the batch job got %q, want the overloaded refusal", eb.Msg)
+			}
+			s.l.step(event{kind: evCheck})
+			if st := s.h.Stats(); st.JobsShed != 2 || st.QueueDepth != 1 {
+				t.Errorf("JobsShed %d, queue depth %d; want 2 and 1", st.JobsShed, st.QueueDepth)
+			}
+			s.wantJournal(
+				"admit 1 -1 -1 0s",
+				"dispatch 1 0 0 0s",
+				"dispatch 1 1 0 0s",
+				"admit 2 -1 -1 0s",
+				"fail 2 -1 -1 0s",
+				"admit 3 -1 -1 0s",
+			)
+		})
+	}
+}
+
 // blindScheduler places every task it is shown on one node, marked as a
 // core.Scheduler must, whether or not the node is alive.
 type blindScheduler struct{ node core.NodeID }

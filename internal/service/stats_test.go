@@ -155,6 +155,9 @@ func TestDropStaleSupersedesQueuedFrames(t *testing.T) {
 	if o := within(t, outs[2], 10*time.Second, "fresh frame"); o.Err != nil {
 		t.Errorf("fresh frame failed: %v", o.Err)
 	}
+	if got := cl.Head.Stats().JobsShed; got != 1 {
+		t.Errorf("JobsShed = %d, want 1: the superseded frame", got)
+	}
 }
 
 // A burst far larger than any channel buffer: before the unbounded

@@ -77,7 +77,7 @@ func (e *Engine) autoscaleTick() {
 		return // no control plane, no fleet decisions
 	}
 	now := e.sim.Now()
-	switch e.scaler.fleet.Tick(now, e.QueueLen()) {
+	switch e.scaler.fleet.Tick(now, e.backlog.Len()) {
 	case autoscale.ScaleUp:
 		e.activateOne(now)
 	case autoscale.Drain:

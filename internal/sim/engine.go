@@ -291,8 +291,8 @@ type Engine struct {
 	head  *core.HeadState
 	nodes []*node
 	// backlog holds jobs with unassigned tasks awaiting the scheduler. With
-	// QoS enabled admitted jobs wait in the controller's fair queue and are
-	// pulled into it in fair order each scheduler invocation.
+	// QoS enabled the controller is its gate: admitted jobs wait in its fair
+	// queue, and each pass releases them in fair order.
 	backlog core.Backlog
 	report  *metrics.Report
 	rng     *rand.Rand
@@ -389,6 +389,7 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.QoS != nil {
 		e.qosc = qos.NewController(cfg.QoS)
+		e.backlog.SetGate(e.qosc)
 	}
 	if cfg.Prefetch != nil {
 		if ps, ok := cfg.Scheduler.(core.PrefetchSetter); ok {
@@ -562,31 +563,29 @@ func (e *Engine) admitArrival(req workload.Request, issued units.Time) {
 		e.report.TenantIssued(int(j.Tenant))
 	}
 	e.emit(trace.Event{Kind: trace.JobArrive, Job: j.ID, Class: j.Class, Tenant: j.Tenant})
+	a := e.backlog.Admit(j, e.sim.Now(), 0, false)
 	if e.qosc != nil {
-		dec, victim := e.qosc.Admit(j, e.sim.Now())
-		if victim != nil {
-			e.emit(trace.Event{Kind: trace.Shed, Job: victim.ID, Class: victim.Class, Tenant: victim.Tenant})
+		if a.Stale != nil {
+			e.emit(trace.Event{Kind: trace.Shed, Job: a.Stale.ID, Class: a.Stale.Class, Tenant: a.Stale.Tenant})
 		}
-		e.emit(trace.Event{Kind: admitKind(dec), Job: j.ID, Class: j.Class, Tenant: j.Tenant})
-		if !dec.Entered() {
-			return
-		}
-	} else {
-		e.backlog.Push(j)
+		e.emit(trace.Event{Kind: admitKind(a.Verdict), Job: j.ID, Class: j.Class, Tenant: j.Tenant})
+	}
+	if !a.Entered() {
+		return
 	}
 	if e.cfg.Scheduler.Trigger() == core.OnArrival {
 		e.invokeScheduler()
 	}
 }
 
-// admitKind maps an admission decision to its trace event kind.
-func admitKind(d qos.Decision) trace.Kind {
-	switch d {
-	case qos.Throttled:
+// admitKind maps an admission verdict to its trace event kind.
+func admitKind(v core.Verdict) trace.Kind {
+	switch v {
+	case core.Throttled:
 		return trace.Throttle
-	case qos.Rejected:
+	case core.Rejected:
 		return trace.Reject
-	case qos.ShedStale:
+	case core.ShedStale, core.Overloaded:
 		return trace.Shed
 	default:
 		return trace.Admit
@@ -601,10 +600,6 @@ func (e *Engine) invokeScheduler() {
 	if e.headDown {
 		return // control plane down: nothing admits, schedules, or dispatches
 	}
-	if e.qosc != nil {
-		e.backlog.Refill(e.qosc)
-	}
-	demand := e.backlog.Len() > 0
 	var planner core.PrefetchPlanner
 	if e.pref != nil {
 		planner = e.pref
@@ -619,7 +614,7 @@ func (e *Engine) invokeScheduler() {
 			e.enqueue(e.nodes[a.Node], t)
 		}
 	}
-	if demand {
+	if p.Shown > 0 {
 		e.report.ScheduleCall(p.Wall, p.Touched)
 		// Attribute this cycle's idle-with-pending-batch node time to the
 		// ε-guard or to ordinary queueing (§5.13) — pure observation, after
@@ -906,16 +901,6 @@ func (e *Engine) repair(k core.NodeID) {
 	e.head.MarkRepaired(k, e.sim.Now())
 	e.report.Recovery.NodeRepaired(int(k), e.sim.Now())
 	e.emit(trace.Event{Kind: trace.NodeRepair, Node: k})
-}
-
-// QueueLen exposes the number of jobs still holding unassigned tasks,
-// used by tests.
-func (e *Engine) QueueLen() int {
-	n := e.backlog.Len()
-	if e.qosc != nil {
-		n += e.qosc.QueueLen()
-	}
-	return n
 }
 
 // ScenarioEngineConfig builds the engine configuration for a Table II

@@ -179,8 +179,8 @@ func TestPrefetchSimCrashCancelsWarm(t *testing.T) {
 	if r.Interactive.Completed == 0 {
 		t.Fatal("run wedged after crash with prefetch enabled")
 	}
-	if e.QueueLen() != 0 {
-		t.Fatalf("queue not drained after recovery: %d", e.QueueLen())
+	if e.backlog.Len() != 0 {
+		t.Fatalf("queue not drained after recovery: %d", e.backlog.Len())
 	}
 }
 

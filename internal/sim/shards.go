@@ -253,7 +253,7 @@ func (se *ShardedEngine) tick(i int) {
 // work-conserving.
 func (se *ShardedEngine) idleExecutors(i int) int {
 	sub := se.subs[i]
-	if sub.QueueLen() > 0 || sub.headDown {
+	if sub.backlog.Len() > 0 || sub.headDown {
 		return 0
 	}
 	idle := 0
@@ -265,33 +265,23 @@ func (se *ShardedEngine) idleExecutors(i int) int {
 	return idle
 }
 
-// batchBacklog counts shard i's queued batch jobs available for adoption:
-// the fair queue's backlog under QoS, otherwise fully-unassigned batch
-// jobs in the backlog.
-func (se *ShardedEngine) batchBacklog(i int) int {
-	sub := se.subs[i]
-	if sub.qosc != nil {
-		return sub.qosc.BatchBacklog()
-	}
-	return sub.backlog.UnstartedBatch()
-}
-
 // donate is the cross-shard work-donation cycle: every shard advertises
 // its posture, then each idle shard (in shard order, so the round is
 // deterministic) adopts up to its idle capacity in queued batch jobs from
-// the hottest other shard. Under QoS the donor pops through its fair
-// queue, so the donated set is exactly the next jobs deficit-round-robin
-// would have released — per-tenant order is preserved by construction.
+// the hottest other shard: its oldest unstarted batch jobs, or under QoS
+// those its fair queue pops, so the donated set is exactly the next jobs
+// deficit-round-robin would have released — per-tenant order is preserved
+// by construction.
 // Interactive work never moves: its session owner keeps its cache
 // affinity.
 func (se *ShardedEngine) donate() {
 	now := se.sim.Now()
 	for i := range se.subs {
-		se.dir.Advertise(i, se.idleExecutors(i), se.batchBacklog(i))
+		se.dir.Advertise(i, se.idleExecutors(i), se.subs[i].backlog.UnstartedBatch())
 	}
 	for i := range se.subs {
 		idle := se.idleExecutors(i)
-		if idle == 0 || se.batchBacklog(i) > 0 {
+		if idle == 0 || se.subs[i].backlog.UnstartedBatch() > 0 {
 			continue
 		}
 		donor, backlog, ok := se.dir.Hottest(i)
@@ -302,7 +292,7 @@ func (se *ShardedEngine) donate() {
 		if n > backlog {
 			n = backlog
 		}
-		jobs := se.takeBatch(donor, n)
+		jobs := se.subs[donor].backlog.TakeUnstartedBatch(n)
 		if len(jobs) == 0 {
 			continue
 		}
@@ -315,22 +305,11 @@ func (se *ShardedEngine) donate() {
 		// Moving work is dispatch-shaped control work on both loops.
 		se.extendCtl(i, now, se.cost.Dispatch*units.Duration(len(jobs)))
 		se.extendCtl(donor, now, se.cost.Dispatch*units.Duration(len(jobs)))
-		se.dir.Advertise(donor, se.idleExecutors(donor), se.batchBacklog(donor))
+		se.dir.Advertise(donor, se.idleExecutors(donor), se.subs[donor].backlog.UnstartedBatch())
 		if adoptee.cfg.Scheduler.Trigger() == core.OnArrival {
 			adoptee.invokeScheduler()
 		}
 	}
-}
-
-// takeBatch removes up to n adoptable batch jobs from a donor shard. QoS
-// donors pop through the fair queue (DRR order); plain donors give their
-// oldest fully-unassigned batch jobs, FIFO.
-func (se *ShardedEngine) takeBatch(donor, n int) []*core.Job {
-	sub := se.subs[donor]
-	if sub.qosc != nil {
-		return sub.qosc.PopBatch(nil, n)
-	}
-	return sub.backlog.TakeUnstartedBatch(n)
 }
 
 // injectGlobal translates a cluster-global failure to its owning shard.
