@@ -37,7 +37,7 @@ func main() {
 	traceCSV := flag.String("trace", "", "write an event trace CSV to this path (single -sched only)")
 	ganttSVG := flag.String("gantt", "", "write a node-occupancy Gantt SVG to this path (single -sched only)")
 	ganttSeconds := flag.Float64("gantt-window", 5, "Gantt time window in seconds from the start")
-	verbose := flag.Bool("v", false, "print latency histograms")
+	verbose := flag.Bool("v", false, "print latency histograms, and wall time and peak RSS on stderr")
 	saveWL := flag.String("save-workload", "", "save the generated workload to this file and exit")
 	loadWL := flag.String("load-workload", "", "replay a workload saved with -save-workload")
 	faults := flag.Float64("faults", 0,
@@ -53,6 +53,9 @@ func main() {
 	tenants := flag.Int("tenants", 0, "spread users over this many tenants (0: single default tenant)")
 	tenantSkew := flag.Float64("skew", 0, "Zipf exponent for tenant demand skew with -tenants; 0 = uniform")
 	flag.Parse()
+	if *verbose {
+		defer printCost(time.Now())
+	}
 
 	if *scenario < 1 || *scenario > 4 {
 		fmt.Fprintln(os.Stderr, "vizsim: -scenario must be 1-4")
@@ -217,4 +220,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vizsim:", err)
 		os.Exit(1)
 	}
+}
+
+// printCost writes the wall time since start and the peak resident set to
+// stderr, leaving stdout's bytes as they are.
+func printCost(start time.Time) {
+	fmt.Fprintf(os.Stderr, "vizsim: wall %v, peak RSS %d MB\n",
+		time.Since(start).Round(time.Millisecond), peakRSS()>>20)
 }

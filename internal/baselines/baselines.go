@@ -60,7 +60,11 @@ func localNode(now units.Time, t *core.Task, head *core.HeadState) (core.NodeID,
 // committing each placement to the head tables.
 func assignAll(now units.Time, jobs []*core.Job, head *core.HeadState,
 	pick func(*core.Task) (core.NodeID, bool)) []core.Assignment {
-	var out []core.Assignment
+	n := 0
+	for _, j := range jobs {
+		n += j.Remaining
+	}
+	out := make([]core.Assignment, 0, n)
 	for _, j := range jobs {
 		for i := range j.Tasks {
 			t := &j.Tasks[i]

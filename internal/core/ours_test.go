@@ -862,6 +862,65 @@ func TestInvariantCarriedWindowReclaim(t *testing.T) {
 	}
 }
 
+// TestCarriedWindowSurvivesJobReuse: a plane may reset a finished job's
+// struct and tasks and issue them again as a new job before the next cycle
+// (the simulator waits one cycle, but nothing in H_B relies on it). The
+// pointer H_B carried then comes back as another job — batch or
+// interactive, at the back of the queue or where the finished job stood.
+// Reuse may cost a rebuild but must never carry a wrong H_B: after every
+// cycle it equals a fresh grouping of the presented jobs.
+func TestCarriedWindowSurvivesJobReuse(t *testing.T) {
+	for _, class := range []Class{Batch, Interactive} {
+		rng := rand.New(rand.NewSource(int64(class) + 11))
+		s := NewLocalityScheduler(0)
+		head := NewHeadState(4, 8*units.GB, System1CostModel())
+		var queue []*Job
+		next, reused := JobID(1), 0
+		now := units.Time(0)
+		for cycle := 0; cycle < 300; cycle++ {
+			if rng.Intn(3) == 0 {
+				ds := volume.DatasetID(rng.Intn(4) + 1)
+				queue = append(queue, mkJob(next, Batch, ActionID(next), ds, rng.Intn(3)+1, diffChunkSize(ds), now))
+				next++
+			}
+			for _, a := range s.Schedule(now, queue, head) {
+				a.Task.Job.Remaining--
+			}
+			if err := checkCarried(s, queue, head); err != nil {
+				t.Fatalf("%v reuse, cycle %d: %v", class, cycle, err)
+			}
+			live := queue[:0]
+			var finished []*Job
+			for _, j := range queue {
+				if j.Remaining > 0 {
+					live = append(live, j)
+				} else {
+					finished = append(finished, j)
+				}
+			}
+			clear(queue[len(live):])
+			queue = live
+			for _, j := range finished {
+				if j.Class != Batch || rng.Intn(4) == 0 {
+					continue
+				}
+				tasks := j.Tasks
+				*j = Job{ID: next, Class: class, Action: ActionID(next), Dataset: j.Dataset, Issued: now, Tasks: tasks, Remaining: len(tasks)}
+				for i := range tasks {
+					tasks[i] = Task{Job: j, Index: i, Chunk: tasks[i].Chunk, Size: tasks[i].Size}
+				}
+				next++
+				reused++
+				queue = append(queue, j)
+			}
+			now = now.Add([]units.Duration{10 * units.Millisecond, 500 * units.Millisecond, 5 * units.Second}[rng.Intn(3)])
+		}
+		if reused < 20 {
+			t.Fatalf("%v reuse: only %d jobs reused", class, reused)
+		}
+	}
+}
+
 // TestScheduleSteadyStateAllocs: once a cycle has grown the scratch — H_I
 // and H_B tables, spare groups, per-group task slices, output — and every
 // chunk has a home, scheduling the same 64-node, 256-job queue again, every

@@ -322,14 +322,28 @@ type Engine struct {
 	headDown bool
 	deferred []workload.Request
 
-	nextJob  core.JobID
-	started  map[core.JobID]units.Time // JS per in-flight job
-	finished map[core.JobID]int        // completed-task counts
-	// maxExec tracks each in-flight job's largest task execution — the
-	// denominator of the batch stretch metric (§5.13).
-	maxExec map[core.JobID]units.Duration
+	nextJob core.JobID
+	// books holds the book of every job running here, from its first task's
+	// start to its last task's completion, by ID; freeBooks holds spares.
+	books     map[core.JobID]*jobBook
+	freeBooks []*jobBook
+	// retired holds the jobs finished since the last pass that ran the
+	// scheduler; free holds, by task count, the jobs ready for reuse. A
+	// finished job waits out one more pass because the carried window
+	// compares job pointers (DESIGN.md §5.17).
+	retired []*core.Job
+	free    [][]*core.Job
 	// freeExec holds finished execution records for reuse.
 	freeExec []*execution
+}
+
+// jobBook is what the engine keeps on a running job: JS, the start of its
+// first task; how many of its tasks completed; and its largest task
+// execution — the denominator of the batch stretch metric (§5.13).
+type jobBook struct {
+	started  units.Time
+	finished int
+	maxExec  units.Duration
 }
 
 // New validates the configuration and builds an engine.
@@ -363,14 +377,12 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e := &Engine{
-		cfg:      cfg,
-		sim:      des.New(),
-		head:     core.NewHeadState(cfg.Nodes, cfg.MemQuota, cfg.Model),
-		report:   metrics.NewReport(cfg.Scheduler.Name(), cfg.Nodes),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		started:  make(map[core.JobID]units.Time),
-		finished: make(map[core.JobID]int),
-		maxExec:  make(map[core.JobID]units.Duration),
+		cfg:    cfg,
+		sim:    des.New(),
+		head:   core.NewHeadState(cfg.Nodes, cfg.MemQuota, cfg.Model),
+		report: metrics.NewReport(cfg.Scheduler.Name(), cfg.Nodes),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		books:  make(map[core.JobID]*jobBook),
 
 		// γ = 1 prices every load at its share, so with C ≥ K rates are
 		// exactly 1 and the slots' float accounts stay exact integers.
@@ -545,19 +557,20 @@ func (e *Engine) admitArrival(req workload.Request, issued units.Time) {
 		panic(fmt.Sprintf("sim: request for unknown dataset %d", req.Dataset))
 	}
 	e.nextJob++
-	j := &core.Job{
-		ID:      e.nextJob,
-		Class:   req.Class,
-		Action:  req.Action,
-		Tenant:  req.Tenant,
-		Dataset: req.Dataset,
-		Issued:  issued,
+	j := e.newJob(len(ds.Chunks))
+	*j = core.Job{
+		ID:        e.nextJob,
+		Class:     req.Class,
+		Action:    req.Action,
+		Tenant:    req.Tenant,
+		Dataset:   req.Dataset,
+		Issued:    issued,
+		Tasks:     j.Tasks,
+		Remaining: len(j.Tasks),
 	}
-	j.Tasks = make([]core.Task, len(ds.Chunks))
 	for i, c := range ds.Chunks {
 		j.Tasks[i] = core.Task{Job: j, Index: i, Chunk: c.ID, Size: c.Size}
 	}
-	j.Remaining = len(j.Tasks)
 	e.report.JobIssued(req.Class == core.Interactive)
 	if j.Tenant != 0 {
 		e.report.TenantIssued(int(j.Tenant))
@@ -576,6 +589,47 @@ func (e *Engine) admitArrival(req workload.Request, issued units.Time) {
 	if e.cfg.Scheduler.Trigger() == core.OnArrival {
 		e.invokeScheduler()
 	}
+}
+
+// newJob returns a job with n tasks: a released one when there is one, else
+// a new one. The caller resets every field.
+func (e *Engine) newJob(n int) *core.Job {
+	if n < len(e.free) && len(e.free[n]) > 0 {
+		last := len(e.free[n]) - 1
+		j := e.free[n][last]
+		e.free[n] = e.free[n][:last]
+		return j
+	}
+	return &core.Job{Tasks: make([]core.Task, n)}
+}
+
+// release makes the retired jobs reusable. It runs after a pass that ran
+// the scheduler: that pass was shown no finished job, so no scheduler holds
+// one any more.
+func (e *Engine) release() {
+	for _, j := range e.retired {
+		n := len(j.Tasks)
+		if n >= len(e.free) {
+			e.free = append(e.free, make([][]*core.Job, n+1-len(e.free))...)
+		}
+		e.free[n] = append(e.free[n], j)
+	}
+	e.retired = e.retired[:0]
+}
+
+// markStarted opens j's book at the start of its first task.
+func (e *Engine) markStarted(j *core.Job, now units.Time) {
+	if _, ok := e.books[j.ID]; ok {
+		return
+	}
+	var b *jobBook
+	if last := len(e.freeBooks) - 1; last >= 0 {
+		b, e.freeBooks = e.freeBooks[last], e.freeBooks[:last]
+	} else {
+		b = new(jobBook)
+	}
+	*b = jobBook{started: now}
+	e.books[j.ID] = b
 }
 
 // admitKind maps an admission verdict to its trace event kind.
@@ -605,6 +659,9 @@ func (e *Engine) invokeScheduler() {
 		planner = e.pref
 	}
 	p := e.backlog.Pass(e.sim.Now(), e.cfg.Scheduler, e.head, planner)
+	if p.Shown > 0 {
+		e.release()
+	}
 	for _, a := range p.Assignments {
 		t := a.Task
 		e.emit(trace.Event{Kind: trace.Assign, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: a.Node, Chunk: t.Chunk})
@@ -651,9 +708,7 @@ func (e *Engine) enqueue(n *node, t *core.Task) {
 // whether the task is ready. The hit/miss metric is recorded at access, as
 // on a real node.
 func (e *Engine) accessOnChannel(n *node, t *core.Task) (ready bool) {
-	if _, seen := e.started[t.Job.ID]; !seen {
-		e.started[t.Job.ID] = e.sim.Now()
-	}
+	e.markStarted(t.Job, e.sim.Now())
 	if n.mem.Touch(t.Chunk) {
 		e.report.TaskAccess(true)
 		e.demandTouch(n, t)
@@ -783,35 +838,39 @@ func (e *Engine) kickLoad(n *node) {
 // progress, QoS observation. now is when the report reaches the head —
 // completion time normally, reconciliation time for reports a head outage
 // or partition deferred (the job's latency then includes the outage, as a
-// client waiting on the frame would measure it).
+// client waiting on the frame would measure it). A report must be of a
+// task that is assigned, of a job with a book: a finished job has none, so
+// no report can take a job past its task count. A finished job retires.
 func (e *Engine) account(res core.TaskResult) {
 	now := e.sim.Now()
-	e.head.Correct(res, now)
 	j := res.Task.Job
-	if res.Exec > e.maxExec[j.ID] {
-		e.maxExec[j.ID] = res.Exec
+	b := e.books[j.ID]
+	if b == nil || !res.Task.Assigned {
+		panic(fmt.Sprintf("sim: completion of %v, which is not running", res.Task))
 	}
-	e.finished[j.ID]++
-	if e.finished[j.ID] == len(j.Tasks) {
-		e.report.JobCompleted(j.Class == core.Interactive, int(j.Action), j.Issued, e.started[j.ID], now)
-		if j.Class == core.Batch {
-			// Stretch: job latency over its largest task's full-share
-			// execution — the fairness metric of the DFRS comparison.
-			e.report.StretchAdd(now.Sub(j.Issued), e.maxExec[j.ID])
-		}
-		if j.Tenant != 0 {
-			e.report.TenantCompleted(int(j.Tenant), j.Class == core.Interactive, now.Sub(j.Issued))
-		}
-		e.emit(trace.Event{Kind: trace.JobDone, Job: j.ID, Class: j.Class, Tenant: j.Tenant, Dur: now.Sub(j.Issued)})
-		if e.qosc != nil {
-			if changed, level := e.qosc.Observe(j, now.Sub(j.Issued), now); changed {
-				e.emit(trace.Event{Kind: trace.Degrade, Level: int(level)})
-			}
-		}
-		delete(e.finished, j.ID)
-		delete(e.started, j.ID)
-		delete(e.maxExec, j.ID)
+	e.head.Correct(res, now)
+	b.maxExec = max(b.maxExec, res.Exec)
+	if b.finished++; b.finished < len(j.Tasks) {
+		return
 	}
+	e.report.JobCompleted(j.Class == core.Interactive, int(j.Action), j.Issued, b.started, now)
+	if j.Class == core.Batch {
+		// Stretch: job latency over its largest task's full-share
+		// execution — the fairness metric of the DFRS comparison.
+		e.report.StretchAdd(now.Sub(j.Issued), b.maxExec)
+	}
+	if j.Tenant != 0 {
+		e.report.TenantCompleted(int(j.Tenant), j.Class == core.Interactive, now.Sub(j.Issued))
+	}
+	e.emit(trace.Event{Kind: trace.JobDone, Job: j.ID, Class: j.Class, Tenant: j.Tenant, Dur: now.Sub(j.Issued)})
+	if e.qosc != nil {
+		if changed, level := e.qosc.Observe(j, now.Sub(j.Issued), now); changed {
+			e.emit(trace.Event{Kind: trace.Degrade, Level: int(level)})
+		}
+	}
+	delete(e.books, j.ID)
+	e.freeBooks = append(e.freeBooks, b)
+	e.retired = append(e.retired, j)
 }
 
 // fail crashes a node: its queued, loading, and running tasks return to the

@@ -149,9 +149,7 @@ func (e *Engine) accessInSlot(n *node, t *core.Task) (a access) {
 	}
 	e.report.TaskAccess(!a.miss)
 	e.report.EvictionsAdd(len(a.evicted))
-	if _, seen := e.started[t.Job.ID]; !seen {
-		e.started[t.Job.ID] = now
-	}
+	e.markStarted(t.Job, now)
 	return a
 }
 

@@ -7,11 +7,9 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"vizsched/internal/core"
 	"vizsched/internal/units"
@@ -42,11 +40,24 @@ type Action struct {
 // Period from Start through End inclusive (a 60 s action at 30 ms issues
 // 2001 requests, which is how Table II's 12006 = 6×2001 comes about).
 func (a Action) Requests() []Request {
-	var out []Request
+	out := make([]Request, 0, a.frames())
 	for t := a.Start; !t.After(a.End); t = t.Add(a.Period) {
-		out = append(out, Request{At: t, Class: core.Interactive, Action: a.ID, Tenant: a.Tenant, Dataset: a.Dataset})
+		out = append(out, a.request(t))
 	}
 	return out
+}
+
+// frames returns the number of requests the action issues.
+func (a Action) frames() int {
+	if a.End.Before(a.Start) {
+		return 0
+	}
+	return int(a.End.Sub(a.Start)/a.Period) + 1
+}
+
+// request is the action's frame request issued at t.
+func (a Action) request(t units.Time) Request {
+	return Request{At: t, Class: core.Interactive, Action: a.ID, Tenant: a.Tenant, Dataset: a.Dataset}
 }
 
 // BatchSubmission is one batch request: Frames animation-frame jobs, all
@@ -67,15 +78,15 @@ type BatchSubmission struct {
 	Datasets int
 }
 
-// Requests expands the submission into its frame jobs.
-func (b BatchSubmission) Requests() []Request {
-	out := make([]Request, b.Frames)
-	for i := range out {
+// appendRequests expands the submission into its frame jobs, appended to
+// out.
+func (b BatchSubmission) appendRequests(out []Request) []Request {
+	for i := 0; i < b.Frames; i++ {
 		ds := b.Dataset
 		if b.TimeSeries && b.Datasets > 0 {
 			ds = volume.DatasetID((int(b.Dataset)-1+i)%b.Datasets + 1)
 		}
-		out[i] = Request{At: b.At, Class: core.Batch, Action: b.ID, Tenant: b.Tenant, Dataset: ds}
+		out = append(out, Request{At: b.At, Class: core.Batch, Action: b.ID, Tenant: b.Tenant, Dataset: ds})
 	}
 	return out
 }
@@ -275,14 +286,82 @@ func Generate(spec Spec) *Schedule {
 		}
 	}
 
-	for _, a := range s.Actions {
-		s.Requests = append(s.Requests, a.Requests()...)
-	}
-	for _, b := range s.Submissions {
-		s.Requests = append(s.Requests, b.Requests()...)
-	}
-	slices.SortStableFunc(s.Requests, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
+	s.Requests = arrivals(s.Actions, s.Submissions)
 	return s
+}
+
+// arrivals lays out the actions' and then the submissions' requests in one
+// exactly sized slice, stably sorted by At. Each source issues its requests
+// in At order, so a merge of the sources, an At tie going to the earlier
+// source, is that order.
+func arrivals(actions []Action, subs []BatchSubmission) []Request {
+	n := 0
+	h := make(sources, 0, len(actions)+len(subs))
+	for i, a := range actions {
+		if f := a.frames(); f > 0 {
+			n += f
+			h = append(h, source{a.Start, i})
+		}
+	}
+	for i, b := range subs {
+		if b.Frames > 0 {
+			n += b.Frames
+			h = append(h, source{b.At, len(actions) + i})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	out := make([]Request, 0, n)
+	for len(h) > 0 {
+		src := &h[0]
+		if src.i < len(actions) {
+			a := &actions[src.i]
+			out = append(out, a.request(src.at))
+			if src.at = src.at.Add(a.Period); !src.at.After(a.End) {
+				h.down(0)
+				continue
+			}
+		} else {
+			out = subs[src.i-len(actions)].appendRequests(out)
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		h.down(0)
+	}
+	return out
+}
+
+// source is one action or submission in arrivals' merge: the At of its next
+// request, and its index in the concatenation of actions and submissions.
+type source struct {
+	at units.Time
+	i  int
+}
+
+// sources is a binary min-heap of sources by (at, i).
+type sources []source
+
+func (h sources) less(a, b int) bool {
+	return h[a].at < h[b].at || h[a].at == h[b].at && h[a].i < h[b].i
+}
+
+// down restores the heap below i.
+func (h sources) down(i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h) && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // TenantSampler returns a self-seeded sampler over tenant IDs 1..n for

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -34,7 +38,7 @@ func TestActionRequests(t *testing.T) {
 
 func TestBatchSubmissionRequests(t *testing.T) {
 	b := BatchSubmission{ID: 5, Dataset: 3, At: units.Time(2 * units.Second), Frames: 7}
-	reqs := b.Requests()
+	reqs := b.appendRequests(nil)
 	if len(reqs) != 7 {
 		t.Fatalf("got %d, want 7", len(reqs))
 	}
@@ -229,7 +233,7 @@ func TestScenarioLibrary(t *testing.T) {
 
 func TestTimeSeriesBatchWalksDatasets(t *testing.T) {
 	b := BatchSubmission{ID: 1, Dataset: 3, At: 0, Frames: 5, TimeSeries: true, Datasets: 4}
-	reqs := b.Requests()
+	reqs := b.appendRequests(nil)
 	want := []volume.DatasetID{3, 4, 1, 2, 3}
 	for i, r := range reqs {
 		if r.Dataset != want[i] {
@@ -260,4 +264,81 @@ func TestGenerateBatchTimeSeries(t *testing.T) {
 			t.Errorf("submission %d touched %d datasets, want ≥5", a, len(ds))
 		}
 	}
+}
+
+// stableSorted is the request layout Generate had before it merged its
+// sources: every action's requests, then every submission's, stably sorted
+// by At.
+func stableSorted(actions []Action, subs []BatchSubmission) []Request {
+	var reqs []Request
+	for _, a := range actions {
+		reqs = append(reqs, a.Requests()...)
+	}
+	for _, b := range subs {
+		reqs = append(reqs, b.appendRequests(nil)...)
+	}
+	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
+	return reqs
+}
+
+// TestGenerateMatchesStableSort holds Generate's merged request order to the
+// stable sort it replaced, over random specs and over hand-made sources
+// whose requests tie on At across actions, submissions and classes.
+func TestGenerateMatchesStableSort(t *testing.T) {
+	check := func(name string, got []Request, actions []Action, subs []BatchSubmission) {
+		t.Helper()
+		if want := stableSorted(actions, subs); !slices.Equal(got, want) {
+			t.Fatalf("%s: %d requests differ from the stable sort's %d", name, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: %d requests in a slice of capacity %d", name, len(got), cap(got))
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	periods := []units.Duration{30 * units.Millisecond, 7 * units.Millisecond, units.Second}
+	for i := 0; i < 300; i++ {
+		spec := Spec{
+			Length:            units.Time(units.Second) * units.Time(2+rng.Intn(8)),
+			Datasets:          1 + rng.Intn(12),
+			Period:            periods[rng.Intn(len(periods))],
+			ContinuousActions: rng.Intn(4),
+			TargetInteractive: rng.Intn(600),
+			TargetBatch:       rng.Intn(300),
+			BatchFramesMin:    1 + rng.Intn(5),
+			BatchFramesMax:    rng.Intn(40),
+			BatchUniform:      rng.Intn(2) == 0,
+			BatchTimeSeries:   rng.Intn(2) == 0,
+			HotDatasets:       rng.Intn(3),
+			Tenants:           rng.Intn(5),
+			TenantSkew:        rng.Float64(),
+			Seed:              rng.Int63(),
+		}
+		if rng.Intn(3) == 0 {
+			// Actions shorter than a period issue a single frame.
+			spec.ShortActionMin, spec.ShortActionMax = units.Millisecond, 2*units.Millisecond
+		}
+		s := Generate(spec)
+		check(fmt.Sprintf("spec %d", i), s.Requests, s.Actions, s.Submissions)
+	}
+
+	// Requests at equal At from several actions and submissions of both
+	// classes, single-frame actions, an empty action and an empty
+	// submission.
+	sec := units.Time(units.Second)
+	actions := []Action{
+		{ID: 1, Dataset: 1, Start: 0, End: 2 * sec, Period: units.Second},
+		{ID: 2, Dataset: 2, Start: sec, End: sec, Period: 30 * units.Millisecond},
+		{ID: 3, Dataset: 3, Tenant: 2, Start: 0, End: 3 * sec, Period: units.Duration(sec / 2)},
+		{ID: 4, Dataset: 1, Start: 2 * sec, End: sec, Period: units.Second},
+		{ID: 5, Dataset: 2, Start: 2 * sec, End: 2 * sec, Period: units.Second},
+	}
+	subs := []BatchSubmission{
+		{ID: 6, Dataset: 1, At: sec, Frames: 3},
+		{ID: 7, Dataset: 2, At: 0, Frames: 2, TimeSeries: true, Datasets: 3},
+		{ID: 8, Dataset: 3, At: sec, Frames: 0},
+		{ID: 9, Dataset: 3, Tenant: 1, At: 2 * sec, Frames: 4, TimeSeries: true, Datasets: 3},
+		{ID: 10, Dataset: 1, At: sec, Frames: 1},
+	}
+	check("ties", arrivals(actions, subs), actions, subs)
+	check("no sources", arrivals(nil, nil), nil, nil)
 }
