@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 20s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzBodyDecode -fuzztime 20s ./internal/service/
+	$(GO) test -run xxx -fuzz FuzzDecodePixels -fuzztime 20s ./internal/service/
 	$(GO) test -run xxx -fuzz FuzzReadGrid -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzChunkMap -fuzztime 20s ./internal/volume/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 20s ./internal/des/

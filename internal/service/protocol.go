@@ -101,7 +101,7 @@ type FragmentBody struct {
 	TaskIndex int
 	X0, Y0    int
 	W, H      int
-	// Codec selects the pixel encoding of Data (CodecRaw or CodecFlate).
+	// Codec names the pixel encoding of Data; CodecRuns is the only one.
 	Codec int
 	Data  []byte
 	Depth float64

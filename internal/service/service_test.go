@@ -328,33 +328,19 @@ func TestPixelCodecs(t *testing.T) {
 	m.Set(1, 1, img.RGBA{R: 0.1, G: 0.2, B: 0.3, A: 0.4})
 	m.Set(7, 9, img.RGBA{R: 0.9, G: 0.05, B: 0.5, A: 1})
 
-	raw, err := encodePixels(m, m.Bounds(), CodecRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodePixels(16, 16, CodecRaw, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.MaxDiff(m, got) != 0 {
-		t.Error("raw codec not lossless")
-	}
-
-	packed, err := encodePixels(m, m.Bounds(), CodecFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = decodePixels(16, 16, CodecFlate, packed)
+	packed := encodePixels(m, m.Bounds())
+	got, err := decodePixels(16, 16, CodecRuns, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 16-bit quantization: within 1/65535 per channel.
 	if d := img.MaxDiff(m, got); d > 1.0/60000 {
-		t.Errorf("flate codec error %v", d)
+		t.Errorf("run codec error %v", d)
 	}
-	// A mostly-transparent fragment must compress well below raw size.
-	if len(packed)*4 > len(raw) {
-		t.Errorf("flate %dB vs raw %dB: no compression on sparse fragment", len(packed), len(raw))
+	// A mostly-transparent fragment must come out far below its float32
+	// size, 16 bytes a pixel.
+	if raw := m.W * m.H * 16; len(packed)*4 > raw {
+		t.Errorf("runs %dB vs raw %dB: no compression on sparse fragment", len(packed), raw)
 	}
 	// A rectangle of the image encodes as the crop would, without the crop.
 	r := image.Rect(1, 1, 9, 11)
@@ -362,24 +348,17 @@ func TestPixelCodecs(t *testing.T) {
 	for y := 0; y < crop.H; y++ {
 		copy(crop.Pix[y*crop.W:][:crop.W], m.Pix[(r.Min.Y+y)*m.W+r.Min.X:])
 	}
-	for _, codec := range []int{CodecRaw, CodecFlate} {
-		got, _ := encodePixels(m, r, codec)
-		want, _ := encodePixels(crop, crop.Bounds(), codec)
-		if !bytes.Equal(got, want) {
-			t.Errorf("codec %d: a rectangle does not encode as its crop", codec)
+	if !bytes.Equal(encodePixels(m, r), encodePixels(crop, crop.Bounds())) {
+		t.Error("a rectangle does not encode as its crop")
+	}
+	// Errors: codecs other than CodecRuns (0 was raw float32), a corrupt
+	// payload.
+	for _, codec := range []int{0, 2, 99} {
+		if _, err := decodePixels(16, 16, codec, packed); err == nil {
+			t.Errorf("unknown codec %d accepted on decode", codec)
 		}
 	}
-	// Errors: bad codec, truncated payloads.
-	if _, err := encodePixels(m, m.Bounds(), 99); err == nil {
-		t.Error("unknown codec accepted on encode")
-	}
-	if _, err := decodePixels(16, 16, 99, raw); err == nil {
-		t.Error("unknown codec accepted on decode")
-	}
-	if _, err := decodePixels(16, 16, CodecRaw, raw[:8]); err == nil {
-		t.Error("truncated raw accepted")
-	}
-	if _, err := decodePixels(16, 16, CodecFlate, []byte{1, 2}); err == nil {
-		t.Error("corrupt flate accepted")
+	if _, err := decodePixels(16, 16, CodecRuns, []byte{1, 2}); err == nil {
+		t.Error("corrupt runs accepted")
 	}
 }

@@ -45,7 +45,7 @@ var wireBodies = []struct {
 		JobID: 1<<40 + 5, TaskIndex: 2, Dataset: "supernova", Chunk: 2, Render: sampleRender,
 	}},
 	{"fragment", func() wireBody { return new(FragmentBody) }, &FragmentBody{
-		JobID: 12, TaskIndex: 1, X0: 17, Y0: 40, W: 61, H: 33, Codec: CodecFlate, Data: []byte{1, 2, 3, 4, 5},
+		JobID: 12, TaskIndex: 1, X0: 17, Y0: 40, W: 61, H: 33, Codec: CodecRuns, Data: []byte{1, 2, 3, 4, 5},
 		Depth: 2.25, Hit: true, ExecNanos: 4_200_000, Evicted: []ChunkRef{{"plume", 3}},
 	}},
 	{"prefetch", func() wireBody { return new(PrefetchBody) }, &PrefetchBody{Dataset: "plume", Chunk: 4}},
@@ -122,7 +122,7 @@ func TestPinnedWireBytes(t *testing.T) {
 		"000000000000e03f" + "000000000000d03f" + "3333333333330340" + // angle, elevation, dist
 		"8001" + "8001" + "00" + "00000000" + "00" + "02" + "00" + "00" // 64, 64, mode, iso, batch, action 1, tenant, key
 	frag := FragmentBody{
-		JobID: 300, TaskIndex: 2, X0: 12, Y0: 20, W: 24, H: 64, Codec: CodecFlate, Data: []byte{0xde, 0xad},
+		JobID: 300, TaskIndex: 2, X0: 12, Y0: 20, W: 24, H: 64, Codec: CodecRuns, Data: []byte{0xde, 0xad},
 		Depth: 2, Hit: true, ExecNanos: 1000, Evicted: []ChunkRef{{"d1", 7}},
 	}
 	const fragHex = "ac02" + "04" + "18" + "28" + "30" + "8001" + "02" + // job, index, x0, y0, w, h, codec
@@ -147,7 +147,7 @@ func TestPinnedWireBytes(t *testing.T) {
 // hundreds of allocations per message the reflective codec made.
 func TestBodyCodecAllocs(t *testing.T) {
 	task := &TaskBody{JobID: 1, TaskIndex: 1, Dataset: "d0", Chunk: 1, Render: sampleRender}
-	frag := &FragmentBody{JobID: 1, TaskIndex: 1, X0: 8, Y0: 8, W: 40, H: 48, Codec: CodecFlate,
+	frag := &FragmentBody{JobID: 1, TaskIndex: 1, X0: 8, Y0: 8, W: 40, H: 48, Codec: CodecRuns,
 		Data: make([]byte, 4096), Depth: 2, Hit: true, ExecNanos: 1}
 	var outTask TaskBody
 	var outFrag FragmentBody
@@ -190,7 +190,7 @@ func FuzzBodyDecode(f *testing.F) {
 		{JobID: 1, X0: -1, Y0: -1, W: 8, H: 8, Data: []byte{1}},
 		{JobID: 1, X0: math.MaxInt, Y0: math.MinInt, W: math.MaxInt, H: math.MaxInt, Data: []byte{1}},
 		{JobID: 1, TaskIndex: 2, X0: 60, Y0: 60, W: 0, H: 0},
-		{JobID: 1, W: -8, H: maxFrameEdge + 1, Codec: CodecRaw, Data: make([]byte, 16)},
+		{JobID: 1, W: -8, H: maxFrameEdge + 1, Codec: 0, Data: make([]byte, 16)},
 	} {
 		f.Add(uint8(3), frag.AppendBody(nil))
 	}

@@ -45,10 +45,6 @@ type Worker struct {
 	// (§5.16): an evicted brick's slab comes here once no render holds it.
 	slabs [][]float32
 
-	// Codec selects the fragment pixel encoding (CodecFlate by default:
-	// volume fragments are mostly transparent and compress well).
-	Codec int
-
 	// Heartbeat is the liveness-beacon interval; zero disables heartbeats
 	// (the head then relies on connection errors and task deadlines alone).
 	Heartbeat time.Duration
@@ -130,7 +126,6 @@ func NewWorker(name string, catalog *Catalog, quota units.Bytes) *Worker {
 		lru:        cache.NewLRU(quota),
 		bricks:     make(map[volume.ChunkID]*resident),
 		datasetIDs: make(map[string]volume.DatasetID),
-		Codec:      CodecFlate,
 		Heartbeat:  DefaultHeartbeat,
 		Logf:       log.Printf,
 	}
@@ -349,16 +344,14 @@ func (w *Worker) execute(t TaskBody) (FragmentBody, error) {
 	meta := FragmentBody{
 		JobID:     t.JobID,
 		TaskIndex: t.TaskIndex,
-		Codec:     w.Codec,
+		Codec:     CodecRuns,
 		Depth:     frag.Depth,
 		Hit:       hit,
 		Evicted:   evicted,
 	}
 	if r := frag.Bounds; !r.Empty() {
 		meta.X0, meta.Y0, meta.W, meta.H = r.Min.X, r.Min.Y, r.Dx(), r.Dy()
-		if meta.Data, err = encodePixels(frag.Image, r, w.Codec); err != nil {
-			return FragmentBody{}, err
-		}
+		meta.Data = encodePixels(frag.Image, r)
 	}
 	exec := time.Since(start)
 	if t.Render.Batch {
