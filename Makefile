@@ -72,10 +72,11 @@ bench:
 # Fuzz smoke, mirroring the CI fuzz-smoke job: short runs over the
 # wire-format decoders, the dense chunk table under the head's tables, the
 # event kernel's streams, the head's working queue, the rules by which
-# head facts change the head's tables and the prefetch predictor's ranking
-# (bit for bit the sorting body it replaced). The checked-in corpora replay as
-# regression seeds; the -fuzztime budget explores a little fresh territory
-# per invocation.
+# head facts change the head's tables, the prefetch predictor's ranking
+# (bit for bit the sorting body it replaced) and the ray-caster's tabled
+# opacity correction (bit for bit opacityCorrect). The checked-in corpora
+# replay as regression seeds; the -fuzztime budget explores a little fresh
+# territory per invocation.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzJournalReadAll -fuzztime 20s ./internal/journal/
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 20s ./internal/transport/
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBacklog -fuzztime 20s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzHeadRules -fuzztime 20s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzPredictorCandidates -fuzztime 20s ./internal/prefetch/
+	$(GO) test -run xxx -fuzz FuzzOpacityCorrect -fuzztime 20s ./internal/raycast/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/, in the sweep harness, in the two control

@@ -174,8 +174,11 @@ func (m *Image) fillNRGBA(out *image.NRGBA) {
 	}
 }
 
+// to8 maps a channel to 8 bits: NaN and everything at or below 0 to 0,
+// everything at or above 1 to 255. NaN is caught by rule: Go leaves the
+// conversion of a NaN to uint8 to the implementation.
 func to8(v float32) uint8 {
-	if v <= 0 {
+	if !(v > 0) {
 		return 0
 	}
 	if v >= 1 {

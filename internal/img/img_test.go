@@ -320,3 +320,28 @@ func TestGetPutRecycles(t *testing.T) {
 	}()
 	Get(0, 1)
 }
+
+func TestTo8(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, c := range []struct {
+		v    float32
+		want uint8
+	}{
+		{nan, 0},
+		{-nan, 0},
+		{float32(math.Inf(1)), 255},
+		{float32(math.Inf(-1)), 0},
+		{float32(math.Copysign(0, -1)), 0},
+		{0, 0},
+		{-0.25, 0},
+		{math.Nextafter32(1, 0), 255},
+		{1, 255},
+		{1.5, 255},
+		{0.5 / 255, 1},
+		{0.5, 128},
+	} {
+		if got := to8(c.v); got != c.want {
+			t.Errorf("to8(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}

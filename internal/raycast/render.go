@@ -224,7 +224,8 @@ type march struct {
 	rect image.Rectangle
 
 	step      float64
-	stepRatio float64 // step over the opacity-correction reference step
+	stepRatio float64       // step over the opacity-correction reference step
+	opacity   *opacityTable // for stepRatio; nil: opacityCorrect per sample
 
 	// World → grid-local voxel coordinates: p·fd − origin − 0.5 per axis.
 	fd, origin Vec3
@@ -272,6 +273,7 @@ func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
 	}
 	const refStep = 1.0 / 256 // opacity-correction reference step
 	m.stepRatio = m.step / refStep
+	m.opacity = opacityTableFor(m.stepRatio)
 	if c, ok := tf.(*compiledTF); ok {
 		m.ctf, m.zeroBelow = c, c.zeroBelow
 	}
@@ -399,7 +401,11 @@ func (m *march) composite(d Vec3, t0, tmax float64) (acc img.RGBA, n, skipped in
 			continue
 		}
 		// Premultiply by the opacity-corrected alpha.
-		a = opacityCorrect(a, m.stepRatio)
+		if m.opacity != nil {
+			a = m.opacity.correct(a)
+		} else {
+			a = opacityCorrect(a, m.stepRatio)
+		}
 		smp := img.RGBA{R: r * a, G: g * a, B: b * a, A: a}
 		if m.opt.Shading {
 			k := m.shade(x, y, z)
