@@ -44,8 +44,9 @@ cycle-trigger:
 # The head-loop row of CI's race-suite matrix: the live head driven one
 # step(event) at a time on a settable clock (loop_test.go) — the health
 # ladder, deadline → backoff → give-up, and a dead node's tasks requeued in
-# admission order, each pinning its journal — and the keyed batch refusal
-# that must not strand its key. The stepped tests
+# admission order, each pinning its journal; every step holding the task
+# records to their jobs and to the busy-share account — and the keyed batch
+# refusal that must not strand its key. The stepped tests
 # take milliseconds, so twenty rounds under the race detector is what shows
 # they are deterministic.
 head-loop:
@@ -117,6 +118,7 @@ design-metrics:
 	@printf 'non-test Go lines in the autoscale layer (two planes + autoscale/fleet.go): %s\n' "$$(cat internal/sim/autoscale.go internal/service/autoscale.go internal/autoscale/fleet.go | wc -l)"
 	@printf 'internal/service/head.go lines: %s\n' "$$(wc -l < internal/service/head.go)"
 	@printf 'exported fields on service.Head: %s\n' "$$(awk '/^type Head struct/{f=1; next} f && /^}/{f=0} f && /^\t[A-Z]/{n++} END{print n}' internal/service/head.go)"
+	@printf 'slice fields on liveJob + Head: %s\n' "$$(awk '/^type (liveJob|Head) struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[a-zA-Z]+ +\[\]/{n++} END{print n}' internal/service/head.go)"
 	@printf 'longest function under internal/service: %s\n' "$$(awk 'FNR==1{s=0} /^func .*[^}]$$/{s=FNR; n=$$0; sub(/^func (\([^)]*\) )?/, "", n); sub(/[\[(].*/, "", n)} s&&/^}/{print FNR-s+1, n, "(" FILENAME ")"; s=0}' $$(ls internal/service/*.go | grep -v _test.go) | sort -rn | head -1)"
 	@printf 'closures assigned in head.go + loop.go: %s\n' "$$(cat internal/service/head.go internal/service/loop.go | grep -cE '^\s+\w+ := func\(')"
 	@printf "lines carrying 'func(' in autoscale.go: %s\n" "$$(grep -c 'func(' internal/service/autoscale.go)"

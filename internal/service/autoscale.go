@@ -43,7 +43,7 @@ type liveScaler struct {
 // desired-workers gauge with the registered fleet.
 func newLiveScaler(l *headLoop) *liveScaler {
 	h := l.h
-	s := &liveScaler{l: l, desired: len(h.workers)}
+	s := &liveScaler{l: l, desired: len(h.slots)}
 	s.fleet = autoscale.NewFleet(h.Autoscale, h.state, h.prefc, h.qosc, s)
 	h.stats.desiredWorkers.Store(int64(s.desired))
 	return s
@@ -90,7 +90,7 @@ func (s *liveScaler) Busy(k core.NodeID) bool { return len(s.l.outstanding(k)) >
 // still owes.
 func (s *liveScaler) Drain(k core.NodeID) int {
 	h := s.l.h
-	h.healthView[k].Store(int32(core.HealthDraining))
+	h.slots[k].health.Store(int32(core.HealthDraining))
 	moved := 0
 	for _, t := range s.l.outstanding(k) {
 		if t.lj.job.Class == core.Batch {
@@ -119,13 +119,13 @@ func (s *liveScaler) Retire(k core.NodeID) int {
 	// re-homes to the same survivors DemoteHomes picked, so the recovered
 	// tables converge without a drain-specific record kind.
 	h.journalRec(journal.KindRehome, 0, -1, k, h.now(), nil)
-	h.healthView[k].Store(int32(core.HealthDown))
+	h.slots[k].health.Store(int32(core.HealthDown))
 	owed := s.l.outstanding(k)
 	for _, t := range owed {
 		s.l.requeue(t.lj, t.i)
 	}
-	_ = h.senders[k].Send(transport.Message{Kind: transport.KindShutdown})
-	h.senders[k].Close()
+	_ = h.slots[k].send.Send(transport.Message{Kind: transport.KindShutdown})
+	h.slots[k].send.Close()
 	if s.desired > s.fleet.Config().MinNodes {
 		s.desired--
 	}

@@ -7,6 +7,7 @@ import (
 
 	"vizsched/internal/autoscale"
 	"vizsched/internal/core"
+	"vizsched/internal/fracshare"
 	"vizsched/internal/prefetch"
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
@@ -161,12 +162,14 @@ func TestMultiHeadShardAwareRejoin(t *testing.T) {
 
 // drainingHead is a stepped two-node head whose autoscaler drains at its
 // first evaluation: replication 2 gives the victim home chunks to evacuate,
-// prefetching gives the evacuation a governor, and a drain band above any
-// queue depth makes the first 100 ms sample drain pressure.
+// prefetching gives the evacuation a governor, a drain band above any queue
+// depth makes the first 100 ms sample drain pressure, and the busy-share
+// account is on for step to hold it to the records.
 func drainingHead(t *testing.T, deadlineFactor float64) *steppedHead {
 	return newSteppedHead(t, 2, func(h *Head) {
 		h.Replicas = 2
 		h.Prefetch = prefetch.DefaultConfig()
+		h.FracShare = &fracshare.Config{Slots: 2}
 		h.DeadlineFactor = deadlineFactor
 		h.MinDeadline = time.Minute // past MaxDrain: a drain ends before a deadline
 		h.SuspectAfter, h.DownAfter = 0, 0
@@ -193,10 +196,10 @@ func busyOnBoth(s *steppedHead) (batch, frame *liveJob) {
 	s.at(10 * time.Millisecond)
 	s.frags(a, 0, 1)
 	batch = s.submit(2, RenderBody{Dataset: "supernova", Dist: 2.4, Width: 16, Height: 16, Batch: true})
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	s.at(20 * time.Millisecond)
 	frame = s.submit(3, RenderBody{Dataset: "plume", Angle: 0.5, Dist: 2.4, Width: 16, Height: 16})
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	for k := core.NodeID(0); k < 2; k++ {
 		if got := s.wantTasks(k, 2); got[0].JobID != 2 || got[1].JobID != 3 {
 			s.t.Fatalf("node %d was sent %+v, want a brick of job 2 then of job 3", k, got)
@@ -236,7 +239,7 @@ func TestHeadLoopAutoscaleDrain(t *testing.T) {
 	batch, frame := busyOnBoth(s)
 
 	s.at(100 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if got := s.h.WorkerHealth(1); got != core.HealthDraining {
 		t.Fatalf("node 1 after the first evaluation: %v, want draining", got)
 	}
@@ -249,8 +252,8 @@ func TestHeadLoopAutoscaleDrain(t *testing.T) {
 	if got := s.wantTasks(0, 1); got[0] != (TaskRef{JobID: uint64(batch.job.ID), TaskIndex: 1}) {
 		t.Errorf("survivor was sent %+v, want the victim's batch brick", got[0])
 	}
-	if frame.nodes[1] != 1 || batch.nodes[1] != 0 {
-		t.Errorf("after the drain began: frame brick on node %d, batch brick on node %d; want 1 and 0", frame.nodes[1], batch.nodes[1])
+	if frame.tasks[1].node != 1 || batch.tasks[1].node != 0 {
+		t.Errorf("after the drain began: frame brick on node %d, batch brick on node %d; want 1 and 0", frame.tasks[1].node, batch.tasks[1].node)
 	}
 	if a := s.h.Stats().Autoscale; a.Drains != 1 || a.TasksMigrated != 1 || a.OrphanWarms != 1 || a.DrainingWorkers != 1 {
 		t.Errorf("after the drain began: %+v; want 1 drain, 1 task migrated, 1 orphan warm, 1 draining worker", *a)
@@ -262,7 +265,7 @@ func TestHeadLoopAutoscaleDrain(t *testing.T) {
 	s.frags(batch, 0, 1)
 	s.prefetchDone(0, "supernova", 1)
 	s.at(200 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if pb := recvBody[PrefetchBody](s, s.peers[0], transport.KindPrefetch); pb != (PrefetchBody{Dataset: "plume", Chunk: 1}) {
 		t.Errorf("second evacuation warm %+v, want plume brick 1 on the survivor", pb)
 	}
@@ -273,7 +276,7 @@ func TestHeadLoopAutoscaleDrain(t *testing.T) {
 	// The second warm lands: the next check retires the victim.
 	s.prefetchDone(0, "plume", 1)
 	s.at(300 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if got := s.h.WorkerHealth(1); got != core.HealthDown {
 		t.Fatalf("node 1 after its drain: %v, want down", got)
 	}
@@ -290,7 +293,7 @@ func TestHeadLoopAutoscaleDrain(t *testing.T) {
 	// The slot rejoins a second later: a repair, but no MTTR sample.
 	s.at(1300 * time.Millisecond)
 	headSide, workerSide := transport.Pipe()
-	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w1", NodeID: 1, Rejoin: true}}})
+	s.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w1", NodeID: 1, Rejoin: true}}})
 	if ack := recvBody[HelloBody](s, workerSide, transport.KindHello); ack.NodeID != 1 {
 		t.Errorf("rejoin ack names node %d, want 1", ack.NodeID)
 	}
@@ -341,7 +344,7 @@ func TestHeadLoopAutoscaleDrainExpiryMigratesOwedTasks(t *testing.T) {
 			s.wantTasks(0, 1)
 			s.wantTasks(1, 1)
 			s.at(100 * time.Millisecond)
-			s.l.step(event{kind: evCheck})
+			s.step(event{kind: evCheck})
 			if got := s.h.WorkerHealth(1); got != core.HealthDraining {
 				t.Fatalf("node 1 after the first evaluation: %v, want draining", got)
 			}
@@ -351,7 +354,7 @@ func TestHeadLoopAutoscaleDrainExpiryMigratesOwedTasks(t *testing.T) {
 
 			// Node 1 never answers. The check at MaxDrain retires it anyway.
 			s.at(10100 * time.Millisecond)
-			s.l.step(event{kind: evCheck})
+			s.step(event{kind: evCheck})
 			if got := s.h.WorkerHealth(1); got != core.HealthDown {
 				t.Fatalf("node 1 at MaxDrain: %v, want down", got)
 			}
@@ -370,7 +373,7 @@ func TestHeadLoopAutoscaleDrainExpiryMigratesOwedTasks(t *testing.T) {
 			// Past the deadline the stolen brick would have had: no redispatch.
 			for at := 20 * time.Second; at <= 2*time.Minute; at += 20 * time.Second {
 				s.at(at)
-				s.l.step(event{kind: evCheck})
+				s.step(event{kind: evCheck})
 			}
 			if st := s.h.Stats(); st.TasksRedispatched != 0 || st.WorkersDown != 0 || len(s.l.inflight) != 0 {
 				t.Errorf("after the drain: %d re-dispatched, %d down, %d jobs in flight; want 0, 0, 0",

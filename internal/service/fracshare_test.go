@@ -134,8 +134,8 @@ func TestFracShareOffByDefault(t *testing.T) {
 }
 
 // TestFracTrackerAccounting drives the busy-share account directly: a node
-// with 2 of K=2 slots busy integrates at full share, releases clamp at
-// zero, and quantiles appear once sampled.
+// with 2 of K=2 slots busy integrates at full share, a release is not a
+// completion, and quantiles appear once sampled.
 func TestFracTrackerAccounting(t *testing.T) {
 	tr := newFracTracker(2, 2)
 	tr.note(0, +1, false, 0)
@@ -146,7 +146,6 @@ func TestFracTrackerAccounting(t *testing.T) {
 	tr.note(0, -1, true, t1)
 	tr.note(0, -1, true, t1)
 	tr.note(0, -1, false, t1) // a release, not a completion
-	tr.note(0, -1, false, t1) // straggler: clamped, never negative
 	tr.note(-1, -1, true, t1) // out of range: ignored
 	s := tr.snapshot(units.Time(10 * units.Millisecond))
 	if s.Slots != 2 || s.TasksDispatched != 3 || s.TasksCompleted != 2 {

@@ -8,10 +8,12 @@ import (
 )
 
 // fracTracker is the head-side busy-share account for the fractional-
-// capacity layer (§5.13). The dispatcher notes every task handoff and
-// completion; between transitions a node's busy share is the piecewise-
-// constant min(in-flight, K)/K, which a fracshare.Meter integrates exactly as
-// the simulator's does. Every instant is the head's service time (h.now()).
+// capacity layer (§5.13). The dispatcher notes each task record as it starts
+// and stops counting on its node (liveTask.counts): the account reflects the
+// head's records, not the workers' lanes, so a duplicate render the head no
+// longer waits for is not counted. Between transitions a node's busy share
+// is the piecewise-constant min(in-flight, K)/K, which a fracshare.Meter
+// integrates exactly as the simulator's does. Every instant is the head's service time (h.now()).
 // A periodic sample of the cluster-mean share feeds a ring for quantiles.
 type fracTracker struct {
 	mu         sync.Mutex
@@ -33,11 +35,9 @@ func (t *fracTracker) share(k int) float64 {
 	return float64(min(t.inflight[k], t.slots)) / float64(t.slots)
 }
 
-// note moves node k's in-flight count by delta at now: +1 for a task handed
-// to it, −1 for a task leaving it — a completion report (completed), or a
-// release/migration returning it to the queue. Clamped at zero: a straggler
-// fragment arriving after its task was presumed lost and released decrements
-// only once.
+// note moves node k's in-flight count by delta at now: +1 for a record that
+// starts counting on it, −1 for one that stops — its completion report
+// (completed), a requeue, or its job failing.
 func (t *fracTracker) note(k, delta int, completed bool, now units.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -50,7 +50,7 @@ func (t *fracTracker) note(k, delta int, completed bool, now units.Time) {
 	if completed {
 		t.completed++
 	}
-	t.inflight[k] = max(t.inflight[k]+delta, 0)
+	t.inflight[k] += delta
 	t.meter.Set(k, t.share(k), now)
 }
 

@@ -33,30 +33,38 @@ import (
 type liveJob struct {
 	job   *core.Job
 	req   RenderBody
-	frags []*FragmentBody
-	got   int
-	// nodes records which worker each task went to, for failure cleanup.
-	nodes []core.NodeID
-	// deadline[i] is when a dispatched task i is presumed lost; zero while
-	// the task is not in flight.
-	deadline []time.Time
-	// retryAt[i] is the end of task i's backoff hold after a missed
-	// deadline: the task stays marked Assigned (so schedulers skip it) until
-	// the hold expires and it is released back to the queue.
-	retryAt []time.Time
-	// retries[i] counts missed deadlines for task i; beyond Head.MaxRetries
-	// the whole job is failed back to the client.
-	retries []int
+	tasks []liveTask
+	got   int // done tasks
 	// reply delivers the outcome to the issuing client connection.
 	conn  transport.Conn
 	msgID uint64
 	wall  time.Time
+}
 
-	// restoredDone marks tasks whose completion was journaled before a head
-	// crash (§5.10): the replayed tables already reflect them, so when the
-	// worker's retained replay delivers the data, the head stores it without
-	// correcting or re-journaling. Nil except on recovered jobs.
-	restoredDone []bool
+// taskState is where a task is in the live head's dispatch lifecycle
+// (DESIGN.md §5.5); in every state but queued core.Task.Assigned is set.
+type taskState uint8
+
+const (
+	taskQueued    taskState = iota // in the backlog, waiting for a pass
+	taskSent                       // dispatched to node; due is its deadline
+	taskHeld                       // missed its deadline; due ends its backoff hold
+	taskJournaled                  // completion journaled before a takeover (§5.10); due is the deadline for its pixels
+	taskDone                       // its fragment is in frag
+)
+
+// liveTask is the head's one record of a task of a liveJob.
+type liveTask struct {
+	frag  *FragmentBody
+	node  core.NodeID // where it was dispatched last or, recovered, journaled
+	state taskState
+	// counts puts the record on node's busy-share account (§5.13), from its
+	// dispatch by this head or its recovery as dispatched until it
+	// completes, is requeued or leaves with its job. A journaled record
+	// never counts, so a held one that does not count is journaled.
+	counts  bool
+	retries int // missed deadlines, across requeues; past MaxRetries the job fails
+	due     time.Time
 }
 
 // workerEvent is anything a worker-reader goroutine feeds the dispatcher.
@@ -112,6 +120,18 @@ func (s *sender) Send(m transport.Message) error {
 // Close stops the writer after the queue drains.
 func (s *sender) Close() { s.queue.close() }
 
+// workerSlot is the head's side of one worker node, dispatcher-owned after
+// Start. conn is written under Head.mu because KillWorker reads it from other
+// goroutines; health mirrors the state machine for race-free introspection.
+type workerSlot struct {
+	conn     transport.Conn
+	send     *sender
+	gen      uint64 // the connection's incarnation
+	lastBeat time.Time
+	downAt   time.Time
+	health   atomic.Int32
+}
+
 // Head is the master node: it owns the job queue, the scheduler and its
 // prediction tables, and the worker connections. One dispatcher goroutine
 // owns all mutable state (headLoop, loop.go); listening goroutines feed it
@@ -128,19 +148,8 @@ type Head struct {
 	dsIDs   map[string]volume.DatasetID
 	dsNames map[volume.DatasetID]string
 
-	// workers is guarded by mu: the dispatcher replaces entries on rejoin
-	// while KillWorker reads them from other goroutines. senders and gens
-	// are dispatcher-owned after Start.
-	workers []transport.Conn
-	senders []*sender
-	gens    []uint64
-	start   time.Time
-
-	// lastBeat and downAt are dispatcher-owned heartbeat/repair bookkeeping;
-	// healthView mirrors the state machine for race-free introspection.
-	lastBeat   []time.Time
-	downAt     []time.Time
-	healthView []atomic.Int32
+	slots []workerSlot
+	start time.Time
 
 	jobCh    chan *liveJob
 	workCh   chan workerEvent
@@ -322,8 +331,8 @@ func (h *Head) AddWorker(conn transport.Conn) error {
 	if _, err := recvHello(conn, "worker hello"); err != nil {
 		return err
 	}
-	node := len(h.workers)
-	h.workers = append(h.workers, conn)
+	node := len(h.slots)
+	h.slots = append(h.slots, workerSlot{conn: conn})
 	return send(conn, transport.KindHello, 0, HelloBody{NodeID: node, Shard: h.shard.index, Slots: h.fracSlots()})
 }
 
@@ -372,7 +381,7 @@ func (h *Head) rejoinDecoded(conn transport.Conn, hello HelloBody) error {
 	if !h.started {
 		return fmt.Errorf("service: Rejoin before Start")
 	}
-	if !hello.Rejoin || hello.NodeID < 0 || hello.NodeID >= len(h.healthView) {
+	if !hello.Rejoin || hello.NodeID < 0 || hello.NodeID >= len(h.slots) {
 		conn.Close()
 		return fmt.Errorf("service: bad rejoin hello (rejoin=%v node=%d)", hello.Rejoin, hello.NodeID)
 	}
@@ -403,10 +412,10 @@ func (h *Head) Start() error {
 // fresh is the state a new head boots from: empty tables over the added
 // workers, at the replication degree, and nothing else.
 func (h *Head) fresh() (*hastate.State, error) {
-	if len(h.workers) == 0 {
+	if len(h.slots) == 0 {
 		return nil, fmt.Errorf("service: no workers")
 	}
-	tables := core.NewHeadState(len(h.workers), h.memQuota, h.model)
+	tables := core.NewHeadState(len(h.slots), h.memQuota, h.model)
 	if h.Replicas > 1 {
 		tables.SetReplication(h.Replicas)
 	}
@@ -471,32 +480,27 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 		h.frac = newFracTracker(n, h.fracSlots())
 	}
 
-	h.workers = append(h.workers, make([]transport.Conn, n-len(h.workers))...)
-	h.senders = make([]*sender, n)
-	h.gens = make([]uint64, n)
-	h.lastBeat = make([]time.Time, n)
-	h.downAt = make([]time.Time, n)
-	h.healthView = make([]atomic.Int32, n)
-	for k, conn := range h.workers {
-		node := core.NodeID(k)
-		h.lastBeat[k] = wall // a recovered slot's silence counts from takeover
-		if conn != nil {
-			h.senders[k] = h.attach(node, 0, conn)
+	h.slots = append(h.slots, make([]workerSlot, n-len(h.slots))...)
+	for k := range h.slots {
+		node, w := core.NodeID(k), &h.slots[k]
+		w.lastBeat = wall // a recovered slot's silence counts from takeover
+		if w.conn != nil {
+			w.send = h.attach(node, 0, w.conn)
 		} else {
 			// Sends fail as to a dead node until the rejoin path swaps in a
 			// live sender, and an "up" verdict no connection backs is demoted
 			// to suspect (journaled like any health transition) so nothing
 			// is dispatched blind.
-			h.senders[k] = closedSender()
+			w.send = closedSender()
 			if h.state.Health(node) == core.HealthUp {
 				h.state.MarkSuspect(node)
 				h.journalRec(journal.KindSuspect, 0, -1, node, st.At, nil)
 			}
 		}
 		if h.state.Health(node) == core.HealthDown {
-			h.downAt[k] = wall
+			w.downAt = wall
 		}
-		h.healthView[k].Store(int32(h.state.Health(node)))
+		w.health.Store(int32(h.state.Health(node)))
 	}
 	h.mu.Lock()
 	h.nextJobID = st.NextJobID
@@ -509,6 +513,11 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 	for i, rj := range st.Jobs {
 		lj := restored[i]
 		l.inflight[lj.job.ID] = lj
+		for j := range lj.tasks {
+			if t := &lj.tasks[j]; t.state == taskSent { // recovered as dispatched
+				h.count(t, st.At)
+			}
+		}
 		if key := lj.req.Key; key != 0 {
 			h.byKey[key] = lj
 		}
@@ -585,10 +594,10 @@ func (h *Head) chunkSize(c volume.ChunkID) units.Bytes {
 // WorkerHealth returns the head's current liveness verdict for worker k.
 // Safe from any goroutine.
 func (h *Head) WorkerHealth(k core.NodeID) core.Health {
-	if int(k) < 0 || int(k) >= len(h.healthView) {
+	if int(k) < 0 || int(k) >= len(h.slots) {
 		return core.HealthDown
 	}
-	return core.Health(h.healthView[k].Load())
+	return core.Health(h.slots[k].health.Load())
 }
 
 // setHealth records a state-machine transition in both the scheduler tables
@@ -607,7 +616,7 @@ func (h *Head) setHealth(k core.NodeID, to core.Health) {
 			h.journalRec(journal.KindUp, 0, -1, k, h.now(), nil)
 		}
 	}
-	h.healthView[k].Store(int32(to))
+	h.slots[k].health.Store(int32(to))
 }
 
 // taskDeadline derives a dispatch deadline from the committed prediction:
@@ -704,7 +713,7 @@ type warmStats struct {
 func (w warmStats) Wasted(core.NodeID, volume.ChunkID) { w.wasted.Add(1) }
 
 // compose decodes a completed job's fragments and composites them, nearest
-// first, into its w×h frame. A fragment is a rectangle of that frame, and
+// first, into its w×h frame; it sorts frags in place. A fragment is a rectangle of that frame, and
 // the rectangle comes off the wire: it is held to the frame before it sizes
 // anything — W and H to [1, maxFrameEdge] first, so that the differences
 // below cannot wrap, then the origin to what leaves room for them. The one
@@ -712,9 +721,8 @@ func (w warmStats) Wasted(core.NodeID, volume.ChunkID) { w.wasted.Add(1) }
 func compose(w, h int, frags []*FragmentBody) (*img.Image, error) {
 	// Stable, so fragments at one depth keep task order, as
 	// compositing.ByDepth leaves them.
-	order := slices.Clone(frags)
-	slices.SortStableFunc(order, func(a, b *FragmentBody) int { return cmp.Compare(a.Depth, b.Depth) })
-	layers := make([]compositing.Layer, 0, len(order))
+	slices.SortStableFunc(frags, func(a, b *FragmentBody) int { return cmp.Compare(a.Depth, b.Depth) })
+	layers := make([]compositing.Layer, 0, len(frags))
 	rejected := func(f *FragmentBody, err error) error {
 		return fmt.Errorf("fragment %d, a %dx%d rectangle at (%d,%d) of a %dx%d frame: %w", f.TaskIndex, f.W, f.H, f.X0, f.Y0, w, h, err)
 	}
@@ -724,7 +732,7 @@ func compose(w, h int, frags []*FragmentBody) (*img.Image, error) {
 			img.Put(l.Image)
 		}
 	}()
-	for _, f := range order {
+	for _, f := range frags {
 		if f.W == 0 && f.H == 0 && len(f.Data) == 0 {
 			continue
 		}
@@ -764,23 +772,24 @@ func (h *Head) finalize(lj *liveJob) {
 			_ = send(conn, transport.KindError, msgID, ErrorBody{Msg: err.Error()})
 		}
 	}
-	hits, misses := 0, 0
-	for _, f := range lj.frags {
-		if f.Hit {
+	hits := 0
+	frags := make([]*FragmentBody, len(lj.tasks))
+	for i := range lj.tasks {
+		frags[i] = lj.tasks[i].frag
+		if frags[i].Hit {
 			hits++
-		} else {
-			misses++
 		}
 	}
-	final, err := compose(lj.req.Width, lj.req.Height, lj.frags)
+	misses := len(frags) - hits
+	final, err := compose(lj.req.Width, lj.req.Height, frags)
 	if err != nil {
 		failf(err)
 		return
 	}
 	// What whole-frame fragments would have carried, and what these did.
-	frames := int64(lj.req.Width) * int64(lj.req.Height) * int64(len(lj.frags))
+	frames := int64(lj.req.Width) * int64(lj.req.Height) * int64(len(frags))
 	var shipped int64
-	for _, f := range lj.frags {
+	for _, f := range frags {
 		shipped += int64(f.W) * int64(f.H) // compose held them to the frame
 	}
 
@@ -852,10 +861,10 @@ func (h *Head) QoSController() *qos.Controller { return h.qosc }
 func (h *Head) KillWorker(k core.NodeID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if int(k) < 0 || int(k) >= len(h.workers) || h.workers[k] == nil {
+	if int(k) < 0 || int(k) >= len(h.slots) || h.slots[k].conn == nil {
 		return
 	}
-	h.workers[k].Close()
+	h.slots[k].conn.Close()
 }
 
 // submit builds a liveJob from a render request and hands it to the
@@ -908,16 +917,12 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 		h.stats.batchIssued.Add(1)
 	}
 	h.jobCh <- &liveJob{
-		job:      job,
-		req:      req,
-		frags:    make([]*FragmentBody, len(job.Tasks)),
-		nodes:    make([]core.NodeID, len(job.Tasks)),
-		deadline: make([]time.Time, len(job.Tasks)),
-		retryAt:  make([]time.Time, len(job.Tasks)),
-		retries:  make([]int, len(job.Tasks)),
-		conn:     conn,
-		msgID:    msgID,
-		wall:     h.wall(),
+		job:   job,
+		req:   req,
+		tasks: make([]liveTask, len(job.Tasks)),
+		conn:  conn,
+		msgID: msgID,
+		wall:  h.wall(),
 	}
 	return nil
 }

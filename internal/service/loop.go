@@ -165,7 +165,7 @@ func (l *headLoop) sendPrefetches(ds []core.PrefetchDirective) {
 			h.Logf("head: encoding prefetch: %v", err)
 			continue
 		}
-		if err := h.senders[d.Node].Send(transport.Message{Kind: transport.KindPrefetch, Body: raw}); err != nil {
+		if err := h.slots[d.Node].send.Send(transport.Message{Kind: transport.KindPrefetch, Body: raw}); err != nil {
 			h.Logf("head: prefetch send to node %d failed: %v", d.Node, err)
 		}
 	}
@@ -192,10 +192,9 @@ func (l *headLoop) schedule() {
 	}
 	for _, a := range p.Assignments {
 		lj := l.inflight[a.Task.Job.ID]
-		lj.nodes[a.Task.Index] = a.Node
-		if lj.restoredDone != nil {
-			lj.restoredDone[a.Task.Index] = false
-		}
+		t := &lj.tasks[a.Task.Index]
+		t.node, t.state = a.Node, taskSent
+		h.count(t, now)
 		body := TaskBody{
 			JobID:     uint64(lj.job.ID),
 			TaskIndex: a.Task.Index,
@@ -206,20 +205,17 @@ func (l *headLoop) schedule() {
 		h.journalRec(journal.KindDispatch, lj.job.ID, a.Task.Index, a.Node, now,
 			hastate.DispatchBody{Predicted: a.Task.PredictedExec})
 		if h.DeadlineFactor > 0 {
-			lj.deadline[a.Task.Index] = wall.Add(h.taskDeadline(a.Task))
+			t.due = wall.Add(h.taskDeadline(a.Task))
 		}
 		raw, err := transport.Encode(&body)
 		if err != nil {
 			h.Logf("head: encoding task: %v", err)
 			continue
 		}
-		if err := h.senders[a.Node].Send(transport.Message{
+		if err := h.slots[a.Node].send.Send(transport.Message{
 			Kind: transport.KindTask, ID: uint64(lj.job.ID), Body: raw,
 		}); err != nil {
 			h.Logf("head: send to node %d failed: %v", a.Node, err)
-		}
-		if h.frac != nil {
-			h.frac.note(int(a.Node), +1, false, now)
 		}
 	}
 	l.sendPrefetches(p.Warms)
@@ -259,6 +255,11 @@ func (l *headLoop) failJob(lj *liveJob, msg string) {
 	}
 	delete(l.inflight, lj.job.ID)
 	h.dropKey(lj)
+	// Its records leave the head with it, and the busy-share account.
+	now := h.now()
+	for i := range lj.tasks {
+		h.uncount(&lj.tasks[i], false, now)
+	}
 	// A failed job must never reach the scheduler again.
 	l.backlog.Remove(lj.job)
 	if lj.conn == nil {
@@ -278,23 +279,32 @@ func (l *headLoop) fail(lj *liveJob, msg string) {
 	l.failJob(lj, msg)
 }
 
-// requeue returns dispatched task i to the schedulable queue. The caller
-// counts it: as a crash redispatch when the task is presumed lost, as a
-// migration when a drain hands it back (§5.12) — the two counters the
+// requeue returns dispatched task i to the schedulable queue; a journaled
+// record requeued is re-rendered, since its retained replay never came. The
+// caller counts it: as a crash redispatch when the task is presumed lost, as
+// a migration when a drain hands it back (§5.12) — the two counters the
 // autoscaler must keep disjoint.
 func (l *headLoop) requeue(lj *liveJob, i int) {
 	l.backlog.Requeue(&lj.job.Tasks[i])
-	lj.deadline[i] = time.Time{}
-	lj.retryAt[i] = time.Time{}
-	if lj.restoredDone != nil {
-		// A restored-Done task being requeued means its retained replay
-		// never arrived; it will be re-rendered as a fresh dispatch whose
-		// completion must be journaled like any other.
-		lj.restoredDone[i] = false
+	l.h.uncount(&lj.tasks[i], false, l.h.now())
+	lj.tasks[i].state = taskQueued
+}
+
+// count puts t on its node's busy-share account at now.
+func (h *Head) count(t *liveTask, now units.Time) {
+	t.counts = true
+	if h.frac != nil {
+		h.frac.note(int(t.node), +1, false, now)
 	}
-	if l.h.frac != nil {
-		l.h.frac.note(int(lj.nodes[i]), -1, false, l.h.now())
+}
+
+// uncount takes t off its node's busy-share account at now, if it is on
+// it: completed when its fragment came back.
+func (h *Head) uncount(t *liveTask, completed bool, now units.Time) {
+	if t.counts && h.frac != nil {
+		h.frac.note(int(t.node), -1, completed, now)
 	}
+	t.counts = false
 }
 
 // byAdmission returns the in-flight jobs oldest first. Job IDs are issued in
@@ -315,8 +325,8 @@ func (l *headLoop) byAdmission() []*liveJob {
 func (l *headLoop) outstanding(node core.NodeID) []taskAt {
 	var out []taskAt
 	for _, lj := range l.byAdmission() {
-		for i := range lj.job.Tasks {
-			if lj.job.Tasks[i].Assigned && lj.frags[i] == nil && lj.nodes[i] == node {
+		for i := range lj.tasks {
+			if t := &lj.tasks[i]; t.state != taskQueued && t.state != taskDone && t.node == node {
 				out = append(out, taskAt{lj, i})
 			}
 		}
@@ -339,14 +349,12 @@ func (l *headLoop) nodeDown(node core.NodeID) {
 		h.stats.chunksReseeded.Add(int64(rehome.Reseeded))
 		h.Logf("head: node %d chunks re-homed: %d warm, %d re-seeding rarest-first", node, rehome.Rehomed, rehome.Reseeded)
 	}
-	h.healthView[node].Store(int32(core.HealthDown))
-	h.downAt[node] = h.wall()
-	h.senders[node].Close()
-	h.mu.Lock()
-	conn := h.workers[node]
-	h.mu.Unlock()
-	if conn != nil { // a recovered head's slot may never have connected
-		conn.Close()
+	w := &h.slots[node]
+	w.health.Store(int32(core.HealthDown))
+	w.downAt = h.wall()
+	w.send.Close()
+	if w.conn != nil { // a recovered head's slot may never have connected
+		w.conn.Close()
 	}
 	owed := l.outstanding(node)
 	for _, t := range owed {
@@ -377,12 +385,12 @@ func (l *headLoop) check() {
 func (l *headLoop) checkHealth() {
 	h := l.h
 	now := h.wall()
-	for k := range h.lastBeat {
+	for k := range h.slots {
 		node := core.NodeID(k)
 		if h.state.Health(node) == core.HealthDown {
 			continue
 		}
-		silent := now.Sub(h.lastBeat[k])
+		silent := now.Sub(h.slots[k].lastBeat)
 		switch {
 		case h.DownAfter > 0 && silent > h.DownAfter:
 			h.Logf("head: node %d silent for %v; declaring it down", k, silent.Round(time.Millisecond))
@@ -399,35 +407,35 @@ func (l *headLoop) checkHealth() {
 	}
 	changed := false
 	for _, lj := range l.byAdmission() {
-		for i := range lj.job.Tasks {
-			t := &lj.job.Tasks[i]
-			if !t.Assigned || lj.frags[i] != nil {
-				continue
-			}
-			if !lj.retryAt[i].IsZero() {
-				if now.After(lj.retryAt[i]) {
+		for i := range lj.tasks {
+			t := &lj.tasks[i]
+			switch t.state {
+			case taskHeld:
+				if now.After(t.due) {
 					l.requeue(lj, i)
 					h.stats.tasksRedispatched.Add(1)
 					changed = true
 				}
 				continue
-			}
-			if lj.deadline[i].IsZero() || now.Before(lj.deadline[i]) {
+			case taskSent, taskJournaled:
+				if now.Before(t.due) {
+					continue
+				}
+			default:
 				continue
 			}
 			// Overdue: presumed lost. Retry with exponential backoff +
 			// jitter, or fail the job once the budget is spent.
-			lj.deadline[i] = time.Time{}
-			lj.retries[i]++
-			if lj.retries[i] > h.MaxRetries {
-				l.fail(lj, fmt.Sprintf("task %d lost %d times; giving up", i, lj.retries[i]))
+			t.retries++
+			if t.retries > h.MaxRetries {
+				l.fail(lj, fmt.Sprintf("task %d lost %d times; giving up", i, t.retries))
 				break
 			}
-			backoff := h.RetryBackoff << (lj.retries[i] - 1)
+			backoff := h.RetryBackoff << (t.retries - 1)
 			backoff += time.Duration(h.rng.Int63n(int64(backoff)/2 + 1))
 			h.Logf("head: task %v overdue on node %d; retry %d after %v",
-				lj.job.Tasks[i].String(), lj.nodes[i], lj.retries[i], backoff.Round(time.Millisecond))
-			lj.retryAt[i] = now.Add(backoff)
+				lj.job.Tasks[i].String(), t.node, t.retries, backoff.Round(time.Millisecond))
+			t.state, t.due = taskHeld, now.Add(backoff)
 		}
 	}
 	if changed {
@@ -528,22 +536,22 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 		ev.conn.Close()
 		return
 	}
-	h.gens[node]++
-	gen := h.gens[node]
+	w := &h.slots[node]
+	w.gen++
+	prior := w.conn
 	h.mu.Lock()
-	prior := h.workers[node]
-	h.workers[node] = ev.conn
+	w.conn = ev.conn
 	h.mu.Unlock()
 	if health != core.HealthDown {
 		// The slot's previous incarnation was never declared down (a
 		// recovered standby's unconnected placeholder, or a worker that
 		// reconnected before the silence threshold): retire it.
-		h.senders[node].Close()
+		w.send.Close()
 		if prior != nil && prior != ev.conn {
 			prior.Close()
 		}
 	}
-	h.senders[node] = h.attach(node, gen, ev.conn)
+	w.send = h.attach(node, w.gen, ev.conn)
 	now := h.now()
 	if ev.hello.Resync {
 		// Adopt the worker's announced cache wholesale: the head's
@@ -567,12 +575,12 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 		h.state.MarkUp(node)
 		h.journalRec(journal.KindUp, 0, -1, node, now, nil)
 	}
-	h.healthView[node].Store(int32(core.HealthUp))
-	h.lastBeat[node] = h.wall()
-	if !h.downAt[node].IsZero() {
-		h.stats.mttrNanos.Add(h.wall().Sub(h.downAt[node]).Nanoseconds())
+	w.health.Store(int32(core.HealthUp))
+	w.lastBeat = h.wall()
+	if !w.downAt.IsZero() {
+		h.stats.mttrNanos.Add(h.wall().Sub(w.downAt).Nanoseconds())
 		h.stats.mttrEvents.Add(1)
-		h.downAt[node] = time.Time{}
+		w.downAt = time.Time{}
 	}
 	h.stats.workersRejoined.Add(1)
 	h.Logf("head: node %d rejoined (%s, resync=%v)", node, ev.hello.Name, ev.hello.Resync)
@@ -604,16 +612,14 @@ func (l *headLoop) rejoin(ev *rejoinEvent) {
 // batch buffer are lost, exactly as a real head crash would lose them.
 func (l *headLoop) closeWorkers(graceful bool) {
 	h := l.h
-	h.mu.Lock()
-	workers := append([]transport.Conn(nil), h.workers...)
-	h.mu.Unlock()
-	for i, w := range workers {
+	for k := range h.slots {
+		w := &h.slots[k]
 		if graceful {
-			_ = h.senders[i].Send(transport.Message{Kind: transport.KindShutdown})
+			_ = w.send.Send(transport.Message{Kind: transport.KindShutdown})
 		}
-		h.senders[i].Close()
-		if w != nil {
-			w.Close()
+		w.send.Close()
+		if w.conn != nil {
+			w.conn.Close()
 		}
 	}
 	if graceful && h.Journal != nil {
@@ -625,7 +631,7 @@ func (l *headLoop) closeWorkers(graceful bool) {
 // message — which, whatever it says, proves the worker alive.
 func (l *headLoop) fromWorker(ev *workerEvent) {
 	h := l.h
-	if ev.gen != h.gens[ev.node] {
+	if ev.gen != h.slots[ev.node].gen {
 		return // stale connection incarnation
 	}
 	if ev.err != nil {
@@ -633,7 +639,7 @@ func (l *headLoop) fromWorker(ev *workerEvent) {
 		return
 	}
 	// Any traffic proves liveness; a suspect node is rehabilitated.
-	h.lastBeat[ev.node] = h.wall()
+	h.slots[ev.node].lastBeat = h.wall()
 	if h.state.Health(ev.node) == core.HealthSuspect {
 		h.setHealth(ev.node, core.HealthUp)
 	}
@@ -673,30 +679,26 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 	if lj == nil {
 		return // job already failed or delivered (stale duplicate)
 	}
-	if frag.TaskIndex < 0 || frag.TaskIndex >= len(lj.frags) {
+	if frag.TaskIndex < 0 || frag.TaskIndex >= len(lj.tasks) {
 		h.Logf("head: fragment task %d out of range from node %d", frag.TaskIndex, node)
 		return
 	}
 	// Only the first report per task is folded in: a duplicated delivery
 	// (network chaos, a resync replay racing the original) must not
 	// double-correct the tables or double-count cache stats.
-	if i := frag.TaskIndex; lj.frags[i] == nil {
-		t := &lj.job.Tasks[i]
-		if !t.Assigned {
+	if i := frag.TaskIndex; lj.tasks[i].state != taskDone {
+		t := &lj.tasks[i]
+		if t.state == taskQueued {
 			// The task was presumed lost and released for re-dispatch, but
 			// the original completed after all: reclaim it before a
 			// duplicate is scheduled.
-			l.backlog.Reclaim(t)
+			l.backlog.Reclaim(&lj.job.Tasks[i])
 		}
-		lj.deadline[i] = time.Time{}
-		lj.retryAt[i] = time.Time{}
-		if lj.restoredDone != nil && lj.restoredDone[i] {
-			// The completion was journaled before the crash and the
-			// replayed tables already reflect it; this is the worker's
-			// retained replay carrying the pixels. Store without
-			// correcting or re-journaling.
-		} else {
-			now := h.now()
+		now := h.now()
+		// A journaled completion (a journaled record, or a held one that
+		// never counted) is already in the replayed tables: this is the
+		// worker's retained replay carrying the pixels, stored as it is.
+		if t.state != taskJournaled && (t.state != taskHeld || t.counts) {
 			touch, evicted := h.correct(lj, node, &frag, now)
 			h.journalRec(journal.KindComplete, lj.job.ID, i, node, now,
 				hastate.CompleteBody{
@@ -704,13 +706,11 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 					Exec: units.Duration(frag.ExecNanos), Evicted: evicted,
 				})
 		}
-		lj.frags[i] = &frag
+		h.uncount(t, true, now)
+		t.frag, t.state = &frag, taskDone
 		lj.got++
-		if h.frac != nil {
-			h.frac.note(int(node), -1, true, h.now())
-		}
 	}
-	if lj.got == len(lj.frags) {
+	if lj.got == len(lj.tasks) {
 		delete(l.inflight, lj.job.ID)
 		// The key binding survives until finalize retires it into the
 		// retained store, so a re-submission racing the PNG encode

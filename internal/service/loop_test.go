@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
@@ -118,7 +119,7 @@ func (s *steppedHead) resync(hello HelloBody) HelloBody {
 	s.t.Helper()
 	hello.Rejoin, hello.Resync = true, true
 	headSide, workerSide := transport.Pipe()
-	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: hello}})
+	s.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: hello}})
 	s.peers[hello.NodeID] = workerSide
 	return recvBody[HelloBody](s, workerSide, transport.KindHello)
 }
@@ -144,6 +145,55 @@ func recvBody[B any, PB interface {
 	return body
 }
 
+// step steps ev on the head, then holds every in-flight job's task records
+// to the job they describe and to the busy-share account: the job's
+// Remaining counts the queued records, core.Task.Assigned is set exactly on
+// the records that are not queued, got counts the done ones, and with
+// FracShare on each node's in-flight count is the records counting on it.
+func (s *steppedHead) step(ev event) {
+	s.t.Helper()
+	s.l.step(ev)
+	counted := make([]int, len(s.h.slots))
+	for _, lj := range s.l.byAdmission() {
+		queued, done := 0, 0
+		for i := range lj.tasks {
+			t := &lj.tasks[i]
+			switch t.state {
+			case taskQueued:
+				queued++
+			case taskDone:
+				done++
+			}
+			if lj.job.Tasks[i].Assigned == (t.state == taskQueued) {
+				s.t.Fatalf("job %d task %d: Assigned %v in state %d", lj.job.ID, i, lj.job.Tasks[i].Assigned, t.state)
+			}
+			if t.counts {
+				counted[t.node]++
+			}
+		}
+		if lj.job.Remaining != queued || lj.got != done {
+			s.t.Fatalf("job %d: Remaining %d over %d queued records, got %d over %d done", lj.job.ID, lj.job.Remaining, queued, lj.got, done)
+		}
+	}
+	if f := s.h.frac; f != nil {
+		f.mu.Lock()
+		inflight := slices.Clone(f.inflight)
+		f.mu.Unlock()
+		if !slices.Equal(inflight, counted) {
+			s.t.Fatalf("busy-share account in flight %v, records counting %v", inflight, counted)
+		}
+	}
+}
+
+// nodesOf lists the node each task of lj was last dispatched to.
+func nodesOf(lj *liveJob) []core.NodeID {
+	nodes := make([]core.NodeID, len(lj.tasks))
+	for i := range lj.tasks {
+		nodes[i] = lj.tasks[i].node
+	}
+	return nodes
+}
+
 // at moves the head's clock to d after boot.
 func (s *steppedHead) at(d time.Duration) { s.clock.nanos.Store(int64(d)) }
 
@@ -154,7 +204,7 @@ func (s *steppedHead) submit(msgID uint64, req RenderBody) *liveJob {
 		s.t.Fatal(err)
 	}
 	lj := <-s.h.jobCh
-	s.l.step(event{kind: evArrival, lj: lj})
+	s.step(event{kind: evArrival, lj: lj})
 	return lj
 }
 
@@ -169,7 +219,7 @@ func (s *steppedHead) fromWorker(node core.NodeID, kind transport.Kind, body tra
 		}
 		msg.Body = raw
 	}
-	s.l.step(event{kind: evWorker, work: workerEvent{node: node, gen: s.h.gens[node], msg: msg}})
+	s.step(event{kind: evWorker, work: workerEvent{node: node, gen: s.h.slots[node].gen, msg: msg}})
 }
 
 func (s *steppedHead) beat(node core.NodeID) { s.fromWorker(node, transport.KindHeartbeat, nil) }
@@ -220,7 +270,7 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 
 	// An idle head spreads a cold frame's two bricks over its two nodes.
 	a := s.submit(1, frame)
-	if got := a.nodes; !slices.Equal(got, []core.NodeID{0, 1}) {
+	if got := nodesOf(a); !slices.Equal(got, []core.NodeID{0, 1}) {
 		t.Fatalf("first frame placed on nodes %v, want one brick each", got)
 	}
 	s.wantTasks(0, 1)
@@ -229,13 +279,13 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	// 400 ms of silence from node 0: suspect, and the next frame avoids it.
 	s.at(400 * time.Millisecond)
 	s.beat(1)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if got := s.h.WorkerHealth(0); got != core.HealthSuspect {
 		t.Fatalf("node 0 after 400 ms of silence: %v, want suspect", got)
 	}
 	frame.Angle = 0.5
 	b := s.submit(2, frame)
-	if got := b.nodes; !slices.Equal(got, []core.NodeID{1, 1}) {
+	if got := nodesOf(b); !slices.Equal(got, []core.NodeID{1, 1}) {
 		t.Errorf("frame placed on nodes %v while node 0 is suspect, want both bricks on node 1", got)
 	}
 	s.wantTasks(1, 2)
@@ -251,7 +301,7 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	// first frame back in the queue — and on the survivor at the next tick.
 	s.at(1500 * time.Millisecond)
 	s.beat(1)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if got := s.h.WorkerHealth(0); got != core.HealthDown {
 		t.Fatalf("node 0 after 1.05 s of silence: %v, want down", got)
 	}
@@ -261,7 +311,7 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	if q := s.l.backlog.Jobs(); len(q) != 1 || q[0] != a.job || a.job.Remaining != 1 {
 		t.Fatalf("queue after node 0 went down: %d jobs, first frame has %d tasks to dispatch; want it alone with 1", len(q), a.job.Remaining)
 	}
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	if got := s.wantTasks(1, 1); got[0] != (TaskRef{JobID: uint64(a.job.ID), TaskIndex: 0}) {
 		t.Errorf("survivor was sent %+v, want the dead node's brick of the first frame", got[0])
 	}
@@ -272,7 +322,7 @@ func TestHeadLoopHealthLadder(t *testing.T) {
 	// A rejoin a second after the verdict repairs the slot.
 	s.at(2500 * time.Millisecond)
 	headSide, workerSide := transport.Pipe()
-	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w0", NodeID: 0, Rejoin: true}}})
+	s.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w0", NodeID: 0, Rejoin: true}}})
 	if ack := recvBody[HelloBody](s, workerSide, transport.KindHello); ack.NodeID != 0 {
 		t.Errorf("rejoin ack names node %d, want 0", ack.NodeID)
 	}
@@ -319,22 +369,22 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	// and each is held for RetryBackoff plus up to half as much jitter.
 	s.at(time.Second - 1)
 	s.beat(0)
-	s.l.step(event{kind: evCheck})
-	if lj.retries[0] != 0 || lj.retries[1] != 0 {
-		t.Fatalf("retries = %v before the deadline", lj.retries)
+	s.step(event{kind: evCheck})
+	if lj.tasks[0].retries != 0 || lj.tasks[1].retries != 0 {
+		t.Fatalf("retries = %d, %d before the deadline", lj.tasks[0].retries, lj.tasks[1].retries)
 	}
 	s.at(time.Second)
-	s.l.step(event{kind: evCheck})
-	for i, at := range lj.retryAt {
-		if hold := at.Sub(s.clock.now()); lj.retries[i] != 1 || hold < 100*time.Millisecond || hold > 150*time.Millisecond {
-			t.Fatalf("task %d at its deadline: retries = %d, held for %v; want 1 and 100–150ms", i, lj.retries[i], hold)
+	s.step(event{kind: evCheck})
+	for i, lt := range lj.tasks {
+		if hold := lt.due.Sub(s.clock.now()); lt.retries != 1 || hold < 100*time.Millisecond || hold > 150*time.Millisecond {
+			t.Fatalf("task %d at its deadline: retries = %d, held for %v; want 1 and 100–150ms", i, lt.retries, hold)
 		}
 	}
 
 	// The holds run out while the only node is suspect: both tasks are back
 	// in the queue and there is nowhere to send them.
 	s.at(1600 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if s.h.WorkerHealth(0) != core.HealthSuspect || lj.job.Remaining != 2 || s.l.backlog.Len() != 1 {
 		t.Fatalf("after the holds: node %v, %d tasks to dispatch, %d jobs queued; want suspect, 2, 1",
 			s.h.WorkerHealth(0), lj.job.Remaining, s.l.backlog.Len())
@@ -344,11 +394,11 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	// also clears the node, and the tick re-dispatches task 1 alone.
 	s.at(1700 * time.Millisecond)
 	s.fromWorker(0, transport.KindFragment, &FragmentBody{JobID: uint64(lj.job.ID), TaskIndex: 0, ExecNanos: 1_000_000})
-	if !lj.job.Tasks[0].Assigned || lj.frags[0] == nil || lj.job.Remaining != 1 {
+	if !lj.job.Tasks[0].Assigned || lj.tasks[0].frag == nil || lj.job.Remaining != 1 {
 		t.Fatalf("late fragment not reclaimed: assigned %v, stored %v, %d tasks to dispatch",
-			lj.job.Tasks[0].Assigned, lj.frags[0] != nil, lj.job.Remaining)
+			lj.job.Tasks[0].Assigned, lj.tasks[0].frag != nil, lj.job.Remaining)
 	}
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	if got := s.wantTasks(0, 1); got[0].TaskIndex != 1 {
 		t.Fatalf("re-dispatched task %d, want 1", got[0].TaskIndex)
 	}
@@ -356,19 +406,19 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	// Second miss: twice the hold, then re-dispatched by the check itself.
 	s.at(2700 * time.Millisecond)
 	s.beat(0)
-	s.l.step(event{kind: evCheck})
-	if hold := lj.retryAt[1].Sub(s.clock.now()); lj.retries[1] != 2 || hold < 200*time.Millisecond || hold > 300*time.Millisecond {
-		t.Fatalf("second miss: retries = %d, held for %v; want 2 and 200–300ms", lj.retries[1], hold)
+	s.step(event{kind: evCheck})
+	if hold := lj.tasks[1].due.Sub(s.clock.now()); lj.tasks[1].retries != 2 || hold < 200*time.Millisecond || hold > 300*time.Millisecond {
+		t.Fatalf("second miss: retries = %d, held for %v; want 2 and 200–300ms", lj.tasks[1].retries, hold)
 	}
 	s.at(3100 * time.Millisecond)
 	s.beat(0)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	s.wantTasks(0, 1)
 
 	// Third miss: the budget of 2 retries is spent and the job fails, once.
 	s.at(4100 * time.Millisecond)
 	s.beat(0)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	if len(s.l.inflight) != 0 || s.l.backlog.Len() != 0 {
 		t.Errorf("after give-up: %d jobs in flight, %d queued", len(s.l.inflight), s.l.backlog.Len())
 	}
@@ -404,13 +454,13 @@ func TestHeadLoopNodeDownRequeuesInAdmissionOrder(t *testing.T) {
 	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
 	for i := 1; i <= 3; i++ {
 		s.submit(uint64(i), frame)
-		s.l.step(event{kind: evTick})
+		s.step(event{kind: evTick})
 		s.wantTasks(0, 1)
 		s.wantTasks(1, 1)
 	}
 	s.at(time.Second)
-	s.l.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.gens[0], err: io.EOF}})
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.slots[0].gen, err: io.EOF}})
+	s.step(event{kind: evTick})
 	s.wantTasks(1, 3)
 
 	s.wantJournal(
@@ -463,7 +513,7 @@ func TestHeadLoopAdmissionAtBound(t *testing.T) {
 			if eb := recvBody[ErrorBody](s, s.client, transport.KindError); !strings.Contains(eb.Msg, "overloaded") {
 				t.Errorf("the batch job got %q, want the overloaded refusal", eb.Msg)
 			}
-			s.l.step(event{kind: evCheck})
+			s.step(event{kind: evCheck})
 			if st := s.h.Stats(); st.JobsShed != 2 || st.QueueDepth != 1 {
 				t.Errorf("JobsShed %d, queue depth %d; want 2 and 1", st.JobsShed, st.QueueDepth)
 			}
@@ -509,7 +559,7 @@ func TestHeadLoopSchedulerContract(t *testing.T) {
 		h.sched = blindScheduler{node: 1}
 		h.DeadlineFactor = 0
 	})
-	s.l.step(event{kind: evWorker, work: workerEvent{node: 1, gen: s.h.gens[1], err: io.EOF}})
+	s.step(event{kind: evWorker, work: workerEvent{node: 1, gen: s.h.slots[1].gen, err: io.EOF}})
 	s.submit(1, RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Batch: true})
 	defer func() {
 		msg := fmt.Sprint(recover())
@@ -518,7 +568,7 @@ func TestHeadLoopSchedulerContract(t *testing.T) {
 		}
 		s.wantJournal("rehome 0 -1 1 0s", "admit 1 -1 -1 0s")
 	}()
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 }
 
 // A crash at one cut, recovered on the stepped head: of a keyed frame's two
@@ -528,22 +578,27 @@ func TestHeadLoopSchedulerContract(t *testing.T) {
 // retained fragment completes its task without a re-dispatch; node 1's task,
 // lost with the head, goes out again when its reconnect grace runs out; and
 // the client gets one result.
-func TestHeadLoopRecoversAtCut(t *testing.T) {
+func TestHeadLoopRecoversAtCut(t *testing.T) { recoverAtCut(t, func(*Head) {}) }
+
+// recoverAtCut runs TestHeadLoopRecoversAtCut's script on heads that more
+// also configures, and returns the standby.
+func recoverAtCut(t *testing.T, more func(*Head)) *steppedHead {
 	configure := func(h *Head) {
 		h.DeadlineFactor = 4
 		h.MinDeadline = time.Second
 		h.RetryBackoff = 100 * time.Millisecond
 		h.SuspectAfter, h.DownAfter = 0, 0 // deadlines alone move this script
+		more(h)
 	}
 	s := newSteppedHead(t, 2, configure)
 	reply := make(chan *hastate.Snapshot, 1)
-	s.l.step(event{kind: evSnapshot, snap: reply})
+	s.step(event{kind: evSnapshot, snap: reply})
 	genesis := <-reply
 
 	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Key: 42}
 	a := s.submit(1, frame)
-	if !slices.Equal(a.nodes, []core.NodeID{0, 1}) {
-		t.Fatalf("frame placed on nodes %v, want one brick each", a.nodes)
+	if !slices.Equal(nodesOf(a), []core.NodeID{0, 1}) {
+		t.Fatalf("frame placed on nodes %v, want one brick each", nodesOf(a))
 	}
 	s.wantTasks(0, 1)
 	s.wantTasks(1, 1)
@@ -558,7 +613,7 @@ func TestHeadLoopRecoversAtCut(t *testing.T) {
 	)
 
 	// The cut.
-	s.l.step(event{kind: evCrash})
+	s.step(event{kind: evCrash})
 	recs, err := journal.ReadAll(bytes.NewReader(s.wal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -597,7 +652,7 @@ func TestHeadLoopRecoversAtCut(t *testing.T) {
 	sb.l.step(event{kind: evCheck})
 	s.at(1200 * time.Millisecond)
 	sb.l.step(event{kind: evCheck})
-	node := lj.nodes[1]
+	node := lj.tasks[1].node
 	if got := sb.wantTasks(node, 1); got[0] != (TaskRef{JobID: 1, TaskIndex: 1}) {
 		t.Fatalf("node %d was sent %+v, want task 1 of job 1", node, got[0])
 	}
@@ -624,6 +679,105 @@ func TestHeadLoopRecoversAtCut(t *testing.T) {
 		fmt.Sprintf("dispatch 1 1 %d 1.2s", node),
 		fmt.Sprintf("complete 1 1 %d 1.25s", node),
 	)
+	return sb
+}
+
+// The busy-share account follows the head's task records: whatever path a
+// brick takes — re-dispatched past a deadline, its job failed by a worker,
+// migrated by a drain, or recovered by a standby — once every frame is
+// settled no node counts a task in flight, and the account never completes
+// more tasks than it handed out. Each script lands a fragment the head no
+// longer waits for on a node it no longer counts.
+func TestHeadLoopInFlightAccount(t *testing.T) {
+	frac := func(h *Head) { h.FracShare = &fracshare.Config{Slots: 1} }
+	settled := func(t *testing.T, s *steppedHead) *FracShareSnapshot {
+		t.Helper()
+		fs := s.h.Stats().FracShare
+		if !slices.Equal(fs.NodeInFlight, make([]int, len(s.h.slots))) || fs.TasksCompleted > fs.TasksDispatched {
+			t.Errorf("settled account: in flight %v, %d dispatched, %d completed; want none in flight and no more completed than dispatched",
+				fs.NodeInFlight, fs.TasksDispatched, fs.TasksCompleted)
+		}
+		return fs
+	}
+	frame := RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16}
+
+	// Node 0 goes quiet holding brick 0, which misses its deadline while
+	// node 0 is suspect and is re-dispatched to node 1; then node 0's
+	// original lands. Node 1 was busy 10 ms with brick 1 and 100 ms with
+	// the duplicate, of 5 s.
+	t.Run("deadline", func(t *testing.T) {
+		s := newSteppedHead(t, 2, func(h *Head) {
+			frac(h)
+			h.MinDeadline = time.Second
+			h.RetryBackoff = 100 * time.Millisecond
+			h.SuspectAfter, h.DownAfter = 500*time.Millisecond, time.Minute
+		})
+		a := s.submit(1, frame)
+		s.wantTasks(0, 1)
+		s.wantTasks(1, 1)
+		s.at(10 * time.Millisecond)
+		s.frags(a, 1)
+		s.at(time.Second)
+		s.beat(1)
+		s.step(event{kind: evCheck})
+		s.at(1200 * time.Millisecond)
+		s.beat(1)
+		s.step(event{kind: evCheck})
+		if got := s.wantTasks(1, 1); got[0] != (TaskRef{JobID: uint64(a.job.ID), TaskIndex: 0}) {
+			t.Fatalf("node 1 was sent %+v, want brick 0 of job 1", got[0])
+		}
+		s.at(1300 * time.Millisecond)
+		s.fromWorker(0, transport.KindFragment, &FragmentBody{JobID: uint64(a.job.ID), TaskIndex: 0, ExecNanos: 4_000_000})
+		recvBody[ResultBody](s, s.client, transport.KindResult)
+		s.at(5 * time.Second)
+		if fs := settled(t, s); math.Abs(fs.NodeBusyPct[1]-2.2) > 1e-9 {
+			t.Errorf("node 1 busy %v%% of 5 s, want 2.2%%: 110 ms", fs.NodeBusyPct[1])
+		}
+	})
+
+	// Node 0 reports an error on its brick, which fails the job while
+	// node 1 still renders the other; that fragment then lands.
+	t.Run("worker error", func(t *testing.T) {
+		s := newSteppedHead(t, 2, frac)
+		a := s.submit(1, frame)
+		s.wantTasks(0, 1)
+		s.wantTasks(1, 1)
+		raw, err := transport.Encode(&ErrorBody{Msg: "render failed"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.slots[0].gen,
+			msg: transport.Message{Kind: transport.KindError, ID: uint64(a.job.ID), Body: raw}}})
+		recvBody[ErrorBody](s, s.client, transport.KindError)
+		s.frags(a, 1)
+		if fs := settled(t, s); fs.TasksDispatched != 2 || fs.TasksCompleted != 0 {
+			t.Errorf("%d dispatched, %d completed; want 2 and 0", fs.TasksDispatched, fs.TasksCompleted)
+		}
+	})
+
+	// A drain migrates node 1's batch brick to node 0, and node 1's
+	// original lands before node 0's copy.
+	t.Run("drain", func(t *testing.T) {
+		s := drainingHead(t, 0)
+		batch, frame := busyOnBoth(s)
+		s.at(100 * time.Millisecond)
+		s.step(event{kind: evCheck})
+		recvBody[PrefetchBody](s, s.peers[0], transport.KindPrefetch)
+		if got := s.wantTasks(0, 1); got[0] != (TaskRef{JobID: uint64(batch.job.ID), TaskIndex: 1}) {
+			t.Fatalf("survivor was sent %+v, want the victim's batch brick", got[0])
+		}
+		s.at(150 * time.Millisecond)
+		s.fromWorker(1, transport.KindFragment, &FragmentBody{JobID: uint64(batch.job.ID), TaskIndex: 1, ExecNanos: 4_000_000})
+		s.frags(batch, 0, 1)
+		s.frags(frame, 0, 1)
+		settled(t, s)
+	})
+
+	// The takeover script: the standby recovers brick 0 as journaled and
+	// brick 1 as dispatched to node 1.
+	t.Run("takeover", func(t *testing.T) {
+		settled(t, recoverAtCut(t, frac))
+	})
 }
 
 // A worker's resync hello is input: one naming a brick twice and more bricks
@@ -641,7 +795,7 @@ func TestHeadLoopResyncHelloDuplicateAndOverQuota(t *testing.T) {
 		h.memQuota = h.chunkSize(brick(h, "plume", 0)) + h.chunkSize(brick(h, "plume", 1))
 	})
 	reply := make(chan *hastate.Snapshot, 1)
-	s.l.step(event{kind: evSnapshot, snap: reply})
+	s.step(event{kind: evSnapshot, snap: reply})
 	genesis := <-reply
 
 	s.at(5 * time.Millisecond)
@@ -695,7 +849,7 @@ func (s *steppedHead) wantResult(completed int64) {
 func (s *steppedHead) frags(lj *liveJob, tasks ...int) {
 	s.t.Helper()
 	for _, i := range tasks {
-		s.fromWorker(lj.nodes[i], transport.KindFragment, &FragmentBody{
+		s.fromWorker(lj.tasks[i].node, transport.KindFragment, &FragmentBody{
 			JobID: uint64(lj.job.ID), TaskIndex: i, ExecNanos: 4_000_000, Hit: i == 0,
 		})
 	}
@@ -719,9 +873,9 @@ func TestHeadLoopStatsPages(t *testing.T) {
 
 	// An interactive frame, one brick on each node, back in 10 ms.
 	a := s.submit(1, frame)
-	s.l.step(event{kind: evTick})
-	s.wantTasks(a.nodes[0], 1)
-	s.wantTasks(a.nodes[1], 1)
+	s.step(event{kind: evTick})
+	s.wantTasks(a.tasks[0].node, 1)
+	s.wantTasks(a.tasks[1].node, 1)
 	s.at(10 * time.Millisecond)
 	s.frags(a, 0, 1)
 	s.wantResult(1)
@@ -732,27 +886,27 @@ func TestHeadLoopStatsPages(t *testing.T) {
 	batch := frame
 	batch.Batch, batch.Angle = true, 1
 	b := s.submit(2, batch)
-	s.l.step(event{kind: evTick})
-	s.wantTasks(b.nodes[0], 1)
-	s.wantTasks(b.nodes[1], 1)
+	s.step(event{kind: evTick})
+	s.wantTasks(b.tasks[0].node, 1)
+	s.wantTasks(b.tasks[1].node, 1)
 	s.at(30 * time.Millisecond)
 	s.frags(b, 0)
 	s.at(1020 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	s.at(1200 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
-	s.l.step(event{kind: evTick})
-	s.wantTasks(b.nodes[1], 1)
+	s.step(event{kind: evCheck})
+	s.step(event{kind: evTick})
+	s.wantTasks(b.tasks[1].node, 1)
 	s.at(1250 * time.Millisecond)
 	s.frags(b, 1)
 	s.wantResult(2)
 
 	// Node 0 drops its connection and rejoins 200 ms later.
 	s.at(1300 * time.Millisecond)
-	s.l.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.gens[0], err: io.EOF}})
+	s.step(event{kind: evWorker, work: workerEvent{node: 0, gen: s.h.slots[0].gen, err: io.EOF}})
 	s.at(1500 * time.Millisecond)
 	headSide, workerSide := transport.Pipe()
-	s.l.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w0", NodeID: 0, Rejoin: true}}})
+	s.step(event{kind: evRejoin, rejoin: rejoinEvent{conn: headSide, hello: HelloBody{Name: "w0", NodeID: 0, Rejoin: true}}})
 	recvBody[HelloBody](s, workerSide, transport.KindHello)
 	s.peers[0] = workerSide
 
@@ -761,16 +915,16 @@ func TestHeadLoopStatsPages(t *testing.T) {
 	s.at(1600 * time.Millisecond)
 	frame.Angle = 0.5
 	c := s.submit(3, frame)
-	s.l.step(event{kind: evTick})
-	s.wantTasks(c.nodes[0], 1)
-	s.wantTasks(c.nodes[1], 1)
+	s.step(event{kind: evTick})
+	s.wantTasks(c.tasks[0].node, 1)
+	s.wantTasks(c.tasks[1].node, 1)
 	s.at(1650 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 	s.at(1660 * time.Millisecond)
 	s.frags(c, 0, 1)
 	s.wantResult(3)
 	s.at(1700 * time.Millisecond)
-	s.l.step(event{kind: evCheck})
+	s.step(event{kind: evCheck})
 
 	for _, page := range []struct{ path, want string }{
 		{"/metrics", statsPagesMetrics},
@@ -951,7 +1105,7 @@ func TestHeadLoopBatchWindow(t *testing.T) {
 			}
 		}
 		s.at(time.Duration(tick) * 2 * time.Hour)
-		s.l.step(event{kind: evTick})
+		s.step(event{kind: evTick})
 		passes := sched.queues()
 		if got := passes[len(passes)-1]; !slices.Equal(got, oldest) {
 			t.Fatalf("tick %d showed Schedule %d jobs %v…, want the %d oldest queued %v…",
@@ -981,13 +1135,13 @@ func TestHeadLoopPassReadsClockOnce(t *testing.T) {
 	}
 	b := s.submit(1, RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16, Batch: true})
 	reads.Store(0)
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	if n := reads.Load(); n != 1 {
-		t.Errorf("a pass that dispatched %d tasks read the clock %d times, want 1", len(b.nodes), n)
+		t.Errorf("a pass that dispatched %d tasks read the clock %d times, want 1", len(b.tasks), n)
 	}
-	s.wantTasks(b.nodes[0], 1)
-	s.wantTasks(b.nodes[1], 1)
-	if b.deadline[0] != b.deadline[1] {
-		t.Errorf("deadlines %v and %v for two like tasks of one pass differ", b.deadline[0], b.deadline[1])
+	s.wantTasks(b.tasks[0].node, 1)
+	s.wantTasks(b.tasks[1].node, 1)
+	if b.tasks[0].due != b.tasks[1].due {
+		t.Errorf("deadlines %v and %v for two like tasks of one pass differ", b.tasks[0].due, b.tasks[1].due)
 	}
 }

@@ -197,7 +197,7 @@ func TestPrefetchIdleTickReadsClockOnce(t *testing.T) {
 		h.clock = func() time.Time { return time.Unix(1_000_000_000, reads.Add(1)*int64(time.Millisecond)) }
 	})
 	reads.Store(0)
-	s.l.step(event{kind: evTick})
+	s.step(event{kind: evTick})
 	if n := reads.Load(); n != 1 {
 		t.Errorf("an idle tick read the clock %d times, want 1", n)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"time"
 
 	"vizsched/internal/core"
 	"vizsched/internal/hastate"
@@ -71,11 +70,11 @@ func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
 	for i := range lj.job.Tasks {
 		t := &lj.job.Tasks[i]
 		ti := hastate.TaskInfo{Chunk: t.Chunk, Size: t.Size}
-		switch {
-		case lj.frags[i] != nil || (lj.restoredDone != nil && lj.restoredDone[i]):
-			ti.State, ti.Node, ti.Predicted = hastate.TaskDone, lj.nodes[i], t.PredictedExec
-		case t.Assigned:
-			ti.State, ti.Node, ti.Predicted = hastate.TaskAssigned, lj.nodes[i], t.PredictedExec
+		switch lt := &lj.tasks[i]; lt.state {
+		case taskSent, taskHeld:
+			ti.State, ti.Node, ti.Predicted = hastate.TaskAssigned, lt.node, t.PredictedExec
+		case taskJournaled, taskDone:
+			ti.State, ti.Node, ti.Predicted = hastate.TaskDone, lt.node, t.PredictedExec
 		}
 		rec.Tasks[i] = ti
 	}
@@ -163,7 +162,7 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 	if h.started {
 		return fmt.Errorf("service: StartRecovered after Start")
 	}
-	if len(h.workers) != 0 {
+	if len(h.slots) != 0 {
 		return fmt.Errorf("service: StartRecovered with pre-added workers; workers rejoin via resync")
 	}
 	l, err := h.boot(st)
@@ -180,13 +179,9 @@ func (h *Head) StartRecovered(st *hastate.State) error {
 func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 	job := rj.Job
 	lj := &liveJob{
-		job:      job,
-		frags:    make([]*FragmentBody, len(job.Tasks)),
-		nodes:    make([]core.NodeID, len(job.Tasks)),
-		deadline: make([]time.Time, len(job.Tasks)),
-		retryAt:  make([]time.Time, len(job.Tasks)),
-		retries:  make([]int, len(job.Tasks)),
-		wall:     h.wall(),
+		job:   job,
+		tasks: make([]liveTask, len(job.Tasks)),
+		wall:  h.wall(),
 	}
 	req := rj.Rec.Req
 	if len(req) == 0 || req[0] != reqVersion {
@@ -196,22 +191,19 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 		return nil, fmt.Errorf("service: recovered job %d: decoding request: %w", job.ID, err)
 	}
 	for i := range rj.Rec.Tasks {
-		ti := &rj.Rec.Tasks[i]
+		ti, t := &rj.Rec.Tasks[i], &lj.tasks[i]
 		if ti.State == hastate.TaskQueued {
 			continue
 		}
-		lj.nodes[i] = ti.Node
+		t.node, t.state = ti.Node, taskSent // counted on its node by boot
+		if ti.State == hastate.TaskDone {
+			t.state = taskJournaled
+		}
 		if h.DeadlineFactor > 0 {
 			// Outstanding work gets a reconnect grace on top of its usual
 			// deadline: the worker holding the result must have time to
 			// resync and replay before the task is presumed lost.
-			lj.deadline[i] = lj.wall.Add(h.DownAfter + h.taskDeadline(&job.Tasks[i]))
-		}
-		if ti.State == hastate.TaskDone {
-			if lj.restoredDone == nil {
-				lj.restoredDone = make([]bool, len(job.Tasks))
-			}
-			lj.restoredDone[i] = true
+			t.due = lj.wall.Add(h.DownAfter + h.taskDeadline(&job.Tasks[i]))
 		}
 	}
 	return lj, nil

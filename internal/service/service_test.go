@@ -311,7 +311,7 @@ func TestWorkerFailureReschedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill worker 1's connection from the head side.
-	cl.Head.workers[1].Close()
+	cl.Head.slots[1].conn.Close()
 	time.Sleep(20 * time.Millisecond)
 	// Renders must still complete on the survivor.
 	res, err := client.Render(RenderBody{Dataset: "plume", Dist: 2.4, Width: 16, Height: 16})

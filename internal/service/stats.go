@@ -296,7 +296,7 @@ func (h *Head) Stats() StatsSnapshot {
 		BatchCompleted: h.stats.batchCompleted.Load(),
 		ChunkHits:      h.stats.hits.Load(),
 		ChunkMisses:    h.stats.misses.Load(),
-		Workers:        len(h.workers),
+		Workers:        len(h.slots),
 		WorkersDown:    h.stats.workersDown.Load(),
 
 		TasksRedispatched: h.stats.tasksRedispatched.Load(),
@@ -384,8 +384,8 @@ func (h *Head) Stats() StatsSnapshot {
 	}
 	if h.Autoscale != nil {
 		a := h.stats.autoscaleSnapshot()
-		for k := range h.healthView {
-			switch core.Health(h.healthView[k].Load()) {
+		for k := range h.slots {
+			switch core.Health(h.slots[k].health.Load()) {
 			case core.HealthUp, core.HealthSuspect:
 				a.ActiveWorkers++
 			case core.HealthDraining:
