@@ -29,7 +29,8 @@ node-model:
 
 # The worker-lanes row of CI's race-suite matrix: the live worker's two
 # lanes and yielding background renders (DESIGN.md §5.18), the FIFO under
-# them, and the far-camera march — three times over under the race detector.
+# them, and the far-camera march and its leaps — three times over under the
+# race detector.
 worker-lanes:
 	$(GO) test -race -count=3 -run 'Overtake|Background|Lane|Fifo|FarCamera|SustainedInteractive|DropsQueued|BatchExecNet' ./...
 
@@ -74,8 +75,10 @@ bench:
 # wire-format decoders, the dense chunk table under the head's tables, the
 # event kernel's streams, the head's working queue, the rules by which
 # head facts change the head's tables, the prefetch predictor's ranking
-# (bit for bit the sorting body it replaced) and the ray-caster's tabled
-# opacity correction (bit for bit opacityCorrect). The checked-in corpora
+# (bit for bit the sorting body it replaced), the ray-caster's tabled
+# opacity correction (bit for bit opacityCorrect) and its empty-space
+# leaping (the reference's pixels, bounds and sample counts over fuzzed
+# voxels, thresholds and cameras). The checked-in corpora
 # replay as regression seeds; the -fuzztime budget explores a little fresh
 # territory per invocation.
 fuzz:
@@ -90,6 +93,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzHeadRules -fuzztime 20s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzPredictorCandidates -fuzztime 20s ./internal/prefetch/
 	$(GO) test -run xxx -fuzz FuzzOpacityCorrect -fuzztime 20s ./internal/raycast/
+	$(GO) test -run xxx -fuzz FuzzLeapMatchesReference -fuzztime 20s ./internal/raycast/
 
 # The design numbers ROADMAP aim 2 tracks, counted the same way every time:
 # non-test Go lines outside bench/, in the sweep harness, in the two control
