@@ -1,9 +1,11 @@
 package raycast
 
 import (
+	"fmt"
 	"image"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,13 +80,17 @@ func (o *Options) fill() {
 // trilinear interpolation at brick seams agree with a monolithic render —
 // the same trick real distributed volume renderers use.
 //
-// A Brick that is rendered a second time grows a macrocell grid for
-// empty-space skipping and, once it is rendered in composite, a leap map for
-// the first composite threshold (see macrocell.go): one float32 and one byte
-// per 4³ voxels, so about 1/64 + 1/256 of Grid.SizeBytes() on top of it —
-// the one piece of resident memory a cache that charges the grid's size does
-// not count. It lives and dies with the Brick; Grid.Data must not change
-// once the Brick has been rendered. Share a Brick by pointer, never by copy.
+// A Brick skips empty space with a macrocell grid and, in composite, leaps
+// across it with a leap map for one threshold (see macrocell.go): one
+// float32 and one byte per 4³ voxels, so about 1/64 + 1/256 of
+// Grid.SizeBytes() on top of it — the one piece of resident memory a cache
+// that charges the grid's size does not count. A brick read from a brick
+// file has both from the start (AdoptSkip: the file stores them, computed
+// when the dataset was bricked). One built in memory (MakeBrick, RenderFull)
+// grows the macrocells on its second render and the leap map at its first
+// composite render after that, for that render's threshold. They live and
+// die with the Brick; Grid.Data must not change once the Brick has been
+// rendered. Share a Brick by pointer, never by copy.
 type Brick struct {
 	Grid *volume.Grid
 	// Extent is the brick's logical voxel box in full-dataset coordinates.
@@ -98,13 +104,54 @@ type Brick struct {
 	// renders counts RenderBrick calls until cells is published.
 	renders atomic.Uint32
 	cells   atomic.Pointer[macrocells]
-	leap    atomic.Pointer[leapMap] // for the first composite threshold it was rendered at
+	leap    atomic.Pointer[leapMap] // for the first composite threshold it was rendered at, or the stored one
+	// stored holds what AdoptSkip publishes, so a load allocates nothing
+	// for it.
+	stored struct {
+		cells macrocells
+		leap  leapMap
+	}
+}
+
+// AdoptSkip publishes a stored skip section — SkipSection's, read back from
+// a brick file — as the brick's macrocells and leap map, so its first
+// render skips and leaps like a resident brick's. Call it before the brick
+// is rendered or shared. The section must have one bound and one distance
+// per cell of the grid, and is trusted as the grid is: a bound below a
+// sample it stands for would change pixels.
+func (b *Brick) AdoptSkip(s volume.Skip) error {
+	c := volume.Cells(b.Grid.Dims)
+	if n := c[0] * c[1] * c[2]; len(s.Bound) != n || len(s.Leap) != n {
+		return fmt.Errorf("raycast: a %v grid has %d cells, the skip section %d bounds and %d distances",
+			b.Grid.Dims, n, len(s.Bound), len(s.Leap))
+	}
+	b.stored.cells = cellGrid(b.Grid)
+	b.stored.cells.bound = s.Bound
+	b.stored.leap = leapMap{below: s.Below, c: &b.stored.cells, dist: s.Leap,
+		anyEmpty: slices.ContainsFunc(s.Leap, func(d uint8) bool { return d != 0 })}
+	b.cells.Store(&b.stored.cells)
+	b.leap.Store(&b.stored.leap)
+	return nil
+}
+
+// Slab returns the memory the brick reads — its voxels and, once it has
+// them, its bounds and leap map — for a caller to read the next brick file
+// into once no render will read this brick again.
+func (b *Brick) Slab() volume.Slab {
+	s := volume.Slab{Voxels: b.Grid.Data}
+	if c := b.cells.Load(); c != nil {
+		s.Bound = c.bound
+	}
+	if l := b.leap.Load(); l != nil {
+		s.Leap = l.dist
+	}
+	return s
 }
 
 // macrocells returns the brick's skip structure, or nil while it has none.
-// A brick rendered once — a cache miss evicted before its next use — never
-// pays for one: the render that finds the brick already rendered builds it,
-// and renders running beside that one go without until it is published.
+// A brick without a stored one (AdoptSkip) that is rendered once never pays
+// for one: the render that finds the brick already rendered builds it, and
+// renders running beside that one go without until it is published.
 func (b *Brick) macrocells() *macrocells {
 	if c := b.cells.Load(); c != nil {
 		return c
@@ -119,10 +166,12 @@ func (b *Brick) macrocells() *macrocells {
 
 // leapMap returns the brick's leap map for a composite threshold, or nil:
 // no macrocells yet, no threshold (−Inf, NaN), or a map published for
-// another threshold. The first render with macrocells and a threshold
-// builds the map and publishes it, and it is never replaced: the service
-// fixes a dataset's transfer function, so the threshold is steady, and a
-// render under another one skips per sample, building nothing.
+// another threshold. A brick read from a file has the map stored for its
+// dataset's transfer function; on one built in memory, the first render
+// with macrocells and a threshold builds the map and publishes it. It is
+// never replaced: the service fixes a dataset's transfer function, so the
+// threshold is steady, and a render under another one skips per sample,
+// building nothing.
 func (b *Brick) leapMap(c *macrocells, below float32) *leapMap {
 	if c == nil || !(below > float32(math.Inf(-1))) {
 		return nil
@@ -263,7 +312,7 @@ type march struct {
 	tf  TransferFunc
 	ctf *compiledTF // tf when it is a prepared Piecewise, else nil
 
-	cells     *macrocells // nil on a brick's first render
+	cells     *macrocells // nil on an in-memory brick's first render, and in a composite one with no empty cell
 	zeroBelow float32     // samples below this classify to nothing; −Inf: none known
 	// leap is the brick's leap map for zeroBelow, set only in composite
 	// and only where the rounding of sample positions and leap ends is
@@ -309,13 +358,19 @@ func newMarch(b *Brick, cam *Camera, tf TransferFunc, opt Options) *march {
 		e, o := m.view.eye, m.origin
 		// Every ray leaves the box within this t, with room for rounding.
 		far := 2 * (m.lo.Sub(e).Len() + m.hi.Sub(m.lo).Len())
-		if leapRoundoff(
+		l := b.leapMap(m.cells, m.zeroBelow)
+		switch {
+		case l != nil && !l.anyEmpty:
+			// No cell is empty under this threshold: no sample would be
+			// skipped, so none pays for looking.
+			m.cells = nil
+		case l != nil && leapRoundoff(
 			max(math.Abs(e.X), math.Abs(e.Y), math.Abs(e.Z)), far,
 			max(m.fd.X, m.fd.Y, m.fd.Z),
 			max(math.Abs(o.X), math.Abs(o.Y), math.Abs(o.Z)),
 			float64(max(g.Dims[0], g.Dims[1], g.Dims[2])),
-		) <= leapEps/4 {
-			m.leap = b.leapMap(m.cells, m.zeroBelow)
+		) <= leapEps/4:
+			m.leap = l
 		}
 	}
 	return m

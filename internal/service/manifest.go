@@ -8,9 +8,12 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 
 	"vizsched/internal/raycast"
 	"vizsched/internal/units"
@@ -58,25 +61,46 @@ const manifestFile = "manifest.json"
 
 // WriteDataset bricks the grid into nChunks z-slabs (each with a one-voxel
 // ghost margin so seam interpolation matches a monolithic render), writes
-// them plus a manifest into dir, and returns the manifest.
+// them plus a manifest into dir, and returns the manifest. Each chunk's
+// file also carries its skip section, computed here once for the dataset's
+// transfer function (raycast.SkipSection), so a load needs no scan before
+// its first render skips empty space (DESIGN.md §5.16). That scan is most of
+// a chunk's cost, so chunks are cut, scanned and written GOMAXPROCS at a
+// time.
 func WriteDataset(dir, name string, g *volume.Grid, nChunks int, tf string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manifest{Name: name, Dims: g.Dims, TF: tf, dir: dir}
-	for i, box := range volume.BrickZ(g.Dims, nChunks) {
-		brick := raycast.MakeBrick(g, box)
-		file := fmt.Sprintf("%s.c%02d.vsvol", name, i)
-		if err := volume.SaveGrid(filepath.Join(dir, file), brick.Grid); err != nil {
-			return nil, fmt.Errorf("service: writing chunk %d: %w", i, err)
-		}
-		m.Chunks = append(m.Chunks, ChunkInfo{
-			Index:      i,
-			File:       file,
-			Extent:     box,
-			GridOrigin: brick.GridOrigin,
-			SizeBytes:  brick.Grid.SizeBytes(),
-		})
+	boxes := volume.BrickZ(g.Dims, nChunks)
+	m := &Manifest{Name: name, Dims: g.Dims, TF: tf, Chunks: make([]ChunkInfo, len(boxes)), dir: dir}
+	classify := raycast.PresetTF(tf)
+	errs := make([]error, len(boxes))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, box := range boxes {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			brick := raycast.MakeBrick(g, box)
+			file := fmt.Sprintf("%s.c%02d.vsvol", name, i)
+			skip := raycast.SkipSection(brick.Grid, classify)
+			if err := volume.SaveGrid(filepath.Join(dir, file), brick.Grid, skip); err != nil {
+				errs[i] = fmt.Errorf("service: writing chunk %d: %w", i, err)
+				return
+			}
+			m.Chunks[i] = ChunkInfo{
+				Index:      i,
+				File:       file,
+				Extent:     box,
+				GridOrigin: brick.GridOrigin,
+				SizeBytes:  brick.Grid.SizeBytes(),
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -106,19 +130,21 @@ func LoadManifest(dir string) (*Manifest, error) {
 }
 
 // LoadBrick reads chunk i's voxels and reassembles the renderable brick.
-func (m *Manifest) LoadBrick(i int) (*raycast.Brick, error) { return m.LoadBrickInto(i, nil) }
+func (m *Manifest) LoadBrick(i int) (*raycast.Brick, error) { return m.LoadBrickInto(i, volume.Slab{}) }
 
-// LoadBrickInto is LoadBrick with a voxel slab to recycle: the brick's grid
-// uses slab's memory when its capacity holds the chunk, and new memory
-// otherwise (volume.LoadGridInto). On error the slab is still the caller's.
-// A file whose grid is not the one the manifest describes — the chunk's
-// extent plus ghost margin, SizeBytes — is refused: the ray-caster indexes
-// the grid by the manifest's geometry.
-func (m *Manifest) LoadBrickInto(i int, slab []float32) (*raycast.Brick, error) {
+// LoadBrickInto is LoadBrick with memory to recycle: the brick's voxels,
+// bounds and leap map use slab's when its capacity holds them, and new
+// memory otherwise (volume.LoadGridInto). On error the slab is still the
+// caller's. A file whose grid is not the one the manifest describes — the
+// chunk's extent plus ghost margin, SizeBytes — is refused: the ray-caster
+// indexes the grid by the manifest's geometry. The brick comes with the
+// file's skip section published (raycast.Brick.AdoptSkip), so its first
+// render skips and leaps.
+func (m *Manifest) LoadBrickInto(i int, slab volume.Slab) (*raycast.Brick, error) {
 	if i < 0 || i >= len(m.Chunks) {
 		return nil, fmt.Errorf("service: dataset %s has no chunk %d", m.Name, i)
 	}
-	g, err := volume.LoadGridInto(m.ChunkPath(i), slab)
+	g, skip, err := volume.LoadGridInto(m.ChunkPath(i), slab)
 	if err != nil {
 		return nil, fmt.Errorf("service: loading %s chunk %d: %w", m.Name, i, err)
 	}
@@ -128,12 +154,16 @@ func (m *Manifest) LoadBrickInto(i int, slab []float32) (*raycast.Brick, error) 
 		return nil, fmt.Errorf("service: %s chunk %d: the file's %v grid is not the manifest's %v (%d bytes from %v)",
 			m.Name, i, g.Dims, ghost, int64(c.SizeBytes), c.GridOrigin)
 	}
-	return &raycast.Brick{
+	b := &raycast.Brick{
 		Grid:       g,
 		Extent:     c.Extent,
 		GridOrigin: c.GridOrigin,
 		FullDims:   m.Dims,
-	}, nil
+	}
+	if err := b.AdoptSkip(skip); err != nil {
+		return nil, fmt.Errorf("service: %s chunk %d: %w", m.Name, i, err)
+	}
+	return b, nil
 }
 
 // Catalog is a set of datasets available to a service, keyed by name.

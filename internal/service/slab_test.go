@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -9,6 +10,8 @@ import (
 
 	"vizsched/internal/core"
 	"vizsched/internal/fracshare"
+	"vizsched/internal/img"
+	"vizsched/internal/raycast"
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
 )
@@ -38,7 +41,7 @@ func TestSlabRecycleLargerIntoSmaller(t *testing.T) {
 	if len(want.Grid.Data) >= len(big.Grid.Data) {
 		t.Fatalf("chunk 2 holds %d voxels, chunk 1 %d: want a smaller one", len(want.Grid.Data), len(big.Grid.Data))
 	}
-	slab := big.Grid.Data
+	slab := big.Slab()
 	got, err := m.LoadBrickInto(2, slab)
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +50,24 @@ func TestSlabRecycleLargerIntoSmaller(t *testing.T) {
 	if len(got.Grid.Data) != d[0]*d[1]*d[2] || got.Grid.Dims != want.Grid.Dims {
 		t.Fatalf("recycled grid is %v with %d voxels, want %v with %d", d, len(got.Grid.Data), want.Grid.Dims, len(want.Grid.Data))
 	}
-	if &got.Grid.Data[0] != &slab[0] {
+	reused := got.Slab()
+	if &reused.Voxels[0] != &slab.Voxels[0] || &reused.Bound[0] != &slab.Bound[0] || &reused.Leap[0] != &slab.Leap[0] {
 		t.Error("the slab was not reused")
 	}
 	for i, v := range want.Grid.Data {
 		if got.Grid.Data[i] != v {
 			t.Fatalf("voxel %d = %v in the recycled slab, %v freshly loaded", i, got.Grid.Data[i], v)
+		}
+	}
+	fresh := want.Slab()
+	if len(reused.Bound) != len(fresh.Bound) || len(reused.Leap) != len(fresh.Leap) {
+		t.Fatalf("recycled skip section holds %d bounds and %d distances, want %d and %d",
+			len(reused.Bound), len(reused.Leap), len(fresh.Bound), len(fresh.Leap))
+	}
+	for i, v := range fresh.Bound {
+		if reused.Bound[i] != v || reused.Leap[i] != fresh.Leap[i] {
+			t.Fatalf("cell %d: bound %v distance %d in the recycled slab, %v and %d freshly loaded",
+				i, reused.Bound[i], reused.Leap[i], v, fresh.Leap[i])
 		}
 	}
 }
@@ -67,19 +82,39 @@ func TestSlabRecycleLoadAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab := b.Grid.Data
+	slab := b.Slab()
 	load := func() {
 		if _, err := m.LoadBrickInto(0, slab); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Measured: 8 allocations, under 1 KB (the path, the file, the grid and
+	// Measured: 7 allocations, under 1 KB (the path, the file, the grid and
 	// brick headers) against the brick's 1 MB.
 	if n := testing.AllocsPerRun(20, load); n > 16 {
 		t.Errorf("a load into a warm slab makes %v allocations, ceiling 16", n)
 	}
 	if b := totalAlloc(load); b > 64<<10 {
 		t.Errorf("a load into a warm slab allocates %d bytes, ceiling 64 KB", b)
+	}
+
+	// live_cold_sweep's brick: half of a 128³ volume, whose skip section
+	// (32×32×17 cells, a float32 and a byte each) would be 85 KB a load if
+	// the bounds and leap map were not read into the slab too.
+	m, err = WriteDataset(t.TempDir(), "nova", volume.Generate(volume.Supernova, 128, 128, 128), 2, "supernova")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = m.LoadBrick(0); err != nil {
+		t.Fatal(err)
+	}
+	slab = b.Slab()
+	const loads = 10
+	if b := totalAlloc(func() {
+		for range loads {
+			load()
+		}
+	}) / loads; b > 4<<10 {
+		t.Errorf("a load of a 128³/2 brick into a warm slab allocates %d bytes, ceiling 4 KB", b)
 	}
 }
 
@@ -139,19 +174,20 @@ func TestSlabRecycleFailedLoadReturnsSlab(t *testing.T) {
 func TestSlabRecycleFreeListPolicy(t *testing.T) {
 	w := NewWorker("w", NewCatalog(), units.MB)
 	for _, n := range []int{100, 400, 200, 50} {
-		w.recycle(make([]float32, n))
+		w.recycle(volume.Slab{Voxels: make([]float32, n), Bound: make([]float32, n/64), Leap: make([]uint8, n/64)})
 	}
 	if len(w.slabs) != maxFreeSlabs {
 		t.Fatalf("free list holds %d slabs, want %d", len(w.slabs), maxFreeSlabs)
 	}
-	if s := w.takeSlab(90); s != nil {
-		t.Errorf("a %d-voxel slab was handed to a 90-voxel brick", cap(s))
+	if s := w.takeSlab(90); s.Voxels != nil {
+		t.Errorf("a %d-voxel slab was handed to a 90-voxel brick", cap(s.Voxels))
 	}
-	if s := w.takeSlab(150); cap(s) != 200 {
-		t.Errorf("a 150-voxel brick got a %d-voxel slab, want the 200", cap(s))
+	if s := w.takeSlab(150); cap(s.Voxels) != 200 || cap(s.Bound) != 3 || cap(s.Leap) != 3 {
+		t.Errorf("a 150-voxel brick got a %d-voxel slab with %d bounds and %d distances, want the 200 with its 3 and 3",
+			cap(s.Voxels), cap(s.Bound), cap(s.Leap))
 	}
-	if s := w.takeSlab(400); cap(s) != 400 || len(w.slabs) != 0 {
-		t.Errorf("a 400-voxel brick got %d voxels, %d slabs left", cap(s), len(w.slabs))
+	if s := w.takeSlab(400); cap(s.Voxels) != 400 || len(w.slabs) != 0 {
+		t.Errorf("a 400-voxel brick got %d voxels, %d slabs left", cap(s.Voxels), len(w.slabs))
 	}
 }
 
@@ -278,13 +314,59 @@ func BenchmarkLoadBrick(b *testing.B) {
 	})
 	b.Run("recycled", func(b *testing.B) {
 		b.SetBytes(int64(m.Chunks[0].SizeBytes))
-		var slab []float32
+		warm, err := m.LoadBrick(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slab := warm.Slab()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			brick, err := m.LoadBrickInto(i%2, slab)
 			if err != nil {
 				b.Fatal(err)
 			}
-			slab = brick.Grid.Data
+			slab = brick.Slab()
 		}
 	})
+}
+
+// BenchmarkMissTask is a cache miss's task on live_cold_sweep's shape
+// without the cluster around it: half of a 128³ volume loaded into the slab
+// the previous brick left, then that brick's first ray-cast at 64², the view
+// turning 2π/32 a task. One sub-benchmark per field the workload cycles
+// through, each under its preset.
+func BenchmarkMissTask(b *testing.B) {
+	for _, f := range []struct {
+		name, tf string
+		field    volume.FieldFunc
+	}{
+		{"supernova", "supernova", volume.Supernova},
+		{"plume", "plume", volume.Plume},
+		{"combustion", "combustion", volume.Combustion},
+		{"turbulence1", "turbulence", volume.Turbulence(1)},
+	} {
+		b.Run(f.name, func(b *testing.B) {
+			m, err := WriteDataset(b.TempDir(), f.name, volume.Generate(f.field, 128, 128, 128), 2, f.tf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tf := raycast.PresetTF(m.TF)
+			opt := raycast.Options{Width: 64, Height: 64, Parallel: true}
+			warm, err := m.LoadBrick(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slab := warm.Slab()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				brick, err := m.LoadBrickInto(i%2, slab)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cam := raycast.NewCamera(float64(i)*2*math.Pi/32, 0.3, 2.4)
+				img.Put(raycast.RenderBrick(brick, cam, tf, opt).Image)
+				slab = brick.Slab()
+			}
+		})
+	}
 }

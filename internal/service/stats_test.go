@@ -47,8 +47,9 @@ func TestStatsCountersAndHandler(t *testing.T) {
 	if s.HitRatePct < 60 || s.MeanTaskMillis <= 0 || s.Workers != 2 {
 		t.Errorf("derived stats wrong: %+v", s)
 	}
-	// Each worker rendered its brick three times: the first render fetches
-	// every sample, the later ones skip what the plume preset cannot see.
+	// Each worker rendered its brick three times, each render skipping what
+	// the plume preset cannot see: the brick came from its file with its
+	// skip section.
 	for i := 0; i < 2; i++ {
 		samples, skipped := cl.Worker(i).RayStats()
 		if samples <= 0 || skipped <= 0 || skipped >= samples {

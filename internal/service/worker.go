@@ -41,9 +41,10 @@ type Worker struct {
 	// datasetNames[id-1] is its inverse.
 	datasetIDs   map[string]volume.DatasetID
 	datasetNames []string
-	// slabs is the free list of voxel slabs the next loads read into
-	// (§5.16): an evicted brick's slab comes here once no render holds it.
-	slabs [][]float32
+	// slabs is the free list of slabs the next loads read into (§5.16):
+	// an evicted brick's voxels, bounds and leap map come here together
+	// once no render holds them.
+	slabs []volume.Slab
 
 	// Heartbeat is the liveness-beacon interval; zero disables heartbeats
 	// (the head then relies on connection errors and task deadlines alone).
@@ -165,36 +166,37 @@ func (w *Worker) chunkID(dataset string, chunk int) volume.ChunkID {
 // datasetName inverts chunkID's mapping for eviction reports.
 func (w *Worker) datasetName(id volume.DatasetID) string { return w.datasetNames[id-1] }
 
-// takeSlab removes from the free list a slab that holds the given number of
-// voxels, or returns nil. A slab over twice that size stays: the quota
-// counts a brick's voxels, and memory riding under a small brick would be
-// hidden from it.
-func (w *Worker) takeSlab(voxels int) []float32 {
+// takeSlab removes from the free list a slab whose voxels hold the given
+// number, or returns the empty Slab. A slab over twice that size stays: the
+// quota counts a brick's voxels, and memory riding under a small brick
+// would be hidden from it. A brick's bounds and leap map are a fixed share
+// of its voxels, so they come along and, for a brick of the same shape, fit.
+func (w *Worker) takeSlab(voxels int) volume.Slab {
 	for i, s := range w.slabs {
-		if voxels <= cap(s) && cap(s) <= 2*voxels {
+		if n := cap(s.Voxels); voxels <= n && n <= 2*voxels {
 			last := len(w.slabs) - 1
-			w.slabs[i], w.slabs[last] = w.slabs[last], nil
+			w.slabs[i], w.slabs[last] = w.slabs[last], volume.Slab{}
 			w.slabs = w.slabs[:last]
 			return s
 		}
 	}
-	return nil
+	return volume.Slab{}
 }
 
 // recycle puts a slab nobody reads any more on the free list. A full list
 // keeps its larger slabs: they serve any brick the smaller ones would.
-func (w *Worker) recycle(slab []float32) {
+func (w *Worker) recycle(slab volume.Slab) {
 	if len(w.slabs) < maxFreeSlabs {
 		w.slabs = append(w.slabs, slab)
 		return
 	}
 	small := 0
 	for i := range w.slabs {
-		if cap(w.slabs[i]) < cap(w.slabs[small]) {
+		if cap(w.slabs[i].Voxels) < cap(w.slabs[small].Voxels) {
 			small = i
 		}
 	}
-	if cap(slab) > cap(w.slabs[small]) {
+	if cap(slab.Voxels) > cap(w.slabs[small].Voxels) {
 		w.slabs[small] = slab
 	}
 }
@@ -202,12 +204,12 @@ func (w *Worker) recycle(slab []float32) {
 // fetch reads a chunk from disk into a recycled slab when one fits. The
 // slab goes back to the free list when the load fails.
 func (w *Worker) fetch(m *Manifest, chunk int) (*raycast.Brick, error) {
-	var slab []float32
+	var slab volume.Slab
 	if chunk >= 0 && chunk < len(m.Chunks) {
 		slab = w.takeSlab(int(m.Chunks[chunk].SizeBytes / 4))
 	}
 	brick, err := m.LoadBrickInto(chunk, slab)
-	if err != nil && slab != nil {
+	if err != nil && slab.Voxels != nil {
 		w.recycle(slab)
 	}
 	return brick, err
@@ -222,7 +224,7 @@ func (w *Worker) drop(evictedIDs []volume.ChunkID) []ChunkRef {
 		r := w.bricks[ev]
 		delete(w.bricks, ev)
 		if r.renders == 0 {
-			w.recycle(r.brick.Grid.Data)
+			w.recycle(r.brick.Slab())
 		} else {
 			r.evicted = true
 		}
@@ -237,7 +239,7 @@ func (w *Worker) release(r *resident) {
 	defer w.cacheMu.Unlock()
 	r.renders--
 	if r.evicted && r.renders == 0 {
-		w.recycle(r.brick.Grid.Data)
+		w.recycle(r.brick.Slab())
 	}
 }
 
@@ -296,7 +298,7 @@ func (w *Worker) prefetch(p PrefetchBody) PrefetchDoneBody {
 	}
 	evictedIDs, ok := w.lru.InsertCold(cid, brick.Grid.SizeBytes())
 	if !ok {
-		w.recycle(brick.Grid.Data)
+		w.recycle(brick.Slab())
 		return done // quota pinned solid; drop the warm
 	}
 	done.Evicted = w.drop(evictedIDs)
@@ -577,9 +579,10 @@ func (w *Worker) ServeLoop(dial func() (transport.Conn, error), rc ReconnectConf
 
 // RayStats reports how many sample positions this worker's rays have
 // visited and how many of them empty-space skipping stepped over without a
-// voxel fetch (raycast.Fragment). The ratio is near zero on a worker whose
-// bricks are evicted before they are rendered twice, and is most of the
-// samples on a warm one: the renderer's half of what a task costs.
+// voxel fetch (raycast.Fragment). Bricks come from their files with their
+// skip structure (§5.16), so a miss skips like a hit, and the ratio is the
+// share of the rendered space the transfer function cannot see, warm
+// worker or cold: the renderer's half of what a task costs.
 func (w *Worker) RayStats() (samples, skipped int64) {
 	return w.raySamples.Load(), w.raySkipped.Load()
 }
