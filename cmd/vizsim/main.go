@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"vizsched/internal/experiments"
@@ -37,7 +38,7 @@ func main() {
 	traceCSV := flag.String("trace", "", "write an event trace CSV to this path (single -sched only)")
 	ganttSVG := flag.String("gantt", "", "write a node-occupancy Gantt SVG to this path (single -sched only)")
 	ganttSeconds := flag.Float64("gantt-window", 5, "Gantt time window in seconds from the start")
-	verbose := flag.Bool("v", false, "print latency histograms, and wall time and peak RSS on stderr")
+	verbose := flag.Bool("v", false, "print latency histograms, and wall time, peak RSS, allocated bytes and final live heap on stderr")
 	saveWL := flag.String("save-workload", "", "save the generated workload to this file and exit")
 	loadWL := flag.String("load-workload", "", "replay a workload saved with -save-workload")
 	faults := flag.Float64("faults", 0,
@@ -53,8 +54,12 @@ func main() {
 	tenants := flag.Int("tenants", 0, "spread users over this many tenants (0: single default tenant)")
 	tenantSkew := flag.Float64("skew", 0, "Zipf exponent for tenant demand skew with -tenants; 0 = uniform")
 	flag.Parse()
+	// held keeps the last single-scheduler run's engine alive until the cost
+	// line's final collection, so its live heap is the run's end state.
+	var held *sim.Engine
 	if *verbose {
-		defer printCost(time.Now())
+		start := time.Now()
+		defer func() { printCost(start, held) }()
 	}
 
 	if *scenario < 1 || *scenario > 4 {
@@ -139,7 +144,8 @@ func main() {
 			tl = trace.New(2_000_000)
 			ecfg.Trace = tl
 		}
-		rep := sim.New(ecfg).Run(wl, 0)
+		held = sim.New(ecfg)
+		rep := held.Run(wl, 0)
 		fmt.Println(rep)
 		printRecovery(rep)
 		printQoS(rep)
@@ -222,9 +228,19 @@ func main() {
 	}
 }
 
-// printCost writes the wall time since start and the peak resident set to
-// stderr, leaving stdout's bytes as they are.
-func printCost(start time.Time) {
-	fmt.Fprintf(os.Stderr, "vizsim: wall %v, peak RSS %d MB\n",
-		time.Since(start).Round(time.Millisecond), peakRSS()>>20)
+// printCost writes to stderr, leaving stdout's bytes as they are, the wall
+// time since start, the peak resident set, the bytes allocated over the
+// run, and the heap still live after a final collection with eng (nil
+// after -sched all) held. The last two are counts the Go runtime keeps, so
+// unlike the resident set they do not move with when the collector happened
+// to run.
+func printCost(start time.Time, eng *sim.Engine) {
+	wall := time.Since(start).Round(time.Millisecond)
+	rss := peakRSS()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(eng)
+	fmt.Fprintf(os.Stderr, "vizsim: wall %v, peak RSS %d MB, allocated %d MB, live heap after GC %d MB\n",
+		wall, rss>>20, ms.TotalAlloc>>20, ms.HeapAlloc>>20)
 }

@@ -1,18 +1,21 @@
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"vizsched/internal/queue"
+)
 
 // fifo is an unbounded first-in-first-out queue between goroutines: push
 // never blocks, pop waits for an item. It is the head's per-worker send
 // queue and each of a worker's two task lanes, whose usual depth is zero or
-// one — so it keeps a head index into one backing array and goes back to the
-// array's start whenever it drains, and a steady push/pop makes no garbage
-// (a `q = q[1:]` window walks off its array and reallocates on every push).
+// one. It adds a lock, a wake-up and close to queue.FIFO, which goes back to
+// its array's start whenever it drains, so a steady push/pop makes no
+// garbage.
 type fifo[T any] struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	buf    []T
-	head   int // buf[head:] is queued
+	buf    queue.FIFO[T]
 	closed bool
 }
 
@@ -29,14 +32,7 @@ func (q *fifo[T]) push(v T) bool {
 	if q.closed {
 		return false
 	}
-	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
-		// A queue that never drains: slide down over the popped half
-		// rather than grow behind a head that only advances.
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, v)
+	q.buf.Push(v)
 	q.cond.Signal()
 	return true
 }
@@ -46,19 +42,10 @@ func (q *fifo[T]) push(v T) bool {
 func (q *fifo[T]) pop() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.head == len(q.buf) && !q.closed {
+	for q.buf.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.head == len(q.buf) {
-		return v, false
-	}
-	var zero T
-	v, q.buf[q.head] = q.buf[q.head], zero // the array must not pin what left
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return v, true
+	return q.buf.Pop()
 }
 
 // close refuses further pushes and wakes every waiting pop.

@@ -23,7 +23,7 @@ func TestFifoOrderAndClose(t *testing.T) {
 		}
 		next++
 	}
-	if c := cap(q.buf); c > 4096 {
+	if c := q.buf.Cap(); c > 4096 {
 		t.Errorf("1000 queued items sit in an array of %d", c)
 	}
 	for ; next < 1990; next++ {

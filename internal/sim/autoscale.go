@@ -138,7 +138,7 @@ func (s *autoScaler) Drain(k core.NodeID) int {
 		e.backlog.Requeue(t)
 		moved++
 	}
-	for t := n.pop(); t != nil; t = n.pop() {
+	for t, ok := n.ready.Pop(); ok; t, ok = n.ready.Pop() {
 		migrate(t)
 	}
 	for _, c := range n.waitingChunks() {

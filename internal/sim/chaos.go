@@ -203,7 +203,7 @@ func (e *Engine) stallNode(k core.NodeID) *node {
 		e.emit(trace.Event{Kind: trace.PrefetchCancel, Node: n.id, Chunk: n.pfChunk})
 		if len(n.pfWaiters) > 0 {
 			n.waiters[n.pfChunk] = append(n.waiters[n.pfChunk], n.pfWaiters...)
-			n.loadq = append(n.loadq, n.pfChunk)
+			n.loadq.Push(n.pfChunk)
 			n.pfWaiters = nil
 		}
 	}

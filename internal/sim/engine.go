@@ -35,6 +35,7 @@ import (
 	"vizsched/internal/metrics"
 	"vizsched/internal/prefetch"
 	"vizsched/internal/qos"
+	"vizsched/internal/queue"
 	"vizsched/internal/shard"
 	"vizsched/internal/trace"
 	"vizsched/internal/units"
@@ -181,10 +182,8 @@ type node struct {
 	mem *cache.Store
 	gpu *cache.Store // nil unless the two-level hierarchy is enabled
 
-	// fifo holds the tasks ready for a slot, in arrival order. head gives
-	// amortized O(1) pops.
-	fifo []*core.Task
-	head int
+	// ready holds the tasks ready for a slot, in arrival order.
+	ready queue.FIFO[*core.Task]
 
 	// order holds the running demand tasks in start order — the order
 	// re-pricing, stall, resume and a crash's requeue walk; guest is the
@@ -194,8 +193,7 @@ type node struct {
 
 	// Overlap-mode I/O channel: one load at a time; tasks whose chunk is in
 	// flight wait in waiters.
-	loadq      []volume.ChunkID
-	loadHead   int
+	loadq      queue.FIFO[volume.ChunkID]
 	waiters    map[volume.ChunkID][]*core.Task
 	loadTimer  des.Timer
 	loadActive bool
@@ -244,22 +242,6 @@ type node struct {
 // executing reports whether any slot of n holds a task.
 func (n *node) executing() bool { return len(n.order) > 0 || n.guest != nil }
 
-func (n *node) push(t *core.Task) { n.fifo = append(n.fifo, t) }
-
-func (n *node) pop() *core.Task {
-	if n.head >= len(n.fifo) {
-		return nil
-	}
-	t := n.fifo[n.head]
-	n.fifo[n.head] = nil
-	n.head++
-	if n.head > 1024 && n.head*2 > len(n.fifo) {
-		n.fifo = append(n.fifo[:0], n.fifo[n.head:]...)
-		n.head = 0
-	}
-	return t
-}
-
 // waitingChunks lists the chunks tasks wait on the I/O channel for, in chunk
 // order, so that walking the waiters never depends on map order.
 func (n *node) waitingChunks() []volume.ChunkID {
@@ -269,19 +251,6 @@ func (n *node) waitingChunks() []volume.ChunkID {
 	}
 	slices.SortFunc(chunks, volume.CompareChunks)
 	return chunks
-}
-
-func (n *node) popLoad() (volume.ChunkID, bool) {
-	if n.loadHead >= len(n.loadq) {
-		return volume.ChunkID{}, false
-	}
-	c := n.loadq[n.loadHead]
-	n.loadHead++
-	if n.loadHead > 256 && n.loadHead*2 > len(n.loadq) {
-		n.loadq = append(n.loadq[:0], n.loadq[n.loadHead:]...)
-		n.loadHead = 0
-	}
-	return c, true
 }
 
 // Engine runs one scenario.
@@ -696,7 +665,7 @@ func (e *Engine) enqueue(n *node, t *core.Task) {
 	} else if e.pref != nil && n.mem.Pin(t.Chunk) {
 		e.pinned[t] = true
 	}
-	n.push(t)
+	n.ready.Push(t)
 	if len(n.order) < e.slots {
 		e.start(n)
 	}
@@ -736,7 +705,7 @@ func (e *Engine) accessOnChannel(n *node, t *core.Task) (ready bool) {
 	ws, loading := n.waiters[t.Chunk]
 	n.waiters[t.Chunk] = append(ws, t)
 	if !loading {
-		n.loadq = append(n.loadq, t.Chunk)
+		n.loadq.Push(t.Chunk)
 		e.kickLoad(n)
 	}
 	return false
@@ -794,7 +763,7 @@ func (e *Engine) kickLoad(n *node) {
 	if n.loadActive || n.failed || n.stalled {
 		return
 	}
-	c, ok := n.popLoad()
+	c, ok := n.loadq.Pop()
 	if !ok {
 		return
 	}
@@ -823,7 +792,7 @@ func (e *Engine) kickLoad(n *node) {
 				// and carries the evictions to the head's correction.
 				n.accessed[t] = access{miss: true, channel: dur, evicted: evicted}
 			}
-			n.push(t)
+			n.ready.Push(t)
 		}
 		e.start(n)
 		e.kickLoad(n)
@@ -916,7 +885,7 @@ func (e *Engine) fail(k core.NodeID) {
 	n.loadTimer.Cancel()
 	n.loadTimer = des.Timer{}
 	n.loadActive = false
-	for t := n.pop(); t != nil; t = n.pop() {
+	for t, ok := n.ready.Pop(); ok; t, ok = n.ready.Pop() {
 		requeue(t)
 	}
 	for _, c := range n.waitingChunks() {
@@ -934,8 +903,7 @@ func (e *Engine) fail(k core.NodeID) {
 		requeue(res.Task)
 	}
 	n.pendingResults = nil
-	n.loadq = nil
-	n.loadHead = 0
+	n.loadq = queue.FIFO[volume.ChunkID]{}
 	fresh := e.newNode(k)
 	fresh.failed = true
 	e.nodes[k] = fresh

@@ -70,8 +70,8 @@ type access struct {
 // after a stall: re-pricing a node that is up restores every suspended rate.
 func (e *Engine) start(n *node) {
 	for !n.failed && !n.stalled && len(n.order) < e.slots {
-		t := n.pop()
-		if t == nil {
+		t, ok := n.ready.Pop()
+		if !ok {
 			break
 		}
 		n.order = append(n.order, e.run(n, t))

@@ -131,7 +131,7 @@ walk:
 		if n.failed || n.stalled || n.draining || n.partitioned {
 			continue
 		}
-		if len(n.order) > 0 || n.head < len(n.fifo) || n.loadActive || len(n.waiters) > 0 {
+		if len(n.order) > 0 || n.ready.Len() > 0 || n.loadActive || len(n.waiters) > 0 {
 			continue
 		}
 		guard := true

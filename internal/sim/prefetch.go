@@ -71,7 +71,7 @@ func (e *Engine) completePrefetch(n *node) {
 			}
 			e.head.NotePrefetchHidden()
 			e.emit(trace.Event{Kind: trace.PrefetchHit, Job: t.Job.ID, Class: t.Job.Class, Task: t.Index, Node: n.id, Chunk: c})
-			n.push(t)
+			n.ready.Push(t)
 		}
 		e.start(n)
 		return

@@ -258,7 +258,7 @@ func (se *ShardedEngine) idleExecutors(i int) int {
 	}
 	idle := 0
 	for _, n := range sub.nodes {
-		if !n.failed && !n.stalled && !n.partitioned && n.head >= len(n.fifo) {
+		if !n.failed && !n.stalled && !n.partitioned && n.ready.Len() == 0 {
 			idle += sub.slots - len(n.order)
 		}
 	}
