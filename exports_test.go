@@ -20,6 +20,7 @@ import (
 // harness or fake, a comparator that tests of other code use, or an
 // accessor through which a test reads production state.
 var keptExports = map[string]string{
+	"core.CheckRecords":                   "harness: core, sim, service and hastate tests hold every job to its task records with it",
 	"core.HeadState.IsPrefetched":         "accessor: core and prefetch tests read a chunk's prefetched mark",
 	"core.HeadState.Home":                 "accessor: replication and drain tests read a chunk's home node",
 	"core.HeadState.Draining":             "accessor: drain and invariant tests read a node's drain state",

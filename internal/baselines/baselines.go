@@ -68,14 +68,14 @@ func assignAll(now units.Time, jobs []*core.Job, head *core.HeadState,
 	for _, j := range jobs {
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			k, ok := pick(t)
 			if !ok {
 				return out
 			}
-			t.Assigned = true
+			t.Assign()
 			head.CommitAssign(t, k, now)
 			out = append(out, core.Assignment{Task: t, Node: k})
 		}
@@ -197,7 +197,7 @@ func (s *SF) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) [
 		var sum units.Duration
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if !t.Assigned {
+			if !t.Assigned() {
 				sum += head.Estimate(t.Chunk, t.Size, j.GroupSize())
 			}
 		}
@@ -252,14 +252,14 @@ func (s *FS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) [
 	for _, j := range ordered {
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			k, ok := greedyNode(head)
 			if !ok {
 				return out
 			}
-			t.Assigned = true
+			t.Assign()
 			exec := head.CommitAssign(t, k, now)
 			s.service[j.Action] += exec
 			out = append(out, core.Assignment{Task: t, Node: k})

@@ -44,14 +44,14 @@ func (d *Delay) Cycle() units.Duration { return d.Period }
 func (d *Delay) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
 	var out []core.Assignment
 	assign := func(t *core.Task, k core.NodeID) {
-		t.Assigned = true
+		t.Assign()
 		head.CommitAssign(t, k, now)
 		out = append(out, core.Assignment{Task: t, Node: k})
 	}
 	for _, j := range queue {
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			local := head.CachedOn(t.Chunk)

@@ -43,7 +43,7 @@ func TestDelayDefersWhenLocalTooBusy(t *testing.T) {
 	if len(as) != 0 {
 		t.Fatalf("assigned %v, want deferral", as)
 	}
-	if j.Tasks[0].Assigned {
+	if j.Tasks[0].Assigned() {
 		t.Error("task marked assigned while deferred")
 	}
 	// After the job has waited past D, it accepts a non-local node.
@@ -104,7 +104,7 @@ func TestDelayAllNodesDeadThenRepair(t *testing.T) {
 	if as := d.Schedule(units.Time(20*units.Millisecond), []*core.Job{j}, h); len(as) != 0 {
 		t.Fatalf("assigned %v with every node down", as)
 	}
-	if j.Tasks[0].Assigned {
+	if j.Tasks[0].Assigned() {
 		t.Fatal("task marked assigned with every node down")
 	}
 	// A repair restores service; the task lands on the revived node, cold.

@@ -70,7 +70,7 @@ func (s *DFRS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState)
 	for _, j := range queue {
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			var k core.NodeID
@@ -83,7 +83,7 @@ func (s *DFRS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState)
 			if !ok {
 				continue // late binding: no capacity now, re-bind next window
 			}
-			t.Assigned = true
+			t.Assign()
 			head.CommitAssign(t, k, now)
 			out = append(out, core.Assignment{Task: t, Node: k})
 		}

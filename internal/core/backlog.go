@@ -86,7 +86,7 @@ func (b *Backlog) Pass(now units.Time, s Scheduler, head *HeadState, planner Pre
 
 	for _, a := range assignments {
 		t := a.Task
-		if !t.Assigned {
+		if t.State != TaskAssigned {
 			panic(fmt.Sprintf("core: scheduler %s returned unmarked assignment %v", s.Name(), t))
 		}
 		if t.Job.Remaining--; t.Job.Remaining < 0 {
@@ -226,25 +226,84 @@ func (b *Backlog) Push(j *Job) {
 	}
 }
 
-// Requeue hands back assigned task t, presumed lost or taken off a draining
-// node, unassigned and unpredicted; its job re-enters at the back if it had
-// left.
+// The task transitions (DESIGN.md §5.5). Each moves one task between
+// TaskStates and does the backlog step that goes with the move, so that a
+// job's Remaining counts its queued tasks and Done its done ones. A task in
+// a state the transition does not start from is a bug in the plane, and
+// panics.
+
+// Requeue hands back task t — assigned, held or journaled: presumed lost,
+// taken off a draining node, or journaled with its pixels never back —
+// queued and unpredicted; its job re-enters at the back if it had left.
 func (b *Backlog) Requeue(t *Task) {
-	t.Assigned, t.PredictedExec = false, 0
+	t.move("requeue", 1<<TaskAssigned|1<<TaskHeld|1<<TaskJournaled, TaskQueued)
+	t.PredictedExec = 0
 	if t.Job.Remaining == 0 {
 		b.Push(t.Job)
 	}
 	t.Job.Remaining++
 }
 
-// Reclaim assigns requeued task t again, its first dispatch having
-// completed after all; its job leaves if that was its last unassigned task.
+// Reclaim assigns queued task t outside a pass — its first dispatch
+// completed after all, or a journal replays its dispatch; its job leaves if
+// that was its last queued task.
 func (b *Backlog) Reclaim(t *Task) {
-	t.Assigned = true
-	t.Job.Remaining--
-	if t.Job.Remaining == 0 {
+	t.move("reclaim", 1<<TaskQueued, TaskAssigned)
+	if t.Job.Remaining--; t.Job.Remaining == 0 {
 		b.Remove(t.Job)
 	}
+}
+
+// Hold moves task t, assigned or journaled, to held: it missed its deadline
+// and waits out a backoff before its Requeue.
+func (b *Backlog) Hold(t *Task) {
+	t.move("hold", 1<<TaskAssigned|1<<TaskJournaled, TaskHeld)
+}
+
+// Journal moves assigned task t to journaled: a replayed journal holds its
+// completion, and its pixels are still on the worker that rendered it.
+func (b *Backlog) Journal(t *Task) {
+	t.move("journal", 1<<TaskAssigned, TaskJournaled)
+}
+
+// Complete moves task t — assigned, held or journaled — to done and books
+// its execution time exec on its job. It reports whether every task of the
+// job is done.
+func (b *Backlog) Complete(t *Task, exec units.Duration) bool {
+	t.move("completion", 1<<TaskAssigned|1<<TaskHeld|1<<TaskJournaled, TaskDone)
+	j := t.Job
+	j.MaxExec = max(j.MaxExec, exec)
+	j.Done++
+	return j.Done == len(j.Tasks)
+}
+
+// move sets t's state to to if it is one of the set from (a bit per state),
+// and panics naming the transition if it is not.
+func (t *Task) move(transition string, from uint8, to TaskState) {
+	if from&(1<<t.State) == 0 {
+		panic(fmt.Sprintf("core: %s of %v, which is %v", transition, t, t.State))
+	}
+	t.State = to
+}
+
+// CheckRecords holds job j to its task records: Remaining must count the
+// queued tasks and Done the done ones. The transitions keep both by
+// construction; both planes' tests call it after every step.
+func CheckRecords(j *Job) error {
+	queued, done := 0, 0
+	for i := range j.Tasks {
+		switch j.Tasks[i].State {
+		case TaskQueued:
+			queued++
+		case TaskDone:
+			done++
+		}
+	}
+	if j.Remaining != queued || j.Done != done {
+		return fmt.Errorf("core: job %d: Remaining %d over %d queued tasks, Done %d over %d done",
+			j.ID, j.Remaining, queued, j.Done, done)
+	}
+	return nil
 }
 
 // Remove takes j out of the backlog; it does nothing if j is not queued.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vizsched/internal/units"
 	"vizsched/internal/volume"
@@ -125,7 +126,7 @@ func (r *refQueue) compact() {
 }
 
 func (r *refQueue) requeue(t *Task) {
-	t.Assigned = false
+	t.State = TaskQueued
 	t.PredictedExec = 0
 	if t.Job.Remaining == 0 {
 		r.queue = append(r.queue, t.Job)
@@ -185,7 +186,7 @@ func (r *refQueue) admit(q *fifoFair, gated bool, j *Job, maxQueue int, dropStal
 }
 
 func (r *refQueue) reclaim(t *Task) {
-	t.Assigned = true
+	t.Assign()
 	t.Job.Remaining--
 	if t.Job.Remaining == 0 {
 		r.unqueue(t.Job)
@@ -275,12 +276,17 @@ func (s *backlogScript) pick(arg int, ok func(j *Job) bool) int {
 	return cand[arg%len(cand)]
 }
 
-// task returns the index of the arg-th (cyclically) of job i's tasks whose
-// Assigned flag equals assigned.
-func (s *backlogScript) task(i, arg int, assigned bool) int {
+// in reports whether job j has a task in one of states.
+func in(j *Job, states ...TaskState) bool {
+	return slices.ContainsFunc(j.Tasks, func(t Task) bool { return slices.Contains(states, t.State) })
+}
+
+// task returns the index of the arg-th (cyclically) of job i's tasks in one
+// of states.
+func (s *backlogScript) task(i, arg int, states ...TaskState) int {
 	var cand []int
 	for k, t := range s.jobs[1][i].Tasks {
-		if t.Assigned == assigned {
+		if slices.Contains(states, t.State) {
 			cand = append(cand, k)
 		}
 	}
@@ -290,7 +296,11 @@ func (s *backlogScript) task(i, arg int, assigned bool) int {
 func (s *backlogScript) run() {
 	for len(s.data) > 0 {
 		s.step++
-		op, arg := s.next()%8, s.next()
+		// Ops 8 and 9 came last: a byte below 8 names the op it always did.
+		op, arg := s.next()%16, s.next()
+		if op >= 10 {
+			op -= 8
+		}
 		switch op {
 		case 0: // admission
 			bj, rj := s.newJob(arg)
@@ -336,7 +346,7 @@ func (s *backlogScript) run() {
 			if p >= 0 {
 				if placed := unassigned(want[p], arg%5); len(placed) > 0 {
 					for _, t := range placed {
-						t.Assigned = true
+						t.Assign()
 						t.Job.Remaining--
 					}
 					wantTouched = 1
@@ -350,17 +360,17 @@ func (s *backlogScript) run() {
 			if slices.ContainsFunc(s.b.present[:cap(s.b.present)], func(j *Job) bool { return j != nil }) {
 				s.t.Fatalf("step %d: Present's scratch pins a job after Compact", s.step)
 			}
-		case 4: // a crash or a drain hands back an assigned task
-			i := s.pick(arg, func(j *Job) bool { return j.Remaining < len(j.Tasks) })
+		case 4: // a crash, a drain or a backoff's end hands back an assigned or held task
+			i := s.pick(arg, func(j *Job) bool { return in(j, TaskAssigned, TaskHeld) })
 			if i >= 0 {
-				k := s.task(i, s.next(), true)
+				k := s.task(i, s.next(), TaskAssigned, TaskHeld)
 				s.b.Requeue(&s.jobs[0][i].Tasks[k])
 				s.ref.requeue(&s.jobs[1][i].Tasks[k])
 			}
 		case 5: // a requeued task's first dispatch completes after all
 			i := s.pick(arg, func(j *Job) bool { return slices.Contains(s.ref.queue, j) })
 			if i >= 0 {
-				k := s.task(i, s.next(), false)
+				k := s.task(i, s.next(), TaskQueued)
 				s.b.Reclaim(&s.jobs[0][i].Tasks[k])
 				s.ref.reclaim(&s.jobs[1][i].Tasks[k])
 			}
@@ -383,15 +393,41 @@ func (s *backlogScript) run() {
 			for _, j := range got {
 				s.gone[j.ID-1] = true
 			}
+		case 8: // an assigned task misses its deadline
+			i := s.pick(arg, func(j *Job) bool { return in(j, TaskAssigned) })
+			if i >= 0 {
+				k := s.task(i, s.next(), TaskAssigned)
+				s.b.Hold(&s.jobs[0][i].Tasks[k])
+				s.jobs[1][i].Tasks[k].State = TaskHeld
+			}
+		case 9: // an assigned or held task completes
+			i := s.pick(arg, func(j *Job) bool { return in(j, TaskAssigned, TaskHeld) })
+			if i >= 0 {
+				k := s.task(i, s.next(), TaskAssigned, TaskHeld)
+				exec := units.Duration(s.next()) * units.Millisecond
+				last := s.b.Complete(&s.jobs[0][i].Tasks[k], exec)
+				r := s.jobs[1][i]
+				r.Tasks[k].State, r.MaxExec = TaskDone, max(r.MaxExec, exec)
+				if r.Done++; last != (r.Done == len(r.Tasks)) {
+					s.t.Fatalf("step %d: completing job %d's task %d reported last %v with %d of %d done",
+						s.step, r.ID, k, last, r.Done, len(r.Tasks))
+				}
+			}
 		}
 		s.check(s.b.Present(), s.ref.present())
 	}
 }
 
-// check holds the Backlog to the reference after a step.
+// check holds every job to its task records, then the Backlog to the
+// reference, after a step.
 func (s *backlogScript) check(present, want []*Job) {
 	t := s.t
 	t.Helper()
+	for _, j := range s.jobs[0] {
+		if err := CheckRecords(j); err != nil {
+			t.Fatalf("step %d: %v", s.step, err)
+		}
+	}
 	if !slices.Equal(ids(present), ids(want)) {
 		t.Fatalf("step %d: Present() = %v, want %v", s.step, ids(present), ids(want))
 	}
@@ -436,11 +472,12 @@ func (s *backlogScript) check(present, want []*Job) {
 			t.Fatalf("step %d: job %d queued = %v with %d tasks unassigned, gone %v, in the fair queue %v",
 				s.step, j.ID, queued[j], j.Remaining, s.gone[i], waiting[j])
 		}
-		if j.Remaining != r.Remaining || !slices.EqualFunc(j.Tasks, r.Tasks, func(a, b Task) bool {
-			return a.Assigned == b.Assigned && a.PredictedExec == b.PredictedExec
+		if j.Remaining != r.Remaining || j.Done != r.Done || j.MaxExec != r.MaxExec || !slices.EqualFunc(j.Tasks, r.Tasks, func(a, b Task) bool {
+			return a.State == b.State && a.PredictedExec == b.PredictedExec
 		}) {
 			t.Fatalf("step %d: job %d's tasks differ from the reference's", s.step, j.ID)
 		}
+
 	}
 }
 
@@ -511,7 +548,7 @@ func (p *windowPlanner) Plan(now, lambda units.Time, head *HeadState) []Prefetch
 func unassigned(j *Job, n int) []*Task {
 	var out []*Task
 	for i := range j.Tasks {
-		if t := &j.Tasks[i]; !t.Assigned && len(out) < n {
+		if t := &j.Tasks[i]; !t.Assigned() && len(out) < n {
 			out = append(out, t)
 		}
 	}
@@ -522,7 +559,7 @@ func unassigned(j *Job, n int) []*Task {
 func place(node NodeID, tasks ...*Task) []Assignment {
 	var out []Assignment
 	for _, t := range tasks {
-		t.Assigned = true
+		t.Assign()
 		out = append(out, Assignment{Task: t, Node: node})
 	}
 	return out
@@ -714,7 +751,7 @@ func admissionJob(name string) *Job {
 		j.Tasks[i] = Task{Job: j, Index: i}
 	}
 	if strings.HasSuffix(name, "*") {
-		j.Tasks[0].Assigned = true
+		j.Tasks[0].Assign()
 		j.Remaining--
 	}
 	return j
@@ -725,4 +762,14 @@ func jobID(j *Job) JobID {
 		return 0
 	}
 	return j.ID
+}
+
+// TestTaskRecordFitsTask: a task's record is its State, in the padding a
+// bool once took, so a Task stays within 56 bytes. Every queued job holds
+// one per chunk: a record kept beside them once cost full-scale Scenario 4
+// OURS a tenth of its wall time.
+func TestTaskRecordFitsTask(t *testing.T) {
+	if size := unsafe.Sizeof(Task{}); size > 56 {
+		t.Errorf("core.Task is %d bytes, want at most 56", size)
+	}
 }

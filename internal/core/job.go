@@ -60,8 +60,25 @@ type Job struct {
 	// Tasks is the decomposition; populated by the engine from the dataset's
 	// chunking before the job is first presented to a scheduler.
 	Tasks []Task
-	// Remaining counts tasks not yet assigned; the engine maintains it.
+	// Remaining counts the queued tasks. Pass and Backlog's transitions
+	// keep it; a plane sets it only when it builds the job.
 	Remaining int
+	// The job's book: Started is JS, the start of its first task, from the
+	// first Start; Done counts the tasks Complete moved to done, and MaxExec
+	// is the largest execution it was given. A plane that reuses a Job
+	// resets them with the rest.
+	Started units.Time
+	Done    int
+	MaxExec units.Duration
+	started bool
+}
+
+// Start opens the job's book at now, the start of one of its tasks; only
+// the first call counts.
+func (j *Job) Start(now units.Time) {
+	if !j.started {
+		j.Started, j.started = now, true
+	}
 }
 
 // GroupSize returns the size of the job's render group for compositing-cost
@@ -75,14 +92,45 @@ type Task struct {
 	Index int
 	Chunk volume.ChunkID
 	Size  units.Bytes
-	// Assigned is set once a scheduler has placed the task; schedulers must
-	// skip tasks that are already assigned.
-	Assigned bool
+	// State is where the task is in its lifecycle (TaskState). A scheduler
+	// moves a queued task to assigned with Assign; Backlog's transitions
+	// make every other move.
+	State TaskState
 	// PredictedExec is the execution time the head tables forecast when the
 	// task was committed; the engine threads it into TaskResult so Correct
 	// can measure prediction drift.
 	PredictedExec units.Duration
 }
+
+// TaskState is where a task is in its lifecycle, on either plane (DESIGN.md
+// §5.5). The zero value is queued.
+type TaskState uint8
+
+// Task states.
+const (
+	TaskQueued    TaskState = iota // in its job's Remaining, waiting for a pass
+	TaskAssigned                   // placed on a node and not back yet
+	TaskHeld                       // missed its deadline; waits out a backoff before its requeue
+	TaskJournaled                  // its completion was journaled before a takeover (§5.10); its pixels are not back yet
+	TaskDone                       // completed
+)
+
+// String implements fmt.Stringer.
+func (s TaskState) String() string {
+	if int(s) < len(taskStates) {
+		return taskStates[s]
+	}
+	return fmt.Sprintf("TaskState(%d)", uint8(s))
+}
+
+var taskStates = [...]string{"queued", "assigned", "held", "journaled", "done"}
+
+// Assigned reports whether the task has left the queue: schedulers skip it.
+func (t *Task) Assigned() bool { return t.State != TaskQueued }
+
+// Assign marks a queued task placed: what a Scheduler does to each task it
+// returns in an assignment. Pass then counts it off its job's Remaining.
+func (t *Task) Assign() { t.State = TaskAssigned }
 
 // String renders the task as "J12/T3".
 func (t *Task) String() string { return fmt.Sprintf("J%d/T%d", int64(t.Job.ID), t.Index) }

@@ -255,7 +255,7 @@ func (s *LocalityScheduler) add(class Class, j *Job, head *HeadState) {
 	byChunk := &s.byChunk[class]
 	for i := range j.Tasks {
 		t := &j.Tasks[i]
-		if t.Assigned {
+		if t.Assigned() {
 			continue
 		}
 		g, _ := byChunk.Get(t.Chunk)
@@ -317,7 +317,7 @@ func (s *LocalityScheduler) carries(batch []*Job, head *HeadState) (int, bool) {
 // rebuilt next cycle.
 func (s *LocalityScheduler) front(g *chunkGroup) *Task {
 	for ; g.off < len(g.tasks); g.drop() {
-		if t := g.tasks[g.off]; !t.Assigned {
+		if t := g.tasks[g.off]; !t.Assigned() {
 			return t
 		}
 		s.hbHead = nil
@@ -333,7 +333,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	// take assigns g's first pending task t to node k; t leaves the group.
 	take := func(g *chunkGroup, t *Task, k NodeID) {
 		g.drop()
-		t.Assigned = true
+		t.Assign()
 		head.CommitAssign(t, k, now)
 		out = append(out, Assignment{Task: t, Node: k})
 	}
@@ -505,7 +505,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 				break // no pending batch work anywhere
 			}
 			g.drop()
-			pick.Assigned = true
+			pick.Assign()
 			head.CommitCoAssign(pick, node, now)
 			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
 		}

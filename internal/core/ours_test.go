@@ -42,7 +42,7 @@ func TestOursSchedulesAllInteractiveTasks(t *testing.T) {
 	}
 	for _, j := range []*Job{j1, j2} {
 		for i := range j.Tasks {
-			if !j.Tasks[i].Assigned {
+			if !j.Tasks[i].Assigned() {
 				t.Errorf("task %v left unassigned", &j.Tasks[i])
 			}
 		}
@@ -144,7 +144,7 @@ func TestOursCachedBatchFillsUntilLambda(t *testing.T) {
 	// The rest remain unassigned for the next cycle.
 	unassigned := 0
 	for _, j := range many {
-		if !j.Tasks[0].Assigned {
+		if !j.Tasks[0].Assigned() {
 			unassigned++
 		}
 	}
@@ -201,7 +201,7 @@ func TestOursAllNodesFailedLeavesQueue(t *testing.T) {
 	if len(as) != 0 {
 		t.Errorf("assigned %d tasks with no nodes alive", len(as))
 	}
-	if j.Tasks[0].Assigned || j.Tasks[1].Assigned {
+	if j.Tasks[0].Assigned() || j.Tasks[1].Assigned() {
 		t.Error("tasks marked assigned with no nodes alive")
 	}
 }
@@ -389,7 +389,7 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 	requeue := func(j *Job) {
 		var assigned []int
 		for i := range j.Tasks {
-			if j.Tasks[i].Assigned {
+			if j.Tasks[i].Assigned() {
 				assigned = append(assigned, i)
 			}
 		}
@@ -397,7 +397,7 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 			return
 		}
 		task := &j.Tasks[assigned[rng.Intn(len(assigned))]]
-		task.Assigned, task.PredictedExec = false, 0
+		task.State, task.PredictedExec = TaskQueued, 0
 		if j.Remaining == 0 {
 			queue = append(queue, j)
 		}
@@ -414,7 +414,7 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 			j := mkJob(next, class, ActionID(rng.Intn(4)+1), ds, rng.Intn(6)+1, diffChunkSize(ds), now)
 			next++
 			if rng.Intn(4) == 0 && len(j.Tasks) > 1 { // arrives partially assigned
-				j.Tasks[rng.Intn(len(j.Tasks))].Assigned = true
+				j.Tasks[rng.Intn(len(j.Tasks))].Assign()
 				j.Remaining--
 			}
 			queue = append(queue, j)
@@ -549,7 +549,7 @@ func checkCarried(s *LocalityScheduler, present []*Job, head *HeadState) error {
 		batch = append(batch, j)
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			g := byChunk[t.Chunk]
@@ -836,15 +836,15 @@ func TestInvariantCarriedWindowReclaim(t *testing.T) {
 	s := NewLocalityScheduler(0)
 	head := NewHeadState(2, 8*units.GB, System1CostModel())
 	j := mkJob(1, Batch, 1, 1, 2, 96*units.MB, 0)
-	j.Tasks[0].Assigned, j.Remaining = true, 1
+	j.Tasks[0].State, j.Remaining = TaskAssigned, 1
 	for k := range head.Available {
 		head.Available[k] = units.Time((3600 * units.Second)) // busy: the cycle places nothing
 	}
 	if n := len(s.Schedule(0, []*Job{j}, head)); n != 0 {
 		t.Fatalf("a busy cycle assigned %d tasks", n)
 	}
-	j.Tasks[1].Assigned = true // reclaimed: H_B still holds it
-	j.Tasks[0].Assigned = false
+	j.Tasks[1].Assign() // reclaimed: H_B still holds it
+	j.Tasks[0].State = TaskQueued
 	now := units.Time(2 * (3600 * units.Second))
 	placed := false
 	for cycle := 0; cycle < 2 && !placed; cycle++ {
@@ -942,7 +942,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	cycle := func() {
 		for _, j := range queue {
 			for i := range j.Tasks {
-				j.Tasks[i].Assigned = false
+				j.Tasks[i].State = TaskQueued
 			}
 			j.Remaining = len(j.Tasks)
 		}
@@ -980,8 +980,10 @@ func TestScheduleSteadyStateAllocsBatch(t *testing.T) {
 		for j, job := range queue {
 			job.Remaining = 0
 			for i := range job.Tasks {
-				job.Tasks[i].Assigned = (i+j)%8 != 0
-				if !job.Tasks[i].Assigned {
+				job.Tasks[i].State = TaskQueued
+				if (i+j)%8 != 0 {
+					job.Tasks[i].Assign()
+				} else {
 					job.Remaining++
 				}
 			}
@@ -1142,7 +1144,7 @@ func (s *referenceScheduler) groupByChunk(queue []*Job, class Class, dst []*refG
 		}
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned {
+			if t.Assigned() {
 				continue
 			}
 			g := s.byChunk[t.Chunk]
@@ -1169,7 +1171,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 	s.usedGroups = 0
 	out := s.out[:0]
 	assign := func(t *Task, k NodeID) {
-		t.Assigned = true
+		t.Assign()
 		head.CommitAssign(t, k, now)
 		out = append(out, Assignment{Task: t, Node: k})
 	}
@@ -1261,7 +1263,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 				continue
 			}
 			for _, t := range g.tasks {
-				if t.Assigned {
+				if t.Assigned() {
 					continue
 				}
 				if !head.Available[k].Before(lambda) {
@@ -1278,7 +1280,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 	for _, g := range hb {
 		pending := g.tasks[:0]
 		for _, t := range g.tasks {
-			if !t.Assigned {
+			if !t.Assigned() {
 				pending = append(pending, t)
 			}
 		}
@@ -1346,7 +1348,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 	if s.coShare > 0 {
 		firstUnassigned := func(g *refGroup) *Task {
 			for _, t := range g.tasks {
-				if !t.Assigned {
+				if !t.Assigned() {
 					return t
 				}
 			}
@@ -1378,7 +1380,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 			if pick == nil {
 				break // no pending batch work anywhere
 			}
-			pick.Assigned = true
+			pick.Assign()
 			head.CommitCoAssign(pick, node, now)
 			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
 		}

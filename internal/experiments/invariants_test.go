@@ -78,7 +78,7 @@ func TestQuickSchedulerContract(t *testing.T) {
 					return false
 				}
 				seen[a.Task] = true
-				if !a.Task.Assigned {
+				if !a.Task.Assigned() {
 					t.Logf("%s: assignment not marked", name)
 					return false
 				}
@@ -95,7 +95,7 @@ func TestQuickSchedulerContract(t *testing.T) {
 			for _, j := range queue {
 				for i := range j.Tasks {
 					tk := &j.Tasks[i]
-					if tk.Assigned != seen[tk] {
+					if tk.Assigned() != seen[tk] {
 						t.Logf("%s: task marks inconsistent with returned assignments", name)
 						return false
 					}
@@ -123,7 +123,7 @@ func TestQuickOursAssignsAllInteractive(t *testing.T) {
 				continue
 			}
 			for i := range j.Tasks {
-				if !j.Tasks[i].Assigned {
+				if !j.Tasks[i].Assigned() {
 					return false
 				}
 			}

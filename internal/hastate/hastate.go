@@ -14,8 +14,9 @@
 //     Suspect/Up, ResyncCache — on tables with no observers attached, so
 //     replay is deep-equal to the lost head by construction.
 //   - Jobs are reconstructed exactly from admit records plus per-task
-//     dispatch/complete records; completed-but-undelivered work is
-//     identified by task state so recovery never re-renders it.
+//     dispatch/complete records, each applied as the core task transition
+//     the live head made (core.Backlog); completed-but-undelivered work is
+//     journaled (core.TaskJournaled), so recovery never re-renders it.
 //   - QoS soft state (token balances, degradation ladder, accounting) comes
 //     from the snapshot as-of its capture; session in-flight depths and
 //     queue contents are *derived* from the recovered jobs, which keeps the
@@ -38,16 +39,19 @@ import (
 	"vizsched/internal/volume"
 )
 
-// TaskState is one task's position in the dispatch lifecycle.
+// TaskState is the on-disk form of a task's core.TaskState in a job
+// record: InfoOf writes it, and Replay reads it once, when it builds the
+// job.
 type TaskState uint8
 
-// Task lifecycle states as recorded in job records.
+// Task states as recorded in job records.
 const (
 	// TaskQueued: not dispatched (or released after a presumed loss).
 	TaskQueued TaskState = iota
 	// TaskAssigned: dispatched to Node, completion not yet journaled.
 	TaskAssigned
-	// TaskDone: completion journaled; never re-rendered by recovery.
+	// TaskDone: completion journaled; recovered as core.TaskJournaled and
+	// never re-rendered unless its pixels never come.
 	TaskDone
 )
 
@@ -77,14 +81,21 @@ type JobRecord struct {
 	Tasks   []TaskInfo
 }
 
-// Done reports whether every task has a journaled completion.
-func (r *JobRecord) Done() bool {
-	for i := range r.Tasks {
-		if r.Tasks[i].State != TaskDone {
-			return false
-		}
+// InfoOf is task t's durable record, t having been dispatched last to
+// node: held records as assigned, done ones as journaled, and a queued task
+// carries neither node nor prediction.
+func InfoOf(t *core.Task, node core.NodeID) TaskInfo {
+	ti := TaskInfo{Chunk: t.Chunk, Size: t.Size}
+	switch t.State {
+	case core.TaskQueued:
+		return ti
+	case core.TaskAssigned, core.TaskHeld:
+		ti.State = TaskAssigned
+	default:
+		ti.State = TaskDone
 	}
-	return true
+	ti.Node, ti.Predicted = node, t.PredictedExec
+	return ti
 }
 
 // Snapshot is the head's complete durable state at one instant. Every field
@@ -205,12 +216,25 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// RecoveredJob pairs a job's durable record (with final per-task states)
-// with the reconstructed scheduler-facing job: Assigned flags, Remaining,
-// and PredictedExec all match what the lost head held.
+// RecoveredJob pairs a job's durable record with the reconstructed
+// scheduler-facing job, whose task states, Remaining and PredictedExec
+// match what the lost head held — a held task recovers as assigned. Replay
+// keeps only the record's Node for each task, where it was dispatched last;
+// its State and Predicted are the record's as admitted or snapshotted.
 type RecoveredJob struct {
 	Rec *JobRecord
 	Job *core.Job
+}
+
+// Journaled reports whether every task of the job is journaled: it waits
+// only for its pixels.
+func (rj *RecoveredJob) Journaled() bool {
+	for i := range rj.Job.Tasks {
+		if rj.Job.Tasks[i].State != core.TaskJournaled {
+			return false
+		}
+	}
+	return true
 }
 
 // State is the outcome of Replay: everything a standby head needs to resume
@@ -219,8 +243,8 @@ type State struct {
 	// Tables is deep-equal to the lost head's core.HeadState.
 	Tables *core.HeadState
 	// Jobs holds surviving (admitted, not failed) jobs in admission order;
-	// fully-Done jobs are included so the service can deliver retained
-	// results without re-rendering.
+	// jobs whose every task is journaled are included so the service can
+	// deliver retained results without re-rendering.
 	Jobs []*RecoveredJob
 	// QoS is the snapshot's controller state, passed through for the service
 	// to Restore (nil when QoS was off).
@@ -231,7 +255,8 @@ type State struct {
 	At units.Time
 }
 
-// buildJob reconstructs the scheduler-facing job from a durable record.
+// buildJob reconstructs the scheduler-facing job from a durable record: the
+// one place a record's task states are read.
 func buildJob(r *JobRecord) *core.Job {
 	j := &core.Job{
 		ID: r.ID, Class: r.Class, Action: r.Action,
@@ -240,13 +265,18 @@ func buildJob(r *JobRecord) *core.Job {
 	j.Tasks = make([]core.Task, len(r.Tasks))
 	for i := range r.Tasks {
 		ti := &r.Tasks[i]
-		j.Tasks[i] = core.Task{Job: j, Index: i, Chunk: ti.Chunk, Size: ti.Size}
-		if ti.State == TaskQueued {
+		t := &j.Tasks[i]
+		*t = core.Task{Job: j, Index: i, Chunk: ti.Chunk, Size: ti.Size}
+		switch ti.State {
+		case TaskQueued:
 			j.Remaining++
-		} else {
-			j.Tasks[i].Assigned = true
-			j.Tasks[i].PredictedExec = ti.Predicted
+			continue
+		case TaskAssigned:
+			t.State = core.TaskAssigned
+		default:
+			t.State = core.TaskJournaled
 		}
+		t.PredictedExec = ti.Predicted
 	}
 	return j
 }
@@ -265,6 +295,10 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		NextJobID: snap.NextJobID,
 		At:        snap.At,
 	}
+	// Every record moves a task by the transition the live head made, on a
+	// backlog of replay's own, which the caller never sees: a recovered
+	// head builds its queue from the jobs.
+	var b core.Backlog
 	byID := make(map[core.JobID]*RecoveredJob, len(snap.Jobs))
 	addJob := func(rec *JobRecord) error {
 		if byID[rec.ID] != nil {
@@ -273,6 +307,9 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		rj := &RecoveredJob{Rec: rec, Job: buildJob(rec)}
 		st.Jobs = append(st.Jobs, rj)
 		byID[rec.ID] = rj
+		if rj.Job.Remaining > 0 {
+			b.Push(rj.Job)
+		}
 		if rec.ID >= st.NextJobID {
 			st.NextJobID = rec.ID
 		}
@@ -287,6 +324,7 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		if byID[id] == nil {
 			return
 		}
+		b.Remove(byID[id].Job)
 		delete(byID, id)
 		for i, rj := range st.Jobs {
 			if rj.Rec.ID == id {
@@ -308,17 +346,18 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			return fmt.Errorf("hastate: record %d (%v job=%d task=%d node=%d): %s",
 				ri, rec.Kind, rec.Job, rec.Task, rec.Node, fmt.Sprintf(format, args...))
 		}
-		// task resolves the record's (job, task) pair for lifecycle records.
-		task := func() (*RecoveredJob, *TaskInfo, *core.Task, error) {
+		// task resolves the record's (job, task) pair for lifecycle records:
+		// the durable record, for its node, and the job's task.
+		task := func() (*TaskInfo, *core.Task, error) {
 			rj := byID[jobID]
 			if rj == nil {
-				return nil, nil, nil, fail("unknown job")
+				return nil, nil, fail("unknown job")
 			}
 			i := int(rec.Task)
 			if i < 0 || i >= len(rj.Rec.Tasks) {
-				return nil, nil, nil, fail("task index out of range (%d tasks)", len(rj.Rec.Tasks))
+				return nil, nil, fail("task index out of range (%d tasks)", len(rj.Rec.Tasks))
 			}
-			return rj, &rj.Rec.Tasks[i], &rj.Job.Tasks[i], nil
+			return &rj.Rec.Tasks[i], &rj.Job.Tasks[i], nil
 		}
 
 		switch rec.Kind {
@@ -337,47 +376,40 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			if err := DecodeBody(rec.Body, &body); err != nil {
 				return nil, fail("decoding dispatch: %v", err)
 			}
-			rj, ti, t, err := task()
+			ti, t, err := task()
 			if err != nil {
 				return nil, err
 			}
-			if ti.State == TaskDone {
-				return nil, fail("dispatch of a completed task")
+			// A re-dispatch — of a task presumed lost past its deadline, or of
+			// a journaled one whose pixels never came — arrives with the task
+			// still out of the queue: the live head requeued it first, which
+			// it does not journal because it mutates no tables.
+			if t.State != core.TaskQueued {
+				b.Requeue(t)
 			}
-			// A re-dispatch after a presumed loss arrives with the task still
-			// TaskAssigned; the release itself is not journaled because it
-			// mutates no tables. Normalize to queued first so Remaining
-			// bookkeeping mirrors the live head's release-then-assign pair.
-			if ti.State == TaskAssigned {
-				ti.State = TaskQueued
-				t.Assigned = false
-				rj.Job.Remaining++
-			}
-			t.Assigned = true
-			rj.Job.Remaining--
+			b.Reclaim(t)
 			pred := st.Tables.CommitAssign(t, node, at)
 			if pred != body.Predicted {
 				return nil, fail("replayed prediction %v != journaled %v — tables diverged", pred, body.Predicted)
 			}
-			ti.State, ti.Node, ti.Predicted = TaskAssigned, node, pred
+			ti.Node = node
 
 		case journal.KindComplete:
 			var body CompleteBody
 			if err := DecodeBody(rec.Body, &body); err != nil {
 				return nil, fail("decoding complete: %v", err)
 			}
-			rj, ti, t, err := task()
+			ti, t, err := task()
 			if err != nil {
 				return nil, err
 			}
-			if ti.State == TaskDone {
+			if t.State == core.TaskJournaled {
 				return nil, fail("duplicate completion")
 			}
 			// A completion for a released task is the live head's reclaim
 			// path: the original execution finished after the deadline fired.
-			if ti.State == TaskQueued {
-				t.Assigned = true
-				rj.Job.Remaining--
+			if t.State == core.TaskQueued {
+				b.Reclaim(t)
 			}
 			if body.Touch {
 				st.Tables.DemandTouchPrefetched(t.Chunk, node)
@@ -387,23 +419,24 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 				Exec: body.Exec, Predicted: t.PredictedExec,
 				Evicted: body.Evicted, Finished: at,
 			}, at)
-			ti.State, ti.Node = TaskDone, node
+			b.Journal(t)
+			ti.Node = node
 
 		case journal.KindFail:
 			dropJob(jobID)
 
 		case journal.KindRehome:
 			// The live head declared node down: MarkFailed re-homed its
-			// chunks, and every in-flight task it held was released.
+			// chunks, and every in-flight task it held was requeued. A
+			// completion the journal holds stays journaled: the journal
+			// cannot tell pixels the writing head had from pixels it waited
+			// for, and a wait that fails ends in a requeue the next dispatch
+			// record shows.
 			st.Tables.MarkFailed(node)
 			for _, rj := range st.Jobs {
-				for i := range rj.Rec.Tasks {
-					ti := &rj.Rec.Tasks[i]
-					if ti.State == TaskAssigned && ti.Node == node {
-						ti.State, ti.Predicted = TaskQueued, 0
-						rj.Job.Tasks[i].Assigned = false
-						rj.Job.Tasks[i].PredictedExec = 0
-						rj.Job.Remaining++
+				for i := range rj.Job.Tasks {
+					if t := &rj.Job.Tasks[i]; t.State == core.TaskAssigned && rj.Rec.Tasks[i].Node == node {
+						b.Requeue(t)
 					}
 				}
 			}

@@ -15,17 +15,20 @@ import (
 )
 
 // driver mimics a live head: every table mutation it performs is also
-// journaled, exactly as the service layer does, so Replay against a
-// mid-stream snapshot must land deep-equal.
+// journaled, exactly as the service layer does, and every task moves by the
+// core transition the head makes, so Replay against a mid-stream snapshot
+// must land deep-equal.
 type driver struct {
 	t      *testing.T
 	rng    *rand.Rand
 	now    units.Time
 	tables *core.HeadState
-	// jobs/cjobs mirror Replay's RecoveredJob pair: the durable record and
-	// the scheduler-facing job, kept in lockstep.
+	// jobs/cjobs mirror Replay's RecoveredJob pair: the durable record, its
+	// tasks as InfoOf writes them, and the scheduler-facing job, kept in
+	// lockstep; b is the head's backlog.
 	jobs   []*JobRecord
 	cjobs  map[core.JobID]*core.Job
+	b      core.Backlog
 	nextID core.JobID
 	jw     *journal.Writer
 	sink   *bytes.Buffer
@@ -101,6 +104,7 @@ func (d *driver) admit() {
 	}
 	d.jobs = append(d.jobs, rec)
 	d.cjobs[rec.ID] = buildJob(rec)
+	d.b.Push(d.cjobs[rec.ID])
 	d.journal(journal.KindAdmit, rec.ID, -1, -1, AdmitBody{Job: *rec})
 }
 
@@ -132,12 +136,10 @@ func (d *driver) dispatch() {
 		return
 	}
 	node := up[d.rng.Intn(len(up))]
-	j := d.cjobs[rec.ID]
-	t := &j.Tasks[i]
-	t.Assigned = true
-	j.Remaining--
+	t := &d.cjobs[rec.ID].Tasks[i]
+	d.b.Reclaim(t) // a pass's assignment, made outside a pass
 	pred := d.tables.CommitAssign(t, node, d.now)
-	rec.Tasks[i] = TaskInfo{Chunk: t.Chunk, Size: t.Size, State: TaskAssigned, Node: node, Predicted: pred}
+	rec.Tasks[i] = InfoOf(t, node)
 	d.journal(journal.KindDispatch, rec.ID, i, node, DispatchBody{Predicted: pred})
 }
 
@@ -170,13 +172,14 @@ func (d *driver) complete() {
 	}, d.now)
 	d.journal(journal.KindComplete, rec.ID, i, ti.Node,
 		CompleteBody{Hit: hit, Touch: touch, Exec: exec, Evicted: evicted})
-	ti.State = TaskDone
+	d.b.Complete(t, exec)
+	rec.Tasks[i] = InfoOf(t, ti.Node)
 }
 
 func (d *driver) failJob() {
 	var live []*JobRecord
 	for _, rec := range d.jobs {
-		if !rec.Done() {
+		if slices.ContainsFunc(rec.Tasks, func(ti TaskInfo) bool { return ti.State != TaskDone }) {
 			live = append(live, rec)
 		}
 	}
@@ -190,6 +193,7 @@ func (d *driver) failJob() {
 			break
 		}
 	}
+	d.b.Remove(d.cjobs[rec.ID])
 	delete(d.cjobs, rec.ID)
 	d.journal(journal.KindFail, rec.ID, -1, -1, nil)
 }
@@ -204,12 +208,9 @@ func (d *driver) rehome() {
 	for _, rec := range d.jobs {
 		j := d.cjobs[rec.ID]
 		for i := range rec.Tasks {
-			ti := &rec.Tasks[i]
-			if ti.State == TaskAssigned && ti.Node == node {
-				ti.State, ti.Predicted = TaskQueued, 0
-				j.Tasks[i].Assigned = false
-				j.Tasks[i].PredictedExec = 0
-				j.Remaining++
+			if ti := &rec.Tasks[i]; ti.State == TaskAssigned && ti.Node == node {
+				d.b.Requeue(&j.Tasks[i])
+				*ti = InfoOf(&j.Tasks[i], node)
 			}
 		}
 	}
@@ -256,25 +257,21 @@ func (d *driver) prefetch() {
 		PrefetchBody{Chunk: c, Size: size, Loaded: true, Evicted: evicted})
 }
 
-// releaseAndRedispatch mirrors the head's deadline path: the release itself
+// releaseAndRedispatch mirrors the head's deadline path: the requeue itself
 // is never journaled (it mutates no tables); only the subsequent re-dispatch
-// is. Replay must normalize the still-Assigned record back through queued.
+// is. Replay must requeue the still-assigned task before the dispatch.
 func (d *driver) releaseAndRedispatch() {
 	rec, i := d.pickTask(TaskAssigned)
 	up := d.upNodes()
 	if rec == nil || len(up) == 0 {
 		return
 	}
-	j := d.cjobs[rec.ID]
-	t := &j.Tasks[i]
-	t.Assigned = false
-	t.PredictedExec = 0
-	j.Remaining++
+	t := &d.cjobs[rec.ID].Tasks[i]
+	d.b.Requeue(t)
 	node := up[d.rng.Intn(len(up))]
-	t.Assigned = true
-	j.Remaining--
+	d.b.Reclaim(t)
 	pred := d.tables.CommitAssign(t, node, d.now)
-	rec.Tasks[i].State, rec.Tasks[i].Node, rec.Tasks[i].Predicted = TaskAssigned, node, pred
+	rec.Tasks[i] = InfoOf(t, node)
 	d.journal(journal.KindDispatch, rec.ID, i, node, DispatchBody{Predicted: pred})
 }
 
@@ -358,16 +355,24 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 		}
 		for i, rj := range st.Jobs {
 			want := d.jobs[i]
-			if !reflect.DeepEqual(rj.Rec, want) {
-				t.Fatalf("seed %d: job %d record differs:\n got %+v\nwant %+v", seed, want.ID, rj.Rec, want)
+			if got := recordOf(rj); !reflect.DeepEqual(got, *want) {
+				t.Fatalf("seed %d: job %d record differs:\n got %+v\nwant %+v", seed, want.ID, got, *want)
+			}
+			if err := core.CheckRecords(rj.Job); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 			cj := d.cjobs[want.ID]
 			if rj.Job.Remaining != cj.Remaining {
 				t.Fatalf("seed %d: job %d Remaining %d != %d", seed, want.ID, rj.Job.Remaining, cj.Remaining)
 			}
+			// A task the head completed recovers journaled: its pixels
+			// were on the head that died.
 			for k := range cj.Tasks {
-				if rj.Job.Tasks[k].Assigned != cj.Tasks[k].Assigned ||
-					rj.Job.Tasks[k].PredictedExec != cj.Tasks[k].PredictedExec {
+				state := cj.Tasks[k].State
+				if state == core.TaskDone {
+					state = core.TaskJournaled
+				}
+				if rj.Job.Tasks[k].State != state || rj.Job.Tasks[k].PredictedExec != cj.Tasks[k].PredictedExec {
 					t.Fatalf("seed %d: job %d task %d diverged", seed, want.ID, k)
 				}
 			}
@@ -379,7 +384,7 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 		liveSnap.At = wantAt // replay can only be as fresh as the last record
 		recSnap := &Snapshot{At: st.At, NextJobID: st.NextJobID, Tables: st.Tables.Dump()}
 		for _, rj := range st.Jobs {
-			recSnap.Jobs = append(recSnap.Jobs, *rj.Rec)
+			recSnap.Jobs = append(recSnap.Jobs, recordOf(rj))
 		}
 		lb, err1 := liveSnap.Encode()
 		rb, err2 := recSnap.Encode()
@@ -390,6 +395,17 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 			t.Fatalf("seed %d: recovered snapshot bytes differ from live snapshot bytes", seed)
 		}
 	}
+}
+
+// recordOf is the durable record a recovered head writes for rj: its tasks
+// as InfoOf has them, each at the node replay last saw it on.
+func recordOf(rj *RecoveredJob) JobRecord {
+	rec := *rj.Rec
+	rec.Tasks = make([]TaskInfo, len(rj.Job.Tasks))
+	for i := range rec.Tasks {
+		rec.Tasks[i] = InfoOf(&rj.Job.Tasks[i], rj.Rec.Tasks[i].Node)
+	}
+	return rec
 }
 
 func TestSnapshotEncodeDeterministicAndValidated(t *testing.T) {
@@ -485,8 +501,8 @@ func TestReplayRejectsBrokenLifecycles(t *testing.T) {
 }
 
 // TestReplayRecoversReleasedTaskAsAssigned pins the documented semantics of
-// a deadline release that was never re-dispatched before the crash: the
-// release is not journaled, so the task recovers as TaskAssigned and the
+// a deadline requeue that was never re-dispatched before the crash: the
+// requeue is not journaled, so the task recovers as assigned and the
 // standby's deadline machinery re-fires for it — the same outcome the lost
 // head was heading for, never a lost task.
 func TestReplayRecoversReleasedTaskAsAssigned(t *testing.T) {
@@ -499,15 +515,14 @@ func TestReplayRecoversReleasedTaskAsAssigned(t *testing.T) {
 	}
 	d.sink.Reset()
 	d.dispatch()
-	// The live head releases the task (deadline fired) — no journal record.
+	// The live head requeues the task (deadline fired) — no journal record.
 	rec := d.jobs[0]
 	j := d.cjobs[rec.ID]
 	var released int = -1
 	for i := range rec.Tasks {
 		if rec.Tasks[i].State == TaskAssigned {
 			released = i
-			j.Tasks[i].Assigned = false
-			j.Remaining++
+			d.b.Requeue(&j.Tasks[i])
 			break
 		}
 	}
@@ -525,10 +540,7 @@ func TestReplayRecoversReleasedTaskAsAssigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Jobs[0].Rec.Tasks[released].State; got != TaskAssigned {
-		t.Fatalf("released task recovered as %d, want TaskAssigned", got)
-	}
-	if !st.Jobs[0].Job.Tasks[released].Assigned {
-		t.Fatal("recovered core task lost its Assigned flag")
+	if got := st.Jobs[0].Job.Tasks[released].State; got != core.TaskAssigned {
+		t.Fatalf("released task recovered %v, want assigned", got)
 	}
 }

@@ -92,7 +92,7 @@ func TestHeadFailoverJournalRecovery(t *testing.T) {
 		t.Fatalf("recovered jobs = %d, want %d", len(st.Jobs), frames)
 	}
 	for _, rj := range st.Jobs {
-		if !rj.Rec.Done() {
+		if !rj.Journaled() {
 			t.Fatalf("job %d not fully done in recovered state", rj.Rec.ID)
 		}
 	}
@@ -229,9 +229,9 @@ func TestResyncEpochReconcilesUnackedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(st.Jobs) != 1 || st.Jobs[0].Rec.Done() {
+	if len(st.Jobs) != 1 || st.Jobs[0].Journaled() {
 		t.Fatalf("recovered state: %d jobs, done=%v; want 1 in-flight job",
-			len(st.Jobs), len(st.Jobs) == 1 && st.Jobs[0].Rec.Done())
+			len(st.Jobs), len(st.Jobs) == 1 && st.Jobs[0].Journaled())
 	}
 
 	standby := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, model)

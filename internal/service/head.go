@@ -34,30 +34,20 @@ type liveJob struct {
 	job   *core.Job
 	req   RenderBody
 	tasks []liveTask
-	got   int // done tasks
 	// reply delivers the outcome to the issuing client connection.
 	conn  transport.Conn
 	msgID uint64
 	wall  time.Time
 }
 
-// taskState is where a task is in the live head's dispatch lifecycle
-// (DESIGN.md §5.5); in every state but queued core.Task.Assigned is set.
-type taskState uint8
-
-const (
-	taskQueued    taskState = iota // in the backlog, waiting for a pass
-	taskSent                       // dispatched to node; due is its deadline
-	taskHeld                       // missed its deadline; due ends its backoff hold
-	taskJournaled                  // completion journaled before a takeover (§5.10); due is the deadline for its pixels
-	taskDone                       // its fragment is in frag
-)
-
-// liveTask is the head's one record of a task of a liveJob.
+// liveTask is what the live head keeps on a task of a liveJob beside the
+// task's core record (core.Task.State, DESIGN.md §5.5): its fragment once
+// done, and while it is out, where it went and its deadline — for an
+// assigned or journaled task when its result is due, for a held one when
+// its backoff ends.
 type liveTask struct {
-	frag  *FragmentBody
-	node  core.NodeID // where it was dispatched last or, recovered, journaled
-	state taskState
+	frag *FragmentBody
+	node core.NodeID // where it was dispatched last or, recovered, journaled
 	// counts puts the record on node's busy-share account (§5.13), from its
 	// dispatch by this head or its recovery as dispatched until it
 	// completes, is requeued or leaves with its job. A journaled record
@@ -514,14 +504,14 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 		lj := restored[i]
 		l.inflight[lj.job.ID] = lj
 		for j := range lj.tasks {
-			if t := &lj.tasks[j]; t.state == taskSent { // recovered as dispatched
-				h.count(t, st.At)
+			if lj.job.Tasks[j].State == core.TaskAssigned { // recovered as dispatched
+				h.count(&lj.tasks[j], st.At)
 			}
 		}
 		if key := lj.req.Key; key != 0 {
 			h.byKey[key] = lj
 		}
-		if rj.Rec.Done() {
+		if rj.Journaled() {
 			continue // complete; waits for retained replays, renders nothing
 		}
 		live = append(live, rj.Job)

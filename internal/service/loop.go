@@ -193,7 +193,7 @@ func (l *headLoop) schedule() {
 	for _, a := range p.Assignments {
 		lj := l.inflight[a.Task.Job.ID]
 		t := &lj.tasks[a.Task.Index]
-		t.node, t.state = a.Node, taskSent
+		t.node = a.Node
 		h.count(t, now)
 		body := TaskBody{
 			JobID:     uint64(lj.job.ID),
@@ -287,7 +287,6 @@ func (l *headLoop) fail(lj *liveJob, msg string) {
 func (l *headLoop) requeue(lj *liveJob, i int) {
 	l.backlog.Requeue(&lj.job.Tasks[i])
 	l.h.uncount(&lj.tasks[i], false, l.h.now())
-	lj.tasks[i].state = taskQueued
 }
 
 // count puts t on its node's busy-share account at now.
@@ -326,7 +325,7 @@ func (l *headLoop) outstanding(node core.NodeID) []taskAt {
 	var out []taskAt
 	for _, lj := range l.byAdmission() {
 		for i := range lj.tasks {
-			if t := &lj.tasks[i]; t.state != taskQueued && t.state != taskDone && t.node == node {
+			if s := lj.job.Tasks[i].State; s != core.TaskQueued && s != core.TaskDone && lj.tasks[i].node == node {
 				out = append(out, taskAt{lj, i})
 			}
 		}
@@ -409,15 +408,15 @@ func (l *headLoop) checkHealth() {
 	for _, lj := range l.byAdmission() {
 		for i := range lj.tasks {
 			t := &lj.tasks[i]
-			switch t.state {
-			case taskHeld:
+			switch lj.job.Tasks[i].State {
+			case core.TaskHeld:
 				if now.After(t.due) {
 					l.requeue(lj, i)
 					h.stats.tasksRedispatched.Add(1)
 					changed = true
 				}
 				continue
-			case taskSent, taskJournaled:
+			case core.TaskAssigned, core.TaskJournaled:
 				if now.Before(t.due) {
 					continue
 				}
@@ -435,7 +434,8 @@ func (l *headLoop) checkHealth() {
 			backoff += time.Duration(h.rng.Int63n(int64(backoff)/2 + 1))
 			h.Logf("head: task %v overdue on node %d; retry %d after %v",
 				lj.job.Tasks[i].String(), t.node, t.retries, backoff.Round(time.Millisecond))
-			t.state, t.due = taskHeld, now.Add(backoff)
+			l.backlog.Hold(&lj.job.Tasks[i])
+			t.due = now.Add(backoff)
 		}
 	}
 	if changed {
@@ -686,19 +686,19 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 	// Only the first report per task is folded in: a duplicated delivery
 	// (network chaos, a resync replay racing the original) must not
 	// double-correct the tables or double-count cache stats.
-	if i := frag.TaskIndex; lj.tasks[i].state != taskDone {
-		t := &lj.tasks[i]
-		if t.state == taskQueued {
+	if i := frag.TaskIndex; lj.job.Tasks[i].State != core.TaskDone {
+		t, task := &lj.tasks[i], &lj.job.Tasks[i]
+		if task.State == core.TaskQueued {
 			// The task was presumed lost and released for re-dispatch, but
 			// the original completed after all: reclaim it before a
 			// duplicate is scheduled.
-			l.backlog.Reclaim(&lj.job.Tasks[i])
+			l.backlog.Reclaim(task)
 		}
 		now := h.now()
 		// A journaled completion (a journaled record, or a held one that
 		// never counted) is already in the replayed tables: this is the
 		// worker's retained replay carrying the pixels, stored as it is.
-		if t.state != taskJournaled && (t.state != taskHeld || t.counts) {
+		if task.State != core.TaskJournaled && (task.State != core.TaskHeld || t.counts) {
 			touch, evicted := h.correct(lj, node, &frag, now)
 			h.journalRec(journal.KindComplete, lj.job.ID, i, node, now,
 				hastate.CompleteBody{
@@ -707,10 +707,10 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 				})
 		}
 		h.uncount(t, true, now)
-		t.frag, t.state = &frag, taskDone
-		lj.got++
+		t.frag = &frag
+		l.backlog.Complete(task, units.Duration(frag.ExecNanos))
 	}
-	if lj.got == len(lj.tasks) {
+	if lj.job.Done == len(lj.tasks) {
 		delete(l.inflight, lj.job.ID)
 		// The key binding survives until finalize retires it into the
 		// retained store, so a re-submission racing the PNG encode

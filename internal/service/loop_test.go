@@ -145,34 +145,21 @@ func recvBody[B any, PB interface {
 	return body
 }
 
-// step steps ev on the head, then holds every in-flight job's task records
-// to the job they describe and to the busy-share account: the job's
-// Remaining counts the queued records, core.Task.Assigned is set exactly on
-// the records that are not queued, got counts the done ones, and with
-// FracShare on each node's in-flight count is the records counting on it.
+// step steps ev on the head, then holds every in-flight job to its task
+// records (core.CheckRecords) and, with FracShare on, each node's in-flight
+// count on the busy-share account to the records counting on it.
 func (s *steppedHead) step(ev event) {
 	s.t.Helper()
 	s.l.step(ev)
 	counted := make([]int, len(s.h.slots))
 	for _, lj := range s.l.byAdmission() {
-		queued, done := 0, 0
+		if err := core.CheckRecords(lj.job); err != nil {
+			s.t.Fatal(err)
+		}
 		for i := range lj.tasks {
-			t := &lj.tasks[i]
-			switch t.state {
-			case taskQueued:
-				queued++
-			case taskDone:
-				done++
-			}
-			if lj.job.Tasks[i].Assigned == (t.state == taskQueued) {
-				s.t.Fatalf("job %d task %d: Assigned %v in state %d", lj.job.ID, i, lj.job.Tasks[i].Assigned, t.state)
-			}
-			if t.counts {
+			if t := &lj.tasks[i]; t.counts {
 				counted[t.node]++
 			}
-		}
-		if lj.job.Remaining != queued || lj.got != done {
-			s.t.Fatalf("job %d: Remaining %d over %d queued records, got %d over %d done", lj.job.ID, lj.job.Remaining, queued, lj.got, done)
 		}
 	}
 	if f := s.h.frac; f != nil {
@@ -394,9 +381,9 @@ func TestHeadLoopDeadlineBackoffGiveUp(t *testing.T) {
 	// also clears the node, and the tick re-dispatches task 1 alone.
 	s.at(1700 * time.Millisecond)
 	s.fromWorker(0, transport.KindFragment, &FragmentBody{JobID: uint64(lj.job.ID), TaskIndex: 0, ExecNanos: 1_000_000})
-	if !lj.job.Tasks[0].Assigned || lj.tasks[0].frag == nil || lj.job.Remaining != 1 {
+	if !lj.job.Tasks[0].Assigned() || lj.tasks[0].frag == nil || lj.job.Remaining != 1 {
 		t.Fatalf("late fragment not reclaimed: assigned %v, stored %v, %d tasks to dispatch",
-			lj.job.Tasks[0].Assigned, lj.tasks[0].frag != nil, lj.job.Remaining)
+			lj.job.Tasks[0].Assigned(), lj.tasks[0].frag != nil, lj.job.Remaining)
 	}
 	s.step(event{kind: evTick})
 	if got := s.wantTasks(0, 1); got[0].TaskIndex != 1 {
@@ -541,8 +528,8 @@ func (s blindScheduler) Schedule(now units.Time, queue []*core.Job, head *core.H
 	var out []core.Assignment
 	for _, j := range queue {
 		for i := range j.Tasks {
-			if t := &j.Tasks[i]; !t.Assigned {
-				t.Assigned = true
+			if t := &j.Tasks[i]; !t.Assigned() {
+				t.Assign()
 				out = append(out, core.Assignment{Task: t, Node: s.node})
 			}
 		}
@@ -580,16 +567,85 @@ func TestHeadLoopSchedulerContract(t *testing.T) {
 // the client gets one result.
 func TestHeadLoopRecoversAtCut(t *testing.T) { recoverAtCut(t, func(*Head) {}) }
 
-// recoverAtCut runs TestHeadLoopRecoversAtCut's script on heads that more
-// also configures, and returns the standby.
-func recoverAtCut(t *testing.T, more func(*Head)) *steppedHead {
-	configure := func(h *Head) {
+// cutConfig is the configuration of the takeover scripts' heads, with what
+// more adds.
+func cutConfig(more func(*Head)) func(*Head) {
+	return func(h *Head) {
 		h.DeadlineFactor = 4
 		h.MinDeadline = time.Second
 		h.RetryBackoff = 100 * time.Millisecond
 		h.SuspectAfter, h.DownAfter = 0, 0 // deadlines alone move this script
 		more(h)
 	}
+}
+
+// recoverAtCut runs TestHeadLoopRecoversAtCut's script on heads that more
+// also configures, and returns the standby.
+func recoverAtCut(t *testing.T, more func(*Head)) *steppedHead {
+	configure := cutConfig(more)
+	sb, a, frame := runToCut(t, configure)
+	lj := sb.l.inflight[a.job.ID]
+	frag0 := &FragmentBody{JobID: uint64(a.job.ID), TaskIndex: 0, ExecNanos: 4_000_000}
+
+	// Node 0 still caches brick 0 and retains its result, which the ack asks
+	// it to replay; node 1 lost its render with the head.
+	ack := sb.resync(HelloBody{Name: "w0", NodeID: 0, Cached: []ChunkRef{{Dataset: "plume", Index: 0}}, Completed: []TaskRef{{JobID: 1, TaskIndex: 0}}})
+	if want := []TaskRef{{JobID: 1, TaskIndex: 0}}; !slices.Equal(ack.Outstanding, want) {
+		t.Errorf("node 0's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
+	}
+	sb.fromWorker(0, transport.KindFragment, frag0)
+	ack = sb.resync(HelloBody{Name: "w1", NodeID: 1})
+	if want := []TaskRef{{JobID: 1, TaskIndex: 1}}; !slices.Equal(ack.Outstanding, want) {
+		t.Errorf("node 1's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
+	}
+
+	// The client re-submits its key and is re-attached to the recovered job.
+	sb.submit(1, frame)
+	if got := sb.h.Stats().JobsReattached; got != 1 {
+		t.Fatalf("re-submission re-attached %d jobs, want 1", got)
+	}
+
+	// Node 1's task misses its grace, is held for the backoff and goes out
+	// again; its fragment completes the frame.
+	sb.at(1010 * time.Millisecond)
+	sb.l.step(event{kind: evCheck})
+	sb.at(1200 * time.Millisecond)
+	sb.l.step(event{kind: evCheck})
+	node := lj.tasks[1].node
+	if got := sb.wantTasks(node, 1); got[0] != (TaskRef{JobID: 1, TaskIndex: 1}) {
+		t.Fatalf("node %d was sent %+v, want task 1 of job 1", node, got[0])
+	}
+	sb.at(1250 * time.Millisecond)
+	sb.fromWorker(node, transport.KindFragment, &FragmentBody{JobID: 1, TaskIndex: 1, ExecNanos: 4_000_000})
+	recvBody[ResultBody](sb, sb.client, transport.KindResult)
+	sb.headClient.Close()
+	if msg, err := sb.client.Recv(); err == nil {
+		t.Errorf("a second reply followed the result: %v", msg.Kind)
+	}
+	if err := sb.h.state.Validate(); err != nil {
+		t.Errorf("recovered tables: %v", err)
+	}
+
+	// Neither brick of the frame rendered twice: task 0 was never dispatched
+	// again, task 1 once.
+	sb.wantJournal(
+		"suspect 0 -1 0 10ms",
+		"suspect 0 -1 1 10ms",
+		"resync 0 -1 0 10ms",
+		"up 0 -1 0 10ms",
+		"resync 0 -1 1 10ms",
+		"up 0 -1 1 10ms",
+		fmt.Sprintf("dispatch 1 1 %d 1.2s", node),
+		fmt.Sprintf("complete 1 1 %d 1.25s", node),
+	)
+	return sb
+}
+
+// runToCut runs the takeover script up to the cut — the frame's two bricks
+// dispatched, node 0's completion journaled, the head dead — and boots a
+// standby from the genesis snapshot and the journal on the same clock. It
+// returns the standby, the frame's job on the dead head, and the frame.
+func runToCut(t *testing.T, configure func(*Head)) (*steppedHead, *liveJob, RenderBody) {
 	s := newSteppedHead(t, 2, configure)
 	reply := make(chan *hastate.Snapshot, 1)
 	s.step(event{kind: evSnapshot, snap: reply})
@@ -614,72 +670,78 @@ func recoverAtCut(t *testing.T, more func(*Head)) *steppedHead {
 
 	// The cut.
 	s.step(event{kind: evCrash})
-	recs, err := journal.ReadAll(bytes.NewReader(s.wal.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := hastate.Replay(genesis, recs, core.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := s.standby(st, configure)
-	lj := sb.l.inflight[a.job.ID]
-	if lj == nil {
+	sb := s.standby(replayed(t, genesis, &s.wal), configure)
+	if sb.l.inflight[a.job.ID] == nil {
 		t.Fatal("the standby recovered no job 1")
 	}
+	return sb, a, frame
+}
 
-	// Node 0 still caches brick 0 and retains its result, which the ack asks
-	// it to replay; node 1 lost its render with the head.
-	ack := sb.resync(HelloBody{Name: "w0", NodeID: 0, Cached: []ChunkRef{{Dataset: "plume", Index: 0}}, Completed: []TaskRef{{JobID: 1, TaskIndex: 0}}})
-	if want := []TaskRef{{JobID: 1, TaskIndex: 0}}; !slices.Equal(ack.Outstanding, want) {
-		t.Errorf("node 0's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
+// replayed is hastate.Replay of the journal in wal over snap.
+func replayed(t *testing.T, snap *hastate.Snapshot, wal *bytes.Buffer) *hastate.State {
+	t.Helper()
+	recs, err := journal.ReadAll(bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sb.fromWorker(0, transport.KindFragment, frag0)
-	ack = sb.resync(HelloBody{Name: "w1", NodeID: 1})
-	if want := []TaskRef{{JobID: 1, TaskIndex: 1}}; !slices.Equal(ack.Outstanding, want) {
+	st, err := hastate.Replay(snap, recs, core.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// A second takeover: the standby re-renders a journaled brick because the
+// worker holding its pixels never comes back, and the journal it writes
+// must bring up a third head. The standby boots from the cut and snapshots;
+// only node 1 resyncs, so node 0's journaled brick and node 1's lost one
+// both miss their grace, are held and go out again to node 1. Replaying the
+// standby's journal over its snapshot gives tables equal to the standby's,
+// and a third head booted from it delivers the frame exactly once when
+// node 1 resyncs with both fragments.
+func TestHeadLoopSecondTakeover(t *testing.T) {
+	configure := cutConfig(func(*Head) {})
+	sb, a, frame := runToCut(t, configure)
+	reply := make(chan *hastate.Snapshot, 1)
+	sb.step(event{kind: evSnapshot, snap: reply})
+	snap := <-reply
+
+	sb.resync(HelloBody{Name: "w1", NodeID: 1})
+	sb.at(1010 * time.Millisecond)
+	sb.step(event{kind: evCheck})
+	sb.at(1200 * time.Millisecond)
+	sb.step(event{kind: evCheck})
+	got := sb.wantTasks(1, 2)
+	slices.SortFunc(got, func(x, y TaskRef) int { return x.TaskIndex - y.TaskIndex })
+	if want := []TaskRef{{JobID: 1, TaskIndex: 0}, {JobID: 1, TaskIndex: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("node 1 was sent %+v, want both bricks of job 1", got)
+	}
+
+	// The second cut.
+	sb.step(event{kind: evCrash})
+	st := replayed(t, snap, &sb.wal)
+	if got, want := st.Tables.Dump(), sb.h.state.Dump(); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed tables:\n%+v\nstandby's tables:\n%+v", got, want)
+	}
+	third := sb.standby(st, configure)
+	ack := third.resync(HelloBody{Name: "w1", NodeID: 1, Cached: []ChunkRef{{Dataset: "plume", Index: 0}, {Dataset: "plume", Index: 1}},
+		Completed: []TaskRef{{JobID: 1, TaskIndex: 0}, {JobID: 1, TaskIndex: 1}}})
+	if want := []TaskRef{{JobID: 1, TaskIndex: 0}, {JobID: 1, TaskIndex: 1}}; !slices.Equal(ack.Outstanding, want) {
 		t.Errorf("node 1's resync ack lists %v outstanding, want %v", ack.Outstanding, want)
 	}
-
-	// The client re-submits its key and is re-attached to the recovered job.
-	sb.submit(1, frame)
-	if got := sb.h.Stats().JobsReattached; got != 1 {
-		t.Fatalf("re-submission re-attached %d jobs, want 1", got)
+	third.submit(1, frame)
+	third.at(1250 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		third.fromWorker(1, transport.KindFragment, &FragmentBody{JobID: uint64(a.job.ID), TaskIndex: i, ExecNanos: 4_000_000})
 	}
-
-	// Node 1's task misses its grace, is held for the backoff and goes out
-	// again; its fragment completes the frame.
-	s.at(1010 * time.Millisecond)
-	sb.l.step(event{kind: evCheck})
-	s.at(1200 * time.Millisecond)
-	sb.l.step(event{kind: evCheck})
-	node := lj.tasks[1].node
-	if got := sb.wantTasks(node, 1); got[0] != (TaskRef{JobID: 1, TaskIndex: 1}) {
-		t.Fatalf("node %d was sent %+v, want task 1 of job 1", node, got[0])
-	}
-	s.at(1250 * time.Millisecond)
-	sb.fromWorker(node, transport.KindFragment, &FragmentBody{JobID: 1, TaskIndex: 1, ExecNanos: 4_000_000})
-	recvBody[ResultBody](sb, sb.client, transport.KindResult)
-	sb.headClient.Close()
-	if msg, err := sb.client.Recv(); err == nil {
+	recvBody[ResultBody](third, third.client, transport.KindResult)
+	third.headClient.Close()
+	if msg, err := third.client.Recv(); err == nil {
 		t.Errorf("a second reply followed the result: %v", msg.Kind)
 	}
-	if err := sb.h.state.Validate(); err != nil {
-		t.Errorf("recovered tables: %v", err)
+	if err := third.h.state.Validate(); err != nil {
+		t.Errorf("third head's tables: %v", err)
 	}
-
-	// Neither brick of the frame rendered twice: task 0 was never dispatched
-	// again, task 1 once.
-	sb.wantJournal(
-		"suspect 0 -1 0 10ms",
-		"suspect 0 -1 1 10ms",
-		"resync 0 -1 0 10ms",
-		"up 0 -1 0 10ms",
-		"resync 0 -1 1 10ms",
-		"up 0 -1 1 10ms",
-		fmt.Sprintf("dispatch 1 1 %d 1.2s", node),
-		fmt.Sprintf("complete 1 1 %d 1.25s", node),
-	)
-	return sb
 }
 
 // The busy-share account follows the head's task records: whatever path a

@@ -68,15 +68,7 @@ func (h *Head) jobRecord(lj *liveJob) hastate.JobRecord {
 		Tasks:   make([]hastate.TaskInfo, len(lj.job.Tasks)),
 	}
 	for i := range lj.job.Tasks {
-		t := &lj.job.Tasks[i]
-		ti := hastate.TaskInfo{Chunk: t.Chunk, Size: t.Size}
-		switch lt := &lj.tasks[i]; lt.state {
-		case taskSent, taskHeld:
-			ti.State, ti.Node, ti.Predicted = hastate.TaskAssigned, lt.node, t.PredictedExec
-		case taskJournaled, taskDone:
-			ti.State, ti.Node, ti.Predicted = hastate.TaskDone, lt.node, t.PredictedExec
-		}
-		rec.Tasks[i] = ti
+		rec.Tasks[i] = hastate.InfoOf(&lj.job.Tasks[i], lj.tasks[i].node)
 	}
 	return rec
 }
@@ -190,15 +182,12 @@ func (h *Head) restoreJob(rj *hastate.RecoveredJob) (*liveJob, error) {
 	if err := lj.req.ParseBody(req[1:]); err != nil {
 		return nil, fmt.Errorf("service: recovered job %d: decoding request: %w", job.ID, err)
 	}
-	for i := range rj.Rec.Tasks {
-		ti, t := &rj.Rec.Tasks[i], &lj.tasks[i]
-		if ti.State == hastate.TaskQueued {
+	for i := range job.Tasks {
+		if job.Tasks[i].State == core.TaskQueued {
 			continue
 		}
-		t.node, t.state = ti.Node, taskSent // counted on its node by boot
-		if ti.State == hastate.TaskDone {
-			t.state = taskJournaled
-		}
+		t := &lj.tasks[i]
+		t.node = rj.Rec.Tasks[i].Node // an assigned one counted on it by boot
 		if h.DeadlineFactor > 0 {
 			// Outstanding work gets a reconnect grace on top of its usual
 			// deadline: the worker holding the result must have time to

@@ -292,10 +292,6 @@ type Engine struct {
 	deferred []workload.Request
 
 	nextJob core.JobID
-	// books holds the book of every job running here, from its first task's
-	// start to its last task's completion, by ID; freeBooks holds spares.
-	books     map[core.JobID]*jobBook
-	freeBooks []*jobBook
 	// retired holds the jobs finished since the last pass that ran the
 	// scheduler; free holds, by task count, the jobs ready for reuse. A
 	// finished job waits out one more pass because the carried window
@@ -304,15 +300,6 @@ type Engine struct {
 	free    [][]*core.Job
 	// freeExec holds finished execution records for reuse.
 	freeExec []*execution
-}
-
-// jobBook is what the engine keeps on a running job: JS, the start of its
-// first task; how many of its tasks completed; and its largest task
-// execution — the denominator of the batch stretch metric (§5.13).
-type jobBook struct {
-	started  units.Time
-	finished int
-	maxExec  units.Duration
 }
 
 // New validates the configuration and builds an engine.
@@ -351,7 +338,6 @@ func New(cfg Config) *Engine {
 		head:   core.NewHeadState(cfg.Nodes, cfg.MemQuota, cfg.Model),
 		report: metrics.NewReport(cfg.Scheduler.Name(), cfg.Nodes),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		books:  make(map[core.JobID]*jobBook),
 
 		// γ = 1 prices every load at its share, so with C ≥ K rates are
 		// exactly 1 and the slots' float accounts stay exact integers.
@@ -586,21 +572,6 @@ func (e *Engine) release() {
 	e.retired = e.retired[:0]
 }
 
-// markStarted opens j's book at the start of its first task.
-func (e *Engine) markStarted(j *core.Job, now units.Time) {
-	if _, ok := e.books[j.ID]; ok {
-		return
-	}
-	var b *jobBook
-	if last := len(e.freeBooks) - 1; last >= 0 {
-		b, e.freeBooks = e.freeBooks[last], e.freeBooks[:last]
-	} else {
-		b = new(jobBook)
-	}
-	*b = jobBook{started: now}
-	e.books[j.ID] = b
-}
-
 // admitKind maps an admission verdict to its trace event kind.
 func admitKind(v core.Verdict) trace.Kind {
 	switch v {
@@ -677,7 +648,7 @@ func (e *Engine) enqueue(n *node, t *core.Task) {
 // whether the task is ready. The hit/miss metric is recorded at access, as
 // on a real node.
 func (e *Engine) accessOnChannel(n *node, t *core.Task) (ready bool) {
-	e.markStarted(t.Job, e.sim.Now())
+	t.Job.Start(e.sim.Now())
 	if n.mem.Touch(t.Chunk) {
 		e.report.TaskAccess(true)
 		e.demandTouch(n, t)
@@ -807,26 +778,23 @@ func (e *Engine) kickLoad(n *node) {
 // progress, QoS observation. now is when the report reaches the head —
 // completion time normally, reconciliation time for reports a head outage
 // or partition deferred (the job's latency then includes the outage, as a
-// client waiting on the frame would measure it). A report must be of a
-// task that is assigned, of a job with a book: a finished job has none, so
-// no report can take a job past its task count. A finished job retires.
+// client waiting on the frame would measure it). The report completes its
+// task (core.Backlog.Complete), which must be assigned: a task the head
+// requeued, a finished job's and a reused job's are not, so no report can
+// take a job past its task count. A finished job retires.
 func (e *Engine) account(res core.TaskResult) {
 	now := e.sim.Now()
 	j := res.Task.Job
-	b := e.books[j.ID]
-	if b == nil || !res.Task.Assigned {
-		panic(fmt.Sprintf("sim: completion of %v, which is not running", res.Task))
-	}
+	last := e.backlog.Complete(res.Task, res.Exec)
 	e.head.Correct(res, now)
-	b.maxExec = max(b.maxExec, res.Exec)
-	if b.finished++; b.finished < len(j.Tasks) {
+	if !last {
 		return
 	}
-	e.report.JobCompleted(j.Class == core.Interactive, int(j.Action), j.Issued, b.started, now)
+	e.report.JobCompleted(j.Class == core.Interactive, int(j.Action), j.Issued, j.Started, now)
 	if j.Class == core.Batch {
 		// Stretch: job latency over its largest task's full-share
 		// execution — the fairness metric of the DFRS comparison.
-		e.report.StretchAdd(now.Sub(j.Issued), b.maxExec)
+		e.report.StretchAdd(now.Sub(j.Issued), j.MaxExec)
 	}
 	if j.Tenant != 0 {
 		e.report.TenantCompleted(int(j.Tenant), j.Class == core.Interactive, now.Sub(j.Issued))
@@ -837,8 +805,6 @@ func (e *Engine) account(res core.TaskResult) {
 			e.emit(trace.Event{Kind: trace.Degrade, Level: int(level)})
 		}
 	}
-	delete(e.books, j.ID)
-	e.freeBooks = append(e.freeBooks, b)
 	e.retired = append(e.retired, j)
 }
 

@@ -245,19 +245,56 @@ func TestRunScenarioSmoke(t *testing.T) {
 	}
 }
 
+// shownJobs remembers every job a scheduler is shown and, at every pass,
+// holds each to its task records (core.CheckRecords) until the job is done.
+type shownJobs map[*core.Job]bool
+
+func (s shownJobs) check(t *testing.T, queue []*core.Job) {
+	t.Helper()
+	for j := range s {
+		if j.Done == len(j.Tasks) {
+			delete(s, j)
+		} else if err := core.CheckRecords(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range queue {
+		s[j] = true
+	}
+}
+
+// recordWatcher is OURS holding every job it is shown to its records.
+type recordWatcher struct {
+	*core.LocalityScheduler
+	t     *testing.T
+	shown shownJobs
+}
+
+func watchRecords(t *testing.T, s core.Scheduler) core.Scheduler {
+	return &recordWatcher{LocalityScheduler: s.(*core.LocalityScheduler), t: t, shown: shownJobs{}}
+}
+
+func (w *recordWatcher) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
+	w.shown.check(w.t, queue)
+	return w.LocalityScheduler.Schedule(now, queue, head)
+}
+
 // windowWatcher wraps a scheduler and checks every pass's batch jobs
 // against the engine's queued ones, told apart by job ID: the jobs issued so
 // far (IDs up to the engine's nextJob) that some pass has not yet assigned
-// whole. A pass must see the window's worth of the oldest of them.
+// whole. A pass must see the window's worth of the oldest of them. Every
+// job it is shown is held to its records (shownJobs).
 type windowWatcher struct {
 	core.Scheduler
 	t        *testing.T
 	eng      *Engine
 	assigned map[core.JobID]bool
+	shown    shownJobs
 	widest   int
 }
 
 func (w *windowWatcher) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
+	w.shown.check(w.t, queue)
 	var seen []core.JobID
 	for _, j := range queue {
 		if j.Class == core.Batch {
@@ -277,7 +314,7 @@ func (w *windowWatcher) Schedule(now units.Time, queue []*core.Job, head *core.H
 	w.widest = max(w.widest, len(seen))
 	out := w.Scheduler.Schedule(now, queue, head)
 	for _, j := range queue {
-		w.assigned[j.ID] = !slices.ContainsFunc(j.Tasks, func(t core.Task) bool { return !t.Assigned })
+		w.assigned[j.ID] = !slices.ContainsFunc(j.Tasks, func(t core.Task) bool { return !t.Assigned() })
 	}
 	return out
 }
@@ -287,7 +324,7 @@ func (w *windowWatcher) Schedule(now units.Time, queue []*core.Job, head *core.H
 // is shown are the oldest queued, and every job still completes.
 func TestBatchWindowLimitsPresentation(t *testing.T) {
 	const burst = core.DefaultBatchWindow + 44
-	w := &windowWatcher{Scheduler: core.NewLocalityScheduler(0), t: t, assigned: map[core.JobID]bool{}}
+	w := &windowWatcher{Scheduler: core.NewLocalityScheduler(0), t: t, assigned: map[core.JobID]bool{}, shown: shownJobs{}}
 	eng := New(smallConfig(w, 1))
 	w.eng = eng
 	wl := workload.Generate(workload.Spec{

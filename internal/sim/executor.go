@@ -149,7 +149,7 @@ func (e *Engine) accessInSlot(n *node, t *core.Task) (a access) {
 	}
 	e.report.TaskAccess(!a.miss)
 	e.report.EvictionsAdd(len(a.evicted))
-	e.markStarted(t.Job, now)
+	t.Job.Start(now)
 	return a
 }
 

@@ -120,9 +120,13 @@ func pairConfig() Config {
 // runPair plays the pair test's mixed workload — two interactive sessions
 // and a handful of batch frames from four tenants for six seconds, then quiet
 // until everything has drained — and returns the trace CSV, the per-head
-// reports and the structural check of the head state the run ended in.
+// reports and the structural check of the head state the run ended in. Every
+// head's scheduler holds the jobs it is shown to their records.
 func runPair(t *testing.T, cfg Config) ([]byte, []*metrics.Report, error) {
 	t.Helper()
+	cfg.Scheduler = watchRecords(t, cfg.Scheduler)
+	newSched := cfg.NewScheduler
+	cfg.NewScheduler = func() core.Scheduler { return watchRecords(t, newSched()) }
 	wl := workload.Generate(workload.Spec{
 		Length: units.Time(6 * units.Second), Datasets: 6,
 		TargetInteractive: 400, ShortActionMin: units.Second, ShortActionMax: 2 * units.Second,

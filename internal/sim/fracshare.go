@@ -112,7 +112,7 @@ walk:
 		}
 		for i := range j.Tasks {
 			t := &j.Tasks[i]
-			if t.Assigned || seen(t.Chunk) {
+			if t.Assigned() || seen(t.Chunk) {
 				continue
 			}
 			sample[sampled] = group{t.Chunk, t.Size, j.GroupSize()}

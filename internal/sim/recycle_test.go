@@ -27,8 +27,8 @@ func TestDuplicateCompletionPanics(t *testing.T) {
 	late := func(when string, task *core.Task) {
 		t.Helper()
 		defer func() {
-			if r := recover(); !strings.Contains(fmt.Sprint(r), "which is not running") {
-				t.Errorf("%s: a late completion of %v gave %v, want the engine's panic", when, task, r)
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "core: completion of "+task.String()) {
+				t.Errorf("%s: a late completion of %v gave %v, want the task transition's panic", when, task, r)
 			}
 		}()
 		e.account(core.TaskResult{Task: task, Exec: units.Millisecond, Finished: e.sim.Now()})
@@ -53,9 +53,9 @@ func TestDuplicateCompletionPanics(t *testing.T) {
 	}
 	late("reused", &first.Tasks[0])
 
-	e.invokeScheduler() // the third job runs on idle nodes: its book is open
-	if _, open := e.books[third.ID]; !open {
-		t.Fatal("the third job did not start")
+	e.invokeScheduler() // the third job runs on idle nodes
+	if third.Tasks[1].State != core.TaskAssigned {
+		t.Fatalf("the third job's task 1 is %v, want assigned", third.Tasks[1].State)
 	}
 	e.backlog.Requeue(&third.Tasks[1])
 	late("requeued", &third.Tasks[1])
