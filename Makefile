@@ -144,6 +144,8 @@ design-metrics:
 	@printf 'head-side wall-clock reads: %s\n' "$$(cd internal/service && cat head.go loop.go recovery.go autoscale.go fracstats.go stats.go multihead.go | grep -cE 'time\.(Now|Since)\b')"
 	@printf 'incompatible guards: %s\n' "$$(grep -rn 'incompatible' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)"
 	@printf 'map[volume.ChunkID] tables outside bench/: %s\n' "$$(grep -rn 'map\[volume\.ChunkID\]' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -vc 'make(map')"
+	@printf 'maps keyed by core.JobID in internal/sim + internal/service: %s\n' "$$(cat $$(ls internal/sim/*.go internal/service/*.go | grep -v _test.go) | grep 'map\[core\.JobID\]' | grep -vc 'make(map')"
+	@printf 'task-state types outside internal/core and hastate'"'"'s on-disk format: %s\n' "$$(grep -rnE '^type [A-Za-z]*[tT]ask[sS]tate ' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core --exclude-dir=hastate . | wc -l)"
 	@printf 'head-rule calls outside internal/core, internal/shard and internal/prefetch: %s\n' "$$(grep -rnE '\.(MarkPrefetched|NotePrefetchEvicted)\(|\.Caches\[[^]]*\]\.Remove\(|dir\.Publish\(|DropNode\(|(pref|prefc)\.(Observe|Loaded|NoteEvicted|FailNode)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core --exclude-dir=shard --exclude-dir=prefetch . | wc -l)"
 	@printf 'QoS nil branches in internal/sim + internal/service: %s\n' "$$(cat $$(ls internal/sim/*.go internal/service/*.go | grep -v _test.go) | grep -cE '(qosc|QoS) [!=]= nil')"
 	@printf 'Schedule calls outside internal/core: %s\n' "$$(grep -rn '\.Schedule(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=core . | wc -l)"

@@ -496,7 +496,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 			b.StopTimer()
 			for _, job := range queue {
 				for k := range job.Tasks {
-					job.Tasks[k].Assigned = false
+					job.Tasks[k].State = core.TaskQueued
 				}
 				job.Remaining = len(job.Tasks)
 			}

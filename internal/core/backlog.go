@@ -226,11 +226,9 @@ func (b *Backlog) Push(j *Job) {
 	}
 }
 
-// The task transitions (DESIGN.md §5.5). Each moves one task between
-// TaskStates and does the backlog step that goes with the move, so that a
-// job's Remaining counts its queued tasks and Done its done ones. A task in
-// a state the transition does not start from is a bug in the plane, and
-// panics.
+// The task transitions (DESIGN.md §5.5) each move one task and do the
+// backlog step that goes with the move; a task in a state the transition
+// does not start from is a bug in the plane, and panics.
 
 // Requeue hands back task t — assigned, held or journaled: presumed lost,
 // taken off a draining node, or journaled with its pixels never back —
@@ -287,8 +285,7 @@ func (t *Task) move(transition string, from uint8, to TaskState) {
 }
 
 // CheckRecords holds job j to its task records: Remaining must count the
-// queued tasks and Done the done ones. The transitions keep both by
-// construction; both planes' tests call it after every step.
+// queued tasks and Done the done ones, as the transitions keep them.
 func CheckRecords(j *Job) error {
 	queued, done := 0, 0
 	for i := range j.Tasks {

@@ -60,21 +60,18 @@ type Job struct {
 	// Tasks is the decomposition; populated by the engine from the dataset's
 	// chunking before the job is first presented to a scheduler.
 	Tasks []Task
-	// Remaining counts the queued tasks. Pass and Backlog's transitions
-	// keep it; a plane sets it only when it builds the job.
+	// Remaining counts the queued tasks and Done the done ones; Pass and
+	// Backlog's transitions keep both. Started is JS, the start of the
+	// first task (Start), and MaxExec the largest execution Complete was
+	// given. A plane that reuses a Job resets them with the rest.
 	Remaining int
-	// The job's book: Started is JS, the start of its first task, from the
-	// first Start; Done counts the tasks Complete moved to done, and MaxExec
-	// is the largest execution it was given. A plane that reuses a Job
-	// resets them with the rest.
-	Started units.Time
-	Done    int
-	MaxExec units.Duration
-	started bool
+	Done      int
+	Started   units.Time
+	MaxExec   units.Duration
+	started   bool
 }
 
-// Start opens the job's book at now, the start of one of its tasks; only
-// the first call counts.
+// Start notes that a task of j starts at now; the first call sets Started.
 func (j *Job) Start(now units.Time) {
 	if !j.started {
 		j.Started, j.started = now, true
@@ -102,28 +99,23 @@ type Task struct {
 	PredictedExec units.Duration
 }
 
-// TaskState is where a task is in its lifecycle, on either plane (DESIGN.md
-// §5.5). The zero value is queued.
+// TaskState is where a task is in its lifecycle, on both planes (DESIGN.md
+// §5.5); the zero value is queued.
 type TaskState uint8
 
 // Task states.
 const (
-	TaskQueued    TaskState = iota // in its job's Remaining, waiting for a pass
-	TaskAssigned                   // placed on a node and not back yet
-	TaskHeld                       // missed its deadline; waits out a backoff before its requeue
-	TaskJournaled                  // its completion was journaled before a takeover (§5.10); its pixels are not back yet
+	TaskQueued    TaskState = iota // counted in its job's Remaining
+	TaskAssigned                   // placed on a node, not back yet
+	TaskHeld                       // missed its deadline; its requeue waits out a backoff
+	TaskJournaled                  // completion journaled before a takeover (§5.10), pixels not back
 	TaskDone                       // completed
 )
 
 // String implements fmt.Stringer.
 func (s TaskState) String() string {
-	if int(s) < len(taskStates) {
-		return taskStates[s]
-	}
-	return fmt.Sprintf("TaskState(%d)", uint8(s))
+	return [...]string{"queued", "assigned", "held", "journaled", "done"}[s]
 }
-
-var taskStates = [...]string{"queued", "assigned", "held", "journaled", "done"}
 
 // Assigned reports whether the task has left the queue: schedulers skip it.
 func (t *Task) Assigned() bool { return t.State != TaskQueued }

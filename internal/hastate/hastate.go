@@ -217,24 +217,12 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 }
 
 // RecoveredJob pairs a job's durable record with the reconstructed
-// scheduler-facing job, whose task states, Remaining and PredictedExec
-// match what the lost head held — a held task recovers as assigned. Replay
-// keeps only the record's Node for each task, where it was dispatched last;
-// its State and Predicted are the record's as admitted or snapshotted.
+// scheduler-facing job, whose Remaining and PredictedExec match what the
+// lost head held; a held task recovers assigned and a done one journaled.
+// Of the record's tasks replay keeps only Node up to date.
 type RecoveredJob struct {
 	Rec *JobRecord
 	Job *core.Job
-}
-
-// Journaled reports whether every task of the job is journaled: it waits
-// only for its pixels.
-func (rj *RecoveredJob) Journaled() bool {
-	for i := range rj.Job.Tasks {
-		if rj.Job.Tasks[i].State != core.TaskJournaled {
-			return false
-		}
-	}
-	return true
 }
 
 // State is the outcome of Replay: everything a standby head needs to resume
@@ -428,10 +416,8 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		case journal.KindRehome:
 			// The live head declared node down: MarkFailed re-homed its
 			// chunks, and every in-flight task it held was requeued. A
-			// completion the journal holds stays journaled: the journal
-			// cannot tell pixels the writing head had from pixels it waited
-			// for, and a wait that fails ends in a requeue the next dispatch
-			// record shows.
+			// journaled task stays journaled: whether its pixels were on
+			// the node, the journal does not say.
 			st.Tables.MarkFailed(node)
 			for _, rj := range st.Jobs {
 				for i := range rj.Job.Tasks {

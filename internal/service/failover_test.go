@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,11 @@ import (
 	"vizsched/internal/transport"
 	"vizsched/internal/units"
 )
+
+// journaled reports whether every task of a recovered job is journaled.
+func journaled(rj *hastate.RecoveredJob) bool {
+	return !slices.ContainsFunc(rj.Job.Tasks, func(t core.Task) bool { return t.State != core.TaskJournaled })
+}
 
 // quietHead silences a head's diagnostics for tests.
 func quietHead(h *Head) { h.Logf = func(string, ...any) {} }
@@ -92,7 +98,7 @@ func TestHeadFailoverJournalRecovery(t *testing.T) {
 		t.Fatalf("recovered jobs = %d, want %d", len(st.Jobs), frames)
 	}
 	for _, rj := range st.Jobs {
-		if !rj.Journaled() {
+		if !journaled(rj) {
 			t.Fatalf("job %d not fully done in recovered state", rj.Rec.ID)
 		}
 	}
@@ -229,9 +235,9 @@ func TestResyncEpochReconcilesUnackedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(st.Jobs) != 1 || st.Jobs[0].Journaled() {
+	if len(st.Jobs) != 1 || journaled(st.Jobs[0]) {
 		t.Fatalf("recovered state: %d jobs, done=%v; want 1 in-flight job",
-			len(st.Jobs), len(st.Jobs) == 1 && st.Jobs[0].Journaled())
+			len(st.Jobs), len(st.Jobs) == 1 && journaled(st.Jobs[0]))
 	}
 
 	standby := NewHead(core.NewLocalityScheduler(2*units.Millisecond), cat, 64*units.MB, model)

@@ -511,7 +511,7 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 		if key := lj.req.Key; key != 0 {
 			h.byKey[key] = lj
 		}
-		if rj.Journaled() {
+		if !slices.ContainsFunc(rj.Job.Tasks, func(t core.Task) bool { return t.State != core.TaskJournaled }) {
 			continue // complete; waits for retained replays, renders nothing
 		}
 		live = append(live, rj.Job)

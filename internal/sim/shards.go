@@ -114,7 +114,7 @@ func NewSharded(cfg Config) *ShardedEngine {
 		eng := New(sub)
 		eng.sim = se.sim // one shared clock and event heap for all shards
 		// Shard-disjoint job ID spaces: donation moves jobs between shards,
-		// and the adoptee's books are keyed by ID.
+		// and an ID must name one job across the run's trace.
 		eng.nextJob = core.JobID(i) << 40
 		eng.head.SetEstimateSource(se.dir.Estimate)
 		eng.head.SetDirectoryWriter(shardWriter{shard.Writer{Dir: se.dir, First: se.parts[i].Start, Stride: 1}, se, i})
