@@ -1,4 +1,4 @@
-package experiments
+package vizsched
 
 import (
 	"bufio"
@@ -6,12 +6,12 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
+	"vizsched/internal/experiments"
 	"vizsched/internal/prefetch"
 	"vizsched/internal/sim"
 	"vizsched/internal/trace"
@@ -28,55 +28,18 @@ const pinsFile = "testdata/paper_pins.txt"
 // figure in an otherwise virtual-time table.
 var schedCost = regexp.MustCompile(`sched=\s*\S+/job`)
 
-// floatsReproduce reports whether this host's math.Exp and math.Pow return
-// the bits they returned where the pins were recorded. On amd64, math.Exp
-// takes an FMA path when the CPU has AVX and FMA, and the two paths differ
-// in the last bit on the Exp inputs below; math.Pow reaches Exp for
-// fractional exponents. Where they differ, generated workloads and volumes
-// may too, and a pin says nothing.
-func floatsReproduce() bool {
-	for _, c := range []struct {
-		x    float64
-		bits uint64
-	}{
-		{-7.3, 0x3f4622d4792b6a8d},
-		{-12.125, 0x3ed6be184875fe35},
-		{17.6203635218005, 0x41856b3ba7b290b9},
-		{-11.108423319728491, 0x3eef6d50074b7801},
-		{7.306139520529751, 0x409745aa3469a00d},
-		{-5.212286254407124, 0x3f7651e6cd639fe7},
-	} {
-		if math.Float64bits(math.Exp(c.x)) != c.bits {
-			return false
-		}
-	}
-	for _, c := range []struct {
-		x, y float64
-		bits uint64
-	}{
-		{2.5, 0.37, 0x3ff6751271a01214},
-		{0.8, 1.7, 0x3fe5e5de6318dbc9},
-		{13.25, -0.61, 0x3fca76d3deb28294},
-		{0.3, 2.2, 0x3fb21c08eb3f512d},
-	} {
-		if math.Float64bits(math.Pow(c.x, c.y)) != c.bits {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPaperTablesAndTracesMatchPins holds the simulator's fixed points to
 // the sha256 in testdata/paper_pins.txt: vizsim's scale-0.1 table (every
 // scheduler, the sched= column masked) on Scenarios 1–4, and the -trace CSV
 // bytes of Scenarios 1 and 3 under OURS, plain, with -qos -tenants 4 -skew
 // 1.5, with -prefetch and with -faults 2. Each run is configured as
-// cmd/vizsim configures it.
+// cmd/vizsim configures it. It skips where hostFloatsReproduce does not
+// hold.
 func TestPaperTablesAndTracesMatchPins(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the paper's scenarios at scale 0.1")
 	}
-	if !floatsReproduce() && !*updatePins {
+	if !hostFloatsReproduce() && !*updatePins {
 		t.Skip("this host's math.Exp/math.Pow do not reproduce the recorded bits; the pins cannot hold here")
 	}
 	type pinRun struct {
@@ -93,7 +56,7 @@ func TestPaperTablesAndTracesMatchPins(t *testing.T) {
 		}
 	}
 	got := make([]string, len(runs))
-	ForEach(DefaultWorkers(), len(runs), func(i int) { got[i] = runs[i].run() })
+	experiments.ForEach(experiments.DefaultWorkers(), len(runs), func(i int) { got[i] = runs[i].run() })
 
 	if *updatePins {
 		var b strings.Builder
@@ -149,10 +112,10 @@ func readPins(t *testing.T) map[string]string {
 func pinTable(s int) string {
 	cfg := workload.Scenario(workload.ScenarioID(s), 0.1)
 	wl := workload.Generate(cfg.Spec)
-	faults := FaultSchedule(cfg.Nodes, wl.Length, 0, int64(cfg.ID)*104729)
+	faults := experiments.FaultSchedule(cfg.Nodes, wl.Length, 0, int64(cfg.ID)*104729)
 	h := sha256.New()
-	for _, sched := range Schedulers() {
-		ecfg := sim.ScenarioEngineConfig(cfg, sched, Jitter)
+	for _, sched := range experiments.Schedulers() {
+		ecfg := sim.ScenarioEngineConfig(cfg, sched, experiments.Jitter)
 		ecfg.Failures = faults
 		ecfg.Replicas = 1
 		rep := sim.New(ecfg).Run(wl, 0)
@@ -173,16 +136,16 @@ func pinTrace(s int, variant string) string {
 	if variant == "faults" {
 		rate = 2
 	}
-	ours, err := SchedulerByName("OURS")
+	ours, err := experiments.SchedulerByName("OURS")
 	if err != nil {
 		panic(err)
 	}
-	ecfg := sim.ScenarioEngineConfig(cfg, ours, Jitter)
-	ecfg.Failures = FaultSchedule(cfg.Nodes, wl.Length, rate, int64(cfg.ID)*104729)
+	ecfg := sim.ScenarioEngineConfig(cfg, ours, experiments.Jitter)
+	ecfg.Failures = experiments.FaultSchedule(cfg.Nodes, wl.Length, rate, int64(cfg.ID)*104729)
 	ecfg.Replicas = 1
 	switch variant {
 	case "qos":
-		ecfg.QoS = SweepQoSConfig()
+		ecfg.QoS = experiments.SweepQoSConfig()
 	case "prefetch":
 		ecfg.Prefetch = prefetch.DefaultConfig()
 	}

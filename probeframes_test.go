@@ -33,11 +33,12 @@ var probeSpecs = []struct {
 }
 
 // hostFloatsReproduce reports whether this host's math.Exp and math.Pow
-// return the bits they returned where the pins were recorded (the same key
-// as internal/experiments' floatsReproduce). On amd64, math.Exp takes an
-// FMA path when the CPU has AVX and FMA, and the two paths differ in the
-// last bit on the Exp inputs below; the volume generators call math.Exp, so
-// where they differ the voxels, and with them the PNG bytes, may too.
+// return the bits they returned where the pins were recorded. On amd64,
+// math.Exp takes an FMA path when the CPU has AVX and FMA, and the two
+// paths differ in the last bit on the Exp inputs below; math.Pow reaches
+// Exp for fractional exponents. The volume generators and the workload
+// generator call them, so where they differ the voxels, the PNG bytes and
+// the simulator's schedules may too, and a pin says nothing.
 func hostFloatsReproduce() bool {
 	exp := map[float64]uint64{
 		-7.3: 0x3f4622d4792b6a8d, -12.125: 0x3ed6be184875fe35,
