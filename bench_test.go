@@ -153,7 +153,7 @@ func tableIIICall(name string) func() {
 				Size:  512 * units.MB,
 			}
 		}
-		job.Remaining = chunks
+		job.Remaining = int32(chunks)
 		queue[j] = job
 	}
 	sched, _ := experiments.SchedulerByName(name)
@@ -498,7 +498,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 				for k := range job.Tasks {
 					job.Tasks[k].State = core.TaskQueued
 				}
-				job.Remaining = len(job.Tasks)
+				job.Remaining = int32(len(job.Tasks))
 			}
 			now = now.Add(3600 * units.Second) // every node has drained
 			b.StartTimer()
@@ -587,7 +587,7 @@ func schedJob(j int, class core.Class, datasets, chunks int) *core.Job {
 		job.Tasks[k] = core.Task{Job: job, Index: k,
 			Chunk: volume.ChunkID{Dataset: job.Dataset, Index: k}, Size: 512 * units.MB}
 	}
-	job.Remaining = chunks
+	job.Remaining = int32(chunks)
 	return job
 }
 

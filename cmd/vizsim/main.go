@@ -23,7 +23,6 @@ import (
 
 	"vizsched/internal/experiments"
 	"vizsched/internal/metrics"
-	"vizsched/internal/prefetch"
 	"vizsched/internal/sim"
 	"vizsched/internal/trace"
 	"vizsched/internal/units"
@@ -66,9 +65,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vizsim: -scenario must be 1-4")
 		os.Exit(2)
 	}
-	cfg := workload.Scenario(workload.ScenarioID(*scenario), *scale)
-	cfg.Spec.Tenants = *tenants
-	cfg.Spec.TenantSkew = *tenantSkew
+	sr := experiments.ScenarioRun{
+		Tenants: *tenants, Skew: *tenantSkew, Jitter: *jitter,
+		Faults: *faults, Replicas: *replicas, QoS: *useQoS, Prefetch: *usePrefetch,
+	}
+	cfg := sr.Scenario(workload.ScenarioID(*scenario), *scale)
 	wl := workload.Generate(cfg.Spec)
 	if *loadWL != "" {
 		loaded, err := workload.LoadScheduleFile(*loadWL)
@@ -90,9 +91,6 @@ func main() {
 		return
 	}
 
-	// One fault schedule shared read-only by every run, so schedulers face
-	// identical chaos.
-	faultSchedule := experiments.FaultSchedule(cfg.Nodes, wl.Length, *faults, int64(cfg.ID)*104729)
 	printRecovery := func(rep *metrics.Report) {
 		if *faults <= 0 {
 			return
@@ -130,18 +128,10 @@ func main() {
 		if err != nil {
 			return err
 		}
-		ecfg := sim.ScenarioEngineConfig(cfg, s, *jitter)
-		ecfg.Failures = faultSchedule
-		ecfg.Replicas = *replicas
-		if *useQoS {
-			ecfg.QoS = experiments.SweepQoSConfig()
-		}
-		if *usePrefetch {
-			ecfg.Prefetch = prefetch.DefaultConfig()
-		}
+		ecfg := sr.Config(cfg, wl, s)
 		var tl *trace.Log
 		if (*traceCSV != "" || *ganttSVG != "") && *sched != "all" {
-			tl = trace.New(2_000_000)
+			tl = trace.New(experiments.TraceCap)
 			ecfg.Trace = tl
 		}
 		held = sim.New(ecfg)
@@ -200,16 +190,7 @@ func main() {
 		scheds := experiments.Schedulers()
 		reports := make([]*metrics.Report, len(scheds))
 		experiments.ForEach(workers, len(scheds), func(i int) {
-			ecfg := sim.ScenarioEngineConfig(cfg, scheds[i], *jitter)
-			ecfg.Failures = faultSchedule
-			ecfg.Replicas = *replicas
-			if *useQoS {
-				ecfg.QoS = experiments.SweepQoSConfig()
-			}
-			if *usePrefetch {
-				ecfg.Prefetch = prefetch.DefaultConfig()
-			}
-			reports[i] = sim.New(ecfg).Run(wl, 0)
+			reports[i] = sim.New(sr.Config(cfg, wl, scheds[i])).Run(wl, 0)
 		})
 		for _, rep := range reports {
 			fmt.Println(rep)

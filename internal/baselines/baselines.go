@@ -62,7 +62,7 @@ func assignAll(now units.Time, jobs []*core.Job, head *core.HeadState,
 	pick func(*core.Task) (core.NodeID, bool)) []core.Assignment {
 	n := 0
 	for _, j := range jobs {
-		n += j.Remaining
+		n += int(j.Remaining)
 	}
 	out := make([]core.Assignment, 0, n)
 	for _, j := range jobs {
@@ -75,7 +75,7 @@ func assignAll(now units.Time, jobs []*core.Job, head *core.HeadState,
 			if !ok {
 				return out
 			}
-			t.Assign()
+			t.State = core.TaskAssigned
 			head.CommitAssign(t, k, now)
 			out = append(out, core.Assignment{Task: t, Node: k})
 		}
@@ -259,7 +259,7 @@ func (s *FS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) [
 			if !ok {
 				return out
 			}
-			t.Assign()
+			t.State = core.TaskAssigned
 			exec := head.CommitAssign(t, k, now)
 			s.service[j.Action] += exec
 			out = append(out, core.Assignment{Task: t, Node: k})

@@ -19,7 +19,7 @@ func mkJob(id core.JobID, class core.Class, action core.ActionID, ds volume.Data
 			Size:  size,
 		}
 	}
-	j.Remaining = nChunks
+	j.Remaining = int32(nChunks)
 	return j
 }
 
@@ -207,7 +207,7 @@ func TestSchedulersSkipAssignedTasks(t *testing.T) {
 	for _, s := range scheds {
 		h := newHead(2)
 		j := mkJob(1, core.Interactive, 1, 1, 2, 256*units.MB)
-		j.Tasks[0].Assign()
+		j.Tasks[0].State = core.TaskAssigned
 		as := s.Schedule(0, []*core.Job{j}, h)
 		if len(as) != 1 || as[0].Task.Index != 1 {
 			t.Errorf("%s reassigned already-assigned task: %v", s.Name(), as)

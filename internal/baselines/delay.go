@@ -44,7 +44,7 @@ func (d *Delay) Cycle() units.Duration { return d.Period }
 func (d *Delay) Schedule(now units.Time, queue []*core.Job, head *core.HeadState) []core.Assignment {
 	var out []core.Assignment
 	assign := func(t *core.Task, k core.NodeID) {
-		t.Assign()
+		t.State = core.TaskAssigned
 		head.CommitAssign(t, k, now)
 		out = append(out, core.Assignment{Task: t, Node: k})
 	}

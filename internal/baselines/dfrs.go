@@ -83,7 +83,7 @@ func (s *DFRS) Schedule(now units.Time, queue []*core.Job, head *core.HeadState)
 			if !ok {
 				continue // late binding: no capacity now, re-bind next window
 			}
-			t.Assign()
+			t.State = core.TaskAssigned
 			head.CommitAssign(t, k, now)
 			out = append(out, core.Assignment{Task: t, Node: k})
 		}

@@ -18,10 +18,10 @@ import (
 type Backlog struct {
 	gate      Gate // nil: arrivals enter the backlog itself
 	jobs      []*Job
-	batch     int    // batch jobs in jobs
-	window    int    // batch jobs a pass is shown; zero is DefaultBatchWindow
-	present   []*Job // Present's scratch when the window binds
-	remaining []int  // Pass's scratch: each presented job's Remaining before Schedule
+	batch     int     // batch jobs in jobs
+	window    int     // batch jobs a pass is shown; zero is DefaultBatchWindow
+	present   []*Job  // Present's scratch when the window binds
+	remaining []int32 // Pass's scratch: each presented job's Remaining before Schedule
 }
 
 // PassResult is what one Pass decided, for the plane to carry out: the
@@ -209,7 +209,7 @@ func (b *Backlog) Admit(j *Job, now units.Time, maxQueue int, dropStale bool) Ad
 // task assigned — of action only, when sameAction — or nil if there is none.
 func (b *Backlog) shedFrame(action ActionID, sameAction bool) *Job {
 	for i, q := range b.jobs {
-		if q.Class == Interactive && q.Remaining == len(q.Tasks) && (!sameAction || q.Action == action) {
+		if q.Class == Interactive && int(q.Remaining) == len(q.Tasks) && (!sameAction || q.Action == action) {
 			b.jobs = slices.Delete(b.jobs, i, i+1)
 			return q
 		}
@@ -226,79 +226,36 @@ func (b *Backlog) Push(j *Job) {
 	}
 }
 
-// The task transitions (DESIGN.md §5.5) each move one task and do the
-// backlog step that goes with the move; a task in a state the transition
-// does not start from is a bug in the plane, and panics.
-
-// Requeue hands back task t — assigned, held or journaled: presumed lost,
-// taken off a draining node, or journaled with its pixels never back —
-// queued and unpredicted; its job re-enters at the back if it had left.
+// Requeue moves task t back to queued (Move): presumed lost, taken off a
+// draining node, or journaled with its pixels never back. Its job
+// re-enters at the back if it had left.
 func (b *Backlog) Requeue(t *Task) {
-	t.move("requeue", 1<<TaskAssigned|1<<TaskHeld|1<<TaskJournaled, TaskQueued)
-	t.PredictedExec = 0
-	if t.Job.Remaining == 0 {
+	t.Move(TaskQueued)
+	if t.Job.Remaining == 1 {
 		b.Push(t.Job)
 	}
-	t.Job.Remaining++
 }
 
-// Reclaim assigns queued task t outside a pass — its first dispatch
-// completed after all, or a journal replays its dispatch; its job leaves if
-// that was its last queued task.
+// Reclaim moves queued task t to assigned outside a pass (Move): its first
+// dispatch completed after all. Its job leaves if that was its last queued
+// task.
 func (b *Backlog) Reclaim(t *Task) {
-	t.move("reclaim", 1<<TaskQueued, TaskAssigned)
-	if t.Job.Remaining--; t.Job.Remaining == 0 {
+	t.Move(TaskAssigned)
+	if t.Job.Remaining == 0 {
 		b.Remove(t.Job)
 	}
 }
 
-// Hold moves task t, assigned or journaled, to held: it missed its deadline
-// and waits out a backoff before its Requeue.
-func (b *Backlog) Hold(t *Task) {
-	t.move("hold", 1<<TaskAssigned|1<<TaskJournaled, TaskHeld)
-}
-
-// Journal moves assigned task t to journaled: a replayed journal holds its
-// completion, and its pixels are still on the worker that rendered it.
-func (b *Backlog) Journal(t *Task) {
-	t.move("journal", 1<<TaskAssigned, TaskJournaled)
-}
-
-// Complete moves task t — assigned, held or journaled — to done and books
-// its execution time exec on its job. It reports whether every task of the
-// job is done.
-func (b *Backlog) Complete(t *Task, exec units.Duration) bool {
-	t.move("completion", 1<<TaskAssigned|1<<TaskHeld|1<<TaskJournaled, TaskDone)
-	j := t.Job
-	j.MaxExec = max(j.MaxExec, exec)
-	j.Done++
-	return j.Done == len(j.Tasks)
-}
-
-// move sets t's state to to if it is one of the set from (a bit per state),
-// and panics naming the transition if it is not.
-func (t *Task) move(transition string, from uint8, to TaskState) {
-	if from&(1<<t.State) == 0 {
-		panic(fmt.Sprintf("core: %s of %v, which is %v", transition, t, t.State))
-	}
-	t.State = to
-}
-
 // CheckRecords holds job j to its task records: Remaining must count the
-// queued tasks and Done the done ones, as the transitions keep them.
+// queued tasks and Done the done ones, as Pass and Move keep them.
 func CheckRecords(j *Job) error {
-	queued, done := 0, 0
+	var in [TaskDone + 1]int32 // tasks in each state
 	for i := range j.Tasks {
-		switch j.Tasks[i].State {
-		case TaskQueued:
-			queued++
-		case TaskDone:
-			done++
-		}
+		in[j.Tasks[i].State]++
 	}
-	if j.Remaining != queued || j.Done != done {
+	if j.Remaining != in[TaskQueued] || j.Done != in[TaskDone] {
 		return fmt.Errorf("core: job %d: Remaining %d over %d queued tasks, Done %d over %d done",
-			j.ID, j.Remaining, queued, j.Done, done)
+			j.ID, j.Remaining, in[TaskQueued], j.Done, in[TaskDone])
 	}
 	return nil
 }
@@ -390,7 +347,7 @@ func (b *Backlog) UnstartedBatch() int {
 	}
 	n := 0
 	for _, j := range b.jobs {
-		if j.Class == Batch && j.Remaining == len(j.Tasks) {
+		if j.Class == Batch && int(j.Remaining) == len(j.Tasks) {
 			n++
 		}
 	}
@@ -405,7 +362,7 @@ func (b *Backlog) TakeUnstartedBatch(n int) []*Job {
 	}
 	var out []*Job
 	for _, j := range b.jobs {
-		if len(out) < n && j.Class == Batch && j.Remaining == len(j.Tasks) {
+		if len(out) < n && j.Class == Batch && int(j.Remaining) == len(j.Tasks) {
 			out = append(out, j)
 		}
 	}

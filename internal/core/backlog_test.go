@@ -151,7 +151,7 @@ func (r *refQueue) unqueue(j *Job) {
 // the oldest undispatched frame of j's action, and j is queued. It returns
 // the shed jobs in the order shed, and whether j was refused.
 func (r *refQueue) admit(q *fifoFair, gated bool, j *Job, maxQueue int, dropStale bool) (shed []*Job, refused bool) {
-	undispatched := func(o *Job) bool { return o.Class == Interactive && o.Remaining == len(o.Tasks) }
+	undispatched := func(o *Job) bool { return o.Class == Interactive && int(o.Remaining) == len(o.Tasks) }
 	if gated {
 		q.jobs = append(q.jobs, j)
 		if maxQueue > 0 && len(q.jobs)+len(r.queue) > maxQueue {
@@ -186,7 +186,7 @@ func (r *refQueue) admit(q *fifoFair, gated bool, j *Job, maxQueue int, dropStal
 }
 
 func (r *refQueue) reclaim(t *Task) {
-	t.Assign()
+	t.State = TaskAssigned
 	t.Job.Remaining--
 	if t.Job.Remaining == 0 {
 		r.unqueue(t.Job)
@@ -197,7 +197,7 @@ func (r *refQueue) take(n int) []*Job {
 	var out []*Job
 	keep := r.queue[:0]
 	for _, j := range r.queue {
-		if len(out) < n && j.Class == Batch && j.Remaining == len(j.Tasks) {
+		if len(out) < n && j.Class == Batch && int(j.Remaining) == len(j.Tasks) {
 			out = append(out, j)
 			continue
 		}
@@ -253,7 +253,7 @@ func (s *backlogScript) newJob(arg int) (*Job, *Job) {
 		for i := range j.Tasks {
 			j.Tasks[i] = Task{Job: j, Index: i}
 		}
-		j.Remaining = len(j.Tasks)
+		j.Remaining = int32(len(j.Tasks))
 		s.jobs[side] = append(s.jobs[side], j)
 		pair[side] = j
 	}
@@ -346,7 +346,7 @@ func (s *backlogScript) run() {
 			if p >= 0 {
 				if placed := unassigned(want[p], arg%5); len(placed) > 0 {
 					for _, t := range placed {
-						t.Assign()
+						t.State = TaskAssigned
 						t.Job.Remaining--
 					}
 					wantTouched = 1
@@ -397,21 +397,17 @@ func (s *backlogScript) run() {
 			i := s.pick(arg, func(j *Job) bool { return in(j, TaskAssigned) })
 			if i >= 0 {
 				k := s.task(i, s.next(), TaskAssigned)
-				s.b.Hold(&s.jobs[0][i].Tasks[k])
+				s.jobs[0][i].Tasks[k].Move(TaskHeld)
 				s.jobs[1][i].Tasks[k].State = TaskHeld
 			}
 		case 9: // an assigned or held task completes
 			i := s.pick(arg, func(j *Job) bool { return in(j, TaskAssigned, TaskHeld) })
 			if i >= 0 {
 				k := s.task(i, s.next(), TaskAssigned, TaskHeld)
-				exec := units.Duration(s.next()) * units.Millisecond
-				last := s.b.Complete(&s.jobs[0][i].Tasks[k], exec)
+				s.jobs[0][i].Tasks[k].Move(TaskDone)
 				r := s.jobs[1][i]
-				r.Tasks[k].State, r.MaxExec = TaskDone, max(r.MaxExec, exec)
-				if r.Done++; last != (r.Done == len(r.Tasks)) {
-					s.t.Fatalf("step %d: completing job %d's task %d reported last %v with %d of %d done",
-						s.step, r.ID, k, last, r.Done, len(r.Tasks))
-				}
+				r.Tasks[k].State = TaskDone
+				r.Done++
 			}
 		}
 		s.check(s.b.Present(), s.ref.present())
@@ -441,7 +437,7 @@ func (s *backlogScript) check(present, want []*Job) {
 	for _, j := range s.ref.queue {
 		if j.Class == Batch {
 			batch++
-			if j.Remaining == len(j.Tasks) {
+			if int(j.Remaining) == len(j.Tasks) {
 				unstarted++
 			}
 		}
@@ -559,7 +555,7 @@ func unassigned(j *Job, n int) []*Task {
 func place(node NodeID, tasks ...*Task) []Assignment {
 	var out []Assignment
 	for _, t := range tasks {
-		t.Assign()
+		t.State = TaskAssigned
 		out = append(out, Assignment{Task: t, Node: node})
 	}
 	return out
@@ -620,7 +616,7 @@ func TestBacklogPassContract(t *testing.T) {
 			}
 			var b Backlog
 			for i, n := range tc.jobs {
-				j := &Job{ID: JobID(i + 1), Tasks: make([]Task, n), Remaining: n}
+				j := &Job{ID: JobID(i + 1), Tasks: make([]Task, n), Remaining: int32(n)}
 				for k := range j.Tasks {
 					j.Tasks[k] = Task{Job: j, Index: k}
 				}
@@ -699,7 +695,7 @@ func TestBacklogAdmission(t *testing.T) {
 				}
 				for _, name := range tc.queued {
 					j := admissionJob(name)
-					if gated && j.Remaining == len(j.Tasks) {
+					if gated && int(j.Remaining) == len(j.Tasks) {
 						gate.jobs = append(gate.jobs, j)
 					} else {
 						b.Push(j)
@@ -751,7 +747,7 @@ func admissionJob(name string) *Job {
 		j.Tasks[i] = Task{Job: j, Index: i}
 	}
 	if strings.HasSuffix(name, "*") {
-		j.Tasks[0].Assign()
+		j.Tasks[0].State = TaskAssigned
 		j.Remaining--
 	}
 	return j

@@ -61,7 +61,7 @@ func (w *invariantWorld) arrive() {
 			Size:  units.Bytes(w.rng.Intn(4)+1) * 64 * units.MB,
 		}
 	}
-	j.Remaining = chunks
+	j.Remaining = int32(chunks)
 	w.queue = append(w.queue, j)
 }
 

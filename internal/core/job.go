@@ -61,20 +61,18 @@ type Job struct {
 	// chunking before the job is first presented to a scheduler.
 	Tasks []Task
 	// Remaining counts the queued tasks and Done the done ones; Pass and
-	// Backlog's transitions keep both. Started is JS, the start of the
-	// first task (Start), and MaxExec the largest execution Complete was
-	// given. A plane that reuses a Job resets them with the rest.
-	Remaining int
-	Done      int
-	Started   units.Time
-	MaxExec   units.Duration
-	started   bool
+	// Task.Move keep both. Started is JS, the start of the first task,
+	// negative before it (Start), and MaxExec the largest task execution
+	// time: the simulator's book on a running job, reset with the job.
+	Remaining, Done int32
+	Started         units.Time
+	MaxExec         units.Duration
 }
 
 // Start notes that a task of j starts at now; the first call sets Started.
 func (j *Job) Start(now units.Time) {
-	if !j.started {
-		j.Started, j.started = now, true
+	if j.Started < 0 {
+		j.Started = now
 	}
 }
 
@@ -89,9 +87,9 @@ type Task struct {
 	Index int
 	Chunk volume.ChunkID
 	Size  units.Bytes
-	// State is where the task is in its lifecycle (TaskState). A scheduler
-	// moves a queued task to assigned with Assign; Backlog's transitions
-	// make every other move.
+	// State is where the task is in its lifecycle. A scheduler sets it to
+	// TaskAssigned on each task it places, and Pass counts the task off its
+	// job's Remaining; Move makes every other move.
 	State TaskState
 	// PredictedExec is the execution time the head tables forecast when the
 	// task was committed; the engine threads it into TaskResult so Correct
@@ -117,12 +115,38 @@ func (s TaskState) String() string {
 	return [...]string{"queued", "assigned", "held", "journaled", "done"}[s]
 }
 
+// movesTo holds, for each state, the states a task may move to it from, a
+// bit each: the lifecycle of DESIGN.md §5.5.
+var movesTo = [...]uint8{
+	TaskQueued:    1<<TaskAssigned | 1<<TaskHeld | 1<<TaskJournaled, // requeue
+	TaskAssigned:  1 << TaskQueued,                                  // reclaim
+	TaskHeld:      1<<TaskAssigned | 1<<TaskJournaled,               // hold
+	TaskJournaled: 1 << TaskAssigned,                                // journal
+	TaskDone:      1<<TaskAssigned | 1<<TaskHeld | 1<<TaskJournaled, // complete
+}
+
+// Move moves t to state s and keeps its job's counts: a requeue adds to
+// Remaining and drops the prediction, a reclaim takes from Remaining, a
+// completion adds to Done. A move the lifecycle does not have is a bug in
+// the plane, and panics. Backlog.Requeue and Reclaim add the backlog's step.
+func (t *Task) Move(s TaskState) {
+	if movesTo[s]&(1<<t.State) == 0 {
+		panic(fmt.Sprintf("core: %v moved from %v to %v", t, t.State, s))
+	}
+	switch j := t.Job; s {
+	case TaskQueued:
+		j.Remaining++
+		t.PredictedExec = 0
+	case TaskAssigned:
+		j.Remaining--
+	case TaskDone:
+		j.Done++
+	}
+	t.State = s
+}
+
 // Assigned reports whether the task has left the queue: schedulers skip it.
 func (t *Task) Assigned() bool { return t.State != TaskQueued }
-
-// Assign marks a queued task placed: what a Scheduler does to each task it
-// returns in an assignment. Pass then counts it off its job's Remaining.
-func (t *Task) Assign() { t.State = TaskAssigned }
 
 // String renders the task as "J12/T3".
 func (t *Task) String() string { return fmt.Sprintf("J%d/T%d", int64(t.Job.ID), t.Index) }

@@ -293,7 +293,7 @@ func (s *LocalityScheduler) carries(batch []*Job, head *HeadState) (int, bool) {
 	}
 	i, remaining := 0, 0
 	for _, j := range s.carried {
-		remaining += j.Remaining
+		remaining += int(j.Remaining)
 		if i < len(batch) && batch[i] == j {
 			i++
 		} else if j.Remaining != 0 {
@@ -333,7 +333,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 	// take assigns g's first pending task t to node k; t leaves the group.
 	take := func(g *chunkGroup, t *Task, k NodeID) {
 		g.drop()
-		t.Assign()
+		t.State = TaskAssigned
 		head.CommitAssign(t, k, now)
 		out = append(out, Assignment{Task: t, Node: k})
 	}
@@ -505,7 +505,7 @@ func (s *LocalityScheduler) Schedule(now units.Time, queue []*Job, head *HeadSta
 				break // no pending batch work anywhere
 			}
 			g.drop()
-			pick.Assign()
+			pick.State = TaskAssigned
 			head.CommitCoAssign(pick, node, now)
 			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
 		}

@@ -300,7 +300,7 @@ func jobOver(id JobID, class Class, action ActionID, now units.Time, chunks ...v
 	for i, c := range chunks {
 		j.Tasks[i] = Task{Job: j, Index: i, Chunk: c, Size: diffChunkSize(c.Dataset)}
 	}
-	j.Remaining = len(chunks)
+	j.Remaining = int32(len(chunks))
 	return j
 }
 
@@ -414,7 +414,7 @@ func driveOurs(t *testing.T, seed int64, cfg diffConfig, sched oursLike, cycles 
 			j := mkJob(next, class, ActionID(rng.Intn(4)+1), ds, rng.Intn(6)+1, diffChunkSize(ds), now)
 			next++
 			if rng.Intn(4) == 0 && len(j.Tasks) > 1 { // arrives partially assigned
-				j.Tasks[rng.Intn(len(j.Tasks))].Assign()
+				j.Tasks[rng.Intn(len(j.Tasks))].State = TaskAssigned
 				j.Remaining--
 			}
 			queue = append(queue, j)
@@ -843,7 +843,7 @@ func TestInvariantCarriedWindowReclaim(t *testing.T) {
 	if n := len(s.Schedule(0, []*Job{j}, head)); n != 0 {
 		t.Fatalf("a busy cycle assigned %d tasks", n)
 	}
-	j.Tasks[1].Assign() // reclaimed: H_B still holds it
+	j.Tasks[1].State = TaskAssigned // reclaimed: H_B still holds it
 	j.Tasks[0].State = TaskQueued
 	now := units.Time(2 * (3600 * units.Second))
 	placed := false
@@ -905,7 +905,7 @@ func TestCarriedWindowSurvivesJobReuse(t *testing.T) {
 					continue
 				}
 				tasks := j.Tasks
-				*j = Job{ID: next, Class: class, Action: ActionID(next), Dataset: j.Dataset, Issued: now, Tasks: tasks, Remaining: len(tasks)}
+				*j = Job{ID: next, Class: class, Action: ActionID(next), Dataset: j.Dataset, Issued: now, Tasks: tasks, Remaining: int32(len(tasks))}
 				for i := range tasks {
 					tasks[i] = Task{Job: j, Index: i, Chunk: tasks[i].Chunk, Size: tasks[i].Size}
 				}
@@ -944,7 +944,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 			for i := range j.Tasks {
 				j.Tasks[i].State = TaskQueued
 			}
-			j.Remaining = len(j.Tasks)
+			j.Remaining = int32(len(j.Tasks))
 		}
 		now = now.Add(3600 * units.Second) // every node has long drained
 		out := s.Schedule(now, queue, head)
@@ -982,7 +982,7 @@ func TestScheduleSteadyStateAllocsBatch(t *testing.T) {
 			for i := range job.Tasks {
 				job.Tasks[i].State = TaskQueued
 				if (i+j)%8 != 0 {
-					job.Tasks[i].Assign()
+					job.Tasks[i].State = TaskAssigned
 				} else {
 					job.Remaining++
 				}
@@ -1171,7 +1171,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 	s.usedGroups = 0
 	out := s.out[:0]
 	assign := func(t *Task, k NodeID) {
-		t.Assign()
+		t.State = TaskAssigned
 		head.CommitAssign(t, k, now)
 		out = append(out, Assignment{Task: t, Node: k})
 	}
@@ -1380,7 +1380,7 @@ func (s *referenceScheduler) Schedule(now units.Time, queue []*Job, head *HeadSt
 			if pick == nil {
 				break // no pending batch work anywhere
 			}
-			pick.Assign()
+			pick.State = TaskAssigned
 			head.CommitCoAssign(pick, node, now)
 			out = append(out, Assignment{Task: pick, Node: node, CoScheduled: true})
 		}

@@ -20,7 +20,7 @@ func mkJob(id JobID, class Class, action ActionID, ds volume.DatasetID, nChunks 
 			Size:  size,
 		}
 	}
-	j.Remaining = nChunks
+	j.Remaining = int32(nChunks)
 	return j
 }
 

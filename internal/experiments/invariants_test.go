@@ -36,7 +36,7 @@ func randomQueue(rng *rand.Rand, nJobs, nDatasets, maxChunks int) []*core.Job {
 				Size:  units.Bytes(rng.Intn(7)+1) * 64 * units.MB,
 			}
 		}
-		job.Remaining = chunks
+		job.Remaining = int32(chunks)
 		queue[j] = job
 	}
 	return queue

@@ -14,8 +14,8 @@
 //     Suspect/Up, ResyncCache — on tables with no observers attached, so
 //     replay is deep-equal to the lost head by construction.
 //   - Jobs are reconstructed exactly from admit records plus per-task
-//     dispatch/complete records, each applied as the core task transition
-//     the live head made (core.Backlog); completed-but-undelivered work is
+//     dispatch/complete records, each applied as the task move the live
+//     head made (core.Task.Move); completed-but-undelivered work is
 //     journaled (core.TaskJournaled), so recovery never re-renders it.
 //   - QoS soft state (token balances, degradation ladder, accounting) comes
 //     from the snapshot as-of its capture; session in-flight depths and
@@ -40,7 +40,7 @@ import (
 )
 
 // TaskState is the on-disk form of a task's core.TaskState in a job
-// record: InfoOf writes it, and Replay reads it once, when it builds the
+// record: InfoOf writes it, and Replay reads it only when it builds the
 // job.
 type TaskState uint8
 
@@ -85,16 +85,13 @@ type JobRecord struct {
 // node: held records as assigned, done ones as journaled, and a queued task
 // carries neither node nor prediction.
 func InfoOf(t *core.Task, node core.NodeID) TaskInfo {
-	ti := TaskInfo{Chunk: t.Chunk, Size: t.Size}
-	switch t.State {
-	case core.TaskQueued:
-		return ti
-	case core.TaskAssigned, core.TaskHeld:
-		ti.State = TaskAssigned
-	default:
+	if t.State == core.TaskQueued {
+		return TaskInfo{Chunk: t.Chunk, Size: t.Size}
+	}
+	ti := TaskInfo{Chunk: t.Chunk, Size: t.Size, State: TaskAssigned, Node: node, Predicted: t.PredictedExec}
+	if t.State == core.TaskJournaled || t.State == core.TaskDone {
 		ti.State = TaskDone
 	}
-	ti.Node, ti.Predicted = node, t.PredictedExec
 	return ti
 }
 
@@ -219,7 +216,8 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 // RecoveredJob pairs a job's durable record with the reconstructed
 // scheduler-facing job, whose Remaining and PredictedExec match what the
 // lost head held; a held task recovers assigned and a done one journaled.
-// Of the record's tasks replay keeps only Node up to date.
+// Replay rewrites a task's record (InfoOf) on each of its moves, so Rec is
+// what the lost head would have snapshotted.
 type RecoveredJob struct {
 	Rec *JobRecord
 	Job *core.Job
@@ -253,18 +251,15 @@ func buildJob(r *JobRecord) *core.Job {
 	j.Tasks = make([]core.Task, len(r.Tasks))
 	for i := range r.Tasks {
 		ti := &r.Tasks[i]
-		t := &j.Tasks[i]
-		*t = core.Task{Job: j, Index: i, Chunk: ti.Chunk, Size: ti.Size}
+		j.Tasks[i] = core.Task{Job: j, Index: i, Chunk: ti.Chunk, Size: ti.Size, PredictedExec: ti.Predicted}
 		switch ti.State {
 		case TaskQueued:
 			j.Remaining++
-			continue
 		case TaskAssigned:
-			t.State = core.TaskAssigned
+			j.Tasks[i].State = core.TaskAssigned
 		default:
-			t.State = core.TaskJournaled
+			j.Tasks[i].State = core.TaskJournaled
 		}
-		t.PredictedExec = ti.Predicted
 	}
 	return j
 }
@@ -283,10 +278,6 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		NextJobID: snap.NextJobID,
 		At:        snap.At,
 	}
-	// Every record moves a task by the transition the live head made, on a
-	// backlog of replay's own, which the caller never sees: a recovered
-	// head builds its queue from the jobs.
-	var b core.Backlog
 	byID := make(map[core.JobID]*RecoveredJob, len(snap.Jobs))
 	addJob := func(rec *JobRecord) error {
 		if byID[rec.ID] != nil {
@@ -295,9 +286,6 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		rj := &RecoveredJob{Rec: rec, Job: buildJob(rec)}
 		st.Jobs = append(st.Jobs, rj)
 		byID[rec.ID] = rj
-		if rj.Job.Remaining > 0 {
-			b.Push(rj.Job)
-		}
 		if rec.ID >= st.NextJobID {
 			st.NextJobID = rec.ID
 		}
@@ -312,7 +300,6 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 		if byID[id] == nil {
 			return
 		}
-		b.Remove(byID[id].Job)
 		delete(byID, id)
 		for i, rj := range st.Jobs {
 			if rj.Rec.ID == id {
@@ -335,7 +322,7 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 				ri, rec.Kind, rec.Job, rec.Task, rec.Node, fmt.Sprintf(format, args...))
 		}
 		// task resolves the record's (job, task) pair for lifecycle records:
-		// the durable record, for its node, and the job's task.
+		// the durable record and the job's task.
 		task := func() (*TaskInfo, *core.Task, error) {
 			rj := byID[jobID]
 			if rj == nil {
@@ -373,14 +360,14 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			// still out of the queue: the live head requeued it first, which
 			// it does not journal because it mutates no tables.
 			if t.State != core.TaskQueued {
-				b.Requeue(t)
+				t.Move(core.TaskQueued)
 			}
-			b.Reclaim(t)
+			t.Move(core.TaskAssigned)
 			pred := st.Tables.CommitAssign(t, node, at)
 			if pred != body.Predicted {
 				return nil, fail("replayed prediction %v != journaled %v — tables diverged", pred, body.Predicted)
 			}
-			ti.Node = node
+			*ti = InfoOf(t, node)
 
 		case journal.KindComplete:
 			var body CompleteBody
@@ -397,7 +384,7 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			// A completion for a released task is the live head's reclaim
 			// path: the original execution finished after the deadline fired.
 			if t.State == core.TaskQueued {
-				b.Reclaim(t)
+				t.Move(core.TaskAssigned)
 			}
 			if body.Touch {
 				st.Tables.DemandTouchPrefetched(t.Chunk, node)
@@ -407,8 +394,8 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 				Exec: body.Exec, Predicted: t.PredictedExec,
 				Evicted: body.Evicted, Finished: at,
 			}, at)
-			b.Journal(t)
-			ti.Node = node
+			t.Move(core.TaskJournaled)
+			*ti = InfoOf(t, node)
 
 		case journal.KindFail:
 			dropJob(jobID)
@@ -421,8 +408,9 @@ func Replay(snap *Snapshot, records []journal.Record, model core.CostModel) (*St
 			st.Tables.MarkFailed(node)
 			for _, rj := range st.Jobs {
 				for i := range rj.Job.Tasks {
-					if t := &rj.Job.Tasks[i]; t.State == core.TaskAssigned && rj.Rec.Tasks[i].Node == node {
-						b.Requeue(t)
+					if t, ti := &rj.Job.Tasks[i], &rj.Rec.Tasks[i]; t.State == core.TaskAssigned && ti.Node == node {
+						t.Move(core.TaskQueued)
+						*ti = InfoOf(t, node)
 					}
 				}
 			}

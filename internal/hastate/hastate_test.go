@@ -16,7 +16,7 @@ import (
 
 // driver mimics a live head: every table mutation it performs is also
 // journaled, exactly as the service layer does, and every task moves by the
-// core transition the head makes, so Replay against a mid-stream snapshot
+// core move the head makes, so Replay against a mid-stream snapshot
 // must land deep-equal.
 type driver struct {
 	t      *testing.T
@@ -172,7 +172,7 @@ func (d *driver) complete() {
 	}, d.now)
 	d.journal(journal.KindComplete, rec.ID, i, ti.Node,
 		CompleteBody{Hit: hit, Touch: touch, Exec: exec, Evicted: evicted})
-	d.b.Complete(t, exec)
+	t.Move(core.TaskDone)
 	rec.Tasks[i] = InfoOf(t, ti.Node)
 }
 
@@ -355,8 +355,8 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 		}
 		for i, rj := range st.Jobs {
 			want := d.jobs[i]
-			if got := recordOf(rj); !reflect.DeepEqual(got, *want) {
-				t.Fatalf("seed %d: job %d record differs:\n got %+v\nwant %+v", seed, want.ID, got, *want)
+			if !reflect.DeepEqual(rj.Rec, want) {
+				t.Fatalf("seed %d: job %d record differs:\n got %+v\nwant %+v", seed, want.ID, rj.Rec, want)
 			}
 			if err := core.CheckRecords(rj.Job); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -384,7 +384,7 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 		liveSnap.At = wantAt // replay can only be as fresh as the last record
 		recSnap := &Snapshot{At: st.At, NextJobID: st.NextJobID, Tables: st.Tables.Dump()}
 		for _, rj := range st.Jobs {
-			recSnap.Jobs = append(recSnap.Jobs, recordOf(rj))
+			recSnap.Jobs = append(recSnap.Jobs, *rj.Rec)
 		}
 		lb, err1 := liveSnap.Encode()
 		rb, err2 := recSnap.Encode()
@@ -395,17 +395,6 @@ func TestReplayReconstructsTablesDeepEqual(t *testing.T) {
 			t.Fatalf("seed %d: recovered snapshot bytes differ from live snapshot bytes", seed)
 		}
 	}
-}
-
-// recordOf is the durable record a recovered head writes for rj: its tasks
-// as InfoOf has them, each at the node replay last saw it on.
-func recordOf(rj *RecoveredJob) JobRecord {
-	rec := *rj.Rec
-	rec.Tasks = make([]TaskInfo, len(rj.Job.Tasks))
-	for i := range rec.Tasks {
-		rec.Tasks[i] = InfoOf(&rj.Job.Tasks[i], rj.Rec.Tasks[i].Node)
-	}
-	return rec
 }
 
 func TestSnapshotEncodeDeterministicAndValidated(t *testing.T) {
@@ -539,6 +528,9 @@ func TestReplayRecoversReleasedTaskAsAssigned(t *testing.T) {
 	st, err := Replay(snap, records, d.tables.Model)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := st.Jobs[0].Rec.Tasks[released].State; got != TaskAssigned {
+		t.Fatalf("released task recovered as %d, want TaskAssigned", got)
 	}
 	if got := st.Jobs[0].Job.Tasks[released].State; got != core.TaskAssigned {
 		t.Fatalf("released task recovered %v, want assigned", got)

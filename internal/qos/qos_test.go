@@ -24,7 +24,7 @@ func mkJob(id int, tenant core.TenantID, class core.Class, action core.ActionID,
 	for i := range j.Tasks {
 		j.Tasks[i] = core.Task{Job: j, Index: i}
 	}
-	j.Remaining = tasks
+	j.Remaining = int32(tasks)
 	return j
 }
 

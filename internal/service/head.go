@@ -518,7 +518,7 @@ func (h *Head) boot(st *hastate.State) (*headLoop, error) {
 		if rj.Job.Remaining == 0 {
 			continue // fully in flight; completions or deadlines move it
 		}
-		if h.qosc != nil && rj.Job.Remaining == len(rj.Job.Tasks) {
+		if h.qosc != nil && int(rj.Job.Remaining) == len(rj.Job.Tasks) {
 			// Undispatched jobs re-enter the fair queue in admission order;
 			// partially-dispatched ones go straight to the backlog below.
 			h.qosc.Requeue(rj.Job)
@@ -901,7 +901,7 @@ func (h *Head) submit(conn transport.Conn, msgID uint64, req RenderBody) error {
 			Size:  c.SizeBytes,
 		}
 	}
-	job.Remaining = len(job.Tasks)
+	job.Remaining = int32(len(job.Tasks))
 	h.stats.jobsIssued.Add(1)
 	if req.Batch {
 		h.stats.batchIssued.Add(1)

@@ -434,7 +434,7 @@ func (l *headLoop) checkHealth() {
 			backoff += time.Duration(h.rng.Int63n(int64(backoff)/2 + 1))
 			h.Logf("head: task %v overdue on node %d; retry %d after %v",
 				lj.job.Tasks[i].String(), t.node, t.retries, backoff.Round(time.Millisecond))
-			l.backlog.Hold(&lj.job.Tasks[i])
+			lj.job.Tasks[i].Move(core.TaskHeld)
 			t.due = now.Add(backoff)
 		}
 	}
@@ -708,9 +708,9 @@ func (l *headLoop) fragment(node core.NodeID, body []byte) {
 		}
 		h.uncount(t, true, now)
 		t.frag = &frag
-		l.backlog.Complete(task, units.Duration(frag.ExecNanos))
+		task.Move(core.TaskDone)
 	}
-	if lj.job.Done == len(lj.tasks) {
+	if int(lj.job.Done) == len(lj.tasks) {
 		delete(l.inflight, lj.job.ID)
 		// The key binding survives until finalize retires it into the
 		// retained store, so a re-submission racing the PNG encode

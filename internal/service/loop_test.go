@@ -529,7 +529,7 @@ func (s blindScheduler) Schedule(now units.Time, queue []*core.Job, head *core.H
 	for _, j := range queue {
 		for i := range j.Tasks {
 			if t := &j.Tasks[i]; !t.Assigned() {
-				t.Assign()
+				t.State = core.TaskAssigned
 				out = append(out, core.Assignment{Task: t, Node: s.node})
 			}
 		}

@@ -521,7 +521,8 @@ func (e *Engine) admitArrival(req workload.Request, issued units.Time) {
 		Dataset:   req.Dataset,
 		Issued:    issued,
 		Tasks:     j.Tasks,
-		Remaining: len(j.Tasks),
+		Remaining: int32(len(j.Tasks)),
+		Started:   -1,
 	}
 	for i, c := range ds.Chunks {
 		j.Tasks[i] = core.Task{Job: j, Index: i, Chunk: c.ID, Size: c.Size}
@@ -778,16 +779,17 @@ func (e *Engine) kickLoad(n *node) {
 // progress, QoS observation. now is when the report reaches the head —
 // completion time normally, reconciliation time for reports a head outage
 // or partition deferred (the job's latency then includes the outage, as a
-// client waiting on the frame would measure it). The report completes its
-// task (core.Backlog.Complete), which must be assigned: a task the head
-// requeued, a finished job's and a reused job's are not, so no report can
-// take a job past its task count. A finished job retires.
+// client waiting on the frame would measure it). The report moves its task
+// to done, which must be out of the queue: a task the head requeued, a
+// finished job's and a reused job's are not, so no report can take a job
+// past its task count. A finished job retires.
 func (e *Engine) account(res core.TaskResult) {
 	now := e.sim.Now()
 	j := res.Task.Job
-	last := e.backlog.Complete(res.Task, res.Exec)
+	res.Task.Move(core.TaskDone)
 	e.head.Correct(res, now)
-	if !last {
+	j.MaxExec = max(j.MaxExec, res.Exec)
+	if int(j.Done) < len(j.Tasks) {
 		return
 	}
 	e.report.JobCompleted(j.Class == core.Interactive, int(j.Action), j.Issued, j.Started, now)

@@ -252,7 +252,7 @@ type shownJobs map[*core.Job]bool
 func (s shownJobs) check(t *testing.T, queue []*core.Job) {
 	t.Helper()
 	for j := range s {
-		if j.Done == len(j.Tasks) {
+		if int(j.Done) == len(j.Tasks) {
 			delete(s, j)
 		} else if err := core.CheckRecords(j); err != nil {
 			t.Fatal(err)

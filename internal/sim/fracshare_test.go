@@ -297,7 +297,7 @@ func TestFracShareIdleSampleNoAllocs(t *testing.T) {
 		for i, c := range d.Chunks {
 			job.Tasks = append(job.Tasks, core.Task{Job: job, Index: i, Chunk: c.ID, Size: c.Size})
 		}
-		job.Remaining = len(job.Tasks)
+		job.Remaining = int32(len(job.Tasks))
 		e.backlog.Push(job)
 	}
 	e.sampleIdleSplit()

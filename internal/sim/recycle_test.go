@@ -27,8 +27,8 @@ func TestDuplicateCompletionPanics(t *testing.T) {
 	late := func(when string, task *core.Task) {
 		t.Helper()
 		defer func() {
-			if r := recover(); !strings.Contains(fmt.Sprint(r), "core: completion of "+task.String()) {
-				t.Errorf("%s: a late completion of %v gave %v, want the task transition's panic", when, task, r)
+			if r := fmt.Sprint(recover()); !strings.HasPrefix(r, "core: "+task.String()+" moved from ") || !strings.HasSuffix(r, " to done") {
+				t.Errorf("%s: a late completion of %v gave %v, want the task move's panic", when, task, r)
 			}
 		}()
 		e.account(core.TaskResult{Task: task, Exec: units.Millisecond, Finished: e.sim.Now()})

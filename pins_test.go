@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -12,15 +11,10 @@ import (
 	"testing"
 
 	"vizsched/internal/experiments"
-	"vizsched/internal/prefetch"
 	"vizsched/internal/sim"
 	"vizsched/internal/trace"
 	"vizsched/internal/workload"
 )
-
-// updatePins rewrites testdata/paper_pins.txt from this run. A pin moves
-// only under the fixed-point rule: the change that moves it says why.
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/paper_pins.txt from this run")
 
 const pinsFile = "testdata/paper_pins.txt"
 
@@ -31,16 +25,30 @@ var schedCost = regexp.MustCompile(`sched=\s*\S+/job`)
 // TestPaperTablesAndTracesMatchPins holds the simulator's fixed points to
 // the sha256 in testdata/paper_pins.txt: vizsim's scale-0.1 table (every
 // scheduler, the sched= column masked) on Scenarios 1–4, and the -trace CSV
-// bytes of Scenarios 1 and 3 under OURS, plain, with -qos -tenants 4 -skew
-// 1.5, with -prefetch and with -faults 2. Each run is configured as
-// cmd/vizsim configures it. It skips where hostFloatsReproduce does not
-// hold.
+// bytes of Scenarios 1 and 3 under OURS — plain, with -qos -tenants 4 -skew
+// 1.5, and with -faults at a rate where chaos fires (30 on Scenario 1,
+// where 2 faults per minute draw none in its 6 s; 2 on Scenario 3). Each
+// run is configured through experiments.ScenarioRun, as cmd/vizsim
+// configures it, and a variant whose trace equals its plain run's fails:
+// it would pin nothing the plain run does not. -prefetch is not pinned: it
+// issues no warm on any paper scenario, and the prefetch sweep's pin
+// (TestSweepTablesMatchBenchPins) holds the prefetch path. A pin moves only
+// under the fixed-point rule: the change that moves it edits the line and
+// says why. The test skips where hostFloatsReproduce does not hold.
 func TestPaperTablesAndTracesMatchPins(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the paper's scenarios at scale 0.1")
 	}
-	if !hostFloatsReproduce() && !*updatePins {
+	if !hostFloatsReproduce() {
 		t.Skip("this host's math.Exp/math.Pow do not reproduce the recorded bits; the pins cannot hold here")
+	}
+	plain := experiments.ScenarioRun{Jitter: experiments.Jitter, Replicas: 1} // vizsim's defaults
+	qos := plain
+	qos.Tenants, qos.Skew, qos.QoS = 4, 1.5, true
+	faults := func(rate float64) experiments.ScenarioRun {
+		r := plain
+		r.Faults = rate
+		return r
 	}
 	type pinRun struct {
 		name string
@@ -48,36 +56,42 @@ func TestPaperTablesAndTracesMatchPins(t *testing.T) {
 	}
 	var runs []pinRun
 	for s := 1; s <= 4; s++ {
-		runs = append(runs, pinRun{fmt.Sprintf("table/scenario%d", s), func() string { return pinTable(s) }})
+		runs = append(runs, pinRun{fmt.Sprintf("table/scenario%d", s), func() string { return pinTable(plain, s) }})
 	}
-	for _, s := range []int{1, 3} {
-		for _, v := range []string{"plain", "qos", "prefetch", "faults"} {
-			runs = append(runs, pinRun{fmt.Sprintf("trace/scenario%d/%s", s, v), func() string { return pinTrace(s, v) }})
-		}
+	traces := []struct {
+		variant  string
+		scenario int
+		run      experiments.ScenarioRun
+	}{
+		{"plain", 1, plain}, {"qos", 1, qos}, {"faults30", 1, faults(30)},
+		{"plain", 3, plain}, {"qos", 3, qos}, {"faults2", 3, faults(2)},
 	}
-	got := make([]string, len(runs))
-	experiments.ForEach(experiments.DefaultWorkers(), len(runs), func(i int) { got[i] = runs[i].run() })
+	for _, tr := range traces {
+		runs = append(runs, pinRun{fmt.Sprintf("trace/scenario%d/%s", tr.scenario, tr.variant),
+			func() string { return pinTrace(tr.run, tr.scenario) }})
+	}
+	got := make(map[string]string, len(runs))
+	sums := make([]string, len(runs))
+	experiments.ForEach(experiments.DefaultWorkers(), len(runs), func(i int) { sums[i] = runs[i].run() })
+	for i, r := range runs {
+		got[r.name] = sums[i]
+	}
 
-	if *updatePins {
-		var b strings.Builder
-		b.WriteString("# sha256 of vizsim's scale-0.1 tables (sched= masked) and OURS traces; TestPaperTablesAndTracesMatchPins\n")
-		for i, r := range runs {
-			fmt.Fprintf(&b, "%s %s\n", r.name, got[i])
-		}
-		if err := os.WriteFile(pinsFile, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	want := readPins(t)
 	if len(want) != len(runs) {
 		t.Errorf("%s pins %d runs, the test makes %d", pinsFile, len(want), len(runs))
 	}
-	for i, r := range runs {
+	for _, r := range runs {
 		if w, ok := want[r.name]; !ok {
 			t.Errorf("%s: no pin", r.name)
-		} else if got[i] != w {
-			t.Errorf("%s: sha256 %s, pinned %s", r.name, got[i], w)
+		} else if got[r.name] != w {
+			t.Errorf("%s: sha256 %s, pinned %s", r.name, got[r.name], w)
+		}
+	}
+	for _, tr := range traces {
+		name := fmt.Sprintf("trace/scenario%d/%s", tr.scenario, tr.variant)
+		if tr.variant != "plain" && got[name] == got[fmt.Sprintf("trace/scenario%d/plain", tr.scenario)] {
+			t.Errorf("%s: the trace equals the plain run's; the variant changes nothing", name)
 		}
 	}
 }
@@ -107,53 +121,34 @@ func readPins(t *testing.T) map[string]string {
 	return pins
 }
 
-// pinTable is vizsim -scenario s -scale 0.1 -sched all's report lines with
-// the sched= column masked, hashed.
-func pinTable(s int) string {
-	cfg := workload.Scenario(workload.ScenarioID(s), 0.1)
+// pinTable is vizsim -scenario s -scale 0.1 -sched all's report lines
+// under run r, the sched= column masked, hashed.
+func pinTable(r experiments.ScenarioRun, s int) string {
+	cfg := r.Scenario(workload.ScenarioID(s), 0.1)
 	wl := workload.Generate(cfg.Spec)
-	faults := experiments.FaultSchedule(cfg.Nodes, wl.Length, 0, int64(cfg.ID)*104729)
 	h := sha256.New()
 	for _, sched := range experiments.Schedulers() {
-		ecfg := sim.ScenarioEngineConfig(cfg, sched, experiments.Jitter)
-		ecfg.Failures = faults
-		ecfg.Replicas = 1
-		rep := sim.New(ecfg).Run(wl, 0)
+		rep := sim.New(r.Config(cfg, wl, sched)).Run(wl, 0)
 		fmt.Fprintln(h, schedCost.ReplaceAllString(rep.String(), "sched=-"))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // pinTrace is the sha256 of vizsim -scenario s -scale 0.1 -sched OURS
-// -trace's CSV with the variant's flags.
-func pinTrace(s int, variant string) string {
-	cfg := workload.Scenario(workload.ScenarioID(s), 0.1)
-	if variant == "qos" {
-		cfg.Spec.Tenants, cfg.Spec.TenantSkew = 4, 1.5
-	}
+// -trace's CSV under run r.
+func pinTrace(r experiments.ScenarioRun, s int) string {
+	cfg := r.Scenario(workload.ScenarioID(s), 0.1)
 	wl := workload.Generate(cfg.Spec)
-	rate := 0.0
-	if variant == "faults" {
-		rate = 2
-	}
 	ours, err := experiments.SchedulerByName("OURS")
 	if err != nil {
 		panic(err)
 	}
-	ecfg := sim.ScenarioEngineConfig(cfg, ours, experiments.Jitter)
-	ecfg.Failures = experiments.FaultSchedule(cfg.Nodes, wl.Length, rate, int64(cfg.ID)*104729)
-	ecfg.Replicas = 1
-	switch variant {
-	case "qos":
-		ecfg.QoS = experiments.SweepQoSConfig()
-	case "prefetch":
-		ecfg.Prefetch = prefetch.DefaultConfig()
-	}
-	tl := trace.New(2_000_000)
+	ecfg := r.Config(cfg, wl, ours)
+	tl := trace.New(experiments.TraceCap)
 	ecfg.Trace = tl
 	sim.New(ecfg).Run(wl, 0)
 	if tl.Dropped > 0 {
-		panic(fmt.Sprintf("trace of scenario %d %s capped", s, variant))
+		panic(fmt.Sprintf("trace of scenario %d capped", s))
 	}
 	h := sha256.New()
 	if err := tl.WriteCSV(h); err != nil {
