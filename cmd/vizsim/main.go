@@ -48,8 +48,6 @@ func main() {
 		"max concurrent runs with -sched all; 1 = sequential (reference scheduling-cost numbers)")
 	useQoS := flag.Bool("qos", false,
 		"enable the QoS subsystem: per-tenant admission control, DRR fair queuing, SLO-driven degradation")
-	usePrefetch := flag.Bool("prefetch", false,
-		"enable predictive chunk prefetching for OURS: trajectory-aware cache warming in scheduler idle windows")
 	tenants := flag.Int("tenants", 0, "spread users over this many tenants (0: single default tenant)")
 	tenantSkew := flag.Float64("skew", 0, "Zipf exponent for tenant demand skew with -tenants; 0 = uniform")
 	flag.Parse()
@@ -67,7 +65,7 @@ func main() {
 	}
 	sr := experiments.ScenarioRun{
 		Tenants: *tenants, Skew: *tenantSkew, Jitter: *jitter,
-		Faults: *faults, Replicas: *replicas, QoS: *useQoS, Prefetch: *usePrefetch,
+		Faults: *faults, Replicas: *replicas, QoS: *useQoS,
 	}
 	cfg := sr.Scenario(workload.ScenarioID(*scenario), *scale)
 	wl := workload.Generate(cfg.Spec)
@@ -114,15 +112,6 @@ func main() {
 			q.Admitted, q.Throttled, q.Rejected, q.Shed, q.MaxLevel, q.FinalLevel, rep.JainFairness())
 	}
 
-	printPrefetch := func(rep *metrics.Report) {
-		if rep.Prefetch == nil {
-			return
-		}
-		p := rep.Prefetch
-		fmt.Printf("       prefetch: issued=%d loaded=%d cancelled=%d hits=%d hidden=%d wasted=%d moved=%v\n",
-			p.Issued, p.Loaded, p.Cancelled, p.Hits, p.HiddenHits, p.Wasted, p.BytesMoved)
-	}
-
 	run := func(name string) error {
 		s, err := experiments.SchedulerByName(name)
 		if err != nil {
@@ -139,7 +128,6 @@ func main() {
 		fmt.Println(rep)
 		printRecovery(rep)
 		printQoS(rep)
-		printPrefetch(rep)
 		if *verbose {
 			fmt.Printf("interactive latency distribution:\n%s", rep.Interactive.LatencyHist.Render(12))
 		}
@@ -196,7 +184,6 @@ func main() {
 			fmt.Println(rep)
 			printRecovery(rep)
 			printQoS(rep)
-			printPrefetch(rep)
 			if *verbose {
 				fmt.Printf("interactive latency distribution:\n%s", rep.Interactive.LatencyHist.Render(12))
 			}

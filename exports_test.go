@@ -35,9 +35,15 @@ var keptExports = map[string]string{
 	"metrics.TenantQoS.ShedOnArrival":     "accessor: qos, sim and service tests check the per-tenant admission partition with it",
 	"prefetch.Controller.InFlight":        "accessor: the controller tests read a node's in-flight warm",
 	"qos.TokenBucket.Tokens":              "accessor: the bucket tests read the balance, throttle debt included",
+	"service.Cluster.RejoinWorker":        "harness: TestKillWorkerMidJobRejoin brings a killed worker back to its slot",
+	"service.Cluster.ResyncTo":            "harness: TestHeadFailoverJournalRecovery moves the workers onto the standby",
+	"service.Cluster.Worker":              "accessor: TestHeadFailoverJournalRecovery counts each worker's renders through it",
+	"service.Head.Crash":                  "harness: TestHeadFailoverJournalRecovery kills the journaling head without a shutdown",
 	"service.Head.QoSController":          "accessor: the live QoS tests read the head's ladder and outcome",
+	"service.Head.WorkerHealth":           "accessor: TestKillWorkerMidJobRejoin waits on a node's health through it",
 	"service.Worker.RayStats":             "accessor: the service tests read a worker's sample and skip counts",
 	"service.Worker.CacheStats":           "accessor: the service tests read a worker's cache counters",
+	"service.Worker.TasksExecuted":        "accessor: TestHeadFailoverJournalRecovery checks that nothing is rendered twice",
 	"shard.Directory.Residents":           "accessor: shard and core invariant tests read a chunk's resident nodes",
 	"transport.FaultInjector.Heal":        "harness: the chaos and failover tests end a partition with it",
 	"transport.FaultInjector.Partitioned": "accessor: the chaos tests read the partition switch",

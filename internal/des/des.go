@@ -350,21 +350,24 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events in order until the queue drains, the horizon passes,
 // or Stop is called. A zero horizon means "run to completion". Run returns
-// the virtual time at which it stopped.
+// the virtual time at which it stopped. A canceled event is dropped when it
+// reaches the front, before the horizon is compared, so whether it was
+// reaped earlier never decides where the clock stops.
 func (s *Simulator) Run(horizon units.Time) units.Time {
 	for len(s.heap) > 0 && !s.stopped {
 		idx := s.heap[0]
+		if s.items[idx].canceled {
+			s.popRoot()
+			s.nCanceled--
+			s.release(idx)
+			continue
+		}
 		if horizon > 0 && s.items[idx].at > horizon {
 			s.now = horizon
 			break
 		}
 		s.popRoot()
 		it := &s.items[idx]
-		if it.canceled {
-			s.nCanceled--
-			s.release(idx)
-			continue
-		}
 		if it.at < s.now {
 			panic("des: event heap yielded time travel")
 		}

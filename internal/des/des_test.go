@@ -92,6 +92,17 @@ func TestHorizonStopsLoop(t *testing.T) {
 	}
 }
 
+// TestHorizonIgnoresCanceled: a canceled event past the horizon, reaped or
+// not, does not carry the clock to the horizon once the live events are done.
+func TestHorizonIgnoresCanceled(t *testing.T) {
+	s := New()
+	s.At(units.Time(units.Second), func(*Simulator) {})
+	s.At(units.Time(9*units.Second), func(*Simulator) {}).Cancel()
+	if end := s.Run(units.Time(4 * units.Second)); end != units.Time(units.Second) {
+		t.Errorf("end = %v, want 1s", end)
+	}
+}
+
 func TestTimerCancel(t *testing.T) {
 	s := New()
 	fired := false

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"vizsched/internal/core"
-	"vizsched/internal/prefetch"
 	"vizsched/internal/sim"
 	"vizsched/internal/workload"
 )
@@ -18,7 +17,6 @@ type ScenarioRun struct {
 	Faults   float64 // chaos faults per simulated minute
 	Replicas int     // replication degree k for OURS
 	QoS      bool    // admission control under SweepQoSConfig
-	Prefetch bool    // prefetching under prefetch.DefaultConfig
 }
 
 // TraceCap is the number of events a vizsim trace holds.
@@ -40,9 +38,6 @@ func (r ScenarioRun) Config(cfg workload.ScenarioConfig, wl *workload.Schedule, 
 	ecfg.Replicas = r.Replicas
 	if r.QoS {
 		ecfg.QoS = SweepQoSConfig()
-	}
-	if r.Prefetch {
-		ecfg.Prefetch = prefetch.DefaultConfig()
 	}
 	return ecfg
 }

@@ -145,6 +145,31 @@ func TestHeadFailoverJournalRecovery(t *testing.T) {
 		t.Errorf("reattached+retained = %d+%d, want %d total",
 			rec.JobsReattached, rec.RetainedServed, frames)
 	}
+
+	// The animation goes on: a frame the crashed head never saw is rendered
+	// once, on the standby, byte-identical to an uninterrupted cluster's.
+	next := RenderBody{Dataset: "supernova", Angle: 0.3 * frames, Dist: 2.4, Width: 32, Height: 32, Key: frames + 1}
+	res, err := client2.Render(next)
+	if err != nil {
+		t.Fatalf("frame after takeover: %v", err)
+	}
+	if got := cl.Worker(0).TasksExecuted() + cl.Worker(1).TasksExecuted(); got != tasksBefore+3 {
+		t.Errorf("tasks executed = %d after one new frame, want %d", got, tasksBefore+3)
+	}
+	ref, err := StartCluster(core.NewLocalityScheduler(2*units.Millisecond), cat, 2, 64*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	refClient := ref.Connect()
+	defer refClient.Close()
+	want, err := refClient.Render(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.PNG, want.PNG) {
+		t.Error("frame after takeover differs from an uninterrupted cluster's")
+	}
 }
 
 // gateConn swallows worker→head completion traffic on command: the
